@@ -14,7 +14,7 @@
 use crate::history::History;
 use crate::linearizability::{self, LinResult, RegOp, RegOpKind, PENDING};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use vi_traffic::{AppKind, AuditRecord, OpDesc, OpOutcome, TrafficEvent};
 
 /// A checker's verdict.
@@ -151,10 +151,18 @@ pub fn audit(history: &History) -> AuditReport {
         AppKind::Tracking => checks.push(check_monotone_freshness(history)),
         AppKind::Georouting => checks.push(check_delivery_once(history)),
     }
+    let (mut ops, mut timeouts) = (0, 0);
+    for e in &history.events {
+        match e {
+            TrafficEvent::Invoke { .. } => ops += 1,
+            TrafficEvent::Timeout { .. } => timeouts += 1,
+            _ => {}
+        }
+    }
     AuditReport {
         app: history.app.name().to_string(),
-        ops: history.invocations(),
-        timeouts: history.timeouts().len() as u64,
+        ops,
+        timeouts,
         checks,
     }
 }
@@ -472,11 +480,10 @@ pub fn check_fifo_grants(history: &History) -> CheckResult {
         completed.entry(client).or_default().push(id);
     }
     for (client, done) in &completed {
-        let order: Vec<u64> = invoked
-            .get(client)
-            .map(|ids| ids.iter().copied().filter(|id| done.contains(id)).collect())
-            .unwrap_or_default();
-        if &order != done {
+        let done_ids: BTreeSet<u64> = done.iter().copied().collect();
+        let asked = invoked.get(client).map_or(&[][..], Vec::as_slice);
+        let in_order = asked.iter().filter(|id| done_ids.contains(id));
+        if !in_order.eq(done) {
             return CheckResult::violation(
                 "fifo_grants",
                 checked,
@@ -829,6 +836,30 @@ mod tests {
         );
         let res = check_fifo_grants(&phantom);
         assert!(!res.ok(), "grant without any acquire must fail");
+    }
+
+    #[test]
+    fn fifo_requires_completions_in_invocation_order() {
+        // One client, 5 000 acquires (a size the quadratic membership
+        // scan this replaced spent seconds on), every other one timing
+        // out: the completed ones are a subsequence of the invoked.
+        let mut events = Vec::new();
+        for i in 0..5_000u64 {
+            events.push(inv(i, 0, 4 * i, OpDesc::Acquire));
+            if i % 2 == 0 {
+                events.push(done(i, 0, 4 * i + 2, OpOutcome::Granted));
+            }
+        }
+        assert!(check_fifo_grants(&h(AppKind::Mutex, events.clone())).ok());
+        // #3 was invoked before #4 but completes after it.
+        events.push(done(3, 0, 20_001, OpOutcome::Granted));
+        let res = check_fifo_grants(&h(AppKind::Mutex, events));
+        assert!(!res.ok());
+        let witness = res.witness.unwrap();
+        assert!(
+            witness.starts_with("client 0 completed acquires out of invocation order: [0, 2, 4,"),
+            "{witness}"
+        );
     }
 
     #[test]

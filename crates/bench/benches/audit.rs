@@ -1,7 +1,8 @@
 //! Criterion bench for the WGL linearizability checker hot path: a
-//! full memoized search over legal histories of 1k and 10k operations
-//! (the dancing-links frontier keeps each visited node O(width), so
-//! the happy path stays near-linear in history length).
+//! full memoized search over legal histories of 1k, 10k and 100k
+//! operations (forced-cut segments, a window-compact memo key and the
+//! dancing-links frontier keep each visited node O(width), so the
+//! happy path is linear in history length).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use vi_audit::{check_register, synthetic_history, LinResult};
@@ -9,7 +10,7 @@ use vi_audit::{check_register, synthetic_history, LinResult};
 fn wgl_check(c: &mut Criterion) {
     let mut g = c.benchmark_group("audit_wgl_check");
     g.sample_size(10);
-    for n in [1_000usize, 10_000] {
+    for n in [1_000usize, 10_000, 100_000] {
         let ops = synthetic_history(n, 7);
         g.bench_with_input(BenchmarkId::from_parameter(n), &ops, |b, ops| {
             b.iter(|| {

@@ -31,11 +31,11 @@ pub enum Direction {
 /// columns (used as the row key).
 ///
 /// Recognition is keyword-based on the lowercased header: speedup and
-/// throughput columns improve upward; time units, overhead, and ratio
-/// columns improve downward. Deterministic counts (rounds, receptions,
-/// seeds) carry no unit keyword and stay identity columns — a change
-/// there is a behavior change, not noise, and shows up as a
-/// removed/added row pair.
+/// throughput columns improve upward; time units, ns per operation,
+/// memory in MiB, overhead, and ratio columns improve downward.
+/// Deterministic counts (rounds, receptions, seeds) carry no unit
+/// keyword and stay identity columns — a change there is a behavior
+/// change, not noise, and shows up as a removed/added row pair.
 pub fn perf_direction(header: &str) -> Option<Direction> {
     let h = header.to_lowercase();
     if ["speedup", "throughput", "ops/s"]
@@ -45,7 +45,7 @@ pub fn perf_direction(header: &str) -> Option<Direction> {
         return Some(Direction::HigherBetter);
     }
     if [
-        "ms", "µs", "usec", " us", "sec", "overhead", "ratio", "time",
+        "ms", "µs", "usec", " us", "sec", "ns/op", "mib", "overhead", "ratio", "time",
     ]
     .iter()
     .any(|k| h.contains(k))
@@ -216,6 +216,8 @@ mod tests {
             perf_direction("overhead ratio"),
             Some(Direction::LowerBetter)
         );
+        assert_eq!(perf_direction("ns/op"), Some(Direction::LowerBetter));
+        assert_eq!(perf_direction("hwm rise MiB"), Some(Direction::LowerBetter));
         assert_eq!(perf_direction("speedup"), Some(Direction::HigherBetter));
         assert_eq!(perf_direction("scenario"), None);
         assert_eq!(perf_direction("rounds"), None);

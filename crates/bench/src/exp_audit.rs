@@ -14,8 +14,16 @@
 //! violation**, printing the minimized witness — the audit is the
 //! acceptance gate, not just a measurement. The artifact is
 //! `BENCH_audit.json`.
+//!
+//! The nemesis histories are a few dozen operations each, so the
+//! table closes with **checker-volume rows**: the WGL register check
+//! alone over legal synthetic histories of 10 000, 100 000 and
+//! 1 000 000 operations, with its wall-clock time, ns per operation
+//! and the rise of the process's peak resident set while it ran.
 
-use crate::table::Table;
+use crate::table::{f2, Table};
+use std::time::Instant;
+use vi_audit::{audit_register_ops, synthetic_history};
 use vi_scenario::catalog::scenario;
 use vi_scenario::{AppKind, ScenarioOutcome, ScenarioSpec, SweepRunner, WorkloadSpec};
 
@@ -71,6 +79,78 @@ pub fn paired_audit_sweep(jobs: &[(ScenarioSpec, u64)], workers: usize) -> Vec<S
     parallel
 }
 
+/// E17's columns: eight deterministic ones (exact under `bench-diff`),
+/// then the host columns only the checker-volume rows fill.
+const HEADERS: [&str; 11] = [
+    "scenario",
+    "app",
+    "seed",
+    "ops",
+    "done",
+    "t/o",
+    "checks",
+    "verdicts",
+    "check ms",
+    "ns/op",
+    "hwm rise MiB",
+];
+
+/// History sizes of the checker-volume rows.
+const VOLUME_OPS: [usize; 3] = [10_000, 100_000, 1_000_000];
+
+/// Seed of the checker-volume histories (the checker bench's).
+const VOLUME_SEED: u64 = 7;
+
+/// The process's peak resident set (`VmHWM`) in MiB; 0 where
+/// `/proc/self/status` does not exist.
+fn peak_rss_mib() -> f64 {
+    std::fs::read_to_string("/proc/self/status")
+        .ok()
+        .and_then(|status| {
+            let rest = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
+            rest.split_whitespace().next()?.parse::<f64>().ok()
+        })
+        .map_or(0.0, |kib| kib / 1024.0)
+}
+
+/// One checker-volume row: the register audit (`check_register`
+/// behind `audit_register_ops`) of a legal synthetic history of `ops`
+/// operations. The first eight cells are deterministic; the last
+/// three belong to the host.
+fn volume_row(ops: usize) -> Vec<String> {
+    let history = synthetic_history(ops, VOLUME_SEED);
+    // Lower the kernel's peak-RSS mark to the current RSS, so that the
+    // peak afterwards is the check's own. Where the kernel refuses,
+    // the mark stays at the process's earlier peak and the rise reads
+    // low.
+    let _ = std::fs::write("/proc/self/clear_refs", "5");
+    let before = peak_rss_mib();
+    let start = Instant::now();
+    let report = audit_register_ops("register", &history);
+    let elapsed = start.elapsed().as_secs_f64();
+    let rise = peak_rss_mib() - before;
+    vec![
+        "synthetic_history".to_string(),
+        report.app.clone(),
+        VOLUME_SEED.to_string(),
+        report.ops.to_string(),
+        (report.ops - report.timeouts).to_string(),
+        report.timeouts.to_string(),
+        report.checks.len().to_string(),
+        report.verdict_summary(),
+        f2(elapsed * 1e3),
+        f2(elapsed * 1e9 / ops as f64),
+        // Below half a MiB the rise is allocator reuse and page
+        // rounding, not the check: an unparsable cell, which
+        // `bench-diff` skips, instead of a number that flips.
+        if rise < 0.5 {
+            "<0.5".to_string()
+        } else {
+            f2(rise)
+        },
+    ]
+}
+
 /// E17 — the consistency-audit table.
 ///
 /// # Panics
@@ -84,9 +164,7 @@ pub fn consistency_audit() -> Table {
 
     let mut t = Table::new(
         "E17 / consistency audit: apps × nemesis schedules × seeds (history checkers)",
-        &[
-            "scenario", "app", "seed", "ops", "done", "t/o", "checks", "verdicts",
-        ],
+        &HEADERS,
     );
     for o in &outcomes {
         let s = o.traffic.as_ref().expect("traffic outcome");
@@ -111,13 +189,25 @@ pub fn consistency_audit() -> Table {
             report.timeouts.to_string(),
             report.checks.len().to_string(),
             report.verdict_summary(),
+            "-".to_string(),
+            "-".to_string(),
+            "-".to_string(),
         ]);
+    }
+    for ops in VOLUME_OPS {
+        let row = volume_row(ops);
+        assert_eq!(row[7], "linearizable=ok", "synthetic history is legal");
+        t.row(&row);
     }
     t.note(
         "every row passed linearizability/exclusion/freshness/delivery checks under its nemesis",
     );
     t.note("timeouts are Jepsen :info ops (maybe-applied, concurrent-forever for the checkers)");
     t.note("1-worker vs N-worker sweeps asserted byte-identical, audit reports included");
+    t.note(
+        "synthetic_history rows: the WGL register check alone on a legal history — wall-clock, \
+         ns per op, and the rise of the process's peak RSS during the check (host columns)",
+    );
     t
 }
 
@@ -157,6 +247,24 @@ mod tests {
                 t.issued,
                 "{}: accounting closes",
                 o.scenario
+            );
+        }
+    }
+
+    #[test]
+    fn volume_rows_repeat_exactly_outside_the_host_columns() {
+        let (a, b) = (volume_row(2_000), volume_row(2_000));
+        assert_eq!(a.len(), HEADERS.len());
+        assert_eq!(a[..8], b[..8]);
+        assert_eq!(a[3], "2000");
+        assert_eq!(a[7], "linearizable=ok");
+        // `bench-diff` keys rows on the deterministic cells and gates
+        // the host cells with a tolerance.
+        for (i, header) in HEADERS.iter().enumerate() {
+            assert_eq!(
+                crate::diff::perf_direction(header).is_some(),
+                i >= 8,
+                "{header}"
             );
         }
     }

@@ -2,15 +2,28 @@
 //! are accepted by every checker, seeded mutations (drop an
 //! invocation / swap invocation-response rounds / forge a response)
 //! are rejected, and dropping a *response* — which merely turns the
-//! op into a Jepsen `:info` maybe-op — keeps the history legal.
+//! op into a Jepsen `:info` maybe-op — keeps the history legal. The
+//! WGL register search is checked on its own against a brute-force
+//! permutation oracle and against the full-bitset search it replaced.
 
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use reference::check_register_reference;
+use virtual_infra::audit::linearizability::{
+    check_register, LinResult, RegOp, RegOpKind, DEFAULT_BUDGET, INITIAL_VALUE, PENDING,
+};
 use virtual_infra::audit::{audit, drop_response, mutate, HistoryRecorder, Mutation};
 use virtual_infra::core::vi::VnLayout;
 use virtual_infra::radio::geometry::Point;
 use virtual_infra::radio::mobility::{MobilityModel, Static};
 use virtual_infra::radio::{AdversaryKind, RadioConfig};
 use virtual_infra::traffic::{AppKind, DevicePlan, TrafficSpec, TrafficWorld};
+
+/// vi-audit's test-only reference search (the full-bitset WGL the
+/// window-compact, segmented one replaced), compiled in from the
+/// crate's sources; it resolves its imports through this file's.
+#[path = "../crates/audit/src/linearizability/reference.rs"]
+mod reference;
 
 fn arb_app() -> impl Strategy<Value = AppKind> {
     (0u8..4).prop_map(|i| AppKind::all()[i as usize])
@@ -105,7 +118,7 @@ proptest! {
         len in 10usize..200,
         seed in 0u64..1_000,
     ) {
-        use virtual_infra::audit::{check_register, synthetic_history, LinResult, RegOp, RegOpKind};
+        use virtual_infra::audit::synthetic_history;
         let mut ops = synthetic_history(len, seed);
         prop_assert_eq!(check_register(&ops), LinResult::Ok);
         // Plant a write + stale read after the end of the history.
@@ -117,4 +130,217 @@ proptest! {
             LinResult::Violation { .. }
         ));
     }
+}
+
+fn w(id: u64, value: u64, inv: u64, ret: u64) -> RegOp {
+    RegOp {
+        id,
+        kind: RegOpKind::Write { value },
+        inv,
+        ret,
+    }
+}
+
+fn r(id: u64, returned: u64, inv: u64, ret: u64) -> RegOp {
+    RegOp {
+        id,
+        kind: RegOpKind::Read { returned },
+        inv,
+        ret,
+    }
+}
+
+/// A random register history of `n` operations. Each takes effect at
+/// a linearization point inside its interval, points never decrease,
+/// and a read returns the value current at its point — so the history
+/// is legal until `noise` (none, or on average a quarter of a read or
+/// one read per history) makes a read return something else. The
+/// shapes the searches could get wrong are all reachable: a value
+/// domain of one to three (duplicate writes), timed-out writes that
+/// did or did not take effect, `max_slack == 0` (`ret == inv`), and,
+/// when `allow_full_overlap`, a stride of zero (every interval
+/// contains the one shared point). Half the histories are shuffled,
+/// since input position breaks invocation ties.
+fn random_history(n: usize, allow_full_overlap: bool, mut rng: StdRng) -> Vec<RegOp> {
+    let values = rng.random_range(1..=3u64);
+    let max_slack = rng.random_range(0..=3u64);
+    let max_stride = rng.random_range(u64::from(!allow_full_overlap)..=3);
+    let noise = ([0.0, 0.5, 2.0][rng.random_range(0..3usize)] / n.max(1) as f64).min(1.0);
+    let mut current = INITIAL_VALUE;
+    let mut point = 0u64;
+    let mut ops = Vec::with_capacity(n);
+    for id in 0..n as u64 {
+        point += rng.random_range(0..=max_stride);
+        let inv = point.saturating_sub(rng.random_range(0..=max_slack));
+        let ret = point + rng.random_range(0..=max_slack);
+        if rng.random_bool(0.5) {
+            let value = rng.random_range(1..=values);
+            let timed_out = rng.random_bool(0.2);
+            if !timed_out || rng.random_bool(0.5) {
+                current = value;
+            }
+            ops.push(w(id, value, inv, if timed_out { PENDING } else { ret }));
+        } else {
+            let returned = if rng.random_bool(noise) {
+                rng.random_range(0..=values)
+            } else {
+                current
+            };
+            ops.push(r(id, returned, inv, ret));
+        }
+    }
+    if rng.random_bool(0.5) {
+        for i in (1..ops.len()).rev() {
+            ops.swap(i, rng.random_range(0..=i));
+        }
+    }
+    ops
+}
+
+/// Linearizability by definition, sharing nothing with either search:
+/// some subset of the timed-out writes, together with every returned
+/// operation, has a permutation in which no operation comes after one
+/// it precedes in real time and every read returns the latest write.
+fn brute_force_linearizable(ops: &[RegOp]) -> bool {
+    let optional: Vec<usize> = (0..ops.len()).filter(|&i| ops[i].ret == PENDING).collect();
+    (0u32..1 << optional.len()).any(|mask| {
+        let chosen: Vec<RegOp> = (0..ops.len())
+            .filter(|i| match optional.iter().position(|o| o == i) {
+                Some(bit) => mask >> bit & 1 == 1,
+                None => true,
+            })
+            .map(|i| ops[i])
+            .collect();
+        has_legal_order(&chosen, &mut Vec::new(), INITIAL_VALUE)
+    })
+}
+
+/// Extends `placed` (indices into `chosen`) to a full legal order.
+fn has_legal_order(chosen: &[RegOp], placed: &mut Vec<usize>, value: u64) -> bool {
+    if placed.len() == chosen.len() {
+        return true;
+    }
+    for next in 0..chosen.len() {
+        let op = &chosen[next];
+        // `op` would follow every placed op: illegal if it precedes one.
+        if placed.contains(&next) || placed.iter().any(|&p| op.ret < chosen[p].inv) {
+            continue;
+        }
+        let value = match op.kind {
+            RegOpKind::Write { value } => value,
+            RegOpKind::Read { returned } if returned == value => value,
+            RegOpKind::Read { .. } => continue,
+        };
+        placed.push(next);
+        let found = has_legal_order(chosen, placed, value);
+        placed.pop();
+        if found {
+            return true;
+        }
+    }
+    false
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Tiny histories against the definition: the checker's verdict is
+    /// the brute-force one, and a witness is itself a violating
+    /// history made of the original's operations.
+    #[test]
+    fn wgl_agrees_with_brute_force_on_tiny_histories(
+        ops in (0usize..=8).prop_perturb(|n, rng| random_history(n, true, rng)),
+    ) {
+        let legal = brute_force_linearizable(&ops);
+        match check_register(&ops) {
+            LinResult::Ok => prop_assert!(legal, "accepted an illegal history: {ops:?}"),
+            LinResult::Violation { witness } => {
+                prop_assert!(!legal, "rejected a legal history: {ops:?}");
+                prop_assert!(!witness.is_empty() && witness.len() <= ops.len());
+            }
+            LinResult::BudgetExhausted => prop_assert!(false, "8 ops cannot exhaust the budget"),
+        }
+    }
+
+    /// Larger histories against the search this one replaced: same
+    /// verdict and byte-identical witness whenever the reference
+    /// concludes. Where the reference runs out of budget the new
+    /// search may conclude (it visits a subset of the nodes), never
+    /// the other way round.
+    #[test]
+    fn wgl_matches_the_reference_search(
+        ops in (0usize..=60).prop_perturb(|n, rng| random_history(n, n <= 12, rng)),
+    ) {
+        let expected = check_register_reference(&ops);
+        if expected != LinResult::BudgetExhausted {
+            prop_assert_eq!(check_register(&ops), expected, "{:?}", ops);
+        }
+    }
+}
+
+/// A quiescent point is a cut only if the register value there is
+/// forced. Here W(1) and W(2) overlap, everything returns by round 3,
+/// and the reads start at round 5: which write won is decided by the
+/// reads, so either is legal on its own — including the earlier-
+/// invoked one a cut-at-every-quiescent-point checker would rule out —
+/// but not both.
+#[test]
+fn wgl_does_not_cut_at_an_unforced_quiescent_point() {
+    let writes = [w(1, 1, 0, 3), w(2, 2, 1, 2)];
+    for winner in [1, 2] {
+        let ops = [writes[0], writes[1], r(3, winner, 5, 6), r(4, winner, 7, 8)];
+        assert_eq!(check_register(&ops), LinResult::Ok, "winner {winner}");
+        assert_eq!(check_register_reference(&ops), LinResult::Ok);
+    }
+    let both = [writes[0], writes[1], r(3, 1, 5, 6), r(4, 2, 7, 8)];
+    let verdict = check_register(&both);
+    assert!(
+        matches!(verdict, LinResult::Violation { .. }),
+        "{verdict:?}"
+    );
+    assert_eq!(verdict, check_register_reference(&both));
+    // With the overlap gone the value *is* forced: W(2) is last.
+    let sequential = [w(1, 1, 0, 1), w(2, 2, 2, 3), r(3, 1, 5, 6)];
+    assert!(matches!(
+        check_register(&sequential),
+        LinResult::Violation { .. }
+    ));
+}
+
+/// An overloaded run must still get a verdict. The catalog
+/// `mall_rush` register without its arrival wave carries 1.0 req/vr;
+/// at 1.02 the queue grows without bound and four operations in five
+/// time out. Every timed-out write is optional, so a search that
+/// keeps them all doubles its state space per write and exhausts the
+/// budget (`linearizable=INCONCLUSIVE`, which fails `ok()` and which
+/// vi-fuzz files as an audit finding); almost none was ever read, and
+/// those the checker drops up front.
+#[test]
+fn overloaded_register_run_audits_conclusively() {
+    use virtual_infra::scenario::{catalog, LoadMode, WorkloadSpec};
+    let mut spec = catalog::scenario("mall_rush").expect("catalog has mall_rush");
+    spec.populations.truncate(2);
+    let WorkloadSpec::Traffic { traffic, audit, .. } = &mut spec.workload else {
+        panic!("mall_rush is a traffic scenario");
+    };
+    traffic.mode = LoadMode::Open {
+        rate_per_round: 1.02,
+        phases: Vec::new(),
+    };
+    traffic.virtual_rounds = 1_000;
+    *audit = true;
+    let out = spec.run(1);
+    let report = out.audit.expect("audited run");
+    assert!(
+        report.timeouts * 2 > report.ops,
+        "the run must be overloaded: {} of {} timed out",
+        report.timeouts,
+        report.ops
+    );
+    assert!(report.ok(), "{}", report.verdict_summary());
+    // Dropped inside the search only: the timed-out writes still
+    // count as checked.
+    let lin = &report.checks[1];
+    assert_eq!(lin.name, "linearizable");
+    assert!(lin.checked > report.ops - report.timeouts, "{lin:?}");
 }
