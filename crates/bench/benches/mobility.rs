@@ -1,8 +1,7 @@
 //! Criterion benches for the mobility fast path: raw `advance` cost
 //! per model (static vs waypoint vs billiard vs patrol), and engine
-//! rounds on a static deployment with the settled-node fast path
-//! against the legacy round path. Tracked alongside the channel
-//! benches so the hot-path overhaul's mobility win stays visible.
+//! rounds on a static deployment (settled-node skip, cached
+//! neighborhoods). Tracked alongside the channel benches.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
@@ -67,14 +66,13 @@ impl Process<u64> for Chatty {
     }
 }
 
-fn static_engine(n: usize, legacy: bool) -> Engine<u64> {
+fn static_engine(n: usize) -> Engine<u64> {
     let side = (n as f64).sqrt() * 15.0;
     let mut engine: Engine<u64> = Engine::new(EngineConfig {
         radio: RadioConfig::reliable(10.0, 20.0),
         seed: 1,
         record_trace: false,
     });
-    engine.set_legacy_round_path(legacy);
     for i in 0..n {
         let h = (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
         let x = (h % 10_000) as f64 / 10_000.0 * side;
@@ -88,22 +86,14 @@ fn static_engine(n: usize, legacy: bool) -> Engine<u64> {
 }
 
 /// 50 engine rounds over an all-static constant-density deployment:
-/// the settled-node fast path (cached neighborhoods, zero-alloc SoA
-/// rounds) against the legacy per-round-rebuild path.
-fn static_rounds_fast_vs_legacy(c: &mut Criterion) {
+/// the settled-node skip, cached neighborhoods, zero-alloc SoA rounds.
+fn static_rounds(c: &mut Criterion) {
     let mut g = c.benchmark_group("engine_static_50_rounds");
     g.sample_size(10);
     for n in [1000usize, 5000] {
-        g.bench_with_input(BenchmarkId::new("fast", n), &n, |b, &n| {
+        g.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, &n| {
             b.iter(|| {
-                let mut e = static_engine(n, false);
-                e.run(50);
-                e.stats().deliveries
-            })
-        });
-        g.bench_with_input(BenchmarkId::new("legacy", n), &n, |b, &n| {
-            b.iter(|| {
-                let mut e = static_engine(n, true);
+                let mut e = static_engine(n);
                 e.run(50);
                 e.stats().deliveries
             })
@@ -112,5 +102,5 @@ fn static_rounds_fast_vs_legacy(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, mobility_advance, static_rounds_fast_vs_legacy);
+criterion_group!(benches, mobility_advance, static_rounds);
 criterion_main!(benches);

@@ -59,26 +59,34 @@ fn rounds_by_population(c: &mut Criterion) {
     g.finish();
 }
 
-/// Channel-resolution scaling: the grid-indexed `Medium` vs the naive
-/// reference resolver on identical constant-density inputs (the
-/// acceptance benchmark for the spatial-index refactor).
+/// Channel-resolution scaling: the `Medium` re-indexed every round
+/// (`TopologyDelta::Rebuild`) vs the naive reference resolver on
+/// identical constant-density inputs (the acceptance benchmark for the
+/// spatial-index refactor).
 fn medium_vs_reference(c: &mut Criterion) {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use vi_bench::exp_radio::{make_intents, radio};
     use vi_radio::adversary::NoAdversary;
-    use vi_radio::channel::{resolve_round_reference, Medium};
+    use vi_radio::channel::{resolve_round_reference, Medium, ReceptionBuffer, TopologyDelta};
 
     let mut g = c.benchmark_group("radio_scale_medium");
     g.sample_size(10);
     for n in [500usize, 1000, 2000, 5000] {
         let intents = make_intents(n, 42);
         let mut medium = Medium::new(radio());
-        let mut out = Vec::new();
+        let mut out = ReceptionBuffer::new();
         g.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
             let mut rng = StdRng::seed_from_u64(1);
             b.iter(|| {
-                medium.resolve_into(0, &intents, &mut NoAdversary, &mut rng, &mut out);
+                medium.resolve_round_cached(
+                    0,
+                    &intents,
+                    TopologyDelta::Rebuild,
+                    &mut NoAdversary,
+                    &mut rng,
+                    &mut out,
+                );
                 out.len()
             })
         });

@@ -1,22 +1,18 @@
 //! Experiment E18 (`metropolis`): the engine hot path at city scale —
-//! pre-overhaul vs overhauled vs tile-sharded rounds, through the
-//! scenario subsystem.
+//! sequential vs tile-sharded rounds, through the scenario subsystem.
 //!
 //! Deployments are constant-density metropolises of up to 1 000 000
 //! nodes with mixed static/mobile populations, compiled from
 //! [`ScenarioSpec`]s and executed through the [`SweepRunner`]. Every
-//! configuration runs on the sequential overhauled path and on the
-//! tile-sharded parallel path ([`SHARD_WORKERS`] intra-round
-//! workers); the affordable sizes additionally run on the
-//! pre-overhaul path. All outcome tables are asserted byte-identical
-//! before any timing is reported: neither the overhaul nor the
-//! sharding buys anything but wall-clock.
+//! configuration runs with sequential rounds and with tile-sharded
+//! rounds ([`SHARD_WORKERS`] intra-round workers). The outcome tables
+//! are asserted byte-identical before any timing is reported: sharding
+//! buys nothing but wall-clock.
 //!
 //! The `static_heavy` rows are the headline: in a city where most
-//! nodes never move, the old path re-sorts and re-bucketizes
-//! identical geometry round after round, the overhauled path resolves
-//! each round from cached neighborhoods, and the sharded path fans
-//! the neighborhood scans across row-band tiles of the spatial grid.
+//! nodes never move, each round resolves from cached neighborhoods,
+//! and the sharded path fans the neighborhood scans across row-band
+//! tiles of the spatial grid.
 //!
 //! The n=200 000 and n=1 000 000 rows are expensive, so they only run
 //! when `VI_METROPOLIS_LARGE=1` is set (CI runs them in a non-gating
@@ -56,8 +52,7 @@ pub struct MetroConfig {
     pub mobile_fraction: f64,
     /// CHA instances (3 rounds each).
     pub instances: u64,
-    /// Expensive row: runs only with `VI_METROPOLIS_LARGE=1`, and
-    /// skips the legacy-path timing entirely.
+    /// Expensive row: runs only with `VI_METROPOLIS_LARGE=1`.
     pub large: bool,
 }
 
@@ -180,57 +175,37 @@ pub fn timed_run(spec: &ScenarioSpec, tuning: EngineTuning) -> (f64, ScenarioOut
     (ms, out)
 }
 
-/// Sequential wall-clock of one run on the given engine path, as
-/// milliseconds per round.
-pub fn ms_per_round(spec: &ScenarioSpec, legacy_engine: bool) -> f64 {
-    let tuning = EngineTuning {
-        legacy_engine,
-        workers: 1,
-        ..EngineTuning::DEFAULT
-    };
-    timed_run(spec, tuning).0
-}
-
-/// E18 — metropolis-scale ms/round across engine paths, with
-/// byte-identity asserted through the sweep runner first: legacy vs
-/// overhauled on the affordable sizes, 1-worker vs [`SHARD_WORKERS`]
-/// on every row that runs.
+/// E18 — metropolis-scale ms/round, sequential vs tile-sharded, with
+/// byte-identity asserted first: through the sweep runner on the
+/// affordable sizes, 1-worker vs [`SHARD_WORKERS`] on every row that
+/// runs.
 ///
 /// # Panics
 ///
-/// Panics if any two engine paths ever disagree on an outcome — that
-/// would be a determinism bug in the hot-path overhaul or in the
-/// tile-sharded resolver.
+/// Panics if the two ever disagree on an outcome — that would be a
+/// determinism bug in the tile-sharded resolver.
 pub fn metropolis() -> Table {
     let small: Vec<ScenarioSpec> = CONFIGS.iter().filter(|c| !c.large).map(spec_of).collect();
 
-    // The safety nets first: identical matrices through the runner on
-    // all three engine paths (legacy, overhauled sequential,
-    // overhauled sharded).
+    // The safety net first: identical matrices through the runner,
+    // sequential and sharded.
     let runner = SweepRunner::auto();
-    let fast = runner.run_matrix(&small, &[SEED]);
-    let legacy = runner.run_matrix_tuned(&small, &[SEED], true);
-    assert_eq!(
-        serde_json::to_string(&fast).expect("serializable outcomes"),
-        serde_json::to_string(&legacy).expect("serializable outcomes"),
-        "legacy and overhauled engine paths must be byte-identical"
-    );
+    let sequential = runner.run_matrix_with(&small, &[SEED], EngineTuning::with_workers(1));
     let sharded =
         runner.run_matrix_with(&small, &[SEED], EngineTuning::with_workers(SHARD_WORKERS));
     assert_eq!(
-        serde_json::to_string(&fast).expect("serializable outcomes"),
+        serde_json::to_string(&sequential).expect("serializable outcomes"),
         serde_json::to_string(&sharded).expect("serializable outcomes"),
         "sequential and tile-sharded rounds must be byte-identical"
     );
 
     let mut t = Table::new(
-        "E18 metropolis: engine hot path — pre-overhaul vs overhauled vs tile-sharded rounds",
+        "E18 metropolis: engine hot path — sequential vs tile-sharded rounds",
         &[
             "mix",
             "n",
             "rounds",
             "workers",
-            "old ms/round",
             "seq ms/round",
             "sharded ms/round",
             "shard speedup",
@@ -246,14 +221,6 @@ pub fn metropolis() -> Table {
             continue;
         }
         let spec = spec_of(cfg);
-        // The large sizes skip the legacy path: per-round index
-        // rebuilds with per-receiver allocation at n >= 200 000 are
-        // exactly what the overhaul exists to avoid paying.
-        let old_ms = if cfg.large {
-            None
-        } else {
-            Some(ms_per_round(&spec, true))
-        };
         let (seq_ms, seq_out) = timed_run(&spec, EngineTuning::with_workers(1));
         let (shard_ms, shard_out) = timed_run(&spec, EngineTuning::with_workers(SHARD_WORKERS));
         assert_eq!(
@@ -279,7 +246,6 @@ pub fn metropolis() -> Table {
             seq_out.nodes.to_string(),
             seq_out.rounds.to_string(),
             SHARD_WORKERS.to_string(),
-            old_ms.map_or_else(|| "-".to_string(), |ms| format!("{ms:.3}")),
             format!("{seq_ms:.3}"),
             format!("{shard_ms:.3}"),
             f2(seq_ms / shard_ms.max(f64::MIN_POSITIVE)),
@@ -304,11 +270,11 @@ pub fn metropolis() -> Table {
     }
     t.note("constant density (15 m spacing); mobile nodes are 0.5 m/round waypoints");
     t.note("static_heavy = 2% mobile, commuter = 30%, rush_hour = 60% (high churn exercises the churn fallback)");
-    t.note("outcome tables asserted byte-identical across all engine paths (legacy, sequential, sharded) before timing");
+    t.note("outcome tables asserted byte-identical between sequential and sharded rounds before timing");
     t.note("`workers` is the intra-round worker count of the sharded column; shard speedup = seq / sharded");
     t.note("steady/reanchor/churn are deterministic round-mode counters; receptions is total deliveries (telemetry run, timing columns are telemetry-off)");
     if large_on {
-        t.note("large rows (n >= 200000) enabled via VI_METROPOLIS_LARGE=1; their legacy-path timing is skipped ('-')");
+        t.note("large rows (n >= 200000) enabled via VI_METROPOLIS_LARGE=1");
     } else {
         t.note("large rows (n = 200000, 1000000) skipped; set VI_METROPOLIS_LARGE=1 to run them");
     }
@@ -325,18 +291,15 @@ mod tests {
     use vi_radio::geometry::Point;
     use vi_radio::NodeId;
 
-    /// A scaled-down metropolis stays byte-identical across engine
-    /// paths — legacy, sequential, and sharded with the threshold
-    /// forced down so tiny rounds actually shard — and produces sane
-    /// outcomes (the full-size differential runs inside `metropolis()`
-    /// itself and in CI release smoke).
+    /// A scaled-down metropolis stays byte-identical between
+    /// sequential and pool-backed runs and produces sane outcomes (the
+    /// full-size differential runs inside `metropolis()` itself and in
+    /// CI release smoke).
     #[test]
     fn small_metropolis_paths_agree() {
         let spec = metropolis_spec("metropolis_test", 300, 0.1, 4);
         spec.validate().expect("metropolis spec validates");
         let fast = spec.run(SEED);
-        let legacy = spec.run_tuned(SEED, true);
-        assert_eq!(fast, legacy, "engine paths must be byte-identical");
         let sharded = spec.run_with(SEED, EngineTuning::with_workers(3));
         assert_eq!(fast, sharded, "sharded path must be byte-identical");
         assert_eq!(fast.nodes, 300);
@@ -360,42 +323,6 @@ mod tests {
             CONFIGS.iter().filter(|c| c.large).all(|c| c.n >= 200_000),
             "only genuinely large rows may hide behind the env gate"
         );
-    }
-
-    /// Acceptance criterion for the hot-path overhaul, CI-release
-    /// only: at metropolis scale the static-heavy configuration must
-    /// run at least 2x faster per round on the overhauled path.
-    ///
-    /// Wall-clock assertions are noise-sensitive on shared CI
-    /// runners, so a failed attempt is re-measured before concluding
-    /// the fast path has actually regressed.
-    #[test]
-    #[ignore = "wall-clock benchmark; CI runs it explicitly in release (metropolis smoke step)"]
-    fn metropolis_static_heavy_speedup() {
-        let spec = metropolis_spec("metropolis_static_heavy_20000", 20000, 0.02, 10);
-        let mut failure = String::new();
-        for attempt in 0..3 {
-            // Two interleaved pairs per attempt; the minimum of each
-            // side is the standard noise-robust wall-clock estimator
-            // (scheduler interference only ever inflates a run).
-            let mut old_ms = f64::INFINITY;
-            let mut new_ms = f64::INFINITY;
-            for _ in 0..2 {
-                old_ms = old_ms.min(ms_per_round(&spec, true));
-                new_ms = new_ms.min(ms_per_round(&spec, false));
-            }
-            let speedup = old_ms / new_ms.max(f64::MIN_POSITIVE);
-            if speedup >= 2.0 {
-                eprintln!(
-                    "metropolis static_heavy n=20000: {old_ms:.3} -> {new_ms:.3} ms/round ({speedup:.1}x)"
-                );
-                return;
-            }
-            failure = format!(
-                "attempt {attempt}: {old_ms:.3} -> {new_ms:.3} ms/round, {speedup:.2}x (want >= 2x)"
-            );
-        }
-        panic!("static-heavy metropolis speedup below 2x on every attempt; last: {failure}");
     }
 
     /// CI acceptance: 1-vs-N-worker byte-identity at n=20 000 on
@@ -461,7 +388,7 @@ mod tests {
         }
         // A dense static metropolis medium: hash-scattered positions
         // at 8 m spacing (~20 nodes per R2 disk), every third slot
-        // broadcasting on a rotating schedule — the ScanCached steady
+        // broadcasting on a rotating schedule — the cached steady
         // state that dominates static-heavy rounds.
         let n = 20_000usize;
         let side = (n as f64).sqrt() * 8.0;

@@ -141,11 +141,7 @@ mod tests {
         assert_eq!(c.rounds_total, out.rounds, "every round is counted");
         assert_eq!(
             c.rounds_total,
-            c.rounds_steady
-                + c.rounds_scatter
-                + c.rounds_reanchor
-                + c.rounds_churn
-                + c.rounds_legacy,
+            c.rounds_steady + c.rounds_scatter + c.rounds_reanchor + c.rounds_churn,
             "round modes partition the total"
         );
         assert!(c.receptions > 0, "a clique delivers messages");

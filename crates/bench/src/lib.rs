@@ -96,7 +96,7 @@ pub fn all_experiments() -> Vec<Experiment> {
         ),
         (
             "metropolis",
-            "Engine hot path at city scale: old vs overhauled round path",
+            "Engine hot path at city scale: sequential vs tile-sharded rounds",
             exp_metropolis::metropolis,
         ),
         (

@@ -130,14 +130,6 @@ impl<VA: VirtualAutomaton> World<VA> {
         self.engine.set_adversary(adversary);
     }
 
-    /// Routes the underlying engine through the pre-overhaul round
-    /// path (see [`vi_radio::Engine::set_legacy_round_path`]);
-    /// executions are byte-identical, only slower. Benchmarking and
-    /// differential testing only.
-    pub fn set_legacy_round_path(&mut self, legacy: bool) {
-        self.engine.set_legacy_round_path(legacy);
-    }
-
     /// Sets the underlying engine's intra-round worker count (see
     /// [`vi_radio::Engine::set_workers`]); executions are
     /// byte-identical at any worker count.

@@ -44,8 +44,8 @@ pub struct Signature {
     /// Traffic was issued but nothing ever completed.
     pub stall: bool,
     /// Resolver-mode round profile, log2-bucketed: steady, scatter,
-    /// re-anchor, churn, legacy.
-    pub resolver: [u8; 5],
+    /// re-anchor, churn.
+    pub resolver: [u8; 4],
     /// Channel bands, log2-bucketed: broadcasts, deliveries,
     /// collision reports.
     pub channel: [u8; 3],
@@ -73,7 +73,6 @@ impl Signature {
                     bucket(t.counters.rounds_scatter),
                     bucket(t.counters.rounds_reanchor),
                     bucket(t.counters.rounds_churn),
-                    bucket(t.counters.rounds_legacy),
                 ]
             })
             .unwrap_or_default();
@@ -113,7 +112,7 @@ impl Signature {
     pub fn key(&self) -> String {
         let b = |v: bool| u8::from(v);
         format!(
-            "{}-s{}a{}l{}-r{}.{}.{}.{}.{}-c{}.{}.{}-k{}-d{}-t{}.{}.{}",
+            "{}-s{}a{}l{}-r{}.{}.{}.{}-c{}.{}.{}-k{}-d{}-t{}.{}.{}",
             self.family,
             b(self.safety),
             self.audit_ok.map_or(2, b),
@@ -122,7 +121,6 @@ impl Signature {
             self.resolver[1],
             self.resolver[2],
             self.resolver[3],
-            self.resolver[4],
             self.channel[0],
             self.channel[1],
             self.channel[2],

@@ -27,6 +27,7 @@ use crate::geometry::{Point, SpatialGrid};
 use crate::pool::WorkerPool;
 use rand::rngs::StdRng;
 use std::cell::UnsafeCell;
+use std::time::Instant;
 use vi_telemetry::{trace_export, Phase, Probe};
 
 /// A node's transmission decision for one round.
@@ -230,21 +231,106 @@ pub enum TopologyDelta<'a> {
     Moved(&'a [u32]),
 }
 
-/// Which geometry source a tile-sharded round reads (see
-/// [`Medium::shard_geometry`]). Each variant mirrors one sequential
-/// resolution path byte for byte.
+/// Which geometry source a round's per-receiver candidate lists are
+/// read from (see [`Geometry::candidates`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum ShardMode {
-    /// Steady cached round: the per-slot neighborhoods are valid, so
-    /// workers only filter them down to the broadcasting subset.
-    ScanCached,
-    /// Re-anchor round: the full-topology grid was just rebuilt;
-    /// workers recompute whole neighborhoods with one grid query each.
-    RebuildAll,
+enum Source {
+    /// Steady cached round: the per-slot neighborhoods are valid, so a
+    /// receiver's candidates are the broadcasting subset of its list.
+    Cached,
+    /// Re-anchor round: the full-topology grid was just rebuilt; one
+    /// grid query recomputes the receiver's *whole* neighborhood,
+    /// which [`Medium::resolve_receivers`] installs in the cache
+    /// before narrowing it to the broadcasters.
+    Reanchor,
     /// Churn-fallback round: the grid indexes this round's
-    /// broadcasters only; workers query it and map grid slots back to
-    /// intent indices.
+    /// broadcasters only; one grid query, with grid slots mapped back
+    /// to intent indices.
     ChurnIndex,
+}
+
+/// The geometry state candidate lists are read from. Cache
+/// maintenance writes it at the top of a round; while the lists are
+/// built — by pool workers or by the sequential loop — it is shared
+/// read-only.
+#[derive(Debug)]
+struct Geometry {
+    /// The spatial index (cell size `R2`): over every intent position
+    /// on cached and re-anchor rounds, over the round's broadcasters on
+    /// churn rounds.
+    grid: SpatialGrid,
+    /// Intent indices of a churn round's broadcasters, ascending (the
+    /// grid's slots index into this).
+    broadcasters: Vec<usize>,
+    /// All intent positions: the grid input of a re-anchor, and the
+    /// receiver positions of a sharded churn round (workers never touch
+    /// intents).
+    all_pos: Vec<Point>,
+    /// Per-slot neighborhood: every other slot within `R2`, with its
+    /// squared distance, ascending by slot.
+    nbr: Vec<Vec<(u32, f64)>>,
+    /// Which slots broadcast this round (refreshed every cached and
+    /// re-anchor round).
+    is_tx: Vec<bool>,
+}
+
+impl Geometry {
+    /// Where a sharded round's workers and tile walk place receiver
+    /// `rx`: the grid holds every position except on churn rounds,
+    /// which stage them in `all_pos`.
+    fn position(&self, source: Source, rx: u32) -> Point {
+        if source == Source::ChurnIndex {
+            self.all_pos[rx as usize]
+        } else {
+            self.grid.position(rx)
+        }
+    }
+
+    /// The row-band tile (of `workers`) owning a receiver at `pos`: a
+    /// pure function of the position and the grid anchor, so the
+    /// workers' filter and the tile walk agree on membership without
+    /// communicating.
+    fn tile_of(&self, pos: Point, workers: usize) -> usize {
+        self.grid.row_of(pos) * workers / self.grid.rows()
+    }
+
+    /// The per-receiver candidate rule: appends to `out` the `(slot,
+    /// d²)` list of receiver `rx` (at `pos`), ascending by intent slot
+    /// and excluding `rx` itself. For [`Source::Cached`] and
+    /// [`Source::ChurnIndex`] that is the broadcasting subset of the
+    /// `R2` neighborhood — exactly what [`resolve_receiver`] consumes;
+    /// for [`Source::Reanchor`] it is the full neighborhood.
+    ///
+    /// RNG-free and intent-free, which is what lets pool workers run it
+    /// and keeps the sharded path byte-identical at any worker count.
+    ///
+    /// Forced inline: a churn round spends ~100 ns per receiver here,
+    /// and an outlined call measured 2–3 % slower at n = 20 000.
+    #[inline(always)]
+    fn candidates(&self, source: Source, r2: f64, rx: u32, pos: Point, out: &mut Vec<(u32, f64)>) {
+        if source == Source::Cached {
+            out.extend(
+                self.nbr[rx as usize]
+                    .iter()
+                    .copied()
+                    .filter(|&(i, _)| self.is_tx[i as usize]),
+            );
+            return;
+        }
+        // Both grid sources: one query, minus the receiver itself.
+        let base = out.len();
+        self.grid.query_within_d2(pos, r2, out);
+        if source == Source::ChurnIndex {
+            // Broadcaster slots are in ascending intent order, so the
+            // slot-sorted query maps to ascending intent indices.
+            for hit in &mut out[base..] {
+                hit.0 = self.broadcasters[hit.0 as usize] as u32;
+            }
+        }
+        if let Ok(at) = out[base..].binary_search_by_key(&rx, |&(i, _)| i) {
+            out.remove(base + at);
+        }
+    }
 }
 
 /// One tile's worker-owned scratch: the receivers the tile owns plus
@@ -261,8 +347,6 @@ struct TileScratch {
     starts: Vec<u32>,
     /// Concatenated per-receiver `(slot, d²)` candidate lists.
     flat: Vec<(u32, f64)>,
-    /// Grid query scratch.
-    query: Vec<(u32, f64)>,
     /// Finalize read position (an index into `rxs`).
     cursor: usize,
     /// Wall-clock span stamp of this tile's geometry pass (µs since
@@ -286,53 +370,43 @@ struct Tile(UnsafeCell<TileScratch>);
 unsafe impl Sync for Tile {}
 
 /// The shared broadcast medium: resolves rounds through a spatial
-/// index with reusable per-round buffers.
+/// index with persistent per-node neighborhoods and reusable per-round
+/// buffers.
 ///
 /// This is the engine's hot path. The naive delivery rule is
 /// O(receivers × broadcasters × nodes): for every (receiver,
 /// broadcaster) pair it scans *all* broadcasters for an interferer.
-/// `Medium` instead rebuilds a [`SpatialGrid`] over the round's
-/// broadcasters (cell size `R2`) and answers "which broadcasters sit
-/// within `R2` of this receiver?" with a 3×3-cell query, making the
-/// round near-linear in the node count for bounded-density
-/// deployments. All index and scratch buffers are owned by the
-/// `Medium` and reused round over round, so resolution allocates
-/// nothing in steady state beyond the delivered payloads themselves.
+/// `Medium` instead answers "which broadcasters sit within `R2` of
+/// this receiver?" from a [`SpatialGrid`] (cell size `R2`, one
+/// 3×3-cell query) or, while the topology holds still, from the cached
+/// answer of an earlier round, making the round near-linear in the
+/// node count for bounded-density deployments. All index and scratch
+/// buffers are owned by the `Medium` and reused round over round, so
+/// resolution allocates nothing in steady state.
 ///
 /// Observational equivalence with the naive rule is load-bearing:
-/// [`Medium::resolve_into`] consults the [`Adversary`] for exactly the
-/// same (round, sender, receiver) queries in exactly the same order as
-/// [`resolve_round_reference`], so for any seed the two produce
-/// byte-for-byte identical receptions, traces, and statistics (see the
-/// differential tests in `tests/substrate_properties.rs`).
+/// [`Medium::resolve_round_cached`] consults the [`Adversary`] for
+/// exactly the same (round, sender, receiver) queries in exactly the
+/// same order as [`resolve_round_reference`], so for any seed the two
+/// produce byte-for-byte identical receptions, traces, and statistics
+/// (see the differential tests in `tests/substrate_properties.rs`).
 #[derive(Debug)]
 pub struct Medium {
     cfg: RadioConfig,
-    grid: SpatialGrid,
-    /// Intent indices of this round's broadcasters.
-    broadcasters: Vec<usize>,
-    /// Broadcaster positions, parallel to `broadcasters` (grid input).
+    /// What candidate lists are read from (see [`Geometry`]).
+    geo: Geometry,
+    /// Scratch: broadcaster positions, parallel to `geo.broadcasters`
+    /// (grid input of a churn round).
     broadcaster_pos: Vec<Point>,
-    /// Scratch: grid query output (slots into `broadcasters`).
-    candidates: Vec<u32>,
-    /// Scratch: in-`R2` broadcaster intent indices, sorted ascending.
-    neighbors: Vec<usize>,
-    // --- cached-topology resolver state (resolve_round_cached) ---
-    /// Whether `grid` + `nbr` currently describe a full node topology
-    /// (as opposed to the legacy per-round broadcaster index).
+    /// Whether `geo.grid` + `geo.nbr` currently describe a full node
+    /// topology (as opposed to a churn round's broadcaster index).
     cache_ready: bool,
     /// Number of intent slots the cache covers.
     cached_n: usize,
-    /// Scratch: all intent positions, for re-anchoring rebuilds.
-    all_pos: Vec<Point>,
-    /// Per-slot neighborhood: every other slot within `R2`, with its
-    /// squared distance, ascending by slot.
-    nbr: Vec<Vec<(u32, f64)>>,
     /// Scratch: which slots are moving this round (surgical updates).
     is_mover: Vec<bool>,
-    /// Which slots broadcast this round (refreshed every round).
-    is_tx: Vec<bool>,
-    /// Scratch: a freshly queried neighborhood.
+    /// Scratch: a freshly queried neighborhood / one receiver's
+    /// candidate list.
     fresh: Vec<(u32, f64)>,
     /// Scratch: the broadcasting subset of one receiver's neighborhood.
     txn: Vec<(u32, f64)>,
@@ -381,17 +455,17 @@ impl Medium {
         cfg.validate().expect("invalid radio config");
         Medium {
             cfg,
-            grid: SpatialGrid::new(cfg.r2),
-            broadcasters: Vec::new(),
+            geo: Geometry {
+                grid: SpatialGrid::new(cfg.r2),
+                broadcasters: Vec::new(),
+                all_pos: Vec::new(),
+                nbr: Vec::new(),
+                is_tx: Vec::new(),
+            },
             broadcaster_pos: Vec::new(),
-            candidates: Vec::new(),
-            neighbors: Vec::new(),
             cache_ready: false,
             cached_n: 0,
-            all_pos: Vec::new(),
-            nbr: Vec::new(),
             is_mover: Vec::new(),
-            is_tx: Vec::new(),
             fresh: Vec::new(),
             txn: Vec::new(),
             events: Vec::new(),
@@ -445,26 +519,20 @@ impl Medium {
     /// configured, the round is big enough to amortize the broadcast,
     /// and the anchored grid has at least two bucket rows to band.
     fn shard_applicable(&self, n: usize) -> bool {
-        self.pool.is_some() && n >= self.shard_min_slots && self.grid.rows() >= 2
+        self.pool.is_some() && n >= self.shard_min_slots && self.geo.grid.rows() >= 2
     }
 
     /// Parallel geometry phase of a tile-sharded round.
     ///
-    /// Tiles are contiguous bands of grid bucket rows: receiver `rx`
-    /// belongs to tile `grid.row_of(pos) * workers / rows`, a pure
-    /// function of its position and the grid anchor, so the worker
-    /// filter here and the finalize walk agree on membership without
-    /// communicating. Each pool worker fills *only its own* tile with
-    /// the `(slot, d²)` candidate lists the finalize phase feeds to
-    /// [`resolve_receiver`]. Cross-tile interference needs no explicit
-    /// halo exchange: the grid is shared read-only and every query is
-    /// exact, so a receiver near a band edge sees broadcasters from
-    /// neighboring bands exactly as the sequential path does.
-    ///
-    /// Workers are RNG-free and intent-free by construction (positions
-    /// come from the grid, or from `all_pos` in churn mode), which is
-    /// what makes the sharded path byte-identical at any worker count.
-    fn shard_geometry(&mut self, mode: ShardMode, n: usize) {
+    /// Tiles are contiguous bands of grid bucket rows (see
+    /// [`Geometry::tile_of`]). Each pool worker fills *only its own*
+    /// tile with the lists [`Geometry::candidates`] yields for the
+    /// receivers the tile owns. Cross-tile interference needs no
+    /// explicit halo exchange: the geometry is shared read-only and
+    /// every query is exact, so a receiver near a band edge sees
+    /// broadcasters from neighboring bands exactly as the sequential
+    /// path does.
+    fn shard_geometry(&mut self, source: Source, n: usize) {
         let pool = self.pool.as_ref().expect("sharding needs a pool");
         let workers = pool.workers();
         if self.tiles.len() < workers {
@@ -478,13 +546,8 @@ impl Medium {
             scratch.starts.push(0);
             scratch.cursor = 0;
         }
-        let grid = &self.grid;
-        let nbr = &self.nbr;
-        let is_tx = &self.is_tx;
-        let broadcasters = &self.broadcasters;
-        let all_pos = &self.all_pos;
+        let geo = &self.geo;
         let tiles = &self.tiles[..workers];
-        let rows = grid.rows();
         let r2 = self.cfg.r2;
         // Per-worker Perfetto spans: stamped into the worker-owned
         // tile (wall-clock only, never read by the resolver), pushed
@@ -499,53 +562,12 @@ impl Medium {
                 scratch.span_start_us = trace_export::now_us();
             }
             for rx in 0..n as u32 {
-                let pos = if mode == ShardMode::ChurnIndex {
-                    all_pos[rx as usize]
-                } else {
-                    grid.position(rx)
-                };
-                if grid.row_of(pos) * workers / rows != w {
+                let pos = geo.position(source, rx);
+                if geo.tile_of(pos, workers) != w {
                     continue;
                 }
                 scratch.rxs.push(rx);
-                match mode {
-                    ShardMode::ScanCached => {
-                        // The broadcasting subset of the cached
-                        // neighborhood, exactly as the sequential scan.
-                        scratch.flat.extend(
-                            nbr[rx as usize]
-                                .iter()
-                                .copied()
-                                .filter(|&(i, _)| is_tx[i as usize]),
-                        );
-                    }
-                    ShardMode::RebuildAll => {
-                        // Recompute the *full* neighborhood, exactly as
-                        // the sequential re-anchor loop; finalize both
-                        // installs it in the cache and filters it.
-                        scratch.query.clear();
-                        grid.query_within_d2(pos, r2, &mut scratch.query);
-                        if let Ok(at) = scratch.query.binary_search_by_key(&rx, |&(i, _)| i) {
-                            scratch.query.remove(at);
-                        }
-                        scratch.flat.extend_from_slice(&scratch.query);
-                    }
-                    ShardMode::ChurnIndex => {
-                        // Broadcaster-only grid: map slots back to
-                        // intent indices (ascending is preserved —
-                        // `broadcasters` is sorted), exactly as the
-                        // sequential churn loop.
-                        scratch.query.clear();
-                        grid.query_within_d2(pos, r2, &mut scratch.query);
-                        scratch.flat.extend(
-                            scratch
-                                .query
-                                .iter()
-                                .map(|&(slot, d2)| (broadcasters[slot as usize] as u32, d2))
-                                .filter(|&(i, _)| i != rx),
-                        );
-                    }
-                }
+                geo.candidates(source, r2, rx, pos, &mut scratch.flat);
                 scratch.starts.push(scratch.flat.len() as u32);
             }
             if spans_on {
@@ -568,75 +590,78 @@ impl Medium {
         }
     }
 
-    /// Sequential finalize phase of a tile-sharded round: walks
-    /// receivers in ascending intent order — the canonical merge order
-    /// — popping each receiver's candidate list from its tile and
-    /// running the verbatim [`resolve_receiver`] delivery rule. Every
-    /// adversary and RNG consultation happens here, on one thread, in
-    /// exactly the sequential resolver's order.
-    fn shard_finalize<M: Clone>(
+    /// Resolves every receiver of the round from `source`, in ascending
+    /// intent order, through the verbatim [`resolve_receiver`] delivery
+    /// rule. Every adversary and RNG consultation happens here, on one
+    /// thread.
+    ///
+    /// Large rounds with a pool configured first shard the candidate
+    /// lists (the dominant cost) across row-band tiles, and this walk
+    /// pops each receiver's list from its tile; otherwise the walk
+    /// builds each list itself. Either way the list is
+    /// [`Geometry::candidates`]' output, so the two are byte-identical
+    /// at any worker count.
+    ///
+    /// `t_geom` is the geometry phase's start (wall-clock only). The
+    /// phase ends where this walk starts: sequential rounds interleave
+    /// their per-receiver queries with resolution, so those land in the
+    /// finalize bucket (a documented approximation).
+    #[allow(clippy::too_many_arguments)]
+    fn resolve_receivers<M: Clone>(
         &mut self,
-        mode: ShardMode,
+        source: Source,
+        t_geom: Option<Instant>,
         round: u64,
         intents: &[TxIntent<M>],
         adversary: &mut dyn Adversary,
         rng: &mut StdRng,
         out: &mut ReceptionBuffer<M>,
     ) {
-        let workers = self.pool.as_ref().expect("sharding needs a pool").workers();
-        let rows = self.grid.rows();
+        let n = intents.len();
         let cfg = self.cfg;
+        let sharded = self.shard_applicable(n);
+        if sharded {
+            self.probe.add_sharded_round();
+            if source == Source::ChurnIndex {
+                self.geo.all_pos.clear();
+                self.geo.all_pos.extend(intents.iter().map(|i| i.pos));
+            }
+            self.shard_geometry(source, n);
+        }
+        self.probe.phase_since(Phase::Geometry, t_geom);
+        let t_fin = self.probe.timer();
+        let workers = self.workers();
         for (j, rx_intent) in intents.iter().enumerate() {
-            let pos = if mode == ShardMode::ChurnIndex {
-                self.all_pos[j]
+            let mut list: &[(u32, f64)] = if sharded {
+                let pos = self.geo.position(source, j as u32);
+                let band = self.geo.tile_of(pos, workers);
+                let scratch = self.tiles[band].0.get_mut();
+                let k = scratch.cursor;
+                scratch.cursor += 1;
+                debug_assert_eq!(scratch.rxs[k], j as u32, "band assignment must be stable");
+                &scratch.flat[scratch.starts[k] as usize..scratch.starts[k + 1] as usize]
             } else {
-                self.grid.position(j as u32)
+                self.fresh.clear();
+                self.geo
+                    .candidates(source, cfg.r2, j as u32, rx_intent.pos, &mut self.fresh);
+                &self.fresh
             };
-            let band = self.grid.row_of(pos) * workers / rows;
-            let scratch = self.tiles[band].0.get_mut();
-            let k = scratch.cursor;
-            scratch.cursor += 1;
-            debug_assert_eq!(scratch.rxs[k], j as u32, "band assignment must be stable");
-            let range = scratch.starts[k] as usize..scratch.starts[k + 1] as usize;
-            let j_broadcasting = rx_intent.payload.is_some();
-            if mode == ShardMode::RebuildAll {
-                // The worker computed the full neighborhood: install it
-                // in the cache (the sequential re-anchor loop does the
-                // same), then take the broadcasting subset.
-                let full = &scratch.flat[range];
-                self.nbr[j].clear();
-                self.nbr[j].extend_from_slice(full);
+            if source == Source::Reanchor {
+                // `list` is the full neighborhood: install it in the
+                // cache, then take the broadcasting subset.
+                self.geo.nbr[j].clear();
+                self.geo.nbr[j].extend_from_slice(list);
                 self.txn.clear();
                 self.txn.extend(
-                    full.iter()
+                    list.iter()
                         .copied()
-                        .filter(|&(i, _)| self.is_tx[i as usize]),
+                        .filter(|&(i, _)| self.geo.is_tx[i as usize]),
                 );
-                resolve_receiver(
-                    &cfg,
-                    round,
-                    rx_intent,
-                    j_broadcasting,
-                    &self.txn,
-                    intents,
-                    adversary,
-                    rng,
-                    out,
-                );
-            } else {
-                resolve_receiver(
-                    &cfg,
-                    round,
-                    rx_intent,
-                    j_broadcasting,
-                    &scratch.flat[range],
-                    intents,
-                    adversary,
-                    rng,
-                    out,
-                );
+                list = &self.txn;
             }
+            resolve_receiver(&cfg, round, rx_intent, list, intents, adversary, rng, out);
         }
+        self.probe.phase_since(Phase::Finalize, t_fin);
     }
 
     /// The radio parameters this medium resolves under.
@@ -644,7 +669,8 @@ impl Medium {
         &self.cfg
     }
 
-    /// Resolves one round, appending one [`AttributedReception`] per
+    /// Resolves one round through *persistent* per-node neighborhoods
+    /// instead of a per-round index rebuild, writing one entry per
     /// intent (same order) to `out`.
     ///
     /// `intents` carries every *alive, participating* node exactly
@@ -652,131 +678,6 @@ impl Medium {
     /// message drops only for rounds before `cfg.rcf`, spurious
     /// collision indications only before `cfg.racc`. Completeness
     /// (Property 1) cannot be suppressed by any adversary.
-    ///
-    /// `out` is cleared first; callers that keep the buffer across
-    /// rounds amortize its allocation away.
-    pub fn resolve_into<M: Clone>(
-        &mut self,
-        round: u64,
-        intents: &[TxIntent<M>],
-        adversary: &mut dyn Adversary,
-        rng: &mut StdRng,
-        out: &mut Vec<AttributedReception<M>>,
-    ) {
-        out.clear();
-        self.probe.count(|c| {
-            c.rounds_total += 1;
-            c.rounds_legacy += 1;
-            c.grid_queries += intents.len() as u64;
-        });
-        // This path re-anchors the grid over the round's broadcasters,
-        // so any full-topology cache is stale from here on.
-        self.cache_ready = false;
-        let cfg = &self.cfg;
-        self.broadcasters.clear();
-        self.broadcaster_pos.clear();
-        for (i, intent) in intents.iter().enumerate() {
-            if intent.payload.is_some() {
-                self.broadcasters.push(i);
-                self.broadcaster_pos.push(intent.pos);
-            }
-        }
-        self.grid.rebuild(&self.broadcaster_pos);
-
-        for (j, rx_intent) in intents.iter().enumerate() {
-            let j_broadcasting = rx_intent.payload.is_some();
-            let mut messages: Vec<(NodeId, M)> = Vec::new();
-            let mut lost_within_r1 = false;
-            let mut lost_within_r2 = false;
-
-            // The sender observes its own payload (it knows what it
-            // sent).
-            if let Some(own) = &rx_intent.payload {
-                messages.push((rx_intent.node, own.clone()));
-            }
-
-            // All broadcasters within R2 of j, in ascending intent
-            // order (the adversary consultation order of the reference
-            // resolver).
-            self.candidates.clear();
-            self.grid
-                .query_within(rx_intent.pos, cfg.r2, &mut self.candidates);
-            self.neighbors.clear();
-            self.neighbors.extend(
-                self.candidates
-                    .iter()
-                    .map(|&slot| self.broadcasters[slot as usize])
-                    .filter(|&i| i != j),
-            );
-            self.neighbors.sort_unstable();
-            // `interfered` for any specific in-R2 sender i means "some
-            // broadcaster k != i, k != j within R2 of j" — with the
-            // in-R2 count in hand that is simply `count >= 2`.
-            let interfered = self.neighbors.len() >= 2;
-
-            for &i in &self.neighbors {
-                let tx = &intents[i];
-                let d2 = tx.pos.distance_sq(rx_intent.pos);
-                let in_r1 = d2 <= cfg.r1 * cfg.r1;
-
-                let physically_ok = !j_broadcasting && in_r1 && !interfered;
-                let delivered = physically_ok
-                    && !(round < cfg.rcf
-                        && adversary.drop_message(round, tx.node, rx_intent.node, rng));
-
-                if delivered {
-                    messages.push((tx.node, tx.payload.as_ref().expect("broadcaster").clone()));
-                } else {
-                    if in_r1 {
-                        lost_within_r1 = true;
-                    }
-                    lost_within_r2 = true;
-                }
-            }
-
-            // Collision detector output.
-            // Property 1 (completeness): any loss within R1 forces a
-            // report. Property 2 (eventual accuracy): from racc
-            // onwards, reports only when something within R2 was lost.
-            // Before racc the adversary may inject false positives.
-            let accurate_report = if cfg.ring_reports {
-                lost_within_r2
-            } else {
-                lost_within_r1
-            };
-            let mut collision = lost_within_r1
-                || accurate_report
-                || (round < cfg.racc && adversary.spurious_collision(round, rx_intent.node, rng));
-            // Model-violation hook: the E13 necessity ablation may
-            // break completeness here. Normal adversaries never do.
-            if collision && adversary.suppress_detection(round, rx_intent.node, rng) {
-                collision = false;
-            }
-
-            out.push(AttributedReception {
-                node: rx_intent.node,
-                messages,
-                collision,
-            });
-        }
-    }
-
-    /// Convenience wrapper over [`Medium::resolve_into`] returning a
-    /// fresh vector.
-    pub fn resolve<M: Clone>(
-        &mut self,
-        round: u64,
-        intents: &[TxIntent<M>],
-        adversary: &mut dyn Adversary,
-        rng: &mut StdRng,
-    ) -> Vec<AttributedReception<M>> {
-        let mut out = Vec::with_capacity(intents.len());
-        self.resolve_into(round, intents, adversary, rng, &mut out);
-        out
-    }
-
-    /// The hot-path resolver: resolves one round through *persistent*
-    /// per-node neighborhoods instead of a per-round index rebuild.
     ///
     /// The medium keeps, for every intent slot, the sorted list of
     /// slots within `R2` together with their squared distances. The
@@ -790,22 +691,20 @@ impl Medium {
     ///   patched surgically; everything else stays cached.
     /// * [`TopologyDelta::Rebuild`] or movers beyond a churn threshold
     ///   — the round falls back to a per-round index over the
-    ///   broadcasters (the legacy algorithm, minus its allocations)
-    ///   and the cache is invalidated: topology that churns every
-    ///   round never pays for a cache it cannot reuse. The first
-    ///   stable round afterwards re-anchors the full-topology cache
-    ///   (as do few-mover rounds whose cache went stale or whose
-    ///   movers left the anchored bounding box).
+    ///   broadcasters and the cache is invalidated: topology that
+    ///   churns every round never pays for a cache it cannot reuse.
+    ///   The first stable round afterwards re-anchors the
+    ///   full-topology cache (as do few-mover rounds whose cache went
+    ///   stale or whose movers left the anchored bounding box).
     ///
     /// Observational equivalence with [`resolve_round_reference`] is
-    /// load-bearing exactly as for [`Medium::resolve_into`]: same
-    /// receptions, same adversary consultation order, same RNG stream
-    /// (asserted by differential proptests) — **provided** `delta` is
-    /// truthful. Reporting a moved slot as unchanged silently corrupts
-    /// the cached distances.
+    /// load-bearing: same receptions, same adversary consultation
+    /// order, same RNG stream (asserted by differential proptests) —
+    /// **provided** `delta` is truthful. Reporting a moved slot as
+    /// unchanged silently corrupts the cached distances.
     ///
-    /// `out` is cleared first and holds one entry per intent, in
-    /// intent order.
+    /// `out` is cleared first; callers that keep the buffer across
+    /// rounds amortize its allocation away.
     pub fn resolve_round_cached<M: Clone>(
         &mut self,
         round: u64,
@@ -840,7 +739,7 @@ impl Medium {
                 } else if stale
                     || slots
                         .iter()
-                        .any(|&s| !self.grid.covers(intents[s as usize].pos))
+                        .any(|&s| !self.geo.grid.covers(intents[s as usize].pos))
                 {
                     // Few movers but no usable cache (or drift past the
                     // anchor): re-anchor now — the next rounds reuse it.
@@ -850,14 +749,36 @@ impl Medium {
                 }
             }
         };
+
+        // Geometry phase (wall-clock only): index or cache maintenance
+        // plus whichever candidate-list construction the round takes.
+        let t_geom = self.probe.timer();
         if churn {
-            self.resolve_churn_round(round, intents, adversary, rng, out);
+            self.probe.count(|c| {
+                c.rounds_churn += 1;
+                c.grid_queries += n as u64;
+            });
+            self.cache_ready = false;
+            self.geo.broadcasters.clear();
+            self.broadcaster_pos.clear();
+            for (i, intent) in intents.iter().enumerate() {
+                if intent.payload.is_some() {
+                    self.geo.broadcasters.push(i);
+                    self.broadcaster_pos.push(intent.pos);
+                }
+            }
+            self.geo.grid.rebuild(&self.broadcaster_pos);
+            self.resolve_receivers(
+                Source::ChurnIndex,
+                t_geom,
+                round,
+                intents,
+                adversary,
+                rng,
+                out,
+            );
             return;
         }
-
-        // Geometry phase (wall-clock only): cache maintenance plus
-        // whichever candidate-list construction the round takes.
-        let t_geom = self.probe.timer();
 
         let rebuild = stale || (movers.is_empty() && !matches!(delta, TopologyDelta::Unchanged));
         if rebuild {
@@ -871,14 +792,14 @@ impl Medium {
                 }
                 c.grid_queries += n as u64;
             });
-            self.all_pos.clear();
-            self.all_pos.extend(intents.iter().map(|i| i.pos));
-            self.grid.rebuild(&self.all_pos);
-            for list in &mut self.nbr {
+            self.geo.all_pos.clear();
+            self.geo.all_pos.extend(intents.iter().map(|i| i.pos));
+            self.geo.grid.rebuild(&self.geo.all_pos);
+            for list in &mut self.geo.nbr {
                 list.clear();
             }
-            if self.nbr.len() < n {
-                self.nbr.resize_with(n, Vec::new);
+            if self.geo.nbr.len() < n {
+                self.geo.nbr.resize_with(n, Vec::new);
             }
             self.is_mover.clear();
             self.is_mover.resize(n, false);
@@ -890,11 +811,12 @@ impl Medium {
                 c.mover_slots += movers.len() as u64;
                 c.grid_queries += movers.len() as u64;
             });
+            let Geometry { grid, nbr, .. } = &mut self.geo;
             // Phase A: land every move in the grid first, so each
             // refreshed neighborhood below sees this round's true
             // positions (mover–mover pairs included).
             for &m in movers {
-                self.grid.move_point(m, intents[m as usize].pos);
+                grid.move_point(m, intents[m as usize].pos);
                 self.is_mover[m as usize] = true;
             }
             // Phase B: refresh each mover's own neighborhood and patch
@@ -903,12 +825,11 @@ impl Medium {
             for &m in movers {
                 let mu = m as usize;
                 self.fresh.clear();
-                self.grid
-                    .query_within_d2(intents[mu].pos, r2, &mut self.fresh);
+                grid.query_within_d2(intents[mu].pos, r2, &mut self.fresh);
                 if let Ok(at) = self.fresh.binary_search_by_key(&m, |&(i, _)| i) {
                     self.fresh.remove(at);
                 }
-                let mut old = std::mem::take(&mut self.nbr[mu]);
+                let mut old = std::mem::take(&mut nbr[mu]);
                 let (mut a, mut b) = (0, 0);
                 while a < old.len() || b < self.fresh.len() {
                     let ka = old.get(a).map(|&(i, _)| i);
@@ -916,26 +837,26 @@ impl Medium {
                     match (ka, kb) {
                         (Some(x), Some(y)) if x == y => {
                             if !self.is_mover[x as usize] {
-                                list_update(&mut self.nbr[x as usize], m, self.fresh[b].1);
+                                list_update(&mut nbr[x as usize], m, self.fresh[b].1);
                             }
                             a += 1;
                             b += 1;
                         }
                         (Some(x), Some(y)) if x < y => {
                             if !self.is_mover[x as usize] {
-                                list_remove(&mut self.nbr[x as usize], m);
+                                list_remove(&mut nbr[x as usize], m);
                             }
                             a += 1;
                         }
                         (Some(x), None) => {
                             if !self.is_mover[x as usize] {
-                                list_remove(&mut self.nbr[x as usize], m);
+                                list_remove(&mut nbr[x as usize], m);
                             }
                             a += 1;
                         }
                         (_, Some(y)) => {
                             if !self.is_mover[y as usize] {
-                                list_insert(&mut self.nbr[y as usize], m, self.fresh[b].1);
+                                list_insert(&mut nbr[y as usize], m, self.fresh[b].1);
                             }
                             b += 1;
                         }
@@ -946,19 +867,19 @@ impl Medium {
                 // the next query scratch (steady-state zero-alloc).
                 old.clear();
                 std::mem::swap(&mut self.fresh, &mut old);
-                self.nbr[mu] = old;
+                nbr[mu] = old;
             }
             for &m in movers {
                 self.is_mover[m as usize] = false;
             }
         }
 
-        self.is_tx.clear();
-        self.is_tx
+        self.geo.is_tx.clear();
+        self.geo
+            .is_tx
             .extend(intents.iter().map(|i| i.payload.is_some()));
-        let broadcasters = self.is_tx.iter().filter(|&&tx| tx).count();
+        let broadcasters = self.geo.is_tx.iter().filter(|&&tx| tx).count();
 
-        let cfg = self.cfg;
         // Sparse-broadcast scatter: with few broadcasters it is far
         // cheaper to walk *their* cached neighborhoods (symmetric by
         // construction) and sort the resulting `(receiver,
@@ -975,10 +896,11 @@ impl Medium {
             }
         });
         if scatter {
+            let cfg = self.cfg;
             self.events.clear();
             for (i, intent) in intents.iter().enumerate() {
                 if intent.payload.is_some() {
-                    for &(j, d2) in &self.nbr[i] {
+                    for &(j, d2) in &self.geo.nbr[i] {
                         self.events.push((u64::from(j) << 32 | i as u64, d2));
                     }
                 }
@@ -997,156 +919,19 @@ impl Medium {
                     cursor += 1;
                 }
                 resolve_receiver(
-                    &cfg,
-                    round,
-                    rx_intent,
-                    self.is_tx[j],
-                    &self.txn,
-                    intents,
-                    adversary,
-                    rng,
-                    out,
+                    &cfg, round, rx_intent, &self.txn, intents, adversary, rng, out,
                 );
             }
             self.probe.phase_since(Phase::Finalize, t_fin);
             return;
         }
 
-        // Large rounds with a pool configured: shard the geometry phase
-        // (the dominant cost) across row-band tiles, then finalize
-        // sequentially in canonical order. Byte-identical to the scan
-        // loop below at any worker count.
-        if self.shard_applicable(n) {
-            let mode = if rebuild {
-                ShardMode::RebuildAll
-            } else {
-                ShardMode::ScanCached
-            };
-            self.probe.add_sharded_round();
-            self.shard_geometry(mode, n);
-            self.probe.phase_since(Phase::Geometry, t_geom);
-            let t_fin = self.probe.timer();
-            self.shard_finalize(mode, round, intents, adversary, rng, out);
-            self.probe.phase_since(Phase::Finalize, t_fin);
-            return;
-        }
-
-        // Sequential scan. Geometry ends here: on re-anchor rounds the
-        // per-receiver grid queries are interleaved with resolution, so
-        // they land in the finalize bucket (a documented approximation).
-        self.probe.phase_since(Phase::Geometry, t_geom);
-        let t_fin = self.probe.timer();
-        for (j, rx_intent) in intents.iter().enumerate() {
-            if rebuild {
-                // Re-anchored this round: recompute the neighborhood.
-                self.fresh.clear();
-                self.grid
-                    .query_within_d2(rx_intent.pos, cfg.r2, &mut self.fresh);
-                if let Ok(at) = self.fresh.binary_search_by_key(&(j as u32), |&(i, _)| i) {
-                    self.fresh.remove(at);
-                }
-                self.nbr[j].clear();
-                self.nbr[j].extend_from_slice(&self.fresh);
-            }
-            // The broadcasting subset, ascending — the adversary
-            // consultation order of the reference resolver.
-            self.txn.clear();
-            self.txn.extend(
-                self.nbr[j]
-                    .iter()
-                    .copied()
-                    .filter(|&(i, _)| self.is_tx[i as usize]),
-            );
-            resolve_receiver(
-                &cfg,
-                round,
-                rx_intent,
-                self.is_tx[j],
-                &self.txn,
-                intents,
-                adversary,
-                rng,
-                out,
-            );
-        }
-        self.probe.phase_since(Phase::Finalize, t_fin);
-    }
-
-    /// One round resolved through a per-round index over the round's
-    /// broadcasters — the churn fallback of
-    /// [`Medium::resolve_round_cached`]. Same algorithm as the legacy
-    /// [`Medium::resolve_into`], but writing SoA output and allocating
-    /// nothing in steady state. Invalidates the full-topology cache.
-    fn resolve_churn_round<M: Clone>(
-        &mut self,
-        round: u64,
-        intents: &[TxIntent<M>],
-        adversary: &mut dyn Adversary,
-        rng: &mut StdRng,
-        out: &mut ReceptionBuffer<M>,
-    ) {
-        self.probe.count(|c| {
-            c.rounds_churn += 1;
-            c.grid_queries += intents.len() as u64;
-        });
-        let t_geom = self.probe.timer();
-        self.cache_ready = false;
-        self.broadcasters.clear();
-        self.broadcaster_pos.clear();
-        for (i, intent) in intents.iter().enumerate() {
-            if intent.payload.is_some() {
-                self.broadcasters.push(i);
-                self.broadcaster_pos.push(intent.pos);
-            }
-        }
-        self.grid.rebuild(&self.broadcaster_pos);
-
-        // Mass-churn rounds shard too: workers query the broadcaster
-        // index over row-band tiles of *receiver* positions, which are
-        // staged in `all_pos` because workers never touch intents.
-        if self.shard_applicable(intents.len()) {
-            self.probe.add_sharded_round();
-            self.all_pos.clear();
-            self.all_pos.extend(intents.iter().map(|i| i.pos));
-            self.shard_geometry(ShardMode::ChurnIndex, intents.len());
-            self.probe.phase_since(Phase::Geometry, t_geom);
-            let t_fin = self.probe.timer();
-            self.shard_finalize(ShardMode::ChurnIndex, round, intents, adversary, rng, out);
-            self.probe.phase_since(Phase::Finalize, t_fin);
-            return;
-        }
-
-        // Sequential churn: the per-receiver queries below interleave
-        // with resolution, so geometry covers only the index rebuild.
-        self.probe.phase_since(Phase::Geometry, t_geom);
-        let t_fin = self.probe.timer();
-        let cfg = self.cfg;
-        for (j, rx_intent) in intents.iter().enumerate() {
-            self.fresh.clear();
-            self.grid
-                .query_within_d2(rx_intent.pos, cfg.r2, &mut self.fresh);
-            // Broadcaster slots are in ascending intent order, so the
-            // slot-sorted query maps to ascending intent indices.
-            self.txn.clear();
-            self.txn.extend(
-                self.fresh
-                    .iter()
-                    .map(|&(slot, d2)| (self.broadcasters[slot as usize] as u32, d2))
-                    .filter(|&(i, _)| i as usize != j),
-            );
-            resolve_receiver(
-                &cfg,
-                round,
-                rx_intent,
-                rx_intent.payload.is_some(),
-                &self.txn,
-                intents,
-                adversary,
-                rng,
-                out,
-            );
-        }
-        self.probe.phase_since(Phase::Finalize, t_fin);
+        let source = if rebuild {
+            Source::Reanchor
+        } else {
+            Source::Cached
+        };
+        self.resolve_receivers(source, t_geom, round, intents, adversary, rng, out);
     }
 }
 
@@ -1186,7 +971,6 @@ fn resolve_receiver<M: Clone>(
     cfg: &RadioConfig,
     round: u64,
     rx_intent: &TxIntent<M>,
-    j_broadcasting: bool,
     txn: &[(u32, f64)],
     intents: &[TxIntent<M>],
     adversary: &mut dyn Adversary,
@@ -1194,6 +978,7 @@ fn resolve_receiver<M: Clone>(
     out: &mut ReceptionBuffer<M>,
 ) {
     out.begin(rx_intent.node);
+    let j_broadcasting = rx_intent.payload.is_some();
     // The sender observes its own payload (it knows what it sent).
     if let Some(own) = &rx_intent.payload {
         out.push_message(rx_intent.node, own.clone());
@@ -1238,7 +1023,8 @@ fn resolve_receiver<M: Clone>(
 }
 
 /// Resolves one slotted round of the channel through a fresh
-/// [`Medium`] (grid-indexed path).
+/// [`Medium`]: one [`Medium::resolve_round_cached`] call with
+/// [`TopologyDelta::Rebuild`], expanded to owned receptions.
 ///
 /// One-shot convenience for tests and tools; the engine keeps a
 /// long-lived [`Medium`] instead so buffers amortize across rounds.
@@ -1253,7 +1039,16 @@ pub fn resolve_round<M: Clone>(
     adversary: &mut dyn Adversary,
     rng: &mut StdRng,
 ) -> Vec<AttributedReception<M>> {
-    Medium::new(*cfg).resolve(round, intents, adversary, rng)
+    let mut out = ReceptionBuffer::new();
+    Medium::new(*cfg).resolve_round_cached(
+        round,
+        intents,
+        TopologyDelta::Rebuild,
+        adversary,
+        rng,
+        &mut out,
+    );
+    out.to_attributed()
 }
 
 /// The naive O(receivers × broadcasters × nodes) resolver, kept as the

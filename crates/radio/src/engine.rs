@@ -13,9 +13,7 @@
 //! again; not-yet-spawned nodes are invisible to the channel.
 
 use crate::adversary::{Adversary, NoAdversary};
-use crate::channel::{
-    AttributedReception, Medium, ReceptionBuffer, RoundReception, TopologyDelta, TxIntent,
-};
+use crate::channel::{Medium, ReceptionBuffer, RoundReception, TopologyDelta, TxIntent};
 use crate::config::RadioConfig;
 use crate::geometry::Point;
 use crate::mobility::MobilityModel;
@@ -190,19 +188,11 @@ pub struct Engine<M> {
     moved: Vec<u32>,
     /// Last round's live set, for detecting participant churn.
     prev_live: Vec<usize>,
-    /// SoA reception storage for the fast round path.
+    /// SoA reception storage, refilled every round.
     receptions: ReceptionBuffer<M>,
-    /// Owned receptions for the legacy round path.
-    legacy_receptions: Vec<AttributedReception<M>>,
-    /// Scratch for materializing a legacy reception's anonymous view.
-    legacy_messages: Vec<M>,
     /// Pooled trace record: built in place each traced round, then
     /// stored as an exact-size clone (no per-round growth churn).
     trace_scratch: RoundRecord,
-    /// Route rounds through the pre-overhaul path (per-round index
-    /// rebuild + per-receiver allocation). Byte-identical outputs;
-    /// kept as the benchmarking baseline and differential oracle.
-    legacy_round_path: bool,
     /// Telemetry handle (null by default; shared with the medium).
     probe: Probe,
     /// Causal-tracing handle (null by default): broadcast spans and
@@ -267,8 +257,6 @@ impl<M: Clone + WireSized + 'static> Engine<M> {
             moved: Vec::new(),
             prev_live: Vec::new(),
             receptions: ReceptionBuffer::new(),
-            legacy_receptions: Vec::new(),
-            legacy_messages: Vec::new(),
             trace_scratch: RoundRecord {
                 round: 0,
                 positions: Vec::new(),
@@ -276,7 +264,6 @@ impl<M: Clone + WireSized + 'static> Engine<M> {
                 deliveries: Vec::new(),
                 collisions: Vec::new(),
             },
-            legacy_round_path: false,
             probe: Probe::disabled(),
             causal: CausalRecorder::disabled(),
             flight: FlightRecorder::disabled(),
@@ -320,15 +307,6 @@ impl<M: Clone + WireSized + 'static> Engine<M> {
     /// The broadcast medium driving channel resolution.
     pub fn medium(&self) -> &Medium {
         &self.medium
-    }
-
-    /// Routes all subsequent rounds through the pre-overhaul path
-    /// (per-round spatial-index rebuild, per-receiver allocation, no
-    /// static-node fast path). Executions are byte-for-byte identical
-    /// either way — this exists as the benchmarking baseline for the
-    /// hot-path overhaul and as the oracle of its differential tests.
-    pub fn set_legacy_round_path(&mut self, legacy: bool) {
-        self.legacy_round_path = legacy;
     }
 
     /// Sets the intra-round worker count for tile-sharded round
@@ -434,29 +412,13 @@ impl<M: Clone + WireSized + 'static> Engine<M> {
         self.nodes.len()
     }
 
-    /// Executes one slotted round: advance mobility (skipping settled
-    /// nodes), collect intents, resolve the channel through the
-    /// [`Medium`]'s cached-topology path, deliver outcomes. All round
-    /// buffers are engine-owned and reused, so steady-state rounds
-    /// (static topology, non-allocating processes, tracing off) make
-    /// zero heap allocations — see `tests/zero_alloc.rs`.
-    pub fn step(&mut self) {
-        if self.legacy_round_path {
-            self.step_legacy();
-        } else {
-            self.step_fast();
-        }
-    }
-
-    /// Mobility + transmission collection shared by both round paths.
+    /// Mobility + transmission collection: fills `intents`/`live`, and
+    /// the `moved` dirty-set of intent slots whose position changed.
     ///
-    /// `skip_settled` is the fast path's static-node shortcut: placed,
-    /// settled nodes keep their position without an `advance` call
-    /// (the settled contract guarantees the call would return the same
-    /// position and draw nothing, so the RNG stream is unchanged).
-    /// Fills `intents`/`live`, and the `moved` dirty-set of intent
-    /// slots whose position changed.
-    fn collect_intents(&mut self, skip_settled: bool) {
+    /// Placed, settled nodes keep their position without an `advance`
+    /// call (the settled contract guarantees the call would return the
+    /// same position and draw nothing, so the RNG stream is unchanged).
+    fn collect_intents(&mut self) {
         let round = self.round;
         self.intents.clear();
         self.live.clear();
@@ -468,7 +430,7 @@ impl<M: Clone + WireSized + 'static> Engine<M> {
             }
             let slot = self.intents.len() as u32;
             let entry = &mut self.nodes[idx];
-            if !(skip_settled && entry.placed && entry.settled) {
+            if !(entry.placed && entry.settled) {
                 let pos = entry.mobility.advance(round, &mut self.rng);
                 if entry.placed {
                     let moved = entry.pos.distance(pos);
@@ -547,9 +509,13 @@ impl<M: Clone + WireSized + 'static> Engine<M> {
         self.flight.note(FlightEvent::Churn { joined, left });
     }
 
-    /// The overhauled round path: cached-topology resolution into SoA
-    /// reception storage, zero allocations in steady state.
-    fn step_fast(&mut self) {
+    /// Executes one slotted round: advance mobility (skipping settled
+    /// nodes), collect intents, resolve the channel through the
+    /// [`Medium`]'s cached-topology path, deliver outcomes. All round
+    /// buffers are engine-owned and reused, so steady-state rounds
+    /// (static topology, non-allocating processes, tracing off) make
+    /// zero heap allocations — see `tests/zero_alloc.rs`.
+    pub fn step(&mut self) {
         let round = self.round;
         self.causal.begin_round(round);
         if self.flight.is_enabled() {
@@ -557,7 +523,7 @@ impl<M: Clone + WireSized + 'static> Engine<M> {
             self.note_nemesis(round);
         }
         let t_adv = self.probe.timer();
-        self.collect_intents(true);
+        self.collect_intents();
         self.probe.phase_since(Phase::Advance, t_adv);
 
         // Topology delta for the cached resolver: participant churn
@@ -669,136 +635,6 @@ impl<M: Clone + WireSized + 'static> Engine<M> {
             let rx = self.receptions.reception(k);
             self.nodes[idx].process.deliver(&ctx, rx);
         }
-        let receptions = self.stats.deliveries - prev_deliveries;
-        let collisions = self.stats.collision_reports - prev_collisions;
-        self.probe.count(|c| {
-            c.receptions += receptions;
-            c.collisions += collisions;
-        });
-        self.probe.phase_since(Phase::Deliver, t_del);
-
-        self.round += 1;
-        self.monitor.on_round(self.round);
-    }
-
-    /// The pre-overhaul round path, kept verbatim as the baseline:
-    /// every participant's mobility advances, the medium re-anchors
-    /// its index over the round's broadcasters, and each reception is
-    /// an owned allocation.
-    fn step_legacy(&mut self) {
-        let round = self.round;
-        self.causal.begin_round(round);
-        if self.flight.is_enabled() {
-            self.flight.begin_round(round);
-            self.note_nemesis(round);
-        }
-        let t_adv = self.probe.timer();
-        self.collect_intents(false);
-        self.probe.phase_since(Phase::Advance, t_adv);
-        // The legacy resolver ignores the topology cache, so `prev_live`
-        // is normally untouched here; maintain it just for the churn
-        // events when the flight recorder is live.
-        if self.flight.is_enabled() && self.live != self.prev_live {
-            self.note_churn();
-            self.prev_live.clone_from(&self.live);
-        }
-
-        if self.probe.is_enabled() || self.flight.is_enabled() {
-            let mut counting = CountingAdversary {
-                inner: self.adversary.as_mut(),
-                hits: 0,
-            };
-            self.medium.resolve_into(
-                round,
-                &self.intents,
-                &mut counting,
-                &mut self.rng,
-                &mut self.legacy_receptions,
-            );
-            let hits = counting.hits;
-            self.probe.count(|c| c.adversary_checks += hits);
-            if hits > 0 {
-                self.flight.note(FlightEvent::Adversary { checks: hits });
-            }
-        } else {
-            self.medium.resolve_into(
-                round,
-                &self.intents,
-                self.adversary.as_mut(),
-                &mut self.rng,
-                &mut self.legacy_receptions,
-            );
-        }
-
-        // Statistics and trace.
-        let t_del = self.probe.timer();
-        let prev_deliveries = self.stats.deliveries;
-        let prev_collisions = self.stats.collision_reports;
-        self.stats.rounds += 1;
-        let mut record = self.config.record_trace.then(|| RoundRecord {
-            round,
-            positions: self.intents.iter().map(|i| (i.node, i.pos)).collect(),
-            broadcasts: Vec::new(),
-            deliveries: Vec::new(),
-            collisions: Vec::new(),
-        });
-        for intent in &self.intents {
-            if let Some(payload) = &intent.payload {
-                let size = payload.wire_size();
-                self.stats.broadcasts += 1;
-                self.stats.total_bytes += size as u64;
-                self.stats.max_message_bytes = self.stats.max_message_bytes.max(size);
-                self.causal.broadcast(intent.node.index() as u64);
-                if let Some(rec) = record.as_mut() {
-                    rec.broadcasts.push((intent.node, size));
-                }
-            }
-        }
-        for rx in &self.legacy_receptions {
-            for &(src, _) in rx.messages.iter().filter(|(src, _)| *src != rx.node) {
-                self.stats.deliveries += 1;
-                self.causal
-                    .reception(src.index() as u64, rx.node.index() as u64);
-                if let Some(rec) = record.as_mut() {
-                    rec.deliveries.push((src, rx.node));
-                }
-            }
-            if rx.collision {
-                self.stats.collision_reports += 1;
-                if let Some(rec) = record.as_mut() {
-                    rec.collisions.push(rx.node);
-                }
-            }
-        }
-        if let Some(rec) = record {
-            self.trace.rounds.push(rec);
-        }
-        if self.flight.is_enabled() {
-            self.flight.note(FlightEvent::Reception {
-                delivered: self.stats.deliveries - prev_deliveries,
-                collisions: self.stats.collision_reports - prev_collisions,
-            });
-        }
-
-        // Deliver outcomes (draining keeps the buffer's capacity).
-        let mut k = 0;
-        while k < self.legacy_receptions.len() {
-            let idx = self.live[k];
-            let ctx = RoundCtx {
-                round,
-                pos: self.nodes[idx].pos,
-            };
-            self.legacy_messages.clear();
-            self.legacy_messages
-                .extend(self.legacy_receptions[k].messages.drain(..).map(|(_, m)| m));
-            let rx = RoundReception {
-                messages: &self.legacy_messages,
-                collision: self.legacy_receptions[k].collision,
-            };
-            self.nodes[idx].process.deliver(&ctx, rx);
-            k += 1;
-        }
-        self.legacy_receptions.clear();
         let receptions = self.stats.deliveries - prev_deliveries;
         let collisions = self.stats.collision_reports - prev_collisions;
         self.probe.count(|c| {

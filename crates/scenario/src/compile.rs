@@ -28,8 +28,8 @@ use vi_traffic::{AppKind, DevicePlan, TrafficSpec, TrafficSummary, TrafficWorld}
 /// stream (so random placement never perturbs channel resolution).
 const PLACEMENT_SALT: u64 = 0x9e37_79b9_7f4a_7c15;
 
-/// Execution tuning for a scenario run: which engine path resolves
-/// rounds and with how many intra-round workers.
+/// Execution tuning for a scenario run: how many intra-round workers
+/// resolve its rounds, and which observers ride along.
 ///
 /// Tuning is **not** part of the scenario: for any fixed `(spec,
 /// seed)` every tuning produces a byte-identical [`ScenarioOutcome`]
@@ -37,12 +37,11 @@ const PLACEMENT_SALT: u64 = 0x9e37_79b9_7f4a_7c15;
 /// this); only wall-clock changes.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EngineTuning {
-    /// Route engine-backed workloads through the pre-overhaul round
-    /// path (benchmark baseline / differential-test oracle).
-    pub legacy_engine: bool,
     /// Intra-round worker count for tile-sharded round resolution.
-    /// `0` and `1` resolve sequentially; the [`SweepRunner`] treats
-    /// `0` as "split my worker budget across concurrent jobs".
+    /// `1` resolves sequentially, and so does `0` under
+    /// [`ScenarioSpec::run_with`]; the [`SweepRunner`] reads `0` as
+    /// "split my worker budget across the concurrent jobs", so a lone
+    /// job gets the whole budget and shards its large rounds.
     ///
     /// [`SweepRunner`]: crate::runner::SweepRunner
     pub workers: usize,
@@ -77,10 +76,13 @@ pub struct EngineTuning {
 }
 
 impl EngineTuning {
-    /// The default execution: current engine path, sequential rounds,
-    /// telemetry, tracing, and flight recording off.
+    /// The default execution: `workers: 0` — sequential rounds under
+    /// [`ScenarioSpec::run_with`], a share of the worker budget under
+    /// the [`SweepRunner`] (see [`EngineTuning::workers`]) — with
+    /// telemetry, tracing, flight recording and monitoring off.
+    ///
+    /// [`SweepRunner`]: crate::runner::SweepRunner
     pub const DEFAULT: EngineTuning = EngineTuning {
-        legacy_engine: false,
         workers: 0,
         telemetry: false,
         tracing: false,
@@ -88,7 +90,7 @@ impl EngineTuning {
         monitor_every: 0,
     };
 
-    /// Current engine path with `workers` intra-round workers.
+    /// The default tuning with `workers` intra-round workers.
     pub fn with_workers(workers: usize) -> Self {
         EngineTuning {
             workers,
@@ -233,22 +235,8 @@ impl ScenarioSpec {
         self.run_with(seed, EngineTuning::DEFAULT)
     }
 
-    /// Like [`ScenarioSpec::run`], but with the engine's round path
-    /// pinned: `legacy_engine` routes the engine-backed workloads
-    /// (`ChaClique`, `ViCounter`) through the pre-overhaul round path.
-    /// Kept as the two-state shorthand for [`ScenarioSpec::run_with`].
-    pub fn run_tuned(&self, seed: u64, legacy_engine: bool) -> ScenarioOutcome {
-        self.run_with(
-            seed,
-            EngineTuning {
-                legacy_engine,
-                ..EngineTuning::DEFAULT
-            },
-        )
-    }
-
-    /// Like [`ScenarioSpec::run`], but with full [`EngineTuning`]:
-    /// round path and intra-round worker count.
+    /// Like [`ScenarioSpec::run`], but under the given
+    /// [`EngineTuning`].
     ///
     /// The tuning is an execution parameter, **not** part of the
     /// scenario: outcomes are byte-identical under every tuning (the
@@ -400,7 +388,6 @@ impl ScenarioSpec {
             seed,
             record_trace: false,
         });
-        engine.set_legacy_round_path(tuning.legacy_engine);
         if tuning.workers >= 2 {
             engine.set_workers(tuning.workers);
         }
@@ -543,7 +530,6 @@ impl ScenarioSpec {
             seed,
             record_trace: false,
         });
-        world.set_legacy_round_path(tuning.legacy_engine);
         if tuning.workers >= 2 {
             world.set_workers(tuning.workers);
         }
@@ -741,7 +727,6 @@ impl ScenarioSpec {
             seed,
             record_trace: false,
         });
-        engine.set_legacy_round_path(tuning.legacy_engine);
         if tuning.workers >= 2 {
             engine.set_workers(tuning.workers);
         }

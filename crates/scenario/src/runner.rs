@@ -107,27 +107,6 @@ impl SweepRunner {
         self.run_matrix_with(scenarios, seeds, EngineTuning::DEFAULT)
     }
 
-    /// [`SweepRunner::run_matrix`] with the engine round path pinned
-    /// (see [`ScenarioSpec::run_tuned`]): `legacy_engine` routes every
-    /// job through the pre-overhaul engine path. Outcomes are
-    /// byte-identical either way; the E18 `metropolis` experiment uses
-    /// this to time old-vs-new on identical matrices.
-    pub fn run_matrix_tuned(
-        &self,
-        scenarios: &[ScenarioSpec],
-        seeds: &[u64],
-        legacy_engine: bool,
-    ) -> Vec<ScenarioOutcome> {
-        self.run_matrix_with(
-            scenarios,
-            seeds,
-            EngineTuning {
-                legacy_engine,
-                ..EngineTuning::DEFAULT
-            },
-        )
-    }
-
     /// [`SweepRunner::run_matrix`] with full [`EngineTuning`] — the
     /// one knob sharing the runner's worker budget between across-job
     /// and intra-round parallelism:

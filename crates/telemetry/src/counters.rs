@@ -32,8 +32,6 @@ pub struct Counters {
     pub rounds_reanchor: u64,
     /// Rounds resolved by the broadcaster-only churn index.
     pub rounds_churn: u64,
-    /// Rounds resolved by the legacy O(n²) reference path.
-    pub rounds_legacy: u64,
     /// Spatial-index rebuilds (== `rounds_reanchor`; kept separate so
     /// the name survives if re-anchoring ever decouples from rounds).
     pub cache_reanchors: u64,
@@ -95,14 +93,13 @@ impl Counters {
     /// The counters as `(name, value)` rows in declaration order —
     /// the single source of truth for table/demo output so a new
     /// field can't be silently dropped from reports.
-    pub fn rows(&self) -> [(&'static str, u64); 19] {
+    pub fn rows(&self) -> [(&'static str, u64); 18] {
         [
             ("rounds_total", self.rounds_total),
             ("rounds_steady", self.rounds_steady),
             ("rounds_scatter", self.rounds_scatter),
             ("rounds_reanchor", self.rounds_reanchor),
             ("rounds_churn", self.rounds_churn),
-            ("rounds_legacy", self.rounds_legacy),
             ("cache_reanchors", self.cache_reanchors),
             ("mover_rounds", self.mover_rounds),
             ("mover_slots", self.mover_slots),
@@ -123,14 +120,13 @@ impl Counters {
     }
 
     /// Mutable field slots in the same order as [`Counters::rows`].
-    fn rows_mut(&mut self) -> [&mut u64; 19] {
+    fn rows_mut(&mut self) -> [&mut u64; 18] {
         [
             &mut self.rounds_total,
             &mut self.rounds_steady,
             &mut self.rounds_scatter,
             &mut self.rounds_reanchor,
             &mut self.rounds_churn,
-            &mut self.rounds_legacy,
             &mut self.cache_reanchors,
             &mut self.mover_rounds,
             &mut self.mover_slots,
@@ -163,7 +159,6 @@ mod tests {
             &mut c.rounds_scatter,
             &mut c.rounds_reanchor,
             &mut c.rounds_churn,
-            &mut c.rounds_legacy,
             &mut c.cache_reanchors,
             &mut c.mover_rounds,
             &mut c.mover_slots,

@@ -58,7 +58,6 @@ fn main() {
     }
 
     println!("rounds are counted once per mode: steady (cached fast path), scatter");
-    println!("(few broadcasters), reanchor (cache rebuild), churn (membership change),");
-    println!("legacy (pre-overhaul path). Re-run with VI_TRACE=trace.json for a");
-    println!("Perfetto span export of the same sweep.");
+    println!("(few broadcasters), reanchor (cache rebuild), churn (membership change).");
+    println!("Re-run with VI_TRACE=trace.json for a Perfetto span export of the same sweep.");
 }

@@ -15,7 +15,8 @@ use virtual_infra::radio::channel::{
 use virtual_infra::radio::geometry::{Point, Rect, SpatialGrid};
 use virtual_infra::radio::mobility::{Billiard, MobilityModel, Static, Waypoint};
 use virtual_infra::radio::{
-    Engine, EngineConfig, NodeId, NodeSpec, Process, RadioConfig, RoundCtx, RoundReception,
+    ChannelStats, Engine, EngineConfig, NodeId, NodeSpec, Process, RadioConfig, RoundCtx,
+    RoundReception, RoundRecord, Trace,
 };
 
 fn arb_point() -> impl Strategy<Value = Point> {
@@ -67,6 +68,158 @@ impl Process<u64> for Recorder {
     fn as_any_mut(&mut self) -> &mut dyn Any {
         self
     }
+}
+
+/// One generated node of the engine-level differentials: start
+/// position, mobility kind, chatty?, spawn round, crash round.
+type NodeGen = (Point, u8, bool, u64, Option<u64>);
+
+fn arb_nodes() -> impl Strategy<Value = Vec<NodeGen>> {
+    proptest::collection::vec(
+        (
+            arb_point(),
+            0u8..4,
+            any::<bool>(),
+            0u64..6,
+            proptest::option::of(2u64..20),
+        ),
+        1..14,
+    )
+}
+
+/// Static, roaming waypoint, parked waypoint (settles), or billiard.
+fn mobility_of(&(start, kind, ..): &NodeGen) -> Box<dyn MobilityModel> {
+    let bounds = Rect::square(200.0);
+    let start = Point::new(start.x.min(190.0), start.y.min(190.0));
+    match kind {
+        0 => Box::new(Static::new(start)),
+        1 => Box::new(Waypoint::new(start, 0.7, bounds)),
+        2 => Box::new(Waypoint::new(start, 0.0, bounds)),
+        _ => Box::new(Billiard::new(start, (0.5, -0.3), bounds)),
+    }
+}
+
+/// Everything an execution exposes: each node's `(heard,
+/// collisions)`, the trace as JSON, and the channel statistics.
+type Observed = (Vec<(Vec<u64>, u64)>, String, ChannelStats);
+
+/// The deployment `nodes` describes, under a lossy adversary, run on
+/// the real [`Engine`] with `workers` intra-round workers.
+fn engine_run(
+    nodes: &[NodeGen],
+    seed: u64,
+    stabilize: u64,
+    drop_p: f64,
+    rounds: u64,
+    workers: usize,
+) -> Observed {
+    let mut engine: Engine<u64> = Engine::new(EngineConfig {
+        radio: RadioConfig::stabilizing(10.0, 20.0, stabilize),
+        seed,
+        record_trace: true,
+    });
+    engine.set_workers(workers);
+    engine.set_shard_min_slots(1);
+    engine.set_adversary(Box::new(RandomLoss::new(drop_p, 0.1)));
+    let mut ids = Vec::new();
+    for node in nodes {
+        let &(_, _, chatty, spawn, crash) = node;
+        let mut spec = NodeSpec::new(mobility_of(node), Box::new(Recorder::new(chatty)));
+        if spawn > 0 {
+            spec = spec.spawn_at(spawn);
+        }
+        if let Some(c) = crash {
+            spec = spec.crash_at(c);
+        }
+        ids.push(engine.add_node(spec));
+    }
+    engine.run(rounds);
+    let observed = ids
+        .iter()
+        .map(|&id| {
+            let r: &Recorder = engine.process(id).expect("recorder");
+            (r.heard.clone(), r.collisions)
+        })
+        .collect();
+    let trace = serde_json::to_string(engine.trace()).expect("serializable trace");
+    (observed, trace, *engine.stats())
+}
+
+/// The same deployment on the engine's round loop re-stated naively:
+/// *every* participant's mobility advances every round (no settled
+/// skip), the channel is [`resolve_round_reference`] (no topology
+/// delta, no cache), and receptions are delivered from owned vectors.
+fn spec_run(nodes: &[NodeGen], seed: u64, stabilize: u64, drop_p: f64, rounds: u64) -> Observed {
+    let cfg = RadioConfig::stabilizing(10.0, 20.0, stabilize);
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut adversary = RandomLoss::new(drop_p, 0.1);
+    let mut state: Vec<(Box<dyn MobilityModel>, Recorder)> = nodes
+        .iter()
+        .map(|node| (mobility_of(node), Recorder::new(node.2)))
+        .collect();
+    let mut trace = Trace::new();
+    let mut stats = ChannelStats::default();
+    for round in 0..rounds {
+        let mut intents: Vec<TxIntent<u64>> = Vec::new();
+        for (i, &(_, _, _, spawn, crash)) in nodes.iter().enumerate() {
+            if round >= spawn && crash.is_none_or(|c| round < c) {
+                let pos = state[i].0.advance(round, &mut rng);
+                let payload = state[i].1.transmit(&RoundCtx { round, pos });
+                intents.push(TxIntent {
+                    node: NodeId::from(i),
+                    pos,
+                    payload,
+                });
+            }
+        }
+        let receptions = resolve_round_reference(round, &cfg, &intents, &mut adversary, &mut rng);
+        let mut record = RoundRecord {
+            round,
+            positions: intents.iter().map(|i| (i.node, i.pos)).collect(),
+            broadcasts: Vec::new(),
+            deliveries: Vec::new(),
+            collisions: Vec::new(),
+        };
+        stats.rounds += 1;
+        for intent in intents.iter().filter(|i| i.payload.is_some()) {
+            // A `u64` payload is 8 bytes on the wire.
+            stats.broadcasts += 1;
+            stats.total_bytes += 8;
+            stats.max_message_bytes = 8;
+            record.broadcasts.push((intent.node, 8));
+        }
+        for (rx, intent) in receptions.iter().zip(&intents) {
+            let mut messages = Vec::new();
+            for &(src, payload) in &rx.messages {
+                messages.push(payload);
+                if src != rx.node {
+                    stats.deliveries += 1;
+                    record.deliveries.push((src, rx.node));
+                }
+            }
+            if rx.collision {
+                stats.collision_reports += 1;
+                record.collisions.push(rx.node);
+            }
+            state[rx.node.index()].1.deliver(
+                &RoundCtx {
+                    round,
+                    pos: intent.pos,
+                },
+                RoundReception {
+                    messages: &messages,
+                    collision: rx.collision,
+                },
+            );
+        }
+        trace.rounds.push(record);
+    }
+    let observed = state
+        .into_iter()
+        .map(|(_, r)| (r.heard, r.collisions))
+        .collect();
+    let trace = serde_json::to_string(&trace).expect("serializable trace");
+    (observed, trace, stats)
 }
 
 proptest! {
@@ -208,61 +361,6 @@ proptest! {
         }
     }
 
-    /// Differential law: the grid-indexed [`Medium`] is observationally
-    /// identical to the naive reference resolver — same receptions,
-    /// same collision indications, and the same RNG stream afterwards
-    /// (proving the adversary was consulted for exactly the same
-    /// queries in the same order) — across randomized positions, radii,
-    /// stabilization points, adversaries, seeds, and multiple rounds
-    /// through one reused `Medium`.
-    #[test]
-    fn medium_matches_reference_resolver(
-        nodes in proptest::collection::vec((arb_point(), any::<bool>()), 1..80),
-        seed in any::<u64>(),
-        r1 in 1.0f64..30.0,
-        extra in 0.0f64..30.0,
-        rcf in 0u64..6,
-        racc in 0u64..6,
-        ring_reports in any::<bool>(),
-        drop_p in 0.0f64..1.0,
-        spurious_p in 0.0f64..0.6,
-    ) {
-        let cfg = RadioConfig { r1, r2: r1 + extra, rcf, racc, ring_reports };
-        let mut medium = Medium::new(cfg);
-        let mut rng_fast = StdRng::seed_from_u64(seed);
-        let mut rng_ref = StdRng::seed_from_u64(seed);
-        let mut adv_fast = RandomLoss::new(drop_p, spurious_p);
-        let mut adv_ref = RandomLoss::new(drop_p, spurious_p);
-
-        // Several rounds through one Medium (exercising buffer reuse),
-        // with drifting positions, crossing the rcf/racc thresholds.
-        for round in 0..6u64 {
-            let drift = round as f64 * 0.7;
-            let intents: Vec<TxIntent<u64>> = nodes.iter().enumerate().map(|(i, &(pos, tx))| {
-                TxIntent {
-                    node: NodeId::from(i),
-                    pos: Point::new(pos.x + drift, pos.y - drift),
-                    payload: (tx ^ (round % 3 == i as u64 % 3)).then_some(i as u64),
-                }
-            }).collect();
-
-            let fast = medium.resolve(round, &intents, &mut adv_fast, &mut rng_fast);
-            let slow = resolve_round_reference(round, &cfg, &intents, &mut adv_ref, &mut rng_ref);
-
-            prop_assert_eq!(fast.len(), slow.len());
-            for (f, s) in fast.iter().zip(&slow) {
-                prop_assert_eq!(f.node, s.node);
-                prop_assert_eq!(f.collision, s.collision,
-                    "round {}: detector mismatch at {}", round, f.node);
-                prop_assert_eq!(&f.messages, &s.messages,
-                    "round {}: reception mismatch at {}", round, f.node);
-            }
-            // Byte-for-byte RNG agreement: both paths consumed exactly
-            // the same adversary randomness.
-            prop_assert_eq!(&rng_fast, &rng_ref, "round {}: RNG streams diverged", round);
-        }
-    }
-
     /// Satellite property of the hot-path overhaul: a spatial grid
     /// maintained incrementally (random interleavings of moves,
     /// inserts, and swap-removes) is byte-identical — query order
@@ -324,8 +422,11 @@ proptest! {
     /// to the naive reference resolver — same receptions, same
     /// collision indications, same RNG stream — across drifting
     /// positions (exercising the surgical-move path), mass movement
-    /// (the churn fallback), periodic forced rebuilds, varying
-    /// broadcast patterns, stabilization thresholds, and adversaries.
+    /// (the churn fallback), periodic forced rebuilds, a caller that
+    /// reports [`TopologyDelta::Rebuild`] every round (`mover_stride ==
+    /// 0`: what the one-shot `resolve_round` does), varying broadcast
+    /// patterns, stabilization thresholds, and adversaries — through
+    /// one reused `Medium`, crossing the rcf/racc thresholds.
     #[test]
     fn cached_medium_matches_reference_resolver(
         nodes in proptest::collection::vec((arb_point(), any::<bool>()), 1..60),
@@ -337,7 +438,7 @@ proptest! {
         ring_reports in any::<bool>(),
         drop_p in 0.0f64..1.0,
         spurious_p in 0.0f64..0.6,
-        mover_stride in 1usize..8,
+        mover_stride in 0usize..8,
     ) {
         let cfg = RadioConfig { r1, r2: r1 + extra, rcf, racc, ring_reports };
         let mut medium = Medium::new(cfg);
@@ -351,13 +452,13 @@ proptest! {
         let mut intents: Vec<TxIntent<u64>> = Vec::new();
         let mut moved: Vec<u32> = Vec::new();
         for round in 0..8u64 {
-            // Every `mover_stride`-th node drifts this round; stride 1
-            // moves everyone (churn fallback), larger strides exercise
-            // the surgical updates.
+            // Every `mover_stride`-th node drifts this round; strides 0
+            // and 1 move everyone (churn fallback), larger strides
+            // exercise the surgical updates.
             moved.clear();
             if round > 0 {
                 for (i, pos) in positions.iter_mut().enumerate() {
-                    if (i + round as usize).is_multiple_of(mover_stride) {
+                    if (i + round as usize).is_multiple_of(mover_stride.max(1)) {
                         let next = Point::new(pos.x + 0.9, pos.y - 0.4);
                         *pos = next;
                         moved.push(i as u32);
@@ -370,7 +471,7 @@ proptest! {
                 pos: positions[i],
                 payload: (tx ^ (round % 3 == i as u64 % 3)).then_some(i as u64),
             }));
-            let delta = if round == 0 || round == 5 {
+            let delta = if mover_stride == 0 || round == 0 || round == 5 {
                 TopologyDelta::Rebuild
             } else if moved.is_empty() {
                 TopologyDelta::Unchanged
@@ -475,9 +576,7 @@ proptest! {
     /// spawns, crashes, and a lossy adversary.
     #[test]
     fn engine_sharded_path_matches_sequential(
-        specs in proptest::collection::vec(
-            (arb_point(), 0u8..4, any::<bool>(), 0u64..6, proptest::option::of(2u64..20)),
-            1..14),
+        nodes in arb_nodes(),
         seed in any::<u64>(),
         stabilize in 0u64..30,
         drop_p in 0.0f64..0.6,
@@ -485,113 +584,35 @@ proptest! {
         worker_pick in 0usize..3,
     ) {
         let workers = [2usize, 3, 7][worker_pick];
-        let build = |workers: usize| -> (Vec<(Vec<u64>, u64)>, String, virtual_infra::radio::ChannelStats) {
-            let bounds = Rect::square(200.0);
-            let mut engine: Engine<u64> = Engine::new(EngineConfig {
-                radio: RadioConfig::stabilizing(10.0, 20.0, stabilize),
-                seed,
-                record_trace: true,
-            });
-            engine.set_workers(workers);
-            engine.set_shard_min_slots(1);
-            engine.set_adversary(Box::new(RandomLoss::new(drop_p, 0.1)));
-            let mut ids = Vec::new();
-            for &(start, mobility, chatty, spawn, crash) in &specs {
-                let start = Point::new(start.x.min(190.0), start.y.min(190.0));
-                let model: Box<dyn MobilityModel> = match mobility {
-                    0 => Box::new(Static::new(start)),
-                    1 => Box::new(Waypoint::new(start, 0.7, bounds)),
-                    2 => Box::new(Waypoint::new(start, 0.0, bounds)),
-                    _ => Box::new(Billiard::new(start, (0.5, -0.3), bounds)),
-                };
-                let mut spec = NodeSpec::new(model, Box::new(Recorder::new(chatty)));
-                if spawn > 0 {
-                    spec = spec.spawn_at(spawn);
-                }
-                if let Some(c) = crash {
-                    spec = spec.crash_at(c);
-                }
-                ids.push(engine.add_node(spec));
-            }
-            engine.run(rounds);
-            let observed = ids
-                .iter()
-                .map(|&id| {
-                    let r: &Recorder = engine.process(id).expect("recorder");
-                    (r.heard.clone(), r.collisions)
-                })
-                .collect();
-            let trace = serde_json::to_string(engine.trace()).expect("serializable trace");
-            (observed, trace, *engine.stats())
-        };
-
-        let sequential = build(1);
-        let sharded = build(workers);
+        let sequential = engine_run(&nodes, seed, stabilize, drop_p, rounds, 1);
+        let sharded = engine_run(&nodes, seed, stabilize, drop_p, rounds, workers);
         prop_assert_eq!(sharded.2, sequential.2, "stats diverged at {} workers", workers);
         prop_assert_eq!(&sharded.1, &sequential.1, "traces diverged at {} workers", workers);
         prop_assert_eq!(&sharded.0, &sequential.0,
             "process observations diverged at {} workers", workers);
     }
 
-    /// Engine-level differential: the overhauled round path (settled
-    /// skip, cached topology, SoA receptions) and the legacy path
-    /// produce byte-identical executions — stats, full traces, every
-    /// process's observations — across mixed mobility, spawns,
-    /// crashes, and a lossy adversary.
+    /// Engine-vs-spec differential: the real [`Engine`] (settled-node
+    /// skip, mover dirty-set, cached topology, SoA receptions) and the
+    /// naive round loop of [`spec_run`] produce byte-identical
+    /// executions — stats, full traces, every process's observations —
+    /// across mixed mobility, spawns, crashes, and a lossy adversary.
+    /// Both draw from one seeded RNG, so a settled skip that is not
+    /// RNG-free, or a mover the dirty-set misses, surfaces in a later
+    /// round's receptions.
     #[test]
-    fn engine_fast_path_matches_legacy(
-        specs in proptest::collection::vec(
-            (arb_point(), 0u8..4, any::<bool>(), 0u64..6, proptest::option::of(2u64..20)),
-            1..14),
+    fn engine_matches_reference_round_loop(
+        nodes in arb_nodes(),
         seed in any::<u64>(),
         stabilize in 0u64..30,
         drop_p in 0.0f64..0.6,
         rounds in 5u64..30,
     ) {
-        let build = |legacy: bool| -> (Vec<(Vec<u64>, u64)>, String, virtual_infra::radio::ChannelStats) {
-            let bounds = Rect::square(200.0);
-            let mut engine: Engine<u64> = Engine::new(EngineConfig {
-                radio: RadioConfig::stabilizing(10.0, 20.0, stabilize),
-                seed,
-                record_trace: true,
-            });
-            engine.set_legacy_round_path(legacy);
-            engine.set_adversary(Box::new(RandomLoss::new(drop_p, 0.1)));
-            let mut ids = Vec::new();
-            for &(start, mobility, chatty, spawn, crash) in &specs {
-                let start = Point::new(start.x.min(190.0), start.y.min(190.0));
-                let model: Box<dyn MobilityModel> = match mobility {
-                    0 => Box::new(Static::new(start)),
-                    1 => Box::new(Waypoint::new(start, 0.7, bounds)),
-                    2 => Box::new(Waypoint::new(start, 0.0, bounds)),
-                    _ => Box::new(Billiard::new(start, (0.5, -0.3), bounds)),
-                };
-                let mut spec = NodeSpec::new(model, Box::new(Recorder::new(chatty)));
-                if spawn > 0 {
-                    spec = spec.spawn_at(spawn);
-                }
-                if let Some(c) = crash {
-                    spec = spec.crash_at(c);
-                }
-                ids.push(engine.add_node(spec));
-            }
-            engine.run(rounds);
-            let observed = ids
-                .iter()
-                .map(|&id| {
-                    let r: &Recorder = engine.process(id).expect("recorder");
-                    (r.heard.clone(), r.collisions)
-                })
-                .collect();
-            let trace = serde_json::to_string(engine.trace()).expect("serializable trace");
-            (observed, trace, *engine.stats())
-        };
-
-        let fast = build(false);
-        let legacy = build(true);
-        prop_assert_eq!(fast.2, legacy.2, "stats diverged");
-        prop_assert_eq!(&fast.1, &legacy.1, "traces diverged");
-        prop_assert_eq!(&fast.0, &legacy.0, "process observations diverged");
+        let engine = engine_run(&nodes, seed, stabilize, drop_p, rounds, 1);
+        let spec = spec_run(&nodes, seed, stabilize, drop_p, rounds);
+        prop_assert_eq!(engine.2, spec.2, "stats diverged");
+        prop_assert_eq!(&engine.1, &spec.1, "traces diverged");
+        prop_assert_eq!(&engine.0, &spec.0, "process observations diverged");
     }
 
     /// Backoff capture: in a clique with a stable contender set, the

@@ -1,4 +1,4 @@
-//! The zero-allocation guarantee of the overhauled round path: once
+//! The zero-allocation guarantee of the engine's round path: once
 //! buffers have warmed up, a steady-state engine round over a static
 //! topology (tracing off, live monitoring disabled, non-allocating
 //! processes) performs **zero** heap allocations.
@@ -72,14 +72,14 @@ impl Process<u64> for Counter {
     }
 }
 
-#[test]
-fn steady_state_rounds_allocate_nothing() {
+/// 400 static nodes at constant density.
+fn deployment(record_trace: bool) -> Engine<u64> {
     let n = 400;
     let side = (n as f64).sqrt() * 15.0;
     let mut engine: Engine<u64> = Engine::new(EngineConfig {
         radio: RadioConfig::reliable(10.0, 20.0),
         seed: 42,
-        record_trace: false,
+        record_trace,
     });
     for i in 0..n {
         let h = (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
@@ -94,6 +94,12 @@ fn steady_state_rounds_allocate_nothing() {
             }),
         ));
     }
+    engine
+}
+
+#[test]
+fn steady_state_rounds_allocate_nothing() {
+    let mut engine = deployment(false);
 
     // A disabled live monitor is part of the steady-state contract:
     // its per-round hook must stay one branch with zero allocations,
@@ -137,14 +143,16 @@ fn steady_state_rounds_allocate_nothing() {
     );
     assert_eq!(engine.round(), 300);
 
-    // The legacy path on the same deployment allocates every round —
-    // the contrast proves the counter actually measures the engine.
-    engine.set_legacy_round_path(true);
+    // The same deployment with tracing on allocates every round (the
+    // exact-size `RoundRecord` clone) — the contrast proves the counter
+    // actually measures the engine.
+    let mut traced = deployment(true);
+    traced.run(30);
     let before = ALLOCATIONS.load(Ordering::SeqCst);
-    engine.run(10);
+    traced.run(10);
     let after = ALLOCATIONS.load(Ordering::SeqCst);
     assert!(
-        after - before > 0,
-        "legacy rounds are expected to allocate (got a silent counter instead)"
+        after - before >= 10,
+        "traced rounds are expected to allocate (got a silent counter instead)"
     );
 }
