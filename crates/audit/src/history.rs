@@ -8,12 +8,15 @@
 //! pairs. Events come from the `vi-traffic` driver in deterministic
 //! order — identical `(spec, seed)` pairs replay identical histories —
 //! so audits are sweep-worker invariant by construction.
+//!
+//! A history is built from driver events with [`History::from_events`]
+//! (`vi_traffic::run_traffic` and `drive_recorded` both return them);
+//! [`HistoryRecorder::record`] does both steps for an unobserved run.
 
 use serde::{Deserialize, Serialize};
-use vi_telemetry::{CausalRecorder, FlightRecorder, Monitor};
 use vi_traffic::{
-    run_traffic_observed, run_traffic_recorded, run_traffic_traced, AppKind, AuditRecord, OpDesc,
-    OpOutcome, TrafficEvent, TrafficOutcome, TrafficSpec, TrafficWorld,
+    run_traffic, AppKind, AuditRecord, OpDesc, OpOutcome, TrafficEvent, TrafficOutcome,
+    TrafficSpec, TrafficWorld,
 };
 
 /// One history entry (re-exported from `vi-traffic`, where the driver
@@ -105,49 +108,20 @@ impl History {
     }
 }
 
-/// Captures operation histories from traffic runs: the one-shot
-/// [`HistoryRecorder::record`] entry the audited scenario compiler
-/// uses. Hand-built histories (checker unit tests, external drivers)
-/// go through [`History::from_events`] instead.
+/// Captures operation histories from traffic runs:
+/// [`HistoryRecorder::record`] is the one-shot, no-observer entry.
+/// Observed runs (the audited scenario compiler) and hand-built
+/// histories (checker unit tests, external drivers) call
+/// `vi_traffic::run_traffic` or their own driver and wrap the events
+/// with [`History::from_events`].
 pub struct HistoryRecorder;
 
 impl HistoryRecorder {
     /// Runs `spec` against the `app` service over `tw` (exactly like
-    /// `vi_traffic::run_traffic`) and captures the complete history.
+    /// `vi_traffic::run_traffic` with no observer) and captures the
+    /// complete history.
     pub fn record(app: AppKind, tw: TrafficWorld, spec: &TrafficSpec) -> (TrafficOutcome, History) {
-        let (outcome, events) = run_traffic_recorded(app, tw, spec);
-        (outcome, History::from_events(app, events))
-    }
-
-    /// [`HistoryRecorder::record`] with telemetry recorders installed:
-    /// causal tracing ties each audited operation to the protocol
-    /// broadcasts it rode, and the flight recorder retains the final
-    /// rounds for incident bundles. Disabled recorders make this
-    /// identical to [`HistoryRecorder::record`].
-    pub fn record_traced(
-        app: AppKind,
-        tw: TrafficWorld,
-        spec: &TrafficSpec,
-        causal: CausalRecorder,
-        flight: FlightRecorder,
-    ) -> (TrafficOutcome, History) {
-        let (outcome, events) = run_traffic_traced(app, tw, spec, causal, flight);
-        (outcome, History::from_events(app, events))
-    }
-
-    /// [`HistoryRecorder::record_traced`] with a live monitor sampling
-    /// the driver's progress (see `vi_traffic::run_traffic_observed`).
-    /// Monitoring rides the wall-clock side: the outcome and history
-    /// are byte-identical to [`HistoryRecorder::record_traced`]'s.
-    pub fn record_observed(
-        app: AppKind,
-        tw: TrafficWorld,
-        spec: &TrafficSpec,
-        causal: CausalRecorder,
-        flight: FlightRecorder,
-        monitor: &Monitor,
-    ) -> (TrafficOutcome, History) {
-        let (outcome, events) = run_traffic_observed(app, tw, spec, causal, flight, monitor);
+        let (outcome, events) = run_traffic(app, tw, spec, &vi_telemetry::Observers::default());
         (outcome, History::from_events(app, events))
     }
 }

@@ -21,11 +21,12 @@
 //! 1 000 000 operations, with its wall-clock time, ns per operation
 //! and the rise of the process's peak resident set while it ran.
 
+use crate::harness::paired_sweep;
 use crate::table::{f2, Table};
 use std::time::Instant;
 use vi_audit::{audit_register_ops, synthetic_history};
 use vi_scenario::catalog::scenario;
-use vi_scenario::{AppKind, ScenarioOutcome, ScenarioSpec, SweepRunner, WorkloadSpec};
+use vi_scenario::{AppKind, EngineTuning, ScenarioSpec, SweepRunner, WorkloadSpec};
 
 /// The audited nemesis scenarios (catalog names).
 pub const NEMESIS_SCENARIOS: [&str; 2] = ["blackout_market", "quake_drill"];
@@ -59,24 +60,6 @@ pub fn audit_jobs() -> Vec<(ScenarioSpec, u64)> {
         }
     }
     jobs
-}
-
-/// Runs `jobs` with 1 worker and with a multi-worker pool, asserting
-/// the outcome tables — audit reports included — are byte-identical.
-///
-/// # Panics
-///
-/// Panics if the sweeps disagree: that would be a determinism bug in
-/// the recorder, a checker, or the runner.
-pub fn paired_audit_sweep(jobs: &[(ScenarioSpec, u64)], workers: usize) -> Vec<ScenarioOutcome> {
-    let sequential = SweepRunner::new(1).run(jobs);
-    let parallel = SweepRunner::new(workers.max(2)).run(jobs);
-    assert_eq!(
-        serde_json::to_string(&sequential).expect("serializable outcomes"),
-        serde_json::to_string(&parallel).expect("serializable outcomes"),
-        "audit verdicts must not depend on the worker count"
-    );
-    parallel
 }
 
 /// E17's columns: eight deterministic ones (exact under `bench-diff`),
@@ -160,7 +143,8 @@ fn volume_row(ops: usize) -> Vec<String> {
 /// experiment's acceptance criterion.
 pub fn consistency_audit() -> Table {
     let jobs = audit_jobs();
-    let outcomes = paired_audit_sweep(&jobs, SweepRunner::auto().workers());
+    let outcomes =
+        paired_sweep(&jobs, EngineTuning::DEFAULT, SweepRunner::auto().workers()).outcomes;
 
     let mut t = Table::new(
         "E17 / consistency audit: apps × nemesis schedules × seeds (history checkers)",
@@ -225,7 +209,7 @@ mod tests {
             .filter(|(_, seed)| *seed == SEEDS[0])
             .collect();
         assert_eq!(jobs.len(), 8, "2 schedules × 4 apps");
-        let outcomes = paired_audit_sweep(&jobs, 4);
+        let outcomes = paired_sweep(&jobs, EngineTuning::DEFAULT, 4).outcomes;
         for o in &outcomes {
             let report = o.audit.as_ref().expect("audited outcome");
             assert!(

@@ -30,10 +30,9 @@
 //! riding the E19 trace collector.
 
 use crate::exp_traffic::traffic_jobs;
+use crate::harness::paired_sweep;
 use crate::table::Table;
-use vi_scenario::{
-    catalog, EngineTuning, IncidentBundle, ScenarioOutcome, ScenarioSpec, SweepRunner,
-};
+use vi_scenario::{catalog, EngineTuning, IncidentBundle, ScenarioOutcome, ScenarioSpec};
 use vi_telemetry::{causal, trace_export};
 
 /// The seed every E20 job runs with.
@@ -66,23 +65,12 @@ pub fn traced_tuning() -> EngineTuning {
         .with_flight(FLIGHT_ROUNDS)
 }
 
-/// Runs `specs` traced under 1 and 4 sweep workers and asserts the
-/// outcome tables serialize byte-identically.
-///
-/// # Panics
-///
-/// Panics if the sweeps disagree — that would mean a causal span, a
-/// flight event, or a counter was recorded on a parallel code path.
-pub fn paired_traced_sweep(specs: &[ScenarioSpec]) -> Vec<ScenarioOutcome> {
-    let tuning = traced_tuning();
-    let sequential = SweepRunner::new(1).run_matrix_with(specs, &[SEED], tuning);
-    let parallel = SweepRunner::new(4).run_matrix_with(specs, &[SEED], tuning);
-    assert_eq!(
-        serde_json::to_string(&sequential).expect("serializable outcomes"),
-        serde_json::to_string(&parallel).expect("serializable outcomes"),
-        "traced outcomes must not depend on the worker count"
-    );
-    parallel
+/// Runs `specs` with [`SEED`] under [`traced_tuning`] at 1 and 4
+/// sweep workers ([`paired_sweep`]): a causal span, a flight event, or
+/// a counter recorded on a parallel code path shows as a mismatch.
+fn traced_sweep(specs: &[ScenarioSpec]) -> Vec<ScenarioOutcome> {
+    let jobs: Vec<(ScenarioSpec, u64)> = specs.iter().map(|s| (s.clone(), SEED)).collect();
+    paired_sweep(&jobs, traced_tuning(), 4).outcomes
 }
 
 /// Asserts a traced outcome equals the plain run of the same job once
@@ -136,7 +124,7 @@ pub fn forced_violation_bundle() -> IncidentBundle {
 /// DAG sizes, and the forced-violation incident bundle.
 pub fn protocol_trace() -> Table {
     let specs = protocol_specs();
-    let outcomes = paired_traced_sweep(&specs);
+    let outcomes = traced_sweep(&specs);
     for (spec, out) in specs.iter().zip(&outcomes) {
         assert_zero_perturbation(spec, out);
     }
@@ -234,7 +222,7 @@ mod tests {
             .filter(|s| s.name == "clique" || s.name.starts_with("robot_patrol/register/"))
             .collect();
         assert_eq!(specs.len(), 2);
-        let outcomes = paired_traced_sweep(&specs);
+        let outcomes = traced_sweep(&specs);
         for (spec, out) in specs.iter().zip(&outcomes) {
             assert_zero_perturbation(spec, out);
             let c = out.causal.as_ref().expect("tracing on");

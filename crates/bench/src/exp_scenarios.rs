@@ -10,60 +10,28 @@
 //! wall-clock comparison — the artifact `BENCH_scenarios.json` tracks
 //! both across PRs.
 
+use crate::harness::{paired_sweep, PairedSweep};
 use crate::table::{f2, Table};
-use std::time::Instant;
 use vi_scenario::catalog::catalog;
-use vi_scenario::{ScenarioOutcome, ScenarioSpec, SweepRunner};
+use vi_scenario::{EngineTuning, ScenarioSpec, SweepRunner};
 
 /// Seeds swept per scenario by E15.
 const SEEDS: [u64; 2] = [1, 2];
 
-/// Timings of one paired sweep: the identical matrix executed with 1
-/// worker and with `workers` workers, byte-identity already asserted.
-struct PairedSweep {
-    outcomes: Vec<ScenarioOutcome>,
-    single_secs: f64,
-    multi_secs: f64,
-    workers: usize,
-}
-
-/// Runs `scenarios × seeds` with 1 worker and with a multi-worker
-/// pool, and asserts the two outcome tables are byte-identical.
-///
-/// # Panics
-///
-/// Panics if the two sweeps disagree — that would be a determinism
-/// bug in the runner or a scenario whose execution depends on
-/// something other than its seed.
-fn paired_sweep(scenarios: &[ScenarioSpec], seeds: &[u64]) -> PairedSweep {
-    let t0 = Instant::now();
-    let sequential = SweepRunner::new(1).run_matrix(scenarios, seeds);
-    let single_secs = t0.elapsed().as_secs_f64();
-
-    // At least two workers even on single-core machines, so the
-    // determinism cross-check always exercises real concurrency.
-    let workers = SweepRunner::auto().workers().max(2);
-    let t0 = Instant::now();
-    let parallel = SweepRunner::new(workers).run_matrix(scenarios, seeds);
-    let multi_secs = t0.elapsed().as_secs_f64();
-
-    assert_eq!(
-        serde_json::to_string(&sequential).expect("serializable outcomes"),
-        serde_json::to_string(&parallel).expect("serializable outcomes"),
-        "sweep results must not depend on the worker count"
-    );
-    PairedSweep {
-        outcomes: parallel,
-        single_secs,
-        multi_secs,
-        workers,
-    }
+/// Runs `scenarios × seeds` (scenario-major) through
+/// [`paired_sweep`] with the machine's worker budget.
+fn paired_matrix(scenarios: &[ScenarioSpec], seeds: &[u64]) -> PairedSweep {
+    let jobs: Vec<(ScenarioSpec, u64)> = scenarios
+        .iter()
+        .flat_map(|s| seeds.iter().map(move |&seed| (s.clone(), seed)))
+        .collect();
+    paired_sweep(&jobs, EngineTuning::DEFAULT, SweepRunner::auto().workers())
 }
 
 /// Renders a paired sweep as a table: one row per `(scenario, seed)`
 /// outcome plus the wall-clock comparison as a note.
 fn matrix_table(title: &str, scenarios: &[ScenarioSpec], seeds: &[u64]) -> Table {
-    let sweep = paired_sweep(scenarios, seeds);
+    let sweep = paired_matrix(scenarios, seeds);
     let mut t = Table::new(
         title,
         &[
@@ -145,7 +113,7 @@ mod tests {
         // overhead, keeping the wall-clock comparison stable.
         let seeds: Vec<u64> = (1..=16).collect();
         // `paired_sweep` asserts 1-worker vs N-worker byte-identity.
-        let sweep = paired_sweep(&scenarios, &seeds);
+        let sweep = paired_matrix(&scenarios, &seeds);
         eprintln!(
             "sweep of {} runs: 1 worker {:.3}s, {} workers {:.3}s",
             sweep.outcomes.len(),

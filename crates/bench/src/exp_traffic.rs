@@ -14,10 +14,11 @@
 //! histograms in job order, exercising the mergeability guarantee.
 //! The artifact is `BENCH_traffic.json`.
 
+use crate::harness::paired_sweep;
 use crate::table::{f2, Table};
 use vi_scenario::catalog::scenario;
 use vi_scenario::{
-    AppKind, LoadMode, RatePhase, ScenarioOutcome, ScenarioSpec, SweepRunner, TrafficSpec,
+    AppKind, EngineTuning, LoadMode, RatePhase, ScenarioSpec, SweepRunner, TrafficSpec,
     WorkloadSpec,
 };
 use vi_traffic::LatencyHistogram;
@@ -107,29 +108,11 @@ pub fn traffic_jobs() -> Vec<(ScenarioSpec, u64)> {
     jobs
 }
 
-/// Runs `jobs` with 1 worker and with a multi-worker pool, asserting
-/// the two metrics tables — including every latency histogram — are
-/// byte-identical.
-///
-/// # Panics
-///
-/// Panics if the sweeps disagree: that would be a determinism bug in
-/// the runner, the driver, or a service adapter.
-pub fn paired_traffic_sweep(jobs: &[(ScenarioSpec, u64)], workers: usize) -> Vec<ScenarioOutcome> {
-    let sequential = SweepRunner::new(1).run(jobs);
-    let parallel = SweepRunner::new(workers.max(2)).run(jobs);
-    assert_eq!(
-        serde_json::to_string(&sequential).expect("serializable outcomes"),
-        serde_json::to_string(&parallel).expect("serializable outcomes"),
-        "traffic metrics must not depend on the worker count"
-    );
-    parallel
-}
-
 /// E16 — the traffic profile table.
 pub fn traffic_profile() -> Table {
     let jobs = traffic_jobs();
-    let outcomes = paired_traffic_sweep(&jobs, SweepRunner::auto().workers());
+    let outcomes =
+        paired_sweep(&jobs, EngineTuning::DEFAULT, SweepRunner::auto().workers()).outcomes;
 
     let mut t = Table::new(
         "E16 / traffic profile: apps × catalog scenarios × open/closed loop",
@@ -203,13 +186,13 @@ mod tests {
     #[test]
     fn all_apps_complete_traffic_and_sweeps_are_worker_invariant() {
         // Subset for test runtime: one base scenario, all apps, both
-        // modes; `paired_traffic_sweep` itself asserts 1 vs 4 workers.
+        // modes; `paired_sweep` itself asserts 1 vs 4 workers.
         let jobs: Vec<_> = traffic_jobs()
             .into_iter()
             .filter(|(s, _)| s.name.starts_with("robot_patrol/"))
             .collect();
         assert_eq!(jobs.len(), 8, "4 apps × 2 modes");
-        let outcomes = paired_traffic_sweep(&jobs, 4);
+        let outcomes = paired_sweep(&jobs, EngineTuning::DEFAULT, 4).outcomes;
         for o in &outcomes {
             let s = o.traffic.as_ref().expect("traffic summary");
             assert!(s.issued > 0, "{}: issued", o.scenario);

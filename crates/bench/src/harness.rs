@@ -1,11 +1,13 @@
 //! Shared experiment runners.
 
+use std::time::Instant;
 use vi_contention::{OracleCm, PreStability, SharedCm};
 use vi_core::cha::{ChaMessage, ChaNode, ChaOutput, ChaSpecChecker, TaggedProposer};
 use vi_radio::geometry::Point;
 use vi_radio::mobility::Static;
 use vi_radio::trace::ChannelStats;
 use vi_radio::{Engine, EngineConfig, NodeId, NodeSpec, RadioConfig};
+use vi_scenario::{EngineTuning, ScenarioOutcome, ScenarioSpec, SweepRunner};
 
 // `AdversaryKind` began life here and moved to `vi-radio::adversary`
 // (serde-derived) so scenario specs can describe adversaries
@@ -184,6 +186,54 @@ pub fn run_clique(cfg: CliqueConfig) -> CliqueRun {
         proposals,
         stats: *engine.stats(),
         crashed: cfg.crashes.iter().map(|&(node, _)| node).collect(),
+    }
+}
+
+/// One job list swept twice — by 1 sweep worker and by `workers` —
+/// with byte-identity of the two outcome tables already asserted.
+pub struct PairedSweep {
+    /// The outcomes, in job order.
+    pub outcomes: Vec<ScenarioOutcome>,
+    /// Wall-clock of the 1-worker sweep.
+    pub single_secs: f64,
+    /// Wall-clock of the multi-worker sweep.
+    pub multi_secs: f64,
+    /// Sweep workers of the multi-worker sweep.
+    pub workers: usize,
+}
+
+/// Runs `jobs` under `tuning` with 1 sweep worker and with `workers`
+/// (at least two, so the cross-check always exercises real
+/// concurrency), asserting the serialized outcome tables are
+/// byte-identical.
+///
+/// # Panics
+///
+/// Panics if the sweeps disagree: a determinism bug in the runner, or
+/// something — a recorder, a checker, a service adapter — running on
+/// a parallel code path.
+pub fn paired_sweep(
+    jobs: &[(ScenarioSpec, u64)],
+    tuning: EngineTuning,
+    workers: usize,
+) -> PairedSweep {
+    let workers = workers.max(2);
+    let t0 = Instant::now();
+    let sequential = SweepRunner::new(1).run_with(jobs, tuning);
+    let single_secs = t0.elapsed().as_secs_f64();
+    let t0 = Instant::now();
+    let parallel = SweepRunner::new(workers).run_with(jobs, tuning);
+    let multi_secs = t0.elapsed().as_secs_f64();
+    assert_eq!(
+        serde_json::to_string(&sequential).expect("serializable outcomes"),
+        serde_json::to_string(&parallel).expect("serializable outcomes"),
+        "sweep outcomes must not depend on the worker count"
+    );
+    PairedSweep {
+        outcomes: parallel,
+        single_secs,
+        multi_secs,
+        workers,
     }
 }
 

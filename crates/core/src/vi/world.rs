@@ -1,6 +1,8 @@
 //! Deployment builder: assembles radio engine, schedule, regional
 //! contention managers, and devices into a runnable virtual
-//! infrastructure.
+//! infrastructure. Execution knobs forward to the engine it owns:
+//! `set_workers`, `set_adversary`, and one `set_observers` for every
+//! recorder.
 
 use crate::vi::automaton::{VirtualAutomaton, VnId};
 use crate::vi::client::ClientApp;
@@ -137,33 +139,11 @@ impl<VA: VirtualAutomaton> World<VA> {
         self.engine.set_workers(workers);
     }
 
-    /// Installs a telemetry probe on the underlying engine (see
-    /// [`vi_radio::Engine::set_probe`]). Deterministic counters are
-    /// unchanged by the worker count; wall-clock fields are not part
-    /// of any identity contract.
-    pub fn set_probe(&mut self, probe: vi_telemetry::Probe) {
-        self.engine.set_probe(probe);
-    }
-
-    /// Installs a causal-tracing recorder on the underlying engine
-    /// (see [`vi_radio::Engine::set_causal`]): broadcast spans and
-    /// reception edges, recorded out of band of the simulation.
-    pub fn set_causal(&mut self, causal: vi_telemetry::CausalRecorder) {
-        self.engine.set_causal(causal);
-    }
-
-    /// Installs a flight recorder on the underlying engine (see
-    /// [`vi_radio::Engine::set_flight`]): the last-K-rounds event ring
-    /// that incident bundles snapshot.
-    pub fn set_flight(&mut self, flight: vi_telemetry::FlightRecorder) {
-        self.engine.set_flight(flight);
-    }
-
-    /// Installs a live monitor on the underlying engine (see
-    /// [`vi_radio::Engine::set_monitor`]): periodic telemetry
-    /// snapshots sampled on the sequential control path.
-    pub fn set_monitor(&mut self, monitor: vi_telemetry::Monitor) {
-        self.engine.set_monitor(monitor);
+    /// Installs the run's observers on the underlying engine (see
+    /// [`vi_radio::Engine::set_observers`]): an observed deployment is
+    /// byte-identical to an unobserved one at any worker count.
+    pub fn set_observers(&mut self, obs: vi_telemetry::Observers) {
+        self.engine.set_observers(obs);
     }
 
     /// Runs `n` complete virtual rounds.

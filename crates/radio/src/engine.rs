@@ -11,6 +11,15 @@
 //! node may crash at any point (including mid-protocol-phase), and new
 //! nodes may arrive at any round. Crashed nodes never participate
 //! again; not-yet-spawned nodes are invisible to the channel.
+//!
+//! Whoever watches a run — telemetry probe, causal and flight
+//! recorders, live monitor — is installed as one
+//! [`vi_telemetry::Observers`] ([`Engine::set_observers`]). A round
+//! states each observer-only fact once through it (round open,
+//! scripted crashes, live-set churn, adversary-consultation count,
+//! round close); only the per-message causal broadcast/reception sites
+//! sit inside the statistics pass. All of it is on the sequential
+//! control path, so observing never changes an execution.
 
 use crate::adversary::{Adversary, NoAdversary};
 use crate::channel::{Medium, ReceptionBuffer, RoundReception, TopologyDelta, TxIntent};
@@ -24,7 +33,7 @@ use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use std::any::Any;
 use std::fmt;
-use vi_telemetry::{CausalRecorder, FlightEvent, FlightRecorder, Monitor, Phase, Probe};
+use vi_telemetry::{Observers, Phase};
 
 /// Simulator handle for a node.
 ///
@@ -193,24 +202,16 @@ pub struct Engine<M> {
     /// Pooled trace record: built in place each traced round, then
     /// stored as an exact-size clone (no per-round growth churn).
     trace_scratch: RoundRecord,
-    /// Telemetry handle (null by default; shared with the medium).
-    probe: Probe,
-    /// Causal-tracing handle (null by default): broadcast spans and
-    /// reception edges recorded on the sequential stats pass.
-    causal: CausalRecorder,
-    /// Flight-recorder handle (null by default): last-K-rounds ring of
-    /// structured events for incident bundles.
-    flight: FlightRecorder,
-    /// Live-monitoring handle (null by default): sampled on the
-    /// sequential control path after each round resolves.
-    monitor: Monitor,
+    /// The run's observers (all null by default; the probe is shared
+    /// with the medium). Fed on the sequential control path only.
+    obs: Observers,
 }
 
 /// Forwards every consultation to the real adversary, counting them.
 /// The count is deterministic — the resolver's consultation order is
 /// part of the byte-identity contract — and the wrapper is only
-/// constructed when a probe is live, so the disabled path keeps the
-/// direct vtable call.
+/// consulted when an observer wants the count, so the disabled path
+/// keeps the direct vtable call.
 struct CountingAdversary<'a> {
     inner: &'a mut dyn Adversary,
     hits: u64,
@@ -264,44 +265,21 @@ impl<M: Clone + WireSized + 'static> Engine<M> {
                 deliveries: Vec::new(),
                 collisions: Vec::new(),
             },
-            probe: Probe::disabled(),
-            causal: CausalRecorder::disabled(),
-            flight: FlightRecorder::disabled(),
-            monitor: Monitor::disabled(),
+            obs: Observers::default(),
         }
     }
 
-    /// Installs a telemetry probe on the engine and its medium (clones
-    /// share one set of counters and timers). The default probe is
-    /// null: every instrumentation site costs a single branch and the
-    /// zero-alloc steady-state contract is untouched.
-    pub fn set_probe(&mut self, probe: Probe) {
-        self.medium.set_probe(probe.clone());
-        self.probe = probe;
-    }
-
-    /// Installs a causal-tracing recorder. The engine records one
-    /// broadcast span per transmitted intent and one reception edge
-    /// per delivered message, all on the sequential stats pass — the
-    /// resolver, RNG stream, and channel stats are untouched, so a
-    /// traced run stays byte-identical to an untraced one.
-    pub fn set_causal(&mut self, causal: CausalRecorder) {
-        self.causal = causal;
-    }
-
-    /// Installs a flight recorder capturing per-round structured
-    /// events (aggregate receptions, adversary consultations, churn,
-    /// scripted crashes) into its bounded ring.
-    pub fn set_flight(&mut self, flight: FlightRecorder) {
-        self.flight = flight;
-    }
-
-    /// Installs a live monitor, sampled after every round on the
-    /// sequential control path (so the counters inside each snapshot
-    /// are byte-identical at any worker count). The default monitor is
-    /// null: one branch per round, no allocation.
-    pub fn set_monitor(&mut self, monitor: Monitor) {
-        self.monitor = monitor;
+    /// Installs the run's observers (the probe also on the medium;
+    /// clones share one set of counters and timers). Everything they
+    /// see is stated on the sequential control path — the resolver,
+    /// RNG stream, and channel stats are untouched — so an observed
+    /// run is byte-identical to an unobserved one at any worker count.
+    /// The default set is null: every instrumentation site costs a
+    /// single branch and the zero-alloc steady-state contract is
+    /// untouched.
+    pub fn set_observers(&mut self, obs: Observers) {
+        self.medium.set_probe(obs.probe.clone());
+        self.obs = obs;
     }
 
     /// The broadcast medium driving channel resolution.
@@ -462,53 +440,6 @@ impl<M: Clone + WireSized + 'static> Engine<M> {
         }
     }
 
-    /// Notes scripted crashes firing this round into the flight
-    /// recorder (call only when the recorder is live).
-    fn note_nemesis(&self, round: u64) {
-        for e in &self.nodes {
-            if e.crash_at == Some(round) {
-                self.flight.note(FlightEvent::Nemesis {
-                    node: e.id.index() as u64,
-                });
-            }
-        }
-    }
-
-    /// Notes the live-set diff (both sets are sorted by construction)
-    /// into the flight recorder (call only when the recorder is live,
-    /// and before `prev_live` is refreshed).
-    fn note_churn(&self) {
-        let (mut i, mut j) = (0, 0);
-        let mut joined = Vec::new();
-        let mut left = Vec::new();
-        loop {
-            match (self.prev_live.get(i), self.live.get(j)) {
-                (Some(&a), Some(&b)) if a == b => {
-                    i += 1;
-                    j += 1;
-                }
-                (Some(&a), Some(&b)) if a < b => {
-                    left.push(a as u64);
-                    i += 1;
-                }
-                (Some(_), Some(&b)) => {
-                    joined.push(b as u64);
-                    j += 1;
-                }
-                (Some(&a), None) => {
-                    left.push(a as u64);
-                    i += 1;
-                }
-                (None, Some(&b)) => {
-                    joined.push(b as u64);
-                    j += 1;
-                }
-                (None, None) => break,
-            }
-        }
-        self.flight.note(FlightEvent::Churn { joined, left });
-    }
-
     /// Executes one slotted round: advance mobility (skipping settled
     /// nodes), collect intents, resolve the channel through the
     /// [`Medium`]'s cached-topology path, deliver outcomes. All round
@@ -517,21 +448,20 @@ impl<M: Clone + WireSized + 'static> Engine<M> {
     /// zero heap allocations — see `tests/zero_alloc.rs`.
     pub fn step(&mut self) {
         let round = self.round;
-        self.causal.begin_round(round);
-        if self.flight.is_enabled() {
-            self.flight.begin_round(round);
-            self.note_nemesis(round);
+        self.obs.begin_round(round);
+        if self.obs.flight.is_enabled() {
+            for e in self.nodes.iter().filter(|e| e.crash_at == Some(round)) {
+                self.obs.crash(e.id.index() as u64);
+            }
         }
-        let t_adv = self.probe.timer();
+        let t_adv = self.obs.probe.timer();
         self.collect_intents();
-        self.probe.phase_since(Phase::Advance, t_adv);
+        self.obs.probe.phase_since(Phase::Advance, t_adv);
 
         // Topology delta for the cached resolver: participant churn
         // forces a rebuild; otherwise only the movers are dirty.
         let delta = if self.live != self.prev_live {
-            if self.flight.is_enabled() {
-                self.note_churn();
-            }
+            self.obs.churn(&self.prev_live, &self.live);
             self.prev_live.clone_from(&self.live);
             TopologyDelta::Rebuild
         } else if self.moved.is_empty() {
@@ -539,37 +469,27 @@ impl<M: Clone + WireSized + 'static> Engine<M> {
         } else {
             TopologyDelta::Moved(&self.moved)
         };
-        if self.probe.is_enabled() || self.flight.is_enabled() {
-            let mut counting = CountingAdversary {
-                inner: self.adversary.as_mut(),
-                hits: 0,
-            };
-            self.medium.resolve_round_cached(
-                round,
-                &self.intents,
-                delta,
-                &mut counting,
-                &mut self.rng,
-                &mut self.receptions,
-            );
-            let hits = counting.hits;
-            self.probe.count(|c| c.adversary_checks += hits);
-            if hits > 0 {
-                self.flight.note(FlightEvent::Adversary { checks: hits });
-            }
+        let mut counting = CountingAdversary {
+            inner: self.adversary.as_mut(),
+            hits: 0,
+        };
+        let adversary: &mut dyn Adversary = if self.obs.counts_adversary() {
+            &mut counting
         } else {
-            self.medium.resolve_round_cached(
-                round,
-                &self.intents,
-                delta,
-                self.adversary.as_mut(),
-                &mut self.rng,
-                &mut self.receptions,
-            );
-        }
+            &mut *counting.inner
+        };
+        self.medium.resolve_round_cached(
+            round,
+            &self.intents,
+            delta,
+            adversary,
+            &mut self.rng,
+            &mut self.receptions,
+        );
+        self.obs.adversary_checks(counting.hits);
 
         // Statistics and trace (pooled record, cloned exact-size).
-        let t_del = self.probe.timer();
+        let t_del = self.obs.probe.timer();
         let prev_deliveries = self.stats.deliveries;
         let prev_collisions = self.stats.collision_reports;
         self.stats.rounds += 1;
@@ -590,7 +510,7 @@ impl<M: Clone + WireSized + 'static> Engine<M> {
                 self.stats.broadcasts += 1;
                 self.stats.total_bytes += size as u64;
                 self.stats.max_message_bytes = self.stats.max_message_bytes.max(size);
-                self.causal.broadcast(intent.node.index() as u64);
+                self.obs.causal.broadcast(intent.node.index() as u64);
                 if record {
                     self.trace_scratch.broadcasts.push((intent.node, size));
                 }
@@ -601,7 +521,8 @@ impl<M: Clone + WireSized + 'static> Engine<M> {
             for &src in self.receptions.senders(k) {
                 if src != node {
                     self.stats.deliveries += 1;
-                    self.causal
+                    self.obs
+                        .causal
                         .reception(src.index() as u64, node.index() as u64);
                     if record {
                         self.trace_scratch.deliveries.push((src, node));
@@ -618,12 +539,6 @@ impl<M: Clone + WireSized + 'static> Engine<M> {
         if record {
             self.trace.rounds.push(self.trace_scratch.clone());
         }
-        if self.flight.is_enabled() {
-            self.flight.note(FlightEvent::Reception {
-                delivered: self.stats.deliveries - prev_deliveries,
-                collisions: self.stats.collision_reports - prev_collisions,
-            });
-        }
 
         // Deliver outcomes as borrowed views into the SoA buffer.
         for k in 0..self.receptions.len() {
@@ -635,16 +550,14 @@ impl<M: Clone + WireSized + 'static> Engine<M> {
             let rx = self.receptions.reception(k);
             self.nodes[idx].process.deliver(&ctx, rx);
         }
-        let receptions = self.stats.deliveries - prev_deliveries;
-        let collisions = self.stats.collision_reports - prev_collisions;
-        self.probe.count(|c| {
-            c.receptions += receptions;
-            c.collisions += collisions;
-        });
-        self.probe.phase_since(Phase::Deliver, t_del);
+        self.obs.probe.phase_since(Phase::Deliver, t_del);
 
         self.round += 1;
-        self.monitor.on_round(self.round);
+        self.obs.end_round(
+            self.round,
+            self.stats.deliveries - prev_deliveries,
+            self.stats.collision_reports - prev_collisions,
+        );
     }
 
     /// Executes `rounds` rounds.

@@ -7,20 +7,27 @@
 //! identical `(spec, seed)` pairs produce identical outcomes, no
 //! matter which thread executes them (every run owns its engine and
 //! all of its RNG state).
+//!
+//! Every workload is the same pipeline: [`ScenarioSpec::deployment`]
+//! places the devices, the workload's `run_*` builds and runs its
+//! engine or world over them under the run's one
+//! [`vi_telemetry::Observers`] set, and [`ScenarioSpec::run_with`]
+//! collects what the observers saw into the outcome.
 
 use crate::incident::{IncidentBundle, IncidentReason};
 use crate::spec::{ScenarioSpec, WorkloadSpec};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
-use vi_audit::{audit, audit_register_ops, AuditReport, HistoryRecorder};
+use vi_audit::{audit, audit_register_ops, AuditReport, History};
 use vi_baselines::{collect_register_ops, MajRegMessage, MajorityRegister};
 use vi_core::cha::{ChaMessage, ChaNode, ChaSpecChecker, TaggedProposer};
 use vi_core::vi::{CounterAutomaton, VnId, World, WorldConfig};
 use vi_radio::trace::ChannelStats;
-use vi_radio::{Engine, EngineConfig, NodeId, NodeSpec, ScriptedAdversary};
+use vi_radio::{Adversary, Engine, EngineConfig, NodeId, NodeSpec, ScriptedAdversary, WireSized};
 use vi_telemetry::{
-    CausalRecorder, CausalSummary, FlightRecorder, Monitor, Phase, Probe, TelemetrySummary,
+    CausalRecorder, CausalSummary, FlightRecorder, Monitor, Observers, Phase, Probe,
+    TelemetrySummary,
 };
 use vi_traffic::{AppKind, DevicePlan, TrafficSpec, TrafficSummary, TrafficWorld};
 
@@ -123,46 +130,41 @@ impl EngineTuning {
         self
     }
 
-    /// The probe and monitor pair for one run: the probe is live when
-    /// telemetry is requested *or* the monitor is (snapshots sample
-    /// the probe); the monitor is live when a sampling period is in
-    /// effect and at least one sink is installed.
-    fn instruments(&self, name: &str, seed: u64) -> (Probe, Monitor) {
+    /// The observer set of one run, built once: the probe is live
+    /// when telemetry is requested *or* the monitor is (snapshots
+    /// sample the probe); the monitor is live when a sampling period
+    /// is in effect and at least one sink is installed; the causal and
+    /// flight recorders are live when asked for.
+    fn observers(&self, name: &str, seed: u64) -> Observers {
         let every = vi_telemetry::monitor::effective_every(self.monitor_every);
         let sinks = vi_telemetry::monitor::installed_sinks();
-        let live = every > 0 && !sinks.is_empty();
-        let probe = if self.telemetry || live {
+        let monitored = every > 0 && !sinks.is_empty();
+        let probe = if self.telemetry || monitored {
             Probe::enabled()
         } else {
             Probe::disabled()
         };
-        let monitor = if live {
-            Monitor::enabled(name, seed, every, probe.clone(), sinks)
-        } else {
-            Monitor::disabled()
-        };
-        (probe, monitor)
-    }
-
-    /// A live causal recorder when tracing is requested, else null.
-    fn causal(&self, seed: u64) -> CausalRecorder {
-        if self.tracing {
-            CausalRecorder::enabled(seed)
-        } else {
-            CausalRecorder::disabled()
+        Observers {
+            monitor: if monitored {
+                Monitor::enabled(name, seed, every, probe.clone(), sinks)
+            } else {
+                Monitor::disabled()
+            },
+            probe,
+            causal: if self.tracing {
+                CausalRecorder::enabled(seed)
+            } else {
+                CausalRecorder::disabled()
+            },
+            flight: FlightRecorder::enabled(self.flight_rounds),
         }
-    }
-
-    /// A live flight recorder when a window is requested, else null.
-    fn flight(&self) -> FlightRecorder {
-        FlightRecorder::enabled(self.flight_rounds)
     }
 }
 
 /// One row of a sweep result table: everything measured about one
 /// `(scenario, seed)` run. Serializable, so whole result tables can be
 /// compared byte-for-byte and shipped as bench artifacts.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct ScenarioOutcome {
     /// Scenario name.
     pub scenario: String,
@@ -241,8 +243,13 @@ impl ScenarioSpec {
     /// The tuning is an execution parameter, **not** part of the
     /// scenario: outcomes are byte-identical under every tuning (the
     /// E18 `metropolis` experiment asserts this), only wall-clock
-    /// differs. Traffic workloads always use the default path (their
-    /// engine is owned by `vi-traffic`).
+    /// differs. Traffic workloads build their engine inside
+    /// `vi-traffic`, behind `Service::set_telemetry`, which carries the
+    /// causal and flight recorders only: the traffic engine runs
+    /// sequentially whatever `workers` says and never sees the probe
+    /// (its telemetry holds workload-level counters, the round-mode
+    /// ones stay zero); the monitor samples the traffic driver, not
+    /// the engine.
     ///
     /// With [`EngineTuning::flight_rounds`] > 0, a run ending in a
     /// checker violation or a liveness stall attaches an
@@ -250,12 +257,10 @@ impl ScenarioSpec {
     /// the bundle to `$VI_INCIDENT_DIR/incident_<scenario>_<seed>.json`
     /// (when that variable is set) before resuming the unwind.
     pub fn run_with(&self, seed: u64, tuning: EngineTuning) -> ScenarioOutcome {
-        let causal = tuning.causal(seed);
-        let flight = tuning.flight();
-        let (probe, monitor) = tuning.instruments(&self.name, seed);
-        let mut out = if flight.is_enabled() {
+        let obs = tuning.observers(&self.name, seed);
+        let mut out = if obs.flight.is_enabled() {
             let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                self.dispatch(seed, tuning, &causal, &flight, &probe, &monitor)
+                self.dispatch(seed, tuning.workers, &obs)
             }));
             match run {
                 Ok(out) => out,
@@ -270,8 +275,8 @@ impl ScenarioSpec {
                         seed,
                         tuning,
                         IncidentReason::Panic { message },
-                        flight.window(),
-                        causal.summary(),
+                        obs.flight.window(),
+                        obs.causal.summary(),
                         None,
                     );
                     if let Ok(dir) = std::env::var("VI_INCIDENT_DIR") {
@@ -283,14 +288,17 @@ impl ScenarioSpec {
                 }
             }
         } else {
-            self.dispatch(seed, tuning, &causal, &flight, &probe, &monitor)
+            self.dispatch(seed, tuning.workers, &obs)
         };
+        if tuning.telemetry {
+            out.telemetry = obs.probe.summary();
+        }
         // The final snapshot (marked `last`) lands after the checker
         // phase and the workload-level counters, so it reconciles with
         // the run's telemetry summary exactly.
-        monitor.finish();
-        out.causal = causal.summary();
-        if flight.is_enabled() {
+        obs.monitor.finish();
+        out.causal = obs.causal.summary();
+        if obs.flight.is_enabled() {
             let reason =
                 if out.audit.as_ref().is_some_and(|r| !r.ok()) || out.safety_violations() > 0 {
                     Some(IncidentReason::Violation)
@@ -309,7 +317,7 @@ impl ScenarioSpec {
                     seed,
                     tuning,
                     reason,
-                    flight.window(),
+                    obs.flight.window(),
                     out.causal.clone(),
                     out.audit.clone(),
                 ));
@@ -318,144 +326,152 @@ impl ScenarioSpec {
         out
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn dispatch(
+    /// The deployment this spec describes for `seed`, one
+    /// [`DevicePlan`] per node in population order: start position
+    /// (drawn from the placement RNG stream, which is salted apart
+    /// from the engine's), mobility model, and the population's
+    /// scripted spawn and crash rounds. Nemesis crash bursts are *not*
+    /// folded in; the two device workloads apply
+    /// `NemesisSpec::apply_crashes` on top (validation rejects crash
+    /// bursts on the other two).
+    ///
+    /// What each workload reads of it:
+    ///
+    /// * `ChaClique` — everything.
+    /// * `ViCounter` — everything, plus nemesis crash bursts over all
+    ///   devices.
+    /// * `Traffic` — everything, plus nemesis crash bursts sparing the
+    ///   client ports at the deployment front.
+    /// * `MajorityRegister` — `start` and `mobility` only. Population
+    ///   `spawn_at` / `spawn_stride` / `crash_at` are ignored: every
+    ///   replica runs from round 0 and never crashes. Honouring or
+    ///   rejecting them would move the pinned E22 fuzz campaign, so
+    ///   that is left to the per-run assumptions report of ROADMAP
+    ///   item 5.
+    pub fn deployment(&self, seed: u64) -> Vec<DevicePlan> {
+        let mut place_rng = StdRng::seed_from_u64(seed ^ PLACEMENT_SALT);
+        let mut devices = Vec::with_capacity(self.node_count());
+        for pop in &self.populations {
+            for j in 0..pop.count {
+                let start = pop.placement.position(j, self.arena, &mut place_rng);
+                let spawn = pop.spawn_at + j as u64 * pop.spawn_stride;
+                devices.push(DevicePlan {
+                    start,
+                    mobility: pop.mobility.build(start, self.arena),
+                    spawn_at: (spawn > 0).then_some(spawn),
+                    crash_at: pop.crash_at,
+                });
+            }
+        }
+        devices
+    }
+
+    /// The spec's channel adversary with the nemesis's channel faults
+    /// composed over it.
+    fn channel_adversary(&self) -> Box<dyn Adversary> {
+        self.nemesis.compile_adversary(&self.adversary).build()
+    }
+
+    /// An empty engine over this spec's radio, set up for the run:
+    /// worker count, observers, adversary.
+    fn engine<M: Clone + WireSized + 'static>(
         &self,
         seed: u64,
-        tuning: EngineTuning,
-        causal: &CausalRecorder,
-        flight: &FlightRecorder,
-        probe: &Probe,
-        monitor: &Monitor,
-    ) -> ScenarioOutcome {
+        workers: usize,
+        obs: &Observers,
+        adversary: Box<dyn Adversary>,
+    ) -> Engine<M> {
+        let mut engine = Engine::new(EngineConfig {
+            radio: self.radio,
+            seed,
+            record_trace: false,
+        });
+        if workers >= 2 {
+            engine.set_workers(workers);
+        }
+        engine.set_observers(obs.clone());
+        engine.set_adversary(adversary);
+        engine
+    }
+
+    fn dispatch(&self, seed: u64, workers: usize, obs: &Observers) -> ScenarioOutcome {
         match &self.workload {
-            WorkloadSpec::ChaClique { instances } => {
-                self.run_cha(seed, *instances, tuning, causal, flight, probe, monitor)
-            }
+            WorkloadSpec::ChaClique { instances } => self.run_cha(seed, workers, obs, *instances),
             WorkloadSpec::ViCounter {
                 layout,
                 virtual_rounds,
-            } => self.run_vi(
-                seed,
-                layout,
-                *virtual_rounds,
-                tuning,
-                causal,
-                flight,
-                probe,
-                monitor,
-            ),
+            } => self.run_vi(seed, workers, obs, layout, *virtual_rounds),
             WorkloadSpec::Traffic {
                 app,
                 layout,
                 traffic,
                 audit,
-            } => self.run_traffic(
-                seed, *app, layout, traffic, *audit, tuning, causal, flight, probe, monitor,
-            ),
+            } => self.run_traffic(seed, obs, *app, layout, traffic, *audit),
             WorkloadSpec::MajorityRegister {
                 writes,
                 rounds,
                 partition_from,
-            } => self.run_majority_register(
-                seed,
-                *writes,
-                *rounds,
-                *partition_from,
-                tuning,
-                causal,
-                flight,
-                probe,
-                monitor,
-            ),
+            } => self.run_majority_register(seed, workers, obs, *writes, *rounds, *partition_from),
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn run_cha(
         &self,
         seed: u64,
+        workers: usize,
+        obs: &Observers,
         instances: u64,
-        tuning: EngineTuning,
-        causal: &CausalRecorder,
-        flight: &FlightRecorder,
-        probe: &Probe,
-        monitor: &Monitor,
     ) -> ScenarioOutcome {
         let rounds = instances * 3;
-        let mut engine: Engine<ChaMessage<u64>> = Engine::new(EngineConfig {
-            radio: self.radio,
-            seed,
-            record_trace: false,
-        });
-        if tuning.workers >= 2 {
-            engine.set_workers(tuning.workers);
-        }
-        engine.set_probe(probe.clone());
-        engine.set_causal(causal.clone());
-        engine.set_flight(flight.clone());
-        engine.set_monitor(monitor.clone());
-        engine.set_adversary(self.nemesis.compile_adversary(&self.adversary).build());
+        let mut engine: Engine<ChaMessage<u64>> =
+            self.engine(seed, workers, obs, self.channel_adversary());
         let cm = self.cm.build(seed);
-        let mut place_rng = StdRng::seed_from_u64(seed ^ PLACEMENT_SALT);
 
         let mut ids: Vec<NodeId> = Vec::with_capacity(self.node_count());
         let mut crashed: Vec<usize> = Vec::new();
         let mut genesis: Vec<bool> = Vec::with_capacity(self.node_count());
-        let mut tag = 0u64;
-        for pop in &self.populations {
-            for j in 0..pop.count {
-                let start = pop.placement.position(j, self.arena, &mut place_rng);
-                let spawn = pop.spawn_at + j as u64 * pop.spawn_stride;
-                // Nodes deployed from round 0 run the plain Section 3
-                // protocol. Late arrivals must enter with a consistent
-                // instance counter — the paper's join-by-state-transfer
-                // — so they resume from a checkpoint aligned to the
-                // global round/instance mapping (their first ballot
-                // phase starts instance `spawn.div_ceil(3) + 1`).
-                let node: Box<dyn vi_radio::Process<ChaMessage<u64>>> = if spawn == 0 {
-                    Box::new(ChaNode::<u64>::new(
-                        Box::new(TaggedProposer::new(tag)),
-                        cm.clone(),
-                    ))
-                } else {
+        for (tag, d) in self.deployment(seed).into_iter().enumerate() {
+            let proposer = Box::new(TaggedProposer::new(tag as u64));
+            // Nodes deployed from round 0 run the plain Section 3
+            // protocol. Late arrivals must enter with a consistent
+            // instance counter — the paper's join-by-state-transfer
+            // — so they resume from a checkpoint aligned to the
+            // global round/instance mapping (their first ballot
+            // phase starts instance `spawn.div_ceil(3) + 1`).
+            let mut spec = match d.spawn_at {
+                None => NodeSpec::new(
+                    d.mobility,
+                    Box::new(ChaNode::<u64>::new(proposer, cm.clone())),
+                ),
+                Some(spawn) => {
                     let k0 = spawn.div_ceil(3);
-                    Box::new(ChaNode::<u64>::from_checkpoint(
-                        k0,
-                        k0,
-                        Box::new(TaggedProposer::new(tag)),
-                        cm.clone(),
-                    ))
-                };
-                let mut spec = NodeSpec::new(pop.mobility.build(start, self.arena), node);
-                if spawn > 0 {
-                    spec = spec.spawn_at(spawn);
+                    let node = ChaNode::<u64>::from_checkpoint(k0, k0, proposer, cm.clone());
+                    NodeSpec::new(d.mobility, Box::new(node)).spawn_at(spawn)
                 }
-                if let Some(c) = pop.crash_at {
-                    spec = spec.crash_at(c);
-                    if c < rounds {
-                        crashed.push(tag as usize);
-                    }
+            };
+            if let Some(c) = d.crash_at {
+                spec = spec.crash_at(c);
+                if c < rounds {
+                    crashed.push(tag);
                 }
-                ids.push(engine.add_node(spec));
-                genesis.push(spawn == 0);
-                tag += 1;
             }
+            ids.push(engine.add_node(spec));
+            genesis.push(d.spawn_at.is_none());
         }
-        if causal.is_enabled() {
+        if obs.causal.is_enabled() {
             // Each participant mints propose/decide spans under its
             // simulator node index, so they line up with the engine's
             // broadcast spans and reception edges.
             for (node, &id) in ids.iter().enumerate() {
                 if let Some(p) = engine.process_mut::<ChaNode<u64>>(id) {
-                    p.set_causal(causal.clone(), node as u64);
+                    p.set_causal(obs.causal.clone(), node as u64);
                 }
             }
         }
 
         engine.run(rounds);
 
-        let t_check = probe.timer();
+        let t_check = obs.probe.timer();
         // The Section 3 specification (and its checker) quantifies
         // over a fixed participant set. Every node's proposals are
         // recorded (adopted values must trace back to *some* proposal)
@@ -491,35 +507,23 @@ impl ScenarioSpec {
         } else {
             decided as f64 / total_outputs as f64
         };
-        let mut out = self.outcome(
-            seed,
-            rounds,
-            engine.stats(),
-            checker.output_count(),
-            &checker,
-            decided_fraction,
-            0,
-            0,
-            None,
-        );
-        probe.phase_since(Phase::Checker, t_check);
-        if tuning.telemetry {
-            out.telemetry = probe.summary();
-        }
+        let mut out = self.outcome(seed, engine.stats(), decided_fraction);
+        out.outputs_checked = checker.output_count();
+        out.validity_violations = checker.check_validity().len();
+        out.agreement_violations = checker.check_agreement().len();
+        out.spread_violations = checker.check_color_spread().len();
+        out.stabilized_kst = checker.liveness_kst();
+        obs.probe.phase_since(Phase::Checker, t_check);
         out
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn run_vi(
         &self,
         seed: u64,
+        workers: usize,
+        obs: &Observers,
         layout: &crate::spec::LayoutSpec,
         virtual_rounds: u64,
-        tuning: EngineTuning,
-        causal: &CausalRecorder,
-        flight: &FlightRecorder,
-        probe: &Probe,
-        monitor: &Monitor,
     ) -> ScenarioOutcome {
         let layout = layout.build();
         let vns = layout.len();
@@ -530,44 +534,20 @@ impl ScenarioSpec {
             seed,
             record_trace: false,
         });
-        if tuning.workers >= 2 {
-            world.set_workers(tuning.workers);
+        if workers >= 2 {
+            world.set_workers(workers);
         }
-        world.set_probe(probe.clone());
-        world.set_causal(causal.clone());
-        world.set_flight(flight.clone());
-        world.set_monitor(monitor.clone());
-        world.set_adversary(self.nemesis.compile_adversary(&self.adversary).build());
-        let mut place_rng = StdRng::seed_from_u64(seed ^ PLACEMENT_SALT);
-        let nemesis_crashes: std::collections::BTreeMap<usize, u64> = self
-            .nemesis
-            .crash_schedule(self.node_count(), 0)
-            .into_iter()
-            .collect();
-        let mut device = 0usize;
-        for pop in &self.populations {
-            for j in 0..pop.count {
-                let start = pop.placement.position(j, self.arena, &mut place_rng);
-                let spawn = pop.spawn_at + j as u64 * pop.spawn_stride;
-                let crash = match (pop.crash_at, nemesis_crashes.get(&device)) {
-                    (Some(c), Some(&n)) => Some(c.min(n)),
-                    (Some(c), None) => Some(c),
-                    (None, Some(&n)) => Some(n),
-                    (None, None) => None,
-                };
-                world.add_device_spec(
-                    pop.mobility.build(start, self.arena),
-                    None,
-                    (spawn > 0).then_some(spawn),
-                    crash,
-                );
-                device += 1;
-            }
+        world.set_observers(obs.clone());
+        world.set_adversary(self.channel_adversary());
+        let mut devices = self.deployment(seed);
+        self.nemesis.apply_crashes(&mut devices, 0);
+        for d in devices {
+            world.add_device_spec(d.mobility, None, d.spawn_at, d.crash_at);
         }
 
         world.run_virtual_rounds(virtual_rounds);
 
-        let t_check = probe.timer();
+        let t_check = obs.probe.timer();
         let mut decided = 0u64;
         let mut bottom = 0u64;
         let mut joins = 0u64;
@@ -580,23 +560,10 @@ impl ScenarioSpec {
             resets += report.resets;
         }
         let decided_fraction = decided as f64 / (decided + bottom).max(1) as f64;
-        let stats = *world.stats();
-        let checker = ChaSpecChecker::<u64>::new();
-        let mut out = self.outcome(
-            seed,
-            stats.rounds,
-            &stats,
-            0,
-            &checker,
-            decided_fraction,
-            joins,
-            resets,
-            None,
-        );
-        probe.phase_since(Phase::Checker, t_check);
-        if tuning.telemetry {
-            out.telemetry = probe.summary();
-        }
+        let mut out = self.outcome(seed, world.stats(), decided_fraction);
+        out.vn_joins = joins;
+        out.vn_resets = resets;
+        obs.probe.phase_since(Phase::Checker, t_check);
         out
     }
 
@@ -605,34 +572,16 @@ impl ScenarioSpec {
     /// request ports driven by the vi-traffic generator. With
     /// `audited`, the run's operation history feeds the `vi-audit`
     /// checkers and the outcome carries their verdicts.
-    #[allow(clippy::too_many_arguments)]
     fn run_traffic(
         &self,
         seed: u64,
+        obs: &Observers,
         app: AppKind,
         layout: &crate::spec::LayoutSpec,
         traffic: &TrafficSpec,
         audited: bool,
-        tuning: EngineTuning,
-        causal: &CausalRecorder,
-        flight: &FlightRecorder,
-        probe: &Probe,
-        monitor: &Monitor,
     ) -> ScenarioOutcome {
-        let mut place_rng = StdRng::seed_from_u64(seed ^ PLACEMENT_SALT);
-        let mut devices = Vec::with_capacity(self.node_count());
-        for pop in &self.populations {
-            for j in 0..pop.count {
-                let start = pop.placement.position(j, self.arena, &mut place_rng);
-                let spawn = pop.spawn_at + j as u64 * pop.spawn_stride;
-                devices.push(DevicePlan {
-                    start,
-                    mobility: pop.mobility.build(start, self.arena),
-                    spawn_at: (spawn > 0).then_some(spawn),
-                    crash_at: pop.crash_at,
-                });
-            }
-        }
+        let mut devices = self.deployment(seed);
         // Nemesis: crash bursts fold into the device churn (client
         // ports at the deployment front are protected), channel
         // faults compose over the base adversary.
@@ -648,33 +597,15 @@ impl ScenarioSpec {
         // records the workload-level counters only (timeouts, audit
         // ops, delivery totals); per-round resolver-mode counters stay
         // zero for traffic runs.
-        let (out, report) = if audited {
-            let (out, history) = HistoryRecorder::record_observed(
-                app,
-                tw,
-                traffic,
-                causal.clone(),
-                flight.clone(),
-                monitor,
-            );
-            let t_check = probe.timer();
+        let (out, events) = vi_traffic::run_traffic(app, tw, traffic, obs);
+        let report = audited.then(|| {
+            let history = History::from_events(app, events);
+            let t_check = obs.probe.timer();
             let report = audit(&history);
-            probe.phase_since(Phase::Checker, t_check);
-            (out, Some(report))
-        } else if monitor.is_enabled() || causal.is_enabled() || flight.is_enabled() {
-            let (out, _) = vi_traffic::run_traffic_observed(
-                app,
-                tw,
-                traffic,
-                causal.clone(),
-                flight.clone(),
-                monitor,
-            );
-            (out, None)
-        } else {
-            (vi_traffic::run_traffic(app, tw, traffic), None)
-        };
-        probe.count(|c| {
+            obs.probe.phase_since(Phase::Checker, t_check);
+            report
+        });
+        obs.probe.count(|c| {
             c.receptions = out.stats.deliveries;
             c.collisions = out.stats.collision_reports;
             c.traffic_timeouts = out.summary.timed_out;
@@ -684,22 +615,11 @@ impl ScenarioSpec {
         });
         let decided_fraction =
             out.vn_decided as f64 / (out.vn_decided + out.vn_bottom).max(1) as f64;
-        let checker = ChaSpecChecker::<u64>::new();
-        let mut outcome = self.outcome(
-            seed,
-            out.stats.rounds,
-            &out.stats,
-            0,
-            &checker,
-            decided_fraction,
-            out.vn_joins,
-            out.vn_resets,
-            Some(out.summary),
-        );
+        let mut outcome = self.outcome(seed, &out.stats, decided_fraction);
+        outcome.vn_joins = out.vn_joins;
+        outcome.vn_resets = out.vn_resets;
+        outcome.traffic = Some(out.summary);
         outcome.audit = report;
-        if tuning.telemetry {
-            outcome.telemetry = probe.summary();
-        }
         outcome
     }
 
@@ -708,58 +628,40 @@ impl ScenarioSpec {
     /// cutting off the last replica, the stale local reads produce a
     /// deterministic linearizability violation — the fixture the
     /// incident-bundle pipeline is exercised against.
-    #[allow(clippy::too_many_arguments)]
     fn run_majority_register(
         &self,
         seed: u64,
+        workers: usize,
+        obs: &Observers,
         writes: u64,
         rounds: u64,
         partition_from: Option<u64>,
-        tuning: EngineTuning,
-        causal: &CausalRecorder,
-        flight: &FlightRecorder,
-        probe: &Probe,
-        monitor: &Monitor,
     ) -> ScenarioOutcome {
         let n = self.node_count();
-        let mut engine: Engine<MajRegMessage> = Engine::new(EngineConfig {
-            radio: self.radio,
-            seed,
-            record_trace: false,
-        });
-        if tuning.workers >= 2 {
-            engine.set_workers(tuning.workers);
-        }
-        engine.set_probe(probe.clone());
-        engine.set_causal(causal.clone());
-        engine.set_flight(flight.clone());
-        engine.set_monitor(monitor.clone());
-        if let Some(from) = partition_from {
+        let adversary = match partition_from {
             // The partition is part of the workload, not the spec's
             // adversary: everything addressed to the last-ranked
             // replica is dropped from `from` on, so it keeps serving
             // its stale local copy.
-            let mut adv = ScriptedAdversary::new();
-            for r in from..rounds {
-                adv.drop_all_to(r, NodeId::from(n - 1));
+            Some(from) => {
+                let mut adv = ScriptedAdversary::new();
+                for r in from..rounds {
+                    adv.drop_all_to(r, NodeId::from(n - 1));
+                }
+                Box::new(adv)
             }
-            engine.set_adversary(Box::new(adv));
-        } else {
-            engine.set_adversary(self.nemesis.compile_adversary(&self.adversary).build());
-        }
-        let mut place_rng = StdRng::seed_from_u64(seed ^ PLACEMENT_SALT);
-        let mut rank = 0usize;
-        let mut ids: Vec<NodeId> = Vec::with_capacity(n);
-        for pop in &self.populations {
-            for j in 0..pop.count {
-                let start = pop.placement.position(j, self.arena, &mut place_rng);
-                ids.push(engine.add_node(NodeSpec::new(
-                    pop.mobility.build(start, self.arena),
-                    Box::new(MajorityRegister::new(rank, n, writes)),
-                )));
-                rank += 1;
-            }
-        }
+            None => self.channel_adversary(),
+        };
+        let mut engine: Engine<MajRegMessage> = self.engine(seed, workers, obs, adversary);
+        let ids: Vec<NodeId> = self
+            .deployment(seed)
+            .into_iter()
+            .enumerate()
+            .map(|(rank, d)| {
+                let replica = Box::new(MajorityRegister::new(rank, n, writes));
+                engine.add_node(NodeSpec::new(d.mobility, replica))
+            })
+            .collect();
 
         engine.run(rounds);
 
@@ -770,7 +672,7 @@ impl ScenarioSpec {
         // and completions feed the `majority_register` timeline. The
         // op vector is flat in node order (writes then reads per
         // node), so the owning node is recovered from the log sizes.
-        if causal.is_enabled() {
+        if obs.causal.is_enabled() {
             let mut cursor = 0usize;
             for (node, &id) in ids.iter().enumerate() {
                 let p = engine
@@ -778,77 +680,43 @@ impl ScenarioSpec {
                     .expect("majority-register node");
                 let count = p.write_log.len() + p.read_log.len();
                 for op in &ops[cursor..cursor + count] {
-                    causal.invoke(op.id, node as u64, op.inv);
+                    obs.causal.invoke(op.id, node as u64, op.inv);
                     if op.ret != vi_audit::linearizability::PENDING {
-                        causal.complete("majority_register", op.id, op.ret);
+                        obs.causal.complete("majority_register", op.id, op.ret);
                     }
                 }
                 cursor += count;
             }
         }
-        let t_check = probe.timer();
+        let t_check = obs.probe.timer();
         let report = audit_register_ops("majority_register", &ops);
-        probe.phase_since(Phase::Checker, t_check);
-        probe.count(|c| c.audit_ops = report.ops);
+        obs.probe.phase_since(Phase::Checker, t_check);
+        obs.probe.count(|c| c.audit_ops = report.ops);
         let completed = ops
             .iter()
             .filter(|o| o.ret != vi_audit::linearizability::PENDING)
             .count();
         let decided_fraction = completed as f64 / ops.len().max(1) as f64;
-        let checker = ChaSpecChecker::<u64>::new();
-        let mut out = self.outcome(
-            seed,
-            rounds,
-            engine.stats(),
-            0,
-            &checker,
-            decided_fraction,
-            0,
-            0,
-            None,
-        );
+        let mut out = self.outcome(seed, engine.stats(), decided_fraction);
         out.audit = Some(report);
-        if tuning.telemetry {
-            out.telemetry = probe.summary();
-        }
         out
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn outcome(
-        &self,
-        seed: u64,
-        rounds: u64,
-        stats: &ChannelStats,
-        outputs_checked: usize,
-        checker: &ChaSpecChecker<u64>,
-        decided_fraction: f64,
-        vn_joins: u64,
-        vn_resets: u64,
-        traffic: Option<TrafficSummary>,
-    ) -> ScenarioOutcome {
+    /// The outcome row every workload starts from: identity, channel
+    /// totals and `decided_fraction`; the workload-specific fields
+    /// (checker verdicts, VN counters, traffic, audit) start empty.
+    fn outcome(&self, seed: u64, stats: &ChannelStats, decided_fraction: f64) -> ScenarioOutcome {
         ScenarioOutcome {
             scenario: self.name.clone(),
             seed,
             nodes: self.node_count(),
-            rounds,
+            rounds: stats.rounds,
             broadcasts: stats.broadcasts,
             deliveries: stats.deliveries,
             collision_reports: stats.collision_reports,
             max_message_bytes: stats.max_message_bytes,
-            outputs_checked,
-            validity_violations: checker.check_validity().len(),
-            agreement_violations: checker.check_agreement().len(),
-            spread_violations: checker.check_color_spread().len(),
             decided_fraction,
-            stabilized_kst: checker.liveness_kst(),
-            vn_joins,
-            vn_resets,
-            traffic,
-            audit: None,
-            telemetry: None,
-            causal: None,
-            incident: None,
+            ..ScenarioOutcome::default()
         }
     }
 }

@@ -120,6 +120,19 @@ impl FlightRecorder {
         }
     }
 
+    /// Notes the live-set change from `prev` to `live` (both sorted
+    /// ascending, as the engine builds them) as one
+    /// [`FlightEvent::Churn`]; identical sets note nothing.
+    pub fn note_churn(&self, prev: &[usize], live: &[usize]) {
+        if self.state.is_none() {
+            return;
+        }
+        let (joined, left) = churn_diff(prev, live);
+        if !(joined.is_empty() && left.is_empty()) {
+            self.note(FlightEvent::Churn { joined, left });
+        }
+    }
+
     /// Snapshots the retained window, oldest round first; empty on a
     /// disabled handle.
     pub fn window(&self) -> Vec<RoundWindow> {
@@ -130,9 +143,72 @@ impl FlightRecorder {
     }
 }
 
+/// Sorted-merge diff of two ascending node-index sets: `(joined,
+/// left)` = (in `live` only, in `prev` only).
+fn churn_diff(prev: &[usize], live: &[usize]) -> (Vec<u64>, Vec<u64>) {
+    let (mut i, mut j) = (0, 0);
+    let mut joined = Vec::new();
+    let mut left = Vec::new();
+    loop {
+        match (prev.get(i), live.get(j)) {
+            (Some(&a), Some(&b)) if a == b => {
+                i += 1;
+                j += 1;
+            }
+            (Some(&a), Some(&b)) if a < b => {
+                left.push(a as u64);
+                i += 1;
+            }
+            (Some(_), Some(&b)) | (None, Some(&b)) => {
+                joined.push(b as u64);
+                j += 1;
+            }
+            (Some(&a), None) => {
+                left.push(a as u64);
+                i += 1;
+            }
+            (None, None) => break,
+        }
+    }
+    (joined, left)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn churn_diff_is_the_sorted_set_difference() {
+        let diff = churn_diff;
+        assert_eq!(diff(&[], &[]), (vec![], vec![]));
+        assert_eq!(diff(&[], &[0, 1, 2]), (vec![0, 1, 2], vec![]));
+        assert_eq!(diff(&[0, 1, 2], &[]), (vec![], vec![0, 1, 2]));
+        assert_eq!(diff(&[1, 3], &[0, 1, 3, 9]), (vec![0, 9], vec![]), "join");
+        assert_eq!(diff(&[0, 1, 3, 9], &[1, 3]), (vec![], vec![0, 9]), "leave");
+        assert_eq!(
+            diff(&[0, 2, 4, 6, 7], &[1, 2, 5, 6, 8]),
+            (vec![1, 5, 8], vec![0, 4, 7]),
+            "interleaved"
+        );
+        assert_eq!(diff(&[2, 4], &[2, 4]), (vec![], vec![]));
+    }
+
+    #[test]
+    fn identical_live_sets_note_no_churn() {
+        let r = FlightRecorder::enabled(2);
+        r.begin_round(0);
+        r.note_churn(&[1, 2], &[1, 2]);
+        assert!(r.window()[0].events.is_empty());
+        r.note_churn(&[1, 2], &[2, 3]);
+        assert_eq!(
+            r.window()[0].events,
+            vec![FlightEvent::Churn {
+                joined: vec![3],
+                left: vec![1]
+            }]
+        );
+        FlightRecorder::disabled().note_churn(&[], &[1]);
+    }
 
     #[test]
     fn disabled_recorder_is_inert() {

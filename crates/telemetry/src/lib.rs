@@ -39,8 +39,9 @@
 //!   in-memory ring, and a Prometheus-text `/metrics` exporter
 //!   (`VI_MONITOR_ADDR`).
 //!
-//! The whole layer is threaded through the engine as a [`Probe`]: a
-//! cloneable handle that is null by default, so the disabled path
+//! The probe, the two recorders and the monitor are threaded through
+//! the engine as one [`Observers`] value (module [`observers`]): four
+//! cloneable handles, each null by default, so the disabled path
 //! costs exactly one branch per instrumentation site (guarded by the
 //! zero-alloc test and the CI telemetry-overhead check).
 
@@ -49,6 +50,7 @@ pub mod counters;
 pub mod flight;
 pub mod histogram;
 pub mod monitor;
+pub mod observers;
 pub mod phases;
 pub mod probe;
 pub mod trace_export;
@@ -61,6 +63,7 @@ pub use monitor::{
     JobEvent, JobState, JsonlSink, Monitor, MonitorEvent, MonitorSink, PrometheusExporter,
     RingSink, SinkSet, TelemetrySnapshot, TrafficProgress,
 };
+pub use observers::Observers;
 pub use phases::{Phase, PhaseStats, PhaseSummary, PhaseTimers};
 pub use probe::Probe;
 

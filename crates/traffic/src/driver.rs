@@ -10,6 +10,11 @@
 //! salted off the run seed — identical `(spec, seed)` pairs replay
 //! identical request streams no matter which sweep worker executes
 //! them.
+//!
+//! Entry points: [`run_traffic`] builds the app service over a
+//! [`TrafficWorld`] and runs it under an observer set; [`drive`] and
+//! [`drive_recorded`] drive a service the caller built (unobserved),
+//! without and with the operation history.
 
 use crate::metrics::{LatencyHistogram, TrafficSummary};
 use crate::service::{
@@ -22,7 +27,7 @@ use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use vi_radio::trace::ChannelStats;
-use vi_telemetry::{CausalRecorder, FlightRecorder, Monitor, TrafficProgress};
+use vi_telemetry::{CausalRecorder, Observers, TrafficProgress};
 
 /// Salt separating the traffic RNG stream from the engine's seed
 /// stream (request mix never perturbs channel resolution).
@@ -105,75 +110,34 @@ enum Slot {
     ThinkUntil(u64),
 }
 
-/// Runs `spec` against the app service built over `tw`.
+/// Runs `spec` against the app service built over `tw`, and returns
+/// the outcome with the run's complete operation history — the input
+/// of the `vi-audit` consistency checkers.
+///
+/// What `obs` sees: `causal` traces every invocation/completion and,
+/// through the world's engine, every broadcast/reception; `flight`
+/// retains the engine's last K rounds of channel events; `monitor`
+/// samples the driver's in-flight picture every K virtual rounds. The
+/// probe stays outside — [`Service::set_telemetry`] carries the two
+/// recorders only. Observers never perturb: summary, history and
+/// stats are byte-identical under `Observers::default()`.
 ///
 /// # Panics
 ///
 /// Panics if the spec is invalid (callers validate up front) or the
 /// deployment has fewer devices than `spec.clients`.
-pub fn run_traffic(app: AppKind, tw: TrafficWorld, spec: &TrafficSpec) -> TrafficOutcome {
-    run_traffic_recorded(app, tw, spec).0
-}
-
-/// Like [`run_traffic`], but additionally returns the complete
-/// operation history of the run — the input of the `vi-audit`
-/// consistency checkers.
-pub fn run_traffic_recorded(
+pub fn run_traffic(
     app: AppKind,
     tw: TrafficWorld,
     spec: &TrafficSpec,
-) -> (TrafficOutcome, Vec<TrafficEvent>) {
-    run_traffic_traced(
-        app,
-        tw,
-        spec,
-        CausalRecorder::disabled(),
-        FlightRecorder::disabled(),
-    )
-}
-
-/// Like [`run_traffic_recorded`], with telemetry recorders installed:
-/// `causal` traces every invocation/completion (and, through the
-/// world's engine, every broadcast/reception), `flight` retains the
-/// last K rounds of structured channel events. Disabled recorders make
-/// this identical to [`run_traffic_recorded`].
-pub fn run_traffic_traced(
-    app: AppKind,
-    tw: TrafficWorld,
-    spec: &TrafficSpec,
-    causal: CausalRecorder,
-    flight: FlightRecorder,
-) -> (TrafficOutcome, Vec<TrafficEvent>) {
-    run_traffic_observed(app, tw, spec, causal, flight, &Monitor::disabled())
-}
-
-/// Like [`run_traffic_traced`], with a live monitor sampling the
-/// driver's in-flight picture (issued/completed/timed-out totals and
-/// live latency quantiles) every K virtual rounds. The monitor rides
-/// the wall-clock side: a monitored run's summary, history, and stats
-/// are byte-identical to an unmonitored one's. A disabled monitor
-/// makes this identical to [`run_traffic_traced`].
-pub fn run_traffic_observed(
-    app: AppKind,
-    tw: TrafficWorld,
-    spec: &TrafficSpec,
-    causal: CausalRecorder,
-    flight: FlightRecorder,
-    monitor: &Monitor,
+    obs: &Observers,
 ) -> (TrafficOutcome, Vec<TrafficEvent>) {
     spec.validate().expect("invalid traffic spec");
     let seed = tw.seed;
     let mut service = build_service(app, tw, spec.clients);
-    service.set_telemetry(causal.clone(), flight);
+    service.set_telemetry(obs.causal.clone(), obs.flight.clone());
     let mut events = Vec::new();
-    let summary = drive_inner(
-        service.as_mut(),
-        spec,
-        seed,
-        Some(&mut events),
-        &causal,
-        monitor,
-    );
+    let summary = drive_inner(service.as_mut(), spec, seed, Some(&mut events), obs);
     let totals = service.world_totals();
     (
         TrafficOutcome {
@@ -192,14 +156,7 @@ pub fn run_traffic_observed(
 /// tests and benches can drive hand-built services. Records nothing:
 /// the unaudited hot path stays free of per-request event pushes.
 pub fn drive(service: &mut dyn Service, spec: &TrafficSpec, seed: u64) -> TrafficSummary {
-    drive_inner(
-        service,
-        spec,
-        seed,
-        None,
-        &CausalRecorder::disabled(),
-        &Monitor::disabled(),
-    )
+    drive_inner(service, spec, seed, None, &Observers::default())
 }
 
 /// [`drive`], additionally recording the complete operation history.
@@ -214,8 +171,7 @@ pub fn drive_recorded(
         spec,
         seed,
         Some(&mut events),
-        &CausalRecorder::disabled(),
-        &Monitor::disabled(),
+        &Observers::default(),
     );
     (summary, events)
 }
@@ -225,9 +181,9 @@ fn drive_inner(
     spec: &TrafficSpec,
     seed: u64,
     mut events: Option<&mut Vec<TrafficEvent>>,
-    causal: &CausalRecorder,
-    monitor: &Monitor,
+    obs: &Observers,
 ) -> TrafficSummary {
+    let (causal, monitor) = (&obs.causal, &obs.monitor);
     let mut rng = StdRng::seed_from_u64(seed ^ TRAFFIC_SALT);
     let clients = spec.clients;
     let app_name = service.app().name();
@@ -464,6 +420,15 @@ mod tests {
     use vi_radio::mobility::{MobilityModel, Static};
     use vi_radio::{AdversaryKind, RadioConfig};
 
+    /// [`run_traffic`] with no observer.
+    fn run(
+        app: AppKind,
+        tw: TrafficWorld,
+        spec: &TrafficSpec,
+    ) -> (TrafficOutcome, Vec<TrafficEvent>) {
+        run_traffic(app, tw, spec, &Observers::default())
+    }
+
     fn small_world(n: usize, seed: u64) -> TrafficWorld {
         let vn = Point::new(50.0, 50.0);
         let devices = (0..n)
@@ -489,7 +454,7 @@ mod tests {
     #[test]
     fn open_loop_register_completes_most_requests() {
         let spec = TrafficSpec::open(2, 0.25, 40);
-        let out = run_traffic(AppKind::Register, small_world(3, 3), &spec);
+        let out = run(AppKind::Register, small_world(3, 3), &spec).0;
         let s = &out.summary;
         assert_eq!(s.app, "register");
         assert_eq!(s.mode, "open");
@@ -510,7 +475,7 @@ mod tests {
     #[test]
     fn closed_loop_keeps_bounded_outstanding() {
         let spec = TrafficSpec::closed(2, 1, 2, 30);
-        let out = run_traffic(AppKind::Tracking, small_world(3, 5), &spec);
+        let out = run(AppKind::Tracking, small_world(3, 5), &spec).0;
         let s = &out.summary;
         assert_eq!(s.mode, "closed");
         assert!(s.issued > 0);
@@ -524,10 +489,10 @@ mod tests {
     #[test]
     fn runs_are_deterministic_per_seed_and_distinct_across_seeds() {
         let spec = TrafficSpec::open(2, 0.4, 30);
-        let a = run_traffic(AppKind::Register, small_world(3, 8), &spec).summary;
-        let b = run_traffic(AppKind::Register, small_world(3, 8), &spec).summary;
+        let a = run(AppKind::Register, small_world(3, 8), &spec).0.summary;
+        let b = run(AppKind::Register, small_world(3, 8), &spec).0.summary;
         assert_eq!(a, b, "same (spec, seed) must reproduce exactly");
-        let c = run_traffic(AppKind::Register, small_world(3, 9), &spec).summary;
+        let c = run(AppKind::Register, small_world(3, 9), &spec).0.summary;
         // Identical schedule, but the channel RNG differs; the runs
         // must at minimum not be byte-identical in latency.
         assert_eq!(a.issued, c.issued, "arrival schedule is seed-independent");
@@ -540,7 +505,7 @@ mod tests {
         // surface as timeouts, not lost accounting.
         let mut spec = TrafficSpec::open(2, 2.0, 30);
         spec.timeout_rounds = 10;
-        let out = run_traffic(AppKind::Register, small_world(3, 4), &spec);
+        let out = run(AppKind::Register, small_world(3, 4), &spec).0;
         let s = &out.summary;
         assert_eq!(s.issued, 60);
         assert!(s.timed_out > 0, "overload must produce timeouts: {s:?}");
@@ -554,11 +519,11 @@ mod tests {
         // channel times out under the adversary.
         let mut spec = TrafficSpec::open(2, 0.5, 20);
         spec.timeout_rounds = 8;
-        let clean = run_traffic(AppKind::Register, small_world(3, 2), &spec);
+        let clean = run(AppKind::Register, small_world(3, 2), &spec).0;
         let mut jammed_world = small_world(3, 2);
         jammed_world.radio = RadioConfig::stabilizing(10.0, 20.0, u64::MAX);
         jammed_world.adversary = vi_radio::AdversaryKind::Burst(vec![0..5_000, 5_000..10_000]);
-        let jammed = run_traffic(AppKind::Register, jammed_world, &spec);
+        let jammed = run(AppKind::Register, jammed_world, &spec).0;
         assert!(clean.summary.completed > 0);
         assert_eq!(
             jammed.summary.completed, 0,
@@ -581,7 +546,7 @@ mod tests {
         let mut world = small_world(3, 2);
         world.radio = RadioConfig::stabilizing(10.0, 20.0, u64::MAX);
         world.adversary = vi_radio::AdversaryKind::Burst(vec![0..5_000, 5_000..10_000]);
-        let (out, events) = run_traffic_recorded(AppKind::Register, world, &spec);
+        let (out, events) = run(AppKind::Register, world, &spec);
         let s = &out.summary;
         assert!(s.timed_out > 0, "jam must time requests out: {s:?}");
         use std::collections::BTreeMap;
@@ -614,8 +579,8 @@ mod tests {
     #[test]
     fn recorded_history_is_deterministic() {
         let spec = TrafficSpec::open(2, 0.4, 25);
-        let (_, a) = run_traffic_recorded(AppKind::Mutex, small_world(3, 6), &spec);
-        let (_, b) = run_traffic_recorded(AppKind::Mutex, small_world(3, 6), &spec);
+        let (_, a) = run(AppKind::Mutex, small_world(3, 6), &spec);
+        let (_, b) = run(AppKind::Mutex, small_world(3, 6), &spec);
         assert_eq!(a, b, "identical (spec, seed) must replay the history");
         assert!(
             a.iter().any(|e| matches!(e, TrafficEvent::Protocol { .. })),
@@ -626,16 +591,14 @@ mod tests {
     #[test]
     fn traced_runs_match_untraced_and_record_op_spans() {
         let spec = TrafficSpec::open(2, 0.4, 25);
-        let (a, ea) = run_traffic_recorded(AppKind::Register, small_world(3, 6), &spec);
-        let causal = CausalRecorder::enabled(6);
-        let flight = FlightRecorder::enabled(8);
-        let (b, eb) = run_traffic_traced(
-            AppKind::Register,
-            small_world(3, 6),
-            &spec,
-            causal.clone(),
-            flight.clone(),
-        );
+        let (a, ea) = run(AppKind::Register, small_world(3, 6), &spec);
+        let obs = Observers {
+            causal: CausalRecorder::enabled(6),
+            flight: vi_telemetry::FlightRecorder::enabled(8),
+            ..Observers::default()
+        };
+        let (causal, flight) = (&obs.causal, &obs.flight);
+        let (b, eb) = run_traffic(AppKind::Register, small_world(3, 6), &spec, &obs);
         assert_eq!(a.summary, b.summary, "tracing must not perturb the run");
         assert_eq!(ea, eb, "histories must be identical under tracing");
         let s = causal.summary().expect("recorder was enabled");
@@ -658,7 +621,7 @@ mod tests {
     fn all_apps_drive_end_to_end() {
         for app in AppKind::all() {
             let spec = TrafficSpec::open(2, 0.2, 30).with_query_fraction(0.4);
-            let out = run_traffic(app, small_world(3, 6), &spec);
+            let out = run(app, small_world(3, 6), &spec).0;
             let s = &out.summary;
             assert_eq!(s.app, app.name());
             assert!(s.issued > 0, "{}: issued", app.name());

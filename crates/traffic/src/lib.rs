@@ -30,22 +30,18 @@
 //! * The **driver** (module [`driver`]) — [`run_traffic`] builds the
 //!   service over a [`TrafficWorld`], replays the admission schedule,
 //!   sweeps timeouts, and emits a [`TrafficSummary`]
-//!   (p50/p95/p99/max, throughput, drop accounting).
-//!   [`run_traffic_recorded`] additionally returns the run's complete
-//!   operation history as [`TrafficEvent`]s — invocations with
-//!   concrete [`OpDesc`]s, responses with semantic [`OpOutcome`]s,
-//!   timeouts, and protocol-level [`AuditRecord`]s — the input of the
-//!   `vi-audit` consistency checkers.
+//!   (p50/p95/p99/max, throughput, drop accounting) together with
+//!   the run's complete operation history as [`TrafficEvent`]s —
+//!   invocations with concrete [`OpDesc`]s, responses with semantic
+//!   [`OpOutcome`]s, timeouts, and protocol-level [`AuditRecord`]s —
+//!   the input of the `vi-audit` consistency checkers.
 
 pub mod driver;
 pub mod metrics;
 pub mod service;
 pub mod workload;
 
-pub use driver::{
-    drive, drive_recorded, run_traffic, run_traffic_observed, run_traffic_recorded,
-    run_traffic_traced, TrafficEvent, TrafficOutcome,
-};
+pub use driver::{drive, drive_recorded, run_traffic, TrafficEvent, TrafficOutcome};
 pub use metrics::{LatencyHistogram, TrafficSummary};
 pub use service::{
     backoff_delay, build_service, AuditRecord, Completion, DevicePlan, OpClass, OpDesc, OpOutcome,

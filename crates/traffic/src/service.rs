@@ -407,8 +407,11 @@ where
         causal: vi_telemetry::CausalRecorder,
         flight: vi_telemetry::FlightRecorder,
     ) {
-        self.world.set_causal(causal);
-        self.world.set_flight(flight);
+        self.world.set_observers(vi_telemetry::Observers {
+            causal,
+            flight,
+            ..Default::default()
+        });
     }
 
     /// Drains the received messages of client `i`.

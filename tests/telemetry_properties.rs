@@ -4,9 +4,9 @@
 //!    pure function of the seed and the spec, independent of the
 //!    intra-round worker count (counters only ever increment on the
 //!    sequential control path).
-//! 2. **Telemetry observes, never perturbs** — enabling the probe
-//!    changes no reception, no trace byte, no channel statistic, and
-//!    no RNG draw of the run it measures.
+//! 2. **Telemetry observes, never perturbs** — enabling the probe, or
+//!    the whole observer set, changes no reception, no trace byte, no
+//!    channel statistic, and no RNG draw of the run it measures.
 //! 3. **Snapshots are an exact decomposition** — the counter deltas a
 //!    live monitor streams, concatenated in sequence order, reconcile
 //!    exactly with the end-of-run telemetry totals at any sampling
@@ -23,7 +23,8 @@ use virtual_infra::radio::{
     RoundReception,
 };
 use virtual_infra::telemetry::{
-    Counters, Monitor, MonitorEvent, Probe, RingSink, SinkSet, TelemetrySnapshot,
+    CausalRecorder, Counters, FlightRecorder, Monitor, MonitorEvent, Observers, Probe, RingSink,
+    SinkSet, TelemetrySnapshot,
 };
 
 fn arb_point() -> impl Strategy<Value = Point> {
@@ -58,8 +59,29 @@ impl Process<u64> for Recorder {
 type NodeGene = (Point, u8, bool, u64, Option<u64>);
 type Observation = (Vec<(Vec<u64>, u64)>, String, ChannelStats);
 
-/// Builds and runs one engine; returns the observable execution and
-/// the probe's counter set (when a probe was installed).
+/// An observer set with only the probe live.
+fn probed() -> Observers {
+    Observers {
+        probe: Probe::enabled(),
+        ..Observers::default()
+    }
+}
+
+/// A fully live observer set: probe, causal recorder, an 8-round
+/// flight window, and a monitor sampling every 3 rounds into a ring.
+fn live(seed: u64) -> Observers {
+    let probe = Probe::enabled();
+    let ring = Arc::new(RingSink::with_capacity(64));
+    Observers {
+        monitor: Monitor::enabled("prop", seed, 3, probe.clone(), SinkSet::new(vec![ring])),
+        probe,
+        causal: CausalRecorder::enabled(seed),
+        flight: FlightRecorder::enabled(8),
+    }
+}
+
+/// Builds and runs one engine under `obs`; returns the observable
+/// execution and the probe's counter set (when the probe is live).
 fn run_engine(
     specs: &[NodeGene],
     seed: u64,
@@ -67,7 +89,7 @@ fn run_engine(
     drop_p: f64,
     rounds: u64,
     workers: usize,
-    probe: Option<Probe>,
+    obs: &Observers,
 ) -> (Observation, Option<Counters>) {
     let bounds = Rect::square(200.0);
     let mut engine: Engine<u64> = Engine::new(EngineConfig {
@@ -78,10 +100,7 @@ fn run_engine(
     engine.set_workers(workers);
     engine.set_shard_min_slots(1);
     engine.set_adversary(Box::new(RandomLoss::new(drop_p, 0.1)));
-    let installed = probe.clone();
-    if let Some(p) = probe {
-        engine.set_probe(p);
-    }
+    engine.set_observers(obs.clone());
     let mut ids: Vec<NodeId> = Vec::new();
     for &(start, mobility, chatty, spawn, crash) in specs {
         let start = Point::new(start.x.min(190.0), start.y.min(190.0));
@@ -116,8 +135,8 @@ fn run_engine(
         })
         .collect();
     let trace = serde_json::to_string(engine.trace()).expect("serializable trace");
-    let obs = (observed, trace, *engine.stats());
-    (obs, installed.and_then(|p| p.counters()))
+    let observation = (observed, trace, *engine.stats());
+    (observation, obs.probe.counters())
 }
 
 proptest! {
@@ -138,12 +157,12 @@ proptest! {
         rounds in 5u64..30,
     ) {
         let (base_obs, base_counters) =
-            run_engine(&specs, seed, stabilize, drop_p, rounds, 1, Some(Probe::enabled()));
+            run_engine(&specs, seed, stabilize, drop_p, rounds, 1, &probed());
         let base_counters = base_counters.expect("probe installed");
         prop_assert_eq!(base_counters.rounds_total, rounds, "every round is counted");
         for workers in [2usize, 4, 7] {
             let (obs, counters) =
-                run_engine(&specs, seed, stabilize, drop_p, rounds, workers, Some(Probe::enabled()));
+                run_engine(&specs, seed, stabilize, drop_p, rounds, workers, &probed());
             prop_assert_eq!(
                 counters.expect("probe installed"), base_counters,
                 "counters diverged at {} workers", workers);
@@ -153,8 +172,9 @@ proptest! {
 
     /// Telemetry-on changes nothing observable: receptions, the full
     /// round trace, and the channel statistics (which close over every
-    /// RNG draw) are identical with and without the probe, at 1 worker
-    /// and sharded.
+    /// RNG draw) are identical with and without the probe, and with and
+    /// without the whole observer set, at 1 worker and sharded; what
+    /// the recorders keep is itself worker-count invariant.
     #[test]
     fn probe_never_perturbs_the_execution(
         specs in proptest::collection::vec(
@@ -167,10 +187,11 @@ proptest! {
         worker_pick in 0usize..3,
     ) {
         let workers = [1usize, 3, 7][worker_pick];
-        let (plain, none) = run_engine(&specs, seed, stabilize, drop_p, rounds, workers, None);
+        let (plain, none) = run_engine(
+            &specs, seed, stabilize, drop_p, rounds, workers, &Observers::default());
         prop_assert!(none.is_none(), "no probe, no counters");
         let (probed, counters) =
-            run_engine(&specs, seed, stabilize, drop_p, rounds, workers, Some(Probe::enabled()));
+            run_engine(&specs, seed, stabilize, drop_p, rounds, workers, &probed());
         prop_assert_eq!(&probed, &plain,
             "telemetry perturbed the execution at {} workers", workers);
         let counters = counters.expect("probe installed");
@@ -180,6 +201,20 @@ proptest! {
         prop_assert_eq!(
             counters.collisions, plain.2.collision_reports,
             "collision counter must mirror channel stats");
+
+        let (seq, sharded) = (live(seed), live(seed));
+        let (observed_seq, _) = run_engine(&specs, seed, stabilize, drop_p, rounds, 1, &seq);
+        let (observed_sharded, live_counters) =
+            run_engine(&specs, seed, stabilize, drop_p, rounds, workers, &sharded);
+        prop_assert_eq!(&observed_seq, &plain, "live observers perturbed the 1-worker run");
+        prop_assert_eq!(&observed_sharded, &plain,
+            "live observers perturbed the run at {} workers", workers);
+        prop_assert_eq!(live_counters, Some(counters),
+            "recorders riding along must not change what the probe counts");
+        prop_assert_eq!(seq.flight.window(), sharded.flight.window(),
+            "flight window diverged at {} workers", workers);
+        prop_assert_eq!(seq.causal.summary(), sharded.causal.summary(),
+            "causal summary diverged at {} workers", workers);
     }
 
     /// Live-monitoring acceptance: the counter deltas a monitor
@@ -206,11 +241,14 @@ proptest! {
         engine.set_workers(workers);
         engine.set_shard_min_slots(1);
         let probe = Probe::enabled();
-        engine.set_probe(probe.clone());
         let ring = Arc::new(RingSink::with_capacity(4096));
         let monitor = Monitor::enabled(
             "prop", seed, every, probe.clone(), SinkSet::new(vec![ring.clone()]));
-        engine.set_monitor(monitor.clone());
+        engine.set_observers(Observers {
+            probe: probe.clone(),
+            monitor: monitor.clone(),
+            ..Observers::default()
+        });
         for &(start, mobility, chatty, spawn, crash) in &specs {
             let start = Point::new(start.x.min(190.0), start.y.min(190.0));
             let model: Box<dyn MobilityModel> = match mobility {

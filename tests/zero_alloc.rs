@@ -1,6 +1,6 @@
 //! The zero-allocation guarantee of the engine's round path: once
 //! buffers have warmed up, a steady-state engine round over a static
-//! topology (tracing off, live monitoring disabled, non-allocating
+//! topology (tracing off, null observers, non-allocating
 //! processes) performs **zero** heap allocations.
 //!
 //! Measured with a counting global allocator, so this file must hold
@@ -15,7 +15,7 @@ use virtual_infra::radio::mobility::Static;
 use virtual_infra::radio::{
     Engine, EngineConfig, NodeSpec, Process, RadioConfig, RoundCtx, RoundReception,
 };
-use virtual_infra::telemetry::Monitor;
+use virtual_infra::telemetry::Observers;
 
 /// Counts every allocation and reallocation routed through the global
 /// allocator.
@@ -101,10 +101,11 @@ fn deployment(record_trace: bool) -> Engine<u64> {
 fn steady_state_rounds_allocate_nothing() {
     let mut engine = deployment(false);
 
-    // A disabled live monitor is part of the steady-state contract:
-    // its per-round hook must stay one branch with zero allocations,
-    // so the silent windows below measure it alongside the round path.
-    engine.set_monitor(Monitor::disabled());
+    // The null observer set is part of the steady-state contract:
+    // each of its per-round hooks must stay one branch with zero
+    // allocations, so the silent windows below measure them alongside
+    // the round path.
+    engine.set_observers(Observers::default());
 
     // Warm-up: buffers grow to the working-set size (round 0 churns
     // the live set, round 1 anchors the topology cache, and the
