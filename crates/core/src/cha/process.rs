@@ -6,7 +6,6 @@
 //! within `R1/2` of a fixed location and share one leader-election
 //! contention manager.
 
-use crate::cha::history::Ballot;
 use crate::cha::protocol::{ChaMessage, ChaOutput, ChaProtocol, Phase};
 use std::any::Any;
 use vi_contention::{ChannelFeedback, CmSlot, SharedCm};
@@ -190,14 +189,17 @@ impl<V: Clone + Ord + vi_radio::WireSized + 'static> Process<ChaMessage<V>> for 
         let veto_heard = rx.messages.iter().any(|m| matches!(m, ChaMessage::Veto));
         match Phase::of_round(ctx.round) {
             Phase::Ballot => {
-                let ballots: Vec<Ballot<V>> = rx
+                // Only the minimum ballot is ever adopted, so fold it
+                // straight from the reception instead of collecting
+                // (and cloning) every ballot heard.
+                let min_ballot = rx
                     .messages
                     .iter()
                     .filter_map(|m| match m {
-                        ChaMessage::Ballot(b) => Some(b.clone()),
+                        ChaMessage::Ballot(b) => Some(b),
                         ChaMessage::Veto => None,
                     })
-                    .collect();
+                    .min();
                 let feedback = if self.was_active {
                     if rx.collision {
                         ChannelFeedback::TxCollided
@@ -206,13 +208,14 @@ impl<V: Clone + Ord + vi_radio::WireSized + 'static> Process<ChaMessage<V>> for 
                     }
                 } else if rx.collision {
                     ChannelFeedback::HeardCollision
-                } else if !ballots.is_empty() {
+                } else if min_ballot.is_some() {
                     ChannelFeedback::HeardOther
                 } else {
                     ChannelFeedback::Quiet
                 };
                 self.cm.observe(self.slot, ctx.round, feedback);
-                self.protocol.on_ballot_phase(&ballots, rx.collision);
+                self.protocol
+                    .on_ballot_phase(min_ballot.map_or(&[], std::slice::from_ref), rx.collision);
             }
             Phase::Veto1 => self.protocol.on_veto1_phase(veto_heard, rx.collision),
             Phase::Veto2 => {
@@ -237,8 +240,10 @@ impl<V: Clone + Ord + vi_radio::WireSized + 'static> Process<ChaMessage<V>> for 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cha::history::Color;
-    use vi_contention::OracleCm;
+    use crate::cha::history::{Ballot, Color};
+    use std::cell::RefCell;
+    use std::rc::Rc;
+    use vi_contention::{Advice, ContentionManager, OracleCm};
     use vi_radio::geometry::Point;
     use vi_radio::mobility::Static;
     use vi_radio::{Engine, EngineConfig, NodeSpec, RadioConfig};
@@ -340,6 +345,126 @@ mod tests {
         let jh = node.outputs().last().unwrap().history.as_ref().unwrap();
         for k in 3..=4 {
             assert_eq!(vh.get(k), jh.get(k), "suffix agreement at {k}");
+        }
+    }
+
+    /// Answers `contend` from a script and logs what `observe` is told.
+    struct ScriptedCm {
+        slots: OracleCm,
+        active: bool,
+        observed: Rc<RefCell<Vec<ChannelFeedback>>>,
+    }
+
+    impl ContentionManager for ScriptedCm {
+        fn register(&mut self) -> CmSlot {
+            self.slots.register()
+        }
+
+        fn contend(&mut self, _: CmSlot, _: u64, _: Point) -> Advice {
+            if self.active {
+                Advice::Active
+            } else {
+                Advice::Passive
+            }
+        }
+
+        fn observe(&mut self, _: CmSlot, _: u64, feedback: ChannelFeedback) {
+            self.observed.borrow_mut().push(feedback);
+        }
+    }
+
+    /// The ballot phase as `deliver` ran it before it folded the
+    /// minimum: every ballot heard cloned into a vector, the vector
+    /// handed to the protocol. Returns the adopted ballot, the color
+    /// and the feedback.
+    fn collecting_ballot_phase(
+        messages: &[ChaMessage<u64>],
+        was_active: bool,
+        collision: bool,
+    ) -> (Option<Ballot<u64>>, Color, ChannelFeedback) {
+        let ballots: Vec<Ballot<u64>> = messages
+            .iter()
+            .filter_map(|m| match m {
+                ChaMessage::Ballot(b) => Some(*b),
+                ChaMessage::Veto => None,
+            })
+            .collect();
+        let feedback = if was_active {
+            if collision {
+                ChannelFeedback::TxCollided
+            } else {
+                ChannelFeedback::TxSucceeded
+            }
+        } else if collision {
+            ChannelFeedback::HeardCollision
+        } else if !ballots.is_empty() {
+            ChannelFeedback::HeardOther
+        } else {
+            ChannelFeedback::Quiet
+        };
+        let mut protocol = ChaProtocol::new();
+        protocol.begin_instance(0);
+        protocol.on_ballot_phase(&ballots, collision);
+        (
+            protocol.ballot_of(1).copied(),
+            protocol.color_of(1).expect("instance 1 ran"),
+            feedback,
+        )
+    }
+
+    #[test]
+    fn ballot_phase_adopts_colors_and_reports_as_the_collecting_code_did() {
+        let own = ChaMessage::Ballot(Ballot::new(1_000_005, 0));
+        let foreign = |tag: u64, prev: u64| ChaMessage::Ballot(Ballot::new(1_000_000 + tag, prev));
+        let cases: [(&str, bool, Vec<ChaMessage<u64>>); 5] = [
+            ("silent", false, vec![]),
+            ("own ballot only", true, vec![own.clone()]),
+            ("one foreign", false, vec![foreign(9, 0)]),
+            (
+                "several, the minimum neither first nor last",
+                false,
+                vec![
+                    foreign(7, 1),
+                    ChaMessage::Veto,
+                    foreign(2, 1),
+                    foreign(2, 0),
+                    foreign(4, 0),
+                ],
+            ),
+            (
+                "own among several",
+                true,
+                vec![foreign(8, 0), own.clone(), foreign(6, 0)],
+            ),
+        ];
+        let ctx = RoundCtx {
+            round: 0,
+            pos: Point::new(0.0, 0.0),
+        };
+        for (what, active, messages) in &cases {
+            for collision in [false, true] {
+                let observed = Rc::new(RefCell::new(Vec::new()));
+                let cm = SharedCm::new(ScriptedCm {
+                    slots: OracleCm::perfect(),
+                    active: *active,
+                    observed: Rc::clone(&observed),
+                });
+                let mut node = ChaNode::new(Box::new(TaggedProposer::new(5)), cm);
+                assert_eq!(node.transmit(&ctx).is_some(), *active, "{what}");
+                node.deliver(
+                    &ctx,
+                    RoundReception {
+                        messages,
+                        collision,
+                    },
+                );
+                let (adopted, color, feedback) =
+                    collecting_ballot_phase(messages, *active, collision);
+                let what = format!("{what}, collision {collision}");
+                assert_eq!(node.protocol().ballot_of(1).copied(), adopted, "{what}");
+                assert_eq!(node.protocol().color_of(1), Some(color), "{what}");
+                assert_eq!(*observed.borrow(), [feedback], "{what}");
+            }
         }
     }
 

@@ -232,11 +232,19 @@ pub enum TopologyDelta<'a> {
 }
 
 /// Which geometry source a round's per-receiver candidate lists are
-/// read from (see [`Geometry::candidates`]).
+/// read from (see [`Geometry::candidates`]). The two grid sources cost
+/// one grid query per receiver and are what a configured pool shards;
+/// `Cached` never reaches the pool.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Source {
     /// Steady cached round: the per-slot neighborhoods are valid, so a
-    /// receiver's candidates are the broadcasting subset of its list.
+    /// receiver's candidates are the broadcasting subset of its list —
+    /// a filter over a few already materialised entries, ≈8 ns per
+    /// receiver at n = 20 000. Always resolved by the sequential walk:
+    /// sharding it would have every worker rescan all `n` receivers
+    /// for its tile, write each filtered list out for the walk to read
+    /// back, and wake the pool, to parallelise less work than that
+    /// (measured on `metro_static`, 2 workers: 0.84x of one worker).
     Cached,
     /// Re-anchor round: the full-topology grid was just rebuilt; one
     /// grid query recomputes the receiver's *whole* neighborhood,
@@ -276,8 +284,8 @@ struct Geometry {
 
 impl Geometry {
     /// Where a sharded round's workers and tile walk place receiver
-    /// `rx`: the grid holds every position except on churn rounds,
-    /// which stage them in `all_pos`.
+    /// `rx`: a re-anchor's grid holds every position; churn rounds
+    /// stage them in `all_pos`.
     fn position(&self, source: Source, rx: u32) -> Point {
         if source == Source::ChurnIndex {
             self.all_pos[rx as usize]
@@ -301,8 +309,9 @@ impl Geometry {
     /// `R2` neighborhood — exactly what [`resolve_receiver`] consumes;
     /// for [`Source::Reanchor`] it is the full neighborhood.
     ///
-    /// RNG-free and intent-free, which is what lets pool workers run it
-    /// and keeps the sharded path byte-identical at any worker count.
+    /// RNG-free and intent-free, which is what lets pool workers run
+    /// the two grid sources and keeps the sharded path byte-identical
+    /// at any worker count.
     ///
     /// Forced inline: a churn round spends ~100 ns per receiver here,
     /// and an outlined call measured 2–3 % slower at n = 20 000.
@@ -486,9 +495,13 @@ impl Medium {
     ///
     /// `0` and `1` resolve rounds fully sequentially (releasing any
     /// pool); `workers >= 2` spawns a persistent [`WorkerPool`] and
-    /// resolves sufficiently large rounds (see
-    /// [`Medium::set_shard_min_slots`]) with the geometry phase
-    /// sharded across row-band tiles of the anchored grid.
+    /// shards the geometry phase of sufficiently large (see
+    /// [`Medium::set_shard_min_slots`]) *re-anchor and churn-fallback*
+    /// rounds across row-band tiles of the grid: those pay one grid
+    /// query per receiver. Steady cached rounds (and their scatter
+    /// variant) never wake the pool: per receiver they only filter a
+    /// cached neighborhood, which costs less than handing it to a
+    /// worker and reading the result back.
     ///
     /// Byte-identity is unconditional: at *any* worker count the
     /// resolver produces identical receptions, identical adversary
@@ -515,14 +528,20 @@ impl Medium {
         self.shard_min_slots = min.max(1);
     }
 
-    /// Whether this round should take the tile-sharded path: a pool is
-    /// configured, the round is big enough to amortize the broadcast,
-    /// and the anchored grid has at least two bucket rows to band.
-    fn shard_applicable(&self, n: usize) -> bool {
-        self.pool.is_some() && n >= self.shard_min_slots && self.geo.grid.rows() >= 2
+    /// Whether this round should take the tile-sharded path: its
+    /// lists come from grid queries (see [`Source::Cached`] for why a
+    /// cached round's do not qualify), a pool is configured, the round
+    /// is big enough to amortize the broadcast, and the grid has at
+    /// least two bucket rows to band.
+    fn shard_applicable(&self, source: Source, n: usize) -> bool {
+        source != Source::Cached
+            && self.pool.is_some()
+            && n >= self.shard_min_slots
+            && self.geo.grid.rows() >= 2
     }
 
-    /// Parallel geometry phase of a tile-sharded round.
+    /// Parallel geometry phase of a tile-sharded (re-anchor or churn)
+    /// round.
     ///
     /// Tiles are contiguous bands of grid bucket rows (see
     /// [`Geometry::tile_of`]). Each pool worker fills *only its own*
@@ -533,6 +552,7 @@ impl Medium {
     /// broadcasters from neighboring bands exactly as the sequential
     /// path does.
     fn shard_geometry(&mut self, source: Source, n: usize) {
+        debug_assert_ne!(source, Source::Cached, "cached rounds stay sequential");
         let pool = self.pool.as_ref().expect("sharding needs a pool");
         let workers = pool.workers();
         if self.tiles.len() < workers {
@@ -595,10 +615,12 @@ impl Medium {
     /// rule. Every adversary and RNG consultation happens here, on one
     /// thread.
     ///
-    /// Large rounds with a pool configured first shard the candidate
-    /// lists (the dominant cost) across row-band tiles, and this walk
-    /// pops each receiver's list from its tile; otherwise the walk
-    /// builds each list itself. Either way the list is
+    /// Large re-anchor and churn rounds with a pool configured first
+    /// shard the candidate lists (one grid query each, the dominant
+    /// cost) across row-band tiles, and this walk pops each receiver's
+    /// list from its tile; otherwise — always on [`Source::Cached`]
+    /// rounds, whose lists are a filter over a cached neighborhood —
+    /// the walk builds each list itself. Either way the list is
     /// [`Geometry::candidates`]' output, so the two are byte-identical
     /// at any worker count.
     ///
@@ -619,7 +641,7 @@ impl Medium {
     ) {
         let n = intents.len();
         let cfg = self.cfg;
-        let sharded = self.shard_applicable(n);
+        let sharded = self.shard_applicable(source, n);
         if sharded {
             self.probe.add_sharded_round();
             if source == Source::ChurnIndex {
@@ -1305,5 +1327,81 @@ mod tests {
         let out = resolve_round(0, &cfg(), &intents, &mut NoAdversary, &mut rng());
         assert!(out[3].messages.is_empty() && out[3].collision);
         assert!(out[2].is_silent());
+    }
+
+    /// The pool policy: with a pool configured and the size threshold
+    /// out of the way, churn and re-anchor rounds (one grid query per
+    /// receiver) take the sharded path; steady cached rounds — scan or
+    /// scatter — never wake the pool.
+    #[test]
+    fn only_grid_query_rounds_reach_the_pool() {
+        let mut medium = Medium::new(cfg());
+        medium.set_workers(3);
+        medium.set_shard_min_slots(1);
+        let probe = Probe::enabled();
+        medium.set_probe(probe.clone());
+        // Three grid rows of twelve nodes; every second one broadcasts
+        // unless `sparse` leaves a single broadcaster (a scatter round).
+        let intents = |shift: f64, sparse: bool| -> Vec<TxIntent<u64>> {
+            (0..36usize)
+                .map(|i| TxIntent {
+                    node: NodeId::from(i),
+                    pos: Point::new((i % 12) as f64 * 7.0 + shift, (i / 12) as f64 * 25.0),
+                    payload: (if sparse { i == 0 } else { i % 2 == 0 }).then_some(i as u64),
+                })
+                .collect()
+        };
+        let everyone: Vec<u32> = (0..36).collect();
+        // (delta, x shift, sparse, the round kind it must be, sharded?)
+        let script: [(TopologyDelta<'_>, f64, bool, &str, bool); 7] = [
+            (TopologyDelta::Rebuild, 0.0, false, "churn", true),
+            (TopologyDelta::Unchanged, 0.0, false, "reanchor", true),
+            (TopologyDelta::Unchanged, 0.0, false, "steady", false),
+            (TopologyDelta::Unchanged, 0.0, true, "scatter", false),
+            (TopologyDelta::Moved(&[5]), 0.0, false, "steady", false),
+            (TopologyDelta::Moved(&everyone), 1.0, false, "churn", true),
+            (TopologyDelta::Moved(&[5]), 1.0, false, "reanchor", true),
+        ];
+        let (mut rng, mut out) = (rng(), ReceptionBuffer::new());
+        let kinds = |c: &vi_telemetry::Counters| {
+            [
+                ("churn", c.rounds_churn),
+                ("reanchor", c.rounds_reanchor),
+                ("steady", c.rounds_steady),
+                ("scatter", c.rounds_scatter),
+            ]
+        };
+        for (round, (delta, shift, sparse, kind, sharded)) in script.into_iter().enumerate() {
+            let before = probe.summary().expect("live probe");
+            medium.resolve_round_cached(
+                round as u64,
+                &intents(shift, sparse),
+                delta,
+                &mut NoAdversary,
+                &mut rng,
+                &mut out,
+            );
+            let after = probe.summary().expect("live probe");
+            for ((name, was), (_, is)) in kinds(&before.counters)
+                .into_iter()
+                .zip(kinds(&after.counters))
+            {
+                assert_eq!(
+                    is - was,
+                    u64::from(name == kind),
+                    "round {round}: {name} rounds"
+                );
+            }
+            assert_eq!(
+                after.sharded_rounds - before.sharded_rounds,
+                u64::from(sharded),
+                "round {round} ({kind})"
+            );
+        }
+        let total = probe.summary().expect("live probe");
+        assert_eq!(
+            total.sharded_rounds,
+            total.counters.rounds_churn + total.counters.rounds_reanchor
+        );
     }
 }

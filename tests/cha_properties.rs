@@ -11,8 +11,18 @@ use proptest::prelude::*;
 use std::collections::BTreeMap;
 use vi_bench::harness::{run_clique, AdversaryKind, CliqueConfig};
 use virtual_infra::contention::PreStability;
-use virtual_infra::core::cha::{calculate_history, Ballot, ChaSpecChecker};
+use virtual_infra::core::cha::{
+    calculate_history, Ballot, ChaOutput, ChaSpecChecker, Color, History, SpecViolation,
+};
 use virtual_infra::radio::RadioConfig;
+
+/// The quadratic map-of-maps checker `ChaSpecChecker` replaced: the
+/// differential oracle (test-only in vi-core, included here by path; it
+/// names `ChaOutput`, `ChaSpecChecker`, `Color`, `History` and
+/// `SpecViolation` through this file's imports).
+#[path = "../crates/core/src/cha/spec/reference.rs"]
+mod reference;
+use reference::{assert_same_verdicts, ChaSpecCheckerReference};
 
 /// A randomly hostile environment that never stabilizes.
 fn hostile_config() -> impl Strategy<Value = CliqueConfig> {
@@ -167,19 +177,239 @@ proptest! {
             checker.record_proposal(*k, b.value);
         }
         checker.record_proposal(last, wrong);
-        checker.record_output(0, &virtual_infra::core::cha::ChaOutput {
+        checker.record_output(0, &ChaOutput {
             instance: last,
             history: Some(h),
-            color: virtual_infra::core::cha::Color::Green,
+            color: Color::Green,
         });
         // A second node decided a different value for `last`.
-        let mut bad = virtual_infra::core::cha::History::new(last);
+        let mut bad = History::new(last);
         bad.insert(last, wrong);
-        checker.record_output(1, &virtual_infra::core::cha::ChaOutput {
+        checker.record_output(1, &ChaOutput {
             instance: last,
             history: Some(bad),
-            color: virtual_infra::core::cha::Color::Green,
+            color: Color::Green,
         });
         prop_assert!(!checker.check_agreement().is_empty());
     }
+}
+
+/// Everything a checker is fed, in recording order.
+#[derive(Clone, Debug, Default)]
+struct RecordedTrace {
+    proposals: Vec<(u64, u32)>,
+    outputs: Vec<(usize, ChaOutput<u32>)>,
+    crashed: Vec<usize>,
+}
+
+const COLORS: [Color; 4] = [Color::Red, Color::Orange, Color::Yellow, Color::Green];
+
+/// Random checker input around a stabilising run: every node outputs
+/// instances `first..=last` (late joiners start at `first > 1`),
+/// undecided before a stabilisation instance and full histories after
+/// it. `mess` then dials in what real traces may contain: skipped
+/// instances, ⊥ outputs, histories with holes or that omit their own
+/// instance, entries beyond it, unproposed values, missing proposals,
+/// crashed nodes, off-by-two colors, out-of-order recording — and
+/// always one `(node, instance)` pair recorded twice with a different
+/// verdict, which validity, agreement and Property 4 count twice and
+/// liveness judges by the later recording.
+fn arb_trace() -> impl Strategy<Value = RecordedTrace> {
+    (1usize..6, 1u64..9, 0u32..4).prop_perturb(|(nodes, last, mess), mut rng| {
+        let p = f64::from(mess) * 0.12;
+        let kst = rng.random_range(1..=last);
+        let mut t = RecordedTrace::default();
+        for k in 1..=last {
+            if !rng.random_bool(p / 2.0) {
+                t.proposals.push((k, k as u32));
+            }
+            if rng.random_bool(0.3) {
+                t.proposals.push((k, 100 + k as u32));
+            }
+        }
+        for node in 0..nodes {
+            let first = if rng.random_bool(0.3) {
+                rng.random_range(1..=last)
+            } else {
+                1
+            };
+            for k in first..=last {
+                if rng.random_bool(p) {
+                    continue;
+                }
+                let history = (k >= kst && !rng.random_bool(p)).then(|| {
+                    let mut h = History::new(k + rng.random_range(0..3));
+                    for i in 1..=h.len() {
+                        let include = if (kst..=k).contains(&i) {
+                            1.0 - p
+                        } else {
+                            p / 2.0
+                        };
+                        if rng.random_bool(include) {
+                            h.insert(
+                                i,
+                                if rng.random_bool(p / 2.0) {
+                                    77
+                                } else {
+                                    i as u32
+                                },
+                            );
+                        }
+                    }
+                    h
+                });
+                let color = if rng.random_bool(p) {
+                    COLORS[rng.random_range(0..4)]
+                } else if history.is_some() {
+                    Color::Green
+                } else {
+                    Color::Yellow
+                };
+                t.outputs.push((
+                    node,
+                    ChaOutput {
+                        instance: k,
+                        history,
+                        color,
+                    },
+                ));
+            }
+            if rng.random_bool(p) {
+                t.crashed.push(node);
+            }
+        }
+        if !t.outputs.is_empty() {
+            for _ in 0..mess {
+                let (a, b) = (
+                    rng.random_range(0..t.outputs.len()),
+                    rng.random_range(0..t.outputs.len()),
+                );
+                t.outputs.swap(a, b);
+            }
+            let (node, again) = t.outputs[rng.random_range(0..t.outputs.len())].clone();
+            let k = again.instance;
+            let flipped = match again.history {
+                Some(_) => ChaOutput {
+                    instance: k,
+                    history: None,
+                    color: Color::Orange,
+                },
+                None => {
+                    let mut h = History::new(k);
+                    for i in kst.min(k)..=k {
+                        h.insert(i, i as u32);
+                    }
+                    ChaOutput {
+                        instance: k,
+                        history: Some(h),
+                        color: Color::Green,
+                    }
+                }
+            };
+            t.outputs.push((node, flipped));
+        }
+        t
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The linear checker against the quadratic one it replaced: every
+    /// violation list equal element for element, same `kst`.
+    #[test]
+    fn checker_matches_reference(trace in arb_trace()) {
+        let mut new = ChaSpecChecker::new();
+        let mut old = ChaSpecCheckerReference::new();
+        for &(k, v) in &trace.proposals {
+            new.record_proposal(k, v);
+            old.record_proposal(k, v);
+        }
+        for (node, out) in &trace.outputs {
+            new.record_output(*node, out);
+            old.record_output(*node, out);
+        }
+        for &node in &trace.crashed {
+            new.mark_crashed(node);
+            old.mark_crashed(node);
+        }
+        assert_same_verdicts(&new, &old, "random trace");
+    }
+}
+
+/// Seconds to record a `nodes`-node, 10-instance run shaped like the
+/// benchmark's `metro_static` (every node proposes every instance, one
+/// output in a hundred decides — on the last node's proposals, the far
+/// end of a scan over them) and run the four checks the way
+/// `ScenarioSpec::run_cha` does; the fastest of five.
+fn checker_seconds(nodes: usize) -> f64 {
+    let leader = nodes as u64 - 1;
+    let outputs: Vec<Vec<ChaOutput<u64>>> = (0..nodes)
+        .map(|node| {
+            (1..=10u64)
+                .map(|k| {
+                    let history = (node % 100 == 0).then(|| {
+                        let mut h = History::new(k);
+                        for i in 1..=k {
+                            h.insert(i, i * 1_000_000 + leader);
+                        }
+                        h
+                    });
+                    let color = if history.is_some() {
+                        Color::Green
+                    } else {
+                        Color::Yellow
+                    };
+                    ChaOutput {
+                        instance: k,
+                        history,
+                        color,
+                    }
+                })
+                .collect()
+        })
+        .collect();
+    (0..5)
+        .map(|_| {
+            let t0 = std::time::Instant::now();
+            let mut checker = ChaSpecChecker::new();
+            for (node, outs) in outputs.iter().enumerate() {
+                for k in 1..=10u64 {
+                    checker.record_proposal(k, k * 1_000_000 + node as u64);
+                }
+                for out in outs {
+                    checker.record_output(node, out);
+                }
+            }
+            let violations: Vec<SpecViolation> = checker.check_all(false);
+            assert!(
+                violations.is_empty(),
+                "the synthetic run is clean: {violations:?}"
+            );
+            assert_eq!(checker.liveness_kst(), None);
+            t0.elapsed().as_secs_f64()
+        })
+        .fold(f64::INFINITY, f64::min)
+}
+
+/// CI-release guard on the checker's growth: ten times the nodes may
+/// cost at most 15 times the time (≈12x measured: the larger trace no
+/// longer fits the cache). The quadratic checker this guards against
+/// scanned every node's proposal per history entry and reads 28–34x.
+/// Scheduler noise only inflates a timing, so one clean attempt in
+/// three passes.
+#[test]
+#[ignore = "wall-clock benchmark; CI runs it explicitly in release (metropolis smoke step)"]
+fn checker_cost_grows_linearly_with_the_trace() {
+    let mut ratios = Vec::new();
+    for _ in 0..3 {
+        let (small, large) = (checker_seconds(2_000), checker_seconds(20_000));
+        let ratio = large / small;
+        eprintln!("checker: 2 000 nodes {small:.4} s, 20 000 nodes {large:.4} s ({ratio:.1}x)");
+        if ratio <= 15.0 {
+            return;
+        }
+        ratios.push(ratio);
+    }
+    panic!("10x the nodes cost {ratios:.1?} times the time on every attempt (want <= 15x)");
 }

@@ -501,8 +501,11 @@ proptest! {
     /// stream — across drifting positions (surgical updates), mass
     /// movement (`mover_stride == 1` hits the broadcaster-index churn
     /// fallback), forced re-anchors, and adversaries. The shard
-    /// threshold is lowered to 1 so toy-sized rounds actually take the
-    /// parallel path whenever the grid has rows to band.
+    /// threshold is lowered to 1 so the toy-sized churn rounds (0, 5
+    /// and every mass move) and the re-anchor that follows each take
+    /// the parallel path whenever the grid has rows to band; the
+    /// steady and surgical rounds in between check that a configured
+    /// pool they never wake changes nothing.
     #[test]
     fn sharded_medium_matches_sequential(
         nodes in proptest::collection::vec((arb_point(), any::<bool>()), 1..60),

@@ -125,12 +125,13 @@ fn steady_state_rounds_allocate_nothing() {
     assert_eq!(engine.round(), 150);
     assert!(engine.stats().broadcasts > 0);
 
-    // Tile-sharded resolution preserves the guarantee: spawn the pool
-    // and grow the per-worker tile scratch inside a warm-up window
-    // (the threshold override forces sharding at this n), then demand
-    // silence again. Pool broadcasts are allocation-free by design —
-    // parked threads are woken through a mutex/condvar pair and the
-    // job is passed as a borrowed pointer.
+    // A configured pool preserves the guarantee. Steady cached rounds
+    // never wake it — only re-anchor and churn rounds shard, and this
+    // static deployment has none after warm-up — so what this window
+    // covers is a configured but idle pool: four parked workers and
+    // the threshold override in place (sharding would be forced at
+    // this n if the round kind allowed it) add no allocation to the
+    // sequential walk the steady rounds take.
     engine.set_workers(4);
     engine.set_shard_min_slots(1);
     engine.run(30);
@@ -140,7 +141,7 @@ fn steady_state_rounds_allocate_nothing() {
     assert_eq!(
         after - before,
         0,
-        "steady-state sharded rounds must not allocate"
+        "steady-state rounds with an idle pool must not allocate"
     );
     assert_eq!(engine.round(), 300);
 
