@@ -78,6 +78,19 @@ impl<V> Ballot<V> {
     }
 }
 
+impl<V: Ord> Ballot<V> {
+    /// The minimum of the ballots `heard`, as the one-element (or
+    /// empty) slice `ChaProtocol::on_ballot_phase` takes. Only the
+    /// minimum is ever adopted, so receivers fold it by reference
+    /// instead of collecting (and cloning) every ballot heard.
+    pub fn min_heard<'a>(heard: impl Iterator<Item = &'a Self>) -> &'a [Self]
+    where
+        V: 'a,
+    {
+        heard.min().map_or(&[], std::slice::from_ref)
+    }
+}
+
 /// A history: a mapping from instances `1..=len` to either a value or
 /// ⊥ (absent).
 ///

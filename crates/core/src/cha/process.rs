@@ -6,6 +6,7 @@
 //! within `R1/2` of a fixed location and share one leader-election
 //! contention manager.
 
+use crate::cha::history::Ballot;
 use crate::cha::protocol::{ChaMessage, ChaOutput, ChaProtocol, Phase};
 use std::any::Any;
 use vi_contention::{ChannelFeedback, CmSlot, SharedCm};
@@ -189,17 +190,10 @@ impl<V: Clone + Ord + vi_radio::WireSized + 'static> Process<ChaMessage<V>> for 
         let veto_heard = rx.messages.iter().any(|m| matches!(m, ChaMessage::Veto));
         match Phase::of_round(ctx.round) {
             Phase::Ballot => {
-                // Only the minimum ballot is ever adopted, so fold it
-                // straight from the reception instead of collecting
-                // (and cloning) every ballot heard.
-                let min_ballot = rx
-                    .messages
-                    .iter()
-                    .filter_map(|m| match m {
-                        ChaMessage::Ballot(b) => Some(b),
-                        ChaMessage::Veto => None,
-                    })
-                    .min();
+                let min_ballot = Ballot::min_heard(rx.messages.iter().filter_map(|m| match m {
+                    ChaMessage::Ballot(b) => Some(b),
+                    ChaMessage::Veto => None,
+                }));
                 let feedback = if self.was_active {
                     if rx.collision {
                         ChannelFeedback::TxCollided
@@ -208,14 +202,13 @@ impl<V: Clone + Ord + vi_radio::WireSized + 'static> Process<ChaMessage<V>> for 
                     }
                 } else if rx.collision {
                     ChannelFeedback::HeardCollision
-                } else if min_ballot.is_some() {
+                } else if !min_ballot.is_empty() {
                     ChannelFeedback::HeardOther
                 } else {
                     ChannelFeedback::Quiet
                 };
                 self.cm.observe(self.slot, ctx.round, feedback);
-                self.protocol
-                    .on_ballot_phase(min_ballot.map_or(&[], std::slice::from_ref), rx.collision);
+                self.protocol.on_ballot_phase(min_ballot, rx.collision);
             }
             Phase::Veto1 => self.protocol.on_veto1_phase(veto_heard, rx.collision),
             Phase::Veto2 => {
@@ -240,7 +233,7 @@ impl<V: Clone + Ord + vi_radio::WireSized + 'static> Process<ChaMessage<V>> for 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cha::history::{Ballot, Color};
+    use crate::cha::history::Color;
     use std::cell::RefCell;
     use std::rc::Rc;
     use vi_contention::{Advice, ContentionManager, OracleCm};

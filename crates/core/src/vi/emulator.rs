@@ -498,15 +498,11 @@ impl<VA: VirtualAutomaton> Process<Wire<VA::Msg>> for Device<VA> {
                 if !e.began || !ballot_phase_is_mine(e, &dep, phase) {
                     return;
                 }
-                let ballots: Vec<Ballot<VrProposal<VA::Msg>>> = rx
-                    .messages
-                    .iter()
-                    .filter_map(|m| match m {
-                        Wire::Ballot { vn, ballot } if *vn == e.vn => Some(ballot.clone()),
-                        _ => None,
-                    })
-                    .collect();
-                e.protocol.on_ballot_phase(&ballots, rx.collision);
+                let min_ballot = Ballot::min_heard(rx.messages.iter().filter_map(|m| match m {
+                    Wire::Ballot { vn, ballot } if *vn == e.vn => Some(ballot),
+                    _ => None,
+                }));
+                e.protocol.on_ballot_phase(min_ballot, rx.collision);
             }
             VirtualPhase::SchedVeto1 | VirtualPhase::UnschedVeto1 => {
                 let Some(e) = self.emulator.as_mut() else {

@@ -189,21 +189,29 @@ impl<VA: VirtualAutomaton> World<VA> {
         self.engine.medium()
     }
 
-    /// The most advanced replica view of `vn`: `(state, folded_to)`
-    /// with the largest `folded_to` among current replicas.
-    pub fn vn_state(&self, vn: VnId) -> Option<(VA::State, u64)> {
+    /// The most advanced replica view of `vn`, borrowed: `(state,
+    /// folded_to)` with the largest `folded_to` among current replicas
+    /// (the last such replica in device order).
+    pub fn vn_view(&self, vn: VnId) -> Option<(&VA::State, u64)> {
         self.devices
             .iter()
             .filter_map(|&id| {
                 let d = self.device(id);
                 if d.is_replica()? == vn {
                     let (state, folded, _) = d.vn_view()?;
-                    Some((state.clone(), folded))
+                    Some((state, folded))
                 } else {
                     None
                 }
             })
             .max_by_key(|&(_, folded)| folded)
+    }
+
+    /// [`World::vn_view`], cloned: one clone of the chosen replica's
+    /// state, none of the others'.
+    pub fn vn_state(&self, vn: VnId) -> Option<(VA::State, u64)> {
+        self.vn_view(vn)
+            .map(|(state, folded)| (state.clone(), folded))
     }
 
     /// Number of current replicas of `vn`.

@@ -180,23 +180,23 @@ fn drive_inner(
     service: &mut dyn Service,
     spec: &TrafficSpec,
     seed: u64,
-    mut events: Option<&mut Vec<TrafficEvent>>,
+    events: Option<&mut Vec<TrafficEvent>>,
     obs: &Observers,
 ) -> TrafficSummary {
     let (causal, monitor) = (&obs.causal, &obs.monitor);
-    let mut rng = StdRng::seed_from_u64(seed ^ TRAFFIC_SALT);
     let clients = spec.clients;
     let app_name = service.app().name();
-    let has_reads = matches!(service.app(), AppKind::Register | AppKind::Tracking);
-
-    // id → (issued vr, client).
-    let mut outstanding: BTreeMap<u64, (u64, usize)> = BTreeMap::new();
-    let mut hist = LatencyHistogram::new();
-    let mut gen = Admission {
-        next_id: 0,
-        has_reads,
+    let mut run = Run {
+        has_reads: matches!(service.app(), AppKind::Register | AppKind::Tracking),
+        service,
+        rng: StdRng::seed_from_u64(seed ^ TRAFFIC_SALT),
         query_fraction: spec.query_fraction,
+        causal,
+        next_id: 0,
+        outstanding: BTreeMap::new(),
+        events,
     };
+    let mut hist = LatencyHistogram::new();
     let mut completed = 0u64;
     let mut timed_out = 0u64;
     let mut peak = 0u64;
@@ -232,15 +232,7 @@ fn drive_inner(
                         acc -= 1.0;
                         let client = rr_client % clients;
                         rr_client += 1;
-                        gen.issue(
-                            service,
-                            &mut rng,
-                            &mut outstanding,
-                            events.as_deref_mut(),
-                            causal,
-                            client,
-                            vr,
-                        );
+                        run.issue(client, vr);
                     }
                 }
                 LoadMode::Closed { .. } => {
@@ -248,16 +240,7 @@ fn drive_inner(
                         for slot in client_slots.iter_mut() {
                             if let Slot::ThinkUntil(at) = *slot {
                                 if vr >= at {
-                                    let id = gen.issue(
-                                        service,
-                                        &mut rng,
-                                        &mut outstanding,
-                                        events.as_deref_mut(),
-                                        causal,
-                                        client,
-                                        vr,
-                                    );
-                                    *slot = Slot::InFlight(id);
+                                    *slot = Slot::InFlight(run.issue(client, vr));
                                 }
                             }
                         }
@@ -266,21 +249,19 @@ fn drive_inner(
             }
         }
 
-        let completions: Vec<Completion> = service.step_round();
+        let completions: Vec<Completion> = run.service.step_round();
         let mut this_round = 0u64;
         for c in completions {
-            let Some((issued_vr, client)) = outstanding.remove(&c.id) else {
+            let Some((issued_vr, client)) = run.outstanding.remove(&c.id) else {
                 continue; // late completion of a timed-out request
             };
             causal.complete(app_name, c.id, c.completed_vr);
-            if let Some(ev) = events.as_deref_mut() {
-                ev.push(TrafficEvent::Complete {
-                    id: c.id,
-                    client: client as u32,
-                    vr: c.completed_vr,
-                    outcome: c.outcome,
-                });
-            }
+            run.record(TrafficEvent::Complete {
+                id: c.id,
+                client: client as u32,
+                vr: c.completed_vr,
+                outcome: c.outcome,
+            });
             hist.record(c.completed_vr.saturating_sub(issued_vr));
             completed += 1;
             this_round += 1;
@@ -290,30 +271,26 @@ fn drive_inner(
         // Drain the service's audit records every round — they would
         // accumulate for the whole run otherwise — but record them
         // only when a history is wanted.
-        let records = service.drain_audit();
-        if let Some(ev) = events.as_deref_mut() {
-            for record in records {
-                ev.push(TrafficEvent::Protocol { record });
-            }
+        for record in run.service.drain_audit() {
+            run.record(TrafficEvent::Protocol { record });
         }
 
         // Timeout sweep.
-        let dead: Vec<u64> = outstanding
+        let dead: Vec<u64> = run
+            .outstanding
             .iter()
             .filter(|(_, &(issued_vr, _))| vr.saturating_sub(issued_vr) > spec.timeout_rounds)
             .map(|(&id, _)| id)
             .collect();
         for id in dead {
-            let (_, client) = outstanding.remove(&id).expect("just listed");
-            if let Some(ev) = events.as_deref_mut() {
-                ev.push(TrafficEvent::Timeout {
-                    id,
-                    client: client as u32,
-                    vr,
-                });
-            }
+            let (_, client) = run.outstanding.remove(&id).expect("just listed");
+            run.record(TrafficEvent::Timeout {
+                id,
+                client: client as u32,
+                vr,
+            });
             timed_out += 1;
-            service.forget(id);
+            run.service.forget(id);
             free_slot(&mut slots, client, id, vr, &spec.mode);
         }
 
@@ -323,10 +300,10 @@ fn drive_inner(
         monitor.traffic_round(vr, || {
             let q = |v: u64| if hist.count() == 0 { 0 } else { v };
             TrafficProgress {
-                issued: gen.next_id,
+                issued: run.next_id,
                 completed,
                 timed_out,
-                in_flight: outstanding.len() as u64,
+                in_flight: run.outstanding.len() as u64,
                 p50: q(hist.p50()),
                 p95: q(hist.p95()),
             }
@@ -339,10 +316,10 @@ fn drive_inner(
     TrafficSummary {
         app: app_name.to_string(),
         mode: spec.mode.name().to_string(),
-        issued: gen.next_id,
+        issued: run.next_id,
         completed,
         timed_out,
-        in_flight_at_end: outstanding.len() as u64,
+        in_flight_at_end: run.outstanding.len() as u64,
         p50: q(hist.p50()),
         p95: q(hist.p95()),
         p99: q(hist.p99()),
@@ -354,28 +331,27 @@ fn drive_inner(
     }
 }
 
-/// Request admission: assigns ids and classes.
-struct Admission {
-    next_id: u64,
+/// The run state every admission touches: the service, the request
+/// stream (ids and classes), the outstanding table and the history.
+struct Run<'a> {
+    service: &'a mut dyn Service,
+    rng: StdRng,
     has_reads: bool,
     query_fraction: f64,
+    causal: &'a CausalRecorder,
+    next_id: u64,
+    /// id → (issued vr, client).
+    outstanding: BTreeMap<u64, (u64, usize)>,
+    /// The operation history, when one is wanted.
+    events: Option<&'a mut Vec<TrafficEvent>>,
 }
 
-impl Admission {
-    #[allow(clippy::too_many_arguments)]
-    fn issue(
-        &mut self,
-        service: &mut dyn Service,
-        rng: &mut StdRng,
-        outstanding: &mut BTreeMap<u64, (u64, usize)>,
-        events: Option<&mut Vec<TrafficEvent>>,
-        causal: &CausalRecorder,
-        client: usize,
-        vr: u64,
-    ) -> u64 {
+impl Run<'_> {
+    /// Admits the next request of `client` at virtual round `vr`.
+    fn issue(&mut self, client: usize, vr: u64) -> u64 {
         self.next_id += 1;
-        causal.invoke(self.next_id, client as u64, vr);
-        let class = if self.has_reads && rng.random_bool(self.query_fraction) {
+        self.causal.invoke(self.next_id, client as u64, vr);
+        let class = if self.has_reads && self.rng.random_bool(self.query_fraction) {
             OpClass::Query
         } else {
             OpClass::Mutate
@@ -385,17 +361,22 @@ impl Admission {
             class,
             issued_vr: vr,
         };
-        outstanding.insert(req.id, (vr, client));
-        let op = service.submit(client, &req);
-        if let Some(ev) = events {
-            ev.push(TrafficEvent::Invoke {
-                id: req.id,
-                client: client as u32,
-                vr,
-                op,
-            });
-        }
+        self.outstanding.insert(req.id, (vr, client));
+        let op = self.service.submit(client, &req);
+        self.record(TrafficEvent::Invoke {
+            id: req.id,
+            client: client as u32,
+            vr,
+            op,
+        });
         self.next_id
+    }
+
+    /// Appends `event` to the history, if one is kept.
+    fn record(&mut self, event: TrafficEvent) {
+        if let Some(ev) = self.events.as_deref_mut() {
+            ev.push(event);
+        }
     }
 }
 

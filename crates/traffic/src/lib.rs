@@ -10,12 +10,17 @@
 //! if the virtual nodes were reliable servers. This crate measures
 //! that claim under sustained client *traffic*:
 //!
-//! * [`Service`] (module [`service`]) — a uniform request/response
-//!   adapter per app: submit a [`Request`], step the world one
-//!   virtual round, harvest round-stamped [`Completion`]s. Client
-//!   endpoints are ordinary `ClientApp`s fed through shared ports,
-//!   broadcasting in staggered slots so client-phase broadcasts never
-//!   collide.
+//! * [`Service`] (module [`service`]) — the uniform request/response
+//!   interface: submit a [`Request`], step the world one virtual
+//!   round, harvest round-stamped [`Completion`]s. There is one
+//!   adapter behind it and four app descriptions: the request
+//!   lifecycle (enqueue, retransmit with backoff, stale-echo guard,
+//!   complete, forget/purge, audit buffer) is written once; register,
+//!   mutex, tracking and georouting each state only how a request
+//!   becomes a message and how a reception resolves pending ops.
+//!   Client endpoints are ordinary `ClientApp`s fed through shared
+//!   ports, broadcasting in staggered slots so client-phase
+//!   broadcasts never collide.
 //! * [`TrafficSpec`] (module [`workload`]) — the serializable
 //!   workload description: open-loop (seeded arrival schedule with
 //!   rate ramps/bursts) or closed-loop (k outstanding per client with

@@ -1,16 +1,31 @@
-//! The uniform request/response interface over the vi-apps.
+//! The uniform request/response interface over the vi-apps: one
+//! adapter, four app descriptions.
 //!
-//! A [`Service`] adapts one application (register, mutex, tracking,
-//! georouting) running on a [`World`] to the shape a load generator
+//! A [`Service`] presents one application (register, mutex, tracking,
+//! georouting) running on a [`World`] in the shape a load generator
 //! understands: `submit` a [`Request`], `step_round` the deployment by
 //! one virtual round, harvest [`Completion`]s. Each request's
 //! lifecycle is round-stamped — issued at a virtual round, completed
 //! at the virtual round its response was heard — so latency is always
 //! measured in the emulation's own clock.
 //!
-//! Client endpoints are ordinary [`ClientApp`]s: a [`Port`] shared
+//! That lifecycle is written once. `Adapter<A>` is the only
+//! `impl Service`; its `Harness` owns the client ports, the one
+//! pending-request table (keyed by backoff key), the one retry pass
+//! ([`backoff_delay`]), `forget` / purge and the audit-record buffer.
+//! An `App` is a private description of what differs between the
+//! four: `submit` says how a request becomes a message and an
+//! [`OpDesc`]; `resolve` says how one send event, heard message or
+//! virtual-node state (`Seen`) settles pending ops — including the
+//! stale-echo guards, which are functions of `(heard round, message,
+//! pending table)` and need no `World` to run or to test. Mutex is the
+//! one different protocol (one in-flight acquire per client, a release
+//! owed even after `forget`); its per-client phase is that same table
+//! read by client id. [`build_service`] picks the description.
+//!
+//! Client endpoints are ordinary [`ClientApp`]s: a `Port` shared
 //! (via `Rc<RefCell<_>>`, the `World` is single-threaded) between the
-//! adapter and the in-world client program shuttles outbound messages
+//! harness and the in-world client program shuttles outbound messages
 //! and observed receptions. Ports broadcast in staggered slots —
 //! client `i` speaks only in virtual rounds `vr ≡ i (mod clients)` —
 //! so client-phase broadcasts never collide with each other, exactly
@@ -19,7 +34,7 @@
 use crate::workload::AppKind;
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::rc::Rc;
 use vi_apps::georouting::{quantize, GeoRouterVn, RouteMsg};
 use vi_apps::mutex::{LockMsg, LockVn};
@@ -75,9 +90,6 @@ pub fn backoff_delay(key: u64, attempt: u32) -> u64 {
     let span = base / 2;
     base + splitmix64(key ^ BACKOFF_SALT ^ (u64::from(attempt) << 48)) % (span + 1)
 }
-
-/// Tracking-report quantization (meters per cell).
-const TRACK_CELL_SIZE: f64 = 10.0;
 
 /// The class of an operation, for mix accounting.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -289,13 +301,13 @@ pub struct TrafficWorld {
     pub devices: Vec<DevicePlan>,
 }
 
-/// The shared mailbox between an adapter and its in-world client.
+/// The shared mailbox between the adapter and its in-world client.
 struct Port<M> {
-    /// Messages awaiting broadcast: `(request id, message)`, FIFO.
+    /// Messages awaiting broadcast: `(port-entry id, message)`, FIFO.
     outbox: VecDeque<(u64, M)>,
     /// Messages heard, tagged with the virtual round they arrived in.
     rx: Vec<(u64, M)>,
-    /// Send events: `(request id, virtual round broadcast)`.
+    /// Send events: `(port-entry id, virtual round broadcast)`.
     sent: Vec<(u64, u64)>,
     /// Device position as of the last client phase.
     pos: Point,
@@ -303,19 +315,6 @@ struct Port<M> {
     slot: u64,
     /// Stagger stride (the client count).
     stride: u64,
-}
-
-impl<M> Port<M> {
-    fn new(slot: u64, stride: u64, start: Point) -> Self {
-        Port {
-            outbox: VecDeque::new(),
-            rx: Vec::new(),
-            sent: Vec::new(),
-            pos: start,
-            slot,
-            stride,
-        }
-    }
 }
 
 /// The [`ClientApp`] end of a port: records receptions, broadcasts
@@ -345,24 +344,199 @@ impl<M: Clone + 'static> ClientApp<M> for PortClient<M> {
     }
 }
 
-/// World + ports: the plumbing every adapter shares.
-struct Harness<VA: VirtualAutomaton> {
-    world: World<VA>,
-    ports: Vec<Rc<RefCell<Port<VA::Msg>>>>,
-    vr: u64,
+/// A request awaiting its response, with retry bookkeeping.
+struct PendingMsg<M> {
+    /// Port-entry id its (re)transmissions are queued under: the
+    /// request id, or [`UNMEASURED_ID`] once a mutex acquire that must
+    /// still be released was forgotten.
+    id: u64,
+    client: usize,
+    msg: M,
+    /// Virtual round the op was submitted — receptions drain one round
+    /// late, so an answer stamped before this round is a stale echo of
+    /// an *earlier* request and must not complete this op.
+    issued_vr: u64,
+    last_enqueued_vr: u64,
+    /// Retransmits already burned — drives the backoff schedule.
+    attempts: u32,
 }
 
-impl<VA: VirtualAutomaton> Harness<VA>
-where
-    VA::Msg: Clone,
-{
+/// The request lifecycle every app shares, written once: the client
+/// ports, the pending-request table with its retry pass, `forget` /
+/// purge, and the audit-record buffer. It holds no [`World`], so the
+/// per-app resolution rules run (and are unit-tested) over hand-built
+/// receptions.
+struct Harness<M> {
+    ports: Vec<Rc<RefCell<Port<M>>>>,
+    /// Completed virtual rounds.
+    vr: u64,
+    /// Pending requests by **backoff key** — the `key` of
+    /// [`backoff_delay`], stable across the retransmits of one
+    /// request: the request id for register, tracking and georouting;
+    /// the client id for mutex (one in-flight acquire per client,
+    /// measured or not).
+    pending: BTreeMap<u64, PendingMsg<M>>,
+    /// Completions of the round being resolved, in (client index,
+    /// arrival) order.
+    done: Vec<Completion>,
+    /// Observations awaiting [`Service::drain_audit`].
+    audit: Vec<AuditRecord>,
+}
+
+impl<M: Clone> Harness<M> {
+    fn new() -> Self {
+        Harness {
+            ports: Vec::new(),
+            vr: 0,
+            pending: BTreeMap::new(),
+            done: Vec::new(),
+            audit: Vec::new(),
+        }
+    }
+
+    /// Adds the next client's port (stagger slot = its index) and
+    /// returns the in-world end of it.
+    fn add_port(&mut self, stride: usize, start: Point) -> PortClient<M> {
+        let port = Rc::new(RefCell::new(Port {
+            outbox: VecDeque::new(),
+            rx: Vec::new(),
+            sent: Vec::new(),
+            pos: start,
+            slot: self.ports.len() as u64,
+            stride: stride as u64,
+        }));
+        self.ports.push(Rc::clone(&port));
+        PortClient { port }
+    }
+
+    /// Client `i`'s current position.
+    fn pos(&self, i: usize) -> Point {
+        self.ports[i].borrow().pos
+    }
+
+    /// Queues `(id, msg)` on client `i`'s port.
+    fn enqueue(&mut self, i: usize, id: u64, msg: M) {
+        self.ports[i].borrow_mut().outbox.push_back((id, msg));
+    }
+
+    /// Starts the lifecycle of request `id`: queues `msg` on `client`'s
+    /// port and files it for retransmission under `backoff_key`.
+    fn issue(&mut self, backoff_key: u64, id: u64, client: usize, msg: M, issued_vr: u64) {
+        self.enqueue(client, id, msg.clone());
+        self.pending.insert(
+            backoff_key,
+            PendingMsg {
+                id,
+                client,
+                msg,
+                issued_vr,
+                last_enqueued_vr: issued_vr,
+                attempts: 0,
+            },
+        );
+    }
+
+    /// Resolves the request pending under `backoff_key`, if it still
+    /// is (a request already forgotten or completed yields nothing),
+    /// and reports its completion unless it went unmeasured.
+    fn complete(&mut self, backoff_key: u64, completed_vr: u64, outcome: OpOutcome) {
+        if let Some(p) = self.pending.remove(&backoff_key) {
+            if p.id != UNMEASURED_ID {
+                self.done.push(Completion {
+                    id: p.id,
+                    completed_vr,
+                    outcome,
+                });
+            }
+        }
+    }
+
+    /// Drops the request pending under `backoff_key` together with its
+    /// queued-but-unsent transmissions, and hands it back so the app
+    /// can clear its own index of it.
+    fn forget(&mut self, backoff_key: u64) -> Option<PendingMsg<M>> {
+        let p = self.pending.remove(&backoff_key)?;
+        for port in &self.ports {
+            port.borrow_mut().outbox.retain(|&(e, _)| e != p.id);
+        }
+        Some(p)
+    }
+
+    /// The one retry pass: retransmits every pending message whose
+    /// last enqueue is older than its [`backoff_delay`] (all app
+    /// messages are idempotent at the virtual node).
+    fn retry(&mut self) {
+        for (&key, p) in &mut self.pending {
+            if self.vr.saturating_sub(p.last_enqueued_vr) >= backoff_delay(key, p.attempts) {
+                self.ports[p.client]
+                    .borrow_mut()
+                    .outbox
+                    .push_back((p.id, p.msg.clone()));
+                p.last_enqueued_vr = self.vr;
+                p.attempts = p.attempts.saturating_add(1);
+            }
+        }
+    }
+}
+
+/// The message type of app `A`'s virtual node.
+type MsgOf<A> = <<A as App>::Vn as VirtualAutomaton>::Msg;
+
+/// One thing the adapter saw in the round just run.
+enum Seen<'a, A: App + ?Sized> {
+    /// Port entry `id` was broadcast in virtual round `vr`.
+    Sent { id: u64, vr: u64 },
+    /// `client` heard `msg` in virtual round `vr`.
+    Heard {
+        client: usize,
+        vr: u64,
+        msg: &'a MsgOf<A>,
+    },
+    /// Virtual node `vn`'s most advanced replica holds `state`.
+    VnState {
+        vn: usize,
+        state: &'a <A::Vn as VirtualAutomaton>::State,
+    },
+}
+
+/// What differs between the four apps: how a [`Request`] becomes a
+/// message and an [`OpDesc`], and how one send event / heard message /
+/// virtual-node state resolves pending ops into [`Completion`]s.
+/// Everything else is [`Adapter`] and [`Harness`].
+trait App {
+    /// The virtual-node program the deployment emulates.
+    type Vn: VirtualAutomaton + Default;
+    const KIND: AppKind;
+    /// Whether [`App::resolve`] wants [`Seen::VnState`] every round.
+    const READS_VN_STATE: bool = false;
+
+    /// Turns `req` into its message(s) on `client`'s port.
+    fn submit(&mut self, h: &mut Harness<MsgOf<Self>>, client: usize, req: &Request) -> OpDesc;
+
+    /// Resolves what `seen` settles: [`Harness::complete`] for each op
+    /// it answers, audit records for what the checkers need.
+    fn resolve(&mut self, h: &mut Harness<MsgOf<Self>>, seen: Seen<'_, Self>);
+
+    /// Cancels the measurement of timed-out request `id`.
+    fn forget(&mut self, h: &mut Harness<MsgOf<Self>>, id: u64);
+}
+
+/// The one request/response adapter: a [`World`] emulating `A::Vn`,
+/// the shared [`Harness`], and the app description `A`.
+struct Adapter<A: App> {
+    world: World<A::Vn>,
+    harness: Harness<MsgOf<A>>,
+    app: A,
+}
+
+impl<A: App> Adapter<A> {
     /// Builds the world: every device emulates; the first `clients`
     /// devices additionally run a traffic port.
     ///
     /// # Panics
     ///
     /// Panics if `clients` exceeds the device count or is zero.
-    fn new(automaton: VA, tw: TrafficWorld, clients: usize) -> Self {
+    fn new(app: A, tw: TrafficWorld, clients: usize) -> Self {
         assert!(clients >= 1, "traffic needs at least one client");
         assert!(
             clients <= tw.devices.len(),
@@ -372,36 +546,68 @@ where
         let mut world = World::new(WorldConfig {
             radio: tw.radio,
             layout: tw.layout,
-            automaton,
+            automaton: A::Vn::default(),
             seed: tw.seed,
             record_trace: false,
         });
         world.set_adversary(tw.adversary.build());
-        let mut ports = Vec::with_capacity(clients);
+        let mut harness = Harness::new();
         for (i, d) in tw.devices.into_iter().enumerate() {
-            let client: Option<Box<dyn ClientApp<VA::Msg>>> = if i < clients {
-                let port = Rc::new(RefCell::new(Port::new(i as u64, clients as u64, d.start)));
-                ports.push(Rc::clone(&port));
-                Some(Box::new(PortClient { port }))
-            } else {
-                None
-            };
+            let client = (i < clients)
+                .then(|| Box::new(harness.add_port(clients, d.start)) as Box<dyn ClientApp<_>>);
             world.add_device_spec(d.mobility, client, d.spawn_at, d.crash_at);
         }
-        Harness {
+        Adapter {
             world,
-            ports,
-            vr: 0,
+            harness,
+            app,
         }
     }
+}
 
-    /// Runs one virtual round.
-    fn step(&mut self) {
-        self.world.run_virtual_rounds(1);
-        self.vr += 1;
+impl<A: App> Service for Adapter<A> {
+    fn app(&self) -> AppKind {
+        A::KIND
     }
 
-    /// Installs telemetry recorders on the world's engine.
+    fn clients(&self) -> usize {
+        self.harness.ports.len()
+    }
+
+    fn submit(&mut self, client: usize, req: &Request) -> OpDesc {
+        self.app.submit(&mut self.harness, client, req)
+    }
+
+    fn step_round(&mut self) -> Vec<Completion> {
+        self.world.run_virtual_rounds(1);
+        let (h, app) = (&mut self.harness, &mut self.app);
+        h.vr += 1;
+        for client in 0..h.ports.len() {
+            let sent = std::mem::take(&mut h.ports[client].borrow_mut().sent);
+            for (id, vr) in sent {
+                app.resolve(h, Seen::Sent { id, vr });
+            }
+            let rx = std::mem::take(&mut h.ports[client].borrow_mut().rx);
+            for (vr, msg) in rx {
+                let msg = &msg;
+                app.resolve(h, Seen::Heard { client, vr, msg });
+            }
+        }
+        if A::READS_VN_STATE {
+            for vn in 0..self.world.deployment().layout.len() {
+                if let Some((state, _)) = self.world.vn_view(VnId(vn)) {
+                    app.resolve(h, Seen::VnState { vn, state });
+                }
+            }
+        }
+        h.retry();
+        std::mem::take(&mut h.done)
+    }
+
+    fn drain_audit(&mut self) -> Vec<AuditRecord> {
+        std::mem::take(&mut self.harness.audit)
+    }
+
     fn set_telemetry(
         &mut self,
         causal: vi_telemetry::CausalRecorder,
@@ -414,34 +620,19 @@ where
         });
     }
 
-    /// Drains the received messages of client `i`.
-    fn drain_rx(&mut self, i: usize) -> Vec<(u64, VA::Msg)> {
-        std::mem::take(&mut self.ports[i].borrow_mut().rx)
+    fn forget(&mut self, id: u64) {
+        self.app.forget(&mut self.harness, id);
     }
 
-    /// Drains the send events of client `i`.
-    fn drain_sent(&mut self, i: usize) -> Vec<(u64, u64)> {
-        std::mem::take(&mut self.ports[i].borrow_mut().sent)
+    fn virtual_round(&self) -> u64 {
+        self.harness.vr
     }
 
-    /// Queues `(id, msg)` on client `i`'s port.
-    fn enqueue(&mut self, i: usize, id: u64, msg: VA::Msg) {
-        self.ports[i].borrow_mut().outbox.push_back((id, msg));
+    fn stats(&self) -> ChannelStats {
+        *self.world.stats()
     }
 
-    /// Removes queued-but-unsent messages of request `id` everywhere.
-    fn purge(&mut self, id: u64) {
-        for p in &self.ports {
-            p.borrow_mut().outbox.retain(|&(e, _)| e != id);
-        }
-    }
-
-    /// Client `i`'s current position.
-    fn pos(&self, i: usize) -> Point {
-        self.ports[i].borrow().pos
-    }
-
-    fn totals(&self) -> WorldTotals {
+    fn world_totals(&self) -> WorldTotals {
         let mut t = WorldTotals::default();
         for vn in 0..self.world.deployment().layout.len() {
             let (_, r) = self.world.vn_report(VnId(vn));
@@ -454,38 +645,6 @@ where
     }
 }
 
-/// A pending request awaiting its response, with retry bookkeeping.
-struct PendingMsg<M> {
-    client: usize,
-    msg: M,
-    /// Virtual round the op was submitted — receptions drain one round
-    /// late, so an answer stamped before this round is a stale echo of
-    /// an *earlier* request and must not complete this op.
-    issued_vr: u64,
-    last_enqueued_vr: u64,
-    /// Retransmits already burned — drives the backoff schedule.
-    attempts: u32,
-}
-
-/// Retransmits every pending message whose last enqueue is older than
-/// its [`backoff_delay`] (shared retry pass of the register/tracking
-/// adapters; idempotent messages only).
-fn retry_pending<VA: VirtualAutomaton>(
-    harness: &mut Harness<VA>,
-    pending: &mut BTreeMap<u64, PendingMsg<VA::Msg>>,
-) where
-    VA::Msg: Clone,
-{
-    let vr = harness.vr;
-    for (&id, p) in pending.iter_mut() {
-        if vr.saturating_sub(p.last_enqueued_vr) >= backoff_delay(id, p.attempts) {
-            harness.enqueue(p.client, id, p.msg.clone());
-            p.last_enqueued_vr = vr;
-            p.attempts = p.attempts.saturating_add(1);
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Register
 // ---------------------------------------------------------------------------
@@ -493,149 +652,69 @@ fn retry_pending<VA: VirtualAutomaton>(
 /// The single-writer register under load: `Mutate` = tagged write
 /// (completes on the matching `Ack`), `Query` = nonce'd read
 /// (completes on the matching `Value`).
-pub struct RegisterService {
-    harness: Harness<RegisterVn>,
+#[derive(Default)]
+struct Register {
     next_tag: u64,
     next_nonce: u64,
     /// `write tag → request id`.
     write_index: BTreeMap<u64, u64>,
     /// `read nonce → request id`.
     read_index: BTreeMap<u64, u64>,
-    pending: BTreeMap<u64, PendingMsg<RegMsg>>,
 }
 
-impl RegisterService {
-    /// Builds the register deployment.
-    pub fn new(tw: TrafficWorld, clients: usize) -> Self {
-        RegisterService {
-            harness: Harness::new(RegisterVn, tw, clients),
-            next_tag: 0,
-            next_nonce: 0,
-            write_index: BTreeMap::new(),
-            read_index: BTreeMap::new(),
-            pending: BTreeMap::new(),
-        }
-    }
-}
+impl App for Register {
+    type Vn = RegisterVn;
+    const KIND: AppKind = AppKind::Register;
 
-impl Service for RegisterService {
-    fn app(&self) -> AppKind {
-        AppKind::Register
-    }
-
-    fn clients(&self) -> usize {
-        self.harness.ports.len()
-    }
-
-    fn submit(&mut self, client: usize, req: &Request) -> OpDesc {
+    fn submit(&mut self, h: &mut Harness<RegMsg>, client: usize, req: &Request) -> OpDesc {
         let (msg, op) = match req.class {
             OpClass::Mutate => {
                 self.next_tag += 1;
                 self.write_index.insert(self.next_tag, req.id);
-                (
-                    RegMsg::Write {
-                        tag: self.next_tag,
-                        value: req.id,
-                    },
-                    OpDesc::Write { value: req.id },
-                )
+                let (tag, value) = (self.next_tag, req.id);
+                (RegMsg::Write { tag, value }, OpDesc::Write { value })
             }
             OpClass::Query => {
                 self.next_nonce += 1;
                 self.read_index.insert(self.next_nonce, req.id);
-                (
-                    RegMsg::Read {
-                        nonce: self.next_nonce,
-                    },
-                    OpDesc::Read,
-                )
+                let nonce = self.next_nonce;
+                (RegMsg::Read { nonce }, OpDesc::Read)
             }
         };
-        self.harness.enqueue(client, req.id, msg.clone());
-        self.pending.insert(
-            req.id,
-            PendingMsg {
-                client,
-                msg,
-                issued_vr: req.issued_vr,
-                last_enqueued_vr: req.issued_vr,
-                attempts: 0,
-            },
-        );
+        h.issue(req.id, req.id, client, msg, req.issued_vr);
         op
     }
 
-    fn step_round(&mut self) -> Vec<Completion> {
-        self.harness.step();
-        let mut done = Vec::new();
-        for i in 0..self.clients() {
-            for (heard_vr, msg) in self.harness.drain_rx(i) {
-                let hit = match &msg {
-                    RegMsg::Ack { tag } => self
-                        .write_index
-                        .remove(tag)
-                        .map(|id| (id, OpOutcome::Acked)),
-                    RegMsg::Value { nonce, tag, value } => {
-                        self.read_index.remove(nonce).map(|id| {
-                            (
-                                id,
-                                OpOutcome::ReadValue {
-                                    tag: *tag,
-                                    value: *value,
-                                },
-                            )
-                        })
-                    }
-                    _ => None,
-                };
-                if let Some((id, outcome)) = hit {
-                    if self.pending.remove(&id).is_some() {
-                        done.push(Completion {
-                            id,
-                            completed_vr: heard_vr,
-                            outcome,
-                        });
-                    }
-                }
-            }
-        }
-        retry_pending(&mut self.harness, &mut self.pending);
-        done
-    }
-
-    fn set_telemetry(
-        &mut self,
-        causal: vi_telemetry::CausalRecorder,
-        flight: vi_telemetry::FlightRecorder,
-    ) {
-        self.harness.set_telemetry(causal, flight);
-    }
-
-    fn forget(&mut self, id: u64) {
-        if let Some(p) = self.pending.remove(&id) {
-            match p.msg {
-                RegMsg::Write { tag, .. } => {
-                    self.write_index.remove(&tag);
-                }
-                RegMsg::Read { nonce } => {
-                    self.read_index.remove(&nonce);
-                }
-                _ => {}
-            }
-            self.harness.purge(id);
+    fn resolve(&mut self, h: &mut Harness<RegMsg>, seen: Seen<'_, Self>) {
+        let Seen::Heard { vr, msg, .. } = seen else {
+            return;
+        };
+        let hit = match *msg {
+            RegMsg::Ack { tag } => self
+                .write_index
+                .remove(&tag)
+                .map(|id| (id, OpOutcome::Acked)),
+            RegMsg::Value { nonce, tag, value } => self
+                .read_index
+                .remove(&nonce)
+                .map(|id| (id, OpOutcome::ReadValue { tag, value })),
+            _ => None,
+        };
+        if let Some((id, outcome)) = hit {
+            h.complete(id, vr, outcome);
         }
     }
 
-    fn virtual_round(&self) -> u64 {
-        self.harness.vr
-    }
-
-    fn stats(&self) -> ChannelStats {
-        *self.harness.world.stats()
-    }
-
-    fn world_totals(&self) -> WorldTotals {
-        self.harness.totals()
+    fn forget(&mut self, h: &mut Harness<RegMsg>, id: u64) {
+        match h.forget(id).map(|p| p.msg) {
+            Some(RegMsg::Write { tag, .. }) => {
+                self.write_index.remove(&tag);
+            }
+            Some(RegMsg::Read { nonce }) => {
+                self.read_index.remove(&nonce);
+            }
+            _ => {}
+        }
     }
 }
 
@@ -643,208 +722,106 @@ impl Service for RegisterService {
 // Mutex
 // ---------------------------------------------------------------------------
 
-/// Per-client lock protocol state.
-enum LockPhase {
-    /// No request in flight.
-    Idle,
-    /// A `Request` is out; `Some(id)` if the measurement still counts
-    /// (a timed-out acquire keeps the phase but drops the id — the
-    /// grant, when it comes, is still released immediately).
-    WaitGrant(Option<u64>),
-}
+/// First port-entry id of the release namespace (request ids count up
+/// from 1 and never reach it).
+const RELEASE_ID_BASE: u64 = 1 << 63;
+
+/// Port-entry id of an acquire whose measurement was forgotten: its
+/// retransmits go on, its grant completes nothing.
+const UNMEASURED_ID: u64 = u64::MAX;
 
 /// The FIFO lock server under load: every op is an acquire (completes
-/// when the grant is heard) followed by an immediate release. A client
-/// serializes its ops; each client keeps at most one `Request`
-/// outstanding at the virtual node.
-pub struct MutexService {
-    harness: Harness<LockVn>,
-    phases: Vec<LockPhase>,
+/// when the grant is heard) followed by an immediate release. It is a
+/// different protocol from the other three: a client serializes its
+/// ops and keeps at most one `Request` outstanding at the virtual
+/// node, and the obligation to release a granted lock outlives
+/// `forget`. The per-client phase is the shared pending table read by
+/// client id: no entry = idle; an entry = waiting for the grant, its
+/// `id` the measured request or [`UNMEASURED_ID`].
+struct Mutex {
     /// Ops submitted but not yet started, per client.
     backlog: Vec<VecDeque<u64>>,
-    /// Virtual round of each client's last `Request` enqueue.
-    last_request_vr: Vec<u64>,
-    /// Virtual round each client's in-flight op was submitted —
-    /// grants heard before it are stale echoes of a *previous* op's
-    /// retried request and must not complete this one.
-    request_issued_vr: Vec<u64>,
-    /// Retransmits burned by each client's in-flight `Request` —
-    /// drives the backoff schedule; reset when a fresh op starts.
-    request_attempts: Vec<u32>,
     /// Port-entry ids of queued releases (`id → releasing client`):
     /// a namespace disjoint from request ids, so release broadcasts
     /// can be recognized in the port send log and survive purges.
     release_ids: BTreeMap<u64, u32>,
     next_release_id: u64,
-    /// Grant/release observations awaiting [`Service::drain_audit`].
-    audit: Vec<AuditRecord>,
 }
 
-/// First port-entry id of the release namespace (request ids count up
-/// from 1 and never reach it).
-const RELEASE_ID_BASE: u64 = 1 << 63;
-
-impl MutexService {
-    /// Builds the lock deployment.
-    pub fn new(tw: TrafficWorld, clients: usize) -> Self {
-        let harness = Harness::new(LockVn, tw, clients);
-        let n = harness.ports.len();
-        MutexService {
-            harness,
-            phases: (0..n).map(|_| LockPhase::Idle).collect(),
-            backlog: (0..n).map(|_| VecDeque::new()).collect(),
-            last_request_vr: vec![0; n],
-            request_issued_vr: vec![0; n],
-            request_attempts: vec![0; n],
+impl Mutex {
+    fn new(clients: usize) -> Self {
+        Mutex {
+            backlog: vec![VecDeque::new(); clients],
             release_ids: BTreeMap::new(),
             next_release_id: RELEASE_ID_BASE,
-            audit: Vec::new(),
         }
     }
 
-    /// Starts the next backlogged op of `client`, if it is idle.
-    fn start_next(&mut self, client: usize, vr: u64) {
-        if matches!(self.phases[client], LockPhase::Idle) {
+    /// Starts the next backlogged op of `client`, if it is idle. The
+    /// backoff key is the client id: it is stable across the retries
+    /// of one in-flight request, measured or not.
+    fn start_next(&mut self, h: &mut Harness<LockMsg>, client: usize, vr: u64) {
+        if !h.pending.contains_key(&(client as u64)) {
             if let Some(id) = self.backlog[client].pop_front() {
-                self.harness.enqueue(
-                    client,
-                    id,
-                    LockMsg::Request {
-                        client: client as u32,
-                    },
-                );
-                self.phases[client] = LockPhase::WaitGrant(Some(id));
-                self.last_request_vr[client] = vr;
-                self.request_issued_vr[client] = vr;
-                self.request_attempts[client] = 0;
+                let msg = LockMsg::Request {
+                    client: client as u32,
+                };
+                h.issue(client as u64, id, client, msg, vr);
             }
         }
     }
 }
 
-impl Service for MutexService {
-    fn app(&self) -> AppKind {
-        AppKind::Mutex
-    }
+impl App for Mutex {
+    type Vn = LockVn;
+    const KIND: AppKind = AppKind::Mutex;
 
-    fn clients(&self) -> usize {
-        self.harness.ports.len()
-    }
-
-    fn submit(&mut self, client: usize, req: &Request) -> OpDesc {
+    fn submit(&mut self, h: &mut Harness<LockMsg>, client: usize, req: &Request) -> OpDesc {
         self.backlog[client].push_back(req.id);
-        self.start_next(client, req.issued_vr);
+        self.start_next(h, client, req.issued_vr);
         OpDesc::Acquire
     }
 
-    fn step_round(&mut self) -> Vec<Completion> {
-        self.harness.step();
-        let vr = self.harness.vr;
-        let mut done = Vec::new();
-        for i in 0..self.clients() {
-            let me = i as u32;
-            // Release broadcasts since the last round (request send
-            // events share the log; only release-namespace ids count).
-            for (id, sent_vr) in self.harness.drain_sent(i) {
+    fn resolve(&mut self, h: &mut Harness<LockMsg>, seen: Seen<'_, Self>) {
+        match seen {
+            // Release broadcasts (request send events share the log;
+            // only release-namespace ids count).
+            Seen::Sent { id, vr } => {
                 if let Some(client) = self.release_ids.remove(&id) {
-                    self.audit.push(AuditRecord::Released {
-                        client,
-                        vr: sent_vr,
-                    });
+                    h.audit.push(AuditRecord::Released { client, vr });
                 }
             }
-            let mut granted = None;
-            for (heard_vr, msg) in self.harness.drain_rx(i) {
-                if msg.granted_client() == Some(me) {
-                    self.audit.push(AuditRecord::Granted {
-                        client: me,
-                        vr: heard_vr,
-                    });
-                    // A grant heard before the current op was even
-                    // submitted is a stale echo (the server re-grants
-                    // on retried requests); it cannot complete it.
-                    if granted.is_none() && heard_vr >= self.request_issued_vr[i] {
-                        granted = Some(heard_vr);
-                    }
+            Seen::Heard { client, vr, msg } if msg.granted_client() == Some(client as u32) => {
+                let me = client as u32;
+                h.audit.push(AuditRecord::Granted { client: me, vr });
+                // A grant heard before the current op was even
+                // submitted is a stale echo of an earlier op's
+                // request; it cannot complete this one.
+                if !matches!(h.pending.get(&u64::from(me)), Some(p) if vr >= p.issued_vr) {
+                    return;
                 }
+                h.complete(u64::from(me), vr, OpOutcome::Granted);
+                // Release immediately, under a release-namespace port
+                // id (measurement-neutral), then start the next op.
+                let rid = self.next_release_id;
+                self.next_release_id += 1;
+                self.release_ids.insert(rid, me);
+                h.enqueue(client, rid, LockMsg::Release { client: me });
+                self.start_next(h, client, h.vr);
             }
-            if let Some(heard_vr) = granted {
-                if let LockPhase::WaitGrant(id) = self.phases[i] {
-                    if let Some(id) = id {
-                        done.push(Completion {
-                            id,
-                            completed_vr: heard_vr,
-                            outcome: OpOutcome::Granted,
-                        });
-                    }
-                    // Release immediately, under a release-namespace
-                    // port id (measurement-neutral).
-                    let rid = self.next_release_id;
-                    self.next_release_id += 1;
-                    self.release_ids.insert(rid, me);
-                    self.harness
-                        .enqueue(i, rid, LockMsg::Release { client: me });
-                    self.phases[i] = LockPhase::Idle;
-                }
-            }
-            // Retry a lost Request (the server dedupes). The backoff
-            // key is the client id: it is stable across the retries of
-            // one in-flight request, measured or not.
-            if let LockPhase::WaitGrant(id) = self.phases[i] {
-                let wait = backoff_delay(u64::from(me), self.request_attempts[i]);
-                if vr.saturating_sub(self.last_request_vr[i]) >= wait {
-                    self.harness.enqueue(
-                        i,
-                        id.unwrap_or(u64::MAX),
-                        LockMsg::Request { client: me },
-                    );
-                    self.last_request_vr[i] = vr;
-                    self.request_attempts[i] = self.request_attempts[i].saturating_add(1);
-                }
-            }
-            self.start_next(i, vr);
+            _ => {}
         }
-        done
     }
 
-    fn drain_audit(&mut self) -> Vec<AuditRecord> {
-        std::mem::take(&mut self.audit)
-    }
-
-    fn set_telemetry(
-        &mut self,
-        causal: vi_telemetry::CausalRecorder,
-        flight: vi_telemetry::FlightRecorder,
-    ) {
-        self.harness.set_telemetry(causal, flight);
-    }
-
-    fn forget(&mut self, id: u64) {
+    fn forget(&mut self, h: &mut Harness<LockMsg>, id: u64) {
         for q in &mut self.backlog {
             q.retain(|&e| e != id);
         }
-        for ph in &mut self.phases {
-            if let LockPhase::WaitGrant(Some(e)) = ph {
-                if *e == id {
-                    // The request may already sit in the server queue:
-                    // keep waiting for the grant (to release it), but
-                    // stop measuring.
-                    *ph = LockPhase::WaitGrant(None);
-                }
-            }
+        // The request may already sit in the server queue: keep
+        // waiting for the grant (to release it), but stop measuring.
+        for p in h.pending.values_mut().filter(|p| p.id == id) {
+            p.id = UNMEASURED_ID;
         }
-    }
-
-    fn virtual_round(&self) -> u64 {
-        self.harness.vr
-    }
-
-    fn stats(&self) -> ChannelStats {
-        *self.harness.world.stats()
-    }
-
-    fn world_totals(&self) -> WorldTotals {
-        self.harness.totals()
     }
 }
 
@@ -852,154 +829,95 @@ impl Service for MutexService {
 // Tracking
 // ---------------------------------------------------------------------------
 
+/// Tracking-report quantization (meters per cell).
+const TRACK_CELL_SIZE: f64 = 10.0;
+
 /// The tracking service under load: `Mutate` = position report
-/// (completes the round it is actually broadcast), `Query` = lookup
-/// of another client's object (completes when the answer is heard;
-/// a broadcast answer completes every pending query for the object,
-/// mirroring the server's query dedup).
-pub struct TrackingService {
-    harness: Harness<TrackingVn>,
+/// (completes the round it is actually broadcast, so it is never
+/// pending and never retried), `Query` = lookup of another client's
+/// object (completes when the answer is heard; a broadcast answer
+/// completes every pending query for the object, mirroring the
+/// server's query dedup).
+#[derive(Default)]
+struct Tracking {
     /// Round-robin target selector for queries.
     next_target: u32,
     /// Pending queries per queried object, FIFO.
     query_index: BTreeMap<u32, Vec<u64>>,
-    /// Pending queries (for retries). Reports need no retry: they
-    /// complete on send.
-    pending: BTreeMap<u64, PendingMsg<TrackMsg>>,
     /// Outstanding report ids (completion on send).
-    reports: BTreeMap<u64, ()>,
+    reports: BTreeSet<u64>,
 }
 
-impl TrackingService {
-    /// Builds the tracking deployment.
-    pub fn new(tw: TrafficWorld, clients: usize) -> Self {
-        TrackingService {
-            harness: Harness::new(TrackingVn, tw, clients),
-            next_target: 0,
-            query_index: BTreeMap::new(),
-            pending: BTreeMap::new(),
-            reports: BTreeMap::new(),
-        }
-    }
-}
+impl App for Tracking {
+    type Vn = TrackingVn;
+    const KIND: AppKind = AppKind::Tracking;
 
-impl Service for TrackingService {
-    fn app(&self) -> AppKind {
-        AppKind::Tracking
-    }
-
-    fn clients(&self) -> usize {
-        self.harness.ports.len()
-    }
-
-    fn submit(&mut self, client: usize, req: &Request) -> OpDesc {
+    fn submit(&mut self, h: &mut Harness<TrackMsg>, client: usize, req: &Request) -> OpDesc {
         match req.class {
             OpClass::Mutate => {
                 let object = client as u32;
-                let cell = cell_of(self.harness.pos(client), TRACK_CELL_SIZE);
-                let msg = TrackMsg::Report { object, cell };
-                self.harness.enqueue(client, req.id, msg);
-                self.reports.insert(req.id, ());
+                let cell = cell_of(h.pos(client), TRACK_CELL_SIZE);
+                h.enqueue(client, req.id, TrackMsg::Report { object, cell });
+                self.reports.insert(req.id);
                 OpDesc::Report { object, cell }
             }
             OpClass::Query => {
                 // Query the objects (other clients' reports) round-robin.
-                let object = self.next_target % self.clients() as u32;
+                let object = self.next_target % h.ports.len() as u32;
                 self.next_target = self.next_target.wrapping_add(1);
                 let msg = TrackMsg::Query { object };
-                self.harness.enqueue(client, req.id, msg.clone());
+                h.issue(req.id, req.id, client, msg, req.issued_vr);
                 self.query_index.entry(object).or_default().push(req.id);
-                self.pending.insert(
-                    req.id,
-                    PendingMsg {
-                        client,
-                        msg,
-                        issued_vr: req.issued_vr,
-                        last_enqueued_vr: req.issued_vr,
-                        attempts: 0,
-                    },
-                );
                 OpDesc::Lookup { object }
             }
         }
     }
 
-    fn step_round(&mut self) -> Vec<Completion> {
-        self.harness.step();
-        let mut done = Vec::new();
-        for i in 0..self.clients() {
+    fn resolve(&mut self, h: &mut Harness<TrackMsg>, seen: Seen<'_, Self>) {
+        match seen {
             // Reports complete the round they hit the channel.
-            for (id, sent_vr) in self.harness.drain_sent(i) {
-                if self.reports.remove(&id).is_some() {
-                    done.push(Completion {
-                        id,
-                        completed_vr: sent_vr,
-                        outcome: OpOutcome::Reported,
-                    });
+            Seen::Sent { id, vr } => {
+                let reported = self.reports.remove(&id);
+                h.done.extend(reported.then_some(Completion {
+                    id,
+                    completed_vr: vr,
+                    outcome: OpOutcome::Reported,
+                }));
+            }
+            // The answer is a broadcast: every pending query for this
+            // object is answered at once — except queries issued
+            // *after* the answer was heard (receptions drain one round
+            // late, so a stale echo of an earlier query can surface
+            // here). Those stay pending for a fresh broadcast.
+            Seen::Heard {
+                vr,
+                msg: &TrackMsg::Answer { object, cell },
+                ..
+            } => {
+                let mut ids = self.query_index.remove(&object).unwrap_or_default();
+                ids.retain(|id| {
+                    let waits = matches!(h.pending.get(id), Some(p) if p.issued_vr > vr);
+                    if !waits {
+                        h.complete(*id, vr, OpOutcome::Answered { cell });
+                    }
+                    waits
+                });
+                if !ids.is_empty() {
+                    self.query_index.insert(object, ids);
                 }
             }
-            for (heard_vr, msg) in self.harness.drain_rx(i) {
-                if let TrackMsg::Answer { object, cell } = msg {
-                    // The answer is a broadcast: every pending query
-                    // for this object is answered at once — except
-                    // queries issued *after* the answer was heard
-                    // (receptions drain one round late, so a stale
-                    // echo of an earlier query can surface here).
-                    // Those stay pending for a fresh broadcast.
-                    let mut waiting = Vec::new();
-                    for id in self.query_index.remove(&object).unwrap_or_default() {
-                        match self.pending.get(&id) {
-                            Some(p) if p.issued_vr > heard_vr => waiting.push(id),
-                            Some(_) => {
-                                self.pending.remove(&id);
-                                done.push(Completion {
-                                    id,
-                                    completed_vr: heard_vr,
-                                    outcome: OpOutcome::Answered { cell },
-                                });
-                            }
-                            None => {}
-                        }
-                    }
-                    if !waiting.is_empty() {
-                        self.query_index.insert(object, waiting);
-                    }
-                }
-            }
+            _ => {}
         }
-        retry_pending(&mut self.harness, &mut self.pending);
-        done
     }
 
-    fn set_telemetry(
-        &mut self,
-        causal: vi_telemetry::CausalRecorder,
-        flight: vi_telemetry::FlightRecorder,
-    ) {
-        self.harness.set_telemetry(causal, flight);
-    }
-
-    fn forget(&mut self, id: u64) {
+    fn forget(&mut self, h: &mut Harness<TrackMsg>, id: u64) {
         self.reports.remove(&id);
-        if self.pending.remove(&id).is_some() {
-            for ids in self.query_index.values_mut() {
+        if h.forget(id).is_some() {
+            self.query_index.retain(|_, ids| {
                 ids.retain(|&e| e != id);
-            }
-            self.query_index.retain(|_, ids| !ids.is_empty());
-            self.harness.purge(id);
+                !ids.is_empty()
+            });
         }
-    }
-
-    fn virtual_round(&self) -> u64 {
-        self.harness.vr
-    }
-
-    fn stats(&self) -> ChannelStats {
-        *self.harness.world.stats()
-    }
-
-    fn world_totals(&self) -> WorldTotals {
-        self.harness.totals()
     }
 }
 
@@ -1010,147 +928,84 @@ impl Service for TrackingService {
 /// Greedy georouting under load: every op injects a packet addressed
 /// to the virtual node nearest the client and completes when that
 /// node's (replicated, agreed) state records the delivery.
-pub struct GeoroutingService {
-    harness: Harness<GeoRouterVn>,
-    /// `payload → (request id, destination)`.
-    in_flight: BTreeMap<u32, (u64, VnId)>,
-    pending: BTreeMap<u64, PendingMsg<RouteMsg>>,
+struct Georouting {
+    /// The virtual-node locations packets are addressed to.
+    vns: Vec<(VnId, Point)>,
+    /// `payload → request id`.
+    in_flight: BTreeMap<u32, u64>,
     /// Per-VN cursor into the delivered list (the folded state only
     /// appends; a reset shrinks it, losing the packets with it).
     delivered_seen: Vec<usize>,
-    /// Raw delivery/reset observations awaiting
-    /// [`Service::drain_audit`].
-    audit: Vec<AuditRecord>,
 }
 
-impl GeoroutingService {
-    /// Builds the routing deployment.
-    pub fn new(tw: TrafficWorld, clients: usize) -> Self {
-        let harness = Harness::new(GeoRouterVn, tw, clients);
-        let vns = harness.world.deployment().layout.len();
-        GeoroutingService {
-            harness,
+impl Georouting {
+    fn new(layout: &VnLayout) -> Self {
+        Georouting {
+            vns: layout.iter().collect(),
             in_flight: BTreeMap::new(),
-            pending: BTreeMap::new(),
-            delivered_seen: vec![0; vns],
-            audit: Vec::new(),
+            delivered_seen: vec![0; layout.len()],
         }
     }
+}
 
-    /// The virtual node nearest to `pos`.
-    fn nearest_vn(&self, pos: Point) -> (VnId, Point) {
-        self.harness
-            .world
-            .deployment()
-            .layout
+impl App for Georouting {
+    type Vn = GeoRouterVn;
+    const KIND: AppKind = AppKind::Georouting;
+    const READS_VN_STATE: bool = true;
+
+    fn submit(&mut self, h: &mut Harness<RouteMsg>, client: usize, req: &Request) -> OpDesc {
+        let pos = h.pos(client);
+        let &(vn, loc) = self
+            .vns
             .iter()
             .min_by(|(_, a), (_, b)| {
                 pos.distance_sq(*a)
                     .partial_cmp(&pos.distance_sq(*b))
                     .expect("finite distances")
             })
-            .expect("layouts are non-empty")
-    }
-}
-
-impl Service for GeoroutingService {
-    fn app(&self) -> AppKind {
-        AppKind::Georouting
-    }
-
-    fn clients(&self) -> usize {
-        self.harness.ports.len()
-    }
-
-    fn submit(&mut self, client: usize, req: &Request) -> OpDesc {
-        let (vn, loc) = self.nearest_vn(self.harness.pos(client));
+            .expect("layouts are non-empty");
         let payload = req.id as u32;
         let msg = RouteMsg::inject(quantize(loc), payload);
-        self.harness.enqueue(client, req.id, msg.clone());
-        self.in_flight.insert(payload, (req.id, vn));
-        self.pending.insert(
-            req.id,
-            PendingMsg {
-                client,
-                msg,
-                issued_vr: req.issued_vr,
-                last_enqueued_vr: req.issued_vr,
-                attempts: 0,
-            },
-        );
+        h.issue(req.id, req.id, client, msg, req.issued_vr);
+        self.in_flight.insert(payload, req.id);
         OpDesc::Send { vn: vn.0, payload }
     }
 
-    fn step_round(&mut self) -> Vec<Completion> {
-        self.harness.step();
-        let vr = self.harness.vr;
-        let mut done = Vec::new();
-        for vn in 0..self.delivered_seen.len() {
-            let Some((state, _)) = self.harness.world.vn_state(VnId(vn)) else {
-                continue;
-            };
-            let seen = &mut self.delivered_seen[vn];
-            if *seen > state.delivered.len() {
-                *seen = state.delivered.len(); // reset lost state
-                self.audit.push(AuditRecord::VnReset { vn, vr });
-            }
-            for &payload in &state.delivered[*seen..] {
-                self.audit.push(AuditRecord::Delivered { vn, payload, vr });
-                if let Some((id, _)) = self.in_flight.remove(&payload) {
-                    if self.pending.remove(&id).is_some() {
-                        done.push(Completion {
-                            id,
-                            completed_vr: vr,
-                            outcome: OpOutcome::Delivered,
-                        });
-                    }
-                }
-            }
-            *seen = state.delivered.len();
+    /// Raw deliveries and resets, read off the borrowed state: only
+    /// the tail past the cursor is looked at, nothing is cloned.
+    fn resolve(&mut self, h: &mut Harness<RouteMsg>, seen: Seen<'_, Self>) {
+        let Seen::VnState { vn, state } = seen else {
+            return;
+        };
+        let vr = h.vr;
+        let seen = &mut self.delivered_seen[vn];
+        if *seen > state.delivered.len() {
+            *seen = state.delivered.len(); // reset lost state
+            h.audit.push(AuditRecord::VnReset { vn, vr });
         }
-        retry_pending(&mut self.harness, &mut self.pending);
-        done
-    }
-
-    fn drain_audit(&mut self) -> Vec<AuditRecord> {
-        std::mem::take(&mut self.audit)
-    }
-
-    fn set_telemetry(
-        &mut self,
-        causal: vi_telemetry::CausalRecorder,
-        flight: vi_telemetry::FlightRecorder,
-    ) {
-        self.harness.set_telemetry(causal, flight);
-    }
-
-    fn forget(&mut self, id: u64) {
-        if self.pending.remove(&id).is_some() {
-            self.in_flight.retain(|_, &mut (e, _)| e != id);
-            self.harness.purge(id);
+        for &payload in &state.delivered[*seen..] {
+            h.audit.push(AuditRecord::Delivered { vn, payload, vr });
+            if let Some(id) = self.in_flight.remove(&payload) {
+                h.complete(id, vr, OpOutcome::Delivered);
+            }
         }
+        *seen = state.delivered.len();
     }
 
-    fn virtual_round(&self) -> u64 {
-        self.harness.vr
-    }
-
-    fn stats(&self) -> ChannelStats {
-        *self.harness.world.stats()
-    }
-
-    fn world_totals(&self) -> WorldTotals {
-        self.harness.totals()
+    fn forget(&mut self, h: &mut Harness<RouteMsg>, id: u64) {
+        if h.forget(id).is_some() {
+            self.in_flight.retain(|_, &mut e| e != id);
+        }
     }
 }
 
 /// Builds the service adapter for `app` over `tw`.
 pub fn build_service(app: AppKind, tw: TrafficWorld, clients: usize) -> Box<dyn Service> {
     match app {
-        AppKind::Register => Box::new(RegisterService::new(tw, clients)),
-        AppKind::Mutex => Box::new(MutexService::new(tw, clients)),
-        AppKind::Tracking => Box::new(TrackingService::new(tw, clients)),
-        AppKind::Georouting => Box::new(GeoroutingService::new(tw, clients)),
+        AppKind::Register => Box::new(Adapter::new(Register::default(), tw, clients)),
+        AppKind::Mutex => Box::new(Adapter::new(Mutex::new(clients), tw, clients)),
+        AppKind::Tracking => Box::new(Adapter::new(Tracking::default(), tw, clients)),
+        AppKind::Georouting => Box::new(Adapter::new(Georouting::new(&tw.layout), tw, clients)),
     }
 }
 
@@ -1192,7 +1047,7 @@ mod tests {
 
     #[test]
     fn register_write_and_read_complete() {
-        let mut svc = RegisterService::new(small_world(3, 5), 2);
+        let mut svc = build_service(AppKind::Register, small_world(3, 5), 2);
         svc.submit(
             0,
             &Request {
@@ -1209,7 +1064,7 @@ mod tests {
                 issued_vr: 0,
             },
         );
-        let done = run_until(&mut svc, 20);
+        let done = run_until(&mut *svc, 20);
         let ids: Vec<u64> = done.iter().map(|c| c.id).collect();
         assert!(ids.contains(&1), "write acked: {done:?}");
         assert!(ids.contains(&2), "read answered: {done:?}");
@@ -1220,7 +1075,7 @@ mod tests {
 
     #[test]
     fn mutex_cycles_complete_and_serialize() {
-        let mut svc = MutexService::new(small_world(3, 7), 2);
+        let mut svc = build_service(AppKind::Mutex, small_world(3, 7), 2);
         for (client, id) in [(0usize, 1u64), (1, 2), (0, 3)] {
             svc.submit(
                 client,
@@ -1231,7 +1086,7 @@ mod tests {
                 },
             );
         }
-        let done = run_until(&mut svc, 60);
+        let done = run_until(&mut *svc, 60);
         let mut ids: Vec<u64> = done.iter().map(|c| c.id).collect();
         ids.sort_unstable();
         assert_eq!(ids, vec![1, 2, 3], "all lock cycles completed: {done:?}");
@@ -1239,7 +1094,7 @@ mod tests {
 
     #[test]
     fn tracking_reports_complete_on_send_and_queries_on_answer() {
-        let mut svc = TrackingService::new(small_world(3, 9), 2);
+        let mut svc = build_service(AppKind::Tracking, small_world(3, 9), 2);
         svc.submit(
             0,
             &Request {
@@ -1248,7 +1103,7 @@ mod tests {
                 issued_vr: 0,
             },
         );
-        let done = run_until(&mut svc, 6);
+        let done = run_until(&mut *svc, 6);
         assert!(
             done.iter().any(|c| c.id == 1),
             "report completes on send: {done:?}"
@@ -1261,13 +1116,13 @@ mod tests {
                 issued_vr: 6,
             },
         );
-        let done = run_until(&mut svc, 20);
+        let done = run_until(&mut *svc, 20);
         assert!(done.iter().any(|c| c.id == 2), "query answered: {done:?}");
     }
 
     #[test]
     fn georouting_packets_complete_on_delivery() {
-        let mut svc = GeoroutingService::new(small_world(3, 11), 1);
+        let mut svc = build_service(AppKind::Georouting, small_world(3, 11), 1);
         svc.submit(
             0,
             &Request {
@@ -1276,14 +1131,14 @@ mod tests {
                 issued_vr: 0,
             },
         );
-        let done = run_until(&mut svc, 25);
+        let done = run_until(&mut *svc, 25);
         assert_eq!(done.len(), 1, "packet delivered exactly once: {done:?}");
         assert_eq!(done[0].id, 1);
     }
 
     #[test]
     fn forget_cancels_measurement_but_not_protocol() {
-        let mut svc = MutexService::new(small_world(3, 13), 2);
+        let mut svc = build_service(AppKind::Mutex, small_world(3, 13), 2);
         svc.submit(
             0,
             &Request {
@@ -1301,7 +1156,7 @@ mod tests {
             },
         );
         svc.forget(1);
-        let done = run_until(&mut svc, 60);
+        let done = run_until(&mut *svc, 60);
         let ids: Vec<u64> = done.iter().map(|c| c.id).collect();
         assert!(!ids.contains(&1), "forgotten op not reported: {done:?}");
         assert!(
@@ -1312,7 +1167,7 @@ mod tests {
 
     #[test]
     fn register_outcomes_are_semantic() {
-        let mut svc = RegisterService::new(small_world(3, 5), 2);
+        let mut svc = build_service(AppKind::Register, small_world(3, 5), 2);
         let op = svc.submit(
             0,
             &Request {
@@ -1322,7 +1177,7 @@ mod tests {
             },
         );
         assert_eq!(op, OpDesc::Write { value: 1 });
-        let mut done = run_until(&mut svc, 20);
+        let mut done = run_until(&mut *svc, 20);
         let op = svc.submit(
             1,
             &Request {
@@ -1332,7 +1187,7 @@ mod tests {
             },
         );
         assert_eq!(op, OpDesc::Read);
-        done.extend(run_until(&mut svc, 20));
+        done.extend(run_until(&mut *svc, 20));
         let write = done.iter().find(|c| c.id == 1).expect("write done");
         assert_eq!(write.outcome, OpOutcome::Acked);
         let read = done.iter().find(|c| c.id == 2).expect("read done");
@@ -1345,7 +1200,7 @@ mod tests {
 
     #[test]
     fn mutex_audit_records_alternating_grants_and_releases() {
-        let mut svc = MutexService::new(small_world(3, 7), 2);
+        let mut svc = build_service(AppKind::Mutex, small_world(3, 7), 2);
         for (client, id) in [(0usize, 1u64), (1, 2)] {
             svc.submit(
                 client,
@@ -1393,7 +1248,7 @@ mod tests {
 
     #[test]
     fn georouting_audit_records_raw_deliveries() {
-        let mut svc = GeoroutingService::new(small_world(3, 11), 1);
+        let mut svc = build_service(AppKind::Georouting, small_world(3, 11), 1);
         let op = svc.submit(
             0,
             &Request {
@@ -1425,7 +1280,7 @@ mod tests {
     #[test]
     fn services_are_deterministic_per_seed() {
         let run = || {
-            let mut svc = RegisterService::new(small_world(4, 21), 3);
+            let mut svc = build_service(AppKind::Register, small_world(4, 21), 3);
             let mut id = 0u64;
             let mut log = Vec::new();
             for vr in 0..30u64 {
@@ -1453,6 +1308,190 @@ mod tests {
             run(),
             "identical runs must match completion-for-completion"
         );
+    }
+
+    // -- Per-app resolution rules over hand-built receptions (no World) --
+
+    /// A world-free harness with `n` client ports.
+    fn harness<M: Clone>(n: usize) -> Harness<M> {
+        let mut h = Harness::new();
+        for _ in 0..n {
+            h.add_port(n, Point::new(0.0, 0.0));
+        }
+        h
+    }
+
+    fn req(id: u64, class: OpClass, issued_vr: u64) -> Request {
+        Request {
+            id,
+            class,
+            issued_vr,
+        }
+    }
+
+    /// Client `i`'s queued port entries.
+    fn outbox<M: Clone>(h: &Harness<M>, i: usize) -> Vec<(u64, M)> {
+        h.ports[i].borrow().outbox.iter().cloned().collect()
+    }
+
+    #[test]
+    fn tracking_answer_heard_before_a_query_was_issued_leaves_it_pending() {
+        // (query issued, answer heard, the answer completes it)
+        for (issued_vr, heard_vr, completes) in [(5, 9, true), (9, 9, true), (10, 9, false)] {
+            let (mut h, mut app) = (harness(2), Tracking::default());
+            let op = app.submit(&mut h, 1, &req(7, OpClass::Query, issued_vr));
+            assert_eq!(op, OpDesc::Lookup { object: 0 });
+            let answer = TrackMsg::Answer {
+                object: 0,
+                cell: Some((4, 5)),
+            };
+            let heard = |vr| Seen::Heard {
+                client: 1,
+                vr,
+                msg: &answer,
+            };
+            app.resolve(&mut h, heard(heard_vr));
+            let done = |completed_vr| {
+                vec![Completion {
+                    id: 7,
+                    completed_vr,
+                    outcome: OpOutcome::Answered { cell: Some((4, 5)) },
+                }]
+            };
+            if completes {
+                assert_eq!(h.done, done(heard_vr), "issued {issued_vr}");
+                assert!(h.pending.is_empty() && app.query_index.is_empty());
+                continue;
+            }
+            assert!(h.done.is_empty(), "a stale echo answered a later query");
+            assert_eq!(app.query_index[&0], vec![7], "still indexed");
+            assert!(h.pending.contains_key(&7), "still retried");
+            app.resolve(&mut h, heard(issued_vr));
+            assert_eq!(h.done, done(issued_vr), "a fresh broadcast completes it");
+        }
+    }
+
+    #[test]
+    fn mutex_grant_heard_before_the_op_was_submitted_does_not_complete_it() {
+        // (op submitted, grant heard, the grant completes it)
+        for (issued_vr, heard_vr, completes) in [(10, 9, false), (10, 10, true), (10, 12, true)] {
+            let (mut h, mut app) = (harness(2), Mutex::new(2));
+            app.submit(&mut h, 1, &req(3, OpClass::Mutate, issued_vr));
+            let grant = LockMsg::Grant { client: 1 };
+            app.resolve(
+                &mut h,
+                Seen::Heard {
+                    client: 1,
+                    vr: heard_vr,
+                    msg: &grant,
+                },
+            );
+            let granted = AuditRecord::Granted {
+                client: 1,
+                vr: heard_vr,
+            };
+            assert_eq!(h.audit, vec![granted], "every grant is on the record");
+            let request = (3, LockMsg::Request { client: 1 });
+            if completes {
+                let c = Completion {
+                    id: 3,
+                    completed_vr: heard_vr,
+                    outcome: OpOutcome::Granted,
+                };
+                assert_eq!(h.done, vec![c]);
+                assert!(h.pending.is_empty(), "idle again");
+                let release = (RELEASE_ID_BASE, LockMsg::Release { client: 1 });
+                assert_eq!(outbox(&h, 1), vec![request, release]);
+            } else {
+                assert!(h.done.is_empty(), "a stale echo completed the op");
+                assert!(h.pending.contains_key(&1), "still waiting for its grant");
+                assert_eq!(outbox(&h, 1), vec![request], "nothing to release");
+            }
+        }
+    }
+
+    #[test]
+    fn mutex_grant_after_forget_queues_the_release_and_completes_nothing() {
+        let (mut h, mut app) = (harness(2), Mutex::new(2));
+        app.submit(&mut h, 0, &req(1, OpClass::Mutate, 3));
+        app.submit(&mut h, 0, &req(2, OpClass::Mutate, 3));
+        app.forget(&mut h, 1);
+        assert_eq!(h.pending[&0].id, UNMEASURED_ID, "kept for the release");
+        // The unmeasured request is still retransmitted, under the
+        // client's backoff key and the unmeasured port id.
+        h.vr = 3 + backoff_delay(0, 0);
+        h.retry();
+        let request = LockMsg::Request { client: 0 };
+        assert_eq!(
+            outbox(&h, 0),
+            vec![(1, request.clone()), (UNMEASURED_ID, request.clone())],
+            "forget purges nothing: the server may already queue the request"
+        );
+        let grant = LockMsg::Grant { client: 0 };
+        app.resolve(
+            &mut h,
+            Seen::Heard {
+                client: 0,
+                vr: 5,
+                msg: &grant,
+            },
+        );
+        assert!(h.done.is_empty(), "a forgotten acquire completed");
+        assert_eq!(h.audit, vec![AuditRecord::Granted { client: 0, vr: 5 }]);
+        assert_eq!(
+            outbox(&h, 0)[2..],
+            [
+                (RELEASE_ID_BASE, LockMsg::Release { client: 0 }),
+                (2, request)
+            ],
+            "the late grant is released, then the backlog moves on"
+        );
+        assert_eq!(h.pending[&0].id, 2, "the next op is the in-flight one");
+        app.resolve(
+            &mut h,
+            Seen::Sent {
+                id: RELEASE_ID_BASE,
+                vr: 8,
+            },
+        );
+        assert_eq!(h.audit[1], AuditRecord::Released { client: 0, vr: 8 });
+    }
+
+    #[test]
+    fn register_forget_clears_the_tag_and_nonce_index() {
+        let late_replies = [
+            (OpClass::Mutate, RegMsg::Ack { tag: 1 }),
+            (
+                OpClass::Query,
+                RegMsg::Value {
+                    nonce: 1,
+                    tag: 0,
+                    value: 0,
+                },
+            ),
+        ];
+        for (class, late_reply) in late_replies {
+            let (mut h, mut app) = (harness(1), Register::default());
+            app.submit(&mut h, 0, &req(9, class, 2));
+            assert_eq!(app.write_index.len() + app.read_index.len(), 1);
+            assert_eq!(outbox(&h, 0).len(), 1);
+            app.forget(&mut h, 9);
+            assert!(
+                app.write_index.is_empty() && app.read_index.is_empty(),
+                "forget leaked the {class:?} index entry"
+            );
+            assert!(h.pending.is_empty(), "no more retransmits");
+            assert!(outbox(&h, 0).is_empty(), "unsent copies are purged");
+            app.resolve(
+                &mut h,
+                Seen::Heard {
+                    client: 0,
+                    vr: 4,
+                    msg: &late_reply,
+                },
+            );
+            assert!(h.done.is_empty(), "a forgotten op completed");
+        }
     }
 
     /// The backoff schedule is a pure function: deterministic per
