@@ -290,11 +290,12 @@ impl<M: Clone + WireSized + 'static> Engine<M> {
     /// Sets the intra-round worker count for tile-sharded round
     /// resolution (see [`Medium::set_workers`]). `0`/`1` keep rounds
     /// sequential; `>= 2` shards the geometry phase of sufficiently
-    /// large re-anchor and churn-fallback rounds (one grid query per
-    /// receiver) across a persistent worker pool, and leaves steady
-    /// cached rounds, which only filter cached neighborhoods, on the
-    /// calling thread. Executions are byte-for-byte identical —
-    /// receptions, traces, stats, and RNG stream — at any worker count.
+    /// large re-anchor rounds (one full grid query per receiver)
+    /// across a persistent worker pool, and leaves steady cached
+    /// rounds, which only fold cached neighborhoods, and churn rounds,
+    /// which scan a per-round broadcaster index, on the calling
+    /// thread. Executions are byte-for-byte identical — receptions,
+    /// traces, stats, and RNG stream — at any worker count.
     pub fn set_workers(&mut self, workers: usize) {
         self.medium.set_workers(workers);
     }

@@ -153,6 +153,116 @@ impl fmt::Display for Rect {
     }
 }
 
+/// The anchored cell geometry of a uniform grid: origin, cell size and
+/// dimensions, fixed by the bounding box of the points it was last
+/// anchored to. [`SpatialGrid`] and [`SnapshotIndex`] both bucket and
+/// query through one of these, so the anchoring rule and the
+/// cell-range arithmetic exist once.
+#[derive(Clone, Copy, Debug, Default)]
+struct CellFrame {
+    origin: Point,
+    /// Maximum corner of the anchored bounding box.
+    anchor_max: Point,
+    /// Cell size in use (the nominal size, possibly coarsened).
+    cell: f64,
+    cols: usize,
+    rows: usize,
+}
+
+impl CellFrame {
+    /// Upper bound on cells per axis; beyond this the cell size is
+    /// coarsened so sparse, far-flung populations cannot make a grid
+    /// allocate quadratically in the coordinate spread.
+    const MAX_CELLS_PER_AXIS: usize = 1024;
+
+    /// A nominal cell size an index may be created with.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cell` is not positive and finite.
+    fn checked_nominal(cell: f64) -> f64 {
+        assert!(
+            cell.is_finite() && cell > 0.0,
+            "grid cell size must be positive and finite (got {cell})"
+        );
+        cell
+    }
+
+    /// Anchors a frame with nominal cell size `nominal` to the bounding
+    /// box of `points` (no columns and no rows if there are none).
+    fn anchor(nominal: f64, points: impl ExactSizeIterator<Item = Point>) -> CellFrame {
+        let len = points.len();
+        if len == 0 {
+            return CellFrame::default();
+        }
+        let (mut min_x, mut min_y, mut max_x, mut max_y) = (
+            f64::INFINITY,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NEG_INFINITY,
+        );
+        for p in points {
+            min_x = min_x.min(p.x);
+            min_y = min_y.min(p.y);
+            max_x = max_x.max(p.x);
+            max_y = max_y.max(p.y);
+        }
+        let span_x = (max_x - min_x).max(0.0);
+        let span_y = (max_y - min_y).max(0.0);
+        let max_axis = Self::MAX_CELLS_PER_AXIS as f64;
+        let mut cell = nominal.max(span_x / max_axis).max(span_y / max_axis);
+        // Rebuild cost is O(cells), so also cap the cell count relative
+        // to the population: a few far-flung points must not make every
+        // round re-clear a huge, almost-empty grid.
+        let cell_budget = (16 * len.max(16)) as f64;
+        let cells_at = |cell: f64| ((span_x / cell) + 1.0) * ((span_y / cell) + 1.0);
+        if cells_at(cell) > cell_budget {
+            cell *= (cells_at(cell) / cell_budget).sqrt();
+        }
+        CellFrame {
+            origin: Point::new(min_x, min_y),
+            anchor_max: Point::new(max_x, max_y),
+            cell,
+            cols: (span_x / cell) as usize + 1,
+            rows: (span_y / cell) as usize + 1,
+        }
+    }
+
+    fn cells(&self) -> usize {
+        self.cols * self.rows
+    }
+
+    /// The row `p` falls into, clamped into `0..rows`.
+    fn row_of(&self, p: Point) -> usize {
+        (((p.y - self.origin.y) / self.cell) as usize).min(self.rows - 1)
+    }
+
+    /// The row-major cell `p` falls into; points outside the anchored
+    /// bounding box are clamped into the nearest edge cell.
+    fn cell_of(&self, p: Point) -> usize {
+        let cx = (((p.x - self.origin.x) / self.cell) as usize).min(self.cols - 1);
+        self.row_of(p) * self.cols + cx
+    }
+
+    /// The block of cells a disk of `radius` around `center` can touch,
+    /// as inclusive `(columns, rows)` bounds clamped into the frame.
+    /// The `f64 -> usize` cast truncates toward zero and saturates, and
+    /// negatives are raised to zero first, so no `floor` is needed.
+    fn cell_range(&self, center: Point, radius: f64) -> ((usize, usize), (usize, usize)) {
+        let clamp = |v: f64, n: usize| (v.max(0.0) as usize).min(n - 1);
+        let along = |c: f64, o: f64, n: usize| {
+            (
+                clamp((c - radius - o) / self.cell, n),
+                clamp((c + radius - o) / self.cell, n),
+            )
+        };
+        (
+            along(center.x, self.origin.x, self.cols),
+            along(center.y, self.origin.y, self.rows),
+        )
+    }
+}
+
 /// A uniform-grid spatial index over a set of points, queried for "all
 /// points within `radius` of here".
 ///
@@ -180,19 +290,15 @@ impl fmt::Display for Rect {
 /// maintenance history, so an incrementally-updated grid is
 /// query-for-query byte-identical to one rebuilt from scratch over the
 /// same points (a property the grid proptests assert).
+///
+/// A point set that is replaced wholesale every round and only ever
+/// queried for a summary is better served by [`SnapshotIndex`].
 #[derive(Clone, Debug, Default)]
 pub struct SpatialGrid {
     /// Nominal cell size requested at construction.
     cell: f64,
-    /// Cell size actually used by the last rebuild (the nominal size,
-    /// possibly coarsened to respect [`Self::MAX_CELLS_PER_AXIS`]).
-    effective_cell: f64,
-    origin: Point,
-    /// Maximum corner of the anchored bounding box (see
-    /// [`SpatialGrid::covers`]).
-    anchor_max: Point,
-    cols: usize,
-    rows: usize,
+    /// Geometry anchored by the last rebuild.
+    frame: CellFrame,
     /// Point indices bucketed by cell, each bucket sorted ascending.
     cells: Vec<Vec<u32>>,
     /// Copy of the indexed positions (for distance filtering).
@@ -200,23 +306,14 @@ pub struct SpatialGrid {
 }
 
 impl SpatialGrid {
-    /// Upper bound on cells per axis; beyond this the effective cell
-    /// size is coarsened so sparse, far-flung populations cannot make
-    /// the grid allocate quadratically in the coordinate spread.
-    const MAX_CELLS_PER_AXIS: usize = 1024;
-
     /// Creates an empty grid with the given nominal cell size.
     ///
     /// # Panics
     ///
     /// Panics if `cell` is not positive and finite.
     pub fn new(cell: f64) -> Self {
-        assert!(
-            cell.is_finite() && cell > 0.0,
-            "grid cell size must be positive and finite (got {cell})"
-        );
         SpatialGrid {
-            cell,
+            cell: CellFrame::checked_nominal(cell),
             ..SpatialGrid::default()
         }
     }
@@ -244,13 +341,13 @@ impl SpatialGrid {
     /// grid is empty). The tile-sharded resolver partitions receivers
     /// into contiguous bands of these rows.
     pub fn rows(&self) -> usize {
-        self.rows
+        self.frame.rows
     }
 
     /// Number of bucket columns in the anchored geometry (0 while the
     /// grid is empty).
     pub fn cols(&self) -> usize {
-        self.cols
+        self.frame.cols
     }
 
     /// The bucket row `p` falls into under the anchored geometry,
@@ -264,7 +361,7 @@ impl SpatialGrid {
     ///
     /// Panics if the grid is empty (`rows() == 0`).
     pub fn row_of(&self, p: Point) -> usize {
-        (((p.y - self.origin.y) / self.effective_cell) as usize).min(self.rows - 1)
+        self.frame.row_of(p)
     }
 
     /// `true` if `p` lies inside the bounding box the geometry was
@@ -272,11 +369,12 @@ impl SpatialGrid {
     /// indexed correctly (clamped into edge cells); this is purely a
     /// performance hint for deciding when to re-anchor.
     pub fn covers(&self, p: Point) -> bool {
-        self.cols > 0
-            && p.x >= self.origin.x
-            && p.y >= self.origin.y
-            && p.x <= self.anchor_max.x
-            && p.y <= self.anchor_max.y
+        let f = &self.frame;
+        f.cols > 0
+            && p.x >= f.origin.x
+            && p.y >= f.origin.y
+            && p.x <= f.anchor_max.x
+            && p.y <= f.anchor_max.y
     }
 
     /// Reindexes `points`, recomputing the anchored geometry and
@@ -289,43 +387,8 @@ impl SpatialGrid {
 
     /// Recomputes geometry and buckets from `self.positions`.
     fn reindex(&mut self) {
-        if self.positions.is_empty() {
-            self.cols = 0;
-            self.rows = 0;
-            return;
-        }
-
-        let (mut min_x, mut min_y, mut max_x, mut max_y) = (
-            f64::INFINITY,
-            f64::INFINITY,
-            f64::NEG_INFINITY,
-            f64::NEG_INFINITY,
-        );
-        for p in &self.positions {
-            min_x = min_x.min(p.x);
-            min_y = min_y.min(p.y);
-            max_x = max_x.max(p.x);
-            max_y = max_y.max(p.y);
-        }
-        self.origin = Point::new(min_x, min_y);
-        self.anchor_max = Point::new(max_x, max_y);
-        let span_x = (max_x - min_x).max(0.0);
-        let span_y = (max_y - min_y).max(0.0);
-        let max_axis = Self::MAX_CELLS_PER_AXIS as f64;
-        let mut effective_cell = self.cell.max(span_x / max_axis).max(span_y / max_axis);
-        // Rebuild cost is O(cells), so also cap the cell count relative
-        // to the population: a few far-flung points must not make every
-        // round re-clear a huge, almost-empty grid.
-        let cell_budget = (16 * self.positions.len().max(16)) as f64;
-        let cells_at = |cell: f64| ((span_x / cell) + 1.0) * ((span_y / cell) + 1.0);
-        if cells_at(effective_cell) > cell_budget {
-            effective_cell *= (cells_at(effective_cell) / cell_budget).sqrt();
-        }
-        self.cols = (span_x / effective_cell) as usize + 1;
-        self.rows = (span_y / effective_cell) as usize + 1;
-        self.effective_cell = effective_cell;
-        let cells = self.cols * self.rows;
-
+        self.frame = CellFrame::anchor(self.cell, self.positions.iter().copied());
+        let cells = self.frame.cells();
         if self.cells.len() < cells {
             self.cells.resize_with(cells, Vec::new);
         }
@@ -334,10 +397,9 @@ impl SpatialGrid {
         for bucket in &mut self.cells[..cells] {
             bucket.clear();
         }
-        for i in 0..self.positions.len() {
-            let c = self.cell_of(self.positions[i], effective_cell);
+        for (i, &p) in self.positions.iter().enumerate() {
             // Indices arrive ascending, so pushing keeps buckets sorted.
-            self.cells[c].push(i as u32);
+            self.cells[self.frame.cell_of(p)].push(i as u32);
         }
     }
 
@@ -349,8 +411,8 @@ impl SpatialGrid {
     pub fn move_point(&mut self, idx: u32, to: Point) {
         let from = self.positions[idx as usize];
         self.positions[idx as usize] = to;
-        let cf = self.cell_of(from, self.effective_cell);
-        let ct = self.cell_of(to, self.effective_cell);
+        let cf = self.frame.cell_of(from);
+        let ct = self.frame.cell_of(to);
         if cf != ct {
             Self::bucket_remove(&mut self.cells[cf], idx);
             Self::bucket_insert(&mut self.cells[ct], idx);
@@ -363,13 +425,12 @@ impl SpatialGrid {
     pub fn insert(&mut self, p: Point) -> u32 {
         let idx = self.positions.len() as u32;
         self.positions.push(p);
-        if self.cols == 0 {
+        if self.frame.cols == 0 {
             self.reindex();
         } else {
-            let c = self.cell_of(p, self.effective_cell);
             // `idx` is the largest index, so a push keeps the bucket
             // sorted.
-            self.cells[c].push(idx);
+            self.cells[self.frame.cell_of(p)].push(idx);
         }
         idx
     }
@@ -383,10 +444,10 @@ impl SpatialGrid {
     /// Panics if `idx` is out of range.
     pub fn remove(&mut self, idx: u32) {
         let last = (self.positions.len() - 1) as u32;
-        let c = self.cell_of(self.positions[idx as usize], self.effective_cell);
+        let c = self.frame.cell_of(self.positions[idx as usize]);
         Self::bucket_remove(&mut self.cells[c], idx);
         if idx != last {
-            let cl = self.cell_of(self.positions[last as usize], self.effective_cell);
+            let cl = self.frame.cell_of(self.positions[last as usize]);
             Self::bucket_remove(&mut self.cells[cl], last);
             Self::bucket_insert(&mut self.cells[cl], idx);
         }
@@ -405,12 +466,6 @@ impl SpatialGrid {
             .binary_search(&idx)
             .expect_err("grid bucket already contains the point");
         bucket.insert(at, idx);
-    }
-
-    fn cell_of(&self, p: Point, cell: f64) -> usize {
-        let cx = (((p.x - self.origin.x) / cell) as usize).min(self.cols - 1);
-        let cy = (((p.y - self.origin.y) / cell) as usize).min(self.rows - 1);
-        cy * self.cols + cx
     }
 
     /// Appends to `out` the index of every point within `radius` of
@@ -438,17 +493,10 @@ impl SpatialGrid {
             return;
         }
         let r_sq = radius * radius;
-        let cell = self.effective_cell;
-        let lo_x = ((center.x - radius - self.origin.x) / cell).floor();
-        let hi_x = ((center.x + radius - self.origin.x) / cell).floor();
-        let lo_y = ((center.y - radius - self.origin.y) / cell).floor();
-        let hi_y = ((center.y + radius - self.origin.y) / cell).floor();
-        let clamp = |v: f64, hi: usize| (v.max(0.0) as usize).min(hi - 1);
-        let (cx0, cx1) = (clamp(lo_x, self.cols), clamp(hi_x, self.cols));
-        let (cy0, cy1) = (clamp(lo_y, self.rows), clamp(hi_y, self.rows));
+        let ((cx0, cx1), (cy0, cy1)) = self.frame.cell_range(center, radius);
         for cy in cy0..=cy1 {
             for cx in cx0..=cx1 {
-                for &idx in &self.cells[cy * self.cols + cx] {
+                for &idx in &self.cells[cy * self.frame.cols + cx] {
                     let d2 = self.positions[idx as usize].distance_sq(center);
                     if d2 <= r_sq {
                         visit(idx, d2);
@@ -456,6 +504,180 @@ impl SpatialGrid {
                 }
             }
         }
+    }
+}
+
+/// What a receiver hears of one round's broadcasters under the
+/// quasi-unit-disk rule — everything the delivery rule reads, and
+/// nothing it does not: with two or more broadcasters inside `R2` the
+/// receiver gets at most the `±` indication, so only *whether one of
+/// them is inside `R1`* matters, not who or in which order.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum Heard {
+    /// No other broadcaster within `R2`.
+    Silence,
+    /// Exactly one, at intent slot `slot` and squared distance `d2`.
+    One {
+        /// The broadcaster's tag (its intent slot).
+        slot: u32,
+        /// Its exact squared distance from the receiver.
+        d2: f64,
+    },
+    /// Two or more: they destroy each other at this receiver.
+    Many {
+        /// Whether at least one of them is within `R1`.
+        within_r1: bool,
+    },
+}
+
+impl Heard {
+    /// Folds the `(slot, d²)` hits inside `R2` of one receiver (itself
+    /// excluded) into the summary; `r1_sq` is `R1²`, inclusive.
+    pub fn of(hits: impl IntoIterator<Item = (u32, f64)>, r1_sq: f64) -> Heard {
+        let (mut count, mut nearest, mut last) = (0usize, f64::INFINITY, 0u32);
+        for (slot, d2) in hits {
+            count += 1;
+            nearest = nearest.min(d2);
+            last = slot;
+        }
+        Heard::from_fold(count, nearest, last, r1_sq)
+    }
+
+    /// The summary of `count` hits whose smallest squared distance is
+    /// `nearest` and whose last-seen tag is `last`.
+    fn from_fold(count: usize, nearest: f64, last: u32, r1_sq: f64) -> Heard {
+        match count {
+            0 => Heard::Silence,
+            1 => Heard::One {
+                slot: last,
+                d2: nearest,
+            },
+            _ => Heard::Many {
+                within_r1: nearest <= r1_sq,
+            },
+        }
+    }
+}
+
+/// A read-only index over one round's tagged points, rebuilt from
+/// scratch each round and queried only for a [`Heard`] summary.
+///
+/// Where [`SpatialGrid`] keeps a bucket per cell and an anchored,
+/// incrementally maintained topology, this is a counting sort: one
+/// contiguous `entries` array in row-major cell order with the position
+/// and tag inline, plus `starts[cell]` offsets. A receiver's block of
+/// cells is then one linear range per cell row — no per-candidate
+/// indirection, no list to build, sort or prune. It is never moved,
+/// inserted into or removed from; it shares the anchoring rule and the
+/// cell-range arithmetic with [`SpatialGrid`].
+///
+/// ```
+/// use vi_radio::geometry::{Heard, Point, SnapshotIndex};
+/// let mut index = SnapshotIndex::new(20.0);
+/// index.rebuild([(Point::new(0.0, 0.0), 7), (Point::new(50.0, 0.0), 9)]);
+/// // Slot 7 is the only broadcaster within 20 m of (5, 0) ...
+/// let heard = index.scan(Point::new(5.0, 0.0), 10.0, 20.0, u32::MAX);
+/// assert_eq!(heard, Heard::One { slot: 7, d2: 25.0 });
+/// // ... and hears nothing but itself.
+/// assert_eq!(index.scan(Point::new(0.0, 0.0), 10.0, 20.0, 7), Heard::Silence);
+/// ```
+#[derive(Clone, Debug, Default)]
+pub struct SnapshotIndex {
+    /// Nominal cell size requested at construction.
+    cell: f64,
+    /// Geometry anchored by the last rebuild.
+    frame: CellFrame,
+    /// `entries[starts[c]..starts[c + 1]]` is cell `c` (one more offset
+    /// than cells).
+    starts: Vec<u32>,
+    /// Every point with its tag, grouped by cell in row-major order.
+    entries: Vec<(Point, u32)>,
+    /// Rebuild scratch: the points in arrival order.
+    staged: Vec<(Point, u32)>,
+}
+
+impl SnapshotIndex {
+    /// Creates an empty index with the given nominal cell size (the
+    /// radius it will be scanned with, for a 3×3-cell block per scan).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cell` is not positive and finite.
+    pub fn new(cell: f64) -> Self {
+        SnapshotIndex {
+            cell: CellFrame::checked_nominal(cell),
+            ..SnapshotIndex::default()
+        }
+    }
+
+    /// Number of points indexed.
+    pub fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// `true` if no points are indexed.
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    /// Replaces the indexed set with `points` (position, tag), anchoring
+    /// the geometry to their bounding box. All buffers are reused, so
+    /// rebuilds allocate nothing once capacities have grown to the
+    /// working-set size.
+    pub fn rebuild(&mut self, points: impl IntoIterator<Item = (Point, u32)>) {
+        self.staged.clear();
+        self.staged.extend(points);
+        self.frame = CellFrame::anchor(self.cell, self.staged.iter().map(|&(p, _)| p));
+        // Counting sort by cell: tally, prefix-sum into end offsets,
+        // then place back to front, which leaves `starts[c]` at the
+        // start of cell `c` and keeps arrival order within a cell.
+        let cells = self.frame.cells();
+        self.starts.clear();
+        self.starts.resize(cells + 1, 0);
+        for &(p, _) in &self.staged {
+            self.starts[self.frame.cell_of(p)] += 1;
+        }
+        let mut end = 0u32;
+        for start in &mut self.starts {
+            end += *start;
+            *start = end;
+        }
+        // Every slot is overwritten below, so only the length matters.
+        self.entries.resize(self.staged.len(), (Point::ORIGIN, 0));
+        for &(p, tag) in self.staged.iter().rev() {
+            let start = &mut self.starts[self.frame.cell_of(p)];
+            *start -= 1;
+            self.entries[*start as usize] = (p, tag);
+        }
+    }
+
+    /// What a receiver at `center` hears of the indexed points: those
+    /// within `r2` (inclusive), except the one tagged `exclude` — the
+    /// receiver's own slot when it broadcasts itself. `r1 <= r2` is the
+    /// inner radius [`Heard::Many`] reports on (inclusive).
+    ///
+    /// One fused pass over the block's cell rows: hits are counted, not
+    /// listed, and the loop body is compare-and-select only.
+    pub fn scan(&self, center: Point, r1: f64, r2: f64, exclude: u32) -> Heard {
+        if self.entries.is_empty() {
+            return Heard::Silence;
+        }
+        let r2_sq = r2 * r2;
+        let ((cx0, cx1), (cy0, cy1)) = self.frame.cell_range(center, r2);
+        let (mut count, mut nearest, mut last) = (0usize, f64::INFINITY, 0u32);
+        for cy in cy0..=cy1 {
+            let row = cy * self.frame.cols;
+            let lo = self.starts[row + cx0] as usize;
+            let hi = self.starts[row + cx1 + 1] as usize;
+            for &(p, tag) in &self.entries[lo..hi] {
+                let d2 = p.distance_sq(center);
+                let hit = (d2 <= r2_sq) & (tag != exclude);
+                count += usize::from(hit);
+                nearest = if hit { nearest.min(d2) } else { nearest };
+                last = if hit { tag } else { last };
+            }
+        }
+        Heard::from_fold(count, nearest, last, r1 * r1)
     }
 }
 
@@ -601,6 +823,45 @@ mod tests {
         out.clear();
         grid.query_within(Point::ORIGIN, 4.999, &mut out);
         assert_eq!(out, vec![0]);
+    }
+
+    /// The shared cell-range helper dropped the four `floor` calls of
+    /// the formula it replaced (kept here): truncation and saturation
+    /// of the `f64 -> usize` cast already do that work.
+    #[test]
+    fn cell_range_equals_the_floored_formula() {
+        let frame = CellFrame::anchor(
+            10.0,
+            [Point::new(5.0, -20.0), Point::new(95.0, 40.0)].into_iter(),
+        );
+        assert_eq!((frame.cols, frame.rows), (10, 7));
+        let floored = |center: Point, radius: f64| {
+            let lo_x = ((center.x - radius - frame.origin.x) / frame.cell).floor();
+            let hi_x = ((center.x + radius - frame.origin.x) / frame.cell).floor();
+            let lo_y = ((center.y - radius - frame.origin.y) / frame.cell).floor();
+            let hi_y = ((center.y + radius - frame.origin.y) / frame.cell).floor();
+            let clamp = |v: f64, hi: usize| (v.max(0.0) as usize).min(hi - 1);
+            (
+                (clamp(lo_x, frame.cols), clamp(hi_x, frame.cols)),
+                (clamp(lo_y, frame.rows), clamp(hi_y, frame.rows)),
+            )
+        };
+        // Left of / below the anchor, beyond `anchor_max`, on exact
+        // cell boundaries (centre, centre ± radius, or both), inside.
+        let xs = [-1e9, -30.0, 4.999, 5.0, 15.0, 25.0, 52.5, 95.0, 105.0, 1e9];
+        let ys = [-1e9, -45.0, -20.0, -10.0, 0.0, 13.7, 40.0, 50.0, 1e9];
+        for &x in &xs {
+            for &y in &ys {
+                for radius in [0.0, 0.5, 10.0, 20.0, 1e3] {
+                    let center = Point::new(x, y);
+                    assert_eq!(
+                        frame.cell_range(center, radius),
+                        floored(center, radius),
+                        "centre {center} radius {radius}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -12,7 +12,7 @@ use virtual_infra::radio::adversary::{NoAdversary, RandomLoss};
 use virtual_infra::radio::channel::{
     resolve_round, resolve_round_reference, Medium, ReceptionBuffer, TopologyDelta, TxIntent,
 };
-use virtual_infra::radio::geometry::{Point, Rect, SpatialGrid};
+use virtual_infra::radio::geometry::{Heard, Point, Rect, SnapshotIndex, SpatialGrid};
 use virtual_infra::radio::mobility::{Billiard, MobilityModel, Static, Waypoint};
 use virtual_infra::radio::{
     ChannelStats, Engine, EngineConfig, NodeId, NodeSpec, Process, RadioConfig, RoundCtx,
@@ -413,6 +413,74 @@ proptest! {
                 grid.query_within_d2(center, radius, &mut inc_d2);
                 rebuilt.query_within_d2(center, radius, &mut scratch_d2);
                 prop_assert_eq!(&inc_d2, &scratch_d2, "d2 query mismatch at {}", center);
+            }
+        }
+    }
+
+    /// Differential law for the churn round's kernel: one fused
+    /// [`SnapshotIndex::scan`] returns exactly the [`Heard`] a brute
+    /// force over the same tagged points does. Points sit on an integer
+    /// lattice and the radii are the hypotenuses of 3-4-5 and 5-12-13
+    /// triangles, so hits *exactly at* `r1` and `r2` (both inclusive)
+    /// and coincident points are common; `spread` 0 packs everything
+    /// into one cell, a wide spread with few points trips the 16×n
+    /// cell budget, and `far_flung` adds a point 10⁶ m out, which
+    /// trips `MAX_CELLS_PER_AXIS`. One index is rebuilt for both
+    /// rounds (the second may be empty or a single broadcaster), so
+    /// offsets left over from a larger geometry cannot leak. Every
+    /// point is scanned as a broadcasting receiver (its own tag
+    /// excluded) and as a listener standing on the same spot.
+    #[test]
+    fn snapshot_scan_matches_brute_force(
+        first in proptest::collection::vec((0i32..40, 0i32..40), 0..40),
+        second in proptest::collection::vec((0i32..40, 0i32..40), 0..3),
+        listeners in proptest::collection::vec((-15i32..55, -15i32..55), 1..8),
+        spread in 0usize..3,
+        radii in 0usize..3,
+        far_flung in any::<bool>(),
+    ) {
+        let step = [0.25, 1.0, 9.0][spread];
+        let (r1, r2) = [(5.0, 10.0), (5.0, 13.0), (13.0, 13.0)][radii];
+        let at = |&(x, y): &(i32, i32)| Point::new(f64::from(x) * step, f64::from(y) * step);
+        let mut index = SnapshotIndex::new(r2);
+        for lattice in [&first, &second] {
+            // Odd tags: sparse like intent slots, and never a
+            // listener's (even) tag.
+            let mut points: Vec<(Point, u32)> = lattice
+                .iter()
+                .enumerate()
+                .map(|(i, xy)| (at(xy), 2 * i as u32 + 1))
+                .collect();
+            if far_flung && !points.is_empty() {
+                points.push((Point::new(1e6, -1e6), 2 * points.len() as u32 + 1));
+            }
+            index.rebuild(points.iter().copied());
+            prop_assert_eq!(index.len(), points.len());
+
+            let brute = |center: Point, exclude: u32| {
+                let hits: Vec<(u32, f64)> = points
+                    .iter()
+                    .filter(|&&(p, tag)| tag != exclude && p.within(center, r2))
+                    .map(|&(p, tag)| (tag, p.distance_sq(center)))
+                    .collect();
+                match hits[..] {
+                    [] => Heard::Silence,
+                    [(slot, d2)] => Heard::One { slot, d2 },
+                    _ => Heard::Many {
+                        within_r1: hits.iter().any(|&(_, d2)| d2 <= r1 * r1),
+                    },
+                }
+            };
+            for &(p, tag) in &points {
+                prop_assert_eq!(index.scan(p, r1, r2, tag), brute(p, tag),
+                    "broadcasting receiver {} at {}", tag, p);
+                prop_assert_eq!(index.scan(p, r1, r2, tag - 1), brute(p, tag - 1),
+                    "listener on top of broadcaster {} at {}", tag, p);
+            }
+            for (k, xy) in listeners.iter().enumerate() {
+                let (center, tag) = (at(xy), 2 * k as u32);
+                prop_assert_eq!(index.scan(center, r1, r2, tag), brute(center, tag),
+                    "listener at {}", center);
             }
         }
     }

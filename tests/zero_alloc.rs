@@ -1,19 +1,25 @@
 //! The zero-allocation guarantee of the engine's round path: once
 //! buffers have warmed up, a steady-state engine round over a static
 //! topology (tracing off, null observers, non-allocating
-//! processes) performs **zero** heap allocations.
+//! processes) performs **zero** heap allocations. So does a churn
+//! round of the medium — every position moved, the broadcaster
+//! snapshot index rebuilt from scratch — once its buffers have grown.
 //!
 //! Measured with a counting global allocator, so this file must hold
 //! exactly one `#[test]` — a sibling test running on another thread
 //! would pollute the counter.
 
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::any::Any;
 use std::sync::atomic::{AtomicU64, Ordering};
+use virtual_infra::radio::adversary::NoAdversary;
+use virtual_infra::radio::channel::{Medium, ReceptionBuffer, TopologyDelta, TxIntent};
 use virtual_infra::radio::geometry::Point;
 use virtual_infra::radio::mobility::Static;
 use virtual_infra::radio::{
-    Engine, EngineConfig, NodeSpec, Process, RadioConfig, RoundCtx, RoundReception,
+    Engine, EngineConfig, NodeId, NodeSpec, Process, RadioConfig, RoundCtx, RoundReception,
 };
 use virtual_infra::telemetry::Observers;
 
@@ -72,21 +78,29 @@ impl Process<u64> for Counter {
     }
 }
 
+/// Nodes per deployment.
+const N: usize = 400;
+
+/// Where node `i` starts: a hash scatter at constant density.
+fn home(i: usize) -> Point {
+    let side = (N as f64).sqrt() * 15.0;
+    let h = (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    Point::new(
+        (h % 10_000) as f64 / 10_000.0 * side,
+        ((h >> 32) % 10_000) as f64 / 10_000.0 * side,
+    )
+}
+
 /// 400 static nodes at constant density.
 fn deployment(record_trace: bool) -> Engine<u64> {
-    let n = 400;
-    let side = (n as f64).sqrt() * 15.0;
     let mut engine: Engine<u64> = Engine::new(EngineConfig {
         radio: RadioConfig::reliable(10.0, 20.0),
         seed: 42,
         record_trace,
     });
-    for i in 0..n {
-        let h = (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        let x = (h % 10_000) as f64 / 10_000.0 * side;
-        let y = ((h >> 32) % 10_000) as f64 / 10_000.0 * side;
+    for i in 0..N {
         engine.add_node(NodeSpec::new(
-            Box::new(Static::new(Point::new(x, y))),
+            Box::new(Static::new(home(i))),
             Box::new(Counter {
                 phase: i as u64,
                 heard: 0,
@@ -126,9 +140,9 @@ fn steady_state_rounds_allocate_nothing() {
     assert!(engine.stats().broadcasts > 0);
 
     // A configured pool preserves the guarantee. Steady cached rounds
-    // never wake it — only re-anchor and churn rounds shard, and this
-    // static deployment has none after warm-up — so what this window
-    // covers is a configured but idle pool: four parked workers and
+    // never wake it — only re-anchor rounds shard, and this static
+    // deployment has none after warm-up — so what this window covers
+    // is a configured but idle pool: four parked workers and
     // the threshold override in place (sharding would be forced at
     // this n if the round kind allowed it) add no allocation to the
     // sequential walk the steady rounds take.
@@ -144,6 +158,52 @@ fn steady_state_rounds_allocate_nothing() {
         "steady-state rounds with an idle pool must not allocate"
     );
     assert_eq!(engine.round(), 300);
+
+    // Churn rounds: every node steps back and forth (period 2) under a
+    // broadcast pattern of period 3, and the caller reports `Rebuild`
+    // every round, so each round counting-sorts that round's
+    // broadcasters into the snapshot index and scans it once per
+    // receiver. After one joint period every index geometry has been
+    // seen and its buffers have grown.
+    let mut medium = Medium::new(RadioConfig::reliable(10.0, 20.0));
+    let mut intents: Vec<TxIntent<u64>> = (0..N)
+        .map(|i| TxIntent {
+            node: NodeId::from(i),
+            pos: home(i),
+            payload: None,
+        })
+        .collect();
+    let (mut rng, mut out) = (StdRng::seed_from_u64(42), ReceptionBuffer::new());
+    let mut heard = 0usize;
+    let mut churn = |rounds: std::ops::Range<u64>| {
+        for round in rounds {
+            let step = (round % 2) as f64;
+            for (i, intent) in intents.iter_mut().enumerate() {
+                let at = home(i);
+                intent.pos = Point::new(at.x + 0.9 * step, at.y - 0.4 * step);
+                intent.payload = (round as usize + i).is_multiple_of(3).then_some(i as u64);
+            }
+            medium.resolve_round_cached(
+                round,
+                &intents,
+                TopologyDelta::Rebuild,
+                &mut NoAdversary,
+                &mut rng,
+                &mut out,
+            );
+            heard += (0..out.len()).map(|k| out.messages(k).len()).sum::<usize>();
+        }
+    };
+    churn(0..12);
+    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    churn(12..132);
+    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    assert_eq!(
+        after - before,
+        0,
+        "churn rounds must not allocate once the snapshot index has grown"
+    );
+    assert!(heard > 0, "the churn rounds delivered messages");
 
     // The same deployment with tracing on allocates every round (the
     // exact-size `RoundRecord` clone) — the contrast proves the counter
