@@ -19,6 +19,8 @@
 //! and `RouteMsg::inject` are the shared helpers that survive on the
 //! adapter path.
 
+#![forbid(unsafe_code)]
+
 pub mod georouting;
 pub mod mutex;
 pub mod register;

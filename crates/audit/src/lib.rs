@@ -33,6 +33,8 @@
 //!   corruptions (drop/swap/forge) the property tests use to prove
 //!   the checkers actually reject what they claim to reject.
 
+#![forbid(unsafe_code)]
+
 pub mod check;
 pub mod history;
 pub mod linearizability;

@@ -21,6 +21,8 @@
 //!   `vi-audit` linearizability checker catches red-handed under a
 //!   partition (see `examples/audit_demo.rs`).
 
+#![forbid(unsafe_code)]
+
 pub mod full_history;
 pub mod majority;
 pub mod majority_register;

@@ -94,7 +94,7 @@ fn replay_incident(path: &str) -> ! {
         bundle.flight.len(),
         if bundle.tracing { "on" } else { "off" },
     );
-    let out = bundle.replay(0);
+    let out = bundle.replay();
     let verdict_matches = out.audit == bundle.audit;
     let bundle_matches = out.incident.as_ref() == Some(&bundle);
     match (verdict_matches, bundle_matches) {

@@ -81,7 +81,7 @@ pub fn paired_campaign() -> FuzzReport {
 /// Extracts the rediscovered planted violation — the audit-class
 /// finding in the `fuzz_majority` family — and asserts its repro
 /// contract: the minimized spec still fails as an audit violation,
-/// and its bundle replays byte-identically at 1 and 4 workers.
+/// and its bundle replays byte-identically.
 ///
 /// # Panics
 ///
@@ -104,19 +104,17 @@ pub fn rediscovered_violation(report: &FuzzReport) -> &Finding {
         .bundle
         .as_ref()
         .expect("audit findings package a replayable bundle");
-    for workers in [1usize, 4] {
-        let replay = bundle.replay(workers);
-        assert_eq!(
-            replay.audit.as_ref(),
-            bundle.audit.as_ref(),
-            "replay({workers}) must reproduce the audit verdict"
-        );
-        assert_eq!(
-            replay.incident.as_ref(),
-            Some(bundle),
-            "replay({workers}) must reproduce the bundle byte-identically"
-        );
-    }
+    let replay = bundle.replay();
+    assert_eq!(
+        replay.audit.as_ref(),
+        bundle.audit.as_ref(),
+        "a replay must reproduce the audit verdict"
+    );
+    assert_eq!(
+        replay.incident.as_ref(),
+        Some(bundle),
+        "a replay must reproduce the bundle byte-identically"
+    );
     finding
 }
 
@@ -178,7 +176,7 @@ pub fn fuzz_hunt() -> Table {
                 f.seed,
                 f.spec.name,
                 if f.bundle.is_some() {
-                    ", bundle replays at 1 and 4 workers"
+                    ", bundle replays"
                 } else {
                     ""
                 },
@@ -206,7 +204,7 @@ pub fn fuzz_hunt() -> Table {
     }
 
     t.note("1-worker vs 4-worker campaigns asserted identical: counts, coverage map, findings, bundles");
-    t.note("planted-violation rediscovery asserted: audit-class finding in the fuzz_majority family, minimized spec re-verified, bundle replayed byte-identically at 1 and 4 workers");
+    t.note("planted-violation rediscovery asserted: audit-class finding in the fuzz_majority family, minimized spec re-verified, bundle replayed byte-identically");
     t.note("set VI_INCIDENT_DIR=. to write fuzz_min_majority.spec.json (+ .bundle.json); replay via `repro --replay`, re-shrink via `repro fuzz --minimize`");
     t.note("run your own campaign via `repro fuzz --iters N --seed S --corpus-dir DIR`");
     t
@@ -218,7 +216,7 @@ mod tests {
 
     /// Acceptance: the pinned campaign is worker-invariant and
     /// rediscovers the planted majority violation, whose minimized
-    /// bundle replays byte-identically at 1 and 4 workers (all
+    /// bundle replays byte-identically (all
     /// asserted inside the helpers).
     #[test]
     fn pinned_campaign_rediscovers_the_planted_violation() {

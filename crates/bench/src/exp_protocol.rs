@@ -91,7 +91,7 @@ pub fn assert_zero_perturbation(spec: &ScenarioSpec, traced: &ScenarioOutcome) {
 
 /// The forced-violation fixture: runs `broken_majority` traced,
 /// extracts the incident bundle, verifies it replays to the identical
-/// audit verdict and bundle at 1 and 4 workers, and returns it.
+/// audit verdict and bundle, and returns it.
 ///
 /// # Panics
 ///
@@ -104,19 +104,17 @@ pub fn forced_violation_bundle() -> IncidentBundle {
     let bundle = out
         .incident
         .expect("violation must dump an incident bundle");
-    for workers in [1usize, 4] {
-        let replay = bundle.replay(workers);
-        assert_eq!(
-            replay.audit.as_ref(),
-            bundle.audit.as_ref(),
-            "replay({workers}) must reproduce the audit verdict"
-        );
-        assert_eq!(
-            replay.incident.as_ref(),
-            Some(&bundle),
-            "replay({workers}) must reproduce the bundle byte-identically"
-        );
-    }
+    let replay = bundle.replay();
+    assert_eq!(
+        replay.audit.as_ref(),
+        bundle.audit.as_ref(),
+        "a replay must reproduce the audit verdict"
+    );
+    assert_eq!(
+        replay.incident.as_ref(),
+        Some(&bundle),
+        "a replay must reproduce the bundle byte-identically"
+    );
     bundle
 }
 
@@ -201,7 +199,7 @@ pub fn protocol_trace() -> Table {
     t.note(
         "every traced outcome, observability fields stripped, asserted equal to its untraced run",
     );
-    t.note("broken_majority: WGL violation dumped as an incident bundle; replay at 1 and 4 workers asserted to reproduce verdict and bundle byte-identically");
+    t.note("broken_majority: WGL violation dumped as an incident bundle; replay asserted to reproduce verdict and bundle byte-identically");
     t.note("set VI_INCIDENT_DIR=. to write incident_broken_majority.json; replay it via `repro --replay incident_broken_majority.json`");
     t.note("set VI_TRACE=out.json to export the causal DAG as Perfetto flow events");
     t
@@ -262,7 +260,7 @@ mod tests {
     }
 
     /// Acceptance: the forced violation produces a bundle that
-    /// replays to the identical verdict at 1 and 4 workers (asserted
+    /// replays to the identical verdict (asserted
     /// inside `forced_violation_bundle`), and the bundle's JSON
     /// round-trips.
     #[test]

@@ -230,8 +230,8 @@ mod tests {
             let mut off_ms = f64::INFINITY;
             let mut on_ms = f64::INFINITY;
             for _ in 0..2 {
-                off_ms = off_ms.min(run_ms(EngineTuning::with_workers(1)));
-                on_ms = on_ms.min(run_ms(EngineTuning::with_workers(1).with_telemetry()));
+                off_ms = off_ms.min(run_ms(EngineTuning::DEFAULT));
+                on_ms = on_ms.min(run_ms(EngineTuning::DEFAULT.with_telemetry()));
             }
             let ratio = on_ms / off_ms.max(f64::MIN_POSITIVE);
             if ratio <= 1.3 {

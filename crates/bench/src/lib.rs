@@ -9,6 +9,8 @@
 //! (E6, E13, E15, E16, E17, E18) fan across cores through
 //! [`vi_scenario::SweepRunner`].
 
+#![forbid(unsafe_code)]
+
 pub mod diff;
 pub mod exp_ablation;
 pub mod exp_audit;
@@ -96,7 +98,7 @@ pub fn all_experiments() -> Vec<Experiment> {
         ),
         (
             "metropolis",
-            "Engine hot path at city scale: sequential vs tile-sharded rounds",
+            "Engine hot path at city scale: ms/round, round modes, phase breakdown",
             exp_metropolis::metropolis,
         ),
         (

@@ -32,6 +32,8 @@
 //! All managers are driven through the [`ContentionManager`] trait and
 //! shared between co-located processes via [`SharedCm`].
 
+#![forbid(unsafe_code)]
+
 pub mod backoff;
 pub mod manager;
 pub mod oracle;

@@ -13,5 +13,7 @@
 //!   broadcast schedule, the eleven-phase virtual round, the
 //!   join/join-ack/reset sub-protocol, and the client runtime.
 
+#![forbid(unsafe_code)]
+
 pub mod cha;
 pub mod vi;

@@ -1,8 +1,7 @@
 //! Deployment builder: assembles radio engine, schedule, regional
 //! contention managers, and devices into a runnable virtual
 //! infrastructure. Execution knobs forward to the engine it owns:
-//! `set_workers`, `set_adversary`, and one `set_observers` for every
-//! recorder.
+//! `set_adversary`, and one `set_observers` for every recorder.
 
 use crate::vi::automaton::{VirtualAutomaton, VnId};
 use crate::vi::client::ClientApp;
@@ -130,13 +129,6 @@ impl<VA: VirtualAutomaton> World<VA> {
     /// Installs a channel adversary.
     pub fn set_adversary(&mut self, adversary: Box<dyn Adversary>) {
         self.engine.set_adversary(adversary);
-    }
-
-    /// Sets the underlying engine's intra-round worker count (see
-    /// [`vi_radio::Engine::set_workers`]); executions are
-    /// byte-identical at any worker count.
-    pub fn set_workers(&mut self, workers: usize) {
-        self.engine.set_workers(workers);
     }
 
     /// Installs the run's observers on the underlying engine (see

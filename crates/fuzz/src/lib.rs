@@ -35,6 +35,8 @@
 //! campaign decision is a pure function of prior (deterministic)
 //! results and the campaign RNG.
 
+#![forbid(unsafe_code)]
+
 pub mod campaign;
 pub mod corpus;
 pub mod coverage;

@@ -24,11 +24,9 @@ use crate::adversary::Adversary;
 use crate::config::RadioConfig;
 use crate::engine::NodeId;
 use crate::geometry::{Heard, Point, SnapshotIndex, SpatialGrid};
-use crate::pool::WorkerPool;
 use rand::rngs::StdRng;
-use std::cell::UnsafeCell;
 use std::time::Instant;
-use vi_telemetry::{trace_export, Phase, Probe};
+use vi_telemetry::{Phase, Probe};
 
 /// A node's transmission decision for one round.
 #[derive(Clone, Debug)]
@@ -222,140 +220,20 @@ impl<M> ReceptionBuffer<M> {
 /// (the engine's dirty-set of movers plus its live-set comparison).
 #[derive(Clone, Copy, Debug)]
 pub enum TopologyDelta<'a> {
-    /// The participant set changed, or the caller lost track: drop all
-    /// cached neighborhoods and re-anchor the index.
+    /// The participant set changed, or the caller lost track: a churn
+    /// round. It resolves from a per-round index of its broadcasters
+    /// and drops the cached neighborhoods; the first round after it
+    /// that is not itself churn re-anchors them.
     Rebuild,
-    /// Same participants, every position unchanged.
+    /// Same participants, every position unchanged: a steady round
+    /// over the cached neighborhoods (a re-anchor first if they are
+    /// stale).
     Unchanged,
     /// Same participants; exactly these intent slots changed position.
+    /// Few movers are patched into the cache surgically; many make it
+    /// a churn round.
     Moved(&'a [u32]),
 }
-
-/// Where a round reads what each receiver hears from (see
-/// [`Medium::resolve_receivers`]). Only `Reanchor` — one full grid
-/// query per receiver — is ever sharded across a configured pool;
-/// `Cached` and `ChurnIndex` rounds always resolve on the calling
-/// thread.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Source {
-    /// Steady cached round: the per-slot neighborhoods are valid, so
-    /// what a receiver hears is a fold over the broadcasting subset of
-    /// its list — a few already materialised entries, ≈8 ns per
-    /// receiver at n = 20 000. Sharding it would have every worker
-    /// rescan all `n` receivers for its tile, write each filtered list
-    /// out for the walk to read back, and wake the pool, to
-    /// parallelise less work than that (measured on `metro_static`,
-    /// 2 workers: 0.84x of one worker).
-    Cached,
-    /// Re-anchor round: the full-topology grid was just rebuilt; one
-    /// grid query ([`Geometry::candidates`]) recomputes the receiver's
-    /// *whole* neighborhood, which [`Medium::resolve_receivers`]
-    /// installs in the cache before folding its broadcasting subset.
-    Reanchor,
-    /// Churn-fallback round: the snapshot index holds this round's
-    /// broadcasters; one fused [`SnapshotIndex::scan`] per receiver
-    /// returns the summary directly, with no list in between. Stays
-    /// sequential for the reason `Cached` does: the whole scan costs
-    /// about what handing a receiver to a worker and reading its
-    /// answer back did (measured on `metro_churn`, 2 vCPUs: the
-    /// sharded geometry pass alone took 3.4–4.8 ms/round against
-    /// 4.3 ms for the entire sequential round it was meant to speed
-    /// up).
-    ChurnIndex,
-}
-
-/// The geometry state a round's receivers are resolved from. Cache
-/// maintenance writes it at the top of a round; while the receivers
-/// are resolved — a re-anchor's queries by pool workers, everything
-/// else by the sequential walk — it is shared read-only.
-#[derive(Debug)]
-struct Geometry {
-    /// The full-topology spatial index (cell size `R2`) over every
-    /// intent position, anchored by the last re-anchor round and moved
-    /// surgically since. Stale while `Medium::cache_ready` is false.
-    grid: SpatialGrid,
-    /// A churn round's broadcasters (position and intent slot),
-    /// rebuilt by counting sort every churn round.
-    snapshot: SnapshotIndex,
-    /// Per-slot neighborhood: every other slot within `R2`, with its
-    /// squared distance, ascending by slot.
-    nbr: Vec<Vec<(u32, f64)>>,
-    /// Which slots broadcast this round (refreshed every cached and
-    /// re-anchor round).
-    is_tx: Vec<bool>,
-}
-
-impl Geometry {
-    /// The row-band tile (of `workers`) owning re-anchor receiver
-    /// `rx`: a pure function of its position and the grid anchor, so
-    /// the workers' filter and the tile walk agree on membership
-    /// without communicating.
-    fn tile_of(&self, rx: u32, workers: usize) -> usize {
-        self.grid.row_of(self.grid.position(rx)) * workers / self.grid.rows()
-    }
-
-    /// The re-anchor query: appends to `out` the full `R2` neighborhood
-    /// of receiver `rx` as `(slot, d²)`, ascending by intent slot and
-    /// excluding `rx` itself — the list the cache keeps for the steady
-    /// rounds that follow.
-    ///
-    /// RNG-free and intent-free, which is what lets pool workers run it
-    /// and keeps the sharded path byte-identical at any worker count.
-    fn candidates(&self, r2: f64, rx: u32, out: &mut Vec<(u32, f64)>) {
-        let base = out.len();
-        self.grid.query_within_d2(self.grid.position(rx), r2, out);
-        if let Ok(at) = out[base..].binary_search_by_key(&rx, |&(i, _)| i) {
-            out.remove(base + at);
-        }
-    }
-
-    /// What a receiver hears of the broadcasters in `list`, a slice of
-    /// its (cached or just queried) `R2` neighborhood.
-    fn heard_in(&self, list: &[(u32, f64)], r1_sq: f64) -> Heard {
-        Heard::of(
-            list.iter()
-                .copied()
-                .filter(|&(i, _)| self.is_tx[i as usize]),
-            r1_sq,
-        )
-    }
-}
-
-/// One tile's worker-owned scratch: the re-anchor receivers the tile
-/// owns plus their concatenated `(slot, d²)` neighborhoods, filled by
-/// the parallel geometry phase and drained in intent order by the
-/// sequential finalize phase. All buffers are reused round over round.
-#[derive(Debug, Default)]
-struct TileScratch {
-    /// Receivers owned by this tile, ascending intent order.
-    rxs: Vec<u32>,
-    /// Offsets into `flat`: entry `k`'s list is
-    /// `flat[starts[k]..starts[k + 1]]` (always one more offset than
-    /// entries).
-    starts: Vec<u32>,
-    /// Concatenated per-receiver `(slot, d²)` neighborhoods.
-    flat: Vec<(u32, f64)>,
-    /// Finalize read position (an index into `rxs`).
-    cursor: usize,
-    /// Wall-clock span stamp of this tile's geometry pass (µs since
-    /// the trace epoch; written by the owning worker only when span
-    /// tracing is on, read by the control thread after the broadcast).
-    span_start_us: u64,
-    /// Span duration in µs (same lifecycle as `span_start_us`).
-    span_dur_us: u64,
-}
-
-/// [`UnsafeCell`] wrapper giving each pool worker exclusive mutable
-/// access to its own tile during a [`WorkerPool::broadcast`].
-#[derive(Debug, Default)]
-struct Tile(UnsafeCell<TileScratch>);
-
-// SAFETY: during a broadcast, worker `w` dereferences `tiles[w]` and
-// no other tile (the disjointness contract stated in
-// `Medium::shard_geometry`), and the caller touches no tile until the
-// broadcast has returned; outside a broadcast the `Medium` reaches
-// tiles through `&mut self` only, so no aliasing is possible.
-unsafe impl Sync for Tile {}
 
 /// The shared broadcast medium: resolves rounds through a spatial
 /// index with persistent per-node neighborhoods and reusable per-round
@@ -369,9 +247,13 @@ unsafe impl Sync for Tile {}
 /// from one 3×3-cell scan of a [`SnapshotIndex`] over the round's
 /// broadcasters (cell size `R2`) or, while the topology holds still,
 /// from the cached neighborhood of an earlier round, making the round
-/// near-linear in the node count for bounded-density deployments. All index and scratch
-/// buffers are owned by the `Medium` and reused round over round, so
-/// resolution allocates nothing in steady state.
+/// near-linear in the node count for bounded-density deployments. All
+/// index and scratch buffers are owned by the `Medium` and reused round
+/// over round, so resolution allocates nothing in steady state.
+///
+/// A round runs on the calling thread from start to finish: whatever
+/// the round kind, receivers are resolved in ascending intent order by
+/// the one walk (`ReceiverWalk::run`) through the one delivery rule.
 ///
 /// Observational equivalence with the naive rule is load-bearing:
 /// [`Medium::resolve_round_cached`] consults the [`Adversary`] for
@@ -382,12 +264,23 @@ unsafe impl Sync for Tile {}
 #[derive(Debug)]
 pub struct Medium {
     cfg: RadioConfig,
-    /// What receivers are resolved from (see [`Geometry`]).
-    geo: Geometry,
+    /// The full-topology spatial index (cell size `R2`) over every
+    /// intent position, anchored by the last re-anchor round and moved
+    /// surgically since. Stale while `cache_ready` is false.
+    grid: SpatialGrid,
+    /// A churn round's broadcasters (position and intent slot),
+    /// rebuilt by counting sort every churn round.
+    snapshot: SnapshotIndex,
+    /// Per-slot neighborhood: every other slot within `R2`, with its
+    /// squared distance, ascending by slot.
+    nbr: Vec<Vec<(u32, f64)>>,
+    /// Which slots broadcast this round (refreshed every cached and
+    /// re-anchor round).
+    is_tx: Vec<bool>,
     /// Scratch: every intent position (grid input of a re-anchor).
     all_pos: Vec<Point>,
-    /// Whether `geo.grid` + `geo.nbr` describe the current node
-    /// topology (a churn round invalidates them).
+    /// Whether `grid` + `nbr` describe the current node topology (a
+    /// churn round invalidates them).
     cache_ready: bool,
     /// Number of intent slots the cache covers.
     cached_n: usize,
@@ -398,16 +291,7 @@ pub struct Medium {
     /// Scratch: `(receiver << 32 | broadcaster, d²)` events for the
     /// sparse-broadcast scatter resolution.
     events: Vec<(u64, f64)>,
-    // --- tile-sharded parallel resolution state ---
-    /// Intra-round worker pool (`None` = fully sequential).
-    pool: Option<WorkerPool>,
-    /// Smallest intent count worth sharding across the pool.
-    shard_min_slots: usize,
-    /// One tile of geometry scratch per pool worker.
-    tiles: Vec<Tile>,
     /// Telemetry handle (null by default: every site is one branch).
-    /// Counter increments sit on the sequential control path only, so
-    /// they are worker-count independent by construction.
     probe: Probe,
 }
 
@@ -424,12 +308,6 @@ impl Medium {
     /// neighborhoods instead of scanning every receiver's.
     const SCATTER_MAX_TX_NUM: usize = 8;
 
-    /// Default smallest round (intent count) worth tile-sharding:
-    /// below this, waking and joining the pool outweighs the geometry
-    /// work being parallelized, so small rounds stay sequential even
-    /// when a pool is configured.
-    const DEFAULT_SHARD_MIN_SLOTS: usize = 4096;
-
     /// Creates a medium for the given radio parameters.
     ///
     /// # Panics
@@ -440,21 +318,16 @@ impl Medium {
         cfg.validate().expect("invalid radio config");
         Medium {
             cfg,
-            geo: Geometry {
-                grid: SpatialGrid::new(cfg.r2),
-                snapshot: SnapshotIndex::new(cfg.r2),
-                nbr: Vec::new(),
-                is_tx: Vec::new(),
-            },
+            grid: SpatialGrid::new(cfg.r2),
+            snapshot: SnapshotIndex::new(cfg.r2),
+            nbr: Vec::new(),
+            is_tx: Vec::new(),
             all_pos: Vec::new(),
             cache_ready: false,
             cached_n: 0,
             is_mover: Vec::new(),
             fresh: Vec::new(),
             events: Vec::new(),
-            pool: None,
-            shard_min_slots: Self::DEFAULT_SHARD_MIN_SLOTS,
-            tiles: Vec::new(),
             probe: Probe::disabled(),
         }
     }
@@ -463,200 +336,6 @@ impl Medium {
     /// counters). The default probe is null and costs one branch.
     pub fn set_probe(&mut self, probe: Probe) {
         self.probe = probe;
-    }
-
-    /// Sets the intra-round worker count for tile-sharded resolution.
-    ///
-    /// `0` and `1` resolve rounds fully sequentially (releasing any
-    /// pool); `workers >= 2` spawns a persistent [`WorkerPool`] and
-    /// shards the geometry phase of sufficiently large (see
-    /// [`Medium::set_shard_min_slots`]) *re-anchor* rounds across
-    /// row-band tiles of the grid: those pay one full grid query per
-    /// receiver to refill the neighborhood cache. Nothing else wakes
-    /// the pool. Steady cached rounds (and their scatter variant) only
-    /// fold a cached neighborhood per receiver, and churn-fallback
-    /// rounds one fused scan of the round's broadcaster index; either
-    /// costs less than handing the receiver to a worker and reading
-    /// the result back.
-    ///
-    /// Byte-identity is unconditional: at *any* worker count the
-    /// resolver produces identical receptions, identical adversary
-    /// consultation order, and an identical RNG stream, because
-    /// workers only compute RNG-free geometry and the finalize phase
-    /// replays the sequential order exactly.
-    pub fn set_workers(&mut self, workers: usize) {
-        if workers <= 1 {
-            self.pool = None;
-        } else if self.pool.as_ref().map(WorkerPool::workers) != Some(workers) {
-            self.pool = Some(WorkerPool::new(workers));
-        }
-    }
-
-    /// The configured intra-round worker count (`1` = sequential).
-    pub fn workers(&self) -> usize {
-        self.pool.as_ref().map_or(1, WorkerPool::workers)
-    }
-
-    /// Overrides the smallest round size worth sharding (clamped to at
-    /// least 1). The default is tuned for real workloads; differential
-    /// tests lower it to force the sharded path at toy sizes.
-    pub fn set_shard_min_slots(&mut self, min: usize) {
-        self.shard_min_slots = min.max(1);
-    }
-
-    /// Whether this round should take the tile-sharded path: it is a
-    /// re-anchor (the one source whose per-receiver work is a full
-    /// grid query — see [`Source`] for why the other two stay on the
-    /// calling thread), a pool is configured, the round is big enough
-    /// to amortize the broadcast, and the grid has at least two bucket
-    /// rows to band.
-    fn shard_applicable(&self, source: Source, n: usize) -> bool {
-        source == Source::Reanchor
-            && self.pool.is_some()
-            && n >= self.shard_min_slots
-            && self.geo.grid.rows() >= 2
-    }
-
-    /// Parallel geometry phase of a tile-sharded re-anchor round.
-    ///
-    /// Tiles are contiguous bands of grid bucket rows (see
-    /// [`Geometry::tile_of`]). Each pool worker fills *only its own*
-    /// tile with the neighborhoods [`Geometry::candidates`] yields for
-    /// the receivers the tile owns. Cross-tile interference needs no
-    /// explicit halo exchange: the geometry is shared read-only and
-    /// every query is exact, so a receiver near a band edge sees
-    /// neighbors from adjacent bands exactly as the sequential path
-    /// does.
-    fn shard_geometry(&mut self, n: usize) {
-        let pool = self.pool.as_ref().expect("sharding needs a pool");
-        let workers = pool.workers();
-        if self.tiles.len() < workers {
-            self.tiles.resize_with(workers, Tile::default);
-        }
-        for tile in &mut self.tiles[..workers] {
-            let scratch = tile.0.get_mut();
-            scratch.rxs.clear();
-            scratch.flat.clear();
-            scratch.starts.clear();
-            scratch.starts.push(0);
-            scratch.cursor = 0;
-        }
-        let geo = &self.geo;
-        let tiles = &self.tiles[..workers];
-        let r2 = self.cfg.r2;
-        // Per-worker Perfetto spans: stamped into the worker-owned
-        // tile (wall-clock only, never read by the resolver), pushed
-        // to the global collector by the control thread below.
-        let spans_on = self.probe.is_enabled() && trace_export::tracing_enabled();
-        let job = move |w: usize| {
-            // SAFETY: worker `w` dereferences tiles[w] and no other
-            // tile, and `broadcast` below does not return until every
-            // worker is done — see `Tile`.
-            let scratch = unsafe { &mut *tiles[w].0.get() };
-            if spans_on {
-                scratch.span_start_us = trace_export::now_us();
-            }
-            for rx in 0..n as u32 {
-                if geo.tile_of(rx, workers) != w {
-                    continue;
-                }
-                scratch.rxs.push(rx);
-                geo.candidates(r2, rx, &mut scratch.flat);
-                scratch.starts.push(scratch.flat.len() as u32);
-            }
-            if spans_on {
-                scratch.span_dur_us = trace_export::now_us() - scratch.span_start_us;
-            }
-        };
-        pool.broadcast(&job);
-        if spans_on {
-            for (w, tile) in self.tiles[..workers].iter_mut().enumerate() {
-                let scratch = tile.0.get_mut();
-                trace_export::record_span(
-                    "shard-geometry",
-                    "pool",
-                    trace_export::PID_POOL,
-                    w as u64,
-                    scratch.span_start_us,
-                    scratch.span_dur_us,
-                );
-            }
-        }
-    }
-
-    /// Resolves every receiver of the round from `source`, in ascending
-    /// intent order, through the one [`resolve_receiver`] delivery
-    /// rule. Every adversary and RNG consultation happens here, on one
-    /// thread.
-    ///
-    /// What a receiver hears is a [`Heard`] summary: a fold over the
-    /// broadcasting subset of its cached neighborhood
-    /// ([`Source::Cached`]), one fused scan of the round's broadcaster
-    /// index ([`Source::ChurnIndex`]), or — on a re-anchor — a fold
-    /// over the neighborhood just queried and installed in the cache.
-    /// Large re-anchors with a pool configured shard those queries
-    /// across row-band tiles first and this walk pops each
-    /// neighborhood from its tile; it is [`Geometry::candidates`]'
-    /// output either way, so the two are byte-identical at any worker
-    /// count.
-    ///
-    /// `t_geom` is the geometry phase's start (wall-clock only): index
-    /// or cache maintenance plus a sharded re-anchor's queries. The
-    /// phase ends where this walk — the finalize phase — starts.
-    #[allow(clippy::too_many_arguments)]
-    fn resolve_receivers<M: Clone>(
-        &mut self,
-        source: Source,
-        t_geom: Option<Instant>,
-        round: u64,
-        intents: &[TxIntent<M>],
-        adversary: &mut dyn Adversary,
-        rng: &mut StdRng,
-        out: &mut ReceptionBuffer<M>,
-    ) {
-        let n = intents.len();
-        let cfg = self.cfg;
-        let r1_sq = cfg.r1 * cfg.r1;
-        let sharded = self.shard_applicable(source, n);
-        if sharded {
-            self.probe.add_sharded_round();
-            self.shard_geometry(n);
-        }
-        self.probe.phase_since(Phase::Geometry, t_geom);
-        let t_fin = self.probe.timer();
-        let workers = self.workers();
-        for (j, rx_intent) in intents.iter().enumerate() {
-            let heard = match source {
-                Source::Cached => self.geo.heard_in(&self.geo.nbr[j], r1_sq),
-                Source::ChurnIndex => {
-                    self.geo
-                        .snapshot
-                        .scan(rx_intent.pos, cfg.r1, cfg.r2, j as u32)
-                }
-                Source::Reanchor => {
-                    let list: &[(u32, f64)] = if sharded {
-                        let band = self.geo.tile_of(j as u32, workers);
-                        let scratch = self.tiles[band].0.get_mut();
-                        let k = scratch.cursor;
-                        scratch.cursor += 1;
-                        debug_assert_eq!(
-                            scratch.rxs[k], j as u32,
-                            "band assignment must be stable"
-                        );
-                        &scratch.flat[scratch.starts[k] as usize..scratch.starts[k + 1] as usize]
-                    } else {
-                        self.fresh.clear();
-                        self.geo.candidates(cfg.r2, j as u32, &mut self.fresh);
-                        &self.fresh
-                    };
-                    self.geo.nbr[j].clear();
-                    self.geo.nbr[j].extend_from_slice(list);
-                    self.geo.heard_in(list, r1_sq)
-                }
-            };
-            resolve_receiver(&cfg, round, rx_intent, heard, intents, adversary, rng, out);
-        }
-        self.probe.phase_since(Phase::Finalize, t_fin);
     }
 
     /// The radio parameters this medium resolves under.
@@ -712,7 +391,6 @@ impl Medium {
     ) {
         out.clear();
         let n = intents.len();
-        let r2 = self.cfg.r2;
         self.probe.count(|c| c.rounds_total += 1);
 
         // Pick the round's maintenance mode. Participant churn and
@@ -735,7 +413,7 @@ impl Medium {
                 } else if stale
                     || slots
                         .iter()
-                        .any(|&s| !self.geo.grid.covers(intents[s as usize].pos))
+                        .any(|&s| !self.grid.covers(intents[s as usize].pos))
                 {
                     // Few movers but no usable cache (or drift past the
                     // anchor): re-anchor now — the next rounds reuse it.
@@ -746,31 +424,35 @@ impl Medium {
             }
         };
 
-        // Geometry phase (wall-clock only): index or cache maintenance
-        // (plus a sharded re-anchor's queries).
-        let t_geom = self.probe.timer();
+        // Geometry phase (wall-clock only): index or cache maintenance.
+        let cfg = self.cfg;
+        let walk = ReceiverWalk {
+            cfg,
+            probe: &self.probe,
+            t_geom: self.probe.timer(),
+            round,
+            intents,
+            adversary,
+            rng,
+            out,
+        };
         if churn {
             self.probe.count(|c| {
                 c.rounds_churn += 1;
                 c.grid_queries += n as u64;
             });
             self.cache_ready = false;
-            self.geo.snapshot.rebuild(
+            self.snapshot.rebuild(
                 intents
                     .iter()
                     .enumerate()
                     .filter(|(_, intent)| intent.payload.is_some())
                     .map(|(i, intent)| (intent.pos, i as u32)),
             );
-            self.resolve_receivers(
-                Source::ChurnIndex,
-                t_geom,
-                round,
-                intents,
-                adversary,
-                rng,
-                out,
-            );
+            // One fused scan of the round's broadcaster index per
+            // receiver: no list in between.
+            let snapshot = &self.snapshot;
+            walk.run(|j, rx| snapshot.scan(rx.pos, cfg.r1, cfg.r2, j as u32));
             return;
         }
 
@@ -788,12 +470,10 @@ impl Medium {
             });
             self.all_pos.clear();
             self.all_pos.extend(intents.iter().map(|i| i.pos));
-            self.geo.grid.rebuild(&self.all_pos);
-            for list in &mut self.geo.nbr {
-                list.clear();
-            }
-            if self.geo.nbr.len() < n {
-                self.geo.nbr.resize_with(n, Vec::new);
+            self.grid.rebuild(&self.all_pos);
+            // The walk below refills `nbr[..n]` receiver by receiver.
+            if self.nbr.len() < n {
+                self.nbr.resize_with(n, Vec::new);
             }
             self.is_mover.clear();
             self.is_mover.resize(n, false);
@@ -805,7 +485,7 @@ impl Medium {
                 c.mover_slots += movers.len() as u64;
                 c.grid_queries += movers.len() as u64;
             });
-            let Geometry { grid, nbr, .. } = &mut self.geo;
+            let (grid, nbr) = (&mut self.grid, &mut self.nbr);
             // Phase A: land every move in the grid first, so each
             // refreshed neighborhood below sees this round's true
             // positions (mover–mover pairs included).
@@ -818,11 +498,7 @@ impl Medium {
             // their own refresh rewrites their list wholesale.
             for &m in movers {
                 let mu = m as usize;
-                self.fresh.clear();
-                grid.query_within_d2(intents[mu].pos, r2, &mut self.fresh);
-                if let Ok(at) = self.fresh.binary_search_by_key(&m, |&(i, _)| i) {
-                    self.fresh.remove(at);
-                }
+                neighborhood(grid, cfg.r2, m, &mut self.fresh);
                 let mut old = std::mem::take(&mut nbr[mu]);
                 let (mut a, mut b) = (0, 0);
                 while a < old.len() || b < self.fresh.len() {
@@ -868,11 +544,10 @@ impl Medium {
             }
         }
 
-        self.geo.is_tx.clear();
-        self.geo
-            .is_tx
+        self.is_tx.clear();
+        self.is_tx
             .extend(intents.iter().map(|i| i.payload.is_some()));
-        let broadcasters = self.geo.is_tx.iter().filter(|&&tx| tx).count();
+        let broadcasters = self.is_tx.iter().filter(|&&tx| tx).count();
 
         // Sparse-broadcast scatter: with few broadcasters it is far
         // cheaper to walk *their* cached neighborhoods (symmetric by
@@ -889,40 +564,107 @@ impl Medium {
                 c.rounds_steady += 1;
             }
         });
+        let r1_sq = cfg.r1 * cfg.r1;
+        let (grid, nbr, is_tx) = (&self.grid, &mut self.nbr, &self.is_tx);
         if scatter {
-            let cfg = self.cfg;
             self.events.clear();
             for (i, intent) in intents.iter().enumerate() {
                 if intent.payload.is_some() {
-                    for &(j, d2) in &self.geo.nbr[i] {
+                    for &(j, d2) in &nbr[i] {
                         self.events.push((u64::from(j) << 32 | i as u64, d2));
                     }
                 }
             }
             self.events.sort_unstable_by_key(|&(key, _)| key);
-            self.probe.phase_since(Phase::Geometry, t_geom);
-            let t_fin = self.probe.timer();
-            let r1_sq = cfg.r1 * cfg.r1;
             let mut events = self.events.iter().peekable();
-            for (j, rx_intent) in intents.iter().enumerate() {
+            walk.run(|j, _| {
                 let mine = std::iter::from_fn(|| {
                     events
                         .next_if(|&&(key, _)| (key >> 32) == j as u64)
                         .map(|&(key, d2)| (key as u32, d2))
                 });
-                let heard = Heard::of(mine, r1_sq);
-                resolve_receiver(&cfg, round, rx_intent, heard, intents, adversary, rng, out);
-            }
-            self.probe.phase_since(Phase::Finalize, t_fin);
-            return;
-        }
-
-        let source = if rebuild {
-            Source::Reanchor
+                Heard::of(mine, r1_sq)
+            });
+        } else if rebuild {
+            // One full grid query per receiver refills its cached
+            // neighborhood; what it hears is the broadcasting subset.
+            // The query lands in scratch and is copied over so a new
+            // list is allocated at its exact size: querying straight
+            // into `nbr[j]` leaves push-growth slack in 20 000 small
+            // lists, which cost `metro_static` 1 MiB of RSS and 3 % of
+            // wall-clock on the steady rounds that read them.
+            let fresh = &mut self.fresh;
+            walk.run(|j, _| {
+                neighborhood(grid, cfg.r2, j as u32, fresh);
+                nbr[j].clear();
+                nbr[j].extend_from_slice(fresh);
+                heard_in(&nbr[j], is_tx, r1_sq)
+            });
         } else {
-            Source::Cached
-        };
-        self.resolve_receivers(source, t_geom, round, intents, adversary, rng, out);
+            walk.run(|j, _| heard_in(&nbr[j], is_tx, r1_sq));
+        }
+    }
+}
+
+/// Replaces `out` with the full `R2` neighborhood of indexed point `rx`
+/// as `(slot, d²)`, ascending by slot and excluding `rx` itself — the
+/// list the cache keeps per slot, queried for every receiver of a
+/// re-anchor round and for each mover of a surgical one.
+fn neighborhood(grid: &SpatialGrid, r2: f64, rx: u32, out: &mut Vec<(u32, f64)>) {
+    out.clear();
+    grid.query_within_d2(grid.position(rx), r2, out);
+    if let Ok(at) = out.binary_search_by_key(&rx, |&(i, _)| i) {
+        out.remove(at);
+    }
+}
+
+/// What a receiver hears of the broadcasters in `list`, its cached
+/// `R2` neighborhood.
+fn heard_in(list: &[(u32, f64)], is_tx: &[bool], r1_sq: f64) -> Heard {
+    Heard::of(
+        list.iter().copied().filter(|&(i, _)| is_tx[i as usize]),
+        r1_sq,
+    )
+}
+
+/// The receiver walk every round kind ends in, and everything about
+/// the round it needs: each intent is resolved, in ascending order,
+/// through the one [`resolve_receiver`] delivery rule. Every adversary
+/// and RNG consultation of a round happens in [`ReceiverWalk::run`].
+struct ReceiverWalk<'a, M> {
+    cfg: RadioConfig,
+    probe: &'a Probe,
+    /// Start of the geometry phase (index or cache maintenance,
+    /// wall-clock only); it ends where the walk — the finalize phase —
+    /// starts.
+    t_geom: Option<Instant>,
+    round: u64,
+    intents: &'a [TxIntent<M>],
+    adversary: &'a mut dyn Adversary,
+    rng: &'a mut StdRng,
+    out: &'a mut ReceptionBuffer<M>,
+}
+
+impl<M: Clone> ReceiverWalk<'_, M> {
+    /// Resolves every receiver given what `hear(slot, intent)` says it
+    /// [`Heard`].
+    fn run(self, mut hear: impl FnMut(usize, &TxIntent<M>) -> Heard) {
+        self.probe.phase_since(Phase::Geometry, self.t_geom);
+        let t_fin = self.probe.timer();
+        for (j, rx_intent) in self.intents.iter().enumerate() {
+            let heard = hear(j, rx_intent);
+            resolve_receiver(
+                &self.cfg,
+                self.round,
+                rx_intent,
+                heard,
+                self.intents,
+                self.adversary,
+                self.rng,
+                self.out,
+            );
+        }
+        self.probe.phase_since(Phase::Finalize, t_fin);
     }
 }
 
@@ -1467,79 +1209,5 @@ mod tests {
             }
         }
         assert_eq!(compared, 2 * 10 * 2 * 2 * 8);
-    }
-
-    /// The pool policy: with a pool configured and the size threshold
-    /// out of the way, re-anchor rounds (one full grid query per
-    /// receiver) take the sharded path and nothing else does — steady
-    /// cached rounds (scan or scatter) and churn rounds (one fused
-    /// snapshot scan per receiver) never wake the pool.
-    #[test]
-    fn only_reanchor_rounds_reach_the_pool() {
-        let mut medium = Medium::new(cfg());
-        medium.set_workers(3);
-        medium.set_shard_min_slots(1);
-        let probe = Probe::enabled();
-        medium.set_probe(probe.clone());
-        // Three grid rows of twelve nodes; every second one broadcasts
-        // unless `sparse` leaves a single broadcaster (a scatter round).
-        let intents = |shift: f64, sparse: bool| -> Vec<TxIntent<u64>> {
-            (0..36usize)
-                .map(|i| TxIntent {
-                    node: NodeId::from(i),
-                    pos: Point::new((i % 12) as f64 * 7.0 + shift, (i / 12) as f64 * 25.0),
-                    payload: (if sparse { i == 0 } else { i % 2 == 0 }).then_some(i as u64),
-                })
-                .collect()
-        };
-        let everyone: Vec<u32> = (0..36).collect();
-        // (delta, x shift, sparse, the round kind it must be, sharded?)
-        let script: [(TopologyDelta<'_>, f64, bool, &str, bool); 7] = [
-            (TopologyDelta::Rebuild, 0.0, false, "churn", false),
-            (TopologyDelta::Unchanged, 0.0, false, "reanchor", true),
-            (TopologyDelta::Unchanged, 0.0, false, "steady", false),
-            (TopologyDelta::Unchanged, 0.0, true, "scatter", false),
-            (TopologyDelta::Moved(&[5]), 0.0, false, "steady", false),
-            (TopologyDelta::Moved(&everyone), 1.0, false, "churn", false),
-            (TopologyDelta::Moved(&[5]), 1.0, false, "reanchor", true),
-        ];
-        let (mut rng, mut out) = (rng(), ReceptionBuffer::new());
-        let kinds = |c: &vi_telemetry::Counters| {
-            [
-                ("churn", c.rounds_churn),
-                ("reanchor", c.rounds_reanchor),
-                ("steady", c.rounds_steady),
-                ("scatter", c.rounds_scatter),
-            ]
-        };
-        for (round, (delta, shift, sparse, kind, sharded)) in script.into_iter().enumerate() {
-            let before = probe.summary().expect("live probe");
-            medium.resolve_round_cached(
-                round as u64,
-                &intents(shift, sparse),
-                delta,
-                &mut NoAdversary,
-                &mut rng,
-                &mut out,
-            );
-            let after = probe.summary().expect("live probe");
-            for ((name, was), (_, is)) in kinds(&before.counters)
-                .into_iter()
-                .zip(kinds(&after.counters))
-            {
-                assert_eq!(
-                    is - was,
-                    u64::from(name == kind),
-                    "round {round}: {name} rounds"
-                );
-            }
-            assert_eq!(
-                after.sharded_rounds - before.sharded_rounds,
-                u64::from(sharded),
-                "round {round} ({kind})"
-            );
-        }
-        let total = probe.summary().expect("live probe");
-        assert_eq!(total.sharded_rounds, total.counters.rounds_reanchor);
     }
 }

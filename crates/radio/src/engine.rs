@@ -287,24 +287,12 @@ impl<M: Clone + WireSized + 'static> Engine<M> {
         &self.medium
     }
 
-    /// Sets the intra-round worker count for tile-sharded round
-    /// resolution (see [`Medium::set_workers`]). `0`/`1` keep rounds
-    /// sequential; `>= 2` shards the geometry phase of sufficiently
-    /// large re-anchor rounds (one full grid query per receiver)
-    /// across a persistent worker pool, and leaves steady cached
-    /// rounds, which only fold cached neighborhoods, and churn rounds,
-    /// which scan a per-round broadcaster index, on the calling
-    /// thread. Executions are byte-for-byte identical — receptions,
-    /// traces, stats, and RNG stream — at any worker count.
-    pub fn set_workers(&mut self, workers: usize) {
-        self.medium.set_workers(workers);
-    }
-
-    /// Overrides the smallest round size worth sharding (see
-    /// [`Medium::set_shard_min_slots`]). Testing knob.
-    pub fn set_shard_min_slots(&mut self, min: usize) {
-        self.medium.set_shard_min_slots(min);
-    }
+    /// Does nothing: a round resolves on the calling thread and there
+    /// is no worker count to set. Kept only because the frozen
+    /// benchmark sources under `examples/perf/` call it; ROADMAP item
+    /// 2's benchmark-only PR deletes it together with the mirror.
+    #[doc(hidden)]
+    pub fn set_workers(&mut self, _: usize) {}
 
     /// Installs an adversary (replacing the current one).
     pub fn set_adversary(&mut self, adversary: Box<dyn Adversary>) {

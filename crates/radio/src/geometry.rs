@@ -232,16 +232,12 @@ impl CellFrame {
         self.cols * self.rows
     }
 
-    /// The row `p` falls into, clamped into `0..rows`.
-    fn row_of(&self, p: Point) -> usize {
-        (((p.y - self.origin.y) / self.cell) as usize).min(self.rows - 1)
-    }
-
     /// The row-major cell `p` falls into; points outside the anchored
     /// bounding box are clamped into the nearest edge cell.
     fn cell_of(&self, p: Point) -> usize {
         let cx = (((p.x - self.origin.x) / self.cell) as usize).min(self.cols - 1);
-        self.row_of(p) * self.cols + cx
+        let cy = (((p.y - self.origin.y) / self.cell) as usize).min(self.rows - 1);
+        cy * self.cols + cx
     }
 
     /// The block of cells a disk of `radius` around `center` can touch,
@@ -335,33 +331,6 @@ impl SpatialGrid {
     /// Panics if `idx` is out of range.
     pub fn position(&self, idx: u32) -> Point {
         self.positions[idx as usize]
-    }
-
-    /// Number of bucket rows in the anchored geometry (0 while the
-    /// grid is empty). The tile-sharded resolver partitions receivers
-    /// into contiguous bands of these rows.
-    pub fn rows(&self) -> usize {
-        self.frame.rows
-    }
-
-    /// Number of bucket columns in the anchored geometry (0 while the
-    /// grid is empty).
-    pub fn cols(&self) -> usize {
-        self.frame.cols
-    }
-
-    /// The bucket row `p` falls into under the anchored geometry,
-    /// clamped into `0..rows` exactly like the internal cell
-    /// computation — points outside the anchored bounding box land in
-    /// the nearest edge row, so the answer is a pure function of `p`
-    /// and the anchor (any two calls agree, which is what makes row
-    /// bands a sound tile partition for the sharded resolver).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the grid is empty (`rows() == 0`).
-    pub fn row_of(&self, p: Point) -> usize {
-        self.frame.row_of(p)
     }
 
     /// `true` if `p` lies inside the bounding box the geometry was

@@ -78,6 +78,8 @@
 //! assert_eq!(listener.heard, 1);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod adversary;
 pub mod audit;
 pub mod channel;
@@ -85,7 +87,6 @@ pub mod config;
 pub mod engine;
 pub mod geometry;
 pub mod mobility;
-pub mod pool;
 pub mod trace;
 
 pub use adversary::{
@@ -100,7 +101,6 @@ pub use channel::{
 pub use config::{ConfigError, RadioConfig};
 pub use engine::{Engine, EngineConfig, NodeId, NodeSpec, Process, RoundCtx};
 pub use geometry::{Point, SpatialGrid};
-pub use pool::WorkerPool;
 pub use trace::{ChannelStats, RoundRecord, Trace};
 
 /// Abstract on-the-wire size of a message, in bytes.

@@ -35,28 +35,20 @@ use vi_traffic::{AppKind, DevicePlan, TrafficSpec, TrafficSummary, TrafficWorld}
 /// stream (so random placement never perturbs channel resolution).
 const PLACEMENT_SALT: u64 = 0x9e37_79b9_7f4a_7c15;
 
-/// Execution tuning for a scenario run: how many intra-round workers
-/// resolve its rounds, and which observers ride along.
+/// Execution tuning for a scenario run: which observers ride along.
+/// How a round is resolved is not tunable — it runs on the thread
+/// that steps the engine.
 ///
 /// Tuning is **not** part of the scenario: for any fixed `(spec,
 /// seed)` every tuning produces a byte-identical [`ScenarioOutcome`]
-/// (the E18 `metropolis` experiment and the sweep-runner tests assert
+/// (the telemetry, incident-replay and sweep-runner tests assert
 /// this); only wall-clock changes.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EngineTuning {
-    /// Intra-round worker count for tile-sharded round resolution.
-    /// `1` resolves sequentially, and so does `0` under
-    /// [`ScenarioSpec::run_with`]; the [`SweepRunner`] reads `0` as
-    /// "split my worker budget across the concurrent jobs", so a lone
-    /// job gets the whole budget and shards its large rounds.
-    ///
-    /// [`SweepRunner`]: crate::runner::SweepRunner
-    pub workers: usize,
     /// Record telemetry for this run: deterministic counters plus
     /// wall-clock phase timers, surfaced as
     /// [`ScenarioOutcome::telemetry`]. Off by default — the disabled
-    /// path costs one branch per instrumentation site. Deterministic
-    /// counters are byte-identical at any worker count, and enabling
+    /// path costs one branch per instrumentation site. Enabling
     /// telemetry never changes receptions, traces, or the RNG stream.
     pub telemetry: bool,
     /// Record causal tracing for this run: trace spans for every
@@ -83,26 +75,22 @@ pub struct EngineTuning {
 }
 
 impl EngineTuning {
-    /// The default execution: `workers: 0` — sequential rounds under
-    /// [`ScenarioSpec::run_with`], a share of the worker budget under
-    /// the [`SweepRunner`] (see [`EngineTuning::workers`]) — with
-    /// telemetry, tracing, flight recording and monitoring off.
-    ///
-    /// [`SweepRunner`]: crate::runner::SweepRunner
+    /// The default execution: telemetry, tracing, flight recording
+    /// and monitoring off.
     pub const DEFAULT: EngineTuning = EngineTuning {
-        workers: 0,
         telemetry: false,
         tracing: false,
         flight_rounds: 0,
         monitor_every: 0,
     };
 
-    /// The default tuning with `workers` intra-round workers.
-    pub fn with_workers(workers: usize) -> Self {
-        EngineTuning {
-            workers,
-            ..EngineTuning::DEFAULT
-        }
+    /// Returns [`EngineTuning::DEFAULT`] whatever the argument: there
+    /// is no intra-round worker count to tune. Kept only because the
+    /// frozen benchmark sources under `examples/perf/` call it; ROADMAP
+    /// item 2's benchmark-only PR deletes it together with the mirror.
+    #[doc(hidden)]
+    pub fn with_workers(_: usize) -> Self {
+        Self::DEFAULT
     }
 
     /// This tuning with telemetry recording on.
@@ -241,15 +229,13 @@ impl ScenarioSpec {
     /// [`EngineTuning`].
     ///
     /// The tuning is an execution parameter, **not** part of the
-    /// scenario: outcomes are byte-identical under every tuning (the
-    /// E18 `metropolis` experiment asserts this), only wall-clock
-    /// differs. Traffic workloads build their engine inside
+    /// scenario: outcomes are byte-identical under every tuning, only
+    /// wall-clock differs. Traffic workloads build their engine inside
     /// `vi-traffic`, behind `Service::set_telemetry`, which carries the
-    /// causal and flight recorders only: the traffic engine runs
-    /// sequentially whatever `workers` says and never sees the probe
-    /// (its telemetry holds workload-level counters, the round-mode
-    /// ones stay zero); the monitor samples the traffic driver, not
-    /// the engine.
+    /// causal and flight recorders only: the traffic engine never sees
+    /// the probe (its telemetry holds workload-level counters, the
+    /// round-mode ones stay zero); the monitor samples the traffic
+    /// driver, not the engine.
     ///
     /// With [`EngineTuning::flight_rounds`] > 0, a run ending in a
     /// checker violation or a liveness stall attaches an
@@ -260,7 +246,7 @@ impl ScenarioSpec {
         let obs = tuning.observers(&self.name, seed);
         let mut out = if obs.flight.is_enabled() {
             let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                self.dispatch(seed, tuning.workers, &obs)
+                self.dispatch(seed, &obs)
             }));
             match run {
                 Ok(out) => out,
@@ -288,7 +274,7 @@ impl ScenarioSpec {
                 }
             }
         } else {
-            self.dispatch(seed, tuning.workers, &obs)
+            self.dispatch(seed, &obs)
         };
         if tuning.telemetry {
             out.telemetry = obs.probe.summary();
@@ -373,11 +359,10 @@ impl ScenarioSpec {
     }
 
     /// An empty engine over this spec's radio, set up for the run:
-    /// worker count, observers, adversary.
+    /// observers, adversary.
     fn engine<M: Clone + WireSized + 'static>(
         &self,
         seed: u64,
-        workers: usize,
         obs: &Observers,
         adversary: Box<dyn Adversary>,
     ) -> Engine<M> {
@@ -386,21 +371,18 @@ impl ScenarioSpec {
             seed,
             record_trace: false,
         });
-        if workers >= 2 {
-            engine.set_workers(workers);
-        }
         engine.set_observers(obs.clone());
         engine.set_adversary(adversary);
         engine
     }
 
-    fn dispatch(&self, seed: u64, workers: usize, obs: &Observers) -> ScenarioOutcome {
+    fn dispatch(&self, seed: u64, obs: &Observers) -> ScenarioOutcome {
         match &self.workload {
-            WorkloadSpec::ChaClique { instances } => self.run_cha(seed, workers, obs, *instances),
+            WorkloadSpec::ChaClique { instances } => self.run_cha(seed, obs, *instances),
             WorkloadSpec::ViCounter {
                 layout,
                 virtual_rounds,
-            } => self.run_vi(seed, workers, obs, layout, *virtual_rounds),
+            } => self.run_vi(seed, obs, layout, *virtual_rounds),
             WorkloadSpec::Traffic {
                 app,
                 layout,
@@ -411,20 +393,13 @@ impl ScenarioSpec {
                 writes,
                 rounds,
                 partition_from,
-            } => self.run_majority_register(seed, workers, obs, *writes, *rounds, *partition_from),
+            } => self.run_majority_register(seed, obs, *writes, *rounds, *partition_from),
         }
     }
 
-    fn run_cha(
-        &self,
-        seed: u64,
-        workers: usize,
-        obs: &Observers,
-        instances: u64,
-    ) -> ScenarioOutcome {
+    fn run_cha(&self, seed: u64, obs: &Observers, instances: u64) -> ScenarioOutcome {
         let rounds = instances * 3;
-        let mut engine: Engine<ChaMessage<u64>> =
-            self.engine(seed, workers, obs, self.channel_adversary());
+        let mut engine: Engine<ChaMessage<u64>> = self.engine(seed, obs, self.channel_adversary());
         let cm = self.cm.build(seed);
 
         let mut ids: Vec<NodeId> = Vec::with_capacity(self.node_count());
@@ -520,7 +495,6 @@ impl ScenarioSpec {
     fn run_vi(
         &self,
         seed: u64,
-        workers: usize,
         obs: &Observers,
         layout: &crate::spec::LayoutSpec,
         virtual_rounds: u64,
@@ -534,9 +508,6 @@ impl ScenarioSpec {
             seed,
             record_trace: false,
         });
-        if workers >= 2 {
-            world.set_workers(workers);
-        }
         world.set_observers(obs.clone());
         world.set_adversary(self.channel_adversary());
         let mut devices = self.deployment(seed);
@@ -631,7 +602,6 @@ impl ScenarioSpec {
     fn run_majority_register(
         &self,
         seed: u64,
-        workers: usize,
         obs: &Observers,
         writes: u64,
         rounds: u64,
@@ -652,7 +622,7 @@ impl ScenarioSpec {
             }
             None => self.channel_adversary(),
         };
-        let mut engine: Engine<MajRegMessage> = self.engine(seed, workers, obs, adversary);
+        let mut engine: Engine<MajRegMessage> = self.engine(seed, obs, adversary);
         let ids: Vec<NodeId> = self
             .deployment(seed)
             .into_iter()

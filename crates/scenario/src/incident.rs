@@ -103,11 +103,9 @@ impl IncidentBundle {
         }
     }
 
-    /// The engine tuning a replay must run under (worker count is a
-    /// free choice — outcomes are worker-count invariant).
-    pub fn replay_tuning(&self, workers: usize) -> EngineTuning {
+    /// The engine tuning a replay must run under.
+    pub fn replay_tuning(&self) -> EngineTuning {
         EngineTuning {
-            workers,
             tracing: self.tracing,
             flight_rounds: self.flight_rounds as usize,
             ..EngineTuning::DEFAULT
@@ -118,9 +116,8 @@ impl IncidentBundle {
     /// telemetry tuning and returns the outcome. A faithful bundle
     /// reproduces the original incident byte-identically: same audit
     /// verdict, same flight window, same causal summary.
-    pub fn replay(&self, workers: usize) -> ScenarioOutcome {
-        self.scenario
-            .run_with(self.seed, self.replay_tuning(workers))
+    pub fn replay(&self) -> ScenarioOutcome {
+        self.scenario.run_with(self.seed, self.replay_tuning())
     }
 
     /// Serializes the bundle to JSON.
@@ -195,7 +192,7 @@ mod tests {
         let json = bundle.to_json();
         let back = IncidentBundle::from_json(&json).expect("parses");
         assert_eq!(back, bundle);
-        let replay = back.replay(1);
+        let replay = back.replay();
         assert_eq!(replay.audit, bundle.audit, "same verdict on replay");
         assert_eq!(
             replay.incident.as_ref().expect("replay re-dumps"),

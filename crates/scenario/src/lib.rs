@@ -40,6 +40,8 @@
 //! assert!(outcomes.iter().all(|o| o.safety_violations() == 0));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod catalog;
 pub mod compile;
 pub mod incident;

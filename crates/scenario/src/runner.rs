@@ -36,17 +36,10 @@ fn worker_budget_from(var: Option<&str>) -> (Option<usize>, bool) {
     }
 }
 
-/// Splits a runner's worker budget between across-job threads and
-/// intra-round workers: `jobs` concurrent jobs on a budget of
-/// `workers` threads get `(job_threads, per_job)` where `job_threads
-/// <= workers` and `per_job >= 1` **always** — even when jobs ≫
-/// workers, a job never receives a zero intra-round worker count (0
-/// means "sequential" at the engine layer, but handing it out here
-/// would silently re-trigger the budget split downstream).
-fn split_worker_budget(workers: usize, jobs: usize) -> (usize, usize) {
-    let job_threads = workers.min(jobs.max(1));
-    let per_job = (workers / job_threads).max(1);
-    (job_threads, per_job)
+/// How many threads a sweep of `jobs` jobs starts on a budget of
+/// `workers`: one per job up to the budget, and at least one.
+fn job_threads(workers: usize, jobs: usize) -> usize {
+    workers.min(jobs.max(1))
 }
 
 /// Fans `scenario × seed` jobs across a fixed-size worker pool.
@@ -71,7 +64,9 @@ impl SweepRunner {
     ///
     /// The `VI_WORKERS` environment variable, when set to a positive
     /// integer, overrides the detected size — the documented way for
-    /// CI and benches to pin thread counts without code edits.
+    /// CI and benches to pin thread counts without code edits. It
+    /// sizes these across-job threads and nothing else: every job
+    /// resolves its rounds on the thread that runs it.
     pub fn auto() -> Self {
         let detected = std::thread::available_parallelism()
             .map(NonZeroUsize::get)
@@ -107,17 +102,10 @@ impl SweepRunner {
         self.run_matrix_with(scenarios, seeds, EngineTuning::DEFAULT)
     }
 
-    /// [`SweepRunner::run_matrix`] with full [`EngineTuning`] — the
-    /// one knob sharing the runner's worker budget between across-job
-    /// and intra-round parallelism:
-    ///
-    /// * `tuning.workers == 0` (the default) splits the budget —
-    ///   each concurrent job gets `workers / concurrent_jobs`
-    ///   (at least 1) intra-round workers;
-    /// * `tuning.workers >= 1` pins every job to exactly that many
-    ///   intra-round workers on top of the across-job threads.
-    ///
-    /// Outcomes are byte-identical under every tuning.
+    /// [`SweepRunner::run_matrix`] with every job run under `tuning`
+    /// (which observers ride along). The runner's workers are
+    /// across-job threads only; outcomes are byte-identical under
+    /// every tuning and at every worker count.
     pub fn run_matrix_with(
         &self,
         scenarios: &[ScenarioSpec],
@@ -141,8 +129,7 @@ impl SweepRunner {
         self.run_with(jobs, EngineTuning::DEFAULT)
     }
 
-    /// [`SweepRunner::run`] with full [`EngineTuning`] (budget-sharing
-    /// semantics as in [`SweepRunner::run_matrix_with`]). The fuzz
+    /// [`SweepRunner::run`] with every job run under `tuning`. The fuzz
     /// orchestrator drives its candidate batches through this with
     /// telemetry on, so every outcome carries the counter profile the
     /// coverage signature buckets.
@@ -176,17 +163,7 @@ impl SweepRunner {
         let next = AtomicUsize::new(0);
         let slots: Vec<Mutex<Option<ScenarioOutcome>>> =
             jobs.iter().map(|_| Mutex::new(None)).collect();
-        let (job_threads, split) = split_worker_budget(self.workers, jobs.len());
-        // Budget sharing: with no explicit intra-round worker count,
-        // divide this runner's budget across the concurrent jobs.
-        let per_job = match tuning.workers {
-            0 => split,
-            w => w,
-        };
-        let job_tuning = EngineTuning {
-            workers: per_job,
-            ..tuning
-        };
+        let job_threads = job_threads(self.workers, jobs.len());
         // Span collection is strictly wall-clock-side: when tracing is
         // off this is one cached atomic load per sweep, and nothing
         // below touches deterministic state either way.
@@ -227,7 +204,7 @@ impl SweepRunner {
                                 state: JobState::Started,
                             }));
                         }
-                        let outcome = spec.run_with(*seed, job_tuning);
+                        let outcome = spec.run_with(*seed, tuning);
                         if monitored {
                             let digest = serde_json::to_string(&outcome)
                                 .map(|json| monitor::outcome_digest(json.as_bytes()))
@@ -339,29 +316,6 @@ mod tests {
         }
     }
 
-    /// Pinning intra-round workers is also invisible in the table —
-    /// small specs stay below the shard threshold (the auto-fallback),
-    /// and the engaged-scale identity is covered by the differential
-    /// proptests and the E18 smoke.
-    #[test]
-    fn intra_round_workers_never_change_the_result_table() {
-        let scenarios = small_matrix();
-        let seeds = [1u64, 2];
-        let baseline = SweepRunner::new(1).run_matrix(&scenarios, &seeds);
-        for workers in [1usize, 3] {
-            let tuned = SweepRunner::new(2).run_matrix_with(
-                &scenarios,
-                &seeds,
-                EngineTuning::with_workers(workers),
-            );
-            assert_eq!(
-                serde_json::to_string(&baseline).unwrap(),
-                serde_json::to_string(&tuned).unwrap(),
-                "{workers} intra-round workers changed the table"
-            );
-        }
-    }
-
     /// Satellite requirement: junk `VI_WORKERS` values are ignored
     /// *and flagged* (so `auto()` warns instead of silently falling
     /// back); valid and absent values raise no flag.
@@ -380,34 +334,24 @@ mod tests {
         assert_eq!(worker_budget_from(None), (None, false), "unset is not junk");
     }
 
-    /// Satellite requirement: the worker-budget split hands every job
-    /// at least one intra-round worker, even when jobs ≫ workers (a
-    /// naive `workers / jobs` computes 0 there, which the engine layer
-    /// would reinterpret as "split the budget" instead of
-    /// "sequential").
+    /// A sweep never starts more threads than its budget or its job
+    /// list, and always at least one — even for an empty list.
     #[test]
     fn worker_budget_split_clamps_to_one_when_jobs_exceed_workers() {
-        assert_eq!(split_worker_budget(4, 100), (4, 1), "jobs ≫ workers");
-        assert_eq!(split_worker_budget(1, 64), (1, 1));
-        assert_eq!(split_worker_budget(8, 2), (2, 4), "budget splits");
-        assert_eq!(split_worker_budget(8, 3), (3, 2));
-        assert_eq!(split_worker_budget(16, 0), (1, 16), "empty job list");
+        assert_eq!(job_threads(4, 100), 4, "jobs ≫ workers");
+        assert_eq!(job_threads(1, 64), 1);
+        assert_eq!(job_threads(8, 2), 2, "surplus workers stay unspawned");
+        assert_eq!(job_threads(16, 0), 1, "empty job list");
         for workers in 1..=32usize {
             for jobs in 0..=64usize {
-                let (job_threads, per_job) = split_worker_budget(workers, jobs);
-                assert!(job_threads >= 1, "{workers}w/{jobs}j");
-                assert!(job_threads <= workers, "{workers}w/{jobs}j");
-                assert!(per_job >= 1, "{workers}w/{jobs}j: zero per-job");
-                assert!(
-                    job_threads * per_job <= workers,
-                    "{workers}w/{jobs}j oversubscribes"
-                );
+                let threads = job_threads(workers, jobs);
+                assert!((1..=workers).contains(&threads), "{workers}w/{jobs}j");
             }
         }
     }
 
     /// A jobs ≫ workers sweep end-to-end: every job still runs (and
-    /// deterministically), with each receiving a clamped ≥1 worker.
+    /// deterministically).
     #[test]
     fn jobs_exceeding_workers_sweep_cleanly() {
         let scenarios = small_matrix();

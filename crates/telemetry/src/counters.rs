@@ -1,15 +1,11 @@
 //! Deterministic per-run counters.
 //!
-//! Every field is a plain `u64` incremented on the *sequential*
-//! control path of the engine — at the point where a resolver-mode
-//! decision is made, never inside a parallel worker. That placement is
-//! what makes the whole struct part of the determinism contract: for a
-//! fixed `(spec, seed)` the counters are byte-identical at any worker
-//! count, and the 1-vs-N sweep identity tests assert exactly that.
-//!
-//! Note what is *not* here: anything whose value depends on the worker
-//! count (e.g. how many rounds actually took the sharded path) lives
-//! on the wall-clock side of `TelemetrySummary` instead.
+//! Every field is a plain `u64` incremented at the point where a
+//! resolver-mode decision is made, on the one thread that steps the
+//! engine. That makes the whole struct part of the determinism
+//! contract: for a fixed `(spec, seed)` the counters are
+//! byte-identical however many sweep workers share the jobs, and the
+//! 1-vs-N sweep identity tests assert exactly that.
 
 use serde::{Deserialize, Serialize};
 

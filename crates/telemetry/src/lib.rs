@@ -8,9 +8,9 @@
 //!   resolver mode, cache re-anchors, fallback causes, grid queries,
 //!   receptions, adversary consultations, …). Counters are part of
 //!   the determinism contract: for a fixed `(spec, seed)` they are
-//!   byte-identical at any worker count, because every increment
-//!   happens on the sequential control path at a decision point, never
-//!   inside a parallel worker.
+//!   byte-identical however many sweep workers share the jobs,
+//!   because a run owns its engine and every round of it resolves on
+//!   one thread.
 //! * **Wall-clock phase timers** ([`PhaseTimers`], module [`phases`])
 //!   — per-round durations of the advance / geometry / finalize /
 //!   deliver / checker phases, aggregated into alloc-free log-linear
@@ -18,8 +18,8 @@
 //!   determinism contract and excluded from byte-identity comparisons
 //!   (see [`TelemetrySummary`]'s `PartialEq`).
 //! * **Perfetto/Chrome trace export** (module [`trace_export`]) —
-//!   span events across sweep workers and shard-pool workers, written
-//!   as Chrome trace-event JSON that opens directly in
+//!   span events across sweep workers, written as Chrome trace-event
+//!   JSON that opens directly in
 //!   `ui.perfetto.dev`. Gated by the `VI_TRACE=out.json` environment
 //!   variable or an explicit [`trace_export::enable_tracing`] call.
 //! * **Causal tracing** ([`CausalRecorder`], module [`causal`]) —
@@ -44,6 +44,8 @@
 //! cloneable handles, each null by default, so the disabled path
 //! costs exactly one branch per instrumentation site (guarded by the
 //! zero-alloc test and the CI telemetry-overhead check).
+
+#![forbid(unsafe_code)]
 
 pub mod causal;
 pub mod counters;
@@ -83,10 +85,6 @@ pub struct TelemetrySummary {
     pub counters: Counters,
     /// Wall-clock per-phase durations (noise; never byte-identical).
     pub phases: PhaseSummary,
-    /// Rounds resolved on the tile-sharded path. Wall-clock-side by
-    /// design: whether a round shards depends on the worker count, so
-    /// this is *not* part of the determinism contract.
-    pub sharded_rounds: u64,
 }
 
 impl PartialEq for TelemetrySummary {
@@ -104,13 +102,11 @@ mod tests {
         let mut a = TelemetrySummary {
             counters: Counters::default(),
             phases: PhaseTimers::default().summary(),
-            sharded_rounds: 0,
         };
         let mut b = a.clone();
         let mut timers = PhaseTimers::default();
         timers.record(Phase::Geometry, 123);
         b.phases = timers.summary();
-        b.sharded_rounds = 7;
         assert_eq!(a, b, "wall-clock fields must not break equality");
         a.counters.rounds_total = 1;
         assert_ne!(a, b, "counter drift must break equality");
@@ -130,12 +126,10 @@ mod tests {
         let summary = TelemetrySummary {
             counters,
             phases: timers.summary(),
-            sharded_rounds: 2,
         };
         let json = serde_json::to_string(&summary).unwrap();
         let back: TelemetrySummary = serde_json::from_str(&json).unwrap();
         assert_eq!(back.counters, summary.counters);
-        assert_eq!(back.sharded_rounds, 2);
         assert_eq!(back.phases, summary.phases);
     }
 }

@@ -12,10 +12,10 @@ use serde::{Deserialize, Serialize};
 /// The fixed round pipeline stages.
 ///
 /// * `Advance` — mobility advance + intent collection (engine).
-/// * `Geometry` — spatial-index maintenance and the RNG-free parallel
-///   geometry pass (medium).
-/// * `Finalize` — sequential receiver resolution / shard replay
+/// * `Geometry` — spatial-index and neighborhood-cache maintenance
 ///   (medium).
+/// * `Finalize` — the receiver walk: every receiver resolved through
+///   the delivery rule, in intent order (medium).
 /// * `Deliver` — stats, trace capture, and protocol delivery (engine).
 /// * `Checker` — scenario-level invariant checking / audit capture.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

@@ -8,9 +8,9 @@
 //!
 //! `Rc<RefCell<_>>` (not `Arc<Mutex<_>>`) is deliberate: every engine
 //! is constructed, stepped, and consumed on a single thread (sweep
-//! workers own their engines outright; the shard pool parallelizes
-//! *inside* a round, below the probe). Keeping the handle `!Send`
-//! makes that invariant a compile error instead of a data race.
+//! workers own their engines outright, and a round never leaves the
+//! thread that steps it). Keeping the handle `!Send` makes that
+//! invariant a compile error instead of a data race.
 
 use crate::counters::Counters;
 use crate::phases::{Phase, PhaseTimers};
@@ -23,7 +23,6 @@ use std::time::Instant;
 struct TelemetryState {
     counters: Counters,
     phases: PhaseTimers,
-    sharded_rounds: u64,
 }
 
 /// Cloneable telemetry handle; null by default.
@@ -57,15 +56,6 @@ impl Probe {
     pub fn count(&self, f: impl FnOnce(&mut Counters)) {
         if let Some(state) = &self.state {
             f(&mut state.borrow_mut().counters);
-        }
-    }
-
-    /// Notes one round resolved on the sharded path (wall-clock-side:
-    /// sharding depends on the worker count).
-    #[inline]
-    pub fn add_sharded_round(&self) {
-        if let Some(state) = &self.state {
-            state.borrow_mut().sharded_rounds += 1;
         }
     }
 
@@ -106,7 +96,6 @@ impl Probe {
             TelemetrySummary {
                 counters: state.counters,
                 phases: state.phases.summary(),
-                sharded_rounds: state.sharded_rounds,
             }
         })
     }
@@ -121,7 +110,6 @@ mod tests {
         let p = Probe::disabled();
         assert!(!p.is_enabled());
         p.count(|c| c.rounds_total += 1);
-        p.add_sharded_round();
         assert!(p.timer().is_none());
         p.phase_since(Phase::Advance, None);
         assert!(p.counters().is_none());
@@ -134,10 +122,8 @@ mod tests {
         let q = p.clone();
         p.count(|c| c.rounds_total += 1);
         q.count(|c| c.rounds_total += 1);
-        q.add_sharded_round();
         let summary = p.summary().unwrap();
         assert_eq!(summary.counters.rounds_total, 2);
-        assert_eq!(summary.sharded_rounds, 1);
     }
 
     #[test]

@@ -15,8 +15,8 @@
 //! * `pid` [`PID_SWEEP`]: sweep-level spans — one `sweep-worker`
 //!   lifetime span per worker plus one `job` span per `(spec, seed)`,
 //!   with `tid` = sweep worker index.
-//! * `pid` [`PID_POOL`]: shard-pool spans — one `shard-geometry` span
-//!   per worker per sharded round, with `tid` = pool worker index.
+//! * `pid` [`PID_PROTO`]: protocol-level causal spans and flows on a
+//!   synthetic round clock, with `tid` = node index.
 
 use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -25,8 +25,6 @@ use std::time::Instant;
 
 /// `pid` for sweep-runner spans (workers and jobs).
 pub const PID_SWEEP: u64 = 1;
-/// `pid` for shard-pool spans (per-round geometry work).
-pub const PID_POOL: u64 = 2;
 /// `pid` for protocol-level causal spans and flows: synthetic
 /// round-based timestamps (round `r` at `r·1000` µs), `tid` = node
 /// index. See `vi_telemetry::causal::export_flows`.
@@ -40,9 +38,9 @@ pub const MAX_EVENTS: usize = 100_000;
 /// requires.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct TraceEvent {
-    /// Span name (e.g. `"job"`, `"sweep-worker"`, `"shard-geometry"`).
+    /// Span name (e.g. `"job"`, `"sweep-worker"`).
     pub name: String,
-    /// Category (e.g. `"sweep"`, `"pool"`).
+    /// Category (e.g. `"sweep"`, `"protocol"`).
     pub cat: String,
     /// Event phase: `"X"` (complete span), `"s"` (flow start), or
     /// `"f"` (flow finish).
@@ -51,7 +49,7 @@ pub struct TraceEvent {
     pub ts: u64,
     /// Duration in µs (0 for flow endpoints).
     pub dur: u64,
-    /// Process lane ([`PID_SWEEP`], [`PID_POOL`], or [`PID_PROTO`]).
+    /// Process lane ([`PID_SWEEP`] or [`PID_PROTO`]).
     pub pid: u64,
     /// Thread lane — the worker or node index.
     pub tid: u64,
@@ -238,7 +236,7 @@ mod tests {
 
         let t0 = now_us();
         record_span("job", "sweep", PID_SWEEP, 0, t0, 150);
-        record_span("shard-geometry", "pool", PID_POOL, 3, t0 + 10, 40);
+        record_span("sweep-worker", "sweep", PID_SWEEP, 3, t0 + 10, 40);
         record_flow("rx", "protocol", "s", PID_PROTO, 1, 2000, 77);
         record_flow("rx", "protocol", "f", PID_PROTO, 2, 2500, 77);
 
@@ -262,9 +260,9 @@ mod tests {
         assert_eq!(job.pid, PID_SWEEP);
         assert_eq!(job.dur, 150);
         assert_eq!(job.id, 0, "plain spans carry no flow id");
-        let shard = &back.traceEvents[1];
-        assert_eq!(shard.tid, 3);
-        assert_eq!(shard.pid, PID_POOL);
+        let worker = &back.traceEvents[1];
+        assert_eq!(worker.tid, 3);
+        assert_eq!(worker.pid, PID_SWEEP);
         // Flow endpoints keep their pairing id through the round trip.
         let start = &back.traceEvents[2];
         let finish = &back.traceEvents[3];

@@ -41,6 +41,8 @@
 //!   [`OpOutcome`]s, timeouts, and protocol-level [`AuditRecord`]s —
 //!   the input of the `vi-audit` consistency checkers.
 
+#![forbid(unsafe_code)]
+
 pub mod driver;
 pub mod metrics;
 pub mod service;

@@ -29,16 +29,12 @@ fn main() {
             .expect("telemetry was enabled via EngineTuning");
 
         println!("== {} (seed {}) ==\n", out.scenario, out.seed);
-        println!("deterministic counters (worker-count invariant):");
+        println!("deterministic counters:");
         for (name, value) in tele.counters.rows() {
             if value > 0 {
                 println!("  {name:<24} {value:>12}");
             }
         }
-        println!(
-            "  {:<24} {:>12}  (wall-clock side)",
-            "sharded_rounds", tele.sharded_rounds
-        );
 
         println!("\nphase timings (wall-clock µs, excluded from determinism):");
         println!(

@@ -16,6 +16,8 @@
 //! * [`telemetry`] — deterministic counters, phase timers, Perfetto export.
 //! * [`fuzz`] — coverage-guided scenario fuzzing + violation minimization.
 
+#![forbid(unsafe_code)]
+
 pub use vi_apps as apps;
 pub use vi_audit as audit;
 pub use vi_baselines as baselines;

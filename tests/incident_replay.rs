@@ -5,10 +5,9 @@
 //! scenario (write count, horizon, partition onset, seed, flight
 //! window), any bundle the run dumps must — after a JSON round-trip,
 //! as a replay consumer would see it — re-execute to a byte-identical
-//! [`ScenarioOutcome`] (audit report included) at 1 and at 4 sweep
-//! workers, and that replay must re-dump the identical bundle.
-//! Runs that happen not to violate must still be worker-invariant
-//! under tracing.
+//! [`ScenarioOutcome`] (audit report included) every time, and that
+//! replay must re-dump the identical bundle. Runs that happen not to
+//! violate must still repeat exactly under tracing.
 
 use proptest::prelude::*;
 use virtual_infra::scenario::{catalog, EngineTuning, IncidentBundle, ScenarioSpec, WorkloadSpec};
@@ -46,27 +45,25 @@ proptest! {
             let parsed = IncidentBundle::from_json(&bundle.to_json()).expect("round-trips");
             prop_assert_eq!(&parsed, bundle);
 
-            let replay_seq = parsed.replay(1);
-            let replay_par = parsed.replay(4);
+            let replay = parsed.replay();
             prop_assert_eq!(
-                serde_json::to_string(&replay_seq).expect("serializes"),
-                serde_json::to_string(&replay_par).expect("serializes"),
-                "replay outcome depends on the worker count"
+                serde_json::to_string(&replay).expect("serializes"),
+                serde_json::to_string(&parsed.replay()).expect("serializes"),
+                "two replays of one bundle disagree"
             );
-            prop_assert_eq!(&replay_seq.audit, &bundle.audit, "audit verdict drifted on replay");
+            prop_assert_eq!(&replay.audit, &bundle.audit, "audit verdict drifted on replay");
             prop_assert_eq!(
-                replay_seq.incident.as_ref(),
+                replay.incident.as_ref(),
                 Some(bundle),
                 "replay failed to re-dump the identical bundle"
             );
         } else {
-            // No violation at these knobs: tracing must still be
-            // worker-invariant.
-            let par = spec.run_with(seed, EngineTuning { workers: 4, ..tuning });
+            // No violation at these knobs: a traced run must still
+            // repeat exactly.
             prop_assert_eq!(
                 serde_json::to_string(&out).expect("serializes"),
-                serde_json::to_string(&par).expect("serializes"),
-                "traced outcome depends on the worker count"
+                serde_json::to_string(&spec.run_with(seed, tuning)).expect("serializes"),
+                "a traced re-run diverged"
             );
         }
     }

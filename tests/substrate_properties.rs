@@ -104,22 +104,13 @@ fn mobility_of(&(start, kind, ..): &NodeGen) -> Box<dyn MobilityModel> {
 type Observed = (Vec<(Vec<u64>, u64)>, String, ChannelStats);
 
 /// The deployment `nodes` describes, under a lossy adversary, run on
-/// the real [`Engine`] with `workers` intra-round workers.
-fn engine_run(
-    nodes: &[NodeGen],
-    seed: u64,
-    stabilize: u64,
-    drop_p: f64,
-    rounds: u64,
-    workers: usize,
-) -> Observed {
+/// the real [`Engine`].
+fn engine_run(nodes: &[NodeGen], seed: u64, stabilize: u64, drop_p: f64, rounds: u64) -> Observed {
     let mut engine: Engine<u64> = Engine::new(EngineConfig {
         radio: RadioConfig::stabilizing(10.0, 20.0, stabilize),
         seed,
         record_trace: true,
     });
-    engine.set_workers(workers);
-    engine.set_shard_min_slots(1);
     engine.set_adversary(Box::new(RandomLoss::new(drop_p, 0.1)));
     let mut ids = Vec::new();
     for node in nodes {
@@ -563,106 +554,6 @@ proptest! {
         }
     }
 
-    /// Differential law for tile-sharded parallel resolution: at any
-    /// worker count the sharded resolver is byte-identical to the
-    /// sequential one — receptions, collision indications, and the RNG
-    /// stream — across drifting positions (surgical updates), mass
-    /// movement (`mover_stride == 1` hits the broadcaster-index churn
-    /// fallback), forced re-anchors, and adversaries. The shard
-    /// threshold is lowered to 1 so the toy-sized churn rounds (0, 5
-    /// and every mass move) and the re-anchor that follows each take
-    /// the parallel path whenever the grid has rows to band; the
-    /// steady and surgical rounds in between check that a configured
-    /// pool they never wake changes nothing.
-    #[test]
-    fn sharded_medium_matches_sequential(
-        nodes in proptest::collection::vec((arb_point(), any::<bool>()), 1..60),
-        seed in any::<u64>(),
-        r1 in 1.0f64..30.0,
-        extra in 0.0f64..30.0,
-        rcf in 0u64..6,
-        racc in 0u64..6,
-        ring_reports in any::<bool>(),
-        drop_p in 0.0f64..1.0,
-        spurious_p in 0.0f64..0.6,
-        mover_stride in 1usize..8,
-        worker_pick in 0usize..4,
-    ) {
-        let workers = [1usize, 2, 3, 7][worker_pick];
-        let cfg = RadioConfig { r1, r2: r1 + extra, rcf, racc, ring_reports };
-        let mut medium_seq = Medium::new(cfg);
-        let mut medium_shard = Medium::new(cfg);
-        medium_shard.set_workers(workers);
-        medium_shard.set_shard_min_slots(1);
-        let mut soa_seq = ReceptionBuffer::new();
-        let mut soa_shard = ReceptionBuffer::new();
-        let mut rng_seq = StdRng::seed_from_u64(seed);
-        let mut rng_shard = StdRng::seed_from_u64(seed);
-        let mut adv_seq = RandomLoss::new(drop_p, spurious_p);
-        let mut adv_shard = RandomLoss::new(drop_p, spurious_p);
-
-        let mut positions: Vec<Point> = nodes.iter().map(|&(p, _)| p).collect();
-        let mut intents: Vec<TxIntent<u64>> = Vec::new();
-        let mut moved: Vec<u32> = Vec::new();
-        for round in 0..8u64 {
-            moved.clear();
-            if round > 0 {
-                for (i, pos) in positions.iter_mut().enumerate() {
-                    if (i + round as usize).is_multiple_of(mover_stride) {
-                        let next = Point::new(pos.x + 0.9, pos.y - 0.4);
-                        *pos = next;
-                        moved.push(i as u32);
-                    }
-                }
-            }
-            intents.clear();
-            intents.extend(nodes.iter().enumerate().map(|(i, &(_, tx))| TxIntent {
-                node: NodeId::from(i),
-                pos: positions[i],
-                payload: (tx ^ (round % 3 == i as u64 % 3)).then_some(i as u64),
-            }));
-            let delta = if round == 0 || round == 5 {
-                TopologyDelta::Rebuild
-            } else if moved.is_empty() {
-                TopologyDelta::Unchanged
-            } else {
-                TopologyDelta::Moved(&moved)
-            };
-
-            medium_seq.resolve_round_cached(
-                round, &intents, delta, &mut adv_seq, &mut rng_seq, &mut soa_seq);
-            medium_shard.resolve_round_cached(
-                round, &intents, delta, &mut adv_shard, &mut rng_shard, &mut soa_shard);
-
-            prop_assert_eq!(&soa_shard.to_attributed(), &soa_seq.to_attributed(),
-                "round {}: receptions diverged at {} workers", round, workers);
-            prop_assert_eq!(&rng_shard, &rng_seq,
-                "round {}: RNG streams diverged at {} workers", round, workers);
-        }
-    }
-
-    /// Engine-level sharded differential: whole executions — stats,
-    /// full traces, every process's observations — are byte-identical
-    /// with intra-round workers enabled, across mixed mobility,
-    /// spawns, crashes, and a lossy adversary.
-    #[test]
-    fn engine_sharded_path_matches_sequential(
-        nodes in arb_nodes(),
-        seed in any::<u64>(),
-        stabilize in 0u64..30,
-        drop_p in 0.0f64..0.6,
-        rounds in 5u64..30,
-        worker_pick in 0usize..3,
-    ) {
-        let workers = [2usize, 3, 7][worker_pick];
-        let sequential = engine_run(&nodes, seed, stabilize, drop_p, rounds, 1);
-        let sharded = engine_run(&nodes, seed, stabilize, drop_p, rounds, workers);
-        prop_assert_eq!(sharded.2, sequential.2, "stats diverged at {} workers", workers);
-        prop_assert_eq!(&sharded.1, &sequential.1, "traces diverged at {} workers", workers);
-        prop_assert_eq!(&sharded.0, &sequential.0,
-            "process observations diverged at {} workers", workers);
-    }
-
     /// Engine-vs-spec differential: the real [`Engine`] (settled-node
     /// skip, mover dirty-set, cached topology, SoA receptions) and the
     /// naive round loop of [`spec_run`] produce byte-identical
@@ -679,7 +570,7 @@ proptest! {
         drop_p in 0.0f64..0.6,
         rounds in 5u64..30,
     ) {
-        let engine = engine_run(&nodes, seed, stabilize, drop_p, rounds, 1);
+        let engine = engine_run(&nodes, seed, stabilize, drop_p, rounds);
         let spec = spec_run(&nodes, seed, stabilize, drop_p, rounds);
         prop_assert_eq!(engine.2, spec.2, "stats diverged");
         prop_assert_eq!(&engine.1, &spec.1, "traces diverged");

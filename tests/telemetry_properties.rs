@@ -1,9 +1,9 @@
-//! Property-based tests of the telemetry layer's two contracts:
+//! Property-based tests of the telemetry layer's three contracts:
 //!
 //! 1. **Counters are deterministic** — the counter set of a run is a
-//!    pure function of the seed and the spec, independent of the
-//!    intra-round worker count (counters only ever increment on the
-//!    sequential control path).
+//!    pure function of the seed and the spec: every round is counted,
+//!    and a re-run (with or without recorders riding along) counts
+//!    the same.
 //! 2. **Telemetry observes, never perturbs** — enabling the probe, or
 //!    the whole observer set, changes no reception, no trace byte, no
 //!    channel statistic, and no RNG draw of the run it measures.
@@ -88,7 +88,6 @@ fn run_engine(
     stabilize: u64,
     drop_p: f64,
     rounds: u64,
-    workers: usize,
     obs: &Observers,
 ) -> (Observation, Option<Counters>) {
     let bounds = Rect::square(200.0);
@@ -97,8 +96,6 @@ fn run_engine(
         seed,
         record_trace: true,
     });
-    engine.set_workers(workers);
-    engine.set_shard_min_slots(1);
     engine.set_adversary(Box::new(RandomLoss::new(drop_p, 0.1)));
     engine.set_observers(obs.clone());
     let mut ids: Vec<NodeId> = Vec::new();
@@ -142,39 +139,11 @@ fn run_engine(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Tentpole acceptance: the counter set is byte-identical at 1, 2,
-    /// 4, and 7 intra-round workers (shard threshold forced to 1 so
-    /// toy rounds actually shard), across mixed mobility, churn, and a
-    /// lossy adversary.
-    #[test]
-    fn counters_are_worker_count_invariant(
-        specs in proptest::collection::vec(
-            (arb_point(), 0u8..4, any::<bool>(), 0u64..6, proptest::option::of(2u64..20)),
-            1..14),
-        seed in any::<u64>(),
-        stabilize in 0u64..30,
-        drop_p in 0.0f64..0.6,
-        rounds in 5u64..30,
-    ) {
-        let (base_obs, base_counters) =
-            run_engine(&specs, seed, stabilize, drop_p, rounds, 1, &probed());
-        let base_counters = base_counters.expect("probe installed");
-        prop_assert_eq!(base_counters.rounds_total, rounds, "every round is counted");
-        for workers in [2usize, 4, 7] {
-            let (obs, counters) =
-                run_engine(&specs, seed, stabilize, drop_p, rounds, workers, &probed());
-            prop_assert_eq!(
-                counters.expect("probe installed"), base_counters,
-                "counters diverged at {} workers", workers);
-            prop_assert_eq!(&obs, &base_obs, "execution diverged at {} workers", workers);
-        }
-    }
-
     /// Telemetry-on changes nothing observable: receptions, the full
     /// round trace, and the channel statistics (which close over every
     /// RNG draw) are identical with and without the probe, and with and
-    /// without the whole observer set, at 1 worker and sharded; what
-    /// the recorders keep is itself worker-count invariant.
+    /// without the whole observer set; what the probe counts and the
+    /// recorders keep is the same on a re-run.
     #[test]
     fn probe_never_perturbs_the_execution(
         specs in proptest::collection::vec(
@@ -184,17 +153,15 @@ proptest! {
         stabilize in 0u64..30,
         drop_p in 0.0f64..0.6,
         rounds in 5u64..30,
-        worker_pick in 0usize..3,
     ) {
-        let workers = [1usize, 3, 7][worker_pick];
         let (plain, none) = run_engine(
-            &specs, seed, stabilize, drop_p, rounds, workers, &Observers::default());
+            &specs, seed, stabilize, drop_p, rounds, &Observers::default());
         prop_assert!(none.is_none(), "no probe, no counters");
         let (probed, counters) =
-            run_engine(&specs, seed, stabilize, drop_p, rounds, workers, &probed());
-        prop_assert_eq!(&probed, &plain,
-            "telemetry perturbed the execution at {} workers", workers);
+            run_engine(&specs, seed, stabilize, drop_p, rounds, &probed());
+        prop_assert_eq!(&probed, &plain, "telemetry perturbed the execution");
         let counters = counters.expect("probe installed");
+        prop_assert_eq!(counters.rounds_total, rounds, "every round is counted");
         prop_assert_eq!(
             counters.receptions, plain.2.deliveries,
             "reception counter must mirror channel stats");
@@ -202,25 +169,24 @@ proptest! {
             counters.collisions, plain.2.collision_reports,
             "collision counter must mirror channel stats");
 
-        let (seq, sharded) = (live(seed), live(seed));
-        let (observed_seq, _) = run_engine(&specs, seed, stabilize, drop_p, rounds, 1, &seq);
-        let (observed_sharded, live_counters) =
-            run_engine(&specs, seed, stabilize, drop_p, rounds, workers, &sharded);
-        prop_assert_eq!(&observed_seq, &plain, "live observers perturbed the 1-worker run");
-        prop_assert_eq!(&observed_sharded, &plain,
-            "live observers perturbed the run at {} workers", workers);
+        let (first, again) = (live(seed), live(seed));
+        let (observed, live_counters) =
+            run_engine(&specs, seed, stabilize, drop_p, rounds, &first);
+        let (observed_again, _) = run_engine(&specs, seed, stabilize, drop_p, rounds, &again);
+        prop_assert_eq!(&observed, &plain, "live observers perturbed the run");
+        prop_assert_eq!(&observed_again, &plain, "live observers perturbed the re-run");
         prop_assert_eq!(live_counters, Some(counters),
             "recorders riding along must not change what the probe counts");
-        prop_assert_eq!(seq.flight.window(), sharded.flight.window(),
-            "flight window diverged at {} workers", workers);
-        prop_assert_eq!(seq.causal.summary(), sharded.causal.summary(),
-            "causal summary diverged at {} workers", workers);
+        prop_assert_eq!(first.flight.window(), again.flight.window(),
+            "flight window diverged on a re-run");
+        prop_assert_eq!(first.causal.summary(), again.causal.summary(),
+            "causal summary diverged on a re-run");
     }
 
     /// Live-monitoring acceptance: the counter deltas a monitor
     /// streams, concatenated in sequence order, reconcile exactly with
-    /// the end-of-run totals — for any sampling period, worker count,
-    /// and topology — and the final snapshot's running total IS the
+    /// the end-of-run totals — for any sampling period and topology —
+    /// and the final snapshot's running total IS the
     /// end-of-run counter set.
     #[test]
     fn snapshot_deltas_reconcile_with_final_summary(
@@ -230,7 +196,6 @@ proptest! {
         seed in any::<u64>(),
         rounds in 5u64..40,
         every in 1u64..12,
-        workers in 1usize..5,
     ) {
         let bounds = Rect::square(200.0);
         let mut engine: Engine<u64> = Engine::new(EngineConfig {
@@ -238,8 +203,6 @@ proptest! {
             seed,
             record_trace: false,
         });
-        engine.set_workers(workers);
-        engine.set_shard_min_slots(1);
         let probe = Probe::enabled();
         let ring = Arc::new(RingSink::with_capacity(4096));
         let monitor = Monitor::enabled(

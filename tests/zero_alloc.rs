@@ -3,7 +3,9 @@
 //! topology (tracing off, null observers, non-allocating
 //! processes) performs **zero** heap allocations. So does a churn
 //! round of the medium — every position moved, the broadcaster
-//! snapshot index rebuilt from scratch — once its buffers have grown.
+//! snapshot index rebuilt from scratch — and a re-anchor round — the
+//! full-topology grid rebuilt and every receiver's cached neighborhood
+//! refilled by a grid query — once their buffers have grown.
 //!
 //! Measured with a counting global allocator, so this file must hold
 //! exactly one `#[test]` — a sibling test running on another thread
@@ -21,7 +23,7 @@ use virtual_infra::radio::mobility::Static;
 use virtual_infra::radio::{
     Engine, EngineConfig, NodeId, NodeSpec, Process, RadioConfig, RoundCtx, RoundReception,
 };
-use virtual_infra::telemetry::Observers;
+use virtual_infra::telemetry::{Observers, Probe};
 
 /// Counts every allocation and reallocation routed through the global
 /// allocator.
@@ -139,26 +141,6 @@ fn steady_state_rounds_allocate_nothing() {
     assert_eq!(engine.round(), 150);
     assert!(engine.stats().broadcasts > 0);
 
-    // A configured pool preserves the guarantee. Steady cached rounds
-    // never wake it — only re-anchor rounds shard, and this static
-    // deployment has none after warm-up — so what this window covers
-    // is a configured but idle pool: four parked workers and
-    // the threshold override in place (sharding would be forced at
-    // this n if the round kind allowed it) add no allocation to the
-    // sequential walk the steady rounds take.
-    engine.set_workers(4);
-    engine.set_shard_min_slots(1);
-    engine.run(30);
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
-    engine.run(120);
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
-    assert_eq!(
-        after - before,
-        0,
-        "steady-state rounds with an idle pool must not allocate"
-    );
-    assert_eq!(engine.round(), 300);
-
     // Churn rounds: every node steps back and forth (period 2) under a
     // broadcast pattern of period 3, and the caller reports `Rebuild`
     // every round, so each round counting-sorts that round's
@@ -174,10 +156,16 @@ fn steady_state_rounds_allocate_nothing() {
         })
         .collect();
     let (mut rng, mut out) = (StdRng::seed_from_u64(42), ReceptionBuffer::new());
-    let mut heard = 0usize;
-    let mut churn = |rounds: std::ops::Range<u64>| {
+    // Resolves `rounds` on `medium` with every node displaced by
+    // `sway(round)` steps and the topology reported as `delta(round)`;
+    // returns the messages delivered.
+    let mut resolve = |medium: &mut Medium,
+                       rounds: std::ops::Range<u64>,
+                       sway: fn(u64) -> f64,
+                       delta: fn(u64) -> TopologyDelta<'static>| {
+        let mut heard = 0usize;
         for round in rounds {
-            let step = (round % 2) as f64;
+            let step = sway(round);
             for (i, intent) in intents.iter_mut().enumerate() {
                 let at = home(i);
                 intent.pos = Point::new(at.x + 0.9 * step, at.y - 0.4 * step);
@@ -186,17 +174,23 @@ fn steady_state_rounds_allocate_nothing() {
             medium.resolve_round_cached(
                 round,
                 &intents,
-                TopologyDelta::Rebuild,
+                delta(round),
                 &mut NoAdversary,
                 &mut rng,
                 &mut out,
             );
             heard += (0..out.len()).map(|k| out.messages(k).len()).sum::<usize>();
         }
+        heard
     };
-    churn(0..12);
+    let back_and_forth = |round: u64| (round % 2) as f64;
+    let mut heard = resolve(&mut medium, 0..12, back_and_forth, |_| {
+        TopologyDelta::Rebuild
+    });
     let before = ALLOCATIONS.load(Ordering::SeqCst);
-    churn(12..132);
+    heard += resolve(&mut medium, 12..132, back_and_forth, |_| {
+        TopologyDelta::Rebuild
+    });
     let after = ALLOCATIONS.load(Ordering::SeqCst);
     assert_eq!(
         after - before,
@@ -204,6 +198,39 @@ fn steady_state_rounds_allocate_nothing() {
         "churn rounds must not allocate once the snapshot index has grown"
     );
     assert!(heard > 0, "the churn rounds delivered messages");
+
+    // Re-anchor rounds: nobody moves, but the caller reports `Rebuild`
+    // every other round, so each `Unchanged` round in between finds the
+    // cache invalidated and re-anchors — `SpatialGrid::rebuild` plus
+    // one grid query per receiver, copied into its cached
+    // neighborhood. A live probe confirms the round kind (and rides
+    // inside the window: counting and phase timing allocate nothing).
+    let mut medium = Medium::new(RadioConfig::reliable(10.0, 20.0));
+    let probe = Probe::enabled();
+    medium.set_probe(probe.clone());
+    let alternate = |round: u64| {
+        if round.is_multiple_of(2) {
+            TopologyDelta::Rebuild
+        } else {
+            TopologyDelta::Unchanged
+        }
+    };
+    resolve(&mut medium, 0..12, |_| 0.0, alternate);
+    let reanchors = |probe: &Probe| probe.counters().expect("live probe").rounds_reanchor;
+    let (warm, before) = (reanchors(&probe), ALLOCATIONS.load(Ordering::SeqCst));
+    let heard = resolve(&mut medium, 12..132, |_| 0.0, alternate);
+    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    assert_eq!(
+        after - before,
+        0,
+        "re-anchor rounds must not allocate once grid and neighborhoods have grown"
+    );
+    assert_eq!(
+        (warm, reanchors(&probe)),
+        (6, 66),
+        "every second round re-anchors"
+    );
+    assert!(heard > 0, "the re-anchor rounds delivered messages");
 
     // The same deployment with tracing on allocates every round (the
     // exact-size `RoundRecord` clone) — the contrast proves the counter
