@@ -95,19 +95,7 @@ impl<V: Clone + Ord + WireSized + 'static> Process<FullHistoryMessage<V>> for Fu
     }
 
     fn deliver(&mut self, ctx: &RoundCtx, rx: RoundReception<'_, FullHistoryMessage<V>>) {
-        let feedback = if self.was_active {
-            if rx.collision {
-                ChannelFeedback::TxCollided
-            } else {
-                ChannelFeedback::TxSucceeded
-            }
-        } else if rx.collision {
-            ChannelFeedback::HeardCollision
-        } else if !rx.messages.is_empty() {
-            ChannelFeedback::HeardOther
-        } else {
-            ChannelFeedback::Quiet
-        };
+        let feedback = ChannelFeedback::of(self.was_active, rx.collision, !rx.messages.is_empty());
         self.cm.observe(self.slot, ctx.round, feedback);
 
         if rx.collision || rx.messages.is_empty() {

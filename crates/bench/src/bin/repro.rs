@@ -10,7 +10,6 @@
 //! cargo run -p vi-bench --bin repro -- monitor 127.0.0.1:9464   # tail /metrics
 //! cargo run -p vi-bench --bin repro -- fuzz --iters 400 --seed 7 --corpus-dir corpus/
 //! cargo run -p vi-bench --bin repro -- fuzz --minimize failing_spec.json
-//! cargo run -p vi-bench --bin repro -- bench-diff old.json new.json
 //! cargo run -p vi-bench --bin repro -- bench-diff --check BENCH_radio.json 1000000
 //! ```
 //!
@@ -25,10 +24,8 @@
 //! `monitor <addr>` is the matching client: it polls an exporter's
 //! `/metrics` and prints a one-line-per-run progress view.
 //!
-//! `bench-diff` compares two bench artifacts with a noise tolerance
-//! (`--tolerance 0.30` by default; `--report` prints without gating),
-//! and `bench-diff --check <file> [needle...]` structurally validates
-//! a single artifact — the gate CI applies to every `BENCH_*.json`.
+//! `bench-diff --check <file> [needle...]` structurally validates a
+//! single artifact — the gate CI applies to every `BENCH_*.json`.
 //!
 //! Every experiment that runs also writes a machine-readable copy of
 //! its table to `BENCH_<id>.json` (a couple of ids keep their
@@ -117,75 +114,25 @@ fn replay_incident(path: &str) -> ! {
     }
 }
 
-/// `repro bench-diff`: compare two artifacts with a noise tolerance,
-/// or (`--check`) structurally validate one.
+/// `repro bench-diff --check <file> [needle...]`: structurally
+/// validate one artifact.
 ///
-/// Exit codes: 0 — within tolerance / valid; 1 — regression past
-/// tolerance (unless `--report`) or invalid artifact; 2 — usage error.
+/// Exit codes: 0 — valid; 1 — invalid artifact; 2 — usage error.
 fn bench_diff(args: &[String]) -> ! {
-    if args.first().map(String::as_str) == Some("--check") {
-        let Some(path) = args.get(1) else {
-            eprintln!("usage: repro bench-diff --check <file.json> [needle...]");
-            std::process::exit(2);
-        };
-        match diff::check_table(path, &args[2..]) {
-            Ok(summary) => {
-                println!("{summary}");
-                std::process::exit(0);
-            }
-            Err(e) => {
-                eprintln!("bench-diff: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
-    let mut tolerance = 0.30f64;
-    let mut report_only = false;
-    let mut files: Vec<&String> = Vec::new();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--tolerance" => match it.next().and_then(|v| v.parse::<f64>().ok()) {
-                Some(t) => tolerance = t,
-                None => {
-                    eprintln!("bench-diff: --tolerance needs a number");
-                    std::process::exit(2);
-                }
-            },
-            "--report" => report_only = true,
-            _ => files.push(a),
-        }
-    }
-    let [old_path, new_path] = files[..] else {
-        eprintln!("usage: repro bench-diff <old.json> <new.json> [--tolerance 0.30] [--report]");
+    let (Some("--check"), Some(path)) = (args.first().map(String::as_str), args.get(1)) else {
+        eprintln!("usage: repro bench-diff --check <file.json> [needle...]");
         std::process::exit(2);
     };
-    let (old, new) = match (diff::load_table(old_path), diff::load_table(new_path)) {
-        (Ok(old), Ok(new)) => (old, new),
-        (Err(e), _) | (_, Err(e)) => {
+    match diff::check_table(path, &args[2..]) {
+        Ok(summary) => {
+            println!("{summary}");
+            std::process::exit(0);
+        }
+        Err(e) => {
             eprintln!("bench-diff: {e}");
             std::process::exit(1);
         }
-    };
-    let outcome = diff::diff_tables(&old, &new, tolerance);
-    if outcome.report.is_empty() {
-        println!(
-            "bench-diff: no changes past {:.0}% tolerance",
-            tolerance * 100.0
-        );
     }
-    for line in &outcome.report {
-        println!("{line}");
-    }
-    if outcome.clean() {
-        std::process::exit(0);
-    }
-    eprintln!(
-        "bench-diff: {} regression(s) past {:.0}% tolerance",
-        outcome.regressions.len(),
-        tolerance * 100.0
-    );
-    std::process::exit(if report_only { 0 } else { 1 });
 }
 
 /// `repro fuzz`: run a coverage-guided fuzz campaign, or (with

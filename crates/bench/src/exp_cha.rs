@@ -6,7 +6,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use vi_baselines::{FullHistoryMessage, FullHistoryNode, MajorityConsensus, MajorityMessage};
 use vi_contention::{OracleCm, PreStability, SharedCm};
-use vi_core::cha::{Ballot, ChaProtocol, CheckpointCha, Color, TaggedProposer};
+use vi_core::cha::{ChaProtocol, Color, TaggedProposer};
 use vi_radio::geometry::{Point, Rect};
 use vi_radio::mobility::Static;
 use vi_radio::{Engine, EngineConfig, NodeSpec, RadioConfig};
@@ -311,23 +311,26 @@ pub fn gc() -> Table {
         "E10 / Section 3.5: resident state entries after k instances",
         &["yellow rate", "k", "plain CHAP", "checkpoint-CHA"],
     );
+    // Leader pattern: ballot received cleanly, veto-2 collision iff
+    // this instance is "yellow". Returns whether it ended green.
+    let run_instance = |node: &mut ChaProtocol<u64>, k: u64, yellow: bool| {
+        let ballot = node.begin_instance(k);
+        node.on_ballot_phase(&[ballot], false);
+        node.on_veto1_phase(false, false);
+        node.on_veto2_phase(false, yellow).decided()
+    };
     for yellow_rate in [0.0, 0.2, 0.5] {
         let mut plain = ChaProtocol::<u64>::new();
-        let mut gc: CheckpointCha<u64, u64> =
-            CheckpointCha::new(0, Box::new(|acc, _, v| *acc += v.copied().unwrap_or(0)));
+        let mut gc = ChaProtocol::<u64>::new();
+        // The checkpoint: here, the sum of the decided values.
+        let mut checkpoint = 0u64;
         let mut rng = StdRng::seed_from_u64(17);
         for k in 1..=1000u64 {
             let yellow = rng.random_bool(yellow_rate);
-            // Leader pattern: ballot received cleanly, veto-2 collision
-            // iff this instance is "yellow".
-            let b1 = plain.begin_instance(k);
-            plain.on_ballot_phase(&[b1], false);
-            plain.on_veto1_phase(false, false);
-            plain.on_veto2_phase(false, yellow);
-            let b2: Ballot<u64> = gc.begin_instance(k);
-            gc.on_ballot_phase(&[b2], false);
-            gc.on_veto1_phase(false, false);
-            gc.on_veto2_phase(false, yellow);
+            run_instance(&mut plain, k, yellow);
+            if run_instance(&mut gc, k, yellow) {
+                gc.fold_decided(k, |_, v| checkpoint += v.copied().unwrap_or(0));
+            }
             if k == 100 || k == 500 || k == 1000 {
                 t.row(&[
                     f2(yellow_rate),
@@ -337,6 +340,12 @@ pub fn gc() -> Table {
                 ]);
             }
         }
+        let folded = gc.floor();
+        assert_eq!(
+            checkpoint,
+            folded * (folded + 1) / 2,
+            "every instance through the floor is summarized, yellow ones included"
+        );
     }
     t.note("plain grows ~2 entries/instance; checkpoint-CHA stays bounded by the current yellow streak");
     t

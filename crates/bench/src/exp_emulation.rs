@@ -74,14 +74,8 @@ pub fn overhead() -> Table {
         let vrs = 12;
         world.run_virtual_rounds(vrs);
         let plan = world.plan();
-        let mut decided = 0u64;
-        let mut bottom = 0u64;
-        for vn in 0..vns {
-            let (_, r) = world.vn_report(VnId(vn));
-            decided += r.decided;
-            bottom += r.bottom;
-        }
-        let green = decided as f64 / (decided + bottom).max(1) as f64;
+        let r = world.report();
+        let green = r.decided as f64 / (r.decided + r.bottom).max(1) as f64;
         t.row(&[
             vns.to_string(),
             f2(spacing),

@@ -30,16 +30,14 @@ const R2: f64 = 20.0;
 /// of nodes regardless of `n` (constant density).
 const SPACING: f64 = 15.0;
 
-/// The radio parameters used by the scaling runs (shared with the
-/// criterion bench so both measure the same workload).
-pub fn radio() -> RadioConfig {
+/// The radio parameters used by the scaling runs.
+fn radio() -> RadioConfig {
     RadioConfig::reliable(R1, R2)
 }
 
 /// A constant-density deployment: `n` nodes uniform in a square whose
-/// side grows with `sqrt(n)`; every third node broadcasts. Shared with
-/// the criterion bench in `benches/radio.rs`.
-pub fn make_intents(n: usize, seed: u64) -> Vec<TxIntent<u64>> {
+/// side grows with `sqrt(n)`; every third node broadcasts.
+fn make_intents(n: usize, seed: u64) -> Vec<TxIntent<u64>> {
     let side = (n as f64).sqrt() * SPACING;
     let mut rng = StdRng::seed_from_u64(seed);
     (0..n)

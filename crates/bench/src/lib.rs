@@ -1,7 +1,7 @@
 //! # vi-bench
 //!
 //! Experiment harness reproducing every figure and quantitative claim
-//! of the paper. Each experiment (E1–E21) is a function returning a
+//! of the paper. Each experiment (E1–E22) is a function returning a
 //! [`Table`], callable from the `repro` binary (which prints
 //! paper-shaped tables and writes a `BENCH_<id>.json` artifact per
 //! experiment) and exercised by unit tests that assert the claimed

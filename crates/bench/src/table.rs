@@ -7,8 +7,8 @@ use std::fmt;
 ///
 /// Serializes to JSON (`{"title", "headers", "rows", "notes"}`) for the
 /// machine-readable bench artifacts the `repro` binary emits, and
-/// deserializes back from those artifacts so `repro bench-diff` can
-/// compare two runs.
+/// deserializes back from those artifacts so `repro bench-diff
+/// --check` can validate them.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct Table {
     title: String,

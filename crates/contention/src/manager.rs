@@ -60,6 +60,23 @@ pub enum ChannelFeedback {
     Quiet,
 }
 
+impl ChannelFeedback {
+    /// What a contender reports for a round in which it was advised
+    /// `active` (so it broadcast), its detector reported `collision`,
+    /// and it `heard` at least one message. A broadcaster's own
+    /// message tells it nothing, and a collision outranks whatever
+    /// else arrived.
+    pub fn of(active: bool, collision: bool, heard: bool) -> Self {
+        match (active, collision, heard) {
+            (true, true, _) => ChannelFeedback::TxCollided,
+            (true, false, _) => ChannelFeedback::TxSucceeded,
+            (false, true, _) => ChannelFeedback::HeardCollision,
+            (false, false, true) => ChannelFeedback::HeardOther,
+            (false, false, false) => ChannelFeedback::Quiet,
+        }
+    }
+}
+
 /// A contention manager for one broadcast region (Property 3).
 ///
 /// Contract, mirroring the paper:
@@ -170,6 +187,29 @@ mod tests {
     fn advice_helpers() {
         assert!(Advice::Active.is_active());
         assert!(!Advice::Passive.is_active());
+    }
+
+    #[test]
+    fn feedback_for_every_active_collision_heard_case() {
+        use ChannelFeedback::*;
+        let cases = [
+            // (active, collision, heard) → feedback
+            ((true, false, false), TxSucceeded),
+            ((true, false, true), TxSucceeded),
+            ((true, true, false), TxCollided),
+            ((true, true, true), TxCollided),
+            ((false, false, false), Quiet),
+            ((false, false, true), HeardOther),
+            ((false, true, false), HeardCollision),
+            ((false, true, true), HeardCollision),
+        ];
+        for ((active, collision, heard), want) in cases {
+            let got = ChannelFeedback::of(active, collision, heard);
+            assert_eq!(
+                got, want,
+                "active {active} collision {collision} heard {heard}"
+            );
+        }
     }
 
     #[test]

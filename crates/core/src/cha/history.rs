@@ -218,26 +218,41 @@ pub fn calculate_history<V: Clone>(
     floor: u64,
 ) -> History<V> {
     let mut history = History::new(instance);
-    let mut cursor = prev;
-    while cursor > floor {
-        let Some(ballot) = ballots.get(&cursor) else {
-            break; // unreachable under the model; see above
-        };
-        history.insert(cursor, ballot.value.clone());
-        if ballot.prev >= cursor {
-            // A `prev` pointer that fails to decrease can only come
-            // from mixing ballots of nodes with inconsistent instance
-            // numbering (e.g. a node spawned mid-run with a fresh
-            // counter instead of a checkpoint) — outside the model,
-            // where every adopted ballot's `prev` precedes the
-            // instance it was heard in. Stop rather than chase a
-            // cycle; the truncated prefix resolves to ⊥ and surfaces
-            // as checker-visible disagreement.
-            break;
-        }
-        cursor = ballot.prev;
+    for (k, value) in prev_chain(prev, ballots, floor) {
+        history.insert(k, value.clone());
     }
     history
+}
+
+/// The instances above `floor` on the `prev` chain from `prev`, newest
+/// first, each with its stored ballot value: the one walk behind
+/// [`calculate_history`] and
+/// [`ChaProtocol::fold_decided`](crate::cha::ChaProtocol::fold_decided).
+pub(crate) fn prev_chain<V>(
+    prev: u64,
+    ballots: &BTreeMap<u64, Ballot<V>>,
+    floor: u64,
+) -> impl Iterator<Item = (u64, &V)> {
+    let mut cursor = prev;
+    std::iter::from_fn(move || {
+        if cursor <= floor {
+            return None;
+        }
+        // A missing ballot is unreachable under the model; see
+        // `calculate_history`.
+        let ballot = ballots.get(&cursor)?;
+        let k = cursor;
+        // A `prev` pointer that fails to decrease can only come from
+        // mixing ballots of nodes with inconsistent instance numbering
+        // (e.g. a node spawned mid-run with a fresh counter instead of
+        // a checkpoint) — outside the model, where every adopted
+        // ballot's `prev` precedes the instance it was heard in. Stop
+        // after this instance rather than chase a cycle; the truncated
+        // prefix resolves to ⊥ and surfaces as checker-visible
+        // disagreement.
+        cursor = if ballot.prev < k { ballot.prev } else { floor };
+        Some((k, &ballot.value))
+    })
 }
 
 #[cfg(test)]

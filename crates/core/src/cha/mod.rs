@@ -1,19 +1,18 @@
 //! Convergent history agreement (Section 3 of the paper).
 //!
 //! * [`history`] — colors, ballots, histories, `calculate-history`.
-//! * [`protocol`] — the pure CHAP state machine (Figure 1).
+//! * [`protocol`] — the pure CHAP state machine (Figure 1), with the
+//!   Section 3.5 checkpoint fold and garbage collection
+//!   ([`ChaProtocol::fold_decided`]).
 //! * [`process`] — the radio adapter running CHAP on the simulator.
-//! * [`checkpoint`] — the Section 3.5 garbage-collected variant.
 //! * [`spec`] — a trace checker for the Section 3.2 problem
 //!   definition (Validity, Agreement, Liveness) and Property 4.
 
-pub mod checkpoint;
 pub mod history;
 pub mod process;
 pub mod protocol;
 pub mod spec;
 
-pub use checkpoint::CheckpointCha;
 pub use history::{calculate_history, Ballot, Color, History};
 pub use process::{ChaNode, Proposer, TaggedProposer};
 pub use protocol::{ChaMessage, ChaOutput, ChaProtocol, Phase};

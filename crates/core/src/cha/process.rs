@@ -152,11 +152,6 @@ impl<V: Clone + Ord + 'static> ChaNode<V> {
     pub fn protocol(&self) -> &ChaProtocol<V> {
         &self.protocol
     }
-
-    /// Mutable protocol access (used by garbage-collection drivers).
-    pub fn protocol_mut(&mut self) -> &mut ChaProtocol<V> {
-        &mut self.protocol
-    }
 }
 
 impl<V: Clone + Ord + vi_radio::WireSized + 'static> Process<ChaMessage<V>> for ChaNode<V> {
@@ -194,19 +189,8 @@ impl<V: Clone + Ord + vi_radio::WireSized + 'static> Process<ChaMessage<V>> for 
                     ChaMessage::Ballot(b) => Some(b),
                     ChaMessage::Veto => None,
                 }));
-                let feedback = if self.was_active {
-                    if rx.collision {
-                        ChannelFeedback::TxCollided
-                    } else {
-                        ChannelFeedback::TxSucceeded
-                    }
-                } else if rx.collision {
-                    ChannelFeedback::HeardCollision
-                } else if !min_ballot.is_empty() {
-                    ChannelFeedback::HeardOther
-                } else {
-                    ChannelFeedback::Quiet
-                };
+                let feedback =
+                    ChannelFeedback::of(self.was_active, rx.collision, !min_ballot.is_empty());
                 self.cm.observe(self.slot, ctx.round, feedback);
                 self.protocol.on_ballot_phase(min_ballot, rx.collision);
             }

@@ -22,7 +22,7 @@
 //! and property-tested without a simulated channel, and reused by the
 //! emulation with its stretched ballot phase.
 
-use crate::cha::history::{calculate_history, Ballot, Color, History};
+use crate::cha::history::{calculate_history, prev_chain, Ballot, Color, History};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -302,6 +302,38 @@ impl<V: Clone + Ord> ChaProtocol<V> {
         self.status = self.status.split_off(&(checkpoint + 1));
         self.ballots = self.ballots.split_off(&(checkpoint + 1));
     }
+
+    /// **Checkpoint-CHA** (Section 3.5): "a node can garbage-collect
+    /// whenever a round is designated as green, keeping only (1) a
+    /// pointer to the most recent green round, (2) the checkpoint up
+    /// to and including that round, and (3) ballot/status entries that
+    /// have occurred since that green round."
+    ///
+    /// Hands every instance `k` in `(floor, upto]` to `apply` in
+    /// ascending order — `Some(value)` borrowed from the stored ballot
+    /// if `k` is on the `prev` chain (exactly the instances
+    /// [`current_history`](Self::current_history) includes, under the
+    /// same out-of-model stops as [`calculate_history`]), `None` for ⊥
+    /// — then garbage-collects through `upto`. `apply` is the
+    /// application's checkpoint fold (for a virtual node: one automaton
+    /// step per instance). The caller does this when `upto` has just
+    /// finished green; on any other color "there are multiple possible
+    /// executions", nothing may be collected and state accumulates.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `upto` is below the current floor.
+    pub fn fold_decided(&mut self, upto: u64, mut apply: impl FnMut(u64, Option<&V>)) {
+        // The chain is linked backward and folded forward.
+        let chain: Vec<(u64, &V)> =
+            prev_chain(self.prev_instance, &self.ballots, self.floor).collect();
+        let mut included = chain.iter().rev().peekable();
+        for k in self.floor + 1..=upto {
+            let value = included.next_if(|&&(on_chain, _)| on_chain == k);
+            apply(k, value.map(|&(_, v)| v));
+        }
+        self.garbage_collect(upto);
+    }
 }
 
 impl<V: fmt::Debug> fmt::Debug for ChaProtocol<V> {
@@ -318,6 +350,7 @@ impl<V: fmt::Debug> fmt::Debug for ChaProtocol<V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     /// Drives `n` lockstep protocol copies through one instance with a
     /// scripted outcome per phase per node, modelling a clique channel.
@@ -540,6 +573,186 @@ mod tests {
         let h = node.current_history();
         assert!(h.includes(4));
         assert!(!h.includes(3), "summarized by the checkpoint");
+    }
+
+    /// The checkpoint of the Section 3.5 tests: every folded instance
+    /// in fold order, ⊥ as `None`, so they see exactly what was folded.
+    type Log = Vec<(u64, Option<u32>)>;
+
+    /// Runs one instance with this node as leader — yellow (collision
+    /// in veto-2) or green — and, as checkpoint-CHA does, folds and
+    /// garbage-collects on green.
+    fn leader_instance(
+        node: &mut ChaProtocol<u32>,
+        log: &mut Log,
+        proposal: u32,
+        yellow: bool,
+    ) -> ChaOutput<u32> {
+        let b = node.begin_instance(proposal);
+        node.on_ballot_phase(&[b], false);
+        node.on_veto1_phase(false, false);
+        let out = node.on_veto2_phase(false, yellow);
+        assert_eq!(out.decided(), !yellow);
+        if out.decided() {
+            node.fold_decided(out.instance, |k, v| log.push((k, v.copied())));
+        }
+        out
+    }
+
+    #[test]
+    fn green_instances_advance_checkpoint_and_prune() {
+        let (mut node, mut log) = (ChaProtocol::new(), Log::new());
+        for p in [10, 20, 30] {
+            leader_instance(&mut node, &mut log, p, false);
+        }
+        assert_eq!(node.floor(), 3);
+        assert_eq!(node.resident_entries(), 0, "everything folded away");
+        assert_eq!(log, vec![(1, Some(10)), (2, Some(20)), (3, Some(30))]);
+    }
+
+    #[test]
+    fn yellow_instances_accumulate_until_next_green() {
+        let (mut node, mut log) = (ChaProtocol::new(), Log::new());
+        leader_instance(&mut node, &mut log, 1, false);
+        leader_instance(&mut node, &mut log, 2, true);
+        leader_instance(&mut node, &mut log, 3, true);
+        assert_eq!(node.floor(), 1);
+        assert!(node.resident_entries() > 0, "cannot collect on yellow");
+        // The next green folds the whole suffix — including the
+        // yellow-but-good instances, which are on the pointer chain.
+        leader_instance(&mut node, &mut log, 4, false);
+        assert_eq!(node.floor(), 4);
+        assert_eq!(node.resident_entries(), 0);
+        assert_eq!(
+            log,
+            vec![(1, Some(1)), (2, Some(2)), (3, Some(3)), (4, Some(4))]
+        );
+    }
+
+    #[test]
+    fn undecided_instances_fold_as_bottom() {
+        let (mut node, mut log) = (ChaProtocol::new(), Log::new());
+        leader_instance(&mut node, &mut log, 1, false);
+        // Instance 2: silent ballot phase → red → ⊥, not on the chain.
+        node.begin_instance(2);
+        node.on_ballot_phase(&[], false);
+        node.on_veto1_phase(true, false);
+        let out = node.on_veto2_phase(true, false);
+        assert!(!out.decided());
+        leader_instance(&mut node, &mut log, 3, false);
+        assert_eq!(
+            log,
+            vec![(1, Some(1)), (2, None), (3, Some(3))],
+            "red instance folded as ⊥ (virtual node detects a collision)"
+        );
+    }
+
+    #[test]
+    fn from_checkpoint_resumes_with_transferred_state() {
+        let mut node = ChaProtocol::from_checkpoint(1, 1);
+        let mut log: Log = vec![(1, Some(7))];
+        assert_eq!(node.floor(), 1);
+        leader_instance(&mut node, &mut log, 22, false);
+        assert_eq!(log, vec![(1, Some(7)), (2, Some(22))]);
+    }
+
+    #[test]
+    fn suffix_history_len_matches_instance() {
+        let (mut node, mut log) = (ChaProtocol::new(), Log::new());
+        leader_instance(&mut node, &mut log, 5, false);
+        leader_instance(&mut node, &mut log, 6, true);
+        let out = leader_instance(&mut node, &mut log, 7, false);
+        let h = out.history.unwrap();
+        assert_eq!(h.len(), 3);
+        assert!(!h.includes(1), "pre-checkpoint instances summarized");
+        assert!(h.includes(2) && h.includes(3));
+        assert_eq!(node.floor(), 3);
+    }
+
+    /// One instance of a [`fold_matches_history_then_collect`] script.
+    #[derive(Clone, Debug)]
+    struct Step {
+        /// Final color, by shade: 0 red (ballot lost) … 3 green.
+        shade: u8,
+        /// `prev` of the adopted ballot: the node's own pointer, or
+        /// another node's (any earlier instance, even one below the
+        /// floor or off this node's chain).
+        foreign_prev: Option<u64>,
+        /// Fold here if the instance ends green.
+        checkpoint: bool,
+        /// Out-of-model damage done just before that fold: 0 drops a
+        /// resident ballot, 1 makes one's `prev` non-decreasing.
+        damage: u8,
+        /// Which resident ballot the damage hits.
+        victim: usize,
+    }
+
+    fn script() -> impl Strategy<Value = Vec<Step>> {
+        let step = (
+            0u8..4,
+            proptest::option::of(0u64..40),
+            any::<bool>(),
+            0u8..6,
+            0usize..8,
+        )
+            .prop_map(|(shade, foreign_prev, checkpoint, damage, victim)| Step {
+                shade,
+                foreign_prev,
+                checkpoint,
+                damage,
+                victim,
+            });
+        proptest::collection::vec(step, 1..40)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Section 3.5 against Figure 1: at every checkpoint
+        /// `fold_decided` hands `apply` exactly what reading
+        /// `current_history()` instance by instance yields, in
+        /// ascending order, and leaves what `garbage_collect` leaves.
+        #[test]
+        fn fold_matches_history_then_collect(script in script()) {
+            let mut node = ChaProtocol::<u64>::new();
+            for step in &script {
+                let own = node.begin_instance(100 + node.instance());
+                let k = node.instance();
+                if step.shade == 0 {
+                    node.on_ballot_phase(&[], true);
+                } else {
+                    let prev = step.foreign_prev.map_or(own.prev, |p| p % k);
+                    node.on_ballot_phase(&[Ballot::new(own.value, prev)], false);
+                }
+                node.on_veto1_phase(false, step.shade <= 1);
+                let out = node.on_veto2_phase(false, step.shade <= 2);
+                prop_assert_eq!(out.color.shade(), step.shade);
+                if !(out.decided() && step.checkpoint) {
+                    continue;
+                }
+                let victim = node.ballots.keys().nth(step.victim).copied();
+                match (step.damage, victim) {
+                    (0, Some(v)) => {
+                        node.ballots.remove(&v);
+                    }
+                    (1, Some(v)) => node.ballots.get_mut(&v).expect("resident").prev = v + 1,
+                    _ => {}
+                }
+
+                let mut reference = node.clone();
+                let history = reference.current_history();
+                let expected: Vec<(u64, Option<u64>)> = (reference.floor() + 1..=k)
+                    .map(|i| (i, history.get(i).copied()))
+                    .collect();
+                reference.garbage_collect(k);
+
+                let mut folded = Vec::new();
+                node.fold_decided(k, |i, v| folded.push((i, v.copied())));
+                prop_assert_eq!(folded, expected);
+                prop_assert_eq!(node.floor(), reference.floor());
+                prop_assert_eq!(node.resident_entries(), reference.resident_entries());
+            }
+        }
     }
 
     #[test]

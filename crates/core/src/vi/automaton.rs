@@ -174,50 +174,6 @@ impl VirtualAutomaton for CounterAutomaton {
     }
 }
 
-/// Replays an automaton over a sequence of `(vr, scheduled, input)`
-/// virtual rounds: the core of replica consistency. Returns the
-/// pending outbound message (the one the virtual node broadcasts in
-/// the round after the last replayed one).
-pub fn replay<VA: VirtualAutomaton>(
-    automaton: &VA,
-    vn: VnId,
-    loc: vi_radio::geometry::Point,
-    state: &mut VA::State,
-    inputs: impl IntoIterator<Item = (u64, bool, VirtualInput<VA::Msg>)>,
-) -> Option<VA::Msg> {
-    let mut out = None;
-    let mut prev: Option<(u64, bool, VirtualInput<VA::Msg>)> = None;
-    let step = |vr: u64,
-                scheduled: bool,
-                next_scheduled: bool,
-                input: &VirtualInput<VA::Msg>,
-                state: &mut VA::State| {
-        automaton.step(
-            state,
-            VnCtx {
-                vn,
-                loc,
-                vr,
-                scheduled,
-                next_scheduled,
-            },
-            input,
-        )
-    };
-    for item in inputs {
-        if let Some((vr, sched, input)) = prev.take() {
-            out = step(vr, sched, item.1 && item.0 == vr + 1, &input, state);
-        }
-        prev = Some(item);
-    }
-    if let Some((vr, sched, input)) = prev.take() {
-        // The last round's successor schedule is unknown to the caller;
-        // assume unscheduled (conservative).
-        out = step(vr, sched, false, &input, state);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -225,33 +181,30 @@ mod tests {
     #[test]
     fn counter_automaton_is_deterministic() {
         let a = CounterAutomaton;
+        let inputs = [
+            VirtualInput {
+                messages: vec![5, 6],
+                collision: false,
+            },
+            VirtualInput::bottom(),
+            VirtualInput {
+                messages: vec![7],
+                collision: false,
+            },
+        ];
         let run = || {
             let mut st = a.init();
-            let out = replay(
-                &a,
-                VnId(0),
-                vi_radio::geometry::Point::ORIGIN,
-                &mut st,
-                vec![
-                    (
-                        1,
-                        false,
-                        VirtualInput {
-                            messages: vec![5, 6],
-                            collision: false,
-                        },
-                    ),
-                    (2, false, VirtualInput::bottom()),
-                    (
-                        3,
-                        true,
-                        VirtualInput {
-                            messages: vec![7],
-                            collision: false,
-                        },
-                    ),
-                ],
-            );
+            let mut out = None;
+            for (vr, input) in (1..).zip(&inputs) {
+                let ctx = VnCtx {
+                    vn: VnId(0),
+                    loc: vi_radio::geometry::Point::ORIGIN,
+                    vr,
+                    scheduled: vr == 3,
+                    next_scheduled: vr + 1 == 3,
+                };
+                out = a.step(&mut st, ctx, input);
+            }
             (st, out)
         };
         let (s1, o1) = run();
@@ -260,10 +213,7 @@ mod tests {
         assert_eq!(o1, o2);
         assert_eq!(s1.received, 3);
         assert_eq!(s1.collisions, 1);
-        assert_eq!(
-            o1, None,
-            "replay assumes the successor round is unscheduled"
-        );
+        assert_eq!(o1, None, "round 4 is unscheduled: nothing emitted");
     }
 
     #[test]

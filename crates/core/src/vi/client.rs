@@ -72,46 +72,6 @@ impl<A: Clone + 'static> ClientApp<A> for CollectorClient<A> {
     }
 }
 
-/// A client that broadcasts a scripted message every `period` virtual
-/// rounds (starting at round `offset`) and records receptions.
-pub struct PeriodicClient<A> {
-    make: Box<dyn FnMut(u64) -> A>,
-    period: u64,
-    offset: u64,
-    /// Receptions observed, like [`CollectorClient`].
-    pub log: Vec<VirtualReception<A>>,
-}
-
-impl<A> PeriodicClient<A> {
-    /// Creates a periodic sender; `make(vr)` builds the message for
-    /// virtual round `vr`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `period == 0`.
-    pub fn new(period: u64, offset: u64, make: Box<dyn FnMut(u64) -> A>) -> Self {
-        assert!(period > 0, "period must be positive");
-        PeriodicClient {
-            make,
-            period,
-            offset,
-            log: Vec::new(),
-        }
-    }
-}
-
-impl<A: Clone + 'static> ClientApp<A> for PeriodicClient<A> {
-    fn on_virtual_round(&mut self, vr: u64, _pos: Point, prev: &VirtualReception<A>) -> Option<A> {
-        self.log.push(prev.clone());
-        (vr >= self.offset && (vr - self.offset).is_multiple_of(self.period))
-            .then(|| (self.make)(vr))
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -133,19 +93,6 @@ mod tests {
     }
 
     #[test]
-    fn periodic_fires_on_schedule() {
-        let mut p = PeriodicClient::new(3, 2, Box::new(|vr| vr * 10));
-        let quiet = VirtualReception::default();
-        let sent: Vec<Option<u64>> = (1..=8)
-            .map(|vr| p.on_virtual_round(vr, Point::ORIGIN, &quiet))
-            .collect();
-        assert_eq!(
-            sent,
-            vec![None, Some(20), None, None, Some(50), None, None, Some(80)]
-        );
-    }
-
-    #[test]
     fn silence_detection() {
         assert!(VirtualReception::<u64>::default().is_silent());
         assert!(!VirtualReception::<u64> {
@@ -153,11 +100,5 @@ mod tests {
             collision: true
         }
         .is_silent());
-    }
-
-    #[test]
-    #[should_panic(expected = "period must be positive")]
-    fn periodic_rejects_zero_period() {
-        let _ = PeriodicClient::<u64>::new(0, 0, Box::new(|_| 0));
     }
 }

@@ -108,6 +108,16 @@ pub struct EmulatorReport {
     pub vn_broadcasts: u64,
 }
 
+impl std::ops::AddAssign for EmulatorReport {
+    fn add_assign(&mut self, r: Self) {
+        self.decided += r.decided;
+        self.bottom += r.bottom;
+        self.joins += r.joins;
+        self.resets += r.resets;
+        self.vn_broadcasts += r.vn_broadcasts;
+    }
+}
+
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Mode {
     /// Waiting to join: request, await ack, maybe reset.
@@ -124,7 +134,6 @@ struct Emulator<VA: VirtualAutomaton> {
     protocol: ChaProtocol<VrProposal<VA::Msg>>,
     vn_state: VA::State,
     pending_out: Option<VA::Msg>,
-    folded_to: u64,
     /// Observations accumulated during the client/vn phases of the
     /// current virtual round.
     obs: VrProposal<VA::Msg>,
@@ -152,7 +161,6 @@ impl<VA: VirtualAutomaton> Emulator<VA> {
             protocol: ChaProtocol::new(),
             vn_state: dep.automaton.init(),
             pending_out: None,
-            folded_to: 0,
             obs: VrProposal::empty(),
             began: false,
             scheduled: false,
@@ -167,12 +175,19 @@ impl<VA: VirtualAutomaton> Emulator<VA> {
         self.mode == Mode::Replica
     }
 
+    /// Virtual round through which `vn_state` is folded: the
+    /// protocol's checkpoint floor.
+    fn folded_to(&self) -> u64 {
+        self.protocol.floor()
+    }
+
     /// Folds the decided suffix of a green instance into the automaton
-    /// state and garbage-collects (checkpoint-CHA).
+    /// state and garbage-collects (checkpoint-CHA): one automaton step
+    /// per virtual round since the last checkpoint.
     fn fold_green(&mut self, dep: &Deployment<VA>, upto: u64) {
-        let history = self.protocol.current_history();
-        for k in (self.folded_to + 1)..=upto {
-            let input = match history.get(k) {
+        let vn = self.vn;
+        self.protocol.fold_decided(upto, |k, decided| {
+            let input = match decided {
                 Some(p) => VirtualInput {
                     messages: p.messages.clone(),
                     collision: p.collision,
@@ -180,16 +195,14 @@ impl<VA: VirtualAutomaton> Emulator<VA> {
                 None => VirtualInput::bottom(),
             };
             let ctx = VnCtx {
-                vn: self.vn,
-                loc: dep.layout.location(self.vn),
+                vn,
+                loc: dep.layout.location(vn),
                 vr: k,
-                scheduled: dep.schedule.is_scheduled(self.vn, k),
-                next_scheduled: dep.schedule.is_scheduled(self.vn, k + 1),
+                scheduled: dep.schedule.is_scheduled(vn, k),
+                next_scheduled: dep.schedule.is_scheduled(vn, k + 1),
             };
             self.pending_out = dep.automaton.step(&mut self.vn_state, ctx, &input);
-        }
-        self.folded_to = upto;
-        self.protocol.garbage_collect(upto);
+        });
     }
 
     /// Concludes the instance for `vr` after the final veto phase.
@@ -211,7 +224,7 @@ impl<VA: VirtualAutomaton> Emulator<VA> {
             protocol: self.protocol.clone(),
             vn_state: &self.vn_state,
             pending_out: self.pending_out.clone(),
-            folded_to: self.folded_to,
+            folded_to: self.folded_to(),
         };
         Transfer {
             blob: serde_json::to_vec(&ts).expect("replica state serializes"),
@@ -223,10 +236,10 @@ impl<VA: VirtualAutomaton> Emulator<VA> {
         else {
             return false;
         };
+        debug_assert_eq!(ts.folded_to, ts.protocol.floor());
         self.protocol = ts.protocol;
         self.vn_state = ts.vn_state;
         self.pending_out = ts.pending_out;
-        self.folded_to = ts.folded_to;
         self.mode = Mode::Replica;
         self.report.joins += 1;
         true
@@ -238,7 +251,6 @@ impl<VA: VirtualAutomaton> Emulator<VA> {
         self.protocol = ChaProtocol::from_checkpoint(vr, vr);
         self.vn_state = dep.automaton.init();
         self.pending_out = None;
-        self.folded_to = vr;
         self.mode = Mode::Replica;
         self.report.resets += 1;
     }
@@ -282,11 +294,9 @@ impl<VA: VirtualAutomaton> Device<VA> {
     }
 
     /// All emulation reports over the device's lifetime: retired
-    /// (left-region) emulations plus the current one.
-    pub fn all_reports(&self) -> Vec<(VnId, EmulatorReport)> {
-        let mut all = self.retired.clone();
-        all.extend(self.emulator_report());
-        all
+    /// (left-region) emulations, then the current one.
+    pub(crate) fn lifetime_reports(&self) -> impl Iterator<Item = (VnId, EmulatorReport)> + '_ {
+        self.retired.iter().copied().chain(self.emulator_report())
     }
 
     /// `true` if the device is currently a full replica.
@@ -304,7 +314,7 @@ impl<VA: VirtualAutomaton> Device<VA> {
         self.emulator
             .as_ref()
             .filter(|e| e.is_replica())
-            .map(|e| (&e.vn_state, e.folded_to, e.pending_out.as_ref()))
+            .map(|e| (&e.vn_state, e.folded_to(), e.pending_out.as_ref()))
     }
 
     /// Typed access to the client app.
@@ -377,7 +387,7 @@ impl<VA: VirtualAutomaton> Process<Wire<VA::Msg>> for Device<VA> {
             }
             VirtualPhase::Vn => {
                 let e = self.emulator.as_mut()?;
-                if !e.is_replica() || e.folded_to != vr - 1 {
+                if !e.is_replica() || e.folded_to() != vr - 1 {
                     return None; // external visibility gated on green
                 }
                 let payload = e.pending_out.clone()?;
@@ -387,27 +397,9 @@ impl<VA: VirtualAutomaton> Process<Wire<VA::Msg>> for Device<VA> {
                 e.report.vn_broadcasts += 1;
                 Some(Wire::VnMsg { vn: e.vn, payload })
             }
-            VirtualPhase::SchedBallot => {
+            VirtualPhase::SchedBallot | VirtualPhase::UnschedBallot(_) => {
                 let e = self.emulator.as_mut()?;
-                if !e.is_replica() || !e.scheduled {
-                    return None;
-                }
-                let mut proposal = std::mem::replace(&mut e.obs, VrProposal::empty());
-                proposal.canonicalize();
-                let ballot = e.protocol.begin_instance(proposal);
-                e.began = true;
-                (e.cm_active).then(|| Wire::Ballot { vn: e.vn, ballot })
-            }
-            VirtualPhase::UnschedBallot(slot) => {
-                let e = self.emulator.as_mut()?;
-                if !e.is_replica() || e.scheduled {
-                    return None;
-                }
-                let my_slot = self
-                    .dep
-                    .plan
-                    .unsched_ballot_slot(self.dep.schedule.slot_of(e.vn));
-                if slot != my_slot {
+                if !e.is_replica() || !ballot_phase_is_mine(e, &self.dep, phase) {
                     return None;
                 }
                 let mut proposal = std::mem::replace(&mut e.obs, VrProposal::empty());
@@ -463,23 +455,12 @@ impl<VA: VirtualAutomaton> Process<Wire<VA::Msg>> for Device<VA> {
         let (vr, phase) = self.dep.plan.phase(ctx.round);
         let dep = Rc::clone(&self.dep);
         match phase {
-            VirtualPhase::Client => {
+            VirtualPhase::Client | VirtualPhase::Vn => {
                 for m in rx.messages {
-                    if let Wire::Client(a) = m {
-                        self.client_rx.messages.push(a.clone());
-                        if let Some(e) = self.emulator.as_mut() {
-                            e.obs.messages.push(a.clone());
-                        }
-                    }
-                }
-                self.client_rx.collision |= rx.collision;
-                if let Some(e) = self.emulator.as_mut() {
-                    e.obs.collision |= rx.collision;
-                }
-            }
-            VirtualPhase::Vn => {
-                for m in rx.messages {
-                    if let Wire::VnMsg { payload, .. } = m {
+                    // Each message phase hears only its own kind.
+                    if let (VirtualPhase::Client, Wire::Client(payload))
+                    | (VirtualPhase::Vn, Wire::VnMsg { payload, .. }) = (phase, m)
+                    {
                         self.client_rx.messages.push(payload.clone());
                         if let Some(e) = self.emulator.as_mut() {
                             e.obs.messages.push(payload.clone());

@@ -25,10 +25,9 @@ pub mod schedule;
 pub mod world;
 
 pub use automaton::{
-    replay, CounterAutomaton, CounterState, VirtualAutomaton, VirtualInput, VnCtx, VnId, VnMessage,
-    VnState,
+    CounterAutomaton, CounterState, VirtualAutomaton, VirtualInput, VnCtx, VnId, VnMessage, VnState,
 };
-pub use client::{ClientApp, CollectorClient, PeriodicClient, VirtualReception};
+pub use client::{ClientApp, CollectorClient, VirtualReception};
 pub use emulator::{Deployment, Device, EmulatorReport, TransferState};
 pub use layout::VnLayout;
 pub use message::{Transfer, VrProposal, Wire};

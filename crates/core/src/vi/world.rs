@@ -133,7 +133,7 @@ impl<VA: VirtualAutomaton> World<VA> {
 
     /// Installs the run's observers on the underlying engine (see
     /// [`vi_radio::Engine::set_observers`]): an observed deployment is
-    /// byte-identical to an unobserved one at any worker count.
+    /// byte-identical to an unobserved one.
     pub fn set_observers(&mut self, obs: vi_telemetry::Observers) {
         self.engine.set_observers(obs);
     }
@@ -218,19 +218,25 @@ impl<VA: VirtualAutomaton> World<VA> {
     /// lifetimes (including emulations retired when devices left the
     /// region): `(current replicas, summed report)`.
     pub fn vn_report(&self, vn: VnId) -> (usize, EmulatorReport) {
-        let mut agg = EmulatorReport::default();
+        (self.replica_count(vn), self.tally(|v| v == vn))
+    }
+
+    /// The whole-world emulation tally: every virtual node's
+    /// [`vn_report`](Self::vn_report), summed in one pass.
+    pub fn report(&self) -> EmulatorReport {
+        self.tally(|_| true)
+    }
+
+    fn tally(&self, counts: impl Fn(VnId) -> bool) -> EmulatorReport {
+        let mut sum = EmulatorReport::default();
         for &id in &self.devices {
-            for (v, r) in self.device(id).all_reports() {
-                if v == vn {
-                    agg.decided += r.decided;
-                    agg.bottom += r.bottom;
-                    agg.joins += r.joins;
-                    agg.resets += r.resets;
-                    agg.vn_broadcasts += r.vn_broadcasts;
+            for (vn, report) in self.device(id).lifetime_reports() {
+                if counts(vn) {
+                    sum += report;
                 }
             }
         }
-        (self.replica_count(vn), agg)
+        sum
     }
 }
 

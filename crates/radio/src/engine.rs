@@ -273,10 +273,9 @@ impl<M: Clone + WireSized + 'static> Engine<M> {
     /// clones share one set of counters and timers). Everything they
     /// see is stated on the sequential control path — the resolver,
     /// RNG stream, and channel stats are untouched — so an observed
-    /// run is byte-identical to an unobserved one at any worker count.
-    /// The default set is null: every instrumentation site costs a
-    /// single branch and the zero-alloc steady-state contract is
-    /// untouched.
+    /// run is byte-identical to an unobserved one. The default set is
+    /// null: every instrumentation site costs a single branch and the
+    /// zero-alloc steady-state contract is untouched.
     pub fn set_observers(&mut self, obs: Observers) {
         self.medium.set_probe(obs.probe.clone());
         self.obs = obs;

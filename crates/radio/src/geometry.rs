@@ -274,13 +274,13 @@ impl CellFrame {
 ///   the geometry (origin, cell size, dimensions) from the data. All
 ///   buffers are reused, so steady-state rebuilds allocate nothing
 ///   once capacities have grown to the working-set size.
-/// * [`SpatialGrid::move_point`] / [`SpatialGrid::insert`] /
-///   [`SpatialGrid::remove`] update the index incrementally under the
-///   geometry *anchored* by the last rebuild. Points that drift outside
-///   the anchored bounding box are clamped into edge cells — queries
-///   stay **correct** (every candidate is distance-filtered), only the
-///   edge buckets grow; callers can consult [`SpatialGrid::covers`]
-///   and trigger a rebuild when drift degrades the anchor.
+/// * [`SpatialGrid::move_point`] updates the index incrementally
+///   under the geometry *anchored* by the last rebuild. Points that
+///   drift outside the anchored bounding box are clamped into edge
+///   cells — queries stay **correct** (every candidate is
+///   distance-filtered), only the edge buckets grow; callers can
+///   consult [`SpatialGrid::covers`] and trigger a rebuild when drift
+///   degrades the anchor.
 ///
 /// Queries return indices in **ascending index order** regardless of
 /// maintenance history, so an incrementally-updated grid is
@@ -388,41 +388,6 @@ impl SpatialGrid {
         }
     }
 
-    /// Appends a new point under the current anchored geometry and
-    /// returns its index (`len - 1`). The first insert into an empty
-    /// grid anchors the geometry to the point.
-    pub fn insert(&mut self, p: Point) -> u32 {
-        let idx = self.positions.len() as u32;
-        self.positions.push(p);
-        if self.frame.cols == 0 {
-            self.reindex();
-        } else {
-            // `idx` is the largest index, so a push keeps the bucket
-            // sorted.
-            self.cells[self.frame.cell_of(p)].push(idx);
-        }
-        idx
-    }
-
-    /// Removes point `idx` with swap-remove semantics: the point with
-    /// the largest index takes over index `idx` (mirror bookkeeping in
-    /// callers must do the same relabeling).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` is out of range.
-    pub fn remove(&mut self, idx: u32) {
-        let last = (self.positions.len() - 1) as u32;
-        let c = self.frame.cell_of(self.positions[idx as usize]);
-        Self::bucket_remove(&mut self.cells[c], idx);
-        if idx != last {
-            let cl = self.frame.cell_of(self.positions[last as usize]);
-            Self::bucket_remove(&mut self.cells[cl], last);
-            Self::bucket_insert(&mut self.cells[cl], idx);
-        }
-        self.positions.swap_remove(idx as usize);
-    }
-
     fn bucket_remove(bucket: &mut Vec<u32>, idx: u32) {
         let at = bucket
             .binary_search(&idx)
@@ -437,30 +402,15 @@ impl SpatialGrid {
         bucket.insert(at, idx);
     }
 
-    /// Appends to `out` the index of every point within `radius` of
-    /// `center` (inclusive, matching [`Point::within`]), in **ascending
-    /// index order** — the canonical order, independent of how the grid
-    /// was maintained.
-    pub fn query_within(&self, center: Point, radius: f64, out: &mut Vec<u32>) {
-        let base = out.len();
-        self.for_each_candidate(center, radius, |idx, _| out.push(idx));
-        out[base..].sort_unstable();
-    }
-
-    /// Like [`SpatialGrid::query_within`], but also reports the squared
-    /// distance from `center` to each hit (ascending index order).
+    /// Appends to `out` every point within `radius` of `center`
+    /// (inclusive, matching [`Point::within`]) as `(index, squared
+    /// distance from center)`, in **ascending index order** — the
+    /// canonical order, independent of how the grid was maintained.
     pub fn query_within_d2(&self, center: Point, radius: f64, out: &mut Vec<(u32, f64)>) {
-        let base = out.len();
-        self.for_each_candidate(center, radius, |idx, d2| out.push((idx, d2)));
-        out[base..].sort_unstable_by_key(|&(idx, _)| idx);
-    }
-
-    /// Visits every in-radius point as `(index, squared distance)`, in
-    /// cell order.
-    fn for_each_candidate(&self, center: Point, radius: f64, mut visit: impl FnMut(u32, f64)) {
         if self.positions.is_empty() {
             return;
         }
+        let base = out.len();
         let r_sq = radius * radius;
         let ((cx0, cx1), (cy0, cy1)) = self.frame.cell_range(center, radius);
         for cy in cy0..=cy1 {
@@ -468,11 +418,12 @@ impl SpatialGrid {
                 for &idx in &self.cells[cy * self.frame.cols + cx] {
                     let d2 = self.positions[idx as usize].distance_sq(center);
                     if d2 <= r_sq {
-                        visit(idx, d2);
+                        out.push((idx, d2));
                     }
                 }
             }
         }
+        out[base..].sort_unstable_by_key(|&(idx, _)| idx);
     }
 }
 
@@ -724,6 +675,14 @@ mod tests {
         assert_eq!(a.lerp(b, 0.5), Point::new(2.0, 4.0));
     }
 
+    /// The indices `query_within_d2` reports, in the order it reports
+    /// them.
+    fn query_within(grid: &SpatialGrid, center: Point, radius: f64) -> Vec<u32> {
+        let mut hits = Vec::new();
+        grid.query_within_d2(center, radius, &mut hits);
+        hits.into_iter().map(|(idx, _)| idx).collect()
+    }
+
     /// Brute-force oracle for grid queries.
     fn naive_within(points: &[Point], center: Point, radius: f64) -> Vec<u32> {
         (0..points.len() as u32)
@@ -745,11 +704,8 @@ mod tests {
         assert_eq!(grid.len(), points.len());
         for (qi, &center) in points.iter().enumerate().step_by(17) {
             for radius in [0.5, 5.0, 20.0, 75.0] {
-                let mut got = Vec::new();
-                grid.query_within(center, radius, &mut got);
-                got.sort_unstable();
                 assert_eq!(
-                    got,
+                    query_within(&grid, center, radius),
                     naive_within(&points, center, radius),
                     "query {qi} radius {radius}"
                 );
@@ -762,22 +718,20 @@ mod tests {
         let mut grid = SpatialGrid::new(10.0);
         grid.rebuild(&[Point::new(1.0, 1.0), Point::new(2.0, 2.0)]);
         assert_eq!(grid.len(), 2);
-        let mut out = Vec::new();
-        grid.query_within(Point::new(1.0, 1.0), 5.0, &mut out);
-        assert_eq!(out.len(), 2);
+        assert_eq!(query_within(&grid, Point::new(1.0, 1.0), 5.0).len(), 2);
 
         // Shrink to empty and grow again: queries must stay consistent.
         grid.rebuild(&[]);
         assert!(grid.is_empty());
-        out.clear();
-        grid.query_within(Point::ORIGIN, 100.0, &mut out);
-        assert!(out.is_empty());
+        assert!(query_within(&grid, Point::ORIGIN, 100.0).is_empty());
 
         let far = vec![Point::new(0.0, 0.0), Point::new(1e6, 1e6)];
         grid.rebuild(&far);
-        out.clear();
-        grid.query_within(Point::new(1e6, 1e6), 1.0, &mut out);
-        assert_eq!(out, vec![1], "coarsened grid still answers correctly");
+        assert_eq!(
+            query_within(&grid, Point::new(1e6, 1e6), 1.0),
+            vec![1],
+            "coarsened grid still answers correctly"
+        );
     }
 
     #[test]
@@ -785,13 +739,12 @@ mod tests {
         let points = vec![Point::new(0.0, 0.0), Point::new(3.0, 4.0)];
         let mut grid = SpatialGrid::new(20.0);
         grid.rebuild(&points);
-        let mut out = Vec::new();
-        grid.query_within(Point::ORIGIN, 5.0, &mut out);
-        out.sort_unstable();
-        assert_eq!(out, vec![0, 1], "boundary point included");
-        out.clear();
-        grid.query_within(Point::ORIGIN, 4.999, &mut out);
-        assert_eq!(out, vec![0]);
+        assert_eq!(
+            query_within(&grid, Point::ORIGIN, 5.0),
+            vec![0, 1],
+            "boundary point included"
+        );
+        assert_eq!(query_within(&grid, Point::ORIGIN, 4.999), vec![0]);
     }
 
     /// The shared cell-range helper dropped the four `floor` calls of
@@ -850,9 +803,11 @@ mod tests {
         ];
         let mut grid = SpatialGrid::new(10.0);
         grid.rebuild(&points);
-        let mut out = Vec::new();
-        grid.query_within(Point::new(45.0, 45.0), 100.0, &mut out);
-        assert_eq!(out, vec![0, 1, 2, 3], "canonical ascending order");
+        assert_eq!(
+            query_within(&grid, Point::new(45.0, 45.0), 100.0),
+            vec![0, 1, 2, 3],
+            "canonical ascending order"
+        );
         let mut d2 = Vec::new();
         grid.query_within_d2(Point::new(1.0, 1.0), 2.0, &mut d2);
         assert_eq!(d2.len(), 2);
@@ -870,24 +825,10 @@ mod tests {
         // Move point 0 across cells; queries follow it.
         grid.move_point(0, Point::new(19.0, 0.0));
         assert_eq!(grid.position(0), Point::new(19.0, 0.0));
-        let mut out = Vec::new();
-        grid.query_within(Point::new(20.0, 0.0), 1.5, &mut out);
-        assert_eq!(out, vec![0, 1]);
+        assert_eq!(query_within(&grid, Point::new(20.0, 0.0), 1.5), vec![0, 1]);
 
         // Moving outside the anchor stays correct (clamped edge cell).
         grid.move_point(0, Point::new(45.0, 3.0));
-        out.clear();
-        grid.query_within(Point::new(45.0, 3.0), 1.0, &mut out);
-        assert_eq!(out, vec![0]);
-
-        // Insert appends; remove relabels the last index.
-        assert_eq!(grid.insert(Point::new(21.0, 0.0)), 2);
-        grid.remove(0); // point 2 takes index 0
-        assert_eq!(grid.len(), 2);
-        assert_eq!(grid.position(0), Point::new(21.0, 0.0));
-        out.clear();
-        grid.query_within(Point::new(20.5, 0.0), 1.0, &mut out);
-        out.sort_unstable();
-        assert_eq!(out, vec![0, 1]);
+        assert_eq!(query_within(&grid, Point::new(45.0, 3.0), 1.0), vec![0]);
     }
 }

@@ -22,7 +22,7 @@ use serde::{Deserialize, Serialize};
 use vi_audit::{audit, audit_register_ops, AuditReport, History};
 use vi_baselines::{collect_register_ops, MajRegMessage, MajorityRegister};
 use vi_core::cha::{ChaMessage, ChaNode, ChaSpecChecker, TaggedProposer};
-use vi_core::vi::{CounterAutomaton, VnId, World, WorldConfig};
+use vi_core::vi::{CounterAutomaton, World, WorldConfig};
 use vi_radio::trace::ChannelStats;
 use vi_radio::{Adversary, Engine, EngineConfig, NodeId, NodeSpec, ScriptedAdversary, WireSized};
 use vi_telemetry::{
@@ -500,7 +500,6 @@ impl ScenarioSpec {
         virtual_rounds: u64,
     ) -> ScenarioOutcome {
         let layout = layout.build();
-        let vns = layout.len();
         let mut world = World::new(WorldConfig {
             radio: self.radio,
             layout,
@@ -519,21 +518,12 @@ impl ScenarioSpec {
         world.run_virtual_rounds(virtual_rounds);
 
         let t_check = obs.probe.timer();
-        let mut decided = 0u64;
-        let mut bottom = 0u64;
-        let mut joins = 0u64;
-        let mut resets = 0u64;
-        for vn in 0..vns {
-            let (_, report) = world.vn_report(VnId(vn));
-            decided += report.decided;
-            bottom += report.bottom;
-            joins += report.joins;
-            resets += report.resets;
-        }
-        let decided_fraction = decided as f64 / (decided + bottom).max(1) as f64;
+        let report = world.report();
+        let decided_fraction =
+            report.decided as f64 / (report.decided + report.bottom).max(1) as f64;
         let mut out = self.outcome(seed, world.stats(), decided_fraction);
-        out.vn_joins = joins;
-        out.vn_resets = resets;
+        out.vn_joins = report.joins;
+        out.vn_resets = report.resets;
         obs.probe.phase_since(Phase::Checker, t_check);
         out
     }

@@ -24,7 +24,8 @@ pub struct Counters {
     /// that per-broadcaster range queries beat a full receiver scan.
     pub rounds_scatter: u64,
     /// Rounds that rebuilt the spatial index from scratch (stale
-    /// cache, anchor drift, mass move, or participant churn).
+    /// cache or anchor drift; mass moves and participant churn are
+    /// churn rounds).
     pub rounds_reanchor: u64,
     /// Rounds resolved by the broadcaster-only churn index.
     pub rounds_churn: u64,

@@ -41,7 +41,8 @@ use vi_apps::mutex::{LockMsg, LockVn};
 use vi_apps::register::{RegMsg, RegisterVn};
 use vi_apps::tracking::{cell_of, TrackMsg, TrackingVn};
 use vi_core::vi::{
-    ClientApp, VirtualAutomaton, VirtualReception, VnId, VnLayout, World, WorldConfig,
+    ClientApp, EmulatorReport, VirtualAutomaton, VirtualReception, VnId, VnLayout, World,
+    WorldConfig,
 };
 use vi_radio::geometry::Point;
 use vi_radio::mobility::MobilityModel;
@@ -222,18 +223,9 @@ pub struct Completion {
     pub outcome: OpOutcome,
 }
 
-/// Aggregated virtual-node emulation counters for a traffic run.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct WorldTotals {
-    /// Green (decided) instances across all virtual nodes.
-    pub decided: u64,
-    /// ⊥ instances.
-    pub bottom: u64,
-    /// Join transfers.
-    pub joins: u64,
-    /// Resets.
-    pub resets: u64,
-}
+/// Aggregated virtual-node emulation counters for a traffic run: the
+/// world's summed [`EmulatorReport`].
+pub type WorldTotals = EmulatorReport;
 
 /// A request/response adapter over one app deployment.
 pub trait Service {
@@ -633,15 +625,7 @@ impl<A: App> Service for Adapter<A> {
     }
 
     fn world_totals(&self) -> WorldTotals {
-        let mut t = WorldTotals::default();
-        for vn in 0..self.world.deployment().layout.len() {
-            let (_, r) = self.world.vn_report(VnId(vn));
-            t.decided += r.decided;
-            t.bottom += r.bottom;
-            t.joins += r.joins;
-            t.resets += r.resets;
-        }
-        t
+        self.world.report()
     }
 }
 
