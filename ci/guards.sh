@@ -1,0 +1,130 @@
+#!/usr/bin/env bash
+# The deletions that must stay deleted, as one table. CI runs this
+# once; run it locally the same way: `bash ci/guards.sh`.
+#
+# A row is four strings:
+#   pattern   extended regex that must not match
+#   where     paths to search (`grep -rn`), or `above-tests:<dir>` for
+#             the lines of each `<dir>/**/*.rs` above the file's first
+#             `#[cfg(test)]` (production code, by this repo's layout)
+#   allowed   extended regex over `path:line:text` for the hits that
+#             may stay, or `-` for none
+#   message   what the hit means
+set -euo pipefail
+cd "$(dirname "${BASH_SOURCE[0]}")/.."
+
+code='crates src tests examples'
+
+guards=(
+  # One round path, one spec: the retired engine/Medium fork and its
+  # knob chain.
+  'legacy_round_path|resolve_into|run_tuned|rounds_legacy'
+  "$code" '-'
+  'a retired round-path name is back'
+
+  # One observer set, one traffic entry, one deployment: the
+  # per-recorder setters and the telescoping run/record chains.
+  # (`ChaNode::set_causal`, `Medium::set_probe` and
+  # `Service::set_telemetry` are different, surviving methods.)
+  'set_flight|set_monitor|run_traffic_(recorded|traced|observed)|record_(traced|observed)'
+  "$code" '-'
+  'a retired recorder-wiring name is back'
+
+  'too_many_arguments'
+  'crates/scenario/src/compile.rs crates/traffic/src' '-'
+  'compile.rs / vi-traffic thread too many values by hand again'
+
+  # One thread per round: no intra-round worker pool, no tiles, no
+  # `unsafe` anywhere (each crate root carries
+  # `#![forbid(unsafe_code)]`, the one line let through).
+  'unsafe|UnsafeCell|WorkerPool|std::thread|shard_'
+  'crates/radio/src' 'forbid\(unsafe_code\)'
+  'vi-radio resolves a round on one thread, in safe code'
+
+  'unsafe'
+  'src crates/*/src' 'forbid\(unsafe_code\)'
+  'the workspace has no unsafe code'
+
+  # The two inert shims the frozen benchmark sources still call must
+  # not grow a second caller before the benchmark-only PR that deletes
+  # the mirror deletes them.
+  'set_workers\(|with_workers\('
+  "$code" '^examples/perf/|pub fn (set_workers|with_workers)\('
+  'the no-op worker shims have a caller outside examples/perf/'
+
+  # vi-core says it once: Section 3.5 is `ChaProtocol::fold_decided`
+  # (callers: the emulator's green fold and E10; its tests live beside
+  # its definition), the replica tally is `EmulatorReport: AddAssign`
+  # behind `World::report`.
+  'CheckpointCha|PeriodicClient|protocol_mut|struct WorldTotals|diff_tables'
+  "$code Cargo.toml" '-'
+  'a deleted duplicate is back'
+
+  'current_history'
+  'crates/core/src/vi' '-'
+  'the emulator folds through ChaProtocol::fold_decided, not a History'
+
+  'fold_decided\('
+  "$code" '^crates/core/src/(cha/protocol|vi/emulator)\.rs:|^crates/bench/src/exp_cha\.rs:'
+  'Section 3.5 has two callers: Emulator::fold_green and E10 gc'
+
+  # The clock has one home: vi-perf (`bash bench/run.sh`) is the only
+  # code that reports a wall-clock or RSS number. vi-bench's tables
+  # are pure functions of the code, pinned by crates/bench/expected/;
+  # its release guards time themselves under `#[cfg(test)]`.
+  '\bcriterion\b'
+  "$code Cargo.toml" 'acceptance criterion'
+  'the criterion stand-in and its benches are gone; time with bench/run.sh'
+
+  'Instant::now|elapsed\(|/proc/self'
+  'above-tests:crates/bench/src' '-'
+  'vi-bench measures the host only inside #[cfg(test)] guards; tables come from the code alone'
+
+  'VI_METROPOLIS_LARGE|artifact_name|bench-diff|bench_diff|PairedSweep'
+  "$code .github" '-'
+  'a retired vi-bench timing name is back; artifacts are BENCH_<id>.json, compared with cmp'
+)
+
+# `path:line:text` for every line above a file's first `#[cfg(test)]`.
+above_tests() {
+  find "$1" -name '*.rs' -print0 | sort -z | xargs -0 awk '
+    FNR == 1 { in_tests = 0 }
+    /#\[cfg\(test\)\]/ { in_tests = 1 }
+    !in_tests { print FILENAME ":" FNR ":" $0 }'
+}
+
+failed=0
+for ((i = 0; i < ${#guards[@]}; i += 4)); do
+  pattern=${guards[i]} where=${guards[i + 1]} allowed=${guards[i + 2]} message=${guards[i + 3]}
+  if [[ $where == above-tests:* ]]; then
+    hits=$(above_tests "${where#above-tests:}" | grep -E -- "$pattern" || true)
+  else
+    # shellcheck disable=SC2086  # `where` is a list of paths and globs
+    hits=$(grep -rnE -- "$pattern" $where || true)
+  fi
+  if [ "$allowed" != - ]; then
+    hits=$(printf '%s\n' "$hits" | grep -vE -- "$allowed" || true)
+  fi
+  if [ -n "$hits" ]; then
+    printf '%s\n%s (see above)\n\n' "$hits" "$message"
+    failed=1
+  fi
+done
+
+# Two guards are not "this must not match": exactly one service
+# adapter (`impl Service for Adapter<A>`; an app is a description, not
+# a second adapter), and every crate root forbids unsafe code.
+n=$(grep -rn 'impl.*Service for' crates/traffic/src/ | wc -l)
+if [ "$n" -ne 1 ]; then
+  grep -rn 'impl.*Service for' crates/traffic/src/ || true
+  echo "expected exactly one 'impl Service for' under crates/traffic/src/, found $n"
+  failed=1
+fi
+for f in src/lib.rs crates/*/src/lib.rs; do
+  if ! grep -q '^#!\[forbid(unsafe_code)\]' "$f"; then
+    echo "$f lost #![forbid(unsafe_code)]"
+    failed=1
+  fi
+done
+
+exit "$failed"

@@ -10,7 +10,6 @@
 //! cargo run -p vi-bench --bin repro -- monitor 127.0.0.1:9464   # tail /metrics
 //! cargo run -p vi-bench --bin repro -- fuzz --iters 400 --seed 7 --corpus-dir corpus/
 //! cargo run -p vi-bench --bin repro -- fuzz --minimize failing_spec.json
-//! cargo run -p vi-bench --bin repro -- bench-diff --check BENCH_radio.json 1000000
 //! ```
 //!
 //! `--replay` loads an incident bundle dumped by the flight recorder
@@ -24,40 +23,17 @@
 //! `monitor <addr>` is the matching client: it polls an exporter's
 //! `/metrics` and prints a one-line-per-run progress view.
 //!
-//! `bench-diff --check <file> [needle...]` structurally validates a
-//! single artifact — the gate CI applies to every `BENCH_*.json`.
-//!
 //! Every experiment that runs also writes a machine-readable copy of
-//! its table to `BENCH_<id>.json` (a couple of ids keep their
-//! historical artifact names, see [`artifact_name`]), so the repo's
-//! quantitative trajectory can be tracked across PRs.
+//! its table to `BENCH_<id>.json`. No experiment reads a clock, so the
+//! file is a pure function of the code: CI `cmp`s it against the
+//! committed `crates/bench/expected/<id>.json`, and a change that
+//! moves a table re-pins that file with its reason stated.
 
-use vi_bench::all_experiments;
-use vi_bench::{diff, Table};
+use vi_bench::{all_experiments, Table};
 use vi_telemetry::monitor;
 
-/// The JSON artifact written for experiment `id`.
-///
-/// `radio_scale`, `scenario_matrix`, `traffic_profile`,
-/// `consistency_audit`, and `protocol_trace` keep the artifact names
-/// CI uploads (`BENCH_radio.json`, `BENCH_scenarios.json`,
-/// `BENCH_traffic.json`, `BENCH_audit.json`, `BENCH_protocol.json`);
-/// every other experiment uses `BENCH_<id>.json`.
-fn artifact_name(id: &str) -> String {
-    match id {
-        "radio_scale" => "BENCH_radio.json".to_string(),
-        "scenario_matrix" => "BENCH_scenarios.json".to_string(),
-        "traffic_profile" => "BENCH_traffic.json".to_string(),
-        "consistency_audit" => "BENCH_audit.json".to_string(),
-        "protocol_trace" => "BENCH_protocol.json".to_string(),
-        "live_monitor" => "BENCH_monitor.json".to_string(),
-        "fuzz_hunt" => "BENCH_fuzz.json".to_string(),
-        _ => format!("BENCH_{id}.json"),
-    }
-}
-
 fn write_json(id: &str, table: &Table) {
-    let path = artifact_name(id);
+    let path = format!("BENCH_{id}.json");
     match serde_json::to_string(table) {
         Ok(json) => {
             if let Err(e) = std::fs::write(&path, json) {
@@ -109,27 +85,6 @@ fn replay_incident(path: &str) -> ! {
                 bundle.audit.as_ref().map(|r| r.ok()),
                 out.audit.as_ref().map(|r| r.ok()),
             );
-            std::process::exit(1);
-        }
-    }
-}
-
-/// `repro bench-diff --check <file> [needle...]`: structurally
-/// validate one artifact.
-///
-/// Exit codes: 0 — valid; 1 — invalid artifact; 2 — usage error.
-fn bench_diff(args: &[String]) -> ! {
-    let (Some("--check"), Some(path)) = (args.first().map(String::as_str), args.get(1)) else {
-        eprintln!("usage: repro bench-diff --check <file.json> [needle...]");
-        std::process::exit(2);
-    };
-    match diff::check_table(path, &args[2..]) {
-        Ok(summary) => {
-            println!("{summary}");
-            std::process::exit(0);
-        }
-        Err(e) => {
-            eprintln!("bench-diff: {e}");
             std::process::exit(1);
         }
     }
@@ -357,10 +312,6 @@ fn main() {
                 std::process::exit(2);
             }
         }
-    }
-
-    if args.first().map(String::as_str) == Some("bench-diff") {
-        bench_diff(&args[1..]);
     }
 
     if args.first().map(String::as_str) == Some("fuzz") {

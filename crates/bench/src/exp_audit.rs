@@ -12,18 +12,19 @@
 //! timeouts (`:info` ops), and the verdict of every consistency
 //! checker; the experiment **panics if any checker reports a
 //! violation**, printing the minimized witness — the audit is the
-//! acceptance gate, not just a measurement. The artifact is
-//! `BENCH_audit.json`.
+//! acceptance gate, not just a measurement.
 //!
 //! The nemesis histories are a few dozen operations each, so the
 //! table closes with **checker-volume rows**: the WGL register check
 //! alone over legal synthetic histories of 10 000, 100 000 and
-//! 1 000 000 operations, with its wall-clock time, ns per operation
-//! and the rise of the process's peak resident set while it ran.
+//! 1 000 000 operations. What the check costs is not this table's
+//! business: its memory is guarded by `tests/audit_memory.rs`, its
+//! time and RSS are vi-perf's `audit.check_s` / `audit.ns_per_op` /
+//! `audit.rss_mb` (`bash bench/run.sh --workload register_audit
+//! --trace 1`).
 
 use crate::harness::paired_sweep;
-use crate::table::{f2, Table};
-use std::time::Instant;
+use crate::table::Table;
 use vi_audit::{audit_register_ops, synthetic_history};
 use vi_scenario::catalog::scenario;
 use vi_scenario::{AppKind, EngineTuning, ScenarioSpec, SweepRunner, WorkloadSpec};
@@ -62,20 +63,9 @@ pub fn audit_jobs() -> Vec<(ScenarioSpec, u64)> {
     jobs
 }
 
-/// E17's columns: eight deterministic ones, then the host columns
-/// only the checker-volume rows fill.
-const HEADERS: [&str; 11] = [
-    "scenario",
-    "app",
-    "seed",
-    "ops",
-    "done",
-    "t/o",
-    "checks",
-    "verdicts",
-    "check ms",
-    "ns/op",
-    "hwm rise MiB",
+/// E17's columns.
+const HEADERS: [&str; 8] = [
+    "scenario", "app", "seed", "ops", "done", "t/o", "checks", "verdicts",
 ];
 
 /// History sizes of the checker-volume rows.
@@ -84,34 +74,11 @@ const VOLUME_OPS: [usize; 3] = [10_000, 100_000, 1_000_000];
 /// Seed of the checker-volume histories (the checker bench's).
 const VOLUME_SEED: u64 = 7;
 
-/// The process's peak resident set (`VmHWM`) in MiB; 0 where
-/// `/proc/self/status` does not exist.
-fn peak_rss_mib() -> f64 {
-    std::fs::read_to_string("/proc/self/status")
-        .ok()
-        .and_then(|status| {
-            let rest = status.lines().find_map(|l| l.strip_prefix("VmHWM:"))?;
-            rest.split_whitespace().next()?.parse::<f64>().ok()
-        })
-        .map_or(0.0, |kib| kib / 1024.0)
-}
-
 /// One checker-volume row: the register audit (`check_register`
 /// behind `audit_register_ops`) of a legal synthetic history of `ops`
-/// operations. The first eight cells are deterministic; the last
-/// three belong to the host.
+/// operations.
 fn volume_row(ops: usize) -> Vec<String> {
-    let history = synthetic_history(ops, VOLUME_SEED);
-    // Lower the kernel's peak-RSS mark to the current RSS, so that the
-    // peak afterwards is the check's own. Where the kernel refuses,
-    // the mark stays at the process's earlier peak and the rise reads
-    // low.
-    let _ = std::fs::write("/proc/self/clear_refs", "5");
-    let before = peak_rss_mib();
-    let start = Instant::now();
-    let report = audit_register_ops("register", &history);
-    let elapsed = start.elapsed().as_secs_f64();
-    let rise = peak_rss_mib() - before;
+    let report = audit_register_ops("register", &synthetic_history(ops, VOLUME_SEED));
     vec![
         "synthetic_history".to_string(),
         report.app.clone(),
@@ -121,16 +88,6 @@ fn volume_row(ops: usize) -> Vec<String> {
         report.timeouts.to_string(),
         report.checks.len().to_string(),
         report.verdict_summary(),
-        f2(elapsed * 1e3),
-        f2(elapsed * 1e9 / ops as f64),
-        // Below half a MiB the rise is allocator reuse and page
-        // rounding, not the check: a floor, instead of a number that
-        // flips.
-        if rise < 0.5 {
-            "<0.5".to_string()
-        } else {
-            f2(rise)
-        },
     ]
 }
 
@@ -143,8 +100,7 @@ fn volume_row(ops: usize) -> Vec<String> {
 /// experiment's acceptance criterion.
 pub fn consistency_audit() -> Table {
     let jobs = audit_jobs();
-    let outcomes =
-        paired_sweep(&jobs, EngineTuning::DEFAULT, SweepRunner::auto().workers()).outcomes;
+    let outcomes = paired_sweep(&jobs, EngineTuning::DEFAULT, SweepRunner::auto().workers());
 
     let mut t = Table::new(
         "E17 / consistency audit: apps × nemesis schedules × seeds (history checkers)",
@@ -173,9 +129,6 @@ pub fn consistency_audit() -> Table {
             report.timeouts.to_string(),
             report.checks.len().to_string(),
             report.verdict_summary(),
-            "-".to_string(),
-            "-".to_string(),
-            "-".to_string(),
         ]);
     }
     for ops in VOLUME_OPS {
@@ -188,10 +141,7 @@ pub fn consistency_audit() -> Table {
     );
     t.note("timeouts are Jepsen :info ops (maybe-applied, concurrent-forever for the checkers)");
     t.note("1-worker vs N-worker sweeps asserted byte-identical, audit reports included");
-    t.note(
-        "synthetic_history rows: the WGL register check alone on a legal history — wall-clock, \
-         ns per op, and the rise of the process's peak RSS during the check (host columns)",
-    );
+    t.note("synthetic_history rows: the WGL register check alone on a legal history");
     t
 }
 
@@ -209,7 +159,7 @@ mod tests {
             .filter(|(_, seed)| *seed == SEEDS[0])
             .collect();
         assert_eq!(jobs.len(), 8, "2 schedules × 4 apps");
-        let outcomes = paired_sweep(&jobs, EngineTuning::DEFAULT, 4).outcomes;
+        let outcomes = paired_sweep(&jobs, EngineTuning::DEFAULT, 4);
         for o in &outcomes {
             let report = o.audit.as_ref().expect("audited outcome");
             assert!(
@@ -237,9 +187,10 @@ mod tests {
 
     #[test]
     fn volume_rows_repeat_exactly_outside_the_host_columns() {
-        let (a, b) = (volume_row(2_000), volume_row(2_000));
+        // No host column is left, so "outside" is the whole row.
+        let a = volume_row(2_000);
         assert_eq!(a.len(), HEADERS.len());
-        assert_eq!(a[..8], b[..8]);
+        assert_eq!(a, volume_row(2_000));
         assert_eq!(a[3], "2000");
         assert_eq!(a[7], "linearizable=ok");
     }

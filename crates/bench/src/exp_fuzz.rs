@@ -26,7 +26,7 @@
 //!    throughput (executed / rejected / new-bucket counts), so corpus
 //!    growth can be tracked across PRs.
 //!
-//! The artifact is `BENCH_fuzz.json`.
+//! The artifact is `BENCH_fuzz_hunt.json`.
 
 use crate::table::Table;
 use std::collections::BTreeMap;

@@ -25,9 +25,9 @@
 //!    traffic apps from their invoke→complete spans, CHA from its
 //!    propose→decide chains.
 //!
-//! The artifact is `BENCH_protocol.json`. Under `VI_TRACE`, the clique
-//! run's causal DAG is additionally exported as Perfetto flow events
-//! riding the E19 trace collector.
+//! The artifact is `BENCH_protocol_trace.json`. Under `VI_TRACE`, the
+//! clique run's causal DAG is additionally exported as Perfetto flow
+//! events riding the E19 trace collector.
 
 use crate::exp_traffic::traffic_jobs;
 use crate::harness::paired_sweep;
@@ -70,7 +70,7 @@ pub fn traced_tuning() -> EngineTuning {
 /// a counter recorded on a parallel code path shows as a mismatch.
 fn traced_sweep(specs: &[ScenarioSpec]) -> Vec<ScenarioOutcome> {
     let jobs: Vec<(ScenarioSpec, u64)> = specs.iter().map(|s| (s.clone(), SEED)).collect();
-    paired_sweep(&jobs, traced_tuning(), 4).outcomes
+    paired_sweep(&jobs, traced_tuning(), 4)
 }
 
 /// Asserts a traced outcome equals the plain run of the same job once

@@ -1,6 +1,7 @@
 //! Experiment E19 (`telemetry`): the observability layer itself —
-//! deterministic engine counters and wall-clock phase timers across
-//! representative catalog scenarios.
+//! deterministic engine counters across representative catalog
+//! scenarios. (The wall-clock phase timers the same runs fill are
+//! vi-perf's `radio.phase.*` rows, `bash bench/run.sh --trace 1`.)
 //!
 //! Every row runs with [`EngineTuning::with_telemetry`] through the
 //! [`SweepRunner`] and reports the counter set a run accumulated:
@@ -17,8 +18,7 @@
 //! round-trip through the Chrome trace-event JSON format.
 
 use crate::table::Table;
-use vi_scenario::{catalog, EngineTuning, ScenarioOutcome, ScenarioSpec, SweepRunner};
-use vi_telemetry::Phase;
+use vi_scenario::{catalog, EngineTuning, ScenarioSpec, SweepRunner};
 
 /// Seeds of the telemetry matrix (two is enough — determinism across
 /// seeds is E15's job; this experiment characterizes counter shapes).
@@ -41,20 +41,6 @@ fn specs() -> Vec<ScenarioSpec> {
         .iter()
         .map(|name| catalog::scenario(name).expect("catalog name"))
         .collect()
-}
-
-/// Compact per-phase p95 cell: `advance/geometry/finalize/deliver/
-/// checker` in microseconds (`-` for phases with no samples).
-fn phase_p95_cell(out: &ScenarioOutcome) -> String {
-    let tele = out.telemetry.as_ref().expect("telemetry was enabled");
-    Phase::ALL
-        .iter()
-        .map(|&p| match tele.phases.get(p) {
-            Some(s) if s.samples > 0 => s.p95_us.to_string(),
-            _ => "-".to_string(),
-        })
-        .collect::<Vec<_>>()
-        .join("/")
 }
 
 /// E19 — per-scenario deterministic counters, with the 1-vs-N-worker
@@ -93,7 +79,6 @@ pub fn telemetry() -> Table {
             "adv checks",
             "timeouts",
             "audit ops",
-            "phase p95 µs (adv/geo/fin/del/chk)",
         ],
     );
     for out in &outcomes {
@@ -115,11 +100,10 @@ pub fn telemetry() -> Table {
             c.adversary_checks.to_string(),
             c.traffic_timeouts.to_string(),
             c.audit_ops.to_string(),
-            phase_p95_cell(out),
         ]);
     }
     t.note("counters asserted identical between 1-worker and auto-worker sweeps before reporting");
-    t.note("phase timings are wall-clock (µs, excluded from determinism); traffic workloads drive their own engine, so their round-mode counters stay 0");
+    t.note("traffic workloads drive their own engine, so their round-mode counters stay 0");
     t.note("set VI_TRACE=out.json on any sweep to additionally export a Perfetto/Chrome trace of worker and job spans");
     t
 }
@@ -127,7 +111,7 @@ pub fn telemetry() -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exp_metropolis::metropolis_spec;
+    use crate::harness::guards::assert_on_overhead_is_bounded;
     use vi_telemetry::trace_export;
 
     /// The counter algebra of a pure-CHA run: the round-mode counters
@@ -211,39 +195,13 @@ mod tests {
     /// within ~1.3x of telemetry-off on a metropolis-scale run — the
     /// counters are plain u64 bumps on the control path and the phase
     /// timers are five `Instant` reads per round, nothing more.
-    ///
-    /// (The telemetry-*off* regression guard against the pre-telemetry
-    /// baseline is the existing E18 static-heavy ≥2x speedup test,
-    /// which CI keeps running with telemetry off.)
     #[test]
-    #[ignore = "wall-clock benchmark; CI runs it explicitly in release (telemetry smoke step)"]
+    #[ignore = "wall-clock benchmark; CI runs it explicitly in release (E-series step)"]
     fn telemetry_on_overhead_is_bounded() {
-        let spec = metropolis_spec("telemetry_overhead_5000", 5000, 0.02, 10);
-        let run_ms = |tuning: EngineTuning| -> f64 {
-            let t0 = std::time::Instant::now();
-            let out = spec.run_with(1, tuning);
-            t0.elapsed().as_secs_f64() * 1000.0 / out.rounds.max(1) as f64
-        };
-        let mut failure = String::new();
-        for attempt in 0..3 {
-            // Interleaved min-of-pairs: scheduler noise only inflates.
-            let mut off_ms = f64::INFINITY;
-            let mut on_ms = f64::INFINITY;
-            for _ in 0..2 {
-                off_ms = off_ms.min(run_ms(EngineTuning::DEFAULT));
-                on_ms = on_ms.min(run_ms(EngineTuning::DEFAULT.with_telemetry()));
-            }
-            let ratio = on_ms / off_ms.max(f64::MIN_POSITIVE);
-            if ratio <= 1.3 {
-                eprintln!(
-                    "telemetry overhead n=5000: {off_ms:.3} -> {on_ms:.3} ms/round ({ratio:.2}x)"
-                );
-                return;
-            }
-            failure = format!(
-                "attempt {attempt}: {off_ms:.3} -> {on_ms:.3} ms/round, {ratio:.2}x (want <= 1.3x)"
-            );
-        }
-        panic!("telemetry overhead above 1.3x on every attempt; last: {failure}");
+        assert_on_overhead_is_bounded(
+            "telemetry",
+            EngineTuning::DEFAULT,
+            EngineTuning::DEFAULT.with_telemetry(),
+        );
     }
 }

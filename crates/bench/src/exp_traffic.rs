@@ -12,7 +12,7 @@
 //! report p50/p95/p99/max latency (in virtual rounds), throughput,
 //! and drop accounting; per-app aggregate rows merge the scenario
 //! histograms in job order, exercising the mergeability guarantee.
-//! The artifact is `BENCH_traffic.json`.
+//! The artifact is `BENCH_traffic_profile.json`.
 
 use crate::harness::paired_sweep;
 use crate::table::{f2, Table};
@@ -111,8 +111,7 @@ pub fn traffic_jobs() -> Vec<(ScenarioSpec, u64)> {
 /// E16 — the traffic profile table.
 pub fn traffic_profile() -> Table {
     let jobs = traffic_jobs();
-    let outcomes =
-        paired_sweep(&jobs, EngineTuning::DEFAULT, SweepRunner::auto().workers()).outcomes;
+    let outcomes = paired_sweep(&jobs, EngineTuning::DEFAULT, SweepRunner::auto().workers());
 
     let mut t = Table::new(
         "E16 / traffic profile: apps × catalog scenarios × open/closed loop",
@@ -192,7 +191,7 @@ mod tests {
             .filter(|(s, _)| s.name.starts_with("robot_patrol/"))
             .collect();
         assert_eq!(jobs.len(), 8, "4 apps × 2 modes");
-        let outcomes = paired_sweep(&jobs, EngineTuning::DEFAULT, 4).outcomes;
+        let outcomes = paired_sweep(&jobs, EngineTuning::DEFAULT, 4);
         for o in &outcomes {
             let s = o.traffic.as_ref().expect("traffic summary");
             assert!(s.issued > 0, "{}: issued", o.scenario);

@@ -1,6 +1,5 @@
 //! Shared experiment runners.
 
-use std::time::Instant;
 use vi_contention::{OracleCm, PreStability, SharedCm};
 use vi_core::cha::{ChaMessage, ChaNode, ChaOutput, ChaSpecChecker, TaggedProposer};
 use vi_radio::geometry::Point;
@@ -189,23 +188,10 @@ pub fn run_clique(cfg: CliqueConfig) -> CliqueRun {
     }
 }
 
-/// One job list swept twice — by 1 sweep worker and by `workers` —
-/// with byte-identity of the two outcome tables already asserted.
-pub struct PairedSweep {
-    /// The outcomes, in job order.
-    pub outcomes: Vec<ScenarioOutcome>,
-    /// Wall-clock of the 1-worker sweep.
-    pub single_secs: f64,
-    /// Wall-clock of the multi-worker sweep.
-    pub multi_secs: f64,
-    /// Sweep workers of the multi-worker sweep.
-    pub workers: usize,
-}
-
 /// Runs `jobs` under `tuning` with 1 sweep worker and with `workers`
 /// (at least two, so the cross-check always exercises real
-/// concurrency), asserting the serialized outcome tables are
-/// byte-identical.
+/// concurrency), asserts the serialized outcome tables are
+/// byte-identical, and returns the outcomes in job order.
 ///
 /// # Panics
 ///
@@ -216,24 +202,101 @@ pub fn paired_sweep(
     jobs: &[(ScenarioSpec, u64)],
     tuning: EngineTuning,
     workers: usize,
-) -> PairedSweep {
-    let workers = workers.max(2);
-    let t0 = Instant::now();
+) -> Vec<ScenarioOutcome> {
     let sequential = SweepRunner::new(1).run_with(jobs, tuning);
-    let single_secs = t0.elapsed().as_secs_f64();
-    let t0 = Instant::now();
-    let parallel = SweepRunner::new(workers).run_with(jobs, tuning);
-    let multi_secs = t0.elapsed().as_secs_f64();
+    let parallel = SweepRunner::new(workers.max(2)).run_with(jobs, tuning);
     assert_eq!(
         serde_json::to_string(&sequential).expect("serializable outcomes"),
         serde_json::to_string(&parallel).expect("serializable outcomes"),
         "sweep outcomes must not depend on the worker count"
     );
-    PairedSweep {
-        outcomes: parallel,
-        single_secs,
-        multi_secs,
-        workers,
+    parallel
+}
+
+/// What the `#[ignore]`d release guards of E19 and E21 share. vi-bench
+/// reports no wall-clock number (that is vi-perf's job, `bash
+/// bench/run.sh`); the guards time themselves and report into no
+/// table.
+#[cfg(test)]
+pub(crate) mod guards {
+    use std::time::Instant;
+    use vi_radio::geometry::Rect;
+    use vi_radio::{AdversaryKind, RadioConfig};
+    use vi_scenario::{
+        CmSpec, EngineTuning, MobilitySpec, NemesisSpec, PlacementSpec, PopulationSpec,
+        ScenarioSpec, WorkloadSpec,
+    };
+
+    /// A constant-density metropolis (15 m spacing: each `R2` disk
+    /// holds a handful of nodes regardless of `n`): `n` nodes uniform
+    /// over a square growing with `sqrt(n)`, of which `mobile_fraction`
+    /// roam as random waypoints and the rest never move. The workload
+    /// is CHA under the randomized backoff contention manager, so
+    /// pre-capture rounds keep genuine broadcast contention on the
+    /// channel. (vi-perf's `metro_static` / `metro_churn` are this
+    /// spec at n = 20 000.)
+    pub(crate) fn metropolis_spec(
+        name: &str,
+        n: usize,
+        mobile_fraction: f64,
+        instances: u64,
+    ) -> ScenarioSpec {
+        let side = (n as f64).sqrt() * 15.0;
+        let mobile = ((n as f64) * mobile_fraction).round() as usize;
+        let mut populations = vec![PopulationSpec::fixed(n - mobile, PlacementSpec::Uniform)];
+        if mobile > 0 {
+            populations.push(
+                PopulationSpec::fixed(mobile, PlacementSpec::Uniform)
+                    .with_mobility(MobilitySpec::Waypoint { speed: 0.5 }),
+            );
+        }
+        ScenarioSpec {
+            name: name.into(),
+            arena: Rect::square(side),
+            radio: RadioConfig::reliable(10.0, 20.0),
+            populations,
+            adversary: AdversaryKind::None,
+            nemesis: NemesisSpec::none(),
+            cm: CmSpec::Backoff,
+            workload: WorkloadSpec::ChaClique { instances },
+        }
+    }
+
+    /// Asserts that an instrument costs at most 1.3× on a
+    /// metropolis-scale run (n = 5 000, 2 % mobile): ms/round under
+    /// `on` against ms/round under `off`, as interleaved min-of-pairs
+    /// (scheduler noise only inflates), three attempts.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the ratio is above 1.3 on every attempt.
+    pub(crate) fn assert_on_overhead_is_bounded(what: &str, off: EngineTuning, on: EngineTuning) {
+        let spec = metropolis_spec(&format!("{what}_overhead_5000"), 5000, 0.02, 10);
+        let run_ms = |tuning: EngineTuning| -> f64 {
+            let t0 = Instant::now();
+            let out = spec.run_with(1, tuning);
+            t0.elapsed().as_secs_f64() * 1000.0 / out.rounds.max(1) as f64
+        };
+        let mut failure = String::new();
+        for attempt in 0..3 {
+            let mut off_ms = f64::INFINITY;
+            let mut on_ms = f64::INFINITY;
+            for _ in 0..2 {
+                off_ms = off_ms.min(run_ms(off));
+                on_ms = on_ms.min(run_ms(on));
+            }
+            let ratio = on_ms / off_ms.max(f64::MIN_POSITIVE);
+            if ratio <= 1.3 {
+                eprintln!(
+                    "{what} overhead n=5000: {off_ms:.3} -> {on_ms:.3} ms/round ({ratio:.2}x)"
+                );
+                return;
+            }
+            failure = format!(
+                "attempt {attempt}: {off_ms:.3} -> {on_ms:.3} ms/round, {ratio:.2}x (want <= 1.3x)"
+            );
+        }
+        panic!("{what} overhead above 1.3x on every attempt; last: {failure}");
     }
 }
 

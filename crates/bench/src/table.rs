@@ -1,15 +1,14 @@
 //! Plain-text tables, one per reproduced figure/claim.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// A printable experiment table.
 ///
 /// Serializes to JSON (`{"title", "headers", "rows", "notes"}`) for the
-/// machine-readable bench artifacts the `repro` binary emits, and
-/// deserializes back from those artifacts so `repro bench-diff
-/// --check` can validate them.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+/// machine-readable `BENCH_<id>.json` artifacts the `repro` binary
+/// emits and `expected/<id>.json` pins.
+#[derive(Clone, Debug, Serialize)]
 pub struct Table {
     title: String,
     headers: Vec<String>,
@@ -62,26 +61,6 @@ impl Table {
     /// The cell at `(row, col)` (for assertions in tests).
     pub fn cell(&self, row: usize, col: usize) -> &str {
         &self.rows[row][col]
-    }
-
-    /// The table title.
-    pub fn title(&self) -> &str {
-        &self.title
-    }
-
-    /// The column headers.
-    pub fn headers(&self) -> &[String] {
-        &self.headers
-    }
-
-    /// The data rows.
-    pub fn rows(&self) -> &[Vec<String>] {
-        &self.rows
-    }
-
-    /// The footnotes.
-    pub fn notes(&self) -> &[String] {
-        &self.notes
     }
 }
 

@@ -288,8 +288,8 @@ impl<M: Clone + WireSized + 'static> Engine<M> {
 
     /// Does nothing: a round resolves on the calling thread and there
     /// is no worker count to set. Kept only because the frozen
-    /// benchmark sources under `examples/perf/` call it; ROADMAP item
-    /// 2's benchmark-only PR deletes it together with the mirror.
+    /// benchmark sources under `examples/perf/` call it; the
+    /// benchmark-only PR that deletes the mirror deletes it too.
     #[doc(hidden)]
     pub fn set_workers(&mut self, _: usize) {}
 

@@ -86,8 +86,8 @@ impl EngineTuning {
 
     /// Returns [`EngineTuning::DEFAULT`] whatever the argument: there
     /// is no intra-round worker count to tune. Kept only because the
-    /// frozen benchmark sources under `examples/perf/` call it; ROADMAP
-    /// item 2's benchmark-only PR deletes it together with the mirror.
+    /// frozen benchmark sources under `examples/perf/` call it; the
+    /// benchmark-only PR that deletes the mirror deletes it too.
     #[doc(hidden)]
     pub fn with_workers(_: usize) -> Self {
         Self::DEFAULT
@@ -332,8 +332,8 @@ impl ScenarioSpec {
     ///   `spawn_at` / `spawn_stride` / `crash_at` are ignored: every
     ///   replica runs from round 0 and never crashes. Honouring or
     ///   rejecting them would move the pinned E22 fuzz campaign, so
-    ///   that is left to the per-run assumptions report of ROADMAP
-    ///   item 5.
+    ///   that is left to the per-run assumptions report of the
+    ///   model-conformance oracle.
     pub fn deployment(&self, seed: u64) -> Vec<DevicePlan> {
         let mut place_rng = StdRng::seed_from_u64(seed ^ PLACEMENT_SALT);
         let mut devices = Vec::with_capacity(self.node_count());
