@@ -65,8 +65,25 @@ guards=(
   'the emulator folds through ChaProtocol::fold_decided, not a History'
 
   'fold_decided\('
-  "$code" '^crates/core/src/(cha/protocol|vi/emulator)\.rs:|^crates/bench/src/exp_cha\.rs:'
+  "$code" '^crates/core/src/(cha/protocol(/reference)?|vi/emulator)\.rs:|^crates/bench/src/exp_cha\.rs:'
   'Section 3.5 has two callers: Emulator::fold_green and E10 gc'
+
+  # A steady-state virtual round stays off the allocator
+  # (`tests/virtual_round_allocs.rs`): the CHA per-instance state is
+  # one flat window (the tree survives as the test-only reference
+  # model), and contender lists, emulator observations and client
+  # receptions are swapped or cleared, never taken and dropped.
+  'BTreeMap'
+  'above-tests:crates/core/src/cha/protocol.rs' '-'
+  'ChaProtocol keeps its instances in a tree again; the window in protocol.rs replaced it'
+
+  'mem::take\(&mut self\.cur_contenders\)'
+  'crates/contention/src' '-'
+  'a contention manager drops a contender buffer every round again; roll_contenders swaps them'
+
+  'mem::take\(&mut self\.client_rx\)|mem::replace\(&mut e\.obs'
+  'above-tests:crates/core/src/vi/emulator.rs' '-'
+  'the emulator throws a per-round buffer away again; clear or swap it'
 
   # The clock has one home: vi-perf (`bash bench/run.sh`) is the only
   # code that reports a wall-clock or RSS number. vi-bench's tables

@@ -77,6 +77,20 @@ impl ChannelFeedback {
     }
 }
 
+/// Rolls a manager's contender lists into a new round: the round just
+/// ended becomes `prev` — emptied when the new round is not
+/// `consecutive`, since only the immediately preceding round's
+/// contenders count — and `cur` starts empty. The two buffers trade
+/// places and keep their capacity, so a steady stream of rounds never
+/// reaches the allocator.
+pub(crate) fn roll_contenders(prev: &mut Vec<CmSlot>, cur: &mut Vec<CmSlot>, consecutive: bool) {
+    std::mem::swap(prev, cur);
+    cur.clear();
+    if !consecutive {
+        prev.clear();
+    }
+}
+
 /// A contention manager for one broadcast region (Property 3).
 ///
 /// Contract, mirroring the paper:

@@ -9,7 +9,7 @@
 //! fast does a real backoff scheme stabilize" (see
 //! [`BackoffCm`](crate::BackoffCm)).
 
-use crate::manager::{Advice, ChannelFeedback, CmSlot, ContentionManager};
+use crate::manager::{roll_contenders, Advice, ChannelFeedback, CmSlot, ContentionManager};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
@@ -83,14 +83,11 @@ impl OracleCm {
 
     fn roll_round(&mut self, round: u64) {
         if round != self.cur_round {
-            // Only the immediately preceding round's contenders matter;
-            // a gap (nobody contended for a while) clears history.
-            self.prev_contenders = if round == self.cur_round + 1 {
-                std::mem::take(&mut self.cur_contenders)
-            } else {
-                self.cur_contenders.clear();
-                Vec::new()
-            };
+            roll_contenders(
+                &mut self.prev_contenders,
+                &mut self.cur_contenders,
+                round == self.cur_round + 1,
+            );
             self.cur_round = round;
             self.cur_leader = None;
         }

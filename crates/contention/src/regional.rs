@@ -9,7 +9,7 @@
 //! `2(s+10)` rounds — long enough for a node moving away at `vmax` to
 //! still complete the virtual rounds it leads.
 
-use crate::manager::{Advice, ChannelFeedback, CmSlot, ContentionManager};
+use crate::manager::{roll_contenders, Advice, ChannelFeedback, CmSlot, ContentionManager};
 use vi_radio::geometry::Point;
 
 /// Parameters of a [`RegionalCm`].
@@ -104,12 +104,11 @@ impl RegionalCm {
 
     fn roll_round(&mut self, round: u64) {
         if round != self.cur_round {
-            self.prev_contenders = if round == self.cur_round + 1 {
-                std::mem::take(&mut self.cur_contenders)
-            } else {
-                self.cur_contenders.clear();
-                Vec::new()
-            };
+            roll_contenders(
+                &mut self.prev_contenders,
+                &mut self.cur_contenders,
+                round == self.cur_round + 1,
+            );
             self.cur_round = round;
             // Depose a leader that is absent or expired.
             if let Some(l) = self.leader {

@@ -196,6 +196,13 @@ impl<V: PartialEq> History<V> {
 /// and the unreachable prefix resolves to ⊥, so the damage surfaces as
 /// checker-visible disagreement rather than a crash.
 ///
+/// No production path calls this: a
+/// [`ChaProtocol`](crate::cha::ChaProtocol) keeps its ballots in a
+/// flat instance window, not a tree, and walks the chain there. This
+/// function is the **executable specification** that window is tested
+/// against (`window_matches_the_tree_model` in `cha/protocol.rs`), as
+/// `resolve_round_reference` is for vi-radio's `Medium`.
+///
 /// # Example
 ///
 /// ```
@@ -218,30 +225,28 @@ pub fn calculate_history<V: Clone>(
     floor: u64,
 ) -> History<V> {
     let mut history = History::new(instance);
-    for (k, value) in prev_chain(prev, ballots, floor) {
-        history.insert(k, value.clone());
-    }
+    walk_prev_chain(prev, floor, |k| {
+        let ballot = ballots.get(&k)?;
+        history.insert(k, ballot.value.clone());
+        Some(ballot.prev)
+    });
     history
 }
 
-/// The instances above `floor` on the `prev` chain from `prev`, newest
-/// first, each with its stored ballot value: the one walk behind
-/// [`calculate_history`] and
-/// [`ChaProtocol::fold_decided`](crate::cha::ChaProtocol::fold_decided).
-pub(crate) fn prev_chain<V>(
-    prev: u64,
-    ballots: &BTreeMap<u64, Ballot<V>>,
-    floor: u64,
-) -> impl Iterator<Item = (u64, &V)> {
+/// Walks the `prev` chain from `prev` down to `floor`, newest first:
+/// the one walk behind [`calculate_history`] and, over
+/// [`ChaProtocol`](crate::cha::ChaProtocol)'s instance window,
+/// `current_history` and `fold_decided`. `visit(k)` is called once per
+/// chain instance `k > floor` and returns the `prev` pointer of the
+/// ballot stored for `k`, or `None` if there is none — a missing
+/// ballot is unreachable under the model and ends the walk (see
+/// [`calculate_history`]).
+pub(crate) fn walk_prev_chain(prev: u64, floor: u64, mut visit: impl FnMut(u64) -> Option<u64>) {
     let mut cursor = prev;
-    std::iter::from_fn(move || {
-        if cursor <= floor {
-            return None;
-        }
-        // A missing ballot is unreachable under the model; see
-        // `calculate_history`.
-        let ballot = ballots.get(&cursor)?;
-        let k = cursor;
+    while cursor > floor {
+        let Some(ballot_prev) = visit(cursor) else {
+            return;
+        };
         // A `prev` pointer that fails to decrease can only come from
         // mixing ballots of nodes with inconsistent instance numbering
         // (e.g. a node spawned mid-run with a fresh counter instead of
@@ -250,9 +255,12 @@ pub(crate) fn prev_chain<V>(
         // after this instance rather than chase a cycle; the truncated
         // prefix resolves to ⊥ and surfaces as checker-visible
         // disagreement.
-        cursor = if ballot.prev < k { ballot.prev } else { floor };
-        Some((k, &ballot.value))
-    })
+        cursor = if ballot_prev < cursor {
+            ballot_prev
+        } else {
+            floor
+        };
+    }
 }
 
 #[cfg(test)]

@@ -22,9 +22,8 @@
 //! and property-tested without a simulated channel, and reused by the
 //! emulation with its stretched ballot phase.
 
-use crate::cha::history::{calculate_history, prev_chain, Ballot, Color, History};
-use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use crate::cha::history::{walk_prev_chain, Ballot, Color, History};
+use serde::{map_field, Deserialize, Error, Serialize, Value};
 use std::fmt;
 use vi_radio::WireSized;
 
@@ -92,14 +91,97 @@ impl<V> ChaOutput<V> {
     }
 }
 
+/// One resident instance: the `status` and `ballots` entries of
+/// Figure 1 for it, either of which may be absent. An enum, not a
+/// struct around an `Option<Ballot<V>>`, so that the marks share the
+/// discriminant's word: 24 bytes a slot for `V = u64`, not 32 — 2 MiB
+/// of peak RSS across the `ChaNode`s of a 20 000-node city.
+#[derive(Clone)]
+enum Slot<V> {
+    Vacant(Marks),
+    Held(Marks, Ballot<V>),
+}
+
+/// The non-ballot half of a [`Slot`].
+#[derive(Clone, Copy)]
+struct Marks {
+    color: Option<Color>,
+    /// On the `prev` chain of the fold in progress; set and cleared
+    /// within one [`ChaProtocol::fold_decided`].
+    on_chain: bool,
+}
+
+impl<V> Slot<V> {
+    const EMPTY: Self = Slot::Vacant(Marks {
+        color: None,
+        on_chain: false,
+    });
+
+    fn marks(&self) -> &Marks {
+        match self {
+            Slot::Vacant(marks) | Slot::Held(marks, _) => marks,
+        }
+    }
+
+    fn marks_mut(&mut self) -> &mut Marks {
+        match self {
+            Slot::Vacant(marks) | Slot::Held(marks, _) => marks,
+        }
+    }
+
+    fn ballot(&self) -> Option<&Ballot<V>> {
+        match self {
+            Slot::Vacant(_) => None,
+            Slot::Held(_, ballot) => Some(ballot),
+        }
+    }
+
+    fn set_ballot(&mut self, ballot: Option<Ballot<V>>) {
+        let marks = *self.marks();
+        *self = match ballot {
+            Some(ballot) => Slot::Held(marks, ballot),
+            None => Slot::Vacant(marks),
+        };
+    }
+}
+
+/// Slots a full window grows by. A fixed step, not `Vec`'s doubling:
+/// a node that never collects (plain CHAP — each `ChaNode` of a
+/// 20 000-node city) then idles at most three slots however long it
+/// runs, where doubling idles up to the window's own length (+3 MiB
+/// on vi-perf's metro workloads); and not one slot at a time, which
+/// reallocates every instance and fragments the heap those cities
+/// share (+0.9 MiB, +3 % wall-clock).
+const WINDOW_GROWTH: usize = 4;
+
+/// Where instance `k` sits in a window whose first slot holds instance
+/// `base + 1`; `None` below the window (the caller bounds it above).
+fn window_index(base: u64, k: u64) -> Option<usize> {
+    usize::try_from(k.checked_sub(base)?.checked_sub(1)?).ok()
+}
+
 /// The CHAP per-node state machine.
 ///
 /// `V` is the proposal domain — any totally ordered, cloneable value
 /// (total order is what makes deterministic `min(M)` ballot adoption
 /// possible).
 ///
+/// The per-instance state (Figure 1's `status` and `ballots` arrays)
+/// lives in one flat **instance window**: a `Vec` of slots for the
+/// consecutive instances `base + 1 ..= instance`, which
+/// [`garbage_collect`](Self::garbage_collect) drains in place. Under
+/// checkpoint-CHA the window is a handful of slots whose buffer is
+/// reused forever, so a steady-state instance never reaches the
+/// allocator (Theorem 14's constant work per round, kept honest by
+/// `tests/virtual_round_allocs.rs`).
+///
 /// The state serializes (given `V: Serialize`) so that the Section 4.3
 /// join protocol can transfer "the entire current state" to a joiner.
+/// The serialized form is that of the two ordered maps the window
+/// replaced — `status` and `ballots` as ascending `[instance, entry]`
+/// pairs — byte for byte; parsing rejects entries outside
+/// `(floor, instance]` and windows sparser than their entry count, so
+/// a hostile blob can neither index nor size the window.
 ///
 /// # Example
 ///
@@ -118,13 +200,18 @@ impl<V> ChaOutput<V> {
 /// assert_eq!(out.color, Color::Green);
 /// assert_eq!(out.history.unwrap().get(1), Some(&7));
 /// ```
-#[derive(Clone, Serialize, Deserialize)]
+#[derive(Clone)]
 pub struct ChaProtocol<V> {
     instance: u64,
     prev_instance: u64,
     floor: u64,
-    status: BTreeMap<u64, Color>,
-    ballots: BTreeMap<u64, Ballot<V>>,
+    /// The instance just below the window: slot `i` holds instance
+    /// `base + 1 + i`. A non-empty window ends at `instance`. `base`
+    /// is the first resident instance's predecessor, not the floor, so
+    /// the gap a checkpoint transfer may leave between the two costs
+    /// no slots.
+    base: u64,
+    window: Vec<Slot<V>>,
 }
 
 impl<V: Clone + Ord> Default for ChaProtocol<V> {
@@ -136,13 +223,7 @@ impl<V: Clone + Ord> Default for ChaProtocol<V> {
 impl<V> ChaProtocol<V> {
     /// A fresh protocol state: no instances run, `prev-instance = 0`.
     pub fn new() -> Self {
-        ChaProtocol {
-            instance: 0,
-            prev_instance: 0,
-            floor: 0,
-            status: BTreeMap::new(),
-            ballots: BTreeMap::new(),
-        }
+        Self::from_checkpoint(0, 0)
     }
 
     /// Reconstructs protocol state from a transferred checkpoint (used
@@ -158,8 +239,8 @@ impl<V> ChaProtocol<V> {
             instance: next_instance,
             prev_instance: checkpoint,
             floor: checkpoint,
-            status: BTreeMap::new(),
-            ballots: BTreeMap::new(),
+            base: next_instance,
+            window: Vec::new(),
         }
     }
 
@@ -180,18 +261,30 @@ impl<V> ChaProtocol<V> {
 
     /// Final color of `k`, if that instance ran here.
     pub fn color_of(&self, k: u64) -> Option<Color> {
-        self.status.get(&k).copied()
+        self.slot(k)?.marks().color
     }
 
     /// The ballot stored for `k`, if any.
     pub fn ballot_of(&self, k: u64) -> Option<&Ballot<V>> {
-        self.ballots.get(&k)
+        self.slot(k)?.ballot()
     }
 
     /// Number of resident (non-garbage-collected) per-instance
     /// entries, for the Section 3.5 memory experiments.
     pub fn resident_entries(&self) -> usize {
-        self.status.len() + self.ballots.len()
+        self.window
+            .iter()
+            .map(|s| usize::from(s.marks().color.is_some()) + usize::from(s.ballot().is_some()))
+            .sum()
+    }
+
+    fn slot(&self, k: u64) -> Option<&Slot<V>> {
+        self.window.get(window_index(self.base, k)?)
+    }
+
+    /// The resident slots with their instances, ascending.
+    fn resident(&self) -> impl Iterator<Item = (u64, &Slot<V>)> {
+        (self.base + 1..).zip(&self.window)
     }
 
     fn current(&self) -> u64 {
@@ -199,11 +292,31 @@ impl<V> ChaProtocol<V> {
         self.instance
     }
 
+    /// The current instance's slot, opened if this is its first entry.
+    fn current_slot(&mut self) -> &mut Slot<V> {
+        let k = self.current();
+        if self.window.is_empty() {
+            self.base = k - 1;
+        }
+        if self.slot(k).is_none() {
+            debug_assert_eq!(self.base + self.window.len() as u64 + 1, k);
+            if self.window.len() == self.window.capacity() {
+                self.window.reserve_exact(WINDOW_GROWTH);
+            }
+            self.window.push(Slot::EMPTY);
+        }
+        self.window.last_mut().expect("just opened")
+    }
+
     fn color(&self) -> Color {
-        *self
-            .status
-            .get(&self.current())
+        self.color_of(self.current())
             .expect("instance status initialized by begin_instance")
+    }
+
+    /// Downgrades the current instance to (at most) `ceiling`.
+    fn downgrade(&mut self, ceiling: Color) {
+        let downgraded = self.color().min(ceiling);
+        self.current_slot().marks_mut().color = Some(downgraded);
     }
 }
 
@@ -213,9 +326,16 @@ impl<V: Clone + Ord> ChaProtocol<V> {
     /// ballot this node *would* broadcast; whether it actually does is
     /// the contention manager's call.
     pub fn begin_instance(&mut self, proposal: V) -> Ballot<V> {
-        self.instance += 1;
-        self.status.insert(self.instance, Color::Green);
+        self.start_instance();
         Ballot::new(proposal, self.prev_instance)
+    }
+
+    /// [`begin_instance`](Self::begin_instance) without the ballot,
+    /// for a caller that builds one only when the contention manager
+    /// lets it broadcast: `Ballot::new(proposal, prev_instance())`.
+    pub fn start_instance(&mut self) {
+        self.instance += 1;
+        self.current_slot().marks_mut().color = Some(Color::Green);
     }
 
     /// **Ballot phase, receive side** (lines 29–32): `received` holds
@@ -224,12 +344,11 @@ impl<V: Clone + Ord> ChaProtocol<V> {
     /// detector's output. Silence or a collision turns the instance
     /// red; otherwise the minimum ballot is adopted.
     pub fn on_ballot_phase(&mut self, received: &[Ballot<V>], collision: bool) {
-        let k = self.current();
+        let slot = self.current_slot();
         if received.is_empty() || collision {
-            self.status.insert(k, Color::Red);
+            slot.marks_mut().color = Some(Color::Red);
         } else {
-            let adopted = received.iter().min().expect("nonempty").clone();
-            self.ballots.insert(k, adopted);
+            slot.set_ballot(received.iter().min().cloned());
         }
     }
 
@@ -242,9 +361,7 @@ impl<V: Clone + Ord> ChaProtocol<V> {
     /// collision downgrades to (at most) orange.
     pub fn on_veto1_phase(&mut self, veto_heard: bool, collision: bool) {
         if veto_heard || collision {
-            let k = self.current();
-            let cur = self.color();
-            self.status.insert(k, cur.min(Color::Orange));
+            self.downgrade(Color::Orange);
         }
     }
 
@@ -259,29 +376,43 @@ impl<V: Clone + Ord> ChaProtocol<V> {
     /// good instances advance `prev-instance`; the history is computed
     /// and the output produced (a history iff green, else ⊥).
     pub fn on_veto2_phase(&mut self, veto_heard: bool, collision: bool) -> ChaOutput<V> {
-        let k = self.current();
+        let color = self.finish_instance(veto_heard, collision);
+        ChaOutput {
+            instance: self.instance,
+            history: (color == Color::Green).then(|| self.current_history()),
+            color,
+        }
+    }
+
+    /// [`on_veto2_phase`](Self::on_veto2_phase) without the history:
+    /// finalizes the current instance and returns its color. For
+    /// callers that fold a green instance through
+    /// [`fold_decided`](Self::fold_decided) and never read a
+    /// [`History`].
+    pub fn finish_instance(&mut self, veto_heard: bool, collision: bool) -> Color {
         if veto_heard || collision {
-            let cur = self.color();
-            self.status.insert(k, cur.min(Color::Yellow));
+            self.downgrade(Color::Yellow);
         }
         let color = self.color();
         if color.is_good() {
-            self.prev_instance = k;
+            self.prev_instance = self.instance;
         }
-        let history = (color == Color::Green).then(|| self.current_history());
-        ChaOutput {
-            instance: k,
-            history,
-            color,
-        }
+        color
     }
 
     /// Computes the history this node would output right now,
     /// regardless of the current instance's color (what a replica uses
     /// to compute the virtual node's state from its latest *decided*
-    /// knowledge — see Section 4.3's message sub-protocol).
+    /// knowledge — see Section 4.3's message sub-protocol): the
+    /// window's [`calculate_history`](crate::cha::calculate_history).
     pub fn current_history(&self) -> History<V> {
-        calculate_history(self.instance, self.prev_instance, &self.ballots, self.floor)
+        let mut history = History::new(self.instance);
+        walk_prev_chain(self.prev_instance, self.floor, |k| {
+            let ballot = self.ballot_of(k)?;
+            history.insert(k, ballot.value.clone());
+            Some(ballot.prev)
+        });
+        history
     }
 
     /// Garbage-collects all per-instance state at or below
@@ -299,8 +430,11 @@ impl<V: Clone + Ord> ChaProtocol<V> {
             self.floor
         );
         self.floor = checkpoint;
-        self.status = self.status.split_off(&(checkpoint + 1));
-        self.ballots = self.ballots.split_off(&(checkpoint + 1));
+        let collected = usize::try_from(checkpoint.saturating_sub(self.base))
+            .map_or(self.window.len(), |n| n.min(self.window.len()));
+        // In place: the buffer stays for the instances to come.
+        self.window.drain(..collected);
+        self.base += collected as u64;
     }
 
     /// **Checkpoint-CHA** (Section 3.5): "a node can garbage-collect
@@ -313,8 +447,9 @@ impl<V: Clone + Ord> ChaProtocol<V> {
     /// ascending order — `Some(value)` borrowed from the stored ballot
     /// if `k` is on the `prev` chain (exactly the instances
     /// [`current_history`](Self::current_history) includes, under the
-    /// same out-of-model stops as [`calculate_history`]), `None` for ⊥
-    /// — then garbage-collects through `upto`. `apply` is the
+    /// same out-of-model stops as
+    /// [`calculate_history`](crate::cha::calculate_history)), `None`
+    /// for ⊥ — then garbage-collects through `upto`. `apply` is the
     /// application's checkpoint fold (for a virtual node: one automaton
     /// step per instance). The caller does this when `upto` has just
     /// finished green; on any other color "there are multiple possible
@@ -324,15 +459,115 @@ impl<V: Clone + Ord> ChaProtocol<V> {
     ///
     /// Panics if `upto` is below the current floor.
     pub fn fold_decided(&mut self, upto: u64, mut apply: impl FnMut(u64, Option<&V>)) {
-        // The chain is linked backward and folded forward.
-        let chain: Vec<(u64, &V)> =
-            prev_chain(self.prev_instance, &self.ballots, self.floor).collect();
-        let mut included = chain.iter().rev().peekable();
+        // The chain is linked backward and folded forward: mark it in
+        // the window, then read the marks in instance order.
+        let (base, window) = (self.base, &mut self.window);
+        walk_prev_chain(self.prev_instance, self.floor, |k| {
+            let slot = window.get_mut(window_index(base, k)?)?;
+            let prev = slot.ballot()?.prev;
+            slot.marks_mut().on_chain = true;
+            Some(prev)
+        });
         for k in self.floor + 1..=upto {
-            let value = included.next_if(|&&(on_chain, _)| on_chain == k);
-            apply(k, value.map(|&(_, v)| v));
+            let decided = self
+                .slot(k)
+                .filter(|slot| slot.marks().on_chain)
+                .and_then(Slot::ballot);
+            apply(k, decided.map(|ballot| &ballot.value));
         }
         self.garbage_collect(upto);
+        // Chain instances above `upto` survive the collection.
+        for slot in &mut self.window {
+            slot.marks_mut().on_chain = false;
+        }
+    }
+}
+
+/// The serialized form of the two ordered maps this state used to be:
+/// `status` and `ballots` as ascending `[instance, entry]` pairs after
+/// the three counters. Join transfers carry it, so its bytes are part
+/// of every `wire_size` and digest.
+impl<V: Serialize> Serialize for ChaProtocol<V> {
+    fn to_value(&self) -> Value {
+        let pair = |k: u64, entry: Value| Value::Seq(vec![k.to_value(), entry]);
+        let entries = |entry: fn(&Slot<V>) -> Option<Value>| {
+            Value::Seq(
+                self.resident()
+                    .filter_map(|(k, slot)| Some(pair(k, entry(slot)?)))
+                    .collect(),
+            )
+        };
+        Value::Map(vec![
+            ("instance".to_string(), self.instance.to_value()),
+            ("prev_instance".to_string(), self.prev_instance.to_value()),
+            ("floor".to_string(), self.floor.to_value()),
+            (
+                "status".to_string(),
+                entries(|slot| slot.marks().color.as_ref().map(Serialize::to_value)),
+            ),
+            (
+                "ballots".to_string(),
+                entries(|slot| slot.ballot().map(Serialize::to_value)),
+            ),
+        ])
+    }
+}
+
+/// Parses what [`Serialize`] emits, from a peer that may be hostile:
+/// an entry at or below `floor` or above `instance`, an `instance`
+/// below `floor`, or entries spread over more instances than there are
+/// entries (every reachable state holds one for each instance from its
+/// first resident one to the current one) is an error — no key ever
+/// indexes the window or sizes an allocation.
+impl<V: Deserialize> Deserialize for ChaProtocol<V> {
+    fn from_value(v: &Value) -> Result<Self, Error> {
+        let Value::Map(m) = v else {
+            return Err(Error::custom("expected map for ChaProtocol"));
+        };
+        let counter = |key| u64::from_value(map_field(m, key)?);
+        let (instance, floor) = (counter("instance")?, counter("floor")?);
+        if instance < floor {
+            return Err(Error::custom(format!(
+                "instance {instance} precedes floor {floor}"
+            )));
+        }
+        let status: Vec<(u64, Color)> = Deserialize::from_value(map_field(m, "status")?)?;
+        let ballots: Vec<(u64, Ballot<V>)> = Deserialize::from_value(map_field(m, "ballots")?)?;
+
+        let mut protocol = ChaProtocol::from_checkpoint(floor, instance);
+        protocol.prev_instance = counter("prev_instance")?;
+        let keys = || {
+            status
+                .iter()
+                .map(|e| e.0)
+                .chain(ballots.iter().map(|e| e.0))
+        };
+        let Some(first) = keys().min() else {
+            return Ok(protocol);
+        };
+        if let Some(k) = keys().find(|&k| k <= floor || k > instance) {
+            return Err(Error::custom(format!(
+                "entry for instance {k} outside ({floor}, {instance}]"
+            )));
+        }
+        let span = instance - first + 1;
+        if span > (status.len() + ballots.len()) as u64 {
+            return Err(Error::custom(format!(
+                "{} entries cannot cover instances {first}..={instance}",
+                status.len() + ballots.len()
+            )));
+        }
+        protocol.base = first - 1;
+        protocol.window.reserve_exact(span as usize);
+        protocol.window.resize_with(span as usize, || Slot::EMPTY);
+        let index = |k| window_index(first - 1, k).expect("key checked against the window");
+        for (k, color) in status {
+            protocol.window[index(k)].marks_mut().color = Some(color);
+        }
+        for (k, ballot) in ballots {
+            protocol.window[index(k)].set_ballot(Some(ballot));
+        }
+        Ok(protocol)
     }
 }
 
@@ -342,13 +577,17 @@ impl<V: fmt::Debug> fmt::Debug for ChaProtocol<V> {
             .field("instance", &self.instance)
             .field("prev_instance", &self.prev_instance)
             .field("floor", &self.floor)
-            .field("resident", &(self.status.len() + self.ballots.len()))
+            .field("resident", &self.resident_entries())
             .finish_non_exhaustive()
     }
 }
 
 #[cfg(test)]
+mod reference;
+
+#[cfg(test)]
 mod tests {
+    use super::reference::TreeProtocol;
     use super::*;
     use proptest::prelude::*;
 
@@ -669,9 +908,14 @@ mod tests {
         assert_eq!(node.floor(), 3);
     }
 
-    /// One instance of a [`fold_matches_history_then_collect`] script.
+    /// One instance of a proptest script.
     #[derive(Clone, Debug)]
     struct Step {
+        /// Before this instance the node leaves and comes back through
+        /// a checkpoint transfer taken `gap` instances ago: it resumes
+        /// from `from_checkpoint(k, k + gap)`, its window starting that
+        /// far above its floor.
+        rejoin: Option<u64>,
         /// Final color, by shade: 0 red (ballot lost) … 3 green.
         shade: u8,
         /// `prev` of the adopted ballot: the node's own pointer, or
@@ -680,29 +924,104 @@ mod tests {
         foreign_prev: Option<u64>,
         /// Fold here if the instance ends green.
         checkpoint: bool,
-        /// Out-of-model damage done just before that fold: 0 drops a
-        /// resident ballot, 1 makes one's `prev` non-decreasing.
+        /// How far below the instance that fold stops (the API takes
+        /// any `upto`; chain instances above it survive the fold).
+        lag: u64,
+        /// Out-of-model damage done once the instance has finished: 0
+        /// drops a resident ballot, 1 makes one's `prev`
+        /// non-decreasing.
         damage: u8,
         /// Which resident ballot the damage hits.
         victim: usize,
     }
 
     fn script() -> impl Strategy<Value = Vec<Step>> {
+        // One step in ten rejoins; one fold in five lags.
+        let rejoin = (0u8..10, 0u64..4).prop_map(|(die, gap)| (die == 0).then_some(gap));
+        let lag = (0u8..5, 1u64..4).prop_map(|(die, lag)| if die == 0 { lag } else { 0 });
         let step = (
+            rejoin,
             0u8..4,
             proptest::option::of(0u64..40),
             any::<bool>(),
+            lag,
             0u8..6,
             0usize..8,
         )
-            .prop_map(|(shade, foreign_prev, checkpoint, damage, victim)| Step {
-                shade,
-                foreign_prev,
-                checkpoint,
-                damage,
-                victim,
-            });
+            .prop_map(
+                |(rejoin, shade, foreign_prev, checkpoint, lag, damage, victim)| Step {
+                    rejoin,
+                    shade,
+                    foreign_prev,
+                    checkpoint,
+                    lag,
+                    damage,
+                    victim,
+                },
+            );
         proptest::collection::vec(step, 1..40)
+    }
+
+    /// Applies `step`'s damage to `node` and returns the instance hit.
+    fn damage(node: &mut ChaProtocol<u64>, step: &Step) -> Option<u64> {
+        let victim = node
+            .resident()
+            .filter(|(_, slot)| slot.ballot().is_some())
+            .map(|(k, _)| k)
+            .nth(step.victim)?;
+        let damaged = match step.damage {
+            0 => None,
+            1 => node
+                .ballot_of(victim)
+                .map(|b| Ballot::new(b.value, victim + 1)),
+            _ => return None,
+        };
+        let i = window_index(node.base, victim).expect("resident");
+        node.window[i].set_ballot(damaged);
+        Some(victim)
+    }
+
+    /// Runs `step`'s instance at `node` and returns its output.
+    fn run_step(node: &mut ChaProtocol<u64>, step: &Step) -> ChaOutput<u64> {
+        let own = node.begin_instance(100 + node.instance());
+        if step.shade == 0 {
+            node.on_ballot_phase(&[], true);
+        } else {
+            let prev = step.foreign_prev.map_or(own.prev, |p| p % node.instance());
+            node.on_ballot_phase(&[Ballot::new(own.value, prev)], false);
+        }
+        node.on_veto1_phase(false, step.shade <= 1);
+        node.on_veto2_phase(false, step.shade <= 2)
+    }
+
+    /// Every observable of `node` equals `model`'s, its serialized
+    /// bytes included, and the bytes parse back to the same state.
+    fn assert_same(
+        node: &ChaProtocol<u64>,
+        model: &TreeProtocol<u64>,
+    ) -> Result<(), proptest::TestCaseError> {
+        prop_assert_eq!(node.instance(), model.instance);
+        prop_assert_eq!(node.prev_instance(), model.prev_instance);
+        prop_assert_eq!(node.floor(), model.floor);
+        for k in 0..=model.instance + 1 {
+            prop_assert_eq!(
+                node.color_of(k),
+                model.status.get(&k).copied(),
+                "color {}",
+                k
+            );
+            prop_assert_eq!(node.ballot_of(k), model.ballots.get(&k), "ballot {}", k);
+        }
+        prop_assert_eq!(node.resident_entries(), model.resident_entries());
+        prop_assert_eq!(node.current_history(), model.current_history());
+        prop_assert!(node.window.iter().all(|slot| !slot.marks().on_chain));
+
+        let json = serde_json::to_string(node).expect("serializes");
+        prop_assert_eq!(&json, &serde_json::to_string(model).expect("serializes"));
+        let back: ChaProtocol<u64> = serde_json::from_str(&json).expect("parses back");
+        prop_assert_eq!(serde_json::to_string(&back).expect("serializes"), json);
+        prop_assert_eq!(back.current_history(), model.current_history());
+        Ok(())
     }
 
     proptest! {
@@ -716,29 +1035,14 @@ mod tests {
         fn fold_matches_history_then_collect(script in script()) {
             let mut node = ChaProtocol::<u64>::new();
             for step in &script {
-                let own = node.begin_instance(100 + node.instance());
-                let k = node.instance();
-                if step.shade == 0 {
-                    node.on_ballot_phase(&[], true);
-                } else {
-                    let prev = step.foreign_prev.map_or(own.prev, |p| p % k);
-                    node.on_ballot_phase(&[Ballot::new(own.value, prev)], false);
-                }
-                node.on_veto1_phase(false, step.shade <= 1);
-                let out = node.on_veto2_phase(false, step.shade <= 2);
+                let out = run_step(&mut node, step);
                 prop_assert_eq!(out.color.shade(), step.shade);
                 if !(out.decided() && step.checkpoint) {
                     continue;
                 }
-                let victim = node.ballots.keys().nth(step.victim).copied();
-                match (step.damage, victim) {
-                    (0, Some(v)) => {
-                        node.ballots.remove(&v);
-                    }
-                    (1, Some(v)) => node.ballots.get_mut(&v).expect("resident").prev = v + 1,
-                    _ => {}
-                }
+                damage(&mut node, step);
 
+                let k = node.instance();
                 let mut reference = node.clone();
                 let history = reference.current_history();
                 let expected: Vec<(u64, Option<u64>)> = (reference.floor() + 1..=k)
@@ -753,6 +1057,149 @@ mod tests {
                 prop_assert_eq!(node.resident_entries(), reference.resident_entries());
             }
         }
+
+        /// The instance window against the tree it replaced
+        /// ([`TreeProtocol`]): through rejoin gaps, foreign `prev`
+        /// pointers, lagging folds and out-of-model damage, every
+        /// output, every fold, every observable and every serialized
+        /// byte agree after every step.
+        ///
+        /// Mutation-checked by hand; each of these turns it red:
+        /// `window_index` off by one (`checked_sub(1)` dropped);
+        /// `fold_decided` leaving `on_chain` set after the fold;
+        /// `to_value` emitting `ballots` before `status`.
+        #[test]
+        fn window_matches_the_tree_model(script in script()) {
+            let mut node = ChaProtocol::<u64>::new();
+            let mut model = TreeProtocol::<u64>::from_checkpoint(0, 0);
+            for step in &script {
+                if let Some(gap) = step.rejoin {
+                    let k = node.instance();
+                    node = ChaProtocol::from_checkpoint(k, k + gap);
+                    model = TreeProtocol::from_checkpoint(k, k + gap);
+                }
+                let out = run_step(&mut node, step);
+                // The model hears what the window heard.
+                let k = node.instance();
+                model.begin_instance(100 + model.instance);
+                model.on_ballot_phase(node.ballot_of(k).map_or(&[], std::slice::from_ref), step.shade == 0);
+                model.on_veto1_phase(false, step.shade <= 1);
+                prop_assert_eq!(&out, &model.on_veto2_phase(false, step.shade <= 2));
+                assert_same(&node, &model)?;
+
+                if let Some(victim) = damage(&mut node, step) {
+                    match node.ballot_of(victim) {
+                        Some(&damaged) => model.ballots.insert(victim, damaged),
+                        None => model.ballots.remove(&victim),
+                    };
+                    assert_same(&node, &model)?;
+                }
+                if out.decided() && step.checkpoint {
+                    let upto = k.saturating_sub(step.lag).max(node.floor());
+                    let (mut folded, mut expected) = (Vec::new(), Vec::new());
+                    node.fold_decided(upto, |i, v| folded.push((i, v.copied())));
+                    model.fold_decided(upto, |i, v| expected.push((i, v.copied())));
+                    prop_assert_eq!(folded, expected);
+                    assert_same(&node, &model)?;
+                }
+            }
+        }
+    }
+
+    /// A hand-built transfer blob: the tree model with these fields,
+    /// serialized — what a hostile peer could put on the wire.
+    fn blob(instance: u64, floor: u64, status: &[u64], ballots: &[u64]) -> Vec<u8> {
+        let model = TreeProtocol::<u64> {
+            instance,
+            prev_instance: floor,
+            floor,
+            status: status.iter().map(|&k| (k, Color::Green)).collect(),
+            ballots: ballots
+                .iter()
+                .map(|&k| (k, Ballot::new(k, floor)))
+                .collect(),
+        };
+        serde_json::to_vec(&model).expect("serializes")
+    }
+
+    #[test]
+    fn hostile_blobs_are_rejected_not_indexed() {
+        let parse = |bytes: Vec<u8>| serde_json::from_slice::<ChaProtocol<u64>>(&bytes);
+        // The honest shape parses.
+        let ok = parse(blob(9, 6, &[7, 8, 9], &[7, 9])).expect("honest blob");
+        assert_eq!(
+            (ok.instance(), ok.floor(), ok.resident_entries()),
+            (9, 6, 5)
+        );
+        assert_eq!(ok.ballot_of(9), Some(&Ballot::new(9, 6)));
+        assert_eq!(ok.color_of(8), Some(Color::Green));
+        assert_eq!(ok.ballot_of(8), None);
+
+        for (what, bytes) in [
+            ("status key above instance", blob(9, 6, &[9, u64::MAX], &[])),
+            ("ballot key above instance", blob(9, 6, &[9], &[u64::MAX])),
+            ("status key at the floor", blob(9, 6, &[6, 7, 8, 9], &[])),
+            ("ballot key below the floor", blob(9, 6, &[7, 8, 9], &[2])),
+            ("key 0", blob(9, 0, &[0, 1], &[])),
+            ("instance below floor", blob(3, 6, &[], &[])),
+            (
+                "entries under a floor above the instance",
+                blob(3, 6, &[2, 3], &[]),
+            ),
+            // In range, but two entries cannot be a 2⁴⁰-instance window.
+            ("sparse window", blob(1 << 40, 6, &[7, 1 << 40], &[])),
+            (
+                "window short of the instance",
+                blob(u64::MAX, 0, &[1, 2], &[1]),
+            ),
+        ] {
+            let err = parse(bytes)
+                .err()
+                .unwrap_or_else(|| panic!("{what}: accepted"));
+            assert!(!err.to_string().is_empty(), "{what}");
+        }
+    }
+
+    #[test]
+    fn checkpoint_gap_costs_no_slots() {
+        // A joiner whose transfer is 2⁴⁰ instances stale: the window
+        // starts at its first resident instance, not at the floor.
+        let mut node = ChaProtocol::<u64>::from_checkpoint(7, 1 << 40);
+        assert_eq!(node.window.capacity(), 0);
+        let ballot = node.begin_instance(5);
+        node.on_ballot_phase(&[ballot], false);
+        assert_eq!(node.window.capacity(), WINDOW_GROWTH);
+        assert_eq!(node.color_of((1 << 40) + 1), Some(Color::Green));
+        assert_eq!(node.color_of(8), None);
+
+        let bytes = serde_json::to_vec(&node).expect("serializes");
+        let back: ChaProtocol<u64> = serde_json::from_slice(&bytes).expect("parses back");
+        assert_eq!(back.window.capacity(), 1);
+        assert_eq!(back.floor(), 7);
+        assert_eq!(back.ballot_of((1 << 40) + 1), Some(&Ballot::new(5, 7)));
+    }
+
+    #[test]
+    fn steady_checkpointing_reuses_one_slot() {
+        let (mut node, mut log) = (ChaProtocol::new(), Log::new());
+        for p in 0..50 {
+            leader_instance(&mut node, &mut log, p, false);
+            assert_eq!(
+                node.window.capacity(),
+                WINDOW_GROWTH,
+                "drained in place, never regrown"
+            );
+        }
+        // A yellow streak longer than the window grows it one step …
+        for p in 0..WINDOW_GROWTH as u32 {
+            leader_instance(&mut node, &mut log, p, true);
+        }
+        leader_instance(&mut node, &mut log, 9, false);
+        // … and the capacity stays for the next one.
+        assert_eq!(
+            (node.window.len(), node.window.capacity()),
+            (0, 2 * WINDOW_GROWTH)
+        );
     }
 
     #[test]

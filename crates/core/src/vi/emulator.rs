@@ -31,7 +31,7 @@
 //! On a green instance the replica folds the decided suffix into the
 //! automaton state (checkpoint-CHA, Section 3.5) and garbage-collects.
 
-use crate::cha::history::Ballot;
+use crate::cha::history::{Ballot, Color};
 use crate::cha::protocol::ChaProtocol;
 use crate::vi::automaton::{VirtualAutomaton, VirtualInput, VnCtx, VnId};
 use crate::vi::client::{ClientApp, VirtualReception};
@@ -135,8 +135,11 @@ struct Emulator<VA: VirtualAutomaton> {
     vn_state: VA::State,
     pending_out: Option<VA::Msg>,
     /// Observations accumulated during the client/vn phases of the
-    /// current virtual round.
+    /// current virtual round (cleared, never replaced: the buffer is
+    /// reused round after round).
     obs: VrProposal<VA::Msg>,
+    /// The automaton's input, refilled per folded virtual round.
+    input: VirtualInput<VA::Msg>,
     /// Whether this replica started the CHA instance for the current
     /// virtual round.
     began: bool,
@@ -162,6 +165,7 @@ impl<VA: VirtualAutomaton> Emulator<VA> {
             vn_state: dep.automaton.init(),
             pending_out: None,
             obs: VrProposal::empty(),
+            input: VirtualInput::silent(),
             began: false,
             scheduled: false,
             cm_active: false,
@@ -187,13 +191,12 @@ impl<VA: VirtualAutomaton> Emulator<VA> {
     fn fold_green(&mut self, dep: &Deployment<VA>, upto: u64) {
         let vn = self.vn;
         self.protocol.fold_decided(upto, |k, decided| {
-            let input = match decided {
-                Some(p) => VirtualInput {
-                    messages: p.messages.clone(),
-                    collision: p.collision,
-                },
-                None => VirtualInput::bottom(),
-            };
+            // ⊥ is `VirtualInput::bottom()`: nothing heard, a collision.
+            match decided {
+                Some(p) => self.input.messages.clone_from(&p.messages),
+                None => self.input.messages.clear(),
+            }
+            self.input.collision = decided.is_none_or(|p| p.collision);
             let ctx = VnCtx {
                 vn,
                 loc: dep.layout.location(vn),
@@ -201,15 +204,19 @@ impl<VA: VirtualAutomaton> Emulator<VA> {
                 scheduled: dep.schedule.is_scheduled(vn, k),
                 next_scheduled: dep.schedule.is_scheduled(vn, k + 1),
             };
-            self.pending_out = dep.automaton.step(&mut self.vn_state, ctx, &input);
+            self.pending_out = dep.automaton.step(&mut self.vn_state, ctx, &self.input);
         });
     }
 
     /// Concludes the instance for `vr` after the final veto phase.
     fn conclude(&mut self, dep: &Deployment<VA>, vr: u64, veto: bool, collision: bool) {
-        let out = self.protocol.on_veto2_phase(veto, collision);
-        debug_assert_eq!(out.instance, vr, "instance/virtual-round alignment");
-        if out.decided() {
+        let color = self.protocol.finish_instance(veto, collision);
+        debug_assert_eq!(
+            self.protocol.instance(),
+            vr,
+            "instance/virtual-round alignment"
+        );
+        if color == Color::Green {
             self.report.decided += 1;
             self.last_green = true;
             self.fold_green(dep, vr);
@@ -345,7 +352,8 @@ impl<VA: VirtualAutomaton> Device<VA> {
             if e.is_replica() && e.protocol.instance() != vr - 1 {
                 e.mode = Mode::Joining { requested: false };
             }
-            e.obs = VrProposal::empty();
+            e.obs.messages.clear();
+            e.obs.collision = false;
             e.began = false;
             e.join_activity = false;
             e.scheduled = dep.schedule.is_scheduled(e.vn, vr);
@@ -379,8 +387,11 @@ impl<VA: VirtualAutomaton> Process<Wire<VA::Msg>> for Device<VA> {
 
         match phase {
             VirtualPhase::Client => {
-                let prev = std::mem::take(&mut self.client_rx);
-                self.client_prev = prev;
+                // The reception just completed becomes the client's
+                // view; its predecessor's buffer collects the next.
+                std::mem::swap(&mut self.client_rx, &mut self.client_prev);
+                self.client_rx.messages.clear();
+                self.client_rx.collision = false;
                 let app = self.client.as_mut()?;
                 app.on_virtual_round(vr, ctx.pos, &self.client_prev)
                     .map(Wire::Client)
@@ -402,11 +413,14 @@ impl<VA: VirtualAutomaton> Process<Wire<VA::Msg>> for Device<VA> {
                 if !e.is_replica() || !ballot_phase_is_mine(e, &self.dep, phase) {
                     return None;
                 }
-                let mut proposal = std::mem::replace(&mut e.obs, VrProposal::empty());
-                proposal.canonicalize();
-                let ballot = e.protocol.begin_instance(proposal);
+                e.obs.canonicalize();
+                e.protocol.start_instance();
                 e.began = true;
-                (e.cm_active).then(|| Wire::Ballot { vn: e.vn, ballot })
+                // Only the leader's proposal leaves the device.
+                (e.cm_active).then(|| Wire::Ballot {
+                    vn: e.vn,
+                    ballot: Ballot::new(e.obs.clone(), e.protocol.prev_instance()),
+                })
             }
             VirtualPhase::SchedVeto1 | VirtualPhase::UnschedVeto1 => {
                 let e = self.emulator.as_ref()?;

@@ -373,6 +373,10 @@ struct Harness<M> {
     done: Vec<Completion>,
     /// Observations awaiting [`Service::drain_audit`].
     audit: Vec<AuditRecord>,
+    /// Empty buffers [`Service::step_round`] trades for each port's
+    /// full `sent` / `rx` in turn, so neither side ever regrows.
+    sent: Vec<(u64, u64)>,
+    rx: Vec<(u64, M)>,
 }
 
 impl<M: Clone> Harness<M> {
@@ -383,6 +387,8 @@ impl<M: Clone> Harness<M> {
             pending: BTreeMap::new(),
             done: Vec::new(),
             audit: Vec::new(),
+            sent: Vec::new(),
+            rx: Vec::new(),
         }
     }
 
@@ -574,17 +580,22 @@ impl<A: App> Service for Adapter<A> {
         self.world.run_virtual_rounds(1);
         let (h, app) = (&mut self.harness, &mut self.app);
         h.vr += 1;
+        let (mut sent, mut rx) = (std::mem::take(&mut h.sent), std::mem::take(&mut h.rx));
         for client in 0..h.ports.len() {
-            let sent = std::mem::take(&mut h.ports[client].borrow_mut().sent);
-            for (id, vr) in sent {
+            {
+                let mut port = h.ports[client].borrow_mut();
+                std::mem::swap(&mut sent, &mut port.sent);
+                std::mem::swap(&mut rx, &mut port.rx);
+            }
+            for (id, vr) in sent.drain(..) {
                 app.resolve(h, Seen::Sent { id, vr });
             }
-            let rx = std::mem::take(&mut h.ports[client].borrow_mut().rx);
-            for (vr, msg) in rx {
+            for (vr, msg) in rx.drain(..) {
                 let msg = &msg;
                 app.resolve(h, Seen::Heard { client, vr, msg });
             }
         }
+        (h.sent, h.rx) = (sent, rx);
         if A::READS_VN_STATE {
             for vn in 0..self.world.deployment().layout.len() {
                 if let Some((state, _)) = self.world.vn_view(VnId(vn)) {

@@ -19,6 +19,46 @@ use virtual_infra::radio::{
     RoundReception, RoundRecord, Trace,
 };
 
+/// The contender lists of `OracleCm` / `RegionalCm` as both rolled
+/// them before they swapped buffers: the current list is taken for the
+/// previous one on a consecutive round, and both start fresh after a
+/// gap.
+#[derive(Default)]
+struct TakeRolled {
+    prev: Vec<usize>,
+    cur: Vec<usize>,
+    round: u64,
+}
+
+impl TakeRolled {
+    /// Rolls into `round`; `true` if that is a new round.
+    fn roll(&mut self, round: u64) -> bool {
+        if round == self.round {
+            return false;
+        }
+        self.prev = if round == self.round + 1 {
+            std::mem::take(&mut self.cur)
+        } else {
+            self.cur.clear();
+            Vec::new()
+        };
+        self.round = round;
+        true
+    }
+
+    fn enter(&mut self, slot: usize) {
+        if !self.cur.contains(&slot) {
+            self.cur.push(slot);
+        }
+    }
+
+    /// The election rule: lowest contender of the previous round, or
+    /// the asker if there was none.
+    fn prev_min_or(&self, slot: usize) -> usize {
+        self.prev.iter().copied().min().unwrap_or(slot)
+    }
+}
+
 fn arb_point() -> impl Strategy<Value = Point> {
     (0.0f64..100.0, 0.0f64..100.0).prop_map(|(x, y)| Point::new(x, y))
 }
@@ -349,6 +389,68 @@ proptest! {
                 }
             }
             prop_assert!(active <= 1, "round {round}: {active} active");
+        }
+    }
+
+    /// Both leader-electing managers roll their contender lists by
+    /// swapping two kept buffers; their advice must stay what the
+    /// `mem::take` roll produced ([`TakeRolled`]), over any `contend`
+    /// script — repeated rounds, skipped rounds (after which the
+    /// previous round's list must read empty, not stale) and, for the
+    /// regional manager, contenders outside the region.
+    #[test]
+    fn swapped_contender_buffers_match_take_based_roll(
+        script in proptest::collection::vec((0u64..4, 0usize..5, any::<bool>()), 1..120),
+    ) {
+        const LEASE: u64 = 6;
+        let location = Point::new(50.0, 50.0);
+        let mut oracle = OracleCm::perfect();
+        let mut regional = RegionalCm::new(RegionalConfig {
+            location,
+            radius: 10.0,
+            lease: LEASE,
+            stabilize_at: 0,
+        });
+        let slots: Vec<_> = (0..5).map(|_| (oracle.register(), regional.register())).collect();
+
+        let (mut oracle_lists, mut oracle_leader) = (TakeRolled::default(), None);
+        let (mut regional_lists, mut lease) = (TakeRolled::default(), None::<(usize, u64, u64)>);
+        let mut round = 0;
+        for (step, &(advance, slot, inside)) in script.iter().enumerate() {
+            round += advance;
+
+            if oracle_lists.roll(round) {
+                oracle_leader = None;
+            }
+            oracle_lists.enter(slot);
+            let leader = *oracle_leader.get_or_insert(oracle_lists.prev_min_or(slot));
+            prop_assert_eq!(
+                oracle.contend(slots[slot].0, round, Point::ORIGIN).is_active(),
+                leader == slot,
+                "oracle, step {} round {}", step, round
+            );
+
+            if regional_lists.roll(round) {
+                lease = lease.filter(|&(_, expires, seen)| round < expires && round <= seen + 1);
+            }
+            let expected = inside && {
+                regional_lists.enter(slot);
+                let (holder, _, seen) = lease.get_or_insert((
+                    regional_lists.prev_min_or(slot),
+                    round + LEASE,
+                    round,
+                ));
+                if *holder == slot {
+                    *seen = round;
+                }
+                *holder == slot
+            };
+            let pos = if inside { location } else { Point::new(80.0, 50.0) };
+            prop_assert_eq!(
+                regional.contend(slots[slot].1, round, pos).is_active(),
+                expected,
+                "regional, step {} round {}", step, round
+            );
         }
     }
 

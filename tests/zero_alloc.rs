@@ -11,11 +11,12 @@
 //! exactly one `#[test]` — a sibling test running on another thread
 //! would pollute the counter.
 
+mod counting_alloc;
+
+use counting_alloc::allocations;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::any::Any;
-use std::sync::atomic::{AtomicU64, Ordering};
 use virtual_infra::radio::adversary::NoAdversary;
 use virtual_infra::radio::channel::{Medium, ReceptionBuffer, TopologyDelta, TxIntent};
 use virtual_infra::radio::geometry::Point;
@@ -24,33 +25,6 @@ use virtual_infra::radio::{
     Engine, EngineConfig, NodeId, NodeSpec, Process, RadioConfig, RoundCtx, RoundReception,
 };
 use virtual_infra::telemetry::{Observers, Probe};
-
-/// Counts every allocation and reallocation routed through the global
-/// allocator.
-struct CountingAlloc;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc_zeroed(layout)
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
 
 /// Broadcasts every third round; folds receptions into plain counters
 /// (no heap use on either protocol path).
@@ -128,9 +102,9 @@ fn steady_state_rounds_allocate_nothing() {
     // broadcast pattern repeats with period 3).
     engine.run(30);
 
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = allocations();
     engine.run(120);
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    let after = allocations();
     assert_eq!(
         after - before,
         0,
@@ -187,11 +161,11 @@ fn steady_state_rounds_allocate_nothing() {
     let mut heard = resolve(&mut medium, 0..12, back_and_forth, |_| {
         TopologyDelta::Rebuild
     });
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = allocations();
     heard += resolve(&mut medium, 12..132, back_and_forth, |_| {
         TopologyDelta::Rebuild
     });
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    let after = allocations();
     assert_eq!(
         after - before,
         0,
@@ -217,9 +191,9 @@ fn steady_state_rounds_allocate_nothing() {
     };
     resolve(&mut medium, 0..12, |_| 0.0, alternate);
     let reanchors = |probe: &Probe| probe.counters().expect("live probe").rounds_reanchor;
-    let (warm, before) = (reanchors(&probe), ALLOCATIONS.load(Ordering::SeqCst));
+    let (warm, before) = (reanchors(&probe), allocations());
     let heard = resolve(&mut medium, 12..132, |_| 0.0, alternate);
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    let after = allocations();
     assert_eq!(
         after - before,
         0,
@@ -237,9 +211,9 @@ fn steady_state_rounds_allocate_nothing() {
     // actually measures the engine.
     let mut traced = deployment(true);
     traced.run(30);
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = allocations();
     traced.run(10);
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    let after = allocations();
     assert!(
         after - before >= 10,
         "traced rounds are expected to allocate (got a silent counter instead)"
