@@ -100,6 +100,17 @@ guards=(
   'VI_METROPOLIS_LARGE|artifact_name|bench-diff|bench_diff|PairedSweep'
   "$code .github" '-'
   'a retired vi-bench timing name is back; artifacts are BENCH_<id>.json, compared with cmp'
+
+  # One sink registry: the Perfetto export is `TraceSink`, a
+  # `MonitorSink` that the monitor's one env reader installs for
+  # `VI_TRACE`. (`CausalSummary::dropped_spans`, a field, survives.)
+  'record_span|record_flow|enable_tracing|tracing_enabled|flush_env|env_trace_path|take_events|export_flows|dropped_spans'
+  "$code" '\.dropped_spans|dropped_spans: '
+  'the second trace collector is back; Perfetto export is TraceSink on the monitor registry'
+
+  ':[0-9]+:\s*(pub(\([a-z]+\))? )?static '
+  'above-tests:crates/telemetry/src/trace_export.rs' '-'
+  'trace export holds no process-global state'
 )
 
 # `path:line:text` for every line above a file's first `#[cfg(test)]`.

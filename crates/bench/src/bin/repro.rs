@@ -289,9 +289,12 @@ fn main() {
     // environment configured none.
     if let Some(pos) = args.iter().position(|a| a == "--monitor") {
         args.remove(pos);
+        // Reads the environment (installing its sinks) before forcing:
+        // a non-zero period means a snapshot sink was configured there,
+        // which an installed `VI_TRACE` sink alone is not.
+        let configured = monitor::effective_every(0) > 0;
         monitor::force_enable();
-        let _ = monitor::effective_every(0); // installs VI_MONITOR_* sinks
-        if monitor::have_sinks() {
+        if configured {
             eprintln!("monitoring on (environment-configured sinks)");
         } else {
             match monitor::JsonlSink::create("monitor.jsonl") {

@@ -133,8 +133,9 @@ fn assert_prometheus_well_formed(body: &str) {
 }
 
 /// Asserts the sweep's job events: one Queued, one Started, and one
-/// Finished per job, with every Finished digest equal to the FNV-1a
-/// digest of the job's actual outcome JSON.
+/// Finished per job, Started and Finished naming the same worker, with
+/// every Finished digest equal to the FNV-1a digest of the job's
+/// actual outcome JSON.
 fn assert_job_events(events: &[MonitorEvent], prefix: &str, outcomes: &[ScenarioOutcome]) {
     for (job, out) in outcomes.iter().enumerate() {
         let mine: Vec<&JobState> = events
@@ -156,12 +157,14 @@ fn assert_job_events(events: &[MonitorEvent], prefix: &str, outcomes: &[Scenario
             "job {job}: expected Queued/Started/Finished, got {mine:?}"
         );
         assert_eq!(*mine[0], JobState::Queued, "job {job}");
-        assert_eq!(*mine[1], JobState::Started, "job {job}");
-        let expect = monitor::outcome_digest(serde_json::to_string(out).unwrap().as_bytes());
+        let JobState::Started { worker } = *mine[1] else {
+            panic!("job {job}: expected Started, got {:?}", mine[1]);
+        };
+        let digest = monitor::outcome_digest(serde_json::to_string(out).unwrap().as_bytes());
         assert_eq!(
             *mine[2],
-            JobState::Finished { digest: expect },
-            "job {job}: outcome digest mismatch"
+            JobState::Finished { worker, digest },
+            "job {job}: outcome digest or worker mismatch"
         );
     }
 }

@@ -25,15 +25,16 @@
 //!    traffic apps from their invoke→complete spans, CHA from its
 //!    propose→decide chains.
 //!
-//! The artifact is `BENCH_protocol_trace.json`. Under `VI_TRACE`, the
-//! clique run's causal DAG is additionally exported as Perfetto flow
-//! events riding the E19 trace collector.
+//! The artifact is `BENCH_protocol_trace.json`. The clique run's
+//! causal DAG is also emitted to the monitor sinks as one
+//! `MonitorEvent::Causal`; under `VI_TRACE` the trace sink exports it
+//! as Perfetto flow events.
 
 use crate::exp_traffic::traffic_jobs;
 use crate::harness::paired_sweep;
 use crate::table::Table;
 use vi_scenario::{catalog, EngineTuning, IncidentBundle, ScenarioOutcome, ScenarioSpec};
-use vi_telemetry::{causal, trace_export};
+use vi_telemetry::monitor::{self, MonitorEvent};
 
 /// The seed every E20 job runs with.
 const SEED: u64 = 1;
@@ -126,15 +127,12 @@ pub fn protocol_trace() -> Table {
     for (spec, out) in specs.iter().zip(&outcomes) {
         assert_zero_perturbation(spec, out);
     }
-    // Under VI_TRACE, ride the E19 collector: the clique's causal DAG
-    // becomes Perfetto flow arrows on the protocol lane. The sweep
-    // already flushed its own spans, so flush again to append the
-    // flow events.
-    if trace_export::tracing_enabled() {
-        if let Some(summary) = &outcomes[0].causal {
-            causal::export_flows(summary);
-        }
-        trace_export::flush_env();
+    // The clique's causal DAG goes to every installed sink; under
+    // VI_TRACE the trace sink draws it as Perfetto flow arrows on the
+    // protocol lane.
+    if let Some(summary) = &outcomes[0].causal {
+        monitor::emit_global(&MonitorEvent::Causal(Box::new(summary.clone())));
+        monitor::flush_global();
     }
 
     let mut t = Table::new(

@@ -13,9 +13,10 @@
 //! worker and on `auto()` workers yields identical counter sets
 //! (wall-clock phase stats are excluded from summary equality).
 //!
-//! The Perfetto side (`VI_TRACE`) is exercised by this module's
-//! tests: sweeps emit `sweep-worker` and per-job spans that must
-//! round-trip through the Chrome trace-event JSON format.
+//! The Perfetto side (`VI_TRACE`, a `TraceSink` on the monitor
+//! registry) is exercised by this module's tests: a sweep's job events
+//! become `sweep-worker` and per-job spans that must round-trip
+//! through the Chrome trace-event JSON format.
 
 use crate::table::Table;
 use vi_scenario::{catalog, EngineTuning, ScenarioSpec, SweepRunner};
@@ -112,7 +113,10 @@ pub fn telemetry() -> Table {
 mod tests {
     use super::*;
     use crate::harness::guards::assert_on_overhead_is_bounded;
-    use vi_telemetry::trace_export;
+    use std::sync::Arc;
+    use vi_telemetry::monitor::{self, MonitorSink};
+    use vi_telemetry::trace_export::{TraceEvent, TraceFile, PID_SWEEP};
+    use vi_telemetry::TraceSink;
 
     /// The counter algebra of a pure-CHA run: the round-mode counters
     /// partition `rounds_total`, and the delivery counters mirror the
@@ -137,58 +141,58 @@ mod tests {
         assert_eq!(stripped, plain, "telemetry must not perturb the run");
     }
 
-    /// Satellite requirement: sweeps under tracing emit spans that
-    /// round-trip through the Chrome trace-event format — every span
-    /// carries `ts`/`dur`/`tid`, and each sweep worker contributes at
-    /// least its lifetime span.
+    /// A sweep into an installed [`TraceSink`] writes spans that
+    /// round-trip through the Chrome trace-event format: one
+    /// `scenario#seed` span per job, and a `sweep-worker` span on every
+    /// lane that ran one (which lanes do is the scheduler's business).
+    /// Concurrent tests' sweeps may land in the same sink, so only this
+    /// sweep's names are required.
     #[test]
     fn sweep_trace_validates_as_chrome_trace_json() {
-        trace_export::enable_tracing();
-        let spec = catalog::scenario("clique").expect("catalog name");
-        let workers = 2usize;
-        let _ = SweepRunner::new(workers).run_matrix(&[spec], &[1, 2, 3, 4]);
-
         let dir = std::env::temp_dir().join("vi_bench_trace_test");
         std::fs::create_dir_all(&dir).expect("temp dir");
         let path = dir.join("trace.json");
-        let path_str = path.to_str().expect("utf-8 temp path");
-        let written = trace_export::flush_to_path(path_str).expect("flush trace");
-        assert!(written >= workers, "at least one span per sweep worker");
+        let sink = Arc::new(TraceSink::create(path.to_str().expect("utf-8")).expect("create"));
+        let installed: Arc<dyn MonitorSink> = sink.clone();
+        monitor::install_sink(installed.clone());
+        let mut spec = catalog::scenario("clique").expect("catalog name");
+        spec.name = "e19_trace".to_string();
+        let _ = SweepRunner::new(2).run_matrix(&[spec], &[1, 2, 3, 4]);
+        monitor::uninstall_sink(&installed);
+        sink.flush();
 
-        // The Chrome trace format fixes the field name.
-        #[derive(serde::Deserialize)]
-        #[allow(non_snake_case)]
-        struct TraceFileIn {
-            traceEvents: Vec<trace_export::TraceEvent>,
-        }
         let raw = std::fs::read_to_string(&path).expect("read trace");
-        let parsed: TraceFileIn = serde_json::from_str(&raw).expect("trace must be valid JSON");
-        let events = parsed.traceEvents;
-        assert!(events.len() >= workers);
-        for ev in &events {
-            assert_eq!(ev.ph, "X", "complete events only");
-            assert!(ev.dur > 0 || ev.ts > 0, "span has a timestamp: {ev:?}");
-            assert!(!ev.name.is_empty() && !ev.cat.is_empty());
-        }
-        // One lifetime span per sweep worker, on distinct tid lanes.
-        let worker_tids: std::collections::BTreeSet<u64> = events
+        let file: TraceFile = serde_json::from_str(&raw).expect("trace must be valid JSON");
+        let sweep: Vec<&TraceEvent> = file
+            .traceEvents
             .iter()
-            .filter(|ev| ev.name == "sweep-worker")
-            .map(|ev| ev.tid)
+            .filter(|ev| ev.pid == PID_SWEEP)
             .collect();
-        for tid in 0..workers as u64 {
+        assert!(
+            sweep
+                .iter()
+                .all(|ev| ev.ph == "X" && (ev.ts > 0 || ev.dur > 0)),
+            "{sweep:?}"
+        );
+        let jobs: Vec<&&TraceEvent> = sweep
+            .iter()
+            .filter(|ev| ev.name.starts_with("e19_trace#"))
+            .collect();
+        let mut names: Vec<&str> = jobs.iter().map(|ev| ev.name.as_str()).collect();
+        names.sort_unstable();
+        assert_eq!(
+            names,
+            ["e19_trace#1", "e19_trace#2", "e19_trace#3", "e19_trace#4"]
+        );
+        for job in jobs {
+            assert!(job.tid < 2, "tid is the worker index: {job:?}");
             assert!(
-                worker_tids.contains(&tid),
-                "missing sweep-worker span on tid {tid}"
+                sweep
+                    .iter()
+                    .any(|ev| ev.name == "sweep-worker" && ev.tid == job.tid),
+                "no sweep-worker span on the lane that ran {job:?}"
             );
         }
-        // Per-job spans are named `scenario#seed` on the sweep pid.
-        let job = events
-            .iter()
-            .find(|ev| ev.name == "clique#3")
-            .expect("per-job span missing");
-        assert_eq!(job.pid, trace_export::PID_SWEEP);
-        std::fs::remove_file(&path).ok();
     }
 
     /// Acceptance guard, CI-release only: telemetry-on must stay

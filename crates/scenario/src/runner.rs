@@ -19,7 +19,6 @@ use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use vi_telemetry::monitor::{self, JobEvent, JobState, MonitorEvent};
-use vi_telemetry::trace_export;
 
 /// Parses a `VI_WORKERS`-style override: a positive integer (after
 /// trimming) yields `Some(n)`. The second component flags a value
@@ -164,15 +163,13 @@ impl SweepRunner {
         let slots: Vec<Mutex<Option<ScenarioOutcome>>> =
             jobs.iter().map(|_| Mutex::new(None)).collect();
         let job_threads = job_threads(self.workers, jobs.len());
-        // Span collection is strictly wall-clock-side: when tracing is
-        // off this is one cached atomic load per sweep, and nothing
-        // below touches deterministic state either way.
-        let tracing = trace_export::tracing_enabled();
-        // Sweep progress events (also wall-clock-side): every queued
-        // job is announced up front in job order, workers report
-        // started/finished as they go. Events carry the deterministic
-        // job index and the outcome digest, so a consumer ordering by
-        // `(job, state)` sees the same sequence at any worker count.
+        // Sweep progress events (wall-clock-side; with no sink this is
+        // one relaxed load per sweep): every queued job is announced up
+        // front in job order, workers report started/finished as they
+        // go. Events carry the deterministic job index and the outcome
+        // digest, so a consumer ordering by `(job, state)` sees the
+        // same sequence at any worker count; the worker index is what
+        // the Perfetto export (a sink like any other) lanes them by.
         let monitored = monitor::have_sinks();
         if monitored {
             for (i, (spec, seed)) in jobs.iter().enumerate() {
@@ -187,67 +184,36 @@ impl SweepRunner {
         std::thread::scope(|scope| {
             let next = &next;
             let slots = &slots;
-            for w in 0..job_threads {
-                scope.spawn(move || {
-                    let worker_start = tracing.then(trace_export::now_us);
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some((spec, seed)) = jobs.get(i) else {
-                            break;
-                        };
-                        let job_start = tracing.then(trace_export::now_us);
-                        if monitored {
-                            monitor::emit_global(&MonitorEvent::Job(JobEvent {
-                                job: i as u64,
-                                scenario: spec.name.clone(),
-                                seed: *seed,
-                                state: JobState::Started,
-                            }));
-                        }
-                        let outcome = spec.run_with(*seed, tuning);
-                        if monitored {
-                            let digest = serde_json::to_string(&outcome)
-                                .map(|json| monitor::outcome_digest(json.as_bytes()))
-                                .unwrap_or(0);
-                            monitor::emit_global(&MonitorEvent::Job(JobEvent {
-                                job: i as u64,
-                                scenario: spec.name.clone(),
-                                seed: *seed,
-                                state: JobState::Finished { digest },
-                            }));
-                        }
-                        if let Some(start) = job_start {
-                            trace_export::record_span(
-                                &format!("{}#{seed}", spec.name),
-                                "sweep",
-                                trace_export::PID_SWEEP,
-                                w as u64,
-                                start,
-                                trace_export::now_us().saturating_sub(start),
-                            );
-                        }
-                        *slots[i].lock().expect("result slot") = Some(outcome);
+            for worker in 0..job_threads as u64 {
+                scope.spawn(move || loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    let Some((spec, seed)) = jobs.get(i) else {
+                        break;
+                    };
+                    if monitored {
+                        monitor::emit_global(&MonitorEvent::Job(JobEvent {
+                            job: i as u64,
+                            scenario: spec.name.clone(),
+                            seed: *seed,
+                            state: JobState::Started { worker },
+                        }));
                     }
-                    if let Some(start) = worker_start {
-                        trace_export::record_span(
-                            "sweep-worker",
-                            "sweep",
-                            trace_export::PID_SWEEP,
-                            w as u64,
-                            start,
-                            trace_export::now_us().saturating_sub(start),
-                        );
+                    let outcome = spec.run_with(*seed, tuning);
+                    if monitored {
+                        let digest = serde_json::to_string(&outcome)
+                            .map(|json| monitor::outcome_digest(json.as_bytes()))
+                            .unwrap_or(0);
+                        monitor::emit_global(&MonitorEvent::Job(JobEvent {
+                            job: i as u64,
+                            scenario: spec.name.clone(),
+                            seed: *seed,
+                            state: JobState::Finished { worker, digest },
+                        }));
                     }
+                    *slots[i].lock().expect("result slot") = Some(outcome);
                 });
             }
         });
-        // Batch entry point: when `VI_TRACE` is set, every finished
-        // sweep flushes what it collected (later sweeps append to the
-        // same file path, last writer wins — fine for the one-shot
-        // bench/CI usage this serves).
-        if trace_export::env_trace_path().is_some() {
-            trace_export::flush_env();
-        }
         if monitored {
             monitor::flush_global();
         }

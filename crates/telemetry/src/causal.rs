@@ -23,7 +23,6 @@ use std::rc::Rc;
 use serde::{Deserialize, Serialize};
 
 use crate::histogram::LatencyHistogram;
-use crate::trace_export;
 
 /// Spans retained before further recordings only bump the drop
 /// counter (bounds memory on metropolis-scale traced runs).
@@ -390,64 +389,6 @@ impl CausalRecorder {
             op_spans: s.op_spans.clone(),
             decision,
         })
-    }
-}
-
-/// Exports a causal summary as Perfetto flow events riding the global
-/// trace collector (no-op unless tracing is enabled; see
-/// [`trace_export::enable_tracing`]).
-///
-/// Timestamps are *synthetic*: round `r` maps to `r * 1000` µs on the
-/// dedicated [`trace_export::PID_PROTO`] lane, so the flows render as
-/// a deterministic protocol timeline rather than wall-clock noise.
-pub fn export_flows(summary: &CausalSummary) {
-    if !trace_export::tracing_enabled() {
-        return;
-    }
-    const ROUND_US: u64 = 1000;
-    for span in &summary.spans {
-        let (name, cat) = match span.kind {
-            SpanKind::Op => ("op", "traffic"),
-            SpanKind::Broadcast => ("broadcast", "protocol"),
-            SpanKind::Propose => ("propose", "cha"),
-            SpanKind::Decide => ("decide", "cha"),
-        };
-        trace_export::record_span(
-            name,
-            cat,
-            trace_export::PID_PROTO,
-            span.node,
-            span.round * ROUND_US,
-            ROUND_US / 2,
-        );
-    }
-    // One flow per reception edge: start at the sender's broadcast
-    // round, finish at the receiver in the same round. Per-edge ids
-    // keep Perfetto from chaining unrelated arrows together.
-    for (i, edge) in summary.edges.iter().enumerate() {
-        if edge.span == 0 {
-            continue;
-        }
-        let ts = edge.round * ROUND_US;
-        let flow = i as u64 + 1;
-        trace_export::record_flow(
-            "rx",
-            "protocol",
-            "s",
-            trace_export::PID_PROTO,
-            edge.src,
-            ts,
-            flow,
-        );
-        trace_export::record_flow(
-            "rx",
-            "protocol",
-            "f",
-            trace_export::PID_PROTO,
-            edge.dst,
-            ts + ROUND_US / 2,
-            flow,
-        );
     }
 }
 

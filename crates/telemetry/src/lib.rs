@@ -17,17 +17,12 @@
 //!   [`LatencyHistogram`]s. Wall-clock is *explicitly outside* the
 //!   determinism contract and excluded from byte-identity comparisons
 //!   (see [`TelemetrySummary`]'s `PartialEq`).
-//! * **Perfetto/Chrome trace export** (module [`trace_export`]) —
-//!   span events across sweep workers, written as Chrome trace-event
-//!   JSON that opens directly in
-//!   `ui.perfetto.dev`. Gated by the `VI_TRACE=out.json` environment
-//!   variable or an explicit [`trace_export::enable_tracing`] call.
 //! * **Causal tracing** ([`CausalRecorder`], module [`causal`]) —
 //!   deterministic trace ids for client ops, protocol broadcasts, and
 //!   CHA propose/decide chains, reconstructed into per-run causal
-//!   DAGs with per-app invoke→decide latency timelines, exportable as
-//!   Perfetto flow events. Ids come from a dedicated SplitMix64
-//!   stream, so tracing never perturbs the simulation RNG.
+//!   DAGs with per-app invoke→decide latency timelines. Ids come from
+//!   a dedicated SplitMix64 stream, so tracing never perturbs the
+//!   simulation RNG.
 //! * **Flight recorder** ([`FlightRecorder`], module [`flight`]) — a
 //!   bounded ring of the last K rounds of structured events
 //!   (receptions, adversary verdicts, churn, nemesis crashes), the
@@ -38,6 +33,13 @@
 //!   [`MonitorSink`]s: a JSONL event log (`VI_MONITOR_LOG`), a bounded
 //!   in-memory ring, and a Prometheus-text `/metrics` exporter
 //!   (`VI_MONITOR_ADDR`).
+//! * **Perfetto/Chrome trace export** ([`TraceSink`], module
+//!   [`trace_export`]) — one more sink on the same registry: sweep job
+//!   events become per-job and per-worker spans, a
+//!   [`MonitorEvent::Causal`] DAG becomes flow arrows, and every flush
+//!   rewrites the Chrome trace-event JSON file (opens in
+//!   `ui.perfetto.dev`) with everything seen so far. `VI_TRACE=out.json`
+//!   installs one; it requests no snapshot sampling.
 //!
 //! The probe, the two recorders and the monitor are threaded through
 //! the engine as one [`Observers`] value (module [`observers`]): four
@@ -68,6 +70,7 @@ pub use monitor::{
 pub use observers::Observers;
 pub use phases::{Phase, PhaseStats, PhaseSummary, PhaseTimers};
 pub use probe::Probe;
+pub use trace_export::TraceSink;
 
 use serde::{Deserialize, Serialize};
 

@@ -19,6 +19,9 @@
 //!   (`VI_MONITOR_ADDR=127.0.0.1:9464`). The metric set is generated
 //!   from [`Counters::rows`], so it can never drift from the counter
 //!   registry.
+//! * [`TraceSink`] — the Perfetto/Chrome trace export of sweep jobs
+//!   and causal DAGs (`VI_TRACE=out.json`; module
+//!   [`crate::trace_export`]).
 //!
 //! The PR 7 contract holds throughout: snapshots live on the
 //! wall-clock side (sampling never feeds back into simulation state),
@@ -27,9 +30,11 @@
 //! boundaries), and a disabled monitor costs one branch per round and
 //! zero allocations.
 
+use crate::causal::CausalSummary;
 use crate::counters::Counters;
 use crate::phases::{PhaseSummary, PhaseTimers};
 use crate::probe::Probe;
+use crate::trace_export::TraceSink;
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -101,9 +106,14 @@ pub enum JobState {
     /// The job is in the sweep's work list.
     Queued,
     /// A worker picked the job up.
-    Started,
+    Started {
+        /// Index of the sweep worker running the job.
+        worker: u64,
+    },
     /// The job produced its outcome.
     Finished {
+        /// Index of the sweep worker that ran the job.
+        worker: u64,
         /// FNV-1a digest of the outcome's JSON serialization —
         /// deterministic for a fixed `(spec, seed)`, so digests can be
         /// compared across worker counts and across runs.
@@ -114,7 +124,8 @@ pub enum JobState {
 /// One sweep-progress event. Workers interleave in wall-clock order,
 /// but every event carries its deterministic `job` index (position in
 /// the sweep's job list), so consumers that order by `(job, state)`
-/// see the same sequence at any worker count.
+/// see the same sequence at any worker count (which `worker` takes a
+/// job is a race, so that field is wall-clock-side).
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct JobEvent {
     /// Index of the job in the sweep's job list.
@@ -135,6 +146,9 @@ pub enum MonitorEvent {
     Snapshot(Box<TelemetrySnapshot>),
     /// A sweep job lifecycle transition.
     Job(JobEvent),
+    /// A run's causal DAG, for sinks that render it (the
+    /// [`TraceSink`] draws it as flow arrows).
+    Causal(Box<CausalSummary>),
 }
 
 /// A streaming consumer of [`MonitorEvent`]s. Sinks are shared across
@@ -399,9 +413,10 @@ impl MonitorSink for PrometheusExporter {
             }
             MonitorEvent::Job(j) => match j.state {
                 JobState::Queued => state.jobs_queued += 1,
-                JobState::Started => state.jobs_started += 1,
+                JobState::Started { .. } => state.jobs_started += 1,
                 JobState::Finished { .. } => state.jobs_finished += 1,
             },
+            MonitorEvent::Causal(_) => {}
         }
     }
 }
@@ -461,7 +476,7 @@ pub fn scrape_metrics(addr: &str) -> std::io::Result<String> {
 }
 
 // ---------------------------------------------------------------------------
-// Process-global sink registry (trace_export-style)
+// The process-global sink registry
 // ---------------------------------------------------------------------------
 
 static SINKS: Mutex<Vec<Arc<dyn MonitorSink>>> = Mutex::new(Vec::new());
@@ -470,48 +485,64 @@ static FORCED: AtomicBool = AtomicBool::new(false);
 static ENV: OnceLock<EnvMonitor> = OnceLock::new();
 
 struct EnvMonitor {
+    /// Whether the environment asked for snapshot sampling.
     requested: bool,
     every: u64,
 }
 
-/// Reads the monitoring environment once: `VI_MONITOR_LOG=out.jsonl`
-/// installs a [`JsonlSink`], `VI_MONITOR_ADDR=host:port` binds a
-/// [`PrometheusExporter`], `VI_MONITOR_EVERY=K` overrides the
-/// sampling period (default [`DEFAULT_EVERY`]). Failures warn on
-/// stderr and leave monitoring off rather than failing the run.
+/// Reads the environment once, installing its sinks.
 fn env_monitor() -> &'static EnvMonitor {
     ENV.get_or_init(|| {
-        let mut requested = false;
-        if let Ok(path) = std::env::var("VI_MONITOR_LOG") {
-            if !path.is_empty() {
-                match JsonlSink::create(&path) {
-                    Ok(sink) => {
-                        install_sink(Arc::new(sink));
-                        requested = true;
-                    }
-                    Err(e) => eprintln!("vi-monitor: cannot open {path}: {e}"),
-                }
-            }
+        let (env, sinks) = read_env(|key| std::env::var(key).ok());
+        for sink in sinks {
+            install_sink(sink);
         }
-        if let Ok(addr) = std::env::var("VI_MONITOR_ADDR") {
-            if !addr.is_empty() {
-                match PrometheusExporter::bind(&addr) {
-                    Ok(exporter) => {
-                        eprintln!("vi-monitor: serving /metrics on {}", exporter.addr());
-                        install_sink(exporter);
-                        requested = true;
-                    }
-                    Err(e) => eprintln!("vi-monitor: cannot bind {addr}: {e}"),
-                }
-            }
-        }
-        let every = std::env::var("VI_MONITOR_EVERY")
-            .ok()
-            .and_then(|v| v.parse::<u64>().ok())
-            .filter(|&v| v > 0)
-            .unwrap_or(DEFAULT_EVERY);
-        EnvMonitor { requested, every }
+        env
     })
+}
+
+/// The one reader of the side-output environment, over a variable
+/// lookup: `VI_MONITOR_LOG=out.jsonl` opens a [`JsonlSink`] and
+/// `VI_MONITOR_ADDR=host:port` binds a [`PrometheusExporter`] — both
+/// request snapshot sampling, at `VI_MONITOR_EVERY=K` rounds (default
+/// [`DEFAULT_EVERY`]). `VI_TRACE=out.json` opens a [`TraceSink`] and
+/// requests nothing: span export alone turns on neither the probe nor
+/// the monitor. Failures warn on stderr and leave that sink out rather
+/// than failing the run.
+fn read_env(var: impl Fn(&str) -> Option<String>) -> (EnvMonitor, Vec<Arc<dyn MonitorSink>>) {
+    let var = |key: &str| var(key).filter(|v| !v.is_empty());
+    let mut sinks: Vec<Arc<dyn MonitorSink>> = Vec::new();
+    let mut requested = false;
+    if let Some(path) = var("VI_MONITOR_LOG") {
+        match JsonlSink::create(&path) {
+            Ok(sink) => {
+                sinks.push(Arc::new(sink));
+                requested = true;
+            }
+            Err(e) => eprintln!("vi-monitor: cannot open {path}: {e}"),
+        }
+    }
+    if let Some(addr) = var("VI_MONITOR_ADDR") {
+        match PrometheusExporter::bind(&addr) {
+            Ok(exporter) => {
+                eprintln!("vi-monitor: serving /metrics on {}", exporter.addr());
+                sinks.push(exporter);
+                requested = true;
+            }
+            Err(e) => eprintln!("vi-monitor: cannot bind {addr}: {e}"),
+        }
+    }
+    if let Some(path) = var("VI_TRACE") {
+        match TraceSink::create(&path) {
+            Ok(sink) => sinks.push(Arc::new(sink)),
+            Err(e) => eprintln!("vi-monitor: cannot open {path}: {e}"),
+        }
+    }
+    let every = var("VI_MONITOR_EVERY")
+        .and_then(|v| v.parse::<u64>().ok())
+        .filter(|&v| v > 0)
+        .unwrap_or(DEFAULT_EVERY);
+    (EnvMonitor { requested, every }, sinks)
 }
 
 /// Adds a sink to the process-global registry. Every monitored run
@@ -520,13 +551,6 @@ pub fn install_sink(sink: Arc<dyn MonitorSink>) {
     let mut sinks = SINKS.lock().unwrap_or_else(|e| e.into_inner());
     sinks.push(sink);
     HAVE_SINKS.store(true, Ordering::Relaxed);
-}
-
-/// Removes every installed sink (tests).
-pub fn clear_sinks() {
-    let mut sinks = SINKS.lock().unwrap_or_else(|e| e.into_inner());
-    sinks.clear();
-    HAVE_SINKS.store(false, Ordering::Relaxed);
 }
 
 /// Removes one specific sink (by identity), leaving the others —
@@ -541,11 +565,11 @@ pub fn uninstall_sink(sink: &Arc<dyn MonitorSink>) {
 }
 
 /// Whether any sink is installed or configured. The first call reads
-/// the `VI_MONITOR_*` environment (installing its sinks), so sweeps
-/// and explicitly-tuned runs see environment sinks no matter which
-/// entry point touches monitoring first; afterwards this is one
-/// `OnceLock` probe plus a relaxed load — the disabled path stays
-/// effectively free.
+/// the environment (installing its sinks), so sweeps and
+/// explicitly-tuned runs see environment sinks no matter which entry
+/// point touches monitoring first; afterwards this is one `OnceLock`
+/// probe plus a relaxed load — the disabled path stays effectively
+/// free.
 pub fn have_sinks() -> bool {
     env_monitor();
     HAVE_SINKS.load(Ordering::Relaxed)
@@ -572,18 +596,10 @@ pub fn force_enable() {
 /// via `VI_MONITOR_LOG` / `VI_MONITOR_ADDR` / [`force_enable`]; else
 /// 0 (off). Reading the environment happens once, lazily.
 pub fn effective_every(explicit: u64) -> u64 {
-    if explicit > 0 {
-        return explicit;
-    }
-    if FORCED.load(Ordering::Relaxed) {
-        return env_monitor().every;
-    }
-    // Plain runs only pay an env read on the first call.
     let env = env_monitor();
-    if env.requested {
-        env.every
-    } else {
-        0
+    match explicit {
+        0 if env.requested || FORCED.load(Ordering::Relaxed) => env.every,
+        _ => explicit,
     }
 }
 
@@ -837,7 +853,10 @@ mod tests {
             job: 0,
             scenario: "a".to_string(),
             seed: 1,
-            state: JobState::Finished { digest: 42 },
+            state: JobState::Finished {
+                worker: 0,
+                digest: 42,
+            },
         }));
         sink.flush();
         let raw = std::fs::read_to_string(&path).unwrap();
@@ -924,10 +943,45 @@ mod tests {
             job: 4,
             scenario: "s".to_string(),
             seed: 9,
-            state: JobState::Finished { digest: 77 },
+            state: JobState::Finished {
+                worker: 1,
+                digest: 77,
+            },
         });
         let json = serde_json::to_string(&job).unwrap();
         let back: MonitorEvent = serde_json::from_str(&json).unwrap();
         assert_eq!(back, job);
+    }
+
+    /// `VI_TRACE` alone installs its sink and requests no sampling, so
+    /// a run under it builds no monitor and, through one, no probe
+    /// (`effective_every(0)` stays 0); beside `VI_MONITOR_LOG` it only
+    /// adds its sink.
+    #[test]
+    fn vi_trace_alone_turns_on_no_sampling() {
+        let dir = std::env::temp_dir().join("vi_monitor_env_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
+        let (trace, log) = (path("trace.json"), path("log.jsonl"));
+        let env = |vars: &[(&str, &str)]| {
+            let lookup = |key: &str| vars.iter().find(|v| v.0 == key).map(|v| v.1.to_string());
+            let (env, sinks) = read_env(lookup);
+            (env.requested, env.every, sinks.len())
+        };
+        assert_eq!(env(&[("VI_TRACE", &trace)]), (false, DEFAULT_EVERY, 1));
+        assert!(std::fs::read_to_string(&trace)
+            .unwrap()
+            .contains("traceEvents"));
+        let both = [
+            ("VI_TRACE", &*trace),
+            ("VI_MONITOR_LOG", &log),
+            ("VI_MONITOR_EVERY", "16"),
+        ];
+        assert_eq!(env(&both), (true, 16, 2));
+        assert_eq!(
+            env(&[("VI_TRACE", "")]),
+            (false, DEFAULT_EVERY, 0),
+            "empty is unset"
+        );
     }
 }

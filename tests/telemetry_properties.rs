@@ -11,6 +11,9 @@
 //!    live monitor streams, concatenated in sequence order, reconcile
 //!    exactly with the end-of-run telemetry totals at any sampling
 //!    period.
+//!
+//! One plain test covers the Perfetto export: a `TraceSink` on the
+//! sink registry keeps every sweep and causal DAG of the process.
 
 use proptest::prelude::*;
 use std::any::Any;
@@ -22,9 +25,12 @@ use virtual_infra::radio::{
     ChannelStats, Engine, EngineConfig, NodeId, NodeSpec, Process, RadioConfig, RoundCtx,
     RoundReception,
 };
+use virtual_infra::scenario::{catalog, EngineTuning, SweepRunner};
+use virtual_infra::telemetry::monitor::{self, MonitorSink};
+use virtual_infra::telemetry::trace_export::TraceFile;
 use virtual_infra::telemetry::{
     CausalRecorder, Counters, FlightRecorder, Monitor, MonitorEvent, Observers, Probe, RingSink,
-    SinkSet, TelemetrySnapshot,
+    SinkSet, TelemetrySnapshot, TraceSink,
 };
 
 fn arb_point() -> impl Strategy<Value = Point> {
@@ -263,4 +269,53 @@ proptest! {
         prop_assert_eq!(last.counters_total, finals,
             "the last snapshot's running total is the end-of-run counter set");
     }
+}
+
+/// Two sweeps and one causal DAG into one installed `TraceSink`: the
+/// file holds both sweeps' job spans (a flush rewrites everything seen
+/// so far; it never drains) and the DAG's flows as equal, non-zero
+/// counts of `s` and `f` endpoints. Installing sinks turns on no
+/// snapshot sampling: a ring beside the trace sink sees job events
+/// only.
+#[test]
+fn trace_sink_keeps_every_sweep_and_the_causal_flows() {
+    let dir = std::env::temp_dir().join("vi_trace_sink_sweeps");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("trace.json");
+    let trace: Arc<dyn MonitorSink> = Arc::new(TraceSink::create(path.to_str().unwrap()).unwrap());
+    let ring = Arc::new(RingSink::with_capacity(1 << 12));
+    let ring_sink: Arc<dyn MonitorSink> = ring.clone();
+    monitor::install_sink(trace.clone());
+    monitor::install_sink(ring_sink.clone());
+
+    let clique = catalog::scenario("clique").unwrap();
+    let mut second = clique.clone();
+    second.name = "clique_again".to_string();
+    SweepRunner::new(2).run_matrix(std::slice::from_ref(&clique), &[1, 2]);
+    SweepRunner::new(2).run_matrix(&[second], &[3]);
+    let traced = clique.run_with(1, EngineTuning::DEFAULT.with_tracing());
+    let dag = traced.causal.expect("tracing on");
+    monitor::emit_global(&MonitorEvent::Causal(Box::new(dag)));
+    monitor::flush_global();
+    monitor::uninstall_sink(&trace);
+    monitor::uninstall_sink(&ring_sink);
+
+    let file: TraceFile = serde_json::from_str(&std::fs::read_to_string(&path).unwrap()).unwrap();
+    let events = file.traceEvents;
+    for job in ["clique#1", "clique#2", "clique_again#3"] {
+        assert!(events.iter().any(|ev| ev.name == job), "{job} missing");
+    }
+    let phase = |ph: &str| events.iter().filter(|ev| ev.ph == ph).count();
+    assert!(phase("s") > 0, "the DAG's flows are in the file");
+    assert_eq!(phase("s"), phase("f"), "every flow has both ends");
+
+    let events = ring.events();
+    assert!(events.iter().any(|e| matches!(e, MonitorEvent::Job(_))));
+    assert!(
+        !events
+            .iter()
+            .any(|e| matches!(e, MonitorEvent::Snapshot(_))),
+        "an installed sink alone requests no snapshots"
+    );
+    std::fs::remove_file(&path).ok();
 }
