@@ -85,6 +85,17 @@ guards=(
   'above-tests:crates/core/src/vi/emulator.rs' '-'
   'the emulator throws a per-round buffer away again; clear or swap it'
 
+  # A CHA outcome is stored once, compactly (`tests/cha_checker_memory.rs`):
+  # each node's outputs hold ⊥ in 24 bytes, and the spec checker
+  # borrows them as `(node, slice)` runs instead of copying them.
+  'struct Recorded|history\.clone\(\)'
+  'above-tests:crates/core/src/cha/spec.rs' '-'
+  'the spec checker copies outputs again; it borrows them'
+
+  'pub history: Option<History<'
+  'above-tests:crates/core/src/cha/protocol.rs' '-'
+  'ChaOutput holds ⊥ in 24 bytes: the history is boxed'
+
   # The clock has one home: vi-perf (`bash bench/run.sh`) is the only
   # code that reports a wall-clock or RSS number. vi-bench's tables
   # are pure functions of the code, pinned by crates/bench/expected/;

@@ -66,7 +66,7 @@ pub struct CliqueRun {
 
 impl CliqueRun {
     /// Builds a specification checker loaded with this run's events.
-    pub fn checker(&self) -> ChaSpecChecker<u64> {
+    pub fn checker(&self) -> ChaSpecChecker<'_, u64> {
         let mut c = ChaSpecChecker::new();
         for props in &self.proposals {
             for &(k, v) in props {
@@ -74,9 +74,7 @@ impl CliqueRun {
             }
         }
         for (node, outs) in self.outputs.iter().enumerate() {
-            for out in outs {
-                c.record_output(node, out);
-            }
+            c.record_outputs(node, outs);
         }
         for &node in &self.crashed {
             c.mark_crashed(node);

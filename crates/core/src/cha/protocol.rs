@@ -74,12 +74,16 @@ impl<V: WireSized> WireSized for ChaMessage<V> {
 }
 
 /// The per-instance outcome at one node.
+///
+/// The history is boxed because a node keeps every output it produced
+/// and most of them are ⊥ (99 in 100 across a 20 000-node city): 24
+/// bytes an output for `V = u64` instead of 56.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ChaOutput<V> {
     /// The instance this output concludes.
     pub instance: u64,
     /// `Some(history)` iff the instance finished green; `None` is ⊥.
-    pub history: Option<History<V>>,
+    pub history: Option<Box<History<V>>>,
     /// The final color (recorded for Property 4 experiments).
     pub color: Color,
 }
@@ -379,7 +383,7 @@ impl<V: Clone + Ord> ChaProtocol<V> {
         let color = self.finish_instance(veto_heard, collision);
         ChaOutput {
             instance: self.instance,
-            history: (color == Color::Green).then(|| self.current_history()),
+            history: (color == Color::Green).then(|| Box::new(self.current_history())),
             color,
         }
     }

@@ -72,7 +72,7 @@ impl<V: Clone + Ord> TreeProtocol<V> {
         }
         ChaOutput {
             instance: self.instance,
-            history: (color == Color::Green).then(|| self.current_history()),
+            history: (color == Color::Green).then(|| Box::new(self.current_history())),
             color,
         }
     }

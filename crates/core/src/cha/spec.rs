@@ -17,10 +17,17 @@
 //! Agreement is checked in `O(m · len)` by exploiting transitivity:
 //! prefix-agreement between histories sorted by output instance is
 //! equivalent to pairwise agreement (an exhaustive quadratic checker
-//! is provided for cross-validation in property tests). Recording and
-//! the other three checks are likewise linear, times a log, in what
-//! was recorded; the quadratic checker all of this replaced is the
+//! is provided for cross-validation in property tests). The other
+//! three checks are likewise linear, times a log, in what was
+//! recorded; the quadratic checker all of this replaced is the
 //! test-only `reference` module.
+//!
+//! Recording an output copies nothing: the checker borrows each node's
+//! outputs where they lie. Checking a 20 000-node, 10-instance run
+//! (vi-perf's metro workloads: 200 000 outputs, 99 in 100 of them ⊥)
+//! raises the heap's high-water mark by about 5 MiB — its proposals
+//! and their sort keys — where copying every output into the checker
+//! took 14 MiB (`tests/cha_checker_memory.rs` holds it under 6 MiB).
 
 use crate::cha::history::{Color, History};
 use crate::cha::protocol::ChaOutput;
@@ -84,60 +91,50 @@ impl fmt::Display for SpecViolation {
     }
 }
 
-/// One recorded output (`history: None` is ⊥). The history is boxed
-/// because every check walks the whole vector and most outputs of a
-/// large run are ⊥ (99 in 100 at 20 000 nodes): 32 bytes an entry
-/// instead of 64 took a third off the 20 000-node checker.
-#[derive(Clone, Debug)]
-struct Recorded<V> {
-    node: usize,
-    instance: u64,
-    color: Color,
-    history: Option<Box<History<V>>>,
-}
-
-impl<V> Recorded<V> {
-    /// The lowest `kst` this output admits: the start of the unbroken
-    /// run of included instances that ends at its own instance, or one
-    /// past its instance if it is ⊥ or omits its own instance.
-    fn lowest_kst(&self) -> u64 {
-        let k = self.instance;
-        let mut run: Option<(u64, u64)> = None;
-        for (i, _) in self.history.iter().flat_map(|h| h.iter()) {
-            if i > k {
-                break;
-            }
-            run = match run {
-                Some((start, end)) if end + 1 == i => Some((start, i)),
-                _ => Some((i, i)),
-            };
+/// The lowest `kst` an output admits: the start of the unbroken run of
+/// included instances that ends at its own instance, or one past its
+/// instance if it is ⊥ or omits its own instance.
+fn lowest_kst<V>(out: &ChaOutput<V>) -> u64 {
+    let k = out.instance;
+    let mut run: Option<(u64, u64)> = None;
+    for (i, _) in out.history.iter().flat_map(|h| h.iter()) {
+        if i > k {
+            break;
         }
-        match run {
-            Some((start, end)) if end == k => start,
-            _ => k + 1,
-        }
+        run = match run {
+            Some((start, end)) if end + 1 == i => Some((start, i)),
+            _ => Some((i, i)),
+        };
+    }
+    match run {
+        Some((start, end)) if end == k => start,
+        _ => k + 1,
     }
 }
 
 /// Collects an execution's CHA events and checks the specification.
 ///
-/// Recording is one push per event and every check is one pass (plus
-/// a sort) over what was recorded, so a 20 000-node run costs what its
-/// 200 000 outputs cost to store.
+/// The checker borrows the outputs it checks where they lie — one
+/// `(node, slice)` run per recording, typically a node's whole
+/// [`ChaNode::outputs`](crate::cha::ChaNode::outputs) — and copies
+/// none. Every check is one pass (plus a sort) over what was recorded,
+/// so checking a 20 000-node run's 200 000 outputs costs the heap its
+/// 200 000 proposals, 20 000 run entries and one sort key per
+/// proposal.
 #[derive(Clone, Debug, Default)]
-pub struct ChaSpecChecker<V> {
+pub struct ChaSpecChecker<'a, V> {
     proposals: BTreeMap<u64, Vec<V>>,
-    /// Every output, in recording order.
-    outputs: Vec<Recorded<V>>,
+    /// Every recorded run of one node's outputs, in recording order.
+    runs: Vec<(usize, &'a [ChaOutput<V>])>,
     crashed: BTreeSet<usize>,
 }
 
-impl<V: Clone + Ord + fmt::Debug> ChaSpecChecker<V> {
+impl<'a, V: Clone + Ord + fmt::Debug> ChaSpecChecker<'a, V> {
     /// Creates an empty checker.
     pub fn new() -> Self {
         ChaSpecChecker {
             proposals: BTreeMap::new(),
-            outputs: Vec::new(),
+            runs: Vec::new(),
             crashed: BTreeSet::new(),
         }
     }
@@ -147,17 +144,18 @@ impl<V: Clone + Ord + fmt::Debug> ChaSpecChecker<V> {
         self.proposals.entry(instance).or_default().push(value);
     }
 
-    /// Records the output (and final color) `node` produced for one
-    /// instance. Recording a `(node, instance)` pair again adds a
-    /// second output for validity, agreement and Property 4; liveness
-    /// judges the node by the later one.
-    pub fn record_output(&mut self, node: usize, out: &ChaOutput<V>) {
-        self.outputs.push(Recorded {
-            node,
-            instance: out.instance,
-            color: out.color,
-            history: out.history.clone().map(Box::new),
-        });
+    /// Records outputs (and final colors) `node` produced, one per
+    /// instance, in any order. Recording a `(node, instance)` pair
+    /// again — in this run or a later one — adds a second output for
+    /// validity, agreement and Property 4; liveness judges the node by
+    /// the later one.
+    pub fn record_outputs(&mut self, node: usize, outs: &'a [ChaOutput<V>]) {
+        self.runs.push((node, outs));
+    }
+
+    /// [`record_outputs`](Self::record_outputs) for a single output.
+    pub fn record_output(&mut self, node: usize, out: &'a ChaOutput<V>) {
+        self.record_outputs(node, std::slice::from_ref(out));
     }
 
     /// Marks `node` as crashed (excluded from liveness requirements).
@@ -165,12 +163,18 @@ impl<V: Clone + Ord + fmt::Debug> ChaSpecChecker<V> {
         self.crashed.insert(node);
     }
 
+    /// Every output as `(node, output)`, in recording order.
+    fn outputs(&self) -> impl Iterator<Item = (usize, &'a ChaOutput<V>)> + '_ {
+        self.runs
+            .iter()
+            .flat_map(|&(node, run)| run.iter().map(move |o| (node, o)))
+    }
+
     /// The decided outputs as `(node, instance, history)`, in recording
     /// order.
-    fn decided(&self) -> impl Iterator<Item = (usize, u64, &History<V>)> {
-        self.outputs
-            .iter()
-            .filter_map(|o| o.history.as_deref().map(|h| (o.node, o.instance, h)))
+    fn decided(&self) -> impl Iterator<Item = (usize, u64, &'a History<V>)> + '_ {
+        self.outputs()
+            .filter_map(|(node, o)| o.history.as_deref().map(|h| (node, o.instance, h)))
     }
 
     /// Validity: every included history entry was proposed by someone.
@@ -257,17 +261,21 @@ impl<V: Clone + Ord + fmt::Debug> ChaSpecChecker<V> {
     /// rules out exactly the candidates below `l`. So the answer is the largest such `l` over
     /// every live node's outputs and the instances it skipped.
     pub fn liveness_kst(&self) -> Option<u64> {
-        let last = self.outputs.iter().map(|o| o.instance).max()?;
-        // Per node, instances ascending; the sort is stable, so the
-        // later recording of a repeated (node, instance) pair comes
-        // last of its pair.
-        let mut per_node: Vec<&Recorded<V>> = self.outputs.iter().collect();
-        per_node.sort_by_key(|o| (o.node, o.instance));
+        let last = self.outputs().map(|(_, o)| o.instance).max()?;
+        // Runs grouped by node and each node's outputs by instance,
+        // both by stable sorts, so the later recording of a repeated
+        // (node, instance) pair comes last of its pair.
+        let mut runs: Vec<&(usize, &[ChaOutput<V>])> = self.runs.iter().collect();
+        runs.sort_by_key(|&&(node, _)| node);
+        let mut outs: Vec<&ChaOutput<V>> = Vec::new();
         let mut kst = 1;
-        for outs in per_node.chunk_by(|a, b| a.node == b.node) {
-            if self.crashed.contains(&outs[0].node) {
+        for node_runs in runs.chunk_by(|a, b| a.0 == b.0) {
+            if self.crashed.contains(&node_runs[0].0) {
                 continue;
             }
+            outs.clear();
+            outs.extend(node_runs.iter().flat_map(|&&(_, run)| run));
+            outs.sort_by_key(|o| o.instance);
             // The node may have joined late, but instances before its
             // first output count as skipped like any other gap.
             let mut covered = 0;
@@ -278,7 +286,7 @@ impl<V: Clone + Ord + fmt::Debug> ChaSpecChecker<V> {
                 if out.instance - covered > 1 {
                     kst = kst.max(out.instance);
                 }
-                kst = kst.max(out.lowest_kst());
+                kst = kst.max(lowest_kst(out));
                 covered = out.instance;
             }
         }
@@ -290,7 +298,7 @@ impl<V: Clone + Ord + fmt::Debug> ChaSpecChecker<V> {
         const BY_SHADE: [Color; 4] = [Color::Red, Color::Orange, Color::Yellow, Color::Green];
         // Bit `s` of an instance's mask: some node finished it in shade `s`.
         let mut seen: BTreeMap<u64, u8> = BTreeMap::new();
-        for out in &self.outputs {
+        for (_, out) in self.outputs() {
             *seen.entry(out.instance).or_default() |= 1 << out.color.shade();
         }
         let mut violations = Vec::new();
@@ -322,7 +330,7 @@ impl<V: Clone + Ord + fmt::Debug> ChaSpecChecker<V> {
 
     /// Number of recorded outputs.
     pub fn output_count(&self) -> usize {
-        self.outputs.len()
+        self.runs.iter().map(|(_, run)| run.len()).sum()
     }
 }
 
@@ -367,22 +375,25 @@ mod tests {
     fn out(instance: u64, h: Option<History<u32>>, color: Color) -> ChaOutput<u32> {
         ChaOutput {
             instance,
-            history: h,
+            history: h.map(Box::new),
             color,
         }
     }
 
     #[test]
     fn clean_trace_passes() {
+        let outs: Vec<_> = (1..=3u64)
+            .map(|k| {
+                let h = history(&(1..=k).map(|i| (i, i as u32 * 10)).collect::<Vec<_>>(), k);
+                out(k, Some(h), Color::Green)
+            })
+            .collect();
         let mut c = ChaSpecChecker::new();
         for k in 1..=3 {
             c.record_proposal(k, k as u32 * 10);
         }
         for node in 0..3 {
-            for k in 1..=3u64 {
-                let h = history(&(1..=k).map(|i| (i, i as u32 * 10)).collect::<Vec<_>>(), k);
-                c.record_output(node, &out(k, Some(h), Color::Green));
-            }
+            c.record_outputs(node, &outs);
         }
         assert!(c.check_all(true).is_empty());
         assert_eq!(c.liveness_kst(), Some(1));
@@ -390,10 +401,10 @@ mod tests {
 
     #[test]
     fn detects_validity_violation() {
+        let o = out(1, Some(history(&[(1, 99)], 1)), Color::Green); // 99 was never proposed
         let mut c = ChaSpecChecker::new();
         c.record_proposal(1, 10);
-        let h = history(&[(1, 99)], 1); // 99 was never proposed
-        c.record_output(0, &out(1, Some(h), Color::Green));
+        c.record_output(0, &o);
         let v = c.check_validity();
         assert_eq!(v.len(), 1);
         assert!(matches!(
@@ -407,11 +418,13 @@ mod tests {
 
     #[test]
     fn detects_agreement_violation_on_values() {
+        let a = out(1, Some(history(&[(1, 10)], 1)), Color::Green);
+        let b = out(1, Some(history(&[(1, 20)], 1)), Color::Green);
         let mut c = ChaSpecChecker::new();
         c.record_proposal(1, 10);
         c.record_proposal(1, 20);
-        c.record_output(0, &out(1, Some(history(&[(1, 10)], 1)), Color::Green));
-        c.record_output(1, &out(1, Some(history(&[(1, 20)], 1)), Color::Green));
+        c.record_output(0, &a);
+        c.record_output(1, &b);
         assert!(!c.check_agreement().is_empty());
         assert!(!c.check_agreement_exhaustive().is_empty());
     }
@@ -420,23 +433,24 @@ mod tests {
     fn detects_agreement_violation_on_bottom_placement() {
         // One history includes instance 1, the other outputs ⊥ there:
         // the definition requires h(k) equality including ⊥.
+        let a = out(2, Some(history(&[(1, 10), (2, 20)], 2)), Color::Green);
+        let b = out(2, Some(history(&[(2, 20)], 2)), Color::Green);
         let mut c = ChaSpecChecker::new();
         c.record_proposal(1, 10);
         c.record_proposal(2, 20);
-        c.record_output(
-            0,
-            &out(2, Some(history(&[(1, 10), (2, 20)], 2)), Color::Green),
-        );
-        c.record_output(1, &out(2, Some(history(&[(2, 20)], 2)), Color::Green));
+        c.record_output(0, &a);
+        c.record_output(1, &b);
         assert!(!c.check_agreement().is_empty());
     }
 
     #[test]
     fn bottom_outputs_do_not_constrain_agreement() {
+        let a = out(1, Some(history(&[(1, 10)], 1)), Color::Green);
+        let b = out(1, None, Color::Yellow);
         let mut c = ChaSpecChecker::new();
         c.record_proposal(1, 10);
-        c.record_output(0, &out(1, Some(history(&[(1, 10)], 1)), Color::Green));
-        c.record_output(1, &out(1, None, Color::Yellow));
+        c.record_output(0, &a);
+        c.record_output(1, &b);
         assert!(c.check_agreement().is_empty());
     }
 
@@ -449,20 +463,21 @@ mod tests {
         for k in 1..=5u64 {
             ballots.insert(k, Ballot::new(k as u32, k - 1));
         }
+        let outs: Vec<_> = (2..=5u64)
+            .map(|k| out(k, Some(calculate_history(k, k, &ballots, 0)), Color::Green))
+            .collect();
+        let corrupt = out(3, Some(history(&[(3, 99)], 3)), Color::Green);
         let mut c = ChaSpecChecker::new();
         for k in 1..=5u64 {
             c.record_proposal(k, k as u32);
         }
         for node in 0..4usize {
-            for k in 2..=5u64 {
-                let h = calculate_history(k, k, &ballots, 0);
-                c.record_output(node, &out(k, Some(h), Color::Green));
-            }
+            c.record_outputs(node, &outs);
         }
         assert!(c.check_agreement().is_empty());
         assert!(c.check_agreement_exhaustive().is_empty());
 
-        c.record_output(9, &out(3, Some(history(&[(3, 99)], 3)), Color::Green));
+        c.record_output(9, &corrupt);
         c.record_proposal(3, 99);
         assert!(!c.check_agreement().is_empty());
         assert!(!c.check_agreement_exhaustive().is_empty());
@@ -470,18 +485,19 @@ mod tests {
 
     #[test]
     fn liveness_found_after_unstable_prefix() {
+        // Instance 1 undecided everywhere; 2..4 decided and include
+        // everything from 2 on.
+        let mut outs = vec![out(1, None, Color::Red)];
+        for k in 2..=4u64 {
+            let entries: Vec<(u64, u32)> = (2..=k).map(|i| (i, i as u32)).collect();
+            outs.push(out(k, Some(history(&entries, k)), Color::Green));
+        }
         let mut c = ChaSpecChecker::new();
         for k in 1..=4u64 {
             c.record_proposal(k, k as u32);
         }
-        // Instance 1 undecided everywhere; 2..4 decided and include
-        // everything from 2 on.
         for node in 0..2 {
-            c.record_output(node, &out(1, None, Color::Red));
-            for k in 2..=4u64 {
-                let entries: Vec<(u64, u32)> = (2..=k).map(|i| (i, i as u32)).collect();
-                c.record_output(node, &out(k, Some(history(&entries, k)), Color::Green));
-            }
+            c.record_outputs(node, &outs);
         }
         assert_eq!(c.liveness_kst(), Some(2));
         assert!(c.check_all(true).is_empty());
@@ -489,31 +505,37 @@ mod tests {
 
     #[test]
     fn liveness_fails_when_holes_persist() {
+        // Node 0 never decides instance 2.
+        let outs = [
+            out(1, Some(history(&[(1, 1)], 1)), Color::Green),
+            out(2, None, Color::Orange),
+        ];
         let mut c = ChaSpecChecker::new();
         c.record_proposal(1, 1);
         c.record_proposal(2, 2);
-        // Node 0 never decides instance 2.
-        c.record_output(0, &out(1, Some(history(&[(1, 1)], 1)), Color::Green));
-        c.record_output(0, &out(2, None, Color::Orange));
+        c.record_outputs(0, &outs);
         assert_eq!(c.liveness_kst(), None);
         assert!(c.check_all(true).contains(&SpecViolation::Liveness));
     }
 
     #[test]
     fn crashed_nodes_excluded_from_liveness() {
+        let a = out(1, Some(history(&[(1, 1)], 1)), Color::Green);
+        let b = out(1, None, Color::Red);
         let mut c = ChaSpecChecker::new();
         c.record_proposal(1, 1);
-        c.record_output(0, &out(1, Some(history(&[(1, 1)], 1)), Color::Green));
-        c.record_output(1, &out(1, None, Color::Red));
+        c.record_output(0, &a);
+        c.record_output(1, &b);
         c.mark_crashed(1);
         assert_eq!(c.liveness_kst(), Some(1));
     }
 
     #[test]
     fn detects_color_spread_violation() {
+        let (a, b) = (out(1, None, Color::Red), out(1, None, Color::Yellow));
         let mut c = ChaSpecChecker::new();
-        c.record_output(0, &out(1, None, Color::Red));
-        c.record_output(1, &out(1, None, Color::Yellow));
+        c.record_output(0, &a);
+        c.record_output(1, &b);
         let v = c.check_color_spread();
         assert_eq!(v.len(), 1);
         assert!(matches!(
@@ -524,9 +546,11 @@ mod tests {
 
     #[test]
     fn adjacent_shades_pass_property4() {
+        let a = out(1, None, Color::Yellow);
+        let b = out(1, Some(history(&[], 1)), Color::Green);
         let mut c = ChaSpecChecker::new();
-        c.record_output(0, &out(1, None, Color::Yellow));
-        c.record_output(1, &out(1, Some(history(&[], 1)), Color::Green));
+        c.record_output(0, &a);
+        c.record_output(1, &b);
         assert!(c.check_color_spread().is_empty());
     }
 

@@ -14,7 +14,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 /// [`super::ChaSpecChecker`] as it was before the rewrite, same method
-/// names and signatures.
+/// names and signatures (recording still copies: it owns its inputs).
 #[derive(Clone, Debug, Default)]
 pub struct ChaSpecCheckerReference<V> {
     proposals: BTreeMap<u64, Vec<V>>,
@@ -45,12 +45,13 @@ impl<V: Clone + Eq + fmt::Debug> ChaSpecCheckerReference<V> {
     /// Records the output (and final color) `node` produced for one
     /// instance.
     pub fn record_output(&mut self, node: usize, out: &ChaOutput<V>) {
-        self.outputs.push((node, out.instance, out.history.clone()));
+        let history = out.history.as_deref().cloned();
+        self.outputs.push((node, out.instance, history.clone()));
         self.colors.entry(out.instance).or_default().push(out.color);
         self.by_node
             .entry(node)
             .or_default()
-            .insert(out.instance, out.history.clone());
+            .insert(out.instance, history);
     }
 
     /// Marks `node` as crashed (excluded from liveness requirements).
@@ -205,7 +206,7 @@ fn first_disagreement<V: Eq>(a: &History<V>, b: &History<V>, upto: u64) -> Optio
 /// same verdicts: every violation list equal element for element, the
 /// same `kst`.
 pub fn assert_same_verdicts<V: Clone + Ord + fmt::Debug>(
-    new: &ChaSpecChecker<V>,
+    new: &ChaSpecChecker<'_, V>,
     old: &ChaSpecCheckerReference<V>,
     what: &str,
 ) {

@@ -454,7 +454,8 @@ impl ScenarioSpec {
         // genesis nodes' outputs feed the checker: a checkpoint
         // joiner's history summarizes the pre-join prefix as ⊥, which
         // the strict history-equality relation would misread as
-        // disagreement.
+        // disagreement. The checker borrows each node's outputs in
+        // place.
         let mut checker = ChaSpecChecker::new();
         let mut total_outputs = 0usize;
         let mut decided = 0usize;
@@ -463,15 +464,11 @@ impl ScenarioSpec {
             for &(k, v) in p.proposals() {
                 checker.record_proposal(k, v);
             }
-            for out in p.outputs() {
-                if genesis[node] {
-                    checker.record_output(node, out);
-                }
-                total_outputs += 1;
-                if out.decided() {
-                    decided += 1;
-                }
+            if genesis[node] {
+                checker.record_outputs(node, p.outputs());
             }
+            total_outputs += p.outputs().len();
+            decided += p.outputs().iter().filter(|o| o.decided()).count();
         }
         for &node in &crashed {
             checker.mark_crashed(node);

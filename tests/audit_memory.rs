@@ -8,62 +8,17 @@
 //! peak, so this file must hold exactly one `#[test]` — a sibling test
 //! running on another thread would pollute the counters.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+mod counting_alloc;
+
+use counting_alloc::{peak_bytes, reset_peak};
 use virtual_infra::audit::{check_register, synthetic_history, LinResult};
-
-/// Tracks the bytes currently allocated through the global allocator
-/// and the highest value that count has reached.
-struct PeakAlloc;
-
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-static PEAK: AtomicUsize = AtomicUsize::new(0);
-
-fn grew(bytes: usize) {
-    let live = LIVE.fetch_add(bytes, Ordering::Relaxed) + bytes;
-    PEAK.fetch_max(live, Ordering::Relaxed);
-}
-
-// SAFETY: every call is forwarded unchanged to `System`, which upholds
-// the `GlobalAlloc` contract; the counters are only statistics.
-unsafe impl GlobalAlloc for PeakAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        grew(layout.size());
-        // SAFETY: the caller's `layout` is passed through as is.
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        grew(layout.size());
-        // SAFETY: as in `alloc`.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if new_size >= layout.size() {
-            grew(new_size - layout.size());
-        } else {
-            LIVE.fetch_sub(layout.size() - new_size, Ordering::Relaxed);
-        }
-        // SAFETY: `ptr` and `layout` come from the caller, who got
-        // them from this allocator, that is from `System`.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE.fetch_sub(layout.size(), Ordering::Relaxed);
-        // SAFETY: as in `realloc`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: PeakAlloc = PeakAlloc;
 
 #[test]
 fn checking_100k_ops_stays_within_16_mib_of_the_input() {
     let ops = synthetic_history(100_000, 7);
-    let before = LIVE.load(Ordering::Relaxed);
-    PEAK.store(before, Ordering::Relaxed);
+    let before = reset_peak();
     assert_eq!(check_register(&ops), LinResult::Ok);
-    let above_input = PEAK.load(Ordering::Relaxed) - before;
+    let above_input = peak_bytes() - before;
     assert!(
         above_input < 16 << 20,
         "checker peaked {above_input} bytes above its {}-op input",

@@ -7,6 +7,8 @@
 //! Safety must hold in *every* environment; liveness is checked only
 //! when the environment stabilizes.
 
+mod metro_cha_trace;
+
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use vi_bench::harness::{run_clique, AdversaryKind, CliqueConfig};
@@ -172,24 +174,21 @@ proptest! {
         let h = calculate_history(last, last, &ballots, 0);
         prop_assume!(h.includes(last));
         prop_assume!(Some(&wrong) != h.get(last));
+        // A second node decided a different value for `last`.
+        let mut bad = History::new(last);
+        bad.insert(last, wrong);
+        let [good, bad] = [h, bad].map(|h| ChaOutput {
+            instance: last,
+            history: Some(Box::new(h)),
+            color: Color::Green,
+        });
         let mut checker = ChaSpecChecker::new();
         for (k, b) in &ballots {
             checker.record_proposal(*k, b.value);
         }
         checker.record_proposal(last, wrong);
-        checker.record_output(0, &ChaOutput {
-            instance: last,
-            history: Some(h),
-            color: Color::Green,
-        });
-        // A second node decided a different value for `last`.
-        let mut bad = History::new(last);
-        bad.insert(last, wrong);
-        checker.record_output(1, &ChaOutput {
-            instance: last,
-            history: Some(bad),
-            color: Color::Green,
-        });
+        checker.record_output(0, &good);
+        checker.record_output(1, &bad);
         prop_assert!(!checker.check_agreement().is_empty());
     }
 }
@@ -211,9 +210,9 @@ const COLORS: [Color; 4] = [Color::Red, Color::Orange, Color::Yellow, Color::Gre
 /// instances, ⊥ outputs, histories with holes or that omit their own
 /// instance, entries beyond it, unproposed values, missing proposals,
 /// crashed nodes, off-by-two colors, out-of-order recording — and
-/// always one `(node, instance)` pair recorded twice with a different
-/// verdict, which validity, agreement and Property 4 count twice and
-/// liveness judges by the later recording.
+/// always at least one `(node, instance)` pair recorded again with a
+/// different verdict, which validity, agreement and Property 4 count
+/// twice and liveness judges by the later recording.
 fn arb_trace() -> impl Strategy<Value = RecordedTrace> {
     (1usize..6, 1u64..9, 0u32..4).prop_perturb(|(nodes, last, mess), mut rng| {
         let p = f64::from(mess) * 0.12;
@@ -256,7 +255,7 @@ fn arb_trace() -> impl Strategy<Value = RecordedTrace> {
                             );
                         }
                     }
-                    h
+                    Box::new(h)
                 });
                 let color = if rng.random_bool(p) {
                     COLORS[rng.random_range(0..4)]
@@ -286,27 +285,33 @@ fn arb_trace() -> impl Strategy<Value = RecordedTrace> {
                 );
                 t.outputs.swap(a, b);
             }
-            let (node, again) = t.outputs[rng.random_range(0..t.outputs.len())].clone();
-            let k = again.instance;
-            let flipped = match again.history {
-                Some(_) => ChaOutput {
-                    instance: k,
-                    history: None,
-                    color: Color::Orange,
-                },
-                None => {
-                    let mut h = History::new(k);
-                    for i in kst.min(k)..=k {
-                        h.insert(i, i as u32);
-                    }
-                    ChaOutput {
+            // One re-recording in a clean trace, up to 46 in the
+            // messiest: enough that some node's outputs outgrow the 20
+            // elements below which std's unstable sort happens to keep
+            // equal keys in order.
+            for _ in 0..1 + mess as usize * rng.random_range(0..16) {
+                let (node, again) = t.outputs[rng.random_range(0..t.outputs.len())].clone();
+                let k = again.instance;
+                let flipped = match again.history {
+                    Some(_) => ChaOutput {
                         instance: k,
-                        history: Some(h),
-                        color: Color::Green,
+                        history: None,
+                        color: Color::Orange,
+                    },
+                    None => {
+                        let mut h = History::new(k);
+                        for i in kst.min(k)..=k {
+                            h.insert(i, i as u32);
+                        }
+                        ChaOutput {
+                            instance: k,
+                            history: Some(Box::new(h)),
+                            color: Color::Green,
+                        }
                     }
-                }
-            };
-            t.outputs.push((node, flipped));
+                };
+                t.outputs.push((node, flipped));
+            }
         }
         t
     })
@@ -335,58 +340,55 @@ proptest! {
         }
         assert_same_verdicts(&new, &old, "random trace");
     }
+
+    /// Recording a node's outputs as slices is recording them one at a
+    /// time: each maximal same-node stretch of the trace goes in as one
+    /// `record_outputs` run, so a node's outputs arrive in several runs
+    /// whenever the trace interleaves nodes, and a repeated
+    /// `(node, instance)` pair may sit in the same run or a later one.
+    #[test]
+    fn checker_runs_match_single_records(trace in arb_trace()) {
+        let runs: Vec<(usize, Vec<ChaOutput<u32>>)> = trace
+            .outputs
+            .chunk_by(|a, b| a.0 == b.0)
+            .map(|s| (s[0].0, s.iter().map(|(_, o)| o.clone()).collect()))
+            .collect();
+        let mut batched = ChaSpecChecker::new();
+        let mut single = ChaSpecChecker::new();
+        let mut old = ChaSpecCheckerReference::new();
+        for &(k, v) in &trace.proposals {
+            batched.record_proposal(k, v);
+            single.record_proposal(k, v);
+            old.record_proposal(k, v);
+        }
+        for (node, run) in &runs {
+            batched.record_outputs(*node, run);
+            for out in run {
+                single.record_output(*node, out);
+                old.record_output(*node, out);
+            }
+        }
+        for &node in &trace.crashed {
+            batched.mark_crashed(node);
+            single.mark_crashed(node);
+            old.mark_crashed(node);
+        }
+        // Both against the reference, so each against the other.
+        assert_same_verdicts(&batched, &old, "runs");
+        assert_same_verdicts(&single, &old, "one output at a time");
+    }
 }
 
-/// Seconds to record a `nodes`-node, 10-instance run shaped like the
-/// benchmark's `metro_static` (every node proposes every instance, one
-/// output in a hundred decides — on the last node's proposals, the far
-/// end of a scan over them) and run the four checks the way
-/// `ScenarioSpec::run_cha` does; the fastest of five.
+/// Seconds to record a `nodes`-node run shaped like the benchmark's
+/// metro workloads and run the four checks the way
+/// `ScenarioSpec::run_cha` does ([`metro_cha_trace`]); the fastest of
+/// five.
 fn checker_seconds(nodes: usize) -> f64 {
-    let leader = nodes as u64 - 1;
-    let outputs: Vec<Vec<ChaOutput<u64>>> = (0..nodes)
-        .map(|node| {
-            (1..=10u64)
-                .map(|k| {
-                    let history = (node % 100 == 0).then(|| {
-                        let mut h = History::new(k);
-                        for i in 1..=k {
-                            h.insert(i, i * 1_000_000 + leader);
-                        }
-                        h
-                    });
-                    let color = if history.is_some() {
-                        Color::Green
-                    } else {
-                        Color::Yellow
-                    };
-                    ChaOutput {
-                        instance: k,
-                        history,
-                        color,
-                    }
-                })
-                .collect()
-        })
-        .collect();
+    let outputs = metro_cha_trace::outputs(nodes);
     (0..5)
         .map(|_| {
             let t0 = std::time::Instant::now();
-            let mut checker = ChaSpecChecker::new();
-            for (node, outs) in outputs.iter().enumerate() {
-                for k in 1..=10u64 {
-                    checker.record_proposal(k, k * 1_000_000 + node as u64);
-                }
-                for out in outs {
-                    checker.record_output(node, out);
-                }
-            }
-            let violations: Vec<SpecViolation> = checker.check_all(false);
-            assert!(
-                violations.is_empty(),
-                "the synthetic run is clean: {violations:?}"
-            );
-            assert_eq!(checker.liveness_kst(), None);
+            metro_cha_trace::check(&outputs);
             t0.elapsed().as_secs_f64()
         })
         .fold(f64::INFINITY, f64::min)
