@@ -85,6 +85,18 @@ guards=(
   'above-tests:crates/core/src/vi/emulator.rs' '-'
   'the emulator throws a per-round buffer away again; clear or swap it'
 
+  # A join-ack shares the replica state and counts its JSON length
+  # (`Emulator::encode_transfer`): the join path writes and parses no
+  # JSON, so nothing parses a `ChaProtocol`. The debug-build check of
+  # the count against the writer is the one line let through.
+  'serde_json::(to_vec|to_string|from_slice|from_str)'
+  'above-tests:crates/core/src/vi' 'debug_assert'
+  'the join path writes or parses JSON again; a join-ack shares the state and counts its JSON length'
+
+  'Deserialize for ChaProtocol'
+  'above-tests:crates/core/src/cha/protocol.rs' '-'
+  'the hostile-blob parser is back with no caller'
+
   # A CHA outcome is stored once, compactly (`tests/cha_checker_memory.rs`):
   # each node's outputs hold ⊥ in 24 bytes, and the spec checker
   # borrows them as `(node, slice)` runs instead of copying them.

@@ -8,10 +8,10 @@
 
 use crate::cha::history::{calculate_history, Ballot, Color, History};
 use crate::cha::protocol::ChaOutput;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::BTreeMap;
 
-#[derive(Clone, Serialize, Deserialize)]
+#[derive(Clone, Serialize)]
 pub(super) struct TreeProtocol<V> {
     pub(super) instance: u64,
     pub(super) prev_instance: u64,

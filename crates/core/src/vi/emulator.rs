@@ -11,6 +11,9 @@
 //! the virtual node is provably dead (total silence in the reset
 //! phase) — lets it re-initialize the virtual node. Leaving the region
 //! drops the emulation. Crashing at any point is tolerated by CHAP.
+//! The transfer is a [`TransferState`] snapshot shared by every joiner
+//! that hears the join-ack; its JSON length, counted once by the
+//! sender, is the join-ack's wire size.
 //!
 //! Within a virtual round (see [`RoundPlan`]) a replica:
 //!
@@ -39,10 +42,10 @@ use crate::vi::layout::VnLayout;
 use crate::vi::message::{Transfer, VrProposal, Wire};
 use crate::vi::round::{RoundPlan, VirtualPhase};
 use crate::vi::schedule::Schedule;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::any::Any;
-use std::fmt;
 use std::rc::Rc;
+use std::{fmt, io};
 use vi_contention::{CmSlot, SharedCm};
 use vi_radio::{Process, RoundCtx, RoundReception};
 
@@ -75,11 +78,14 @@ impl<VA: VirtualAutomaton> fmt::Debug for Deployment<VA> {
     }
 }
 
-/// The serialized replica state a join-ack carries: the CHA protocol
-/// suffix plus the checkpointed automaton state (Section 4.3's "entire
-/// current state").
-#[derive(Serialize, Deserialize)]
-pub struct TransferState<S, A: Ord> {
+/// The replica state a join-ack carries: the CHA protocol suffix plus
+/// the checkpointed automaton state (Section 4.3's "entire current
+/// state"). A replica builds it once per join-ack and every joiner that
+/// hears the ack clones it out (see [`Transfer`]). Its JSON form is
+/// counted, not kept (a debug build also writes it once, to check the
+/// count), and the count is the transfer's wire size.
+#[derive(Debug, Serialize)]
+pub struct TransferState<S, A> {
     /// CHA state: instance counter, prev pointer, floor, and the
     /// un-collected ballot/status suffix.
     pub protocol: ChaProtocol<VrProposal<A>>,
@@ -226,30 +232,32 @@ impl<VA: VirtualAutomaton> Emulator<VA> {
         }
     }
 
-    fn encode_transfer(&self) -> Transfer {
-        let ts: TransferState<&VA::State, VA::Msg> = TransferState {
+    /// Snapshots the replica state into a join-ack's transfer, sized
+    /// by its JSON length.
+    fn encode_transfer(&self) -> Transfer<VA::State, VA::Msg> {
+        let state = Rc::new(TransferState {
             protocol: self.protocol.clone(),
-            vn_state: &self.vn_state,
+            vn_state: self.vn_state.clone(),
             pending_out: self.pending_out.clone(),
             folded_to: self.folded_to(),
-        };
+        });
+        let mut count = ByteCount(0);
+        serde_json::to_writer(&mut count, &*state).expect("replica state serializes");
+        debug_assert_eq!(count.0, serde_json::to_vec(&*state).map_or(0, |v| v.len()));
         Transfer {
-            blob: serde_json::to_vec(&ts).expect("replica state serializes"),
+            state,
+            bytes: count.0,
         }
     }
 
-    fn adopt_transfer(&mut self, transfer: &Transfer) -> bool {
-        let Ok(ts) = serde_json::from_slice::<TransferState<VA::State, VA::Msg>>(&transfer.blob)
-        else {
-            return false;
-        };
+    fn adopt_transfer(&mut self, transfer: &Transfer<VA::State, VA::Msg>) {
+        let ts = &*transfer.state;
         debug_assert_eq!(ts.folded_to, ts.protocol.floor());
-        self.protocol = ts.protocol;
-        self.vn_state = ts.vn_state;
-        self.pending_out = ts.pending_out;
+        self.protocol.clone_from(&ts.protocol);
+        self.vn_state.clone_from(&ts.vn_state);
+        self.pending_out.clone_from(&ts.pending_out);
         self.mode = Mode::Replica;
         self.report.joins += 1;
-        true
     }
 
     /// Re-initializes the virtual node (reset sub-protocol): fresh
@@ -260,6 +268,21 @@ impl<VA: VirtualAutomaton> Emulator<VA> {
         self.pending_out = None;
         self.mode = Mode::Replica;
         self.report.resets += 1;
+    }
+}
+
+/// An `io::Write` sink that only counts: the JSON length of a transfer
+/// without the JSON.
+struct ByteCount(usize);
+
+impl io::Write for ByteCount {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.0 += buf.len();
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
     }
 }
 
@@ -364,8 +387,8 @@ impl<VA: VirtualAutomaton> Device<VA> {
     }
 }
 
-impl<VA: VirtualAutomaton> Process<Wire<VA::Msg>> for Device<VA> {
-    fn transmit(&mut self, ctx: &RoundCtx) -> Option<Wire<VA::Msg>> {
+impl<VA: VirtualAutomaton> Process<Wire<VA::Msg, VA::State>> for Device<VA> {
+    fn transmit(&mut self, ctx: &RoundCtx) -> Option<Wire<VA::Msg, VA::State>> {
         let (vr, phase) = self.dep.plan.phase(ctx.round);
         if phase == VirtualPhase::Client {
             self.begin_virtual_round(vr, ctx.pos);
@@ -465,7 +488,7 @@ impl<VA: VirtualAutomaton> Process<Wire<VA::Msg>> for Device<VA> {
         }
     }
 
-    fn deliver(&mut self, ctx: &RoundCtx, rx: RoundReception<'_, Wire<VA::Msg>>) {
+    fn deliver(&mut self, ctx: &RoundCtx, rx: RoundReception<'_, Wire<VA::Msg, VA::State>>) {
         let (vr, phase) = self.dep.plan.phase(ctx.round);
         let dep = Rc::clone(&self.dep);
         match phase {
@@ -540,7 +563,8 @@ impl<VA: VirtualAutomaton> Process<Wire<VA::Msg>> for Device<VA> {
                 } else if matches!(e.mode, Mode::Joining { requested: true }) {
                     for m in rx.messages {
                         if let Wire::JoinAck { vn, transfer } = m {
-                            if *vn == e.vn && e.adopt_transfer(transfer) {
+                            if *vn == e.vn {
+                                e.adopt_transfer(transfer);
                                 break;
                             }
                         }
@@ -604,7 +628,7 @@ fn ballot_phase_is_mine<VA: VirtualAutomaton>(
     }
 }
 
-fn heard_veto<A>(rx: &RoundReception<'_, Wire<A>>, vn: VnId) -> bool {
+fn heard_veto<A, S>(rx: &RoundReception<'_, Wire<A, S>>, vn: VnId) -> bool {
     rx.messages
         .iter()
         .any(|m| matches!(m, Wire::Veto { vn: v } if *v == vn))

@@ -10,7 +10,9 @@
 
 use crate::cha::history::Ballot;
 use crate::vi::automaton::VnId;
+use crate::vi::emulator::TransferState;
 use serde::{Deserialize, Serialize};
+use std::rc::Rc;
 use vi_radio::WireSized;
 
 /// A replica's proposal for one virtual round: what it believes the
@@ -49,29 +51,34 @@ impl<A: WireSized> WireSized for VrProposal<A> {
     }
 }
 
-/// Serialized replica state handed to joiners (Section 4.3: "a join
-/// response including the entire current state (or some digest
+/// The replica state a join-ack hands to joiners (Section 4.3: "a
+/// join response including the entire current state (or some digest
 /// thereof)").
 ///
-/// The blob is the serde-encoded [`TransferState`](crate::vi::emulator::TransferState);
-/// it is opaque at the wire layer so the message type does not depend
-/// on the automaton's state type.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Transfer {
-    /// The encoded replica state.
-    pub blob: Vec<u8>,
+/// The state travels typed and shared, like every other [`Wire`]
+/// payload: cloning a join-ack for each receiver bumps a reference
+/// count, and a joiner clones the state out. `bytes` is what the
+/// transfer would cost as JSON — the length of the serde-encoded
+/// [`TransferState`], counted once by the sender — and is all the
+/// wire layer needs.
+#[derive(Clone, Debug)]
+pub struct Transfer<S, A> {
+    /// The transferred replica state.
+    pub state: Rc<TransferState<S, A>>,
+    /// The JSON length of `state`.
+    pub bytes: usize,
 }
 
-impl WireSized for Transfer {
+impl<S, A> WireSized for Transfer<S, A> {
     fn wire_size(&self) -> usize {
-        8 + self.blob.len()
+        8 + self.bytes
     }
 }
 
 /// Everything that can appear on the physical channel during an
-/// emulation.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub enum Wire<A> {
+/// emulation of virtual nodes with messages `A` and state `S`.
+#[derive(Clone, Debug)]
+pub enum Wire<A, S> {
     /// A client's message for the current virtual round (client
     /// phase). Clients are anonymous; the message is addressed to
     /// whoever hears it, like any wireless broadcast.
@@ -108,7 +115,7 @@ pub enum Wire<A> {
         /// The virtual node being joined.
         vn: VnId,
         /// The state transfer.
-        transfer: Transfer,
+        transfer: Transfer<S, A>,
     },
     /// A replica asserts the virtual node is alive (reset phase);
     /// silence in this phase authorizes a joiner to reset.
@@ -118,7 +125,7 @@ pub enum Wire<A> {
     },
 }
 
-impl<A> Wire<A> {
+impl<A, S> Wire<A, S> {
     /// The virtual node this message concerns, if any (client messages
     /// are unaddressed).
     pub fn vn(&self) -> Option<VnId> {
@@ -134,7 +141,7 @@ impl<A> Wire<A> {
     }
 }
 
-impl<A: WireSized> WireSized for Wire<A> {
+impl<A: WireSized, S> WireSized for Wire<A, S> {
     fn wire_size(&self) -> usize {
         // 1 byte tag + 4 bytes VnId where present + payload.
         match self {
@@ -181,12 +188,12 @@ mod tests {
 
     #[test]
     fn wire_vn_attribution() {
-        assert_eq!(Wire::Client(7u64).vn(), None);
-        assert_eq!(Wire::<u64>::Veto { vn: VnId(3) }.vn(), Some(VnId(3)));
+        assert_eq!(Wire::<u64, ()>::Client(7).vn(), None);
+        assert_eq!(Wire::<u64, ()>::Veto { vn: VnId(3) }.vn(), Some(VnId(3)));
         assert_eq!(
-            Wire::VnMsg {
+            Wire::<u64, ()>::VnMsg {
                 vn: VnId(1),
-                payload: 0u64
+                payload: 0
             }
             .vn(),
             Some(VnId(1))
@@ -197,14 +204,14 @@ mod tests {
     fn control_messages_are_constant_size() {
         // Veto / join-req / alive never grow with execution length or
         // node count.
-        assert_eq!(Wire::<u64>::Veto { vn: VnId(0) }.wire_size(), 5);
-        assert_eq!(Wire::<u64>::JoinReq { vn: VnId(9) }.wire_size(), 5);
-        assert_eq!(Wire::<u64>::Alive { vn: VnId(9) }.wire_size(), 5);
+        assert_eq!(Wire::<u64, ()>::Veto { vn: VnId(0) }.wire_size(), 5);
+        assert_eq!(Wire::<u64, ()>::JoinReq { vn: VnId(9) }.wire_size(), 5);
+        assert_eq!(Wire::<u64, ()>::Alive { vn: VnId(9) }.wire_size(), 5);
     }
 
     #[test]
     fn ballot_size_tracks_proposal_only() {
-        let small = Wire::Ballot {
+        let small = Wire::<u64, ()>::Ballot {
             vn: VnId(0),
             ballot: Ballot::new(
                 VrProposal {
@@ -214,7 +221,7 @@ mod tests {
                 7,
             ),
         };
-        let large_prev = Wire::Ballot {
+        let large_prev = Wire::<u64, ()>::Ballot {
             vn: VnId(0),
             ballot: Ballot::new(
                 VrProposal {

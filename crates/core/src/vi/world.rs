@@ -36,7 +36,7 @@ pub struct WorldConfig<VA> {
 ///
 /// See the crate examples (`quickstart.rs`) for end-to-end usage.
 pub struct World<VA: VirtualAutomaton> {
-    engine: Engine<Wire<VA::Msg>>,
+    engine: Engine<Wire<VA::Msg, VA::State>>,
     dep: Rc<Deployment<VA>>,
     devices: Vec<NodeId>,
 }
@@ -171,7 +171,7 @@ impl<VA: VirtualAutomaton> World<VA> {
     }
 
     /// Direct engine access (positions, traces).
-    pub fn engine(&self) -> &Engine<Wire<VA::Msg>> {
+    pub fn engine(&self) -> &Engine<Wire<VA::Msg, VA::State>> {
         &self.engine
     }
 
