@@ -4,8 +4,8 @@
 #
 # A row is four strings:
 #   pattern   extended regex that must not match
-#   where     paths to search (`grep -rn`), or `above-tests:<dir>` for
-#             the lines of each `<dir>/**/*.rs` above the file's first
+#   where     paths to search (`grep -rn`), or `above-tests:<paths>` for
+#             the lines of each `<path>/**/*.rs` above the file's first
 #             `#[cfg(test)]` (production code, by this repo's layout)
 #   allowed   extended regex over `path:line:text` for the hits that
 #             may stay, or `-` for none
@@ -134,11 +134,18 @@ guards=(
   ':[0-9]+:\s*(pub(\([a-z]+\))? )?static '
   'above-tests:crates/telemetry/src/trace_export.rs' '-'
   'trace export holds no process-global state'
+
+  # One branch-free `Heard` fold (`HeardFold`) serves the churn scan,
+  # the cached lists and scatter; the min-based fold survives only as
+  # the test-only `Heard::reference`.
+  'if hit|nearest\.min\('
+  'above-tests:crates/radio/src/geometry.rs crates/radio/src/channel.rs' '-'
+  'a Heard fold branches on hit or keeps a minimum again; fold through HeardFold::push'
 )
 
 # `path:line:text` for every line above a file's first `#[cfg(test)]`.
 above_tests() {
-  find "$1" -name '*.rs' -print0 | sort -z | xargs -0 awk '
+  find "$@" -name '*.rs' -print0 | sort -z | xargs -0 awk '
     FNR == 1 { in_tests = 0 }
     /#\[cfg\(test\)\]/ { in_tests = 1 }
     !in_tests { print FILENAME ":" FNR ":" $0 }'
@@ -148,7 +155,8 @@ failed=0
 for ((i = 0; i < ${#guards[@]}; i += 4)); do
   pattern=${guards[i]} where=${guards[i + 1]} allowed=${guards[i + 2]} message=${guards[i + 3]}
   if [[ $where == above-tests:* ]]; then
-    hits=$(above_tests "${where#above-tests:}" | grep -E -- "$pattern" || true)
+    # shellcheck disable=SC2086  # `where` is a list of paths
+    hits=$(above_tests ${where#above-tests:} | grep -E -- "$pattern" || true)
   else
     # shellcheck disable=SC2086  # `where` is a list of paths and globs
     hits=$(grep -rnE -- "$pattern" $where || true)

@@ -23,7 +23,7 @@
 use crate::adversary::Adversary;
 use crate::config::RadioConfig;
 use crate::engine::NodeId;
-use crate::geometry::{Heard, Point, SnapshotIndex, SpatialGrid};
+use crate::geometry::{Heard, HeardFold, Point, SnapshotIndex, SpatialGrid};
 use rand::rngs::StdRng;
 use std::time::Instant;
 use vi_telemetry::{Phase, Probe};
@@ -621,10 +621,10 @@ fn neighborhood(grid: &SpatialGrid, r2: f64, rx: u32, out: &mut Vec<(u32, f64)>)
 /// What a receiver hears of the broadcasters in `list`, its cached
 /// `R2` neighborhood.
 fn heard_in(list: &[(u32, f64)], is_tx: &[bool], r1_sq: f64) -> Heard {
-    Heard::of(
-        list.iter().copied().filter(|&(i, _)| is_tx[i as usize]),
-        r1_sq,
-    )
+    let empty = HeardFold::new(r1_sq);
+    list.iter()
+        .fold(empty, |f, &(i, d2)| f.push(is_tx[i as usize], i, d2))
+        .finish()
 }
 
 /// The receiver walk every round kind ends in, and everything about
@@ -882,6 +882,7 @@ pub fn resolve_round_reference<M: Clone>(
 mod tests {
     use super::*;
     use crate::adversary::{NoAdversary, ScriptedAdversary};
+    use proptest::prelude::*;
     use rand::SeedableRng;
 
     fn rng() -> StdRng {
@@ -1209,5 +1210,35 @@ mod tests {
             }
         }
         assert_eq!(compared, 2 * 10 * 2 * 2 * 8);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        /// `heard_in`, the fold steady and re-anchor rounds run over a
+        /// cached neighborhood, is the min-based reference fold over the
+        /// list's broadcasters. A distance is exactly `R1²` or `R2²`,
+        /// ties the entry before it, is 0, or is anywhere in `[0, R2²]`,
+        /// so a hit exactly at `R1²` often decides `within_r1`, and a
+        /// lone broadcaster is often followed by listeners.
+        #[test]
+        fn cached_list_fold_matches_the_min_reference(
+            entries in proptest::collection::vec((0u32..12, 0usize..5, 0.0f64..1.0), 0..8),
+            is_tx in proptest::collection::vec(any::<bool>(), 12),
+            (r1, ratio) in (0.5f64..50.0, 1.0f64..3.0),
+        ) {
+            let (r1_sq, r2_sq) = (r1 * r1, (r1 * ratio) * (r1 * ratio));
+            let mut list: Vec<(u32, f64)> = Vec::new();
+            for (slot, kind, u) in entries {
+                let tie = list.last().map_or(r1_sq, |&(_, d2)| d2);
+                list.push((slot, [r1_sq, r2_sq, tie, 0.0, u * r2_sq][kind]));
+            }
+            let broadcasting = list.iter().copied().filter(|&(i, _)| is_tx[i as usize]);
+            prop_assert_eq!(
+                heard_in(&list, &is_tx, r1_sq),
+                Heard::reference(broadcasting, r1_sq),
+                "list {:?}, is_tx {:?}", list, is_tx
+            );
+        }
     }
 }

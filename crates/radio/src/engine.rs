@@ -400,15 +400,14 @@ impl<M: Clone + WireSized + 'static> Engine<M> {
             let entry = &mut self.nodes[idx];
             if !(entry.placed && entry.settled) {
                 let pos = entry.mobility.advance(round, &mut self.rng);
-                if entry.placed {
-                    let moved = entry.pos.distance(pos);
-                    let vmax = entry.mobility.vmax();
-                    debug_assert!(
-                        moved <= vmax + 1e-9,
-                        "node {} moved {moved} > vmax {vmax} in round {round}",
-                        entry.id
-                    );
-                }
+                // All inside the assertion: no `vmax` call in release.
+                debug_assert!(
+                    !entry.placed || entry.pos.distance(pos) <= entry.mobility.vmax() + 1e-9,
+                    "node {} moved {} > vmax {} in round {round}",
+                    entry.id,
+                    entry.pos.distance(pos),
+                    entry.mobility.vmax()
+                );
                 if !entry.placed || entry.pos != pos {
                     self.moved.push(slot);
                 }

@@ -454,26 +454,55 @@ impl Heard {
     /// Folds the `(slot, d²)` hits inside `R2` of one receiver (itself
     /// excluded) into the summary; `r1_sq` is `R1²`, inclusive.
     pub fn of(hits: impl IntoIterator<Item = (u32, f64)>, r1_sq: f64) -> Heard {
-        let (mut count, mut nearest, mut last) = (0usize, f64::INFINITY, 0u32);
-        for (slot, d2) in hits {
-            count += 1;
-            nearest = nearest.min(d2);
-            last = slot;
-        }
-        Heard::from_fold(count, nearest, last, r1_sq)
+        let empty = HeardFold::new(r1_sq);
+        hits.into_iter()
+            .fold(empty, |f, (slot, d2)| f.push(true, slot, d2))
+            .finish()
+    }
+}
+
+/// The branch-free fold every round kind builds a [`Heard`] with. No
+/// minimum: one hit's `d2` is the last hit's; two or more read only
+/// whether any hit is within `R1`.
+#[derive(Clone, Copy, Default)]
+pub(crate) struct HeardFold {
+    r1_sq: f64,
+    count: usize,
+    in_r1: bool,
+    last: u32,
+    last_d2: f64,
+}
+
+impl HeardFold {
+    /// An empty fold reporting on `R1² = r1_sq` (inclusive).
+    pub(crate) fn new(r1_sq: f64) -> Self {
+        let empty = HeardFold::default();
+        HeardFold { r1_sq, ..empty }
     }
 
-    /// The summary of `count` hits whose smallest squared distance is
-    /// `nearest` and whose last-seen tag is `last`.
-    fn from_fold(count: usize, nearest: f64, last: u32, r1_sq: f64) -> Heard {
-        match count {
+    /// Folds in candidate `slot` at squared distance `d2`; it counts iff `hit`.
+    #[inline(always)]
+    pub(crate) fn push(mut self, hit: bool, slot: u32, d2: f64) -> Self {
+        // Masks, not a branch on `hit`: about a third of the churn
+        // scan's candidates hit, in no order a predictor can learn.
+        let keep = u64::from(hit).wrapping_neg();
+        self.count += usize::from(hit);
+        self.in_r1 |= hit & (d2 <= self.r1_sq);
+        self.last = (slot & keep as u32) | (self.last & !keep as u32);
+        self.last_d2 = f64::from_bits((d2.to_bits() & keep) | (self.last_d2.to_bits() & !keep));
+        self
+    }
+
+    /// The summary of everything folded in.
+    pub(crate) fn finish(self) -> Heard {
+        match self.count {
             0 => Heard::Silence,
             1 => Heard::One {
-                slot: last,
-                d2: nearest,
+                slot: self.last,
+                d2: self.last_d2,
             },
             _ => Heard::Many {
-                within_r1: nearest <= r1_sq,
+                within_r1: self.in_r1,
             },
         }
     }
@@ -577,27 +606,49 @@ impl SnapshotIndex {
     /// inner radius [`Heard::Many`] reports on (inclusive).
     ///
     /// One fused pass over the block's cell rows: hits are counted, not
-    /// listed, and the loop body is compare-and-select only.
+    /// listed, and every candidate goes through the branch-free fold.
     pub fn scan(&self, center: Point, r1: f64, r2: f64, exclude: u32) -> Heard {
         if self.entries.is_empty() {
             return Heard::Silence;
         }
         let r2_sq = r2 * r2;
         let ((cx0, cx1), (cy0, cy1)) = self.frame.cell_range(center, r2);
-        let (mut count, mut nearest, mut last) = (0usize, f64::INFINITY, 0u32);
+        let mut fold = HeardFold::new(r1 * r1);
         for cy in cy0..=cy1 {
             let row = cy * self.frame.cols;
             let lo = self.starts[row + cx0] as usize;
             let hi = self.starts[row + cx1 + 1] as usize;
             for &(p, tag) in &self.entries[lo..hi] {
                 let d2 = p.distance_sq(center);
-                let hit = (d2 <= r2_sq) & (tag != exclude);
-                count += usize::from(hit);
-                nearest = if hit { nearest.min(d2) } else { nearest };
-                last = if hit { tag } else { last };
+                fold = fold.push((d2 <= r2_sq) & (tag != exclude), tag, d2);
             }
         }
-        Heard::from_fold(count, nearest, last, r1 * r1)
+        fold.finish()
+    }
+}
+
+#[cfg(test)]
+impl Heard {
+    /// The min-based fold [`HeardFold`] replaced, kept as the reference
+    /// the fold is held against: it keeps the nearest hit's distance and
+    /// reads `within_r1` off it.
+    pub(crate) fn reference(hits: impl IntoIterator<Item = (u32, f64)>, r1_sq: f64) -> Heard {
+        let (mut count, mut nearest, mut last) = (0usize, f64::INFINITY, 0u32);
+        for (slot, d2) in hits {
+            count += 1;
+            nearest = nearest.min(d2);
+            last = slot;
+        }
+        match count {
+            0 => Heard::Silence,
+            1 => Heard::One {
+                slot: last,
+                d2: nearest,
+            },
+            _ => Heard::Many {
+                within_r1: nearest <= r1_sq,
+            },
+        }
     }
 }
 

@@ -184,6 +184,33 @@ impl CausalState {
             self.spans.push(span);
         }
     }
+
+    fn broadcast(&mut self, node: u64) {
+        let id = self.ids.next_id();
+        let parent = self.last_propose.get(&node).map_or(0, |&(span, _)| span);
+        self.push_span(CausalSpan {
+            id,
+            parent,
+            kind: SpanKind::Broadcast,
+            node,
+            round: self.round,
+            tag: 0,
+        });
+        self.round_tx.insert(node, id);
+    }
+
+    fn reception(&mut self, src: u64, dst: u64) {
+        if self.edges.len() >= MAX_EDGES {
+            self.dropped_edges += 1;
+        } else {
+            self.edges.push(CausalEdge {
+                span: self.round_tx.get(&src).copied().unwrap_or(0),
+                src,
+                dst,
+                round: self.round,
+            });
+        }
+    }
 }
 
 /// Cloneable handle to the causal recorder. Null by default; all
@@ -227,54 +254,30 @@ impl CausalRecorder {
 
     /// Marks the start of engine round `round`; clears the per-round
     /// broadcast-span table.
+    #[inline]
     pub fn begin_round(&self, round: u64) {
-        if let Some(state) = &self.state {
-            let mut s = state.borrow_mut();
-            s.round = round;
-            s.round_tx.clear();
-        }
+        let Some(state) = &self.state else { return };
+        let mut s = state.borrow_mut();
+        s.round = round;
+        s.round_tx.clear();
     }
 
     /// Records a broadcast by `node` this round and returns its span
     /// id (receptions reference it via [`CausalRecorder::reception`]).
+    #[inline]
     pub fn broadcast(&self, node: u64) {
-        if let Some(state) = &self.state {
-            let mut s = state.borrow_mut();
-            let id = s.ids.next_id();
-            let parent = s.last_propose.get(&node).map_or(0, |&(span, _)| span);
-            let round = s.round;
-            s.push_span(CausalSpan {
-                id,
-                parent,
-                kind: SpanKind::Broadcast,
-                node,
-                round,
-                tag: 0,
-            });
-            s.round_tx.insert(node, id);
-        }
+        let Some(state) = &self.state else { return };
+        state.borrow_mut().broadcast(node);
     }
 
     /// Records that `dst` received `src`'s broadcast this round. The
     /// edge carries the sender's broadcast span id minted by
     /// [`CausalRecorder::broadcast`] this round (0 if the sender did
     /// not broadcast under tracing, e.g. a spurious frame).
+    #[inline]
     pub fn reception(&self, src: u64, dst: u64) {
-        if let Some(state) = &self.state {
-            let mut s = state.borrow_mut();
-            let span = s.round_tx.get(&src).copied().unwrap_or(0);
-            let round = s.round;
-            if s.edges.len() >= MAX_EDGES {
-                s.dropped_edges += 1;
-            } else {
-                s.edges.push(CausalEdge {
-                    span,
-                    src,
-                    dst,
-                    round,
-                });
-            }
-        }
+        let Some(state) = &self.state else { return };
+        state.borrow_mut().reception(src, dst);
     }
 
     /// Records a client op invocation (traffic layer; `round` is the

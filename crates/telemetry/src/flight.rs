@@ -62,6 +62,24 @@ struct FlightState {
     window: VecDeque<RoundWindow>,
 }
 
+impl FlightState {
+    fn begin_round(&mut self, round: u64) {
+        if self.window.len() == self.cap {
+            self.window.pop_front();
+        }
+        self.window.push_back(RoundWindow {
+            round,
+            events: Vec::new(),
+        });
+    }
+
+    fn note(&mut self, event: FlightEvent) {
+        if let Some(w) = self.window.back_mut() {
+            w.events.push(event);
+        }
+    }
+}
+
 /// Cloneable handle to the flight recorder. Null by default; all
 /// methods are no-ops on a disabled handle. Deliberately `!Send`.
 #[derive(Clone, Debug, Default)]
@@ -96,28 +114,18 @@ impl FlightRecorder {
 
     /// Opens the window for engine round `round`, evicting the oldest
     /// round once the ring is full.
+    #[inline]
     pub fn begin_round(&self, round: u64) {
-        if let Some(state) = &self.state {
-            let mut s = state.borrow_mut();
-            if s.window.len() == s.cap {
-                s.window.pop_front();
-            }
-            s.window.push_back(RoundWindow {
-                round,
-                events: Vec::new(),
-            });
-        }
+        let Some(state) = &self.state else { return };
+        state.borrow_mut().begin_round(round);
     }
 
     /// Appends an event to the current round's window (no-op before
     /// the first [`FlightRecorder::begin_round`]).
+    #[inline]
     pub fn note(&self, event: FlightEvent) {
-        if let Some(state) = &self.state {
-            let mut s = state.borrow_mut();
-            if let Some(w) = s.window.back_mut() {
-                w.events.push(event);
-            }
-        }
+        let Some(state) = &self.state else { return };
+        state.borrow_mut().note(event);
     }
 
     /// Notes the live-set change from `prev` to `live` (both sorted
