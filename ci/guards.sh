@@ -22,13 +22,19 @@ guards=(
   "$code" '-'
   'a retired round-path name is back'
 
-  # One observer set, one traffic entry, one deployment: the
+  # One observer handle, one traffic entry, one deployment: the
   # per-recorder setters and the telescoping run/record chains.
-  # (`ChaNode::set_causal`, `Medium::set_probe` and
-  # `Service::set_telemetry` are different, surviving methods.)
   'set_flight|set_monitor|run_traffic_(recorded|traced|observed)|record_(traced|observed)'
   "$code" '-'
   'a retired recorder-wiring name is back'
+
+  # One observer handle: the counters, timers, recorders and monitor
+  # of a run share one state behind `Observers`, which every layer
+  # holds a clone of. The separately null handles and their setters
+  # are gone.
+  'struct Probe|Probe::|set_probe|set_causal|(Monitor|CausalRecorder|FlightRecorder)::(enabled|disabled)'
+  "$code" '-'
+  'a retired observer handle or setter is back; hold a clone of the one Observers handle'
 
   'too_many_arguments'
   'crates/scenario/src/compile.rs crates/traffic/src' '-'
@@ -45,12 +51,14 @@ guards=(
   'src crates/*/src' 'forbid\(unsafe_code\)'
   'the workspace has no unsafe code'
 
-  # The two inert shims the frozen benchmark sources still call must
-  # not grow a second caller before the benchmark-only PR that deletes
-  # the mirror deletes them.
-  'set_workers\(|with_workers\('
-  "$code" '^examples/perf/|pub fn (set_workers|with_workers)\('
-  'the no-op worker shims have a caller outside examples/perf/'
+  # The three inert shims the frozen benchmark sources still call or
+  # implement must not grow a second caller before the benchmark-only
+  # PR that deletes the mirror deletes them. (A traffic world receives
+  # its observers when it is built; `Service::set_telemetry` is a
+  # no-op.)
+  'set_workers\(|with_workers\(|set_telemetry\('
+  "$code" '^examples/perf/|pub fn (set_workers|with_workers)\(|^crates/traffic/src/service\.rs:[0-9]+: +fn set_telemetry\($'
+  'a no-op shim (set_workers, with_workers, set_telemetry) has a caller outside examples/perf/'
 
   # vi-core says it once: Section 3.5 is `ChaProtocol::fold_decided`
   # (callers: the emulator's green fold and E10; its tests live beside
@@ -170,13 +178,22 @@ for ((i = 0; i < ${#guards[@]}; i += 4)); do
   fi
 done
 
-# Two guards are not "this must not match": exactly one service
+# Three guards are not "this must not match": exactly one service
 # adapter (`impl Service for Adapter<A>`; an app is a description, not
-# a second adapter), and every crate root forbids unsafe code.
+# a second adapter), exactly one shared observer state (`Observers`;
+# a recorder is a plain struct inside it, not a handle of its own),
+# and every crate root forbids unsafe code.
 n=$(grep -rn 'impl.*Service for' crates/traffic/src/ | wc -l)
 if [ "$n" -ne 1 ]; then
   grep -rn 'impl.*Service for' crates/traffic/src/ || true
   echo "expected exactly one 'impl Service for' under crates/traffic/src/, found $n"
+  failed=1
+fi
+hits=$(above_tests crates/telemetry/src | grep -F 'Option<Rc<RefCell<' || true)
+n=$(printf '%s' "$hits" | grep -c . || true)
+if [ "$n" -ne 1 ]; then
+  printf '%s\n' "$hits"
+  echo "expected exactly one 'Option<Rc<RefCell<' above the tests in crates/telemetry/src/, found $n"
   failed=1
 fi
 for f in src/lib.rs crates/*/src/lib.rs; do

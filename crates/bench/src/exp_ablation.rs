@@ -12,7 +12,7 @@
 //! consistent ⊥ (its agreement checker finds zero violations at any
 //! loss rate — at the price of some undecided instances).
 
-use crate::harness::{run_clique, AdversaryKind, CliqueConfig};
+use crate::harness::{run_clique, CliqueConfig};
 use crate::table::{f2, Table};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -20,7 +20,7 @@ use vi_baselines::{ThreePhaseCommit, TpcDecision, TpcMessage};
 use vi_radio::adversary::ScriptedAdversary;
 use vi_radio::geometry::{Point, Rect};
 use vi_radio::mobility::Static;
-use vi_radio::{Engine, EngineConfig, NodeSpec, RadioConfig};
+use vi_radio::{AdversaryKind, Engine, EngineConfig, NodeSpec, RadioConfig};
 use vi_scenario::{CmSpec, PlacementSpec, PopulationSpec, ScenarioSpec, SweepRunner, WorkloadSpec};
 
 /// Runs one slotted-3PC instance with each pre-commit delivery dropped

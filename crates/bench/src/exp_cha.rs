@@ -1,6 +1,6 @@
 //! Experiments on convergent history agreement (E1–E6, E10).
 
-use crate::harness::{run_clique, AdversaryKind, CliqueConfig};
+use crate::harness::{run_clique, CliqueConfig};
 use crate::table::{f2, Table};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -9,7 +9,7 @@ use vi_contention::{OracleCm, PreStability, SharedCm};
 use vi_core::cha::{ChaProtocol, Color, TaggedProposer};
 use vi_radio::geometry::{Point, Rect};
 use vi_radio::mobility::Static;
-use vi_radio::{Engine, EngineConfig, NodeSpec, RadioConfig};
+use vi_radio::{AdversaryKind, Engine, EngineConfig, NodeSpec, RadioConfig};
 use vi_scenario::{CmSpec, PlacementSpec, PopulationSpec, ScenarioSpec, SweepRunner, WorkloadSpec};
 
 /// E1 — reproduces **Figure 2**: how a replica's color and output

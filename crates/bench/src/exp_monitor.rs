@@ -305,7 +305,7 @@ pub fn live_monitor() -> Table {
 mod tests {
     use super::*;
     use crate::harness::guards::assert_on_overhead_is_bounded;
-    use vi_telemetry::{Monitor, Probe, SinkSet};
+    use vi_telemetry::{Monitor, Observers, SinkSet};
 
     /// Fast end-to-end: the full experiment runs, asserts its
     /// acceptance criteria inline, and reports one row per job.
@@ -323,24 +323,18 @@ mod tests {
     }
 
     /// An explicit monitor over a local sink set (no global registry):
-    /// a scenario run samples on the tuning period and the deltas
+    /// a run's rounds sample on the monitor's period and the deltas
     /// reconcile — the embedder-facing API works without env vars.
     #[test]
     fn explicit_monitor_samples_a_run() {
         let ring = Arc::new(RingSink::with_capacity(1024));
-        let probe = Probe::enabled();
-        let monitor = Monitor::enabled(
-            "local",
-            7,
-            8,
-            probe.clone(),
-            SinkSet::new(vec![ring.clone()]),
-        );
+        let sinks = SinkSet::new(vec![ring.clone()]);
+        let obs = Observers::new(false).with_monitor(Monitor::new("local", 7, 8, sinks));
         for round in 1..=20u64 {
-            probe.count(|c| c.rounds_total += 1);
-            monitor.on_round(round);
+            obs.count_round(|c| c.rounds_total += 1);
+            obs.end_round(round, 0, 0);
         }
-        monitor.finish();
+        obs.finish();
         let snaps: Vec<_> = ring
             .events()
             .into_iter()
@@ -358,7 +352,7 @@ mod tests {
             merged.merge(&s.counters_delta);
         }
         assert_eq!(merged.rounds_total, 20);
-        assert_eq!(merged, probe.counters().unwrap());
+        assert_eq!(merged, obs.counters().unwrap());
     }
 
     /// Acceptance guard, CI-release only: monitoring-on must stay

@@ -5,13 +5,8 @@ use vi_core::cha::{ChaMessage, ChaNode, ChaOutput, ChaSpecChecker, TaggedPropose
 use vi_radio::geometry::Point;
 use vi_radio::mobility::Static;
 use vi_radio::trace::ChannelStats;
-use vi_radio::{Engine, EngineConfig, NodeId, NodeSpec, RadioConfig};
+use vi_radio::{AdversaryKind, Engine, EngineConfig, NodeId, NodeSpec, RadioConfig};
 use vi_scenario::{EngineTuning, ScenarioOutcome, ScenarioSpec, SweepRunner};
-
-// `AdversaryKind` began life here and moved to `vi-radio::adversary`
-// (serde-derived) so scenario specs can describe adversaries
-// declaratively; re-exported so existing call sites keep compiling.
-pub use vi_radio::adversary::AdversaryKind;
 
 /// Configuration for a Section 3 single-region CHAP run.
 #[derive(Clone, Debug)]

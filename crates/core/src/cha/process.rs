@@ -11,7 +11,7 @@ use crate::cha::protocol::{ChaMessage, ChaOutput, ChaProtocol, Phase};
 use std::any::Any;
 use vi_contention::{ChannelFeedback, CmSlot, SharedCm};
 use vi_radio::{Process, RoundCtx, RoundReception};
-use vi_telemetry::CausalRecorder;
+use vi_telemetry::Observers;
 
 /// Supplies the proposal for each instance (Figure 1's `propose(k)`
 /// input). In the virtual-infrastructure emulation the proposal is the
@@ -72,9 +72,9 @@ pub struct ChaNode<V> {
     was_active: bool,
     outputs: Vec<ChaOutput<V>>,
     proposals: Vec<(u64, V)>,
-    /// Causal-tracing handle (null by default): propose/decide spans
+    /// The run's observers (null by default): propose/decide spans
     /// form the per-instance prev-chain of the causal DAG.
-    causal: CausalRecorder,
+    obs: Observers,
     /// This node's tag in causal spans (the simulator node index).
     causal_node: u64,
 }
@@ -125,17 +125,18 @@ impl<V: Clone + Ord + 'static> ChaNode<V> {
             was_active: false,
             outputs: Vec::new(),
             proposals: Vec::new(),
-            causal: CausalRecorder::disabled(),
+            obs: Observers::default(),
             causal_node: 0,
         }
     }
 
-    /// Installs a causal-tracing recorder; `node` tags this
-    /// participant's propose/decide spans (use the simulator node
-    /// index so spans line up with the engine's broadcast spans).
-    pub fn set_causal(&mut self, causal: CausalRecorder, node: u64) {
-        self.causal = causal;
+    /// This participant reporting to the run's observers; `node` tags
+    /// its propose/decide spans (use the simulator node index so they
+    /// line up with the engine's broadcast spans).
+    pub fn with_observers(mut self, obs: Observers, node: u64) -> Self {
+        self.obs = obs;
         self.causal_node = node;
+        self
     }
 
     /// The per-instance outputs produced so far, in instance order.
@@ -163,7 +164,7 @@ impl<V: Clone + Ord + vi_radio::WireSized + 'static> Process<ChaMessage<V>> for 
                 let proposal = self.proposer.propose(instance);
                 self.proposals.push((instance, proposal.clone()));
                 let ballot = self.protocol.begin_instance(proposal);
-                self.causal.propose(self.causal_node, instance);
+                self.obs.causal(|c| c.propose(self.causal_node, instance));
                 let advice = self.cm.contend(self.slot, ctx.round, ctx.pos);
                 self.was_active = advice.is_active();
                 self.was_active.then_some(ChaMessage::Ballot(ballot))
@@ -198,7 +199,8 @@ impl<V: Clone + Ord + vi_radio::WireSized + 'static> Process<ChaMessage<V>> for 
             Phase::Veto2 => {
                 let out = self.protocol.on_veto2_phase(veto_heard, rx.collision);
                 if out.decided() {
-                    self.causal.decide(self.causal_node, out.instance);
+                    self.obs
+                        .causal(|c| c.decide(self.causal_node, out.instance));
                 }
                 self.outputs.push(out);
             }

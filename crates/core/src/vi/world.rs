@@ -1,7 +1,8 @@
 //! Deployment builder: assembles radio engine, schedule, regional
 //! contention managers, and devices into a runnable virtual
 //! infrastructure. Execution knobs forward to the engine it owns:
-//! `set_adversary`, and one `set_observers` for every recorder.
+//! `set_adversary`, and `set_observers` for the run's one observer
+//! handle.
 
 use crate::vi::automaton::{VirtualAutomaton, VnId};
 use crate::vi::client::ClientApp;
@@ -131,7 +132,7 @@ impl<VA: VirtualAutomaton> World<VA> {
         self.engine.set_adversary(adversary);
     }
 
-    /// Installs the run's observers on the underlying engine (see
+    /// Installs the run's observer handle on the underlying engine (see
     /// [`vi_radio::Engine::set_observers`]): an observed deployment is
     /// byte-identical to an unobserved one.
     pub fn set_observers(&mut self, obs: vi_telemetry::Observers) {

@@ -26,7 +26,7 @@ use crate::engine::NodeId;
 use crate::geometry::{Heard, HeardFold, Point, SnapshotIndex, SpatialGrid};
 use rand::rngs::StdRng;
 use std::time::Instant;
-use vi_telemetry::{Phase, Probe};
+use vi_telemetry::{Observers, Phase};
 
 /// A node's transmission decision for one round.
 #[derive(Clone, Debug)]
@@ -291,8 +291,10 @@ pub struct Medium {
     /// Scratch: `(receiver << 32 | broadcaster, d²)` events for the
     /// sparse-broadcast scatter resolution.
     events: Vec<(u64, f64)>,
-    /// Telemetry handle (null by default: every site is one branch).
-    probe: Probe,
+    /// The run's observers (null by default: every site is one
+    /// branch); counts and timers land only where engine rounds feed
+    /// them.
+    obs: Observers,
 }
 
 impl Medium {
@@ -328,14 +330,15 @@ impl Medium {
             is_mover: Vec::new(),
             fresh: Vec::new(),
             events: Vec::new(),
-            probe: Probe::disabled(),
+            obs: Observers::default(),
         }
     }
 
-    /// Installs a telemetry probe (a clone shares the caller's
-    /// counters). The default probe is null and costs one branch.
-    pub fn set_probe(&mut self, probe: Probe) {
-        self.probe = probe;
+    /// Installs the run's observers (a clone shares the caller's
+    /// state; [`crate::Engine::set_observers`] hands its own down). The
+    /// default handle is null and costs one branch per site.
+    pub fn set_observers(&mut self, obs: Observers) {
+        self.obs = obs;
     }
 
     /// The radio parameters this medium resolves under.
@@ -391,7 +394,7 @@ impl Medium {
     ) {
         out.clear();
         let n = intents.len();
-        self.probe.count(|c| c.rounds_total += 1);
+        self.obs.count_round(|c| c.rounds_total += 1);
 
         // Pick the round's maintenance mode. Participant churn and
         // mass movement go through the per-round broadcaster index
@@ -402,13 +405,13 @@ impl Medium {
         let stale = !self.cache_ready || self.cached_n != n;
         let (churn, movers): (bool, &[u32]) = match delta {
             TopologyDelta::Rebuild => {
-                self.probe.count(|c| c.fallback_participant_churn += 1);
+                self.obs.count_round(|c| c.fallback_participant_churn += 1);
                 (true, &[])
             }
             TopologyDelta::Unchanged => (false, &[]),
             TopologyDelta::Moved(slots) => {
                 if slots.len() * Self::MOVER_REBUILD_NUM > n {
-                    self.probe.count(|c| c.fallback_mass_move += 1);
+                    self.obs.count_round(|c| c.fallback_mass_move += 1);
                     (true, &[])
                 } else if stale
                     || slots
@@ -428,8 +431,8 @@ impl Medium {
         let cfg = self.cfg;
         let walk = ReceiverWalk {
             cfg,
-            probe: &self.probe,
-            t_geom: self.probe.timer(),
+            obs: &self.obs,
+            t_geom: self.obs.round_timer(),
             round,
             intents,
             adversary,
@@ -437,7 +440,7 @@ impl Medium {
             out,
         };
         if churn {
-            self.probe.count(|c| {
+            self.obs.count_round(|c| {
                 c.rounds_churn += 1;
                 c.grid_queries += n as u64;
             });
@@ -458,7 +461,7 @@ impl Medium {
 
         let rebuild = stale || (movers.is_empty() && !matches!(delta, TopologyDelta::Unchanged));
         if rebuild {
-            self.probe.count(|c| {
+            self.obs.count_round(|c| {
                 c.rounds_reanchor += 1;
                 c.cache_reanchors += 1;
                 if stale {
@@ -480,7 +483,7 @@ impl Medium {
             self.cached_n = n;
             self.cache_ready = true;
         } else if !movers.is_empty() {
-            self.probe.count(|c| {
+            self.obs.count_round(|c| {
                 c.mover_rounds += 1;
                 c.mover_slots += movers.len() as u64;
                 c.grid_queries += movers.len() as u64;
@@ -557,7 +560,7 @@ impl Medium {
         // scan path. Either path folds the identical per-receiver
         // broadcaster subset.
         let scatter = !rebuild && broadcasters * Self::SCATTER_MAX_TX_NUM < n;
-        self.probe.count(|c| {
+        self.obs.count_round(|c| {
             if scatter {
                 c.rounds_scatter += 1;
             } else if !rebuild {
@@ -633,7 +636,7 @@ fn heard_in(list: &[(u32, f64)], is_tx: &[bool], r1_sq: f64) -> Heard {
 /// and RNG consultation of a round happens in [`ReceiverWalk::run`].
 struct ReceiverWalk<'a, M> {
     cfg: RadioConfig,
-    probe: &'a Probe,
+    obs: &'a Observers,
     /// Start of the geometry phase (index or cache maintenance,
     /// wall-clock only); it ends where the walk — the finalize phase —
     /// starts.
@@ -649,8 +652,8 @@ impl<M: Clone> ReceiverWalk<'_, M> {
     /// Resolves every receiver given what `hear(slot, intent)` says it
     /// [`Heard`].
     fn run(self, mut hear: impl FnMut(usize, &TxIntent<M>) -> Heard) {
-        self.probe.phase_since(Phase::Geometry, self.t_geom);
-        let t_fin = self.probe.timer();
+        self.obs.phase_since(Phase::Geometry, self.t_geom);
+        let t_fin = self.obs.round_timer();
         for (j, rx_intent) in self.intents.iter().enumerate() {
             let heard = hear(j, rx_intent);
             resolve_receiver(
@@ -664,7 +667,7 @@ impl<M: Clone> ReceiverWalk<'_, M> {
                 self.out,
             );
         }
-        self.probe.phase_since(Phase::Finalize, t_fin);
+        self.obs.phase_since(Phase::Finalize, t_fin);
     }
 }
 

@@ -12,14 +12,15 @@
 //! nodes may arrive at any round. Crashed nodes never participate
 //! again; not-yet-spawned nodes are invisible to the channel.
 //!
-//! Whoever watches a run — telemetry probe, causal and flight
-//! recorders, live monitor — is installed as one
-//! [`vi_telemetry::Observers`] ([`Engine::set_observers`]). A round
-//! states each observer-only fact once through it (round open,
-//! scripted crashes, live-set churn, adversary-consultation count,
-//! round close); only the per-message causal broadcast/reception sites
-//! sit inside the statistics pass. All of it is on the sequential
-//! control path, so observing never changes an execution.
+//! Whoever watches a run — counters, phase timers, causal and flight
+//! recorders, live monitor — sits behind one
+//! [`vi_telemetry::Observers`] handle ([`Engine::set_observers`]),
+//! shared with the medium. A round states each observer-only fact
+//! once through it (round open, scripted crashes, live-set churn,
+//! adversary-consultation count, round close); only the per-message
+//! causal broadcast/reception sites sit inside the statistics pass.
+//! All of it is on the sequential control path, so observing never
+//! changes an execution.
 
 use crate::adversary::{Adversary, NoAdversary};
 use crate::channel::{Medium, ReceptionBuffer, RoundReception, TopologyDelta, TxIntent};
@@ -33,7 +34,7 @@ use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use std::any::Any;
 use std::fmt;
-use vi_telemetry::{Observers, Phase};
+use vi_telemetry::{FlightEvent, Observers, Phase};
 
 /// Simulator handle for a node.
 ///
@@ -202,8 +203,8 @@ pub struct Engine<M> {
     /// Pooled trace record: built in place each traced round, then
     /// stored as an exact-size clone (no per-round growth churn).
     trace_scratch: RoundRecord,
-    /// The run's observers (all null by default; the probe is shared
-    /// with the medium). Fed on the sequential control path only.
+    /// The run's observers (null by default; the medium holds a clone).
+    /// Fed on the sequential control path only.
     obs: Observers,
 }
 
@@ -269,15 +270,15 @@ impl<M: Clone + WireSized + 'static> Engine<M> {
         }
     }
 
-    /// Installs the run's observers (the probe also on the medium;
-    /// clones share one set of counters and timers). Everything they
-    /// see is stated on the sequential control path — the resolver,
-    /// RNG stream, and channel stats are untouched — so an observed
-    /// run is byte-identical to an unobserved one. The default set is
-    /// null: every instrumentation site costs a single branch and the
-    /// zero-alloc steady-state contract is untouched.
+    /// Installs the run's observers, on the medium too (clones share
+    /// one state). Everything they see is stated on the sequential
+    /// control path — the resolver, RNG stream, and channel stats are
+    /// untouched — so an observed run is byte-identical to an
+    /// unobserved one. The default handle is null: every
+    /// instrumentation site costs a single branch and the zero-alloc
+    /// steady-state contract is untouched.
     pub fn set_observers(&mut self, obs: Observers) {
-        self.medium.set_probe(obs.probe.clone());
+        self.medium.set_observers(obs.clone());
         self.obs = obs;
     }
 
@@ -438,19 +439,22 @@ impl<M: Clone + WireSized + 'static> Engine<M> {
     pub fn step(&mut self) {
         let round = self.round;
         self.obs.begin_round(round);
-        if self.obs.flight.is_enabled() {
+        self.obs.flight(|f| {
             for e in self.nodes.iter().filter(|e| e.crash_at == Some(round)) {
-                self.obs.crash(e.id.index() as u64);
+                f.note(FlightEvent::Nemesis {
+                    node: e.id.index() as u64,
+                });
             }
-        }
-        let t_adv = self.obs.probe.timer();
+        });
+        let t_adv = self.obs.round_timer();
         self.collect_intents();
-        self.obs.probe.phase_since(Phase::Advance, t_adv);
+        self.obs.phase_since(Phase::Advance, t_adv);
 
         // Topology delta for the cached resolver: participant churn
         // forces a rebuild; otherwise only the movers are dirty.
         let delta = if self.live != self.prev_live {
-            self.obs.churn(&self.prev_live, &self.live);
+            self.obs
+                .flight(|f| f.note_churn(&self.prev_live, &self.live));
             self.prev_live.clone_from(&self.live);
             TopologyDelta::Rebuild
         } else if self.moved.is_empty() {
@@ -478,7 +482,7 @@ impl<M: Clone + WireSized + 'static> Engine<M> {
         self.obs.adversary_checks(counting.hits);
 
         // Statistics and trace (pooled record, cloned exact-size).
-        let t_del = self.obs.probe.timer();
+        let t_del = self.obs.round_timer();
         let prev_deliveries = self.stats.deliveries;
         let prev_collisions = self.stats.collision_reports;
         self.stats.rounds += 1;
@@ -499,7 +503,7 @@ impl<M: Clone + WireSized + 'static> Engine<M> {
                 self.stats.broadcasts += 1;
                 self.stats.total_bytes += size as u64;
                 self.stats.max_message_bytes = self.stats.max_message_bytes.max(size);
-                self.obs.causal.broadcast(intent.node.index() as u64);
+                self.obs.causal(|c| c.broadcast(intent.node.index() as u64));
                 if record {
                     self.trace_scratch.broadcasts.push((intent.node, size));
                 }
@@ -511,8 +515,7 @@ impl<M: Clone + WireSized + 'static> Engine<M> {
                 if src != node {
                     self.stats.deliveries += 1;
                     self.obs
-                        .causal
-                        .reception(src.index() as u64, node.index() as u64);
+                        .causal(|c| c.reception(src.index() as u64, node.index() as u64));
                     if record {
                         self.trace_scratch.deliveries.push((src, node));
                     }
@@ -539,7 +542,7 @@ impl<M: Clone + WireSized + 'static> Engine<M> {
             let rx = self.receptions.reception(k);
             self.nodes[idx].process.deliver(&ctx, rx);
         }
-        self.obs.probe.phase_since(Phase::Deliver, t_del);
+        self.obs.phase_since(Phase::Deliver, t_del);
 
         self.round += 1;
         self.obs.end_round(

@@ -11,7 +11,7 @@
 //! Every workload is the same pipeline: [`ScenarioSpec::deployment`]
 //! places the devices, the workload's `run_*` builds and runs its
 //! engine or world over them under the run's one
-//! [`vi_telemetry::Observers`] set, and [`ScenarioSpec::run_with`]
+//! [`vi_telemetry::Observers`] handle, and [`ScenarioSpec::run_with`]
 //! collects what the observers saw into the outcome.
 
 use crate::incident::{IncidentBundle, IncidentReason};
@@ -25,10 +25,7 @@ use vi_core::cha::{ChaMessage, ChaNode, ChaSpecChecker, TaggedProposer};
 use vi_core::vi::{CounterAutomaton, World, WorldConfig};
 use vi_radio::trace::ChannelStats;
 use vi_radio::{Adversary, Engine, EngineConfig, NodeId, NodeSpec, ScriptedAdversary, WireSized};
-use vi_telemetry::{
-    CausalRecorder, CausalSummary, FlightRecorder, Monitor, Observers, Phase, Probe,
-    TelemetrySummary,
-};
+use vi_telemetry::{monitor, CausalSummary, Monitor, Observers, Phase, TelemetrySummary};
 use vi_traffic::{AppKind, DevicePlan, TrafficSpec, TrafficSummary, TrafficWorld};
 
 /// Salt separating the placement RNG stream from the engine's seed
@@ -118,34 +115,27 @@ impl EngineTuning {
         self
     }
 
-    /// The observer set of one run, built once: the probe is live
-    /// when telemetry is requested *or* the monitor is (snapshots
-    /// sample the probe); the monitor is live when a sampling period
-    /// is in effect and at least one sink is installed; the causal and
-    /// flight recorders are live when asked for.
-    fn observers(&self, name: &str, seed: u64) -> Observers {
-        let every = vi_telemetry::monitor::effective_every(self.monitor_every);
-        let sinks = vi_telemetry::monitor::installed_sinks();
+    /// The observer handle of one run of `spec`, built once: null
+    /// unless something observes; the monitor rides along when a
+    /// sampling period is in effect and at least one sink is
+    /// installed, the causal and flight recorders when asked for. A
+    /// traffic workload's engine feeds only the recorders.
+    fn observers(&self, spec: &ScenarioSpec, seed: u64) -> Observers {
+        let every = monitor::effective_every(self.monitor_every);
+        let sinks = monitor::installed_sinks();
         let monitored = every > 0 && !sinks.is_empty();
-        let probe = if self.telemetry || monitored {
-            Probe::enabled()
-        } else {
-            Probe::disabled()
-        };
-        Observers {
-            monitor: if monitored {
-                Monitor::enabled(name, seed, every, probe.clone(), sinks)
-            } else {
-                Monitor::disabled()
-            },
-            probe,
-            causal: if self.tracing {
-                CausalRecorder::enabled(seed)
-            } else {
-                CausalRecorder::disabled()
-            },
-            flight: FlightRecorder::enabled(self.flight_rounds),
+        if !(self.telemetry || self.tracing || self.flight_rounds > 0 || monitored) {
+            return Observers::default();
         }
+        let traffic = matches!(spec.workload, WorkloadSpec::Traffic { .. });
+        let mut obs = Observers::new(traffic).with_flight(self.flight_rounds);
+        if self.tracing {
+            obs = obs.with_causal(seed);
+        }
+        if monitored {
+            obs = obs.with_monitor(Monitor::new(&spec.name, seed, every, sinks));
+        }
+        obs
     }
 }
 
@@ -230,12 +220,12 @@ impl ScenarioSpec {
     ///
     /// The tuning is an execution parameter, **not** part of the
     /// scenario: outcomes are byte-identical under every tuning, only
-    /// wall-clock differs. Traffic workloads build their engine inside
-    /// `vi-traffic`, behind `Service::set_telemetry`, which carries the
-    /// causal and flight recorders only: the traffic engine never sees
-    /// the probe (its telemetry holds workload-level counters, the
-    /// round-mode ones stay zero); the monitor samples the traffic
-    /// driver, not the engine.
+    /// wall-clock differs. Every layer of the run holds a clone of one
+    /// observer handle. In a traffic workload, built inside
+    /// `vi-traffic`, the engine feeds only the causal and flight
+    /// recorders: its telemetry holds workload-level counters (the
+    /// round-mode ones stay zero), and the monitor samples the traffic
+    /// driver's virtual rounds, not the engine's.
     ///
     /// With [`EngineTuning::flight_rounds`] > 0, a run ending in a
     /// checker violation or a liveness stall attaches an
@@ -243,8 +233,8 @@ impl ScenarioSpec {
     /// the bundle to `$VI_INCIDENT_DIR/incident_<scenario>_<seed>.json`
     /// (when that variable is set) before resuming the unwind.
     pub fn run_with(&self, seed: u64, tuning: EngineTuning) -> ScenarioOutcome {
-        let obs = tuning.observers(&self.name, seed);
-        let mut out = if obs.flight.is_enabled() {
+        let obs = tuning.observers(self, seed);
+        let mut out = if tuning.flight_rounds > 0 {
             let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 self.dispatch(seed, &obs)
             }));
@@ -261,8 +251,8 @@ impl ScenarioSpec {
                         seed,
                         tuning,
                         IncidentReason::Panic { message },
-                        obs.flight.window(),
-                        obs.causal.summary(),
+                        obs.flight_window(),
+                        obs.causal_summary(),
                         None,
                     );
                     if let Ok(dir) = std::env::var("VI_INCIDENT_DIR") {
@@ -277,14 +267,14 @@ impl ScenarioSpec {
             self.dispatch(seed, &obs)
         };
         if tuning.telemetry {
-            out.telemetry = obs.probe.summary();
+            out.telemetry = obs.summary();
         }
         // The final snapshot (marked `last`) lands after the checker
         // phase and the workload-level counters, so it reconciles with
         // the run's telemetry summary exactly.
-        obs.monitor.finish();
-        out.causal = obs.causal.summary();
-        if obs.flight.is_enabled() {
+        obs.finish();
+        out.causal = obs.causal_summary();
+        if tuning.flight_rounds > 0 {
             let reason =
                 if out.audit.as_ref().is_some_and(|r| !r.ok()) || out.safety_violations() > 0 {
                     Some(IncidentReason::Violation)
@@ -303,7 +293,7 @@ impl ScenarioSpec {
                     seed,
                     tuning,
                     reason,
-                    obs.flight.window(),
+                    obs.flight_window(),
                     out.causal.clone(),
                     out.audit.clone(),
                 ));
@@ -412,18 +402,22 @@ impl ScenarioSpec {
             // instance counter — the paper's join-by-state-transfer
             // — so they resume from a checkpoint aligned to the
             // global round/instance mapping (their first ballot
-            // phase starts instance `spawn.div_ceil(3) + 1`).
-            let mut spec = match d.spawn_at {
-                None => NodeSpec::new(
-                    d.mobility,
-                    Box::new(ChaNode::<u64>::new(proposer, cm.clone())),
-                ),
+            // phase starts instance `spawn.div_ceil(3) + 1`). Each
+            // participant mints propose/decide spans under its
+            // simulator node index, so they line up with the engine's
+            // broadcast spans and reception edges.
+            let node = match d.spawn_at {
+                None => ChaNode::<u64>::new(proposer, cm.clone()),
                 Some(spawn) => {
                     let k0 = spawn.div_ceil(3);
-                    let node = ChaNode::<u64>::from_checkpoint(k0, k0, proposer, cm.clone());
-                    NodeSpec::new(d.mobility, Box::new(node)).spawn_at(spawn)
+                    ChaNode::<u64>::from_checkpoint(k0, k0, proposer, cm.clone())
                 }
             };
+            let node = node.with_observers(obs.clone(), tag as u64);
+            let mut spec = NodeSpec::new(d.mobility, Box::new(node));
+            if let Some(spawn) = d.spawn_at {
+                spec = spec.spawn_at(spawn);
+            }
             if let Some(c) = d.crash_at {
                 spec = spec.crash_at(c);
                 if c < rounds {
@@ -433,20 +427,9 @@ impl ScenarioSpec {
             ids.push(engine.add_node(spec));
             genesis.push(d.spawn_at.is_none());
         }
-        if obs.causal.is_enabled() {
-            // Each participant mints propose/decide spans under its
-            // simulator node index, so they line up with the engine's
-            // broadcast spans and reception edges.
-            for (node, &id) in ids.iter().enumerate() {
-                if let Some(p) = engine.process_mut::<ChaNode<u64>>(id) {
-                    p.set_causal(obs.causal.clone(), node as u64);
-                }
-            }
-        }
-
         engine.run(rounds);
 
-        let t_check = obs.probe.timer();
+        let t_check = obs.timer();
         // The Section 3 specification (and its checker) quantifies
         // over a fixed participant set. Every node's proposals are
         // recorded (adopted values must trace back to *some* proposal)
@@ -485,7 +468,7 @@ impl ScenarioSpec {
         out.agreement_violations = checker.check_agreement().len();
         out.spread_violations = checker.check_color_spread().len();
         out.stabilized_kst = checker.liveness_kst();
-        obs.probe.phase_since(Phase::Checker, t_check);
+        obs.phase_since(Phase::Checker, t_check);
         out
     }
 
@@ -514,14 +497,14 @@ impl ScenarioSpec {
 
         world.run_virtual_rounds(virtual_rounds);
 
-        let t_check = obs.probe.timer();
+        let t_check = obs.timer();
         let report = world.report();
         let decided_fraction =
             report.decided as f64 / (report.decided + report.bottom).max(1) as f64;
         let mut out = self.outcome(seed, world.stats(), decided_fraction);
         out.vn_joins = report.joins;
         out.vn_resets = report.resets;
-        obs.probe.phase_since(Phase::Checker, t_check);
+        obs.phase_since(Phase::Checker, t_check);
         out
     }
 
@@ -551,19 +534,19 @@ impl ScenarioSpec {
             adversary: self.nemesis.compile_adversary(&self.adversary),
             devices,
         };
-        // The traffic driver owns its engine internally, so the probe
-        // records the workload-level counters only (timeouts, audit
-        // ops, delivery totals); per-round resolver-mode counters stay
-        // zero for traffic runs.
+        // The traffic driver owns its engine internally, and that
+        // engine feeds no counter: the handle records the
+        // workload-level counters only (timeouts, audit ops, delivery
+        // totals); per-round resolver-mode counters stay zero.
         let (out, events) = vi_traffic::run_traffic(app, tw, traffic, obs);
         let report = audited.then(|| {
             let history = History::from_events(app, events);
-            let t_check = obs.probe.timer();
+            let t_check = obs.timer();
             let report = audit(&history);
-            obs.probe.phase_since(Phase::Checker, t_check);
+            obs.phase_since(Phase::Checker, t_check);
             report
         });
-        obs.probe.count(|c| {
+        obs.count(|c| {
             c.receptions = out.stats.deliveries;
             c.collisions = out.stats.collision_reports;
             c.traffic_timeouts = out.summary.timed_out;
@@ -629,7 +612,7 @@ impl ScenarioSpec {
         // and completions feed the `majority_register` timeline. The
         // op vector is flat in node order (writes then reads per
         // node), so the owning node is recovered from the log sizes.
-        if obs.causal.is_enabled() {
+        obs.causal(|c| {
             let mut cursor = 0usize;
             for (node, &id) in ids.iter().enumerate() {
                 let p = engine
@@ -637,18 +620,18 @@ impl ScenarioSpec {
                     .expect("majority-register node");
                 let count = p.write_log.len() + p.read_log.len();
                 for op in &ops[cursor..cursor + count] {
-                    obs.causal.invoke(op.id, node as u64, op.inv);
+                    c.invoke(op.id, node as u64, op.inv);
                     if op.ret != vi_audit::linearizability::PENDING {
-                        obs.causal.complete("majority_register", op.id, op.ret);
+                        c.complete("majority_register", op.id, op.ret);
                     }
                 }
                 cursor += count;
             }
-        }
-        let t_check = obs.probe.timer();
+        });
+        let t_check = obs.timer();
         let report = audit_register_ops("majority_register", &ops);
-        obs.probe.phase_since(Phase::Checker, t_check);
-        obs.probe.count(|c| c.audit_ops = report.ops);
+        obs.phase_since(Phase::Checker, t_check);
+        obs.count(|c| c.audit_ops = report.ops);
         let completed = ops
             .iter()
             .filter(|o| o.ret != vi_audit::linearizability::PENDING)

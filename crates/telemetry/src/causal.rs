@@ -11,14 +11,11 @@
 //! decision happened, and per-app invoke→decide latency histograms
 //! (the "decision timeline").
 //!
-//! Like [`crate::Probe`], the recorder is a cloneable handle that is
-//! null by default: the disabled path costs one branch per site, and
-//! recording happens only on the sequential control path so the
-//! summary is byte-identical at any worker count.
+//! The recorder is a plain struct inside a run's [`crate::Observers`]
+//! state, fed only on the sequential control path, so the summary is
+//! byte-identical at any worker count.
 
-use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::rc::Rc;
 
 use serde::{Deserialize, Serialize};
 
@@ -132,7 +129,7 @@ pub struct TraceIdGen {
 
 impl TraceIdGen {
     /// A generator for the given run seed.
-    pub fn new(seed: u64) -> Self {
+    pub(crate) fn new(seed: u64) -> Self {
         // Salt so trace ids differ from any raw-seed-derived stream.
         TraceIdGen {
             state: seed ^ 0x7ace_1d5e_ed0f_f1ce,
@@ -154,8 +151,10 @@ impl TraceIdGen {
     }
 }
 
+/// The causal recorder of one run: spans, reception edges and decision
+/// timelines, bounded by [`MAX_SPANS`] / [`MAX_EDGES`].
 #[derive(Debug)]
-struct CausalState {
+pub struct CausalRecorder {
     ids: TraceIdGen,
     round: u64,
     spans: Vec<CausalSpan>,
@@ -176,7 +175,25 @@ struct CausalState {
     decision: BTreeMap<String, LatencyHistogram>,
 }
 
-impl CausalState {
+impl CausalRecorder {
+    /// A recorder whose trace-id stream derives from `seed`.
+    pub(crate) fn new(seed: u64) -> Self {
+        CausalRecorder {
+            ids: TraceIdGen::new(seed),
+            round: 0,
+            spans: Vec::new(),
+            edges: Vec::new(),
+            dropped_spans: 0,
+            dropped_edges: 0,
+            open_ops: BTreeMap::new(),
+            op_spans: BTreeMap::new(),
+            last_propose: BTreeMap::new(),
+            last_decide: BTreeMap::new(),
+            round_tx: BTreeMap::new(),
+            decision: BTreeMap::new(),
+        }
+    }
+
     fn push_span(&mut self, span: CausalSpan) {
         if self.spans.len() >= MAX_SPANS {
             self.dropped_spans += 1;
@@ -185,7 +202,16 @@ impl CausalState {
         }
     }
 
-    fn broadcast(&mut self, node: u64) {
+    /// Marks the start of engine round `round`; clears the per-round
+    /// broadcast-span table.
+    pub(crate) fn begin_round(&mut self, round: u64) {
+        self.round = round;
+        self.round_tx.clear();
+    }
+
+    /// Records a broadcast by `node` this round (receptions reference
+    /// its span via [`CausalRecorder::reception`]).
+    pub fn broadcast(&mut self, node: u64) {
         let id = self.ids.next_id();
         let parent = self.last_propose.get(&node).map_or(0, |&(span, _)| span);
         self.push_span(CausalSpan {
@@ -199,7 +225,11 @@ impl CausalState {
         self.round_tx.insert(node, id);
     }
 
-    fn reception(&mut self, src: u64, dst: u64) {
+    /// Records that `dst` received `src`'s broadcast this round. The
+    /// edge carries the sender's broadcast span id of this round (0 if
+    /// the sender did not broadcast under tracing, e.g. a spurious
+    /// frame).
+    pub fn reception(&mut self, src: u64, dst: u64) {
         if self.edges.len() >= MAX_EDGES {
             self.dropped_edges += 1;
         } else {
@@ -211,164 +241,79 @@ impl CausalState {
             });
         }
     }
-}
-
-/// Cloneable handle to the causal recorder. Null by default; all
-/// methods are no-ops on a disabled handle. Deliberately `!Send` —
-/// recording belongs on the sequential control path only.
-#[derive(Clone, Debug, Default)]
-pub struct CausalRecorder {
-    state: Option<Rc<RefCell<CausalState>>>,
-}
-
-impl CausalRecorder {
-    /// The null recorder: every call is one branch and a return.
-    pub fn disabled() -> Self {
-        CausalRecorder { state: None }
-    }
-
-    /// A live recorder whose trace-id stream derives from `seed`.
-    pub fn enabled(seed: u64) -> Self {
-        CausalRecorder {
-            state: Some(Rc::new(RefCell::new(CausalState {
-                ids: TraceIdGen::new(seed),
-                round: 0,
-                spans: Vec::new(),
-                edges: Vec::new(),
-                dropped_spans: 0,
-                dropped_edges: 0,
-                open_ops: BTreeMap::new(),
-                op_spans: BTreeMap::new(),
-                last_propose: BTreeMap::new(),
-                last_decide: BTreeMap::new(),
-                round_tx: BTreeMap::new(),
-                decision: BTreeMap::new(),
-            }))),
-        }
-    }
-
-    /// Whether this handle records anything.
-    pub fn is_enabled(&self) -> bool {
-        self.state.is_some()
-    }
-
-    /// Marks the start of engine round `round`; clears the per-round
-    /// broadcast-span table.
-    #[inline]
-    pub fn begin_round(&self, round: u64) {
-        let Some(state) = &self.state else { return };
-        let mut s = state.borrow_mut();
-        s.round = round;
-        s.round_tx.clear();
-    }
-
-    /// Records a broadcast by `node` this round and returns its span
-    /// id (receptions reference it via [`CausalRecorder::reception`]).
-    #[inline]
-    pub fn broadcast(&self, node: u64) {
-        let Some(state) = &self.state else { return };
-        state.borrow_mut().broadcast(node);
-    }
-
-    /// Records that `dst` received `src`'s broadcast this round. The
-    /// edge carries the sender's broadcast span id minted by
-    /// [`CausalRecorder::broadcast`] this round (0 if the sender did
-    /// not broadcast under tracing, e.g. a spurious frame).
-    #[inline]
-    pub fn reception(&self, src: u64, dst: u64) {
-        let Some(state) = &self.state else { return };
-        state.borrow_mut().reception(src, dst);
-    }
 
     /// Records a client op invocation (traffic layer; `round` is the
     /// virtual round of admission).
-    pub fn invoke(&self, op: u64, client: u64, round: u64) {
-        if let Some(state) = &self.state {
-            let mut s = state.borrow_mut();
-            let id = s.ids.next_id();
-            s.push_span(CausalSpan {
-                id,
-                parent: 0,
-                kind: SpanKind::Op,
-                node: client,
-                round,
-                tag: op,
-            });
-            s.open_ops.insert(op, (id, round));
-            s.op_spans.insert(op, id);
-        }
+    pub fn invoke(&mut self, op: u64, client: u64, round: u64) {
+        let id = self.ids.next_id();
+        self.push_span(CausalSpan {
+            id,
+            parent: 0,
+            kind: SpanKind::Op,
+            node: client,
+            round,
+            tag: op,
+        });
+        self.open_ops.insert(op, (id, round));
+        self.op_spans.insert(op, id);
     }
 
     /// Records a client op completion at virtual round `round` and
     /// feeds the invoke→complete latency into `app`'s decision
     /// timeline.
-    pub fn complete(&self, app: &str, op: u64, round: u64) {
-        if let Some(state) = &self.state {
-            let mut s = state.borrow_mut();
-            if let Some((_, invoked)) = s.open_ops.remove(&op) {
-                let latency = round.saturating_sub(invoked);
-                s.decision
-                    .entry(app.to_string())
-                    .or_default()
-                    .record(latency);
-            }
+    pub fn complete(&mut self, app: &str, op: u64, round: u64) {
+        if let Some((_, invoked)) = self.open_ops.remove(&op) {
+            let latency = round.saturating_sub(invoked);
+            self.decision
+                .entry(app.to_string())
+                .or_default()
+                .record(latency);
         }
     }
 
     /// Records a CHA proposal by `node` for `instance` this round.
     /// Its parent is the node's previous decide span (the prev-chain).
-    pub fn propose(&self, node: u64, instance: u64) {
-        if let Some(state) = &self.state {
-            let mut s = state.borrow_mut();
-            let id = s.ids.next_id();
-            let parent = s.last_decide.get(&node).copied().unwrap_or(0);
-            let round = s.round;
-            s.push_span(CausalSpan {
-                id,
-                parent,
-                kind: SpanKind::Propose,
-                node,
-                round,
-                tag: instance,
-            });
-            s.last_propose.insert(node, (id, round));
-        }
+    pub fn propose(&mut self, node: u64, instance: u64) {
+        let id = self.ids.next_id();
+        let parent = self.last_decide.get(&node).copied().unwrap_or(0);
+        self.push_span(CausalSpan {
+            id,
+            parent,
+            kind: SpanKind::Propose,
+            node,
+            round: self.round,
+            tag: instance,
+        });
+        self.last_propose.insert(node, (id, self.round));
     }
 
     /// Records a CHA decision by `node` closing `instance` this
     /// round; its parent is the node's propose span, and the
     /// propose→decide distance feeds the `cha` decision timeline.
-    pub fn decide(&self, node: u64, instance: u64) {
-        if let Some(state) = &self.state {
-            let mut s = state.borrow_mut();
-            let id = s.ids.next_id();
-            let (parent, proposed) = s.last_propose.get(&node).copied().unwrap_or((0, 0));
-            let round = s.round;
-            s.push_span(CausalSpan {
-                id,
-                parent,
-                kind: SpanKind::Decide,
-                node,
-                round,
-                tag: instance,
-            });
-            s.last_decide.insert(node, id);
-            if parent != 0 {
-                let latency = round.saturating_sub(proposed);
-                s.decision
-                    .entry("cha".to_string())
-                    .or_default()
-                    .record(latency);
-            }
+    pub fn decide(&mut self, node: u64, instance: u64) {
+        let id = self.ids.next_id();
+        let (parent, proposed) = self.last_propose.get(&node).copied().unwrap_or((0, 0));
+        self.push_span(CausalSpan {
+            id,
+            parent,
+            kind: SpanKind::Decide,
+            node,
+            round: self.round,
+            tag: instance,
+        });
+        self.last_decide.insert(node, id);
+        if parent != 0 {
+            let latency = self.round.saturating_sub(proposed);
+            self.decision
+                .entry("cha".to_string())
+                .or_default()
+                .record(latency);
         }
     }
 
-    /// Snapshots the recording into a serializable summary; `None` on
-    /// a disabled handle.
-    pub fn summary(&self) -> Option<CausalSummary> {
-        let state = self.state.as_ref()?;
-        let s = state.borrow();
-        let decision = s
+    /// Snapshots the recording into a serializable summary.
+    pub(crate) fn summary(&self) -> CausalSummary {
+        let decision = self
             .decision
             .iter()
             .map(|(app, h)| {
@@ -384,20 +329,21 @@ impl CausalRecorder {
                 )
             })
             .collect();
-        Some(CausalSummary {
-            spans: s.spans.clone(),
-            edges: s.edges.clone(),
-            dropped_spans: s.dropped_spans,
-            dropped_edges: s.dropped_edges,
-            op_spans: s.op_spans.clone(),
+        CausalSummary {
+            spans: self.spans.clone(),
+            edges: self.edges.clone(),
+            dropped_spans: self.dropped_spans,
+            dropped_edges: self.dropped_edges,
+            op_spans: self.op_spans.clone(),
             decision,
-        })
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Observers;
 
     #[test]
     fn trace_ids_are_deterministic_nonzero_and_distinct() {
@@ -414,23 +360,20 @@ mod tests {
         assert_ne!(a.next_id(), c.next_id(), "different seeds diverge");
     }
 
+    /// A run with no causal part records nothing, on a null handle or
+    /// on a live one.
     #[test]
     fn disabled_recorder_is_inert() {
-        let r = CausalRecorder::disabled();
-        assert!(!r.is_enabled());
-        r.begin_round(1);
-        r.broadcast(0);
-        r.reception(0, 1);
-        r.invoke(1, 0, 0);
-        r.complete("register", 1, 3);
-        r.propose(0, 1);
-        r.decide(0, 1);
-        assert!(r.summary().is_none());
+        for obs in [Observers::default(), Observers::new(false)] {
+            obs.begin_round(1);
+            obs.causal(|_| panic!("no causal part to reach"));
+            assert!(obs.causal_summary().is_none());
+        }
     }
 
     #[test]
     fn propose_decide_chain_links_parents_and_times_decisions() {
-        let r = CausalRecorder::enabled(3);
+        let mut r = CausalRecorder::new(3);
         r.begin_round(0);
         r.propose(0, 1);
         r.broadcast(0);
@@ -438,7 +381,7 @@ mod tests {
         r.decide(0, 1);
         r.begin_round(3);
         r.propose(0, 2);
-        let s = r.summary().expect("enabled");
+        let s = r.summary();
         assert_eq!(s.spans.len(), 4);
         let propose1 = s.spans[0];
         let tx = s.spans[1];
@@ -459,14 +402,14 @@ mod tests {
 
     #[test]
     fn receptions_carry_the_senders_round_span() {
-        let r = CausalRecorder::enabled(5);
+        let mut r = CausalRecorder::new(5);
         r.begin_round(4);
         r.broadcast(2);
         r.reception(2, 0);
         r.reception(9, 0); // untraced sender: span id 0
         r.begin_round(5);
         r.reception(2, 1); // stale: node 2 did not broadcast this round
-        let s = r.summary().expect("enabled");
+        let s = r.summary();
         assert_eq!(s.edges.len(), 3);
         assert_eq!(s.edges[0].span, s.spans[0].id);
         assert_eq!(s.edges[0].round, 4);
@@ -476,13 +419,13 @@ mod tests {
 
     #[test]
     fn op_lifecycle_feeds_per_app_decision_timelines() {
-        let r = CausalRecorder::enabled(11);
+        let mut r = CausalRecorder::new(11);
         r.invoke(100, 0, 2);
         r.invoke(101, 1, 2);
         r.complete("register", 100, 5);
         r.complete("register", 101, 2);
         r.complete("register", 999, 9); // unknown op: ignored
-        let s = r.summary().expect("enabled");
+        let s = r.summary();
         let reg = s.decision.get("register").expect("register timeline");
         assert_eq!(reg.samples, 2);
         assert_eq!(reg.max, 3);
@@ -496,7 +439,7 @@ mod tests {
 
     #[test]
     fn span_and_edge_caps_count_drops_instead_of_growing() {
-        let r = CausalRecorder::enabled(1);
+        let mut r = CausalRecorder::new(1);
         r.begin_round(0);
         for node in 0..(MAX_SPANS as u64 + 10) {
             r.broadcast(node);
@@ -504,7 +447,7 @@ mod tests {
         for dst in 0..(MAX_EDGES as u64 + 10) {
             r.reception(0, dst);
         }
-        let s = r.summary().expect("enabled");
+        let s = r.summary();
         assert_eq!(s.spans.len(), MAX_SPANS);
         assert_eq!(s.dropped_spans, 10);
         assert_eq!(s.edges.len(), MAX_EDGES);
@@ -513,7 +456,7 @@ mod tests {
 
     #[test]
     fn summary_round_trips_through_json() {
-        let r = CausalRecorder::enabled(2);
+        let mut r = CausalRecorder::new(2);
         r.begin_round(0);
         r.propose(0, 1);
         r.broadcast(0);
@@ -522,7 +465,7 @@ mod tests {
         r.decide(0, 1);
         r.invoke(7, 1, 0);
         r.complete("mutex", 7, 4);
-        let s = r.summary().expect("enabled");
+        let s = r.summary();
         let json = serde_json::to_string(&s).unwrap();
         let back: CausalSummary = serde_json::from_str(&json).unwrap();
         assert_eq!(back, s);

@@ -8,13 +8,10 @@
 //! is deterministic, so the window participates in byte-identity
 //! comparisons via plain `PartialEq`.
 //!
-//! Like [`crate::Probe`], the recorder is a cloneable handle that is
-//! null by default: one branch per site when disabled, `!Send` by
-//! construction so recording stays on the sequential control path.
+//! The recorder is a plain struct inside a run's [`crate::Observers`]
+//! state, fed only on the sequential control path.
 
-use std::cell::RefCell;
 use std::collections::VecDeque;
-use std::rc::Rc;
 
 use serde::{Deserialize, Serialize};
 
@@ -56,14 +53,25 @@ pub struct RoundWindow {
     pub events: Vec<FlightEvent>,
 }
 
+/// The flight recorder of one run: a ring of the last `cap` rounds.
 #[derive(Debug)]
-struct FlightState {
+pub struct FlightRecorder {
     cap: usize,
     window: VecDeque<RoundWindow>,
 }
 
-impl FlightState {
-    fn begin_round(&mut self, round: u64) {
+impl FlightRecorder {
+    /// A recorder retaining the last `k` rounds (`k` ≥ 1).
+    pub(crate) fn new(k: usize) -> Self {
+        FlightRecorder {
+            cap: k,
+            window: VecDeque::with_capacity(k),
+        }
+    }
+
+    /// Opens the window for engine round `round`, evicting the oldest
+    /// round once the ring is full.
+    pub(crate) fn begin_round(&mut self, round: u64) {
         if self.window.len() == self.cap {
             self.window.pop_front();
         }
@@ -73,81 +81,27 @@ impl FlightState {
         });
     }
 
-    fn note(&mut self, event: FlightEvent) {
+    /// Appends an event to the current round's window (no-op before
+    /// the first round opens).
+    pub fn note(&mut self, event: FlightEvent) {
         if let Some(w) = self.window.back_mut() {
             w.events.push(event);
         }
-    }
-}
-
-/// Cloneable handle to the flight recorder. Null by default; all
-/// methods are no-ops on a disabled handle. Deliberately `!Send`.
-#[derive(Clone, Debug, Default)]
-pub struct FlightRecorder {
-    state: Option<Rc<RefCell<FlightState>>>,
-}
-
-impl FlightRecorder {
-    /// The null recorder.
-    pub fn disabled() -> Self {
-        FlightRecorder { state: None }
-    }
-
-    /// A live recorder retaining the last `k` rounds (`k == 0` is
-    /// treated as disabled).
-    pub fn enabled(k: usize) -> Self {
-        if k == 0 {
-            return FlightRecorder::disabled();
-        }
-        FlightRecorder {
-            state: Some(Rc::new(RefCell::new(FlightState {
-                cap: k,
-                window: VecDeque::with_capacity(k),
-            }))),
-        }
-    }
-
-    /// Whether this handle records anything.
-    pub fn is_enabled(&self) -> bool {
-        self.state.is_some()
-    }
-
-    /// Opens the window for engine round `round`, evicting the oldest
-    /// round once the ring is full.
-    #[inline]
-    pub fn begin_round(&self, round: u64) {
-        let Some(state) = &self.state else { return };
-        state.borrow_mut().begin_round(round);
-    }
-
-    /// Appends an event to the current round's window (no-op before
-    /// the first [`FlightRecorder::begin_round`]).
-    #[inline]
-    pub fn note(&self, event: FlightEvent) {
-        let Some(state) = &self.state else { return };
-        state.borrow_mut().note(event);
     }
 
     /// Notes the live-set change from `prev` to `live` (both sorted
     /// ascending, as the engine builds them) as one
     /// [`FlightEvent::Churn`]; identical sets note nothing.
-    pub fn note_churn(&self, prev: &[usize], live: &[usize]) {
-        if self.state.is_none() {
-            return;
-        }
+    pub fn note_churn(&mut self, prev: &[usize], live: &[usize]) {
         let (joined, left) = churn_diff(prev, live);
         if !(joined.is_empty() && left.is_empty()) {
             self.note(FlightEvent::Churn { joined, left });
         }
     }
 
-    /// Snapshots the retained window, oldest round first; empty on a
-    /// disabled handle.
-    pub fn window(&self) -> Vec<RoundWindow> {
-        match &self.state {
-            Some(state) => state.borrow().window.iter().cloned().collect(),
-            None => Vec::new(),
-        }
+    /// The retained window, oldest round first.
+    pub(crate) fn window(&self) -> Vec<RoundWindow> {
+        self.window.iter().cloned().collect()
     }
 }
 
@@ -184,6 +138,7 @@ fn churn_diff(prev: &[usize], live: &[usize]) -> (Vec<u64>, Vec<u64>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Observers;
 
     #[test]
     fn churn_diff_is_the_sorted_set_difference() {
@@ -203,7 +158,7 @@ mod tests {
 
     #[test]
     fn identical_live_sets_note_no_churn() {
-        let r = FlightRecorder::enabled(2);
+        let mut r = FlightRecorder::new(2);
         r.begin_round(0);
         r.note_churn(&[1, 2], &[1, 2]);
         assert!(r.window()[0].events.is_empty());
@@ -215,22 +170,29 @@ mod tests {
                 left: vec![1]
             }]
         );
-        FlightRecorder::disabled().note_churn(&[], &[1]);
     }
 
+    /// A run with no flight part keeps no window: a null handle, a
+    /// live one without the recorder, and a zero-round window alike.
     #[test]
     fn disabled_recorder_is_inert() {
-        let r = FlightRecorder::disabled();
-        assert!(!r.is_enabled());
-        r.begin_round(0);
-        r.note(FlightEvent::Nemesis { node: 1 });
-        assert!(r.window().is_empty());
-        assert!(!FlightRecorder::enabled(0).is_enabled(), "k = 0 is off");
+        let handles = [
+            Observers::default(),
+            Observers::new(false),
+            Observers::new(false).with_flight(0),
+        ];
+        for obs in handles {
+            obs.begin_round(0);
+            obs.flight(|_| panic!("no flight part to reach"));
+            obs.adversary_checks(3);
+            obs.end_round(1, 2, 0);
+            assert!(obs.flight_window().is_empty());
+        }
     }
 
     #[test]
     fn ring_retains_exactly_the_last_k_rounds() {
-        let r = FlightRecorder::enabled(3);
+        let mut r = FlightRecorder::new(3);
         for round in 0..10u64 {
             r.begin_round(round);
             r.note(FlightEvent::Reception {
@@ -256,7 +218,7 @@ mod tests {
 
     #[test]
     fn events_group_under_their_round_and_round_trip_through_json() {
-        let r = FlightRecorder::enabled(8);
+        let mut r = FlightRecorder::new(8);
         r.begin_round(5);
         r.note(FlightEvent::Churn {
             joined: vec![3],
@@ -276,7 +238,7 @@ mod tests {
 
     #[test]
     fn note_before_any_round_is_dropped() {
-        let r = FlightRecorder::enabled(2);
+        let mut r = FlightRecorder::new(2);
         r.note(FlightEvent::Adversary { checks: 1 });
         assert!(r.window().is_empty());
     }

@@ -41,11 +41,12 @@
 //!   `ui.perfetto.dev`) with everything seen so far. `VI_TRACE=out.json`
 //!   installs one; it requests no snapshot sampling.
 //!
-//! The probe, the two recorders and the monitor are threaded through
-//! the engine as one [`Observers`] value (module [`observers`]): four
-//! cloneable handles, each null by default, so the disabled path
-//! costs exactly one branch per instrumentation site (guarded by the
-//! zero-alloc test and the CI telemetry-overhead check).
+//! The counters, the phase timers, the two recorders and the monitor
+//! of one run share one state behind one [`Observers`] handle (module
+//! [`observers`]), cloned into every layer that reports. The handle is
+//! null by default, so an unobserved run pays one branch per hook
+//! (guarded by the zero-alloc test and the CI telemetry-overhead
+//! check).
 
 #![forbid(unsafe_code)]
 
@@ -56,7 +57,6 @@ pub mod histogram;
 pub mod monitor;
 pub mod observers;
 pub mod phases;
-pub mod probe;
 pub mod trace_export;
 
 pub use causal::{CausalEdge, CausalRecorder, CausalSpan, CausalSummary, DecisionStats, SpanKind};
@@ -69,7 +69,6 @@ pub use monitor::{
 };
 pub use observers::Observers;
 pub use phases::{Phase, PhaseStats, PhaseSummary, PhaseTimers};
-pub use probe::Probe;
 pub use trace_export::TraceSink;
 
 use serde::{Deserialize, Serialize};

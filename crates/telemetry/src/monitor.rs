@@ -1,8 +1,8 @@
 //! Live monitoring: periodic telemetry snapshots streamed to sinks.
 //!
 //! PRs 7–8 made runs explainable *after the fact*; this module adds
-//! the streaming half. A [`Monitor`] handle rides the engine's
-//! sequential control path and every K rounds packages the activity
+//! the streaming half. A [`Monitor`] rides in a run's
+//! [`crate::Observers`] state and every K rounds packages the activity
 //! since the previous sample into a [`TelemetrySnapshot`] — counter
 //! deltas ([`Counters::delta`]), phase-histogram deltas
 //! ([`crate::PhaseTimers::subtracting`]), and the in-flight traffic
@@ -27,21 +27,18 @@
 //! wall-clock side (sampling never feeds back into simulation state),
 //! the counters *inside* them are byte-identical at any worker count
 //! (they are read on the sequential path at deterministic round
-//! boundaries), and a disabled monitor costs one branch per round and
-//! zero allocations.
+//! boundaries), and a run without a monitor pays nothing beyond the
+//! observer handle's one branch per hook.
 
 use crate::causal::CausalSummary;
 use crate::counters::Counters;
 use crate::phases::{PhaseSummary, PhaseTimers};
-use crate::probe::Probe;
 use crate::trace_export::TraceSink;
 use serde::{Deserialize, Serialize};
-use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, LineWriter, Read, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
-use std::rc::Rc;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -88,7 +85,7 @@ pub struct TelemetrySnapshot {
     /// The round at which the sample was taken.
     pub round: u64,
     /// Whether this is the run's final snapshot (emitted by
-    /// [`Monitor::finish`] after the checker phase).
+    /// [`crate::Observers::finish`] after the checker phase).
     pub last: bool,
     /// Deterministic counter activity since the previous snapshot.
     pub counters_delta: Counters,
@@ -336,6 +333,14 @@ impl PrometheusExporter {
     /// Renders the current state as Prometheus text exposition.
     fn render(state: &ExportState) -> String {
         let mut out = String::new();
+        let labels: Vec<String> = state
+            .scenarios
+            .keys()
+            .map(|(scenario, seed)| {
+                format!("scenario=\"{}\",seed=\"{seed}\"", escape_label(scenario))
+            })
+            .collect();
+        let runs = || labels.iter().zip(state.scenarios.values());
         // Counter metrics, one family per Counters row. Families are
         // emitted even when no scenario reported yet, so a scrape
         // right after startup is still well-formed.
@@ -346,19 +351,15 @@ impl PrometheusExporter {
             .collect();
         for (i, name) in names.iter().enumerate() {
             out.push_str(&format!("# TYPE vi_{name} counter\n"));
-            for ((scenario, seed), (_, counters, _)) in &state.scenarios {
+            for (labels, (_, counters, _)) in runs() {
                 let value = counters.rows()[i].1;
-                out.push_str(&format!(
-                    "vi_{name}{{scenario=\"{scenario}\",seed=\"{seed}\"}} {value}\n"
-                ));
+                out.push_str(&format!("vi_{name}{{{labels}}} {value}\n"));
             }
         }
         // Per-run gauges: current round and the traffic picture.
         out.push_str("# TYPE vi_round gauge\n");
-        for ((scenario, seed), (round, _, _)) in &state.scenarios {
-            out.push_str(&format!(
-                "vi_round{{scenario=\"{scenario}\",seed=\"{seed}\"}} {round}\n"
-            ));
+        for (labels, (round, _, _)) in runs() {
+            out.push_str(&format!("vi_round{{{labels}}} {round}\n"));
         }
         for (metric, pick) in [
             ("vi_traffic_issued", 0usize),
@@ -369,7 +370,7 @@ impl PrometheusExporter {
             ("vi_traffic_p95_rounds", 5),
         ] {
             out.push_str(&format!("# TYPE {metric} gauge\n"));
-            for ((scenario, seed), (_, _, traffic)) in &state.scenarios {
+            for (labels, (_, _, traffic)) in runs() {
                 let Some(t) = traffic else { continue };
                 let value = [
                     t.issued,
@@ -379,9 +380,7 @@ impl PrometheusExporter {
                     t.p50,
                     t.p95,
                 ][pick];
-                out.push_str(&format!(
-                    "{metric}{{scenario=\"{scenario}\",seed=\"{seed}\"}} {value}\n"
-                ));
+                out.push_str(&format!("{metric}{{{labels}}} {value}\n"));
             }
         }
         // Sweep progress gauges.
@@ -419,6 +418,21 @@ impl MonitorSink for PrometheusExporter {
             MonitorEvent::Causal(_) => {}
         }
     }
+}
+
+/// A label value as text format 0.0.4 requires: `\`, `"` and a
+/// newline escaped as `\\`, `\"` and `\n`.
+fn escape_label(value: &str) -> String {
+    let mut out = String::with_capacity(value.len());
+    for c in value.chars() {
+        match c {
+            '\\' => out.push_str("\\\\"),
+            '"' => out.push_str("\\\""),
+            '\n' => out.push_str("\\n"),
+            c => out.push(c),
+        }
+    }
+    out
 }
 
 /// Serves one HTTP exchange: reads the request line (any path is
@@ -506,9 +520,9 @@ fn env_monitor() -> &'static EnvMonitor {
 /// `VI_MONITOR_ADDR=host:port` binds a [`PrometheusExporter`] — both
 /// request snapshot sampling, at `VI_MONITOR_EVERY=K` rounds (default
 /// [`DEFAULT_EVERY`]). `VI_TRACE=out.json` opens a [`TraceSink`] and
-/// requests nothing: span export alone turns on neither the probe nor
-/// the monitor. Failures warn on stderr and leave that sink out rather
-/// than failing the run.
+/// requests nothing: span export alone turns on neither the counters
+/// nor the monitor. Failures warn on stderr and leave that sink out
+/// rather than failing the run.
 fn read_env(var: impl Fn(&str) -> Option<String>) -> (EnvMonitor, Vec<Arc<dyn MonitorSink>>) {
     let var = |key: &str| var(key).filter(|v| !v.is_empty());
     let mut sinks: Vec<Arc<dyn MonitorSink>> = Vec::new();
@@ -625,28 +639,44 @@ pub fn outcome_digest(bytes: &[u8]) -> u64 {
 }
 
 // ---------------------------------------------------------------------------
-// The per-run Monitor handle
+// The per-run Monitor
 // ---------------------------------------------------------------------------
 
-struct MonitorInner {
+/// The snapshot sampler of one run, sampling the counters and phase
+/// timers of the [`crate::Observers`] state it rides in every `every`
+/// rounds into `sinks`. Only the *sinks* cross threads.
+pub struct Monitor {
     scenario: String,
     seed: u64,
     every: u64,
-    probe: Probe,
     sinks: SinkSet,
     last_counters: Counters,
     last_phases: PhaseTimers,
-    traffic: Option<TrafficProgress>,
+    /// The traffic driver's latest in-flight picture.
+    pub(crate) traffic: Option<TrafficProgress>,
     seq: u64,
     last_round: u64,
 }
 
-impl MonitorInner {
-    /// Samples the probe, packages the delta since the previous
-    /// sample, and emits it.
-    fn snap(&mut self, round: u64, last: bool) {
-        let total = self.probe.counters().unwrap_or_default();
-        let phases = self.probe.phase_timers().unwrap_or_default();
+impl Monitor {
+    /// A monitor for run `(scenario, seed)` sampling every `every`
+    /// rounds into `sinks`.
+    pub fn new(scenario: &str, seed: u64, every: u64, sinks: SinkSet) -> Self {
+        Monitor {
+            scenario: scenario.to_string(),
+            seed,
+            every: every.max(1),
+            sinks,
+            last_counters: Counters::default(),
+            last_phases: PhaseTimers::default(),
+            traffic: None,
+            seq: 0,
+            last_round: 0,
+        }
+    }
+
+    /// Packages the delta since the previous sample and emits it.
+    fn snap(&mut self, round: u64, last: bool, total: &Counters, phases: &PhaseTimers) {
         self.seq += 1;
         let snapshot = TelemetrySnapshot {
             scenario: self.scenario.clone(),
@@ -655,93 +685,30 @@ impl MonitorInner {
             round,
             last,
             counters_delta: total.delta(&self.last_counters),
-            counters_total: total,
+            counters_total: *total,
             phases_delta: phases.subtracting(&self.last_phases).summary(),
             traffic: self.traffic,
         };
-        self.last_counters = total;
-        self.last_phases = phases;
+        self.last_counters = *total;
+        self.last_phases = phases.clone();
         self.last_round = round;
         self.sinks.emit(&MonitorEvent::Snapshot(Box::new(snapshot)));
     }
-}
 
-/// Cloneable per-run monitoring handle; null by default, mirroring
-/// [`Probe`]. Like the probe it is deliberately `!Send`
-/// (`Rc<RefCell<_>>`): a run is stepped on one thread, and the handle
-/// samples that thread's probe — only the *sinks* cross threads.
-#[derive(Clone, Default)]
-pub struct Monitor {
-    state: Option<Rc<RefCell<MonitorInner>>>,
-}
-
-impl Monitor {
-    /// The null monitor: every hook is a single branch, no
-    /// allocation (the hot-path default).
-    pub fn disabled() -> Self {
-        Monitor { state: None }
-    }
-
-    /// A live monitor sampling `probe` every `every` rounds into
-    /// `sinks`.
-    pub fn enabled(scenario: &str, seed: u64, every: u64, probe: Probe, sinks: SinkSet) -> Self {
-        Monitor {
-            state: Some(Rc::new(RefCell::new(MonitorInner {
-                scenario: scenario.to_string(),
-                seed,
-                every: every.max(1),
-                probe,
-                sinks,
-                last_counters: Counters::default(),
-                last_phases: PhaseTimers::default(),
-                traffic: None,
-                seq: 0,
-                last_round: 0,
-            }))),
-        }
-    }
-
-    /// Whether this monitor samples anything.
-    pub fn is_enabled(&self) -> bool {
-        self.state.is_some()
-    }
-
-    /// Round hook, called by the engine after round `round` resolves
-    /// (sequential control path). Samples every `every`-th round; one
-    /// branch and an immediate return when disabled.
-    #[inline]
-    pub fn on_round(&self, round: u64) {
-        let Some(state) = &self.state else { return };
-        let mut inner = state.borrow_mut();
-        inner.last_round = round;
-        if round.is_multiple_of(inner.every) {
-            inner.snap(round, false);
-        }
-    }
-
-    /// Traffic-round hook, called by the traffic driver after virtual
-    /// round `vr`. `progress` is only evaluated on a live monitor, so
-    /// the disabled path never builds the summary.
-    #[inline]
-    pub fn traffic_round(&self, vr: u64, progress: impl FnOnce() -> TrafficProgress) {
-        let Some(state) = &self.state else { return };
-        let mut inner = state.borrow_mut();
-        inner.traffic = Some(progress());
-        inner.last_round = vr;
-        if vr.is_multiple_of(inner.every) {
-            inner.snap(vr, false);
+    /// Round `round` (an engine round, or a traffic run's virtual
+    /// round) has resolved: samples every `every`-th one.
+    pub(crate) fn on_round(&mut self, round: u64, total: &Counters, phases: &PhaseTimers) {
+        self.last_round = round;
+        if round.is_multiple_of(self.every) {
+            self.snap(round, false, total, phases);
         }
     }
 
     /// Emits the run's final snapshot (marked `last: true`, at the
-    /// last observed round) and flushes the sinks. Call after the
-    /// checker phase so the final sample covers the whole run.
-    pub fn finish(&self) {
-        let Some(state) = &self.state else { return };
-        let mut inner = state.borrow_mut();
-        let round = inner.last_round;
-        inner.snap(round, true);
-        inner.sinks.flush();
+    /// last observed round) and flushes the sinks.
+    pub(crate) fn finish(&mut self, total: &Counters, phases: &PhaseTimers) {
+        self.snap(self.last_round, true, total, phases);
+        self.sinks.flush();
     }
 }
 
@@ -750,39 +717,29 @@ mod tests {
     use super::*;
     use crate::phases::Phase;
 
-    fn probe_with(rounds: u64) -> Probe {
-        let p = Probe::enabled();
-        p.count(|c| {
-            c.rounds_total = rounds;
-            c.rounds_steady = rounds;
-        });
-        p
-    }
-
+    /// A run without a monitor never builds the traffic picture: on a
+    /// null handle and on a live one alike.
     #[test]
     fn null_monitor_is_inert() {
-        let m = Monitor::disabled();
-        assert!(!m.is_enabled());
-        m.on_round(64);
-        m.traffic_round(64, || panic!("must not evaluate progress"));
-        m.finish();
+        for obs in [crate::Observers::default(), crate::Observers::new(true)] {
+            obs.end_round(64, 0, 0);
+            obs.traffic_round(64, || panic!("must not evaluate progress"));
+            obs.finish();
+        }
     }
 
     #[test]
     fn snapshots_sample_on_the_period_and_deltas_reconcile() {
         let ring = Arc::new(RingSink::with_capacity(64));
-        let sinks = SinkSet::new(vec![ring.clone()]);
-        let probe = Probe::enabled();
-        let m = Monitor::enabled("t", 7, 4, probe.clone(), sinks);
+        let mut m = Monitor::new("t", 7, 4, SinkSet::new(vec![ring.clone()]));
+        let (mut total, mut phases) = (Counters::default(), PhaseTimers::default());
         for round in 1..=10u64 {
-            probe.count(|c| {
-                c.rounds_total += 1;
-                c.grid_queries += round;
-            });
-            probe.phase_since(Phase::Advance, probe.timer());
-            m.on_round(round);
+            total.rounds_total += 1;
+            total.grid_queries += round;
+            phases.record(Phase::Advance, round);
+            m.on_round(round, &total, &phases);
         }
-        m.finish();
+        m.finish(&total, &phases);
         let events = ring.events();
         // Rounds 4 and 8 sample, finish adds the last snapshot at 10.
         let snaps: Vec<&TelemetrySnapshot> = events
@@ -808,9 +765,14 @@ mod tests {
             merged.merge(&s.counters_delta);
         }
         assert_eq!(merged, snaps[2].counters_total);
-        assert_eq!(merged, probe.counters().unwrap());
+        assert_eq!(merged, total);
         assert_eq!(merged.rounds_total, 10);
         assert_eq!(merged.grid_queries, 55);
+        let advance = |s: &TelemetrySnapshot| s.phases_delta.get(Phase::Advance).unwrap().samples;
+        assert_eq!(
+            snaps.iter().map(|s| advance(s)).collect::<Vec<_>>(),
+            [4, 4, 2]
+        );
     }
 
     #[test]
@@ -876,9 +838,13 @@ mod tests {
     fn exporter_serves_prometheus_text_from_counters_rows() {
         let exporter = PrometheusExporter::bind("127.0.0.1:0").expect("ephemeral bind");
         let addr = exporter.addr().to_string();
-        let probe = probe_with(128);
-        let m = Monitor::enabled("metro", 3, 64, probe, SinkSet::new(vec![exporter.clone()]));
-        m.on_round(128);
+        let mut m = Monitor::new("metro", 3, 64, SinkSet::new(vec![exporter.clone()]));
+        let total = Counters {
+            rounds_total: 128,
+            rounds_steady: 128,
+            ..Counters::default()
+        };
+        m.on_round(128, &total, &PhaseTimers::default());
         exporter.emit(&MonitorEvent::Job(JobEvent {
             job: 0,
             scenario: "metro".to_string(),
@@ -901,6 +867,27 @@ mod tests {
                 "{name}"
             );
         }
+    }
+
+    /// A scenario name from spec JSON may hold any character; the
+    /// three text format 0.0.4 reserves inside a label value come out
+    /// escaped, so the exposition stays one sample per line.
+    #[test]
+    fn label_values_are_escaped() {
+        let mut state = ExportState::default();
+        let name = "a\"b\\c\n".to_string();
+        state
+            .scenarios
+            .insert((name, 1), (5, Counters::default(), None));
+        let body = PrometheusExporter::render(&state);
+        assert!(
+            body.contains("vi_round{scenario=\"a\\\"b\\\\c\\n\",seed=\"1\"} 5\n"),
+            "{body}"
+        );
+        assert_eq!(
+            body.lines().filter(|l| l.starts_with("vi_round{")).count(),
+            1
+        );
     }
 
     #[test]
@@ -954,8 +941,8 @@ mod tests {
     }
 
     /// `VI_TRACE` alone installs its sink and requests no sampling, so
-    /// a run under it builds no monitor and, through one, no probe
-    /// (`effective_every(0)` stays 0); beside `VI_MONITOR_LOG` it only
+    /// a run under it builds no monitor and, through one, no live
+    /// observer handle (`effective_every(0)` stays 0); beside `VI_MONITOR_LOG` it only
     /// adds its sink.
     #[test]
     fn vi_trace_alone_turns_on_no_sampling() {

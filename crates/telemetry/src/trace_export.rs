@@ -268,13 +268,13 @@ mod tests {
 
     /// `n` broadcasts by node 1 in round 2, each heard by node 2.
     fn dag(n: u64) -> MonitorEvent {
-        let r = CausalRecorder::enabled(1);
+        let mut r = CausalRecorder::new(1);
         r.begin_round(2);
         for _ in 0..n {
             r.broadcast(1);
             r.reception(1, 2);
         }
-        MonitorEvent::Causal(Box::new(r.summary().unwrap()))
+        MonitorEvent::Causal(Box::new(r.summary()))
     }
 
     #[test]

@@ -12,13 +12,13 @@
 //! them.
 //!
 //! Entry points: [`run_traffic`] builds the app service over a
-//! [`TrafficWorld`] and runs it under an observer set; [`drive`] and
-//! [`drive_recorded`] drive a service the caller built (unobserved),
-//! without and with the operation history.
+//! [`TrafficWorld`] and runs it under the run's observer handle;
+//! [`drive`] and [`drive_recorded`] drive a service the caller built
+//! (unobserved), without and with the operation history.
 
 use crate::metrics::{LatencyHistogram, TrafficSummary};
 use crate::service::{
-    build_service, AuditRecord, Completion, OpClass, OpDesc, OpOutcome, Request, Service,
+    build_observed, AuditRecord, Completion, OpClass, OpDesc, OpOutcome, Request, Service,
     TrafficWorld,
 };
 use crate::workload::{AppKind, LoadMode, TrafficSpec};
@@ -27,7 +27,7 @@ use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use vi_radio::trace::ChannelStats;
-use vi_telemetry::{CausalRecorder, Observers, TrafficProgress};
+use vi_telemetry::{Observers, TrafficProgress};
 
 /// Salt separating the traffic RNG stream from the engine's seed
 /// stream (request mix never perturbs channel resolution).
@@ -114,12 +114,14 @@ enum Slot {
 /// the outcome with the run's complete operation history — the input
 /// of the `vi-audit` consistency checkers.
 ///
-/// What `obs` sees: `causal` traces every invocation/completion and,
-/// through the world's engine, every broadcast/reception; `flight`
-/// retains the engine's last K rounds of channel events; `monitor`
+/// The world is built holding a clone of `obs`. Its causal recorder
+/// traces every invocation/completion here and every
+/// broadcast/reception in the world's engine; its flight recorder
+/// retains the engine's last K rounds of channel events; its monitor
 /// samples the driver's in-flight picture every K virtual rounds. The
-/// probe stays outside — [`Service::set_telemetry`] carries the two
-/// recorders only. Observers never perturb: summary, history and
+/// engine of a traffic run feeds no counter, timer or monitor sample:
+/// the handle's owner says so when it builds it
+/// ([`Observers::new`]). Observers never perturb: summary, history and
 /// stats are byte-identical under `Observers::default()`.
 ///
 /// # Panics
@@ -134,8 +136,7 @@ pub fn run_traffic(
 ) -> (TrafficOutcome, Vec<TrafficEvent>) {
     spec.validate().expect("invalid traffic spec");
     let seed = tw.seed;
-    let mut service = build_service(app, tw, spec.clients);
-    service.set_telemetry(obs.causal.clone(), obs.flight.clone());
+    let mut service = build_observed(app, tw, spec.clients, obs.clone());
     let mut events = Vec::new();
     let summary = drive_inner(service.as_mut(), spec, seed, Some(&mut events), obs);
     let totals = service.world_totals();
@@ -183,7 +184,6 @@ fn drive_inner(
     events: Option<&mut Vec<TrafficEvent>>,
     obs: &Observers,
 ) -> TrafficSummary {
-    let (causal, monitor) = (&obs.causal, &obs.monitor);
     let clients = spec.clients;
     let app_name = service.app().name();
     let mut run = Run {
@@ -191,7 +191,7 @@ fn drive_inner(
         service,
         rng: StdRng::seed_from_u64(seed ^ TRAFFIC_SALT),
         query_fraction: spec.query_fraction,
-        causal,
+        obs,
         next_id: 0,
         outstanding: BTreeMap::new(),
         events,
@@ -255,7 +255,7 @@ fn drive_inner(
             let Some((issued_vr, client)) = run.outstanding.remove(&c.id) else {
                 continue; // late completion of a timed-out request
             };
-            causal.complete(app_name, c.id, c.completed_vr);
+            obs.causal(|r| r.complete(app_name, c.id, c.completed_vr));
             run.record(TrafficEvent::Complete {
                 id: c.id,
                 client: client as u32,
@@ -297,7 +297,7 @@ fn drive_inner(
         // Live-monitoring sample point: the progress closure is only
         // evaluated on a live monitor, so the unmonitored hot path
         // pays one branch here and computes no quantiles.
-        monitor.traffic_round(vr, || {
+        obs.traffic_round(vr, || {
             let q = |v: u64| if hist.count() == 0 { 0 } else { v };
             TrafficProgress {
                 issued: run.next_id,
@@ -338,7 +338,7 @@ struct Run<'a> {
     rng: StdRng,
     has_reads: bool,
     query_fraction: f64,
-    causal: &'a CausalRecorder,
+    obs: &'a Observers,
     next_id: u64,
     /// id → (issued vr, client).
     outstanding: BTreeMap<u64, (u64, usize)>,
@@ -350,7 +350,8 @@ impl Run<'_> {
     /// Admits the next request of `client` at virtual round `vr`.
     fn issue(&mut self, client: usize, vr: u64) -> u64 {
         self.next_id += 1;
-        self.causal.invoke(self.next_id, client as u64, vr);
+        self.obs
+            .causal(|r| r.invoke(self.next_id, client as u64, vr));
         let class = if self.has_reads && self.rng.random_bool(self.query_fraction) {
             OpClass::Query
         } else {
@@ -573,16 +574,11 @@ mod tests {
     fn traced_runs_match_untraced_and_record_op_spans() {
         let spec = TrafficSpec::open(2, 0.4, 25);
         let (a, ea) = run(AppKind::Register, small_world(3, 6), &spec);
-        let obs = Observers {
-            causal: CausalRecorder::enabled(6),
-            flight: vi_telemetry::FlightRecorder::enabled(8),
-            ..Observers::default()
-        };
-        let (causal, flight) = (&obs.causal, &obs.flight);
+        let obs = Observers::new(true).with_causal(6).with_flight(8);
         let (b, eb) = run_traffic(AppKind::Register, small_world(3, 6), &spec, &obs);
         assert_eq!(a.summary, b.summary, "tracing must not perturb the run");
         assert_eq!(ea, eb, "histories must be identical under tracing");
-        let s = causal.summary().expect("recorder was enabled");
+        let s = obs.causal_summary().expect("recorder was enabled");
         assert_eq!(
             s.op_spans.len() as u64,
             b.summary.issued,
@@ -591,11 +587,9 @@ mod tests {
         let d = s.decision.get("register").expect("decision stats");
         assert_eq!(d.samples, b.summary.completed);
         assert!(d.p50 >= 1, "latencies are at least one virtual round");
-        assert!(
-            !flight.window().is_empty(),
-            "the flight recorder retained rounds"
-        );
-        assert!(flight.window().len() <= 8, "the window is bounded");
+        let window = obs.flight_window();
+        assert!(!window.is_empty(), "the flight recorder retained rounds");
+        assert!(window.len() <= 8, "the window is bounded");
     }
 
     #[test]

@@ -48,6 +48,7 @@ use vi_radio::geometry::Point;
 use vi_radio::mobility::MobilityModel;
 use vi_radio::trace::ChannelStats;
 use vi_radio::{AdversaryKind, RadioConfig};
+use vi_telemetry::Observers;
 
 /// Base retransmit interval in virtual rounds: the first retry of an
 /// unanswered request fires after roughly this long (all app messages
@@ -244,10 +245,11 @@ pub trait Service {
     fn drain_audit(&mut self) -> Vec<AuditRecord> {
         Vec::new()
     }
-    /// Installs telemetry recorders on the underlying world so causal
-    /// tracing sees protocol broadcasts/receptions and the flight
-    /// recorder sees channel events. Default: no-op (hand-built test
-    /// services have no world to instrument).
+    /// Does nothing: a traffic world receives its observers when
+    /// [`crate::run_traffic`] builds it. Kept only because the frozen
+    /// benchmark sources under `examples/perf/` implement it; the
+    /// benchmark-only PR that deletes the mirror deletes it too.
+    #[doc(hidden)]
     fn set_telemetry(
         &mut self,
         _causal: vi_telemetry::CausalRecorder,
@@ -534,7 +536,7 @@ impl<A: App> Adapter<A> {
     /// # Panics
     ///
     /// Panics if `clients` exceeds the device count or is zero.
-    fn new(app: A, tw: TrafficWorld, clients: usize) -> Self {
+    fn new(app: A, tw: TrafficWorld, clients: usize, obs: Observers) -> Self {
         assert!(clients >= 1, "traffic needs at least one client");
         assert!(
             clients <= tw.devices.len(),
@@ -549,6 +551,7 @@ impl<A: App> Adapter<A> {
             record_trace: false,
         });
         world.set_adversary(tw.adversary.build());
+        world.set_observers(obs);
         let mut harness = Harness::new();
         for (i, d) in tw.devices.into_iter().enumerate() {
             let client = (i < clients)
@@ -609,18 +612,6 @@ impl<A: App> Service for Adapter<A> {
 
     fn drain_audit(&mut self) -> Vec<AuditRecord> {
         std::mem::take(&mut self.harness.audit)
-    }
-
-    fn set_telemetry(
-        &mut self,
-        causal: vi_telemetry::CausalRecorder,
-        flight: vi_telemetry::FlightRecorder,
-    ) {
-        self.world.set_observers(vi_telemetry::Observers {
-            causal,
-            flight,
-            ..Default::default()
-        });
     }
 
     fn forget(&mut self, id: u64) {
@@ -994,13 +985,25 @@ impl App for Georouting {
     }
 }
 
-/// Builds the service adapter for `app` over `tw`.
+/// Builds the service adapter for `app` over `tw`, unobserved.
 pub fn build_service(app: AppKind, tw: TrafficWorld, clients: usize) -> Box<dyn Service> {
+    build_observed(app, tw, clients, Observers::default())
+}
+
+/// [`build_service`] with the run's observers installed on the world.
+pub(crate) fn build_observed(
+    app: AppKind,
+    tw: TrafficWorld,
+    clients: usize,
+    obs: Observers,
+) -> Box<dyn Service> {
     match app {
-        AppKind::Register => Box::new(Adapter::new(Register::default(), tw, clients)),
-        AppKind::Mutex => Box::new(Adapter::new(Mutex::new(clients), tw, clients)),
-        AppKind::Tracking => Box::new(Adapter::new(Tracking::default(), tw, clients)),
-        AppKind::Georouting => Box::new(Adapter::new(Georouting::new(&tw.layout), tw, clients)),
+        AppKind::Register => Box::new(Adapter::new(Register::default(), tw, clients, obs)),
+        AppKind::Mutex => Box::new(Adapter::new(Mutex::new(clients), tw, clients, obs)),
+        AppKind::Tracking => Box::new(Adapter::new(Tracking::default(), tw, clients, obs)),
+        AppKind::Georouting => {
+            Box::new(Adapter::new(Georouting::new(&tw.layout), tw, clients, obs))
+        }
     }
 }
 

@@ -1,8 +1,8 @@
 //! The observability layer, end to end: run a catalog scenario with
-//! telemetry enabled and print what the probe saw — the deterministic
-//! counter table (round-mode split, cache behaviour, channel totals)
-//! and the wall-clock phase histograms (p50/p95/p99 per pipeline
-//! stage).
+//! telemetry enabled and print what its observers saw — the
+//! deterministic counter table (round-mode split, cache behaviour,
+//! channel totals) and the wall-clock phase histograms (p50/p95/p99
+//! per pipeline stage).
 //!
 //! ```sh
 //! cargo run --example telemetry_demo --release

@@ -11,12 +11,12 @@ mod metro_cha_trace;
 
 use proptest::prelude::*;
 use std::collections::BTreeMap;
-use vi_bench::harness::{run_clique, AdversaryKind, CliqueConfig};
+use vi_bench::harness::{run_clique, CliqueConfig};
 use virtual_infra::contention::PreStability;
 use virtual_infra::core::cha::{
     calculate_history, Ballot, ChaOutput, ChaSpecChecker, Color, History, SpecViolation,
 };
-use virtual_infra::radio::RadioConfig;
+use virtual_infra::radio::{AdversaryKind, RadioConfig};
 
 /// The quadratic map-of-maps checker `ChaSpecChecker` replaced: the
 /// differential oracle (test-only in vi-core, included here by path; it

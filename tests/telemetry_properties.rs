@@ -4,20 +4,23 @@
 //!    pure function of the seed and the spec: every round is counted,
 //!    and a re-run (with or without recorders riding along) counts
 //!    the same.
-//! 2. **Telemetry observes, never perturbs** — enabling the probe, or
-//!    the whole observer set, changes no reception, no trace byte, no
-//!    channel statistic, and no RNG draw of the run it measures.
+//! 2. **Telemetry observes, never perturbs** — enabling the counters,
+//!    or the whole observer handle, changes no reception, no trace
+//!    byte, no channel statistic, and no RNG draw of the run it
+//!    measures.
 //! 3. **Snapshots are an exact decomposition** — the counter deltas a
 //!    live monitor streams, concatenated in sequence order, reconcile
 //!    exactly with the end-of-run telemetry totals at any sampling
 //!    period.
 //!
-//! One plain test covers the Perfetto export: a `TraceSink` on the
-//! sink registry keeps every sweep and causal DAG of the process.
+//! Two plain tests use the process-global sink registry: the Perfetto
+//! export (a `TraceSink` keeps every sweep and causal DAG of the
+//! process), and a monitored traffic run, whose engine feeds no
+//! counter and no snapshot.
 
 use proptest::prelude::*;
 use std::any::Any;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use virtual_infra::radio::adversary::RandomLoss;
 use virtual_infra::radio::geometry::{Point, Rect};
 use virtual_infra::radio::mobility::{Billiard, MobilityModel, Static, Waypoint};
@@ -25,12 +28,11 @@ use virtual_infra::radio::{
     ChannelStats, Engine, EngineConfig, NodeId, NodeSpec, Process, RadioConfig, RoundCtx,
     RoundReception,
 };
-use virtual_infra::scenario::{catalog, EngineTuning, SweepRunner};
+use virtual_infra::scenario::{catalog, EngineTuning, SweepRunner, WorkloadSpec};
 use virtual_infra::telemetry::monitor::{self, MonitorSink};
 use virtual_infra::telemetry::trace_export::TraceFile;
 use virtual_infra::telemetry::{
-    CausalRecorder, Counters, FlightRecorder, Monitor, MonitorEvent, Observers, Probe, RingSink,
-    SinkSet, TelemetrySnapshot, TraceSink,
+    Counters, Monitor, MonitorEvent, Observers, RingSink, SinkSet, TelemetrySnapshot, TraceSink,
 };
 
 fn arb_point() -> impl Strategy<Value = Point> {
@@ -65,29 +67,23 @@ impl Process<u64> for Recorder {
 type NodeGene = (Point, u8, bool, u64, Option<u64>);
 type Observation = (Vec<(Vec<u64>, u64)>, String, ChannelStats);
 
-/// An observer set with only the probe live.
+/// A live observer handle with counters and timers only.
 fn probed() -> Observers {
-    Observers {
-        probe: Probe::enabled(),
-        ..Observers::default()
-    }
+    Observers::new(false)
 }
 
-/// A fully live observer set: probe, causal recorder, an 8-round
+/// A fully live observer handle: counters, causal recorder, an 8-round
 /// flight window, and a monitor sampling every 3 rounds into a ring.
 fn live(seed: u64) -> Observers {
-    let probe = Probe::enabled();
     let ring = Arc::new(RingSink::with_capacity(64));
-    Observers {
-        monitor: Monitor::enabled("prop", seed, 3, probe.clone(), SinkSet::new(vec![ring])),
-        probe,
-        causal: CausalRecorder::enabled(seed),
-        flight: FlightRecorder::enabled(8),
-    }
+    Observers::new(false)
+        .with_causal(seed)
+        .with_flight(8)
+        .with_monitor(Monitor::new("prop", seed, 3, SinkSet::new(vec![ring])))
 }
 
 /// Builds and runs one engine under `obs`; returns the observable
-/// execution and the probe's counter set (when the probe is live).
+/// execution and the handle's counter set (when it is live).
 fn run_engine(
     specs: &[NodeGene],
     seed: u64,
@@ -139,7 +135,7 @@ fn run_engine(
         .collect();
     let trace = serde_json::to_string(engine.trace()).expect("serializable trace");
     let observation = (observed, trace, *engine.stats());
-    (observation, obs.probe.counters())
+    (observation, obs.counters())
 }
 
 proptest! {
@@ -147,8 +143,8 @@ proptest! {
 
     /// Telemetry-on changes nothing observable: receptions, the full
     /// round trace, and the channel statistics (which close over every
-    /// RNG draw) are identical with and without the probe, and with and
-    /// without the whole observer set; what the probe counts and the
+    /// RNG draw) are identical with and without the counters, and with
+    /// and without the whole observer handle; what is counted and the
     /// recorders keep is the same on a re-run.
     #[test]
     fn probe_never_perturbs_the_execution(
@@ -162,11 +158,11 @@ proptest! {
     ) {
         let (plain, none) = run_engine(
             &specs, seed, stabilize, drop_p, rounds, &Observers::default());
-        prop_assert!(none.is_none(), "no probe, no counters");
+        prop_assert!(none.is_none(), "a null handle counts nothing");
         let (probed, counters) =
             run_engine(&specs, seed, stabilize, drop_p, rounds, &probed());
         prop_assert_eq!(&probed, &plain, "telemetry perturbed the execution");
-        let counters = counters.expect("probe installed");
+        let counters = counters.expect("live handle");
         prop_assert_eq!(counters.rounds_total, rounds, "every round is counted");
         prop_assert_eq!(
             counters.receptions, plain.2.deliveries,
@@ -182,10 +178,10 @@ proptest! {
         prop_assert_eq!(&observed, &plain, "live observers perturbed the run");
         prop_assert_eq!(&observed_again, &plain, "live observers perturbed the re-run");
         prop_assert_eq!(live_counters, Some(counters),
-            "recorders riding along must not change what the probe counts");
-        prop_assert_eq!(first.flight.window(), again.flight.window(),
+            "recorders riding along must not change what is counted");
+        prop_assert_eq!(first.flight_window(), again.flight_window(),
             "flight window diverged on a re-run");
-        prop_assert_eq!(first.causal.summary(), again.causal.summary(),
+        prop_assert_eq!(first.causal_summary(), again.causal_summary(),
             "causal summary diverged on a re-run");
     }
 
@@ -209,15 +205,10 @@ proptest! {
             seed,
             record_trace: false,
         });
-        let probe = Probe::enabled();
         let ring = Arc::new(RingSink::with_capacity(4096));
-        let monitor = Monitor::enabled(
-            "prop", seed, every, probe.clone(), SinkSet::new(vec![ring.clone()]));
-        engine.set_observers(Observers {
-            probe: probe.clone(),
-            monitor: monitor.clone(),
-            ..Observers::default()
-        });
+        let obs = Observers::new(false)
+            .with_monitor(Monitor::new("prop", seed, every, SinkSet::new(vec![ring.clone()])));
+        engine.set_observers(obs.clone());
         for &(start, mobility, chatty, spawn, crash) in &specs {
             let start = Point::new(start.x.min(190.0), start.y.min(190.0));
             let model: Box<dyn MobilityModel> = match mobility {
@@ -239,7 +230,7 @@ proptest! {
             engine.add_node(spec);
         }
         engine.run(rounds);
-        monitor.finish();
+        obs.finish();
 
         let snaps: Vec<TelemetrySnapshot> = ring
             .events()
@@ -263,13 +254,17 @@ proptest! {
         for s in &snaps {
             merged.merge(&s.counters_delta);
         }
-        let finals = probe.counters().expect("probe installed");
+        let finals = obs.counters().expect("live handle");
         prop_assert_eq!(merged, finals,
             "concatenated deltas must reconcile with the final totals");
         prop_assert_eq!(last.counters_total, finals,
             "the last snapshot's running total is the end-of-run counter set");
     }
 }
+
+/// The tests that install sinks on the process-global registry hold
+/// this lock, so neither sees the other's events.
+static REGISTRY: Mutex<()> = Mutex::new(());
 
 /// Two sweeps and one causal DAG into one installed `TraceSink`: the
 /// file holds both sweeps' job spans (a flush rewrites everything seen
@@ -279,6 +274,7 @@ proptest! {
 /// only.
 #[test]
 fn trace_sink_keeps_every_sweep_and_the_causal_flows() {
+    let _registry = REGISTRY.lock().unwrap_or_else(|e| e.into_inner());
     let dir = std::env::temp_dir().join("vi_trace_sink_sweeps");
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("trace.json");
@@ -318,4 +314,58 @@ fn trace_sink_keeps_every_sweep_and_the_causal_flows() {
         "an installed sink alone requests no snapshots"
     );
     std::fs::remove_file(&path).ok();
+}
+
+/// A traffic run's engine feeds only the causal and flight parts: with
+/// telemetry and a 4-round monitor on, the engine-round counters stay
+/// 0 in the outcome and in every snapshot, and the monitor samples the
+/// driver's virtual rounds, never an engine round.
+#[test]
+fn a_traffic_runs_engine_feeds_no_counter_and_no_sample() {
+    let _registry = REGISTRY.lock().unwrap_or_else(|e| e.into_inner());
+    let spec = catalog::scenario("quake_drill").unwrap();
+    let WorkloadSpec::Traffic { traffic, .. } = &spec.workload else {
+        panic!("quake_drill is a traffic scenario");
+    };
+    let last_vr = traffic.virtual_rounds + traffic.timeout_rounds + 1;
+    let ring = Arc::new(RingSink::with_capacity(1 << 12));
+    let sink: Arc<dyn MonitorSink> = ring.clone();
+    monitor::install_sink(sink.clone());
+    let out = spec.run_with(1, EngineTuning::DEFAULT.with_telemetry().with_monitor(4));
+    monitor::uninstall_sink(&sink);
+
+    let engine_counts = |c: &Counters| {
+        (
+            c.rounds_total,
+            c.rounds_steady,
+            c.grid_queries,
+            c.adversary_checks,
+        )
+    };
+    let telemetry = out.telemetry.expect("telemetry was requested");
+    assert_eq!(engine_counts(&telemetry.counters), (0, 0, 0, 0));
+    assert!(out.rounds > last_vr, "the engine ran rounds of its own");
+    let snaps: Vec<TelemetrySnapshot> = ring
+        .events()
+        .into_iter()
+        .filter_map(|e| match e {
+            MonitorEvent::Snapshot(s) => Some(*s),
+            _ => None,
+        })
+        .collect();
+    assert!(snaps.len() >= 2, "the monitor sampled the run");
+    for s in &snaps {
+        assert_eq!(
+            engine_counts(&s.counters_total),
+            (0, 0, 0, 0),
+            "seq {}",
+            s.seq
+        );
+        assert!(
+            s.round <= last_vr,
+            "seq {} sampled round {} past the last virtual round {last_vr}",
+            s.seq,
+            s.round
+        );
+    }
 }

@@ -24,7 +24,7 @@ use virtual_infra::radio::mobility::Static;
 use virtual_infra::radio::{
     Engine, EngineConfig, NodeId, NodeSpec, Process, RadioConfig, RoundCtx, RoundReception,
 };
-use virtual_infra::telemetry::{Observers, Probe};
+use virtual_infra::telemetry::Observers;
 
 /// Broadcasts every third round; folds receptions into plain counters
 /// (no heap use on either protocol path).
@@ -177,11 +177,12 @@ fn steady_state_rounds_allocate_nothing() {
     // every other round, so each `Unchanged` round in between finds the
     // cache invalidated and re-anchors — `SpatialGrid::rebuild` plus
     // one grid query per receiver, copied into its cached
-    // neighborhood. A live probe confirms the round kind (and rides
-    // inside the window: counting and phase timing allocate nothing).
+    // neighborhood. A live observer handle confirms the round kind (and
+    // rides inside the window: counting and phase timing allocate
+    // nothing).
     let mut medium = Medium::new(RadioConfig::reliable(10.0, 20.0));
-    let probe = Probe::enabled();
-    medium.set_probe(probe.clone());
+    let obs = Observers::new(false);
+    medium.set_observers(obs.clone());
     let alternate = |round: u64| {
         if round.is_multiple_of(2) {
             TopologyDelta::Rebuild
@@ -190,8 +191,8 @@ fn steady_state_rounds_allocate_nothing() {
         }
     };
     resolve(&mut medium, 0..12, |_| 0.0, alternate);
-    let reanchors = |probe: &Probe| probe.counters().expect("live probe").rounds_reanchor;
-    let (warm, before) = (reanchors(&probe), allocations());
+    let reanchors = || obs.counters().expect("live handle").rounds_reanchor;
+    let (warm, before) = (reanchors(), allocations());
     let heard = resolve(&mut medium, 12..132, |_| 0.0, alternate);
     let after = allocations();
     assert_eq!(
@@ -200,7 +201,7 @@ fn steady_state_rounds_allocate_nothing() {
         "re-anchor rounds must not allocate once grid and neighborhoods have grown"
     );
     assert_eq!(
-        (warm, reanchors(&probe)),
+        (warm, reanchors()),
         (6, 66),
         "every second round re-anchors"
     );
