@@ -116,6 +116,16 @@ guards=(
   'above-tests:crates/core/src/cha/protocol.rs' '-'
   'ChaOutput holds ⊥ in 24 bytes: the history is boxed'
 
+  # Nodes stored by value: a CHA clique is an
+  # `Engine<ChaMessage<u64>, ChaNode<u64>>` and a world an
+  # `Engine<Wire<..>, Device<VA>>`, read back typed through
+  # `Engine::process_at`; a client app is read back by upcasting to
+  # `Any`. `Process::as_any` survives only for boxed populations and
+  # the frozen benchmark mirror.
+  'process::<(ChaNode|Device)|as_any\('
+  'above-tests:crates/scenario/src crates/core/src/vi' '-'
+  'the scenario path downcasts a node again; its engine stores the process type by value'
+
   # The clock has one home: vi-perf (`bash bench/run.sh`) is the only
   # code that reports a wall-clock or RSS number. vi-bench's tables
   # are pure functions of the code, pinned by crates/bench/expected/;

@@ -163,10 +163,6 @@ impl ClientApp<RouteMsg> for InjectorClient {
         }
         None
     }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
 }
 
 #[cfg(test)]

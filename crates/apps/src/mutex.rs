@@ -218,10 +218,6 @@ impl ClientApp<LockMsg> for LockClient {
             ClientPhase::Done => None,
         }
     }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
 }
 
 #[cfg(test)]

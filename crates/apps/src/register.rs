@@ -172,10 +172,6 @@ impl ClientApp<RegMsg> for WriterClient {
             value: self.base + self.tag,
         })
     }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
 }
 
 /// A reader: issues `Read` every `period` rounds and logs the replies.
@@ -219,10 +215,6 @@ impl ClientApp<RegMsg> for ReaderClient {
             self.next_nonce += 1;
             RegMsg::Read { nonce }
         })
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
     }
 }
 

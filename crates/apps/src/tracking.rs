@@ -156,10 +156,6 @@ impl ClientApp<TrackMsg> for ReporterClient {
             cell: cell_of(pos, self.cell_size),
         })
     }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
 }
 
 /// A client that queries for an object every `period` virtual rounds
@@ -204,10 +200,6 @@ impl ClientApp<TrackMsg> for QueryClient {
         (vr % self.period == 1).then_some(TrackMsg::Query {
             object: self.object,
         })
-    }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
     }
 }
 

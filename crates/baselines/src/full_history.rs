@@ -9,7 +9,6 @@
 //! *linearly* with execution length, which is what experiment E2
 //! contrasts with CHAP's constant-size ballots (Theorem 14).
 
-use std::any::Any;
 use vi_contention::{ChannelFeedback, CmSlot, SharedCm};
 use vi_core::cha::Proposer;
 use vi_radio::{Process, RoundCtx, RoundReception, WireSized};
@@ -105,14 +104,6 @@ impl<V: Clone + Ord + WireSized + 'static> Process<FullHistoryMessage<V>> for Fu
         let adopted = rx.messages.iter().min().expect("nonempty").clone();
         self.history = adopted.history;
         self.outputs.push(Some(self.history.len()));
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

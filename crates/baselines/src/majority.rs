@@ -17,7 +17,6 @@
 //! paper's model explicitly does not grant mobile nodes, which is
 //! itself part of the argument for CHA.
 
-use std::any::Any;
 use vi_radio::{Process, RoundCtx, RoundReception, WireSized};
 
 /// Wire messages of the majority baseline.
@@ -131,14 +130,6 @@ impl<V: Clone + WireSized + 'static> Process<MajorityMessage<V>> for MajorityCon
             .then(|| self.got_proposal.clone().expect("checked"));
             self.decisions.push(decided);
         }
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

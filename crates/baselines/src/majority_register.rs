@@ -14,7 +14,6 @@
 //! exists so `examples/audit_demo.rs` can show the checker catching
 //! the violation, minimized witness and all.
 
-use std::any::Any;
 use vi_audit::linearizability::PENDING;
 use vi_audit::{RegOp, RegOpKind};
 use vi_radio::{Engine, NodeId, Process, RoundCtx, RoundReception, WireSized};
@@ -177,14 +176,6 @@ impl Process<MajRegMessage> for MajorityRegister {
                 value: self.value,
             });
         }
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

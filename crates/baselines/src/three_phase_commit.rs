@@ -16,7 +16,6 @@
 //! exactly what 3PC lacks). This contrast is the paper's "somewhat
 //! different approach to recovering from network misbehavior".
 
-use std::any::Any;
 use vi_radio::{Process, RoundCtx, RoundReception, WireSized};
 
 /// Wire messages of slotted 3PC.
@@ -170,14 +169,6 @@ impl<V: Clone + WireSized + 'static> Process<TpcMessage<V>> for ThreePhaseCommit
             };
             self.decisions.push(decision);
         }
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

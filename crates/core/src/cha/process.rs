@@ -8,7 +8,6 @@
 
 use crate::cha::history::Ballot;
 use crate::cha::protocol::{ChaMessage, ChaOutput, ChaProtocol, Phase};
-use std::any::Any;
 use vi_contention::{ChannelFeedback, CmSlot, SharedCm};
 use vi_radio::{Process, RoundCtx, RoundReception};
 use vi_telemetry::Observers;
@@ -139,6 +138,18 @@ impl<V: Clone + Ord + 'static> ChaNode<V> {
         self
     }
 
+    /// This participant running exactly `instances` instances: its
+    /// outputs, proposals and protocol window are sized for them once,
+    /// where a node that is not told grows each as it goes. A
+    /// checkpoint joiner counts only the instances after its
+    /// checkpoint.
+    pub fn with_instances(mut self, instances: usize) -> Self {
+        self.outputs.reserve_exact(instances);
+        self.proposals.reserve_exact(instances);
+        self.protocol.reserve_instances(instances);
+        self
+    }
+
     /// The per-instance outputs produced so far, in instance order.
     pub fn outputs(&self) -> &[ChaOutput<V>] {
         &self.outputs
@@ -205,14 +216,6 @@ impl<V: Clone + Ord + vi_radio::WireSized + 'static> Process<ChaMessage<V>> for 
                 self.outputs.push(out);
             }
         }
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

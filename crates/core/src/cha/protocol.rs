@@ -246,6 +246,13 @@ impl<V> ChaProtocol<V> {
         }
     }
 
+    /// Sizes the instance window for `instances` more instances at
+    /// once, for a caller that knows how many it will run without
+    /// collecting: the window then never regrows.
+    pub fn reserve_instances(&mut self, instances: usize) {
+        self.window.reserve_exact(instances);
+    }
+
     /// The most recently started instance (0 if none).
     pub fn instance(&self) -> u64 {
         self.instance

@@ -22,12 +22,13 @@
 //! recorded; the quadratic checker all of this replaced is the
 //! test-only `reference` module.
 //!
-//! Recording an output copies nothing: the checker borrows each node's
-//! outputs where they lie. Checking a 20 000-node, 10-instance run
+//! Recording copies nothing: the checker borrows each node's proposals
+//! and outputs where they lie. Checking a 20 000-node, 10-instance run
 //! (vi-perf's metro workloads: 200 000 outputs, 99 in 100 of them ⊥)
-//! raises the heap's high-water mark by about 5 MiB — its proposals
-//! and their sort keys — where copying every output into the checker
-//! took 14 MiB (`tests/cha_checker_memory.rs` holds it under 6 MiB).
+//! raises the heap's high-water mark by about 2.8 MiB — its run
+//! entries and one sort key per proposal — where copying the proposals
+//! took 4.8 MiB and copying the outputs too 14 MiB
+//! (`tests/cha_checker_memory.rs` holds it under 3.5 MiB).
 
 use crate::cha::history::{Color, History};
 use crate::cha::protocol::ChaOutput;
@@ -114,16 +115,20 @@ fn lowest_kst<V>(out: &ChaOutput<V>) -> u64 {
 
 /// Collects an execution's CHA events and checks the specification.
 ///
-/// The checker borrows the outputs it checks where they lie — one
-/// `(node, slice)` run per recording, typically a node's whole
+/// The checker borrows the proposals and outputs it checks where they
+/// lie — one slice per recording, typically a node's whole
+/// [`ChaNode::proposals`](crate::cha::ChaNode::proposals) and
 /// [`ChaNode::outputs`](crate::cha::ChaNode::outputs) — and copies
 /// none. Every check is one pass (plus a sort) over what was recorded,
 /// so checking a 20 000-node run's 200 000 outputs costs the heap its
-/// 200 000 proposals, 20 000 run entries and one sort key per
+/// 40 000 run entries and, while validity runs, one sort key per
 /// proposal.
 #[derive(Clone, Debug, Default)]
 pub struct ChaSpecChecker<'a, V> {
-    proposals: BTreeMap<u64, Vec<V>>,
+    /// Proposals recorded one at a time.
+    owned_proposals: Vec<(u64, V)>,
+    /// Every recorded run of one node's proposals.
+    proposal_runs: Vec<&'a [(u64, V)]>,
     /// Every recorded run of one node's outputs, in recording order.
     runs: Vec<(usize, &'a [ChaOutput<V>])>,
     crashed: BTreeSet<usize>,
@@ -133,7 +138,8 @@ impl<'a, V: Clone + Ord + fmt::Debug> ChaSpecChecker<'a, V> {
     /// Creates an empty checker.
     pub fn new() -> Self {
         ChaSpecChecker {
-            proposals: BTreeMap::new(),
+            owned_proposals: Vec::new(),
+            proposal_runs: Vec::new(),
             runs: Vec::new(),
             crashed: BTreeSet::new(),
         }
@@ -141,7 +147,14 @@ impl<'a, V: Clone + Ord + fmt::Debug> ChaSpecChecker<'a, V> {
 
     /// Records that some node proposed `value` for `instance`.
     pub fn record_proposal(&mut self, instance: u64, value: V) {
-        self.proposals.entry(instance).or_default().push(value);
+        self.owned_proposals.push((instance, value));
+    }
+
+    /// Records proposals as `(instance, value)` pairs, in any order —
+    /// typically one node's whole
+    /// [`ChaNode::proposals`](crate::cha::ChaNode::proposals).
+    pub fn record_proposals(&mut self, proposals: &'a [(u64, V)]) {
+        self.proposal_runs.push(proposals);
     }
 
     /// Records outputs (and final colors) `node` produced, one per
@@ -163,6 +176,13 @@ impl<'a, V: Clone + Ord + fmt::Debug> ChaSpecChecker<'a, V> {
         self.crashed.insert(node);
     }
 
+    /// Every proposal as `(instance, value)`.
+    fn proposals(&self) -> impl Iterator<Item = &(u64, V)> + '_ {
+        self.owned_proposals
+            .iter()
+            .chain(self.proposal_runs.iter().flat_map(|run| run.iter()))
+    }
+
     /// Every output as `(node, output)`, in recording order.
     fn outputs(&self) -> impl Iterator<Item = (usize, &'a ChaOutput<V>)> + '_ {
         self.runs
@@ -181,15 +201,24 @@ impl<'a, V: Clone + Ord + fmt::Debug> ChaSpecChecker<'a, V> {
     pub fn check_validity(&self) -> Vec<SpecViolation> {
         // Each instance's proposals sorted once, so an entry costs a
         // binary search instead of a scan of every node's proposal.
-        let sorted: BTreeMap<u64, Vec<&V>> = self
-            .proposals
-            .iter()
-            .map(|(&instance, values)| {
-                let mut values: Vec<&V> = values.iter().collect();
-                values.sort_unstable();
-                (instance, values)
-            })
+        // Counted first, so each instance's keys take exactly their
+        // room.
+        let mut counts: BTreeMap<u64, usize> = BTreeMap::new();
+        for &(instance, _) in self.proposals() {
+            *counts.entry(instance).or_default() += 1;
+        }
+        let mut sorted: BTreeMap<u64, Vec<&V>> = counts
+            .into_iter()
+            .map(|(instance, n)| (instance, Vec::with_capacity(n)))
             .collect();
+        for (instance, value) in self.proposals() {
+            if let Some(values) = sorted.get_mut(instance) {
+                values.push(value);
+            }
+        }
+        for values in sorted.values_mut() {
+            values.sort_unstable();
+        }
         let mut violations = Vec::new();
         for (node, output_instance, h) in self.decided() {
             for (entry_instance, value) in h.iter() {

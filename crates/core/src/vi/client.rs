@@ -42,16 +42,15 @@ impl<A> VirtualReception<A> {
     }
 }
 
-/// A client program, driven once per virtual round.
-pub trait ClientApp<A>: 'static {
+/// A client program, driven once per virtual round. A device reads its
+/// client back typed through [`Device::client`](crate::vi::Device::client),
+/// by upcasting to [`Any`].
+pub trait ClientApp<A>: Any {
     /// Called at the start of virtual round `vr` with the device's
     /// current position (the GPS / location-service reading) and the
     /// previous round's reception; returns the message to broadcast
     /// this round, if any.
     fn on_virtual_round(&mut self, vr: u64, pos: Point, prev: &VirtualReception<A>) -> Option<A>;
-
-    /// Upcast for typed extraction; implement as `self`.
-    fn as_any(&self) -> &dyn Any;
 }
 
 /// A client that never sends and records everything it observes.
@@ -65,10 +64,6 @@ impl<A: Clone + 'static> ClientApp<A> for CollectorClient<A> {
     fn on_virtual_round(&mut self, _vr: u64, _pos: Point, prev: &VirtualReception<A>) -> Option<A> {
         self.log.push(prev.clone());
         None
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
     }
 }
 

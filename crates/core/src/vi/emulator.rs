@@ -349,7 +349,8 @@ impl<VA: VirtualAutomaton> Device<VA> {
 
     /// Typed access to the client app.
     pub fn client<T: 'static>(&self) -> Option<&T> {
-        self.client.as_ref()?.as_any().downcast_ref::<T>()
+        let client: &dyn Any = self.client.as_deref()?;
+        client.downcast_ref::<T>()
     }
 
     /// Called at each virtual-round boundary: region management and
@@ -592,14 +593,6 @@ impl<VA: VirtualAutomaton> Process<Wire<VA::Msg, VA::State>> for Device<VA> {
                 }
             }
         }
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

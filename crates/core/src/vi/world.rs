@@ -37,7 +37,7 @@ pub struct WorldConfig<VA> {
 ///
 /// See the crate examples (`quickstart.rs`) for end-to-end usage.
 pub struct World<VA: VirtualAutomaton> {
-    engine: Engine<Wire<VA::Msg, VA::State>>,
+    engine: Engine<Wire<VA::Msg, VA::State>, Device<VA>>,
     dep: Rc<Deployment<VA>>,
     devices: Vec<NodeId>,
 }
@@ -114,8 +114,8 @@ impl<VA: VirtualAutomaton> World<VA> {
         spawn_at: Option<u64>,
         crash_at: Option<u64>,
     ) -> NodeId {
-        let device: Device<VA> = Device::new(Rc::clone(&self.dep), client);
-        let mut spec = NodeSpec::new(mobility, Box::new(device));
+        let device = Device::new(Rc::clone(&self.dep), client);
+        let mut spec = NodeSpec::by_value(mobility, device);
         if let Some(r) = spawn_at {
             spec = spec.spawn_at(r);
         }
@@ -154,11 +154,13 @@ impl<VA: VirtualAutomaton> World<VA> {
         self.engine.crash(device);
     }
 
-    /// The device process (typed).
+    /// The device process.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is not a device of this world.
     pub fn device(&self, id: NodeId) -> &Device<VA> {
-        self.engine
-            .process::<Device<VA>>(id)
-            .expect("device exists")
+        self.engine.process_at(id)
     }
 
     /// All device ids, in insertion order.
@@ -172,7 +174,7 @@ impl<VA: VirtualAutomaton> World<VA> {
     }
 
     /// Direct engine access (positions, traces).
-    pub fn engine(&self) -> &Engine<Wire<VA::Msg, VA::State>> {
+    pub fn engine(&self) -> &Engine<Wire<VA::Msg, VA::State>, Device<VA>> {
         &self.engine
     }
 

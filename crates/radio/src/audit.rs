@@ -192,7 +192,6 @@ mod tests {
     use crate::geometry::Rect;
     use crate::mobility::Waypoint;
     use crate::{Engine, EngineConfig, NodeSpec, Process, RoundCtx, RoundReception};
-    use std::any::Any;
 
     struct Chatty;
     impl Process<u64> for Chatty {
@@ -200,12 +199,6 @@ mod tests {
             ctx.round.is_multiple_of(2).then_some(1)
         }
         fn deliver(&mut self, _ctx: &RoundCtx, _rx: RoundReception<'_, u64>) {}
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
-        }
     }
 
     struct Quiet;
@@ -214,12 +207,6 @@ mod tests {
             None
         }
         fn deliver(&mut self, _ctx: &RoundCtx, _rx: RoundReception<'_, u64>) {}
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
-        }
     }
 
     /// A real engine trace — mobile nodes, adversarial losses before

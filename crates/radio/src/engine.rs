@@ -1,7 +1,9 @@
 //! The lockstep round executor.
 //!
 //! The engine owns a set of nodes, each bundling a mobility model and
-//! a protocol [`Process`]. Every round it (1) advances mobility, (2)
+//! a protocol [`Process`], stored by value: an `Engine<M, P>` runs one
+//! process type `P`, and a mixed population is the default
+//! `P = Box<dyn Process<M>>`. Every round it (1) advances mobility, (2)
 //! collects transmission decisions, (3) resolves the channel through
 //! the engine-owned [`Medium`] (spatially indexed, reusable buffers),
 //! and (4) delivers receptions. Executions are deterministic given
@@ -34,6 +36,7 @@ use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use std::any::Any;
 use std::fmt;
+use std::marker::PhantomData;
 use vi_telemetry::{FlightEvent, Observers, Phase};
 
 /// Simulator handle for a node.
@@ -80,9 +83,12 @@ pub struct RoundCtx {
 ///
 /// Each round the engine calls [`Process::transmit`] (broadcast or
 /// listen?) and then [`Process::deliver`] with the reception outcome.
-/// The `as_any` methods enable typed extraction of results after a
-/// run via [`Engine::process`].
-pub trait Process<M>: 'static {
+/// An engine of one process type reads results back typed
+/// ([`Engine::process_at`]); `as_any` survives only for a boxed
+/// population's [`Engine::process`] downcast and the frozen benchmark
+/// mirror, whose wrapper delegates it. Its default is right for every
+/// other process.
+pub trait Process<M>: AsAny {
     /// Decides this round's transmission: `Some(payload)` to
     /// broadcast, `None` to listen.
     fn transmit(&mut self, ctx: &RoundCtx) -> Option<M>;
@@ -92,30 +98,89 @@ pub trait Process<M>: 'static {
     /// storage — copy out whatever must outlive the call.
     fn deliver(&mut self, ctx: &RoundCtx, rx: RoundReception<'_, M>);
 
-    /// Upcast for typed extraction; implement as `self`.
-    fn as_any(&self) -> &dyn Any;
+    /// Upcast for a boxed population's typed extraction. Override only
+    /// to delegate, as a wrapper does.
+    fn as_any(&self) -> &dyn Any {
+        self.upcast()
+    }
 
-    /// Mutable upcast for typed extraction; implement as `self`.
-    fn as_any_mut(&mut self) -> &mut dyn Any;
+    /// Mutable twin of [`Process::as_any`].
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self.upcast_mut()
+    }
+}
+
+/// The upcast behind [`Process::as_any`]'s default, for every sized
+/// `'static` type.
+pub trait AsAny: Any {
+    /// `self` as `&dyn Any`.
+    fn upcast(&self) -> &dyn Any;
+
+    /// `self` as `&mut dyn Any`.
+    fn upcast_mut(&mut self) -> &mut dyn Any;
+}
+
+impl<T: Any> AsAny for T {
+    fn upcast(&self) -> &dyn Any {
+        self
+    }
+
+    fn upcast_mut(&mut self) -> &mut dyn Any {
+        self
+    }
+}
+
+/// A mixed population: each call goes to the boxed process, `as_any`
+/// included, so [`Engine::process`] sees the concrete type inside.
+impl<M: 'static> Process<M> for Box<dyn Process<M>> {
+    fn transmit(&mut self, ctx: &RoundCtx) -> Option<M> {
+        (**self).transmit(ctx)
+    }
+
+    fn deliver(&mut self, ctx: &RoundCtx, rx: RoundReception<'_, M>) {
+        (**self).deliver(ctx, rx)
+    }
+
+    fn as_any(&self) -> &dyn Any {
+        (**self).as_any()
+    }
+
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        (**self).as_any_mut()
+    }
 }
 
 /// Specification of one node: mobility + protocol + lifecycle.
-pub struct NodeSpec<M> {
+///
+/// `P` is the process type of the engine the node joins: a concrete
+/// type for a homogeneous population ([`NodeSpec::by_value`]), or the
+/// default `Box<dyn Process<M>>` for a mixed one ([`NodeSpec::new`]).
+pub struct NodeSpec<M, P = Box<dyn Process<M>>> {
     mobility: Box<dyn MobilityModel>,
-    process: Box<dyn Process<M>>,
+    process: P,
     spawn_at: u64,
     crash_at: Option<u64>,
+    message: PhantomData<fn() -> M>,
 }
 
 impl<M> NodeSpec<M> {
-    /// Creates a node that participates from round 0 and never
-    /// crashes.
+    /// Creates a node of a mixed population that participates from
+    /// round 0 and never crashes.
     pub fn new(mobility: Box<dyn MobilityModel>, process: Box<dyn Process<M>>) -> Self {
+        NodeSpec::by_value(mobility, process)
+    }
+}
+
+impl<M, P> NodeSpec<M, P> {
+    /// Creates a node holding `process` by value that participates
+    /// from round 0 and never crashes.
+    pub fn by_value(mobility: Box<dyn MobilityModel>, process: P) -> Self {
         NodeSpec {
             mobility,
             process,
             spawn_at: 0,
             crash_at: None,
+            message: PhantomData,
         }
     }
 
@@ -133,7 +198,7 @@ impl<M> NodeSpec<M> {
     }
 }
 
-impl<M> fmt::Debug for NodeSpec<M> {
+impl<M, P> fmt::Debug for NodeSpec<M, P> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("NodeSpec")
             .field("spawn_at", &self.spawn_at)
@@ -155,10 +220,10 @@ pub struct EngineConfig {
     pub record_trace: bool,
 }
 
-struct NodeEntry<M> {
+struct NodeEntry<P> {
     id: NodeId,
     mobility: Box<dyn MobilityModel>,
-    process: Box<dyn Process<M>>,
+    process: P,
     spawn_at: u64,
     crash_at: Option<u64>,
     pos: Point,
@@ -168,7 +233,7 @@ struct NodeEntry<M> {
     settled: bool,
 }
 
-impl<M> NodeEntry<M> {
+impl<P> NodeEntry<P> {
     fn participates(&self, round: u64) -> bool {
         round >= self.spawn_at && self.crash_at.is_none_or(|c| round < c)
     }
@@ -176,11 +241,19 @@ impl<M> NodeEntry<M> {
 
 /// The deterministic lockstep simulator.
 ///
+/// `P` is the type every node's process has, stored by value beside
+/// the node's metadata. A homogeneous population names it (vi-core's
+/// CHA clique runs an `Engine<ChaMessage<u64>, ChaNode<u64>>`, a
+/// virtual-infrastructure world an `Engine<Wire<..>, Device<VA>>`) and
+/// reads results back typed with [`Engine::process_at`]. The default,
+/// `Box<dyn Process<M>>`, holds a mixed population, read back by
+/// downcast with [`Engine::process`].
+///
 /// See the [crate-level documentation](crate) for an end-to-end
 /// example.
-pub struct Engine<M> {
+pub struct Engine<M, P = Box<dyn Process<M>>> {
     config: EngineConfig,
-    nodes: Vec<NodeEntry<M>>,
+    nodes: Vec<NodeEntry<P>>,
     adversary: Box<dyn Adversary>,
     rng: StdRng,
     round: u64,
@@ -235,7 +308,7 @@ impl Adversary for CountingAdversary<'_> {
     }
 }
 
-impl<M: Clone + WireSized + 'static> Engine<M> {
+impl<M: Clone + WireSized + 'static, P: Process<M>> Engine<M, P> {
     /// Creates an engine with the benign [`NoAdversary`].
     ///
     /// # Panics
@@ -299,10 +372,17 @@ impl<M: Clone + WireSized + 'static> Engine<M> {
         self.adversary = adversary;
     }
 
+    /// Reserves node storage for exactly `additional` more
+    /// [`add_node`](Self::add_node) calls, so a population of known
+    /// size is stored without regrowth or slack.
+    pub fn reserve_nodes(&mut self, additional: usize) {
+        self.nodes.reserve_exact(additional);
+    }
+
     /// Adds a node and returns its simulator handle. May be called
     /// mid-execution to model ad hoc arrivals (combine with
     /// [`NodeSpec::spawn_at`] for scripted arrivals).
-    pub fn add_node(&mut self, spec: NodeSpec<M>) -> NodeId {
+    pub fn add_node(&mut self, spec: NodeSpec<M, P>) -> NodeId {
         let id = NodeId(self.nodes.len());
         self.nodes.push(NodeEntry {
             id,
@@ -348,22 +428,26 @@ impl<M: Clone + WireSized + 'static> Engine<M> {
             .is_some_and(|e| e.participates(self.round))
     }
 
-    /// Typed view of a node's process (for extracting results).
-    pub fn process<P: 'static>(&self, node: NodeId) -> Option<&P> {
+    /// A node's process, as the engine stores it (for extracting
+    /// results).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node` is unknown.
+    pub fn process_at(&self, node: NodeId) -> &P {
+        &self.nodes[node.index()].process
+    }
+
+    /// A node's process downcast to `T`: `None` if `node` is unknown
+    /// or runs another type. For a mixed population, whose processes
+    /// are boxed; an engine of one process type reads
+    /// [`process_at`](Self::process_at) instead.
+    pub fn process<T: 'static>(&self, node: NodeId) -> Option<&T> {
         self.nodes
             .get(node.index())?
             .process
             .as_any()
-            .downcast_ref::<P>()
-    }
-
-    /// Typed mutable view of a node's process.
-    pub fn process_mut<P: 'static>(&mut self, node: NodeId) -> Option<&mut P> {
-        self.nodes
-            .get_mut(node.index())?
-            .process
-            .as_any_mut()
-            .downcast_mut::<P>()
+            .downcast_ref::<T>()
     }
 
     /// Aggregate statistics so far.
@@ -560,7 +644,7 @@ impl<M: Clone + WireSized + 'static> Engine<M> {
     }
 }
 
-impl<M> fmt::Debug for Engine<M> {
+impl<M, P> fmt::Debug for Engine<M, P> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Engine")
             .field("round", &self.round)
@@ -607,12 +691,6 @@ mod tests {
             if rx.collision {
                 self.collisions += 1;
             }
-        }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
         }
     }
 

@@ -39,7 +39,6 @@
 //!                RoundReception, WireSized};
 //! use vi_radio::geometry::Point;
 //! use vi_radio::mobility::Static;
-//! use std::any::Any;
 //!
 //! #[derive(Clone, Debug)]
 //! struct Ping(u64);
@@ -56,26 +55,24 @@
 //!     fn deliver(&mut self, _ctx: &RoundCtx, rx: RoundReception<'_, Ping>) {
 //!         self.heard += rx.messages.len();
 //!     }
-//!     fn as_any(&self) -> &dyn Any { self }
-//!     fn as_any_mut(&mut self) -> &mut dyn Any { self }
 //! }
 //!
-//! let mut engine = Engine::new(EngineConfig {
+//! // Every node runs a `Beacon`, stored by value.
+//! let mut engine: Engine<Ping, Beacon> = Engine::new(EngineConfig {
 //!     radio: RadioConfig::reliable(10.0, 20.0),
 //!     seed: 7,
 //!     record_trace: false,
 //! });
-//! engine.add_node(NodeSpec::new(
+//! engine.add_node(NodeSpec::by_value(
 //!     Box::new(Static::new(Point::new(0.0, 0.0))),
-//!     Box::new(Beacon { sent: false, heard: 0 }),
+//!     Beacon { sent: false, heard: 0 },
 //! ));
-//! engine.add_node(NodeSpec::new(
+//! let listener = engine.add_node(NodeSpec::by_value(
 //!     Box::new(Static::new(Point::new(1.0, 0.0))),
-//!     Box::new(Beacon { sent: true, heard: 0 }),
+//!     Beacon { sent: true, heard: 0 },
 //! ));
 //! engine.run(3);
-//! let listener: &Beacon = engine.process(1.into()).unwrap();
-//! assert_eq!(listener.heard, 1);
+//! assert_eq!(engine.process_at(listener).heard, 1);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -99,7 +96,7 @@ pub use channel::{
     RoundReception, TopologyDelta, TxIntent,
 };
 pub use config::{ConfigError, RadioConfig};
-pub use engine::{Engine, EngineConfig, NodeId, NodeSpec, Process, RoundCtx};
+pub use engine::{AsAny, Engine, EngineConfig, NodeId, NodeSpec, Process, RoundCtx};
 pub use geometry::{Point, SpatialGrid};
 pub use trace::{ChannelStats, RoundRecord, Trace};
 

@@ -24,7 +24,9 @@ use vi_baselines::{collect_register_ops, MajRegMessage, MajorityRegister};
 use vi_core::cha::{ChaMessage, ChaNode, ChaSpecChecker, TaggedProposer};
 use vi_core::vi::{CounterAutomaton, World, WorldConfig};
 use vi_radio::trace::ChannelStats;
-use vi_radio::{Adversary, Engine, EngineConfig, NodeId, NodeSpec, ScriptedAdversary, WireSized};
+use vi_radio::{
+    Adversary, Engine, EngineConfig, NodeId, NodeSpec, Process, ScriptedAdversary, WireSized,
+};
 use vi_telemetry::{monitor, CausalSummary, Monitor, Observers, Phase, TelemetrySummary};
 use vi_traffic::{AppKind, DevicePlan, TrafficSpec, TrafficSummary, TrafficWorld};
 
@@ -350,12 +352,12 @@ impl ScenarioSpec {
 
     /// An empty engine over this spec's radio, set up for the run:
     /// observers, adversary.
-    fn engine<M: Clone + WireSized + 'static>(
+    fn engine<M: Clone + WireSized + 'static, P: Process<M>>(
         &self,
         seed: u64,
         obs: &Observers,
         adversary: Box<dyn Adversary>,
-    ) -> Engine<M> {
+    ) -> Engine<M, P> {
         let mut engine = Engine::new(EngineConfig {
             radio: self.radio,
             seed,
@@ -389,7 +391,9 @@ impl ScenarioSpec {
 
     fn run_cha(&self, seed: u64, obs: &Observers, instances: u64) -> ScenarioOutcome {
         let rounds = instances * 3;
-        let mut engine: Engine<ChaMessage<u64>> = self.engine(seed, obs, self.channel_adversary());
+        let mut engine: Engine<ChaMessage<u64>, ChaNode<u64>> =
+            self.engine(seed, obs, self.channel_adversary());
+        engine.reserve_nodes(self.node_count());
         let cm = self.cm.build(seed);
 
         let mut ids: Vec<NodeId> = Vec::with_capacity(self.node_count());
@@ -405,16 +409,17 @@ impl ScenarioSpec {
             // phase starts instance `spawn.div_ceil(3) + 1`). Each
             // participant mints propose/decide spans under its
             // simulator node index, so they line up with the engine's
-            // broadcast spans and reception edges.
+            // broadcast spans and reception edges, and is told how
+            // many instances it will run, so it sizes its storage once.
+            let k0 = d.spawn_at.map_or(0, |spawn| spawn.div_ceil(3));
             let node = match d.spawn_at {
                 None => ChaNode::<u64>::new(proposer, cm.clone()),
-                Some(spawn) => {
-                    let k0 = spawn.div_ceil(3);
-                    ChaNode::<u64>::from_checkpoint(k0, k0, proposer, cm.clone())
-                }
+                Some(_) => ChaNode::<u64>::from_checkpoint(k0, k0, proposer, cm.clone()),
             };
-            let node = node.with_observers(obs.clone(), tag as u64);
-            let mut spec = NodeSpec::new(d.mobility, Box::new(node));
+            let node = node
+                .with_observers(obs.clone(), tag as u64)
+                .with_instances(instances.saturating_sub(k0) as usize);
+            let mut spec = NodeSpec::by_value(d.mobility, node);
             if let Some(spawn) = d.spawn_at {
                 spec = spec.spawn_at(spawn);
             }
@@ -437,16 +442,14 @@ impl ScenarioSpec {
         // genesis nodes' outputs feed the checker: a checkpoint
         // joiner's history summarizes the pre-join prefix as ⊥, which
         // the strict history-equality relation would misread as
-        // disagreement. The checker borrows each node's outputs in
-        // place.
+        // disagreement. The checker borrows each node's proposals and
+        // outputs in place.
         let mut checker = ChaSpecChecker::new();
         let mut total_outputs = 0usize;
         let mut decided = 0usize;
         for (node, &id) in ids.iter().enumerate() {
-            let p = engine.process::<ChaNode<u64>>(id).expect("cha node");
-            for &(k, v) in p.proposals() {
-                checker.record_proposal(k, v);
-            }
+            let p = engine.process_at(id);
+            checker.record_proposals(p.proposals());
             if genesis[node] {
                 checker.record_outputs(node, p.outputs());
             }

@@ -332,10 +332,6 @@ impl<M: Clone + 'static> ClientApp<M> for PortClient<M> {
         p.sent.push((id, vr));
         Some(msg)
     }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
 }
 
 /// A request awaiting its response, with retry bookkeeping.

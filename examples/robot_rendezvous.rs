@@ -110,10 +110,6 @@ impl ClientApp<RobotMsg> for Robot {
             y: (pos.y * 1000.0) as i64,
         })
     }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
 }
 
 fn main() {

@@ -384,11 +384,12 @@ proptest! {
 /// `ScenarioSpec::run_cha` does ([`metro_cha_trace`]); the fastest of
 /// five.
 fn checker_seconds(nodes: usize) -> f64 {
+    let proposals = metro_cha_trace::proposals(nodes);
     let outputs = metro_cha_trace::outputs(nodes);
     (0..5)
         .map(|_| {
             let t0 = std::time::Instant::now();
-            metro_cha_trace::check(&outputs);
+            metro_cha_trace::check(&proposals, &outputs);
             t0.elapsed().as_secs_f64()
         })
         .fold(f64::INFINITY, f64::min)

@@ -40,15 +40,20 @@ pub fn outputs(nodes: usize) -> Vec<Vec<ChaOutput<u64>>> {
         .collect()
 }
 
+/// Each node's proposals, as `(instance, value)`, `nodes` nodes.
+pub fn proposals(nodes: usize) -> Vec<Vec<(u64, u64)>> {
+    (0..nodes as u64)
+        .map(|node| (1..=INSTANCES).map(|k| (k, k * 1_000_000 + node)).collect())
+        .collect()
+}
+
 /// Records the run and performs the four checks the way
-/// `ScenarioSpec::run_cha` does: each node's proposals, then its
-/// outputs as one slice.
-pub fn check(outputs: &[Vec<ChaOutput<u64>>]) {
+/// `ScenarioSpec::run_cha` does: each node's proposals as one slice,
+/// then its outputs as another.
+pub fn check(proposals: &[Vec<(u64, u64)>], outputs: &[Vec<ChaOutput<u64>>]) {
     let mut checker = ChaSpecChecker::new();
-    for (node, outs) in outputs.iter().enumerate() {
-        for k in 1..=INSTANCES {
-            checker.record_proposal(k, k * 1_000_000 + node as u64);
-        }
+    for (node, (props, outs)) in proposals.iter().zip(outputs).enumerate() {
+        checker.record_proposals(props);
         checker.record_outputs(node, outs);
     }
     let violations: Vec<SpecViolation> = checker.check_all(false);

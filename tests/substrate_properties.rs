@@ -4,7 +4,6 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::any::Any;
 use virtual_infra::contention::{
     Advice, BackoffCm, ChannelFeedback, ContentionManager, OracleCm, RegionalCm, RegionalConfig,
 };
@@ -101,12 +100,6 @@ impl Process<u64> for Recorder {
         if rx.collision {
             self.collisions += 1;
         }
-    }
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

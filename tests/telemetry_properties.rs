@@ -19,7 +19,6 @@
 //! counter and no snapshot.
 
 use proptest::prelude::*;
-use std::any::Any;
 use std::sync::{Arc, Mutex};
 use virtual_infra::radio::adversary::RandomLoss;
 use virtual_infra::radio::geometry::{Point, Rect};
@@ -55,12 +54,6 @@ impl Process<u64> for Recorder {
         if rx.collision {
             self.collisions += 1;
         }
-    }
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

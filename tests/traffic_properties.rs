@@ -270,7 +270,10 @@ fn completions_after_recovery(app: AppKind) -> (usize, usize) {
 /// requests invoked after the settle window complete.
 fn assert_recovers(app: AppKind) {
     let (completed, invoked) = completions_after_recovery(app);
-    assert!(invoked > 50, "{app:?}: too few requests to judge: {invoked}");
+    assert!(
+        invoked > 50,
+        "{app:?}: too few requests to judge: {invoked}"
+    );
     let share = completed as f64 / invoked as f64;
     assert!(
         share >= 0.95,

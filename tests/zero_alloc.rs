@@ -16,7 +16,6 @@ mod counting_alloc;
 use counting_alloc::allocations;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::any::Any;
 use virtual_infra::radio::adversary::NoAdversary;
 use virtual_infra::radio::channel::{Medium, ReceptionBuffer, TopologyDelta, TxIntent};
 use virtual_infra::radio::geometry::Point;
@@ -45,12 +44,6 @@ impl Process<u64> for Counter {
         if rx.collision {
             self.collisions += 1;
         }
-    }
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 
