@@ -396,7 +396,6 @@ impl ScenarioSpec {
         engine.reserve_nodes(self.node_count());
         let cm = self.cm.build(seed);
 
-        let mut ids: Vec<NodeId> = Vec::with_capacity(self.node_count());
         let mut crashed: Vec<usize> = Vec::new();
         let mut genesis: Vec<bool> = Vec::with_capacity(self.node_count());
         for (tag, d) in self.deployment(seed).into_iter().enumerate() {
@@ -429,7 +428,7 @@ impl ScenarioSpec {
                     crashed.push(tag);
                 }
             }
-            ids.push(engine.add_node(spec));
+            engine.add_node(spec);
             genesis.push(d.spawn_at.is_none());
         }
         engine.run(rounds);
@@ -447,10 +446,10 @@ impl ScenarioSpec {
         let mut checker = ChaSpecChecker::new();
         let mut total_outputs = 0usize;
         let mut decided = 0usize;
-        for (node, &id) in ids.iter().enumerate() {
-            let p = engine.process_at(id);
+        for (node, &genesis) in genesis.iter().enumerate() {
+            let p = engine.process_at(NodeId::from(node));
             checker.record_proposals(p.proposals());
-            if genesis[node] {
+            if genesis {
                 checker.record_outputs(node, p.outputs());
             }
             total_outputs += p.outputs().len();
