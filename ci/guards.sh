@@ -63,8 +63,10 @@ guards=(
   # vi-core says it once: Section 3.5 is `ChaProtocol::fold_decided`
   # (callers: the emulator's green fold and E10; its tests live beside
   # its definition), the replica tally is `EmulatorReport: AddAssign`
-  # behind `World::report`.
-  'CheckpointCha|PeriodicClient|protocol_mut|struct WorldTotals|diff_tables'
+  # behind `World::report`. vi-scenario runs every CHA clique:
+  # `ScenarioSpec::run_cha_clique` is the one entry that keeps its
+  # engine, and vi-bench's hand-built clique runner is gone.
+  'CheckpointCha|PeriodicClient|protocol_mut|struct WorldTotals|diff_tables|run_clique|CliqueConfig|CliqueRun'
   "$code Cargo.toml" '-'
   'a deleted duplicate is back'
 
@@ -122,9 +124,15 @@ guards=(
   # `Engine::process_at`; a client app is read back by upcasting to
   # `Any`. `Process::as_any` survives only for boxed populations and
   # the frozen benchmark mirror.
-  'process::<(ChaNode|Device)|as_any\('
+  'process::<|as_any\('
   'above-tests:crates/scenario/src crates/core/src/vi' '-'
   'the scenario path downcasts a node again; its engine stores the process type by value'
+
+  # vi-bench builds no CHA node and downcasts none: its cliques are
+  # `clique_spec`s run by vi-scenario, its baselines typed engines.
+  'process::<|\.process\(|ChaNode::'
+  'above-tests:crates/bench/src' '-'
+  'vi-bench builds or downcasts a node again; run a clique_spec, or a typed Engine<M, P>'
 
   # The clock has one home: vi-perf (`bash bench/run.sh`) is the only
   # code that reports a wall-clock or RSS number. vi-bench's tables

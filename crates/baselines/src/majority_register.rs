@@ -185,10 +185,13 @@ impl Process<MajRegMessage> for MajorityRegister {
 /// pending, a local read is instantaneous). Shared by
 /// `examples/audit_demo.rs` and the unit tests, so the demo and the
 /// tests cannot diverge.
-pub fn collect_register_ops(engine: &Engine<MajRegMessage>, ids: &[NodeId]) -> Vec<RegOp> {
+pub fn collect_register_ops(
+    engine: &Engine<MajRegMessage, MajorityRegister>,
+    ids: &[NodeId],
+) -> Vec<RegOp> {
     let mut ops = Vec::new();
     for &id in ids {
-        let node: &MajorityRegister = engine.process(id).expect("majority-register node");
+        let node = engine.process_at(id);
         for w in &node.write_log {
             ops.push(RegOp {
                 id: ops.len() as u64,
@@ -218,7 +221,7 @@ mod tests {
     use vi_radio::{Engine, EngineConfig, NodeId, NodeSpec, RadioConfig, ScriptedAdversary};
 
     fn build(n: usize, writes: u64, rounds: u64, partition_from: Option<u64>) -> Vec<RegOp> {
-        let mut engine: Engine<MajRegMessage> = Engine::new(EngineConfig {
+        let mut engine: Engine<MajRegMessage, MajorityRegister> = Engine::new(EngineConfig {
             radio: RadioConfig::stabilizing(10.0, 20.0, u64::MAX),
             seed: 5,
             record_trace: false,
@@ -233,9 +236,9 @@ mod tests {
         }
         let ids: Vec<NodeId> = (0..n)
             .map(|i| {
-                engine.add_node(NodeSpec::new(
+                engine.add_node(NodeSpec::by_value(
                     Box::new(Static::new(Point::new(i as f64 * 0.2, 0.0))),
-                    Box::new(MajorityRegister::new(i, n, writes)),
+                    MajorityRegister::new(i, n, writes),
                 ))
             })
             .collect();

@@ -12,16 +12,17 @@
 //! consistent ⊥ (its agreement checker finds zero violations at any
 //! loss rate — at the price of some undecided instances).
 
-use crate::harness::{run_clique, CliqueConfig};
+use crate::harness::clique_spec;
 use crate::table::{f2, Table};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use vi_baselines::{ThreePhaseCommit, TpcDecision, TpcMessage};
+use vi_contention::PreStability;
 use vi_radio::adversary::ScriptedAdversary;
-use vi_radio::geometry::{Point, Rect};
+use vi_radio::geometry::Point;
 use vi_radio::mobility::Static;
 use vi_radio::{AdversaryKind, Engine, EngineConfig, NodeSpec, RadioConfig};
-use vi_scenario::{CmSpec, PlacementSpec, PopulationSpec, ScenarioSpec, SweepRunner, WorkloadSpec};
+use vi_scenario::{CmSpec, ScenarioSpec, SweepRunner};
 
 /// Runs one slotted-3PC instance with each pre-commit delivery dropped
 /// independently with probability `drop_p`, and the coordinator
@@ -31,17 +32,16 @@ fn tpc_instance(n: usize, drop_p: f64, rng: &mut StdRng, seed: u64) -> Vec<TpcDe
     let w = ThreePhaseCommit::<u64>::window(n);
     let m = n as u64 - 1;
     let precommit_round = m + 1;
-    let mut engine: Engine<TpcMessage<u64>> = Engine::new(EngineConfig {
+    let mut engine: Engine<TpcMessage<u64>, ThreePhaseCommit<u64>> = Engine::new(EngineConfig {
         radio: RadioConfig::stabilizing(10.0, 20.0, u64::MAX),
         seed,
         record_trace: false,
     });
     let ids: Vec<_> = (0..n)
         .map(|i| {
-            let mut spec = NodeSpec::new(
+            let mut spec = NodeSpec::by_value(
                 Box::new(Static::new(Point::new(i as f64 * 0.2, 0.0))),
-                Box::new(ThreePhaseCommit::<u64>::new(i, n, Box::new(|k| k)))
-                    as Box<dyn vi_radio::Process<TpcMessage<u64>>>,
+                ThreePhaseCommit::new(i, n, Box::new(|k| k)),
             );
             if i == 0 {
                 spec = spec.crash_at(precommit_round + 1);
@@ -59,12 +59,7 @@ fn tpc_instance(n: usize, drop_p: f64, rng: &mut StdRng, seed: u64) -> Vec<TpcDe
     engine.run(w);
     ids.iter()
         .skip(1)
-        .map(|&id| {
-            engine
-                .process::<ThreePhaseCommit<u64>>(id)
-                .expect("node")
-                .decisions()[0]
-        })
+        .map(|&id| engine.process_at(id).decisions()[0])
         .collect()
 }
 
@@ -94,14 +89,14 @@ pub fn ablation_3pc() -> Table {
 
         // CHAP on an equally hostile channel: random loss at the same
         // rate, CM misbehaving, a crash mid-run.
-        let mut cfg = CliqueConfig::reliable(n, 40, 77);
-        cfg.radio = RadioConfig::stabilizing(10.0, 20.0, u64::MAX);
-        cfg.adversary = AdversaryKind::Random(drop_p, drop_p / 2.0);
-        cfg.crashes = vec![(0, 60)];
-        let run = run_clique(cfg);
-        let checker = run.checker();
-        let violations = checker.check_agreement().len() + checker.check_validity().len();
-        let bottom = 1.0 - run.decided_fraction();
+        let out = ScenarioSpec {
+            radio: RadioConfig::stabilizing(10.0, 20.0, u64::MAX),
+            adversary: AdversaryKind::Random(drop_p, drop_p / 2.0),
+            ..clique_spec("ablation3pc", n, 40, &[(0, 60)])
+        }
+        .run(77);
+        let violations = out.agreement_violations + out.validity_violations;
+        let bottom = 1.0 - out.decided_fraction;
 
         t.row(&[
             f2(drop_p),
@@ -121,11 +116,9 @@ pub fn ablation_3pc() -> Table {
 /// makes agreement violations appear — empirical evidence that the
 /// guarantee is load-bearing, not decorative.
 ///
-/// Rewired through `vi-scenario`: each `(miss rate, seed)` run is a
-/// declarative [`ScenarioSpec`] (the broken detector is just an
-/// [`AdversaryKind`] value) and the 80-run sweep fans across cores via
-/// [`SweepRunner`], with per-run executions identical to the former
-/// sequential [`run_clique`] loop.
+/// Each `(miss rate, seed)` run is a [`clique_spec`] whose broken
+/// detector is just an [`AdversaryKind`] value, and the 80-run sweep
+/// fans across cores via [`SweepRunner`].
 pub fn detector_necessity() -> Table {
     let mut t = Table::new(
         "E13 / necessity: breaking detector completeness breaks agreement",
@@ -134,27 +127,16 @@ pub fn detector_necessity() -> Table {
     let miss_rates = [0.0, 0.3, 0.7, 1.0];
     let runs = 20u64;
     let spec = |miss_p: f64| ScenarioSpec {
-        name: format!("necessity miss {miss_p}"),
-        arena: Rect::square(10.0),
         radio: RadioConfig::stabilizing(10.0, 20.0, u64::MAX),
-        populations: vec![PopulationSpec::fixed(
-            4,
-            PlacementSpec::Line {
-                start: Point::ORIGIN,
-                step_x: 0.1,
-                step_y: 0.0,
-            },
-        )],
         adversary: AdversaryKind::BrokenDetector {
             drop_p: 0.35,
             miss_p,
         },
-        nemesis: vi_scenario::NemesisSpec::none(),
         cm: CmSpec::Oracle {
             stabilize_at: u64::MAX,
-            pre: vi_contention::PreStability::Random(0.5),
+            pre: PreStability::Random(0.5),
         },
-        workload: WorkloadSpec::ChaClique { instances: 40 },
+        ..clique_spec(&format!("necessity miss {miss_p}"), 4, 40, &[])
     };
     let jobs: Vec<(ScenarioSpec, u64)> = miss_rates
         .iter()

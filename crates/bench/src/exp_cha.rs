@@ -1,16 +1,16 @@
 //! Experiments on convergent history agreement (E1–E6, E10).
 
-use crate::harness::{run_clique, CliqueConfig};
+use crate::harness::{all_green_from, clique_spec, node_outputs};
 use crate::table::{f2, Table};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use vi_baselines::{FullHistoryMessage, FullHistoryNode, MajorityConsensus, MajorityMessage};
 use vi_contention::{OracleCm, PreStability, SharedCm};
 use vi_core::cha::{ChaProtocol, Color, TaggedProposer};
-use vi_radio::geometry::{Point, Rect};
+use vi_radio::geometry::Point;
 use vi_radio::mobility::Static;
 use vi_radio::{AdversaryKind, Engine, EngineConfig, NodeSpec, RadioConfig};
-use vi_scenario::{CmSpec, PlacementSpec, PopulationSpec, ScenarioSpec, SweepRunner, WorkloadSpec};
+use vi_scenario::{CmSpec, ScenarioSpec, SweepRunner};
 
 /// E1 — reproduces **Figure 2**: how a replica's color and output
 /// depend on which phases it survives. A ✓ means the node received
@@ -63,24 +63,20 @@ pub fn msgsize() -> Table {
         &["instances k", "CHAP", "full-history RSM", "ratio"],
     );
     for k in [10u64, 100, 500, 1_000, 5_000] {
-        let chap = run_clique(CliqueConfig::reliable(3, k, 7))
-            .stats
-            .max_message_bytes;
+        let chap = clique_spec("msgsize", 3, k, &[]).run(7).max_message_bytes;
 
         // Full-history baseline on the same channel.
-        let mut engine: Engine<FullHistoryMessage<u64>> = Engine::new(EngineConfig {
-            radio: RadioConfig::reliable(10.0, 20.0),
-            seed: 7,
-            record_trace: false,
-        });
+        let mut engine: Engine<FullHistoryMessage<u64>, FullHistoryNode<u64>> =
+            Engine::new(EngineConfig {
+                radio: RadioConfig::reliable(10.0, 20.0),
+                seed: 7,
+                record_trace: false,
+            });
         let cm = SharedCm::new(OracleCm::perfect());
         for i in 0..3 {
-            engine.add_node(NodeSpec::new(
+            engine.add_node(NodeSpec::by_value(
                 Box::new(Static::new(Point::new(i as f64 * 0.3, 0.0))),
-                Box::new(FullHistoryNode::new(
-                    Box::new(TaggedProposer::new(i)),
-                    cm.clone(),
-                )),
+                FullHistoryNode::new(Box::new(TaggedProposer::new(i)), cm.clone()),
             ));
         }
         engine.run(k);
@@ -107,27 +103,34 @@ pub fn rounds() -> Table {
     );
     for n in [2usize, 4, 8, 16, 32, 64] {
         let instances = 20u64;
-        let run = run_clique(CliqueConfig::reliable(n, instances, 5));
-        let decided = run.outputs[0].iter().filter(|o| o.decided()).count() as f64;
+        let (_, cha) = clique_spec("rounds", n, instances, &[])
+            .run_cha_clique(5)
+            .expect("a CHA clique");
+        let decided = node_outputs(&cha)[0].iter().filter(|o| o.decided()).count() as f64;
         let chap = (instances * 3) as f64 / decided;
 
         let window = MajorityConsensus::<u64>::window(n);
-        let mut engine: Engine<MajorityMessage<u64>> = Engine::new(EngineConfig {
-            radio: RadioConfig::reliable(20.0, 40.0),
-            seed: 5,
-            record_trace: false,
-        });
+        let mut engine: Engine<MajorityMessage<u64>, MajorityConsensus<u64>> =
+            Engine::new(EngineConfig {
+                radio: RadioConfig::reliable(20.0, 40.0),
+                seed: 5,
+                record_trace: false,
+            });
         let ids: Vec<_> = (0..n)
             .map(|i| {
-                engine.add_node(NodeSpec::new(
+                engine.add_node(NodeSpec::by_value(
                     Box::new(Static::new(Point::new(i as f64 * 0.1, 0.0))),
-                    Box::new(MajorityConsensus::new(i, n, Box::new(|k| k))),
+                    MajorityConsensus::new(i, n, Box::new(|k| k)),
                 ))
             })
             .collect();
         engine.run(10 * window);
-        let node: &MajorityConsensus<u64> = engine.process(ids[0]).expect("node");
-        let decided = node.decisions().iter().filter(|d| d.is_some()).count() as f64;
+        let decided = engine
+            .process_at(ids[0])
+            .decisions()
+            .iter()
+            .filter(|d| d.is_some())
+            .count() as f64;
         let majority = (10 * window) as f64 / decided.max(1.0);
 
         t.row(&[n.to_string(), f2(chap), f2(majority)]);
@@ -152,17 +155,19 @@ pub fn spread() -> Table {
         ],
     );
     for loss in [0.0, 0.1, 0.3, 0.5, 0.7, 0.9] {
-        let mut cfg = CliqueConfig::reliable(5, 300, 11);
-        // Never stabilizes: the adversary is live for the whole run.
-        cfg.radio = RadioConfig::stabilizing(10.0, 20.0, u64::MAX);
-        cfg.adversary = AdversaryKind::Random(loss, loss / 2.0);
-        let run = run_clique(cfg);
+        let spec = ScenarioSpec {
+            // Never stabilizes: the adversary is live for the whole run.
+            radio: RadioConfig::stabilizing(10.0, 20.0, u64::MAX),
+            adversary: AdversaryKind::Random(loss, loss / 2.0),
+            ..clique_spec("spread", 5, 300, &[])
+        };
+        let (out, cha) = spec.run_cha_clique(11).expect("a CHA clique");
+        let outputs = node_outputs(&cha);
 
         let mut counts = [0usize; 4];
         let mut max_spread = 0u8;
-        let instances = run.outputs[0].len();
-        for k in 0..instances {
-            let colors: Vec<Color> = run.outputs.iter().map(|o| o[k].color).collect();
+        for k in 0..outputs[0].len() {
+            let colors: Vec<Color> = outputs.iter().map(|o| o[k].color).collect();
             for c in &colors {
                 counts[c.shade() as usize] += 1;
             }
@@ -172,7 +177,6 @@ pub fn spread() -> Table {
         }
         let total: usize = counts.iter().sum();
         let pct = |c: usize| f2(100.0 * c as f64 / total as f64);
-        let violations = run.checker().check_color_spread().len();
         t.row(&[
             f2(loss),
             pct(counts[3]),
@@ -180,7 +184,7 @@ pub fn spread() -> Table {
             pct(counts[1]),
             pct(counts[0]),
             max_spread.to_string(),
-            violations.to_string(),
+            out.spread_violations.to_string(),
         ]);
     }
     t.note("max spread must be ≤ 1 and violations 0 at every loss rate (Lemma 5)");
@@ -201,14 +205,18 @@ pub fn convergence() -> Table {
         ],
     );
     for d in [0u64, 12, 48, 96, 192] {
-        let mut cfg = CliqueConfig::reliable(5, d / 3 + 30, 13);
-        cfg.radio = RadioConfig::stabilizing(10.0, 20.0, d);
-        cfg.cm_stabilize = d;
-        cfg.cm_pre = PreStability::AllActive;
-        cfg.adversary = AdversaryKind::Random(0.5, 0.3);
-        let run = run_clique(cfg);
+        let spec = ScenarioSpec {
+            radio: RadioConfig::stabilizing(10.0, 20.0, d),
+            cm: CmSpec::Oracle {
+                stabilize_at: d,
+                pre: PreStability::AllActive,
+            },
+            adversary: AdversaryKind::Random(0.5, 0.3),
+            ..clique_spec("convergence", 5, d / 3 + 30, &[])
+        };
+        let (_, cha) = spec.run_cha_clique(13).expect("a CHA clique");
         let first_stable = d / 3 + 1;
-        let from = run.all_green_from().expect("must converge");
+        let from = all_green_from(&node_outputs(&cha)).expect("must converge");
         let lag = from.saturating_sub(first_stable);
         t.row(&[
             d.to_string(),
@@ -225,11 +233,8 @@ pub fn convergence() -> Table {
 /// spurious collisions, and crash injection; the specification checker
 /// must find zero violations.
 ///
-/// Rewired through `vi-scenario`: each `(config, seed)` run is a
-/// declarative [`ScenarioSpec`] and the whole sweep fans across cores
-/// via [`SweepRunner`] — the per-run executions (node layout, CM, RNG
-/// streams) are identical to the former hand-rolled
-/// [`run_clique`] loop.
+/// Each `(config, seed)` run is a [`clique_spec`] and the whole sweep
+/// fans across cores via [`SweepRunner`].
 pub fn safety() -> Table {
     let mut t = Table::new(
         "E6 / Theorems 10+13: safety sweep (violations must be 0)",
@@ -242,38 +247,20 @@ pub fn safety() -> Table {
         ("loss 0.7 + crashes", 0.7, 0.3, true),
     ];
     let runs = 10u64;
-    let spec = |name: &str, loss: f64, spur: f64, crashes: bool, seed: u64| -> ScenarioSpec {
-        let line_at = |i: usize, count: usize| {
-            PopulationSpec::fixed(
-                count,
-                PlacementSpec::Line {
-                    start: Point::new(i as f64 * 0.1, 0.0),
-                    step_x: 0.1,
-                    step_y: 0.0,
-                },
-            )
-        };
-        let populations = if crashes {
-            vec![
-                line_at(0, 4),
-                line_at(4, 1).crashing_at(40 + seed),
-                line_at(5, 1).crashing_at(90 + seed),
-            ]
+    let spec = |name: &str, loss: f64, spur: f64, crashes: bool, seed: u64| {
+        let crashes = if crashes {
+            vec![(4, 40 + seed), (5, 90 + seed)]
         } else {
-            vec![line_at(0, 6)]
+            Vec::new()
         };
         ScenarioSpec {
-            name: name.to_string(),
-            arena: Rect::square(10.0),
             radio: RadioConfig::stabilizing(10.0, 20.0, 120),
-            populations,
             adversary: AdversaryKind::Random(loss, spur),
-            nemesis: vi_scenario::NemesisSpec::none(),
             cm: CmSpec::Oracle {
                 stabilize_at: 120,
                 pre: PreStability::Random(0.3),
             },
-            workload: WorkloadSpec::ChaClique { instances: 60 },
+            ..clique_spec(name, 6, 60, &crashes)
         }
     };
     let jobs: Vec<(ScenarioSpec, u64)> = groups

@@ -1,184 +1,71 @@
 //! Shared experiment runners.
 
-use vi_contention::{OracleCm, PreStability, SharedCm};
-use vi_core::cha::{ChaMessage, ChaNode, ChaOutput, ChaSpecChecker, TaggedProposer};
-use vi_radio::geometry::Point;
-use vi_radio::mobility::Static;
-use vi_radio::trace::ChannelStats;
-use vi_radio::{AdversaryKind, Engine, EngineConfig, NodeId, NodeSpec, RadioConfig};
-use vi_scenario::{EngineTuning, ScenarioOutcome, ScenarioSpec, SweepRunner};
+use vi_core::cha::ChaOutput;
+use vi_radio::geometry::{Point, Rect};
+use vi_radio::{AdversaryKind, NodeId, RadioConfig};
+use vi_scenario::{
+    ChaEngine, CmSpec, EngineTuning, NemesisSpec, PlacementSpec, PopulationSpec, ScenarioOutcome,
+    ScenarioSpec, SweepRunner, WorkloadSpec,
+};
 
-/// Configuration for a Section 3 single-region CHAP run.
-#[derive(Clone, Debug)]
-pub struct CliqueConfig {
-    /// Number of nodes (all within `R1/2` of one location).
-    pub n: usize,
-    /// Agreement instances to run (3 rounds each).
-    pub instances: u64,
-    /// Radio parameters (set `rcf`/`racc` for stabilization studies).
-    pub radio: RadioConfig,
-    /// Simulation seed.
-    pub seed: u64,
-    /// Round from which the contention manager realizes Property 3.
-    pub cm_stabilize: u64,
-    /// Contention-manager behaviour before stabilization.
-    pub cm_pre: PreStability,
-    /// The channel adversary.
-    pub adversary: AdversaryKind,
-    /// Scripted crashes: `(node index, round)`.
-    pub crashes: Vec<(usize, u64)>,
-}
-
-impl CliqueConfig {
-    /// A well-behaved clique: reliable channel, perfect contention
-    /// manager.
-    pub fn reliable(n: usize, instances: u64, seed: u64) -> Self {
-        CliqueConfig {
-            n,
-            instances,
-            radio: RadioConfig::reliable(10.0, 20.0),
-            seed,
-            cm_stabilize: 0,
-            cm_pre: PreStability::NoneActive,
-            adversary: AdversaryKind::None,
-            crashes: Vec::new(),
-        }
-    }
-}
-
-/// The result of a clique run.
-#[derive(Debug)]
-pub struct CliqueRun {
-    /// Per-node per-instance outputs.
-    pub outputs: Vec<Vec<ChaOutput<u64>>>,
-    /// Per-node proposals `(instance, value)`.
-    pub proposals: Vec<Vec<(u64, u64)>>,
-    /// Channel statistics.
-    pub stats: ChannelStats,
-    /// Indices of nodes that crashed.
-    pub crashed: Vec<usize>,
-}
-
-impl CliqueRun {
-    /// Builds a specification checker loaded with this run's events.
-    pub fn checker(&self) -> ChaSpecChecker<'_, u64> {
-        let mut c = ChaSpecChecker::new();
-        for props in &self.proposals {
-            for &(k, v) in props {
-                c.record_proposal(k, v);
+/// The Section 3 single-region clique every CHA experiment runs: `n`
+/// static nodes 0.1 m apart on a line that wraps at 2 m (so every pair
+/// is within `R1 / 2`), node `i` crashing at the round `crashes`
+/// pairs it with, and `instances` agreement instances (3 rounds each)
+/// over a reliable channel under a perfect contention manager.
+/// Experiments override the radio, adversary and manager by struct
+/// update.
+pub fn clique_spec(name: &str, n: usize, instances: u64, crashes: &[(usize, u64)]) -> ScenarioSpec {
+    let populations = (0..n)
+        .map(|i| {
+            let at = Point::new((i as f64 * 0.1) % 2.0, 0.0);
+            let node = PopulationSpec::fixed(
+                1,
+                PlacementSpec::Line {
+                    start: at,
+                    step_x: 0.0,
+                    step_y: 0.0,
+                },
+            );
+            match crashes.iter().find(|&&(crashing, _)| crashing == i) {
+                Some(&(_, round)) => node.crashing_at(round),
+                None => node,
             }
-        }
-        for (node, outs) in self.outputs.iter().enumerate() {
-            c.record_outputs(node, outs);
-        }
-        for &node in &self.crashed {
-            c.mark_crashed(node);
-        }
-        c
+        })
+        .collect();
+    ScenarioSpec {
+        name: name.into(),
+        arena: Rect::square(10.0),
+        radio: RadioConfig::reliable(10.0, 20.0),
+        populations,
+        adversary: AdversaryKind::None,
+        nemesis: NemesisSpec::none(),
+        cm: CmSpec::perfect(),
+        workload: WorkloadSpec::ChaClique { instances },
     }
+}
 
-    /// Fraction of (node, instance) outcomes that decided.
-    pub fn decided_fraction(&self) -> f64 {
-        let total: usize = self.outputs.iter().map(Vec::len).sum();
-        if total == 0 {
-            return 0.0;
-        }
-        let decided: usize = self
-            .outputs
+/// Each node's outputs in a finished CHA clique, in node order.
+pub fn node_outputs(engine: &ChaEngine) -> Vec<&[ChaOutput<u64>]> {
+    (0..engine.node_count())
+        .map(|i| engine.process_at(NodeId::from(i)).outputs())
+        .collect()
+}
+
+/// The first instance from which every node decided every instance it
+/// finished (measured stabilization; `None` if never).
+pub(crate) fn all_green_from(outputs: &[&[ChaOutput<u64>]]) -> Option<u64> {
+    let last = outputs
+        .iter()
+        .filter_map(|o| o.last())
+        .map(|o| o.instance)
+        .min()?;
+    (1..=last).find(|&kst| {
+        outputs
             .iter()
             .flat_map(|o| o.iter())
-            .filter(|o| o.decided())
-            .count();
-        decided as f64 / total as f64
-    }
-
-    /// First instance from which every surviving node decided every
-    /// instance (measured stabilization; `None` if never).
-    pub fn all_green_from(&self) -> Option<u64> {
-        let last = self
-            .outputs
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| !self.crashed.contains(i))
-            .filter_map(|(_, o)| o.last().map(|out| out.instance))
-            .min()?;
-        'cand: for kst in 1..=last {
-            for (i, outs) in self.outputs.iter().enumerate() {
-                if self.crashed.contains(&i) {
-                    continue;
-                }
-                for out in outs.iter().filter(|o| o.instance >= kst) {
-                    if !out.decided() {
-                        continue 'cand;
-                    }
-                }
-            }
-            return Some(kst);
-        }
-        None
-    }
-}
-
-/// Runs CHAP in a single region per `cfg`.
-///
-/// The engine is built through [`Engine::new`], so every clique run —
-/// and every experiment layered on this harness — resolves its rounds
-/// through the grid-indexed [`vi_radio::Medium`] rather than the naive
-/// reference resolver.
-pub fn run_clique(cfg: CliqueConfig) -> CliqueRun {
-    let mut engine: Engine<ChaMessage<u64>> = Engine::new(EngineConfig {
-        radio: cfg.radio,
-        seed: cfg.seed,
-        record_trace: false,
-    });
-    engine.set_adversary(cfg.adversary.build());
-    let cm = SharedCm::new(OracleCm::new(cfg.cm_stabilize, cfg.cm_pre, cfg.seed));
-    let ids: Vec<NodeId> = (0..cfg.n)
-        .map(|i| {
-            // All nodes within R1/2 of the region center.
-            let pos = Point::new((i as f64 * 0.1) % 2.0, 0.0);
-            let mut spec = NodeSpec::new(
-                Box::new(Static::new(pos)),
-                Box::new(ChaNode::<u64>::new(
-                    Box::new(TaggedProposer::new(i as u64)),
-                    cm.clone(),
-                )) as Box<dyn vi_radio::Process<ChaMessage<u64>>>,
-            );
-            if let Some(&(_, round)) = cfg.crashes.iter().find(|&&(node, _)| node == i) {
-                spec = spec.crash_at(round);
-            }
-            engine.add_node(spec)
-        })
-        .collect();
-
-    engine.run(cfg.instances * 3);
-
-    let outputs = ids
-        .iter()
-        .map(|&id| {
-            engine
-                .process::<ChaNode<u64>>(id)
-                .expect("node")
-                .outputs()
-                .to_vec()
-        })
-        .collect();
-    let proposals = ids
-        .iter()
-        .map(|&id| {
-            engine
-                .process::<ChaNode<u64>>(id)
-                .expect("node")
-                .proposals()
-                .to_vec()
-        })
-        .collect();
-    CliqueRun {
-        outputs,
-        proposals,
-        stats: *engine.stats(),
-        crashed: cfg.crashes.iter().map(|&(node, _)| node).collect(),
-    }
+            .all(|o| o.instance < kst || o.decided())
+    })
 }
 
 /// Runs `jobs` under `tuning` with 1 sweep worker and with `workers`
@@ -296,25 +183,32 @@ pub(crate) mod guards {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vi_contention::PreStability;
 
     #[test]
     fn reliable_run_is_fully_green_after_bootstrap() {
-        let run = run_clique(CliqueConfig::reliable(4, 20, 1));
-        assert!(run.decided_fraction() > 0.9);
-        assert!(run.all_green_from().unwrap_or(u64::MAX) <= 2);
-        assert!(run.checker().check_all(true).is_empty());
+        let (out, engine) = clique_spec("reliable", 4, 20, &[])
+            .run_cha_clique(1)
+            .expect("a CHA clique");
+        assert!(out.decided_fraction > 0.9);
+        assert!(all_green_from(&node_outputs(&engine)).unwrap_or(u64::MAX) <= 2);
+        assert_eq!(out.safety_violations(), 0);
+        assert!(out.stabilized_kst.is_some(), "liveness");
     }
 
     #[test]
     fn lossy_run_stays_safe() {
-        let mut cfg = CliqueConfig::reliable(5, 50, 3);
-        cfg.radio = RadioConfig::stabilizing(10.0, 20.0, 90);
-        cfg.cm_stabilize = 90;
-        cfg.cm_pre = PreStability::Random(0.4);
-        cfg.adversary = AdversaryKind::Random(0.4, 0.2);
-        cfg.crashes = vec![(4, 77)];
-        let run = run_clique(cfg);
-        let violations = run.checker().check_all(true);
-        assert!(violations.is_empty(), "{violations:?}");
+        let out = ScenarioSpec {
+            radio: RadioConfig::stabilizing(10.0, 20.0, 90),
+            cm: CmSpec::Oracle {
+                stabilize_at: 90,
+                pre: PreStability::Random(0.4),
+            },
+            adversary: AdversaryKind::Random(0.4, 0.2),
+            ..clique_spec("lossy", 5, 50, &[(4, 77)])
+        }
+        .run(3);
+        assert_eq!(out.safety_violations(), 0, "{out:?}");
+        assert!(out.stabilized_kst.is_some(), "liveness");
     }
 }

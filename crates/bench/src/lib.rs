@@ -6,8 +6,11 @@
 //! `repro` binary (which prints paper-shaped tables and writes a
 //! `BENCH_<id>.json` artifact per experiment) and exercised by unit
 //! tests that assert the claimed *shape* (who wins, what stays
-//! constant, what grows). Seed sweeps (E6, E13, E15, E16, E17) fan
-//! across cores through [`vi_scenario::SweepRunner`].
+//! constant, what grows). Every CHA clique (E2–E6, E12, E13) is a
+//! [`harness::clique_spec`] run by vi-scenario, and the baselines run
+//! typed engines, so vi-bench builds and downcasts no node. Seed sweeps
+//! (E6, E13, E15, E16, E17) fan across cores through
+//! [`vi_scenario::SweepRunner`].
 //!
 //! No experiment reads a clock or the host: a table is a pure function
 //! of the code, and `expected/<id>.json` pins each one byte for byte

@@ -171,7 +171,7 @@ mod tests {
     /// broadcast succeeds and everyone else hears it; if several are
     /// active, everyone observes a collision; if none, the channel is
     /// quiet.
-    fn run_clique(n: usize, rounds: u64, seed: u64) -> Vec<usize> {
+    fn active_counts(n: usize, rounds: u64, seed: u64) -> Vec<usize> {
         let mut cm = BackoffCm::with_seed(seed);
         let slots: Vec<CmSlot> = (0..n).map(|_| cm.register()).collect();
         let mut counts = Vec::new();
@@ -201,7 +201,7 @@ mod tests {
         // Property 3, empirically: after a convergence prefix, every
         // round has exactly one active node.
         for seed in 0..20 {
-            let counts = run_clique(8, 200, seed);
+            let counts = active_counts(8, 200, seed);
             let tail = &counts[100..];
             let good = tail.iter().filter(|&&c| c == 1).count();
             assert!(
@@ -216,7 +216,7 @@ mod tests {
     fn capture_is_stable_once_won() {
         // Once some round has exactly one active contender, that
         // contender keeps the channel for a long stretch.
-        let counts = run_clique(5, 300, 42);
+        let counts = active_counts(5, 300, 42);
         let first_win = counts.iter().position(|&c| c == 1).expect("some win");
         let after = &counts[first_win..(first_win + 50).min(counts.len())];
         let disruptions = after.iter().filter(|&&c| c != 1).count();
@@ -294,7 +294,7 @@ mod tests {
     #[test]
     fn two_contenders_eventually_separate() {
         for seed in 0..10 {
-            let counts = run_clique(2, 100, seed);
+            let counts = active_counts(2, 100, seed);
             assert!(
                 counts[60..].iter().filter(|&&c| c == 1).count() > 35,
                 "seed {seed}: two contenders should separate"

@@ -15,7 +15,7 @@
 //! collects what the observers saw into the outcome.
 
 use crate::incident::{IncidentBundle, IncidentReason};
-use crate::spec::{ScenarioSpec, WorkloadSpec};
+use crate::spec::{ScenarioSpec, SpecError, SpecErrorKind, WorkloadSpec};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
@@ -33,6 +33,9 @@ use vi_traffic::{AppKind, DevicePlan, TrafficSpec, TrafficSummary, TrafficWorld}
 /// Salt separating the placement RNG stream from the engine's seed
 /// stream (so random placement never perturbs channel resolution).
 const PLACEMENT_SALT: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// The engine a [`WorkloadSpec::ChaClique`] run leaves behind.
+pub type ChaEngine = Engine<ChaMessage<u64>, ChaNode<u64>>;
 
 /// Execution tuning for a scenario run: which observers ride along.
 /// How a round is resolved is not tunable — it runs on the thread
@@ -368,9 +371,29 @@ impl ScenarioSpec {
         engine
     }
 
+    /// Runs this [`WorkloadSpec::ChaClique`] spec with `seed`, like
+    /// [`ScenarioSpec::run`], and hands back the finished engine beside
+    /// the outcome, for callers that read each node's outputs through
+    /// [`Engine::process_at`].
+    ///
+    /// # Errors
+    ///
+    /// [`SpecErrorKind::Workload`] if the spec runs another workload.
+    pub fn run_cha_clique(&self, seed: u64) -> Result<(ScenarioOutcome, ChaEngine), SpecError> {
+        match self.workload {
+            WorkloadSpec::ChaClique { instances } => {
+                Ok(self.run_cha(seed, &Observers::default(), instances))
+            }
+            _ => Err(SpecError {
+                scenario: self.name.clone(),
+                kind: SpecErrorKind::Workload("not a CHA clique workload".into()),
+            }),
+        }
+    }
+
     fn dispatch(&self, seed: u64, obs: &Observers) -> ScenarioOutcome {
         match &self.workload {
-            WorkloadSpec::ChaClique { instances } => self.run_cha(seed, obs, *instances),
+            WorkloadSpec::ChaClique { instances } => self.run_cha(seed, obs, *instances).0,
             WorkloadSpec::ViCounter {
                 layout,
                 virtual_rounds,
@@ -389,10 +412,9 @@ impl ScenarioSpec {
         }
     }
 
-    fn run_cha(&self, seed: u64, obs: &Observers, instances: u64) -> ScenarioOutcome {
+    fn run_cha(&self, seed: u64, obs: &Observers, instances: u64) -> (ScenarioOutcome, ChaEngine) {
         let rounds = instances * 3;
-        let mut engine: Engine<ChaMessage<u64>, ChaNode<u64>> =
-            self.engine(seed, obs, self.channel_adversary());
+        let mut engine: ChaEngine = self.engine(seed, obs, self.channel_adversary());
         engine.reserve_nodes(self.node_count());
         let cm = self.cm.build(seed);
 
@@ -471,7 +493,7 @@ impl ScenarioSpec {
         out.spread_violations = checker.check_color_spread().len();
         out.stabilized_kst = checker.liveness_kst();
         obs.phase_since(Phase::Checker, t_check);
-        out
+        (out, engine)
     }
 
     fn run_vi(
@@ -594,14 +616,14 @@ impl ScenarioSpec {
             }
             None => self.channel_adversary(),
         };
-        let mut engine: Engine<MajRegMessage> = self.engine(seed, obs, adversary);
+        let mut engine: Engine<MajRegMessage, MajorityRegister> = self.engine(seed, obs, adversary);
         let ids: Vec<NodeId> = self
             .deployment(seed)
             .into_iter()
             .enumerate()
             .map(|(rank, d)| {
-                let replica = Box::new(MajorityRegister::new(rank, n, writes));
-                engine.add_node(NodeSpec::new(d.mobility, replica))
+                let replica = MajorityRegister::new(rank, n, writes);
+                engine.add_node(NodeSpec::by_value(d.mobility, replica))
             })
             .collect();
 
@@ -617,9 +639,7 @@ impl ScenarioSpec {
         obs.causal(|c| {
             let mut cursor = 0usize;
             for (node, &id) in ids.iter().enumerate() {
-                let p = engine
-                    .process::<MajorityRegister>(id)
-                    .expect("majority-register node");
+                let p = engine.process_at(id);
                 let count = p.write_log.len() + p.read_log.len();
                 for op in &ops[cursor..cursor + count] {
                     c.invoke(op.id, node as u64, op.inv);
@@ -833,6 +853,52 @@ mod tests {
         assert_eq!(out.outputs_checked, 0);
         assert!(out.rounds > 8, "real rounds exceed virtual rounds");
         assert_eq!(out, spec.run(3), "world runs are deterministic");
+    }
+
+    /// The entry that keeps the engine runs the same execution as
+    /// `run`: its outcome serializes to the same bytes, and its engine
+    /// holds the outputs the outcome counted.
+    #[test]
+    fn cha_clique_entry_matches_run() {
+        let mut lossy = clique(4, 40);
+        lossy.radio = RadioConfig::stabilizing(10.0, 20.0, 60);
+        lossy.adversary = AdversaryKind::Random(0.4, 0.2);
+        let line_from = |x: f64| PlacementSpec::Line {
+            start: Point::new(x, 0.0),
+            step_x: 0.1,
+            step_y: 0.0,
+        };
+        lossy
+            .populations
+            .push(PopulationSpec::fixed(2, line_from(0.4)).crashing_at(50));
+        let catalog = crate::catalog::scenario("clique").expect("catalog clique");
+        for (spec, seed) in [(catalog, 2), (lossy, 7)] {
+            let (out, engine) = spec.run_cha_clique(seed).expect("a CHA clique");
+            assert_eq!(
+                serde_json::to_string(&out).expect("serializable"),
+                serde_json::to_string(&spec.run(seed)).expect("serializable"),
+                "{}",
+                spec.name
+            );
+            let outputs: usize = (0..engine.node_count())
+                .map(|i| engine.process_at(NodeId::from(i)).outputs().len())
+                .sum();
+            assert_eq!(outputs, out.outputs_checked, "{}", spec.name);
+        }
+    }
+
+    #[test]
+    fn cha_clique_entry_rejects_other_workloads() {
+        let mut spec = clique(3, 4);
+        spec.workload = WorkloadSpec::ViCounter {
+            layout: LayoutSpec::Explicit {
+                locations: vec![Point::ORIGIN],
+                region_radius: 2.5,
+            },
+            virtual_rounds: 4,
+        };
+        let err = spec.run_cha_clique(1).map(|_| ()).unwrap_err();
+        assert!(matches!(err.kind, SpecErrorKind::Workload(_)), "{err}");
     }
 
     /// Retransmit backoff draws from no RNG: burning the backoff

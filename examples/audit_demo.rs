@@ -53,7 +53,7 @@ fn main() {
     // keeps serving reads from its stale local copy.
     let n = 4;
     let rounds = 24u64;
-    let mut engine: Engine<MajRegMessage> = Engine::new(EngineConfig {
+    let mut engine: Engine<MajRegMessage, MajorityRegister> = Engine::new(EngineConfig {
         radio: RadioConfig::stabilizing(10.0, 20.0, u64::MAX),
         seed: 5,
         record_trace: false,
@@ -65,9 +65,9 @@ fn main() {
     engine.set_adversary(Box::new(adv));
     let ids: Vec<NodeId> = (0..n)
         .map(|i| {
-            engine.add_node(NodeSpec::new(
+            engine.add_node(NodeSpec::by_value(
                 Box::new(Static::new(Point::new(i as f64 * 0.2, 0.0))),
-                Box::new(MajorityRegister::new(i, n, 8)),
+                MajorityRegister::new(i, n, 8),
             ))
         })
         .collect();

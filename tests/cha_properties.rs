@@ -11,12 +11,13 @@ mod metro_cha_trace;
 
 use proptest::prelude::*;
 use std::collections::BTreeMap;
-use vi_bench::harness::{run_clique, CliqueConfig};
+use vi_bench::harness::{clique_spec, node_outputs};
 use virtual_infra::contention::PreStability;
 use virtual_infra::core::cha::{
     calculate_history, Ballot, ChaOutput, ChaSpecChecker, Color, History, SpecViolation,
 };
 use virtual_infra::radio::{AdversaryKind, RadioConfig};
+use virtual_infra::scenario::{CmSpec, ScenarioSpec};
 
 /// The quadratic map-of-maps checker `ChaSpecChecker` replaced: the
 /// differential oracle (test-only in vi-core, included here by path; it
@@ -26,8 +27,8 @@ use virtual_infra::radio::{AdversaryKind, RadioConfig};
 mod reference;
 use reference::{assert_same_verdicts, ChaSpecCheckerReference};
 
-/// A randomly hostile environment that never stabilizes.
-fn hostile_config() -> impl Strategy<Value = CliqueConfig> {
+/// A randomly hostile clique that never stabilizes, with its seed.
+fn hostile_clique() -> impl Strategy<Value = (ScenarioSpec, u64)> {
     (
         2usize..7,
         10u64..30,
@@ -38,25 +39,38 @@ fn hostile_config() -> impl Strategy<Value = CliqueConfig> {
         proptest::collection::vec((0usize..7, 5u64..80), 0..3),
     )
         .prop_map(|(n, instances, loss, spurious, seed, cm_p, crashes)| {
-            let mut cfg = CliqueConfig::reliable(n, instances, seed);
-            cfg.radio = RadioConfig::stabilizing(10.0, 20.0, u64::MAX);
-            cfg.cm_stabilize = u64::MAX;
-            cfg.cm_pre = PreStability::Random(cm_p);
-            cfg.adversary = AdversaryKind::Random(loss, spurious);
-            cfg.crashes = crashes.into_iter().filter(|&(node, _)| node < n).collect();
-            cfg
+            // A crash at or after the last round never happens; leaving
+            // it out keeps the spec valid.
+            let crashes: Vec<_> = crashes
+                .into_iter()
+                .filter(|&(node, round)| node < n && round < 3 * instances)
+                .collect();
+            let spec = ScenarioSpec {
+                radio: RadioConfig::stabilizing(10.0, 20.0, u64::MAX),
+                cm: CmSpec::Oracle {
+                    stabilize_at: u64::MAX,
+                    pre: PreStability::Random(cm_p),
+                },
+                adversary: AdversaryKind::Random(loss, spurious),
+                ..clique_spec("hostile", n, instances, &crashes)
+            };
+            (spec, seed)
         })
 }
 
-/// An environment that stabilizes midway.
-fn stabilizing_config() -> impl Strategy<Value = CliqueConfig> {
+/// A clique that stabilizes midway, with its seed.
+fn stabilizing_clique() -> impl Strategy<Value = (ScenarioSpec, u64)> {
     (2usize..6, 0u64..60, 0.0f64..0.8, any::<u64>()).prop_map(|(n, disrupt, loss, seed)| {
-        let mut cfg = CliqueConfig::reliable(n, disrupt / 3 + 15, seed);
-        cfg.radio = RadioConfig::stabilizing(10.0, 20.0, disrupt);
-        cfg.cm_stabilize = disrupt;
-        cfg.cm_pre = PreStability::AllActive;
-        cfg.adversary = AdversaryKind::Random(loss, loss / 2.0);
-        cfg
+        let spec = ScenarioSpec {
+            radio: RadioConfig::stabilizing(10.0, 20.0, disrupt),
+            cm: CmSpec::Oracle {
+                stabilize_at: disrupt,
+                pre: PreStability::AllActive,
+            },
+            adversary: AdversaryKind::Random(loss, loss / 2.0),
+            ..clique_spec("stabilizing", n, disrupt / 3 + 15, &[])
+        };
+        (spec, seed)
     })
 }
 
@@ -66,32 +80,30 @@ proptest! {
     /// Theorems 10 & 13 + Property 4: safety holds under arbitrary,
     /// never-ending misbehaviour.
     #[test]
-    fn safety_under_arbitrary_misbehaviour(cfg in hostile_config()) {
-        let run = run_clique(cfg);
-        let checker = run.checker();
-        let mut violations = checker.check_validity();
-        violations.extend(checker.check_agreement());
-        violations.extend(checker.check_color_spread());
-        prop_assert!(violations.is_empty(), "violations: {violations:?}");
+    fn safety_under_arbitrary_misbehaviour((spec, seed) in hostile_clique()) {
+        let out = spec.run(seed);
+        prop_assert_eq!(out.safety_violations(), 0, "violations: {:?}", out);
     }
 
     /// Theorem 12: once the channel and contention manager stabilize,
     /// liveness holds (a stabilization instance exists) and safety
     /// continues to hold.
     #[test]
-    fn liveness_after_stabilization(cfg in stabilizing_config()) {
-        let run = run_clique(cfg);
-        let checker = run.checker();
-        let violations = checker.check_all(true);
-        prop_assert!(violations.is_empty(), "violations: {violations:?}");
+    fn liveness_after_stabilization((spec, seed) in stabilizing_clique()) {
+        let out = spec.run(seed);
+        prop_assert_eq!(out.safety_violations(), 0, "violations: {:?}", out);
+        prop_assert!(out.stabilized_kst.is_some(), "no stabilization instance: {:?}", out);
     }
 
     /// The efficient (sorted-adjacent) agreement checker agrees with
     /// the exhaustive pairwise one.
     #[test]
-    fn agreement_checkers_agree(cfg in hostile_config()) {
-        let run = run_clique(cfg);
-        let checker = run.checker();
+    fn agreement_checkers_agree((spec, seed) in hostile_clique()) {
+        let (_, engine) = spec.run_cha_clique(seed).expect("a CHA clique");
+        let mut checker = ChaSpecChecker::new();
+        for (node, outputs) in node_outputs(&engine).into_iter().enumerate() {
+            checker.record_outputs(node, outputs);
+        }
         let fast_clean = checker.check_agreement().is_empty();
         let slow_clean = checker.check_agreement_exhaustive().is_empty();
         prop_assert_eq!(fast_clean, slow_clean);
@@ -100,11 +112,10 @@ proptest! {
     /// Message size never depends on the execution length or node
     /// count (Theorem 14) — measured across random environments.
     #[test]
-    fn message_size_is_constant(cfg in hostile_config()) {
-        let run = run_clique(cfg);
+    fn message_size_is_constant((spec, seed) in hostile_clique()) {
+        let bytes = spec.run(seed).max_message_bytes;
         // Ballot = 17 bytes (tag + u64 value + prev index); veto = 1.
-        prop_assert!(run.stats.max_message_bytes <= 17,
-            "message grew to {}", run.stats.max_message_bytes);
+        prop_assert!(bytes <= 17, "message grew to {}", bytes);
     }
 }
 

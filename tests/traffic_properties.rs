@@ -243,14 +243,24 @@ fn stabilising_world(seed: u64) -> TrafficWorld {
     }
 }
 
+/// [`lossy_world`]'s deployment on a channel that is clean from round 0.
+fn clean_world(seed: u64) -> TrafficWorld {
+    TrafficWorld {
+        radio: RadioConfig::reliable(10.0, 20.0),
+        adversary: AdversaryKind::None,
+        ..lossy_world(seed)
+    }
+}
+
 /// `(completed, invoked)` over the requests invoked at or after
 /// virtual round `STABLE_FROM_VR + SETTLE_VR` of an open-loop run over
-/// [`stabilising_world`]. The driver drains every request it admits,
-/// so each of them completes or times out within the run.
-fn completions_after_recovery(app: AppKind) -> (usize, usize) {
-    let mut spec = TrafficSpec::open(3, 0.4, RECOVERY_VR);
+/// `world` at `rate` requests per virtual round. The driver drains
+/// every request it admits, so each of them completes or times out
+/// within the run.
+fn completions_after_recovery(app: AppKind, world: TrafficWorld, rate: f64) -> (usize, usize) {
+    let mut spec = TrafficSpec::open(3, rate, RECOVERY_VR);
     spec.timeout_rounds = 12;
-    let (_, events) = run_traffic(app, stabilising_world(17), &spec, &Observers::default());
+    let (_, events) = run_traffic(app, world, &spec, &Observers::default());
     let counted: std::collections::BTreeSet<u64> = events
         .iter()
         .filter_map(|e| match *e {
@@ -265,11 +275,10 @@ fn completions_after_recovery(app: AppKind) -> (usize, usize) {
     (completed, counted.len())
 }
 
-/// Recovery after stabilisation (the paper's emulation resumes once
-/// the channel behaves, Sections 4.2–4.3): at least 95 % of the
-/// requests invoked after the settle window complete.
-fn assert_recovers(app: AppKind) {
-    let (completed, invoked) = completions_after_recovery(app);
+/// At least 95 % of the requests invoked after the settle window of a
+/// run over `world` at `rate` complete.
+fn assert_late_requests_complete(app: AppKind, world: TrafficWorld, rate: f64) {
+    let (completed, invoked) = completions_after_recovery(app, world, rate);
     assert!(
         invoked > 50,
         "{app:?}: too few requests to judge: {invoked}"
@@ -279,6 +288,13 @@ fn assert_recovers(app: AppKind) {
         share >= 0.95,
         "{app:?}: {completed} of {invoked} requests invoked after the settle window completed ({share:.3})"
     );
+}
+
+/// Recovery after stabilisation (the paper's emulation resumes once
+/// the channel behaves, Sections 4.2–4.3), at 0.4 requests per
+/// virtual round over [`stabilising_world`].
+fn assert_recovers(app: AppKind) {
+    assert_late_requests_complete(app, stabilising_world(17), 0.4);
 }
 
 /// Green: at this load (0.4 requests per virtual round) the register
@@ -306,4 +322,28 @@ fn tracking_recovers_after_stabilisation() {
 #[test]
 fn georouting_recovers_after_stabilisation() {
     assert_recovers(AppKind::Georouting);
+}
+
+/// Red: the register's load cliff (ROADMAP item 1 (b)). On a channel
+/// clean from round 0, 0 of 90 late requests complete at 0.6 requests
+/// per virtual round, where 76 of 76 do at 0.5. The suspect is that
+/// the register queues one reply per received retransmit and drains
+/// one per scheduled round.
+#[test]
+#[ignore = "red at HEAD: ROADMAP item 1(b)"]
+fn register_keeps_up_with_load_on_a_clean_channel() {
+    assert_late_requests_complete(AppKind::Register, clean_world(17), 0.6);
+}
+
+/// Green controls for the cliff: on the same clean channel, tracking
+/// and georouting complete every late request at 1.0 requests per
+/// virtual round, so the cliff belongs to the register.
+#[test]
+fn tracking_keeps_up_with_load_on_a_clean_channel() {
+    assert_late_requests_complete(AppKind::Tracking, clean_world(17), 1.0);
+}
+
+#[test]
+fn georouting_keeps_up_with_load_on_a_clean_channel() {
+    assert_late_requests_complete(AppKind::Georouting, clean_world(17), 1.0);
 }
