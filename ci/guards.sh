@@ -37,8 +37,8 @@ guards=(
   'a retired observer handle or setter is back; hold a clone of the one Observers handle'
 
   'too_many_arguments'
-  'crates/scenario/src/compile.rs crates/traffic/src' '-'
-  'compile.rs / vi-traffic thread too many values by hand again'
+  'crates/scenario/src/compile.rs crates/traffic/src crates/fuzz/src' '-'
+  'compile.rs / vi-traffic / vi-fuzz thread too many values by hand again'
 
   # One thread per round: no intra-round worker pool, no tiles, no
   # `unsafe` anywhere (each crate root carries
@@ -69,6 +69,13 @@ guards=(
   'CheckpointCha|PeriodicClient|protocol_mut|struct WorldTotals|diff_tables|run_clique|CliqueConfig|CliqueRun'
   "$code Cargo.toml" '-'
   'a deleted duplicate is back'
+
+  # One adversary description: `AdversaryKind` is the `Adversary`
+  # (one impl, one `validate`). The structs that mirrored its variants
+  # and vi-scenario's copy of their asserts are gone.
+  'NoAdversary|RandomLoss|BurstLoss|FaultyDetector|WindowedRandomLoss|ComposeAdversary|validate_adversary'
+  "$code" '-'
+  'a deleted duplicate is back; an adversary is an AdversaryKind value'
 
   'current_history'
   'crates/core/src/vi' '-'

@@ -365,6 +365,7 @@ mod tests {
         let naive_first: usize = t.cell(0, 2).parse().unwrap();
         let naive_last: usize = t.cell(t.len() - 1, 2).parse().unwrap();
         assert!(naive_last > naive_first * 100, "baseline grows linearly");
+        crate::tests::assert_pinned("msgsize", &t);
     }
 
     #[test]

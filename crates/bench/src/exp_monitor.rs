@@ -320,6 +320,7 @@ mod tests {
                 "row {row}: a monitored run samples at least twice"
             );
         }
+        crate::tests::assert_pinned("live_monitor", &t);
     }
 
     /// An explicit monitor over a local sink set (no global registry):

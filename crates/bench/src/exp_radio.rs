@@ -22,12 +22,11 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use std::time::Instant;
-    use vi_radio::adversary::NoAdversary;
     use vi_radio::channel::{
         resolve_round_reference, Medium, ReceptionBuffer, TopologyDelta, TxIntent,
     };
     use vi_radio::geometry::Point;
-    use vi_radio::{NodeId, RadioConfig};
+    use vi_radio::{AdversaryKind, NodeId, RadioConfig};
 
     const R1: f64 = 10.0;
     const R2: f64 = 20.0;
@@ -73,7 +72,7 @@ mod tests {
                 u64::from(round),
                 intents,
                 delta,
-                &mut NoAdversary,
+                &mut AdversaryKind::None,
                 &mut rng,
                 &mut out,
             );
@@ -109,7 +108,7 @@ mod tests {
                 u64::from(round),
                 &cfg,
                 &intents,
-                &mut NoAdversary,
+                &mut AdversaryKind::None,
                 &mut rng,
             );
             assert_eq!(receptions.len(), intents.len());
@@ -157,7 +156,7 @@ mod tests {
             0,
             &cfg,
             &intents,
-            &mut NoAdversary,
+            &mut AdversaryKind::None,
             &mut StdRng::seed_from_u64(1),
         );
         let mut medium = Medium::new(cfg);
@@ -172,7 +171,7 @@ mod tests {
                 0,
                 &intents,
                 delta,
-                &mut NoAdversary,
+                &mut AdversaryKind::None,
                 &mut StdRng::seed_from_u64(1),
                 &mut soa,
             );

@@ -125,15 +125,32 @@ pub fn all_experiments() -> Vec<Experiment> {
 
 #[cfg(test)]
 mod tests {
-    use super::all_experiments;
-    use std::path::Path;
+    use super::{all_experiments, Table};
+    use std::path::{Path, PathBuf};
 
-    /// The ids tier-1 does not regenerate: `msgsize` takes ≈ 45 s in a
-    /// debug build (its full-history baseline is quadratic by design,
-    /// and its shape test already pays that once), and `live_monitor`
-    /// drives the process-global sink registry, which its own test
-    /// must have to itself. CI's release `repro` + `cmp` covers all.
+    /// The ids this test does not regenerate, because the test that
+    /// already computes the table compares it (`assert_pinned`):
+    /// `msgsize` takes ≈ 45 s in a debug build (its full-history
+    /// baseline is quadratic by design), so
+    /// `msgsize_chap_is_constant_baseline_grows` pays that once, and
+    /// `live_monitor` drives the process-global sink registry, which
+    /// `live_monitor_reports_every_job` must have to itself.
     const NOT_REGENERATED: [&str; 2] = ["msgsize", "live_monitor"];
+
+    fn expected_dir() -> PathBuf {
+        Path::new(env!("CARGO_MANIFEST_DIR")).join("expected")
+    }
+
+    /// Asserts `table` serializes to `expected/<id>.json` byte for byte.
+    pub(crate) fn assert_pinned(id: &str, table: &Table) {
+        let expected = std::fs::read_to_string(expected_dir().join(format!("{id}.json")))
+            .expect("pinned table is readable");
+        assert_eq!(
+            serde_json::to_string(table).expect("serializable table"),
+            expected,
+            "{id}: table drifted from crates/bench/expected/{id}.json"
+        );
+    }
 
     /// No experiment reads a clock, so each serialized table is a pure
     /// function of the code and `expected/<id>.json` pins it. A change
@@ -141,7 +158,7 @@ mod tests {
     /// `BENCH_<id>.json` over it) and says why in CHANGES.md.
     #[test]
     fn tables_equal_the_committed_expected_files() {
-        let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("expected");
+        let dir = expected_dir();
         let experiments = all_experiments();
 
         let mut pinned: Vec<String> = std::fs::read_dir(&dir)
@@ -161,16 +178,9 @@ mod tests {
         );
 
         for (id, _, run) in experiments {
-            if NOT_REGENERATED.contains(&id) {
-                continue;
+            if !NOT_REGENERATED.contains(&id) {
+                assert_pinned(id, &run());
             }
-            let expected = std::fs::read_to_string(dir.join(format!("{id}.json")))
-                .expect("pinned table is readable");
-            assert_eq!(
-                serde_json::to_string(&run()).expect("serializable table"),
-                expected,
-                "{id}: table drifted from crates/bench/expected/{id}.json"
-            );
         }
     }
 }

@@ -17,7 +17,6 @@ use crate::minimize::minimize;
 use crate::mutate::{apply, crossover, MUTATORS};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::BTreeSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use vi_audit::pick;
@@ -178,22 +177,17 @@ pub fn run_campaign(config: &FuzzConfig) -> Result<FuzzReport, String> {
     let mut rng = StdRng::seed_from_u64(config.seed ^ CAMPAIGN_SALT);
     let runner = SweepRunner::new(config.workers.max(1));
     let tuning = EngineTuning::DEFAULT.with_telemetry();
-    let mut corpus = match &config.corpus_dir {
-        Some(dir) => Corpus::load(dir)?,
-        None => Corpus::new(),
-    };
     let mut report = FuzzReport {
         iters: config.iters,
         executed: 0,
         rejected: 0,
         new_buckets: 0,
-        corpus: Corpus::new(),
+        corpus: match &config.corpus_dir {
+            Some(dir) => Corpus::load(dir)?,
+            None => Corpus::new(),
+        },
         findings: Vec::new(),
     };
-    // One finding per (class, family): the first discovery pins the
-    // bug; later hits of the same class on the same family are the
-    // same bug reached again, not new information.
-    let mut seen: BTreeSet<(FailureClass, String)> = BTreeSet::new();
     // Ancestors seed the coverage map (iteration 0).
     let ancestors: Vec<(ScenarioSpec, u64)> = seed_corpus()
         .into_iter()
@@ -211,7 +205,7 @@ pub fn run_campaign(config: &FuzzConfig) -> Result<FuzzReport, String> {
             seed: *seed,
             iteration: 0,
         };
-        if corpus.insert_if_new(entry) {
+        if report.corpus.insert_if_new(entry) {
             report.new_buckets += 1;
         }
     }
@@ -224,6 +218,7 @@ pub fn run_campaign(config: &FuzzConfig) -> Result<FuzzReport, String> {
         let mut metas: Vec<u64> = Vec::new();
         while jobs.len() < BATCH && iteration < config.iters {
             iteration += 1;
+            let corpus = &report.corpus;
             let parent = corpus
                 .nth(rng.random_range(0..corpus.len().max(1)))
                 .expect("corpus holds at least the ancestors")
@@ -260,16 +255,7 @@ pub fn run_campaign(config: &FuzzConfig) -> Result<FuzzReport, String> {
             Ok(outs) => {
                 for (((spec, seed), outcome), &iter_no) in jobs.iter().zip(&outs).zip(&metas) {
                     report.executed += 1;
-                    process(
-                        spec,
-                        *seed,
-                        outcome,
-                        iter_no,
-                        config,
-                        &mut corpus,
-                        &mut seen,
-                        &mut report,
-                    );
+                    process(spec, *seed, outcome, iter_no, config, &mut report);
                 }
             }
             Err(_) => {
@@ -277,16 +263,7 @@ pub fn run_campaign(config: &FuzzConfig) -> Result<FuzzReport, String> {
                     match catch_unwind(AssertUnwindSafe(|| spec.run_with(*seed, tuning))) {
                         Ok(outcome) => {
                             report.executed += 1;
-                            process(
-                                spec,
-                                *seed,
-                                &outcome,
-                                iter_no,
-                                config,
-                                &mut corpus,
-                                &mut seen,
-                                &mut report,
-                            );
+                            process(spec, *seed, &outcome, iter_no, config, &mut report);
                         }
                         Err(_) => {
                             report.executed += 1;
@@ -297,7 +274,6 @@ pub fn run_campaign(config: &FuzzConfig) -> Result<FuzzReport, String> {
                                 Signature::of(&placeholder_outcome(spec, *seed)),
                                 iter_no,
                                 config,
-                                &mut seen,
                                 &mut report,
                             );
                         }
@@ -306,7 +282,6 @@ pub fn run_campaign(config: &FuzzConfig) -> Result<FuzzReport, String> {
             }
         }
     }
-    report.corpus = corpus;
     if let Some(dir) = &config.corpus_dir {
         report.corpus.save(dir).map_err(|e| e.to_string())?;
         save_findings(&report, dir)?;
@@ -326,8 +301,7 @@ fn save_findings(report: &FuzzReport, dir: &std::path::Path) -> Result<(), Strin
     let findings_dir = dir.join("findings");
     std::fs::create_dir_all(&findings_dir).map_err(|e| e.to_string())?;
     for f in &report.findings {
-        let family = f.spec.name.split('~').next().unwrap_or("fuzz");
-        let stem = format!("{family}-{}", f.class.label());
+        let stem = format!("{}-{}", family(&f.spec.name), f.class.label());
         let json = serde_json::to_string(&f.spec).map_err(|e| e.to_string())?;
         std::fs::write(findings_dir.join(format!("{stem}.json")), json)
             .map_err(|e| e.to_string())?;
@@ -340,16 +314,19 @@ fn save_findings(report: &FuzzReport, dir: &std::path::Path) -> Result<(), Strin
     Ok(())
 }
 
+/// The workload family of a (possibly mutated) spec name: the part
+/// before the first `~`.
+fn family(name: &str) -> &str {
+    name.split('~').next().unwrap_or(name)
+}
+
 /// Coverage + failure handling for one completed run.
-#[allow(clippy::too_many_arguments)]
 fn process(
     spec: &ScenarioSpec,
     seed: u64,
     outcome: &ScenarioOutcome,
     iteration: u64,
     config: &FuzzConfig,
-    corpus: &mut Corpus,
-    seen: &mut BTreeSet<(FailureClass, String)>,
     report: &mut FuzzReport,
 ) {
     let signature = Signature::of(outcome);
@@ -359,18 +336,18 @@ fn process(
         seed,
         iteration,
     };
-    if corpus.insert_if_new(entry) {
+    if report.corpus.insert_if_new(entry) {
         report.new_buckets += 1;
     }
     if let Some(class) = classify(outcome) {
-        record_finding(
-            spec, seed, class, signature, iteration, config, seen, report,
-        );
+        record_finding(spec, seed, class, signature, iteration, config, report);
     }
 }
 
-/// Minimizes and records one failure, if its (class, family) is new.
-#[allow(clippy::too_many_arguments)]
+/// Minimizes and records one failure, if its (class, family) is new:
+/// the first discovery pins the bug; later hits of the same class on
+/// the same family are the same bug reached again, not new
+/// information.
 fn record_finding(
     spec: &ScenarioSpec,
     seed: u64,
@@ -378,16 +355,13 @@ fn record_finding(
     signature: Signature,
     iteration: u64,
     config: &FuzzConfig,
-    seen: &mut BTreeSet<(FailureClass, String)>,
     report: &mut FuzzReport,
 ) {
-    let family = spec
-        .name
-        .split('~')
-        .next()
-        .unwrap_or(&spec.name)
-        .to_string();
-    if !seen.insert((class, family)) {
+    let seen = report
+        .findings
+        .iter()
+        .any(|f| f.class == class && family(&f.discovered_as) == family(&spec.name));
+    if seen {
         return;
     }
     let min = minimize(spec, seed, class, config.minimize_budget);
@@ -414,24 +388,7 @@ fn placeholder_outcome(spec: &ScenarioSpec, seed: u64) -> ScenarioOutcome {
         scenario: spec.name.clone(),
         seed,
         nodes: spec.node_count(),
-        rounds: 0,
-        broadcasts: 0,
-        deliveries: 0,
-        collision_reports: 0,
-        max_message_bytes: 0,
-        outputs_checked: 0,
-        validity_violations: 0,
-        agreement_violations: 0,
-        spread_violations: 0,
-        decided_fraction: 0.0,
-        stabilized_kst: None,
-        vn_joins: 0,
-        vn_resets: 0,
-        traffic: None,
-        audit: None,
-        telemetry: None,
-        causal: None,
-        incident: None,
+        ..ScenarioOutcome::default()
     }
 }
 

@@ -42,42 +42,52 @@ pub trait Adversary {
     /// paper's model guarantees completeness unconditionally — and
     /// consensus is impossible without it (Section 1.1, refs [7, 8]) —
     /// so every normal adversary keeps the default `false`; only
-    /// [`FaultyDetector`] overrides it, to demonstrate empirically why
-    /// the guarantee is load-bearing.
+    /// [`AdversaryKind::BrokenDetector`] overrides it, to demonstrate
+    /// empirically why the guarantee is load-bearing.
     fn suppress_detection(&mut self, _round: u64, _node: NodeId, _rng: &mut StdRng) -> bool {
         false
     }
 }
 
-/// A serializable description of which adversary to install for a
-/// run — the data form of the [`Adversary`] implementations in this
-/// module, usable in scenario specs and experiment configs.
+/// The channel adversary of a run, as data: usable in scenario specs
+/// and experiment configs, mutated by the fuzzer, composed by nemesis
+/// schedules, and itself the [`Adversary`] the engine consults.
 ///
-/// Call [`AdversaryKind::build`] to instantiate the described
-/// adversary (fresh, with no carried-over state).
+/// A deserialized description bypasses every constructor, so call
+/// [`AdversaryKind::validate`] before installing one from outside the
+/// program ([`AdversaryKind::build`] panics on what it rejects).
+///
+/// The draw contract (README "Determinism rules", rule 2, pinned by
+/// `each_kind_draws_a_fixed_number_of_values_per_call`): every call
+/// draws a fixed number of values whatever its verdict, so a run's RNG
+/// stream depends on the queries alone.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub enum AdversaryKind {
-    /// No misbehaviour ([`NoAdversary`]).
+    /// No misbehaviour: never drops, never lies, draws nothing.
     None,
     /// Random loss: `(drop probability, spurious-collision
-    /// probability)` ([`RandomLoss`]).
+    /// probability)`, one draw per delivery and per (node, round).
     Random(f64, f64),
-    /// Total loss during the given round ranges ([`BurstLoss`]).
+    /// Total loss, and a collision indication at every node, during
+    /// the given round ranges — the paper's "alternating periods of
+    /// stability and instability". Draws nothing.
     Burst(Vec<Range<u64>>),
     /// Random loss `(drop_p)` **plus a broken collision detector**
     /// that misses forced reports with probability `miss_p` — a
-    /// deliberate model violation for the E13 necessity ablation
-    /// ([`FaultyDetector`]).
+    /// deliberate model violation for the E13 necessity ablation.
+    /// Draws once per delivery, once per spurious check (with
+    /// probability 0) and once per forced report.
     BrokenDetector {
         /// Per-delivery drop probability.
         drop_p: f64,
         /// Per-(node, round) detection-suppression probability.
         miss_p: f64,
     },
-    /// Random loss scoped to round windows ([`WindowedRandomLoss`]):
-    /// outside every window the channel behaves perfectly (and draws
-    /// no randomness). The building block nemesis fault schedules
-    /// compile detector-corruption windows into.
+    /// Random loss scoped to round windows: outside every window the
+    /// channel behaves perfectly and draws no randomness, so prefixing
+    /// a quiet run with an empty schedule never perturbs it. The
+    /// building block nemesis fault schedules compile
+    /// detector-corruption windows into.
     WindowedRandom {
         /// Rounds during which the loss probabilities apply.
         windows: Vec<Range<u64>>,
@@ -87,251 +97,122 @@ pub enum AdversaryKind {
         /// window.
         spurious_p: f64,
     },
-    /// The union of several adversaries ([`ComposeAdversary`]): a
-    /// delivery is destroyed if *any* member drops it, and a node sees
-    /// a spurious indication if *any* member injects one. Every member
-    /// is always consulted, so the RNG stream is independent of the
-    /// individual verdicts. Nemesis fault schedules compile to a
+    /// The union of several adversaries: a delivery is destroyed if
+    /// *any* member drops it, and a node sees a spurious indication if
+    /// *any* member injects one (empty behaves like `None`). Every
+    /// member is always consulted, so the RNG stream is independent of
+    /// the individual verdicts. Nemesis fault schedules compile to a
     /// composition over the scenario's base adversary.
     Compose(Vec<AdversaryKind>),
 }
 
 impl AdversaryKind {
-    /// Instantiates the described adversary.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a probability lies outside `[0, 1]` (the underlying
-    /// constructors validate their inputs).
-    pub fn build(&self) -> Box<dyn Adversary> {
+    /// Checks every probability lies in `[0, 1]` and every window is
+    /// non-empty, recursively through [`AdversaryKind::Compose`].
+    pub fn validate(&self) -> Result<(), String> {
+        let probs = |ps: [f64; 2]| {
+            ps.iter()
+                .all(|p| (0.0..=1.0).contains(p))
+                .then_some(())
+                .ok_or_else(|| String::from("adversary probability outside [0, 1]"))
+        };
+        let windows = |ws: &[Range<u64>]| {
+            ws.iter()
+                .all(|w| w.start < w.end)
+                .then_some(())
+                .ok_or_else(|| String::from("adversary window inverted or empty (end <= start)"))
+        };
         match self {
-            AdversaryKind::None => Box::new(NoAdversary),
-            AdversaryKind::Random(d, s) => Box::new(RandomLoss::new(*d, *s)),
-            AdversaryKind::Burst(ranges) => Box::new(BurstLoss::new(ranges.clone())),
-            AdversaryKind::BrokenDetector { drop_p, miss_p } => {
-                Box::new(FaultyDetector::new(RandomLoss::new(*drop_p, 0.0), *miss_p))
-            }
+            AdversaryKind::None => Ok(()),
+            AdversaryKind::Random(d, s) => probs([*d, *s]),
+            AdversaryKind::Burst(ws) => windows(ws),
+            AdversaryKind::BrokenDetector { drop_p, miss_p } => probs([*drop_p, *miss_p]),
             AdversaryKind::WindowedRandom {
-                windows,
+                windows: ws,
                 drop_p,
                 spurious_p,
-            } => Box::new(WindowedRandomLoss::new(
-                windows.clone(),
-                *drop_p,
-                *spurious_p,
-            )),
-            AdversaryKind::Compose(members) => Box::new(ComposeAdversary::new(
-                members.iter().map(AdversaryKind::build).collect(),
-            )),
+            } => probs([*drop_p, *spurious_p]).and_then(|()| windows(ws)),
+            AdversaryKind::Compose(members) => members.iter().try_for_each(AdversaryKind::validate),
         }
     }
-}
 
-/// Wraps an adversary and additionally breaks collision-detector
-/// completeness with probability `miss_p` per (node, round) — **a
-/// deliberate violation of the paper's model** used only by the
-/// necessity ablation (E13).
-#[derive(Debug)]
-pub struct FaultyDetector<A> {
-    inner: A,
-    miss_p: f64,
-}
-
-impl<A: Adversary> FaultyDetector<A> {
-    /// Wraps `inner`, suppressing forced detections with probability
-    /// `miss_p`.
+    /// A fresh boxed copy of the described adversary.
     ///
     /// # Panics
     ///
-    /// Panics if `miss_p` is outside `[0, 1]`.
-    pub fn new(inner: A, miss_p: f64) -> Self {
-        assert!((0.0..=1.0).contains(&miss_p), "miss_p must lie in [0, 1]");
-        FaultyDetector { inner, miss_p }
+    /// Panics with the [`AdversaryKind::validate`] message if the
+    /// description is invalid.
+    pub fn build(&self) -> Box<dyn Adversary> {
+        if let Err(e) = self.validate() {
+            panic!("{e}");
+        }
+        Box::new(self.clone())
     }
 }
 
-impl<A: Adversary> Adversary for FaultyDetector<A> {
+/// Returns `true` if `round` falls inside one of `windows`.
+fn active(windows: &[Range<u64>], round: u64) -> bool {
+    windows.iter().any(|w| w.contains(&round))
+}
+
+// `Compose` folds with `|`, not `||`: every member is consulted (and
+// draws) whatever the earlier members said. The trait fixes the
+// signatures; only `Compose` passes the endpoints on, to its members.
+#[allow(clippy::only_used_in_recursion)]
+impl Adversary for AdversaryKind {
     fn drop_message(&mut self, round: u64, src: NodeId, dst: NodeId, rng: &mut StdRng) -> bool {
-        self.inner.drop_message(round, src, dst, rng)
-    }
-
-    fn spurious_collision(&mut self, round: u64, node: NodeId, rng: &mut StdRng) -> bool {
-        self.inner.spurious_collision(round, node, rng)
-    }
-
-    fn suppress_detection(&mut self, _round: u64, _node: NodeId, rng: &mut StdRng) -> bool {
-        rng.random_bool(self.miss_p)
-    }
-}
-
-/// The benign adversary: never drops, never lies.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NoAdversary;
-
-impl Adversary for NoAdversary {
-    fn drop_message(&mut self, _round: u64, _src: NodeId, _dst: NodeId, _rng: &mut StdRng) -> bool {
-        false
-    }
-
-    fn spurious_collision(&mut self, _round: u64, _node: NodeId, _rng: &mut StdRng) -> bool {
-        false
-    }
-}
-
-/// Drops each (sender, receiver) delivery independently with
-/// probability `drop_p`, and injects spurious collision indications
-/// with probability `spurious_p` per node per round.
-#[derive(Clone, Copy, Debug)]
-pub struct RandomLoss {
-    /// Per-delivery drop probability in `[0, 1]`.
-    pub drop_p: f64,
-    /// Per-node-per-round spurious collision probability in `[0, 1]`.
-    pub spurious_p: f64,
-}
-
-impl RandomLoss {
-    /// Creates a random-loss adversary.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either probability is outside `[0, 1]`.
-    pub fn new(drop_p: f64, spurious_p: f64) -> Self {
-        assert!(
-            (0.0..=1.0).contains(&drop_p) && (0.0..=1.0).contains(&spurious_p),
-            "probabilities must lie in [0, 1]"
-        );
-        RandomLoss { drop_p, spurious_p }
-    }
-}
-
-impl Adversary for RandomLoss {
-    fn drop_message(&mut self, _round: u64, _src: NodeId, _dst: NodeId, rng: &mut StdRng) -> bool {
-        rng.random_bool(self.drop_p)
-    }
-
-    fn spurious_collision(&mut self, _round: u64, _node: NodeId, rng: &mut StdRng) -> bool {
-        rng.random_bool(self.spurious_p)
-    }
-}
-
-/// Destroys *all* deliveries during the given round ranges and injects
-/// collision indications at every node during those rounds.
-///
-/// Models the paper's "alternating periods of stability and
-/// instability".
-#[derive(Clone, Debug)]
-pub struct BurstLoss {
-    bursts: Vec<Range<u64>>,
-}
-
-impl BurstLoss {
-    /// Creates a burst adversary active during each range in `bursts`.
-    pub fn new(bursts: Vec<Range<u64>>) -> Self {
-        BurstLoss { bursts }
-    }
-
-    /// Returns `true` if `round` falls inside a burst.
-    pub fn active(&self, round: u64) -> bool {
-        self.bursts.iter().any(|b| b.contains(&round))
-    }
-}
-
-impl Adversary for BurstLoss {
-    fn drop_message(&mut self, round: u64, _src: NodeId, _dst: NodeId, _rng: &mut StdRng) -> bool {
-        self.active(round)
-    }
-
-    fn spurious_collision(&mut self, round: u64, _node: NodeId, _rng: &mut StdRng) -> bool {
-        self.active(round)
-    }
-}
-
-/// [`RandomLoss`] scoped to round windows: outside every window the
-/// channel is perfect and no randomness is drawn, so prefixing a quiet
-/// run with an empty schedule never perturbs it.
-#[derive(Clone, Debug)]
-pub struct WindowedRandomLoss {
-    windows: Vec<Range<u64>>,
-    loss: RandomLoss,
-}
-
-impl WindowedRandomLoss {
-    /// Creates a windowed random-loss adversary.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either probability is outside `[0, 1]`.
-    pub fn new(windows: Vec<Range<u64>>, drop_p: f64, spurious_p: f64) -> Self {
-        WindowedRandomLoss {
-            windows,
-            loss: RandomLoss::new(drop_p, spurious_p),
+        match self {
+            AdversaryKind::None => false,
+            AdversaryKind::Random(p, _) | AdversaryKind::BrokenDetector { drop_p: p, .. } => {
+                rng.random_bool(*p)
+            }
+            AdversaryKind::Burst(windows) => active(windows, round),
+            AdversaryKind::WindowedRandom {
+                windows, drop_p, ..
+            } => active(windows, round) && rng.random_bool(*drop_p),
+            AdversaryKind::Compose(members) => members
+                .iter_mut()
+                .fold(false, |any, m| any | m.drop_message(round, src, dst, rng)),
         }
     }
 
-    /// Returns `true` if `round` falls inside a window.
-    pub fn active(&self, round: u64) -> bool {
-        self.windows.iter().any(|w| w.contains(&round))
-    }
-}
-
-impl Adversary for WindowedRandomLoss {
-    fn drop_message(&mut self, round: u64, src: NodeId, dst: NodeId, rng: &mut StdRng) -> bool {
-        self.active(round) && self.loss.drop_message(round, src, dst, rng)
-    }
-
     fn spurious_collision(&mut self, round: u64, node: NodeId, rng: &mut StdRng) -> bool {
-        self.active(round) && self.loss.spurious_collision(round, node, rng)
-    }
-}
-
-/// The union of several adversaries: drops a delivery if any member
-/// does, injects a spurious indication if any member does. Members are
-/// *always all consulted* (no short-circuiting), so each member's RNG
-/// consumption — and therefore the whole run — stays deterministic
-/// regardless of the other members' verdicts.
-pub struct ComposeAdversary {
-    members: Vec<Box<dyn Adversary>>,
-}
-
-impl ComposeAdversary {
-    /// Composes `members` (empty behaves like [`NoAdversary`]).
-    pub fn new(members: Vec<Box<dyn Adversary>>) -> Self {
-        ComposeAdversary { members }
-    }
-}
-
-impl Adversary for ComposeAdversary {
-    fn drop_message(&mut self, round: u64, src: NodeId, dst: NodeId, rng: &mut StdRng) -> bool {
-        let mut any = false;
-        for m in &mut self.members {
-            any |= m.drop_message(round, src, dst, rng);
+        match self {
+            AdversaryKind::None => false,
+            AdversaryKind::Random(_, p) => rng.random_bool(*p),
+            // A broken detector is random loss with no spurious
+            // indications; its zero-probability draw stays in the
+            // stream.
+            AdversaryKind::BrokenDetector { .. } => rng.random_bool(0.0),
+            AdversaryKind::Burst(windows) => active(windows, round),
+            AdversaryKind::WindowedRandom {
+                windows,
+                spurious_p,
+                ..
+            } => active(windows, round) && rng.random_bool(*spurious_p),
+            AdversaryKind::Compose(members) => members
+                .iter_mut()
+                .fold(false, |any, m| any | m.spurious_collision(round, node, rng)),
         }
-        any
-    }
-
-    fn spurious_collision(&mut self, round: u64, node: NodeId, rng: &mut StdRng) -> bool {
-        let mut any = false;
-        for m in &mut self.members {
-            any |= m.spurious_collision(round, node, rng);
-        }
-        any
     }
 
     fn suppress_detection(&mut self, round: u64, node: NodeId, rng: &mut StdRng) -> bool {
-        let mut any = false;
-        for m in &mut self.members {
-            any |= m.suppress_detection(round, node, rng);
+        match self {
+            AdversaryKind::BrokenDetector { miss_p, .. } => rng.random_bool(*miss_p),
+            AdversaryKind::Compose(members) => members
+                .iter_mut()
+                .fold(false, |any, m| any | m.suppress_detection(round, node, rng)),
+            _ => false,
         }
-        any
     }
 }
 
 /// A fully scripted adversary: exact (round, src, dst) drops and
 /// (round, node) spurious indications.
 ///
-/// Used to force the precise per-phase loss patterns of the paper's
-/// Figure 2 in experiment E1, and the footnote-2 partition scenario in
-/// the integration tests.
+/// Used by the E12 ablation's lossy pre-commit, the majority-register
+/// workload's partition, the footnote-2 scenario of
+/// `tests/footnote2.rs` and the `audit_demo` example.
 #[derive(Clone, Debug, Default)]
 pub struct ScriptedAdversary {
     drops: HashSet<(u64, NodeId, NodeId)>,
@@ -340,7 +221,7 @@ pub struct ScriptedAdversary {
 }
 
 impl ScriptedAdversary {
-    /// Creates an empty script (equivalent to [`NoAdversary`]).
+    /// Creates an empty script (equivalent to [`AdversaryKind::None`]).
     pub fn new() -> Self {
         Self::default()
     }
@@ -387,7 +268,7 @@ mod tests {
 
     #[test]
     fn no_adversary_is_benign() {
-        let mut a = NoAdversary;
+        let mut a = AdversaryKind::None;
         let mut rng = rng();
         assert!(!a.drop_message(0, NodeId::from(0), NodeId::from(1), &mut rng));
         assert!(!a.spurious_collision(0, NodeId::from(0), &mut rng));
@@ -395,8 +276,8 @@ mod tests {
 
     #[test]
     fn random_loss_extremes() {
-        let mut always = RandomLoss::new(1.0, 1.0);
-        let mut never = RandomLoss::new(0.0, 0.0);
+        let mut always = AdversaryKind::Random(1.0, 1.0);
+        let mut never = AdversaryKind::Random(0.0, 0.0);
         let mut rng = rng();
         for _ in 0..32 {
             assert!(always.drop_message(0, NodeId::from(0), NodeId::from(1), &mut rng));
@@ -408,7 +289,7 @@ mod tests {
 
     #[test]
     fn random_loss_rate_is_approximate() {
-        let mut a = RandomLoss::new(0.3, 0.0);
+        let mut a = AdversaryKind::Random(0.3, 0.0);
         let mut rng = rng();
         let n = 10_000;
         let dropped = (0..n)
@@ -419,14 +300,14 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "probabilities must lie in [0, 1]")]
+    #[should_panic(expected = "adversary probability outside [0, 1]")]
     fn random_loss_rejects_bad_probability() {
-        let _ = RandomLoss::new(1.5, 0.0);
+        let _ = AdversaryKind::Random(1.5, 0.0).build();
     }
 
     #[test]
     fn burst_is_active_only_in_ranges() {
-        let mut a = BurstLoss::new(vec![5..10, 20..21]);
+        let mut a = AdversaryKind::Burst(vec![5..10, 20..21]);
         let mut rng = rng();
         let src = NodeId::from(0);
         let dst = NodeId::from(1);
@@ -471,7 +352,11 @@ mod tests {
 
     #[test]
     fn windowed_random_is_quiet_outside_windows() {
-        let mut a = WindowedRandomLoss::new(vec![10..20, 30..31], 1.0, 1.0);
+        let mut a = AdversaryKind::WindowedRandom {
+            windows: vec![10..20, 30..31],
+            drop_p: 1.0,
+            spurious_p: 1.0,
+        };
         let mut rng = rng();
         let src = NodeId::from(0);
         let dst = NodeId::from(1);
@@ -525,6 +410,73 @@ mod tests {
         let round: Vec<AdversaryKind> =
             Deserialize::from_value(&Serialize::to_value(&kinds)).unwrap();
         assert_eq!(round, kinds);
+    }
+
+    /// How many values each call draws, `[drop, spurious, suppress]`:
+    /// the generator after the call is compared against a fresh one
+    /// advanced one `next_u64` at a time.
+    fn draws(kind: &AdversaryKind, round: u64) -> [usize; 3] {
+        use rand::Rng;
+        let (src, dst) = (NodeId::from(0), NodeId::from(1));
+        [0, 1, 2].map(|call| {
+            let mut a = kind.build();
+            let mut after = rng();
+            match call {
+                0 => a.drop_message(round, src, dst, &mut after),
+                1 => a.spurious_collision(round, src, &mut after),
+                _ => a.suppress_detection(round, src, &mut after),
+            };
+            let mut expected = rng();
+            let mut n = 0;
+            while expected != after {
+                assert!(n < 16, "{kind:?} drew more than 16 values");
+                expected.next_u64();
+                n += 1;
+            }
+            n
+        })
+    }
+
+    /// The draw contract (README "Determinism rules", rule 2): each
+    /// kind draws a fixed number of values per call, whatever its
+    /// verdict, so a run's RNG stream depends on the queries alone.
+    #[test]
+    fn each_kind_draws_a_fixed_number_of_values_per_call() {
+        let burst = AdversaryKind::Burst(vec![5..10, 20..21]);
+        let windowed = AdversaryKind::WindowedRandom {
+            windows: vec![5..10, 20..21],
+            drop_p: 1.0,
+            spurious_p: 1.0,
+        };
+        let broken = |p| AdversaryKind::BrokenDetector {
+            drop_p: p,
+            miss_p: p,
+        };
+        // Every member after the burst is consulted although the burst
+        // (in a window) or an earlier p = 1 member already said yes.
+        let compose = AdversaryKind::Compose(vec![
+            burst.clone(),
+            windowed.clone(),
+            broken(1.0),
+            AdversaryKind::Random(1.0, 1.0),
+            broken(0.5),
+        ]);
+        // (kind, round, draws per drop / spurious / suppress call)
+        let cases = [
+            (AdversaryKind::None, 7, [0, 0, 0]),
+            (burst.clone(), 7, [0, 0, 0]),
+            (burst, 2, [0, 0, 0]),
+            (AdversaryKind::Random(0.5, 0.5), 7, [1, 1, 0]),
+            (broken(0.5), 7, [1, 1, 1]),
+            (windowed.clone(), 2, [0, 0, 0]),
+            (windowed, 7, [1, 1, 0]),
+            (AdversaryKind::Compose(vec![]), 7, [0, 0, 0]),
+            (compose.clone(), 7, [4, 4, 2]),
+            (compose, 2, [3, 3, 2]),
+        ];
+        for (kind, round, expected) in cases {
+            assert_eq!(draws(&kind, round), expected, "{kind:?} at round {round}");
+        }
     }
 
     #[test]

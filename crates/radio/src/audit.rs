@@ -187,7 +187,7 @@ pub fn audit_round(rec: &RoundRecord, cfg: &RadioConfig) -> Vec<ChannelViolation
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::adversary::RandomLoss;
+    use crate::adversary::AdversaryKind;
     use crate::geometry::Point;
     use crate::geometry::Rect;
     use crate::mobility::Waypoint;
@@ -220,7 +220,7 @@ mod tests {
             seed: 8,
             record_trace: true,
         });
-        engine.set_adversary(Box::new(RandomLoss::new(0.4, 0.2)));
+        engine.set_adversary(Box::new(AdversaryKind::Random(0.4, 0.2)));
         for i in 0..6 {
             let start = Point::new(5.0 + 3.0 * i as f64, 10.0);
             engine.add_node(NodeSpec::new(

@@ -884,7 +884,7 @@ pub fn resolve_round_reference<M: Clone>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::adversary::{NoAdversary, ScriptedAdversary};
+    use crate::adversary::{AdversaryKind, ScriptedAdversary};
     use proptest::prelude::*;
     use rand::SeedableRng;
 
@@ -908,7 +908,7 @@ mod tests {
     #[test]
     fn basic_delivery() {
         let intents = vec![intent(0, 0.0, Some(7u64)), intent(1, 5.0, None)];
-        let out = resolve_round(0, &cfg(), &intents, &mut NoAdversary, &mut rng());
+        let out = resolve_round(0, &cfg(), &intents, &mut AdversaryKind::None, &mut rng());
         assert_eq!(out[1].messages, vec![(NodeId::from(0), 7)]);
         assert!(!out[1].collision);
         // Sender observes its own message and no collision.
@@ -921,12 +921,12 @@ mod tests {
     #[test]
     fn gray_ring_loss_reports() {
         let intents = vec![intent(0, 0.0, Some(1u64)), intent(1, 15.0, None)];
-        let out = resolve_round(0, &cfg(), &intents, &mut NoAdversary, &mut rng());
+        let out = resolve_round(0, &cfg(), &intents, &mut AdversaryKind::None, &mut rng());
         assert!(out[1].messages.is_empty());
         assert!(out[1].collision, "ring loss should be reported by default");
 
         let quiet = cfg().without_ring_reports();
-        let out = resolve_round(0, &quiet, &intents, &mut NoAdversary, &mut rng());
+        let out = resolve_round(0, &quiet, &intents, &mut AdversaryKind::None, &mut rng());
         assert!(!out[1].collision, "ring reports disabled");
     }
 
@@ -934,7 +934,7 @@ mod tests {
     #[test]
     fn out_of_range_is_silent() {
         let intents = vec![intent(0, 0.0, Some(1u64)), intent(1, 25.0, None)];
-        let out = resolve_round(0, &cfg(), &intents, &mut NoAdversary, &mut rng());
+        let out = resolve_round(0, &cfg(), &intents, &mut AdversaryKind::None, &mut rng());
         assert!(out[1].is_silent());
     }
 
@@ -947,7 +947,7 @@ mod tests {
             intent(1, 8.0, Some(2u64)),
             intent(2, 4.0, None),
         ];
-        let out = resolve_round(0, &cfg(), &intents, &mut NoAdversary, &mut rng());
+        let out = resolve_round(0, &cfg(), &intents, &mut AdversaryKind::None, &mut rng());
         assert!(out[2].messages.is_empty());
         assert!(out[2].collision);
     }
@@ -961,7 +961,7 @@ mod tests {
             intent(2, 5.0, None),
             intent(1, 22.0, Some(2u64)), // 17m from listener: in (R1, R2]
         ];
-        let out = resolve_round(0, &cfg(), &intents, &mut NoAdversary, &mut rng());
+        let out = resolve_round(0, &cfg(), &intents, &mut AdversaryKind::None, &mut rng());
         assert!(out[1].messages.is_empty());
         assert!(out[1].collision);
     }
@@ -971,7 +971,7 @@ mod tests {
     #[test]
     fn concurrent_broadcasters_detect_collision() {
         let intents = vec![intent(0, 0.0, Some(1u64)), intent(1, 5.0, Some(2u64))];
-        let out = resolve_round(0, &cfg(), &intents, &mut NoAdversary, &mut rng());
+        let out = resolve_round(0, &cfg(), &intents, &mut AdversaryKind::None, &mut rng());
         for rx in &out {
             assert_eq!(rx.messages.len(), 1, "only own message observed");
             assert!(rx.collision, "missed the other broadcaster");
@@ -983,7 +983,7 @@ mod tests {
     #[test]
     fn lone_broadcaster_clean() {
         let intents = vec![intent(0, 0.0, Some(1u64))];
-        let out = resolve_round(0, &cfg(), &intents, &mut NoAdversary, &mut rng());
+        let out = resolve_round(0, &cfg(), &intents, &mut AdversaryKind::None, &mut rng());
         assert_eq!(out[0].messages.len(), 1);
         assert!(!out[0].collision);
     }
@@ -1040,7 +1040,7 @@ mod tests {
             intent(3, 3.0, None),
         ];
         // Node 3 is within R2 of both broadcasters: interference.
-        let out = resolve_round(0, &cfg(), &intents, &mut NoAdversary, &mut rng());
+        let out = resolve_round(0, &cfg(), &intents, &mut AdversaryKind::None, &mut rng());
         assert!(out[3].messages.is_empty() && out[3].collision);
         assert!(out[2].is_silent());
     }

@@ -24,7 +24,7 @@
 //! All of it is on the sequential control path, so observing never
 //! changes an execution.
 
-use crate::adversary::{Adversary, NoAdversary};
+use crate::adversary::{Adversary, AdversaryKind};
 use crate::channel::{Medium, ReceptionBuffer, RoundReception, TopologyDelta, TxIntent};
 use crate::config::RadioConfig;
 use crate::geometry::Point;
@@ -309,7 +309,7 @@ impl Adversary for CountingAdversary<'_> {
 }
 
 impl<M: Clone + WireSized + 'static, P: Process<M>> Engine<M, P> {
-    /// Creates an engine with the benign [`NoAdversary`].
+    /// Creates an engine with the benign [`AdversaryKind::None`].
     ///
     /// # Panics
     ///
@@ -321,7 +321,7 @@ impl<M: Clone + WireSized + 'static, P: Process<M>> Engine<M, P> {
         Engine {
             config,
             nodes: Vec::new(),
-            adversary: Box::new(NoAdversary),
+            adversary: Box::new(AdversaryKind::None),
             rng,
             round: 0,
             trace: Trace::new(),
@@ -784,7 +784,7 @@ mod tests {
                 seed,
                 record_trace: false,
             });
-            e.set_adversary(Box::new(crate::adversary::RandomLoss::new(0.4, 0.1)));
+            e.set_adversary(Box::new(AdversaryKind::Random(0.4, 0.1)));
             let _ = static_node(&mut e, 0.0, Chatter::new(true, 1));
             let rx = static_node(&mut e, 5.0, Chatter::new(false, 0));
             e.run(40);

@@ -22,7 +22,9 @@
 //!   (eventually no false positives, Property 2). See [`channel`].
 //! * **Adversarial misbehaviour** before the stabilization rounds
 //!   `rcf` (arbitrary message loss) and `racc` (spurious collision
-//!   indications) ([`adversary`]).
+//!   indications): an [`AdversaryKind`] value is both the serializable
+//!   description and the [`Adversary`] the engine consults
+//!   ([`adversary`]).
 //! * **Mobility** with bounded velocity `vmax` ([`mobility`]) and a
 //!   location service (every process learns its own position each
 //!   round, as the paper's GPS assumption provides).
@@ -86,10 +88,7 @@ pub mod geometry;
 pub mod mobility;
 pub mod trace;
 
-pub use adversary::{
-    Adversary, AdversaryKind, BurstLoss, ComposeAdversary, FaultyDetector, NoAdversary, RandomLoss,
-    ScriptedAdversary, WindowedRandomLoss,
-};
+pub use adversary::{Adversary, AdversaryKind, ScriptedAdversary};
 pub use audit::{audit_trace, ChannelViolation};
 pub use channel::{
     resolve_round, resolve_round_reference, AttributedReception, Medium, ReceptionBuffer,

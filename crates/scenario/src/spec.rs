@@ -507,7 +507,7 @@ impl ScenarioSpec {
                 )));
             }
         }
-        if let Err(e) = validate_adversary(&self.adversary) {
+        if let Err(e) = self.adversary.validate() {
             return fail(SpecErrorKind::Adversary(e));
         }
         if let Err(e) = self.nemesis.validate() {
@@ -659,41 +659,6 @@ impl ScenarioSpec {
             }
         }
         Ok(())
-    }
-}
-
-/// Probability and window sanity over the (possibly composed)
-/// adversary description — deserialized specs bypass the
-/// constructors' asserts, so a hand-edited (or fuzz-mutated) JSON
-/// adversary must be caught here, recursively.
-fn validate_adversary(kind: &AdversaryKind) -> Result<(), String> {
-    let prob = |p: f64| (0.0..=1.0).contains(&p);
-    let windows_ok = |ws: &[std::ops::Range<u64>]| {
-        ws.iter()
-            .all(|w| w.start < w.end)
-            .then_some(())
-            .ok_or_else(|| String::from("adversary window inverted or empty (end <= start)"))
-    };
-    match kind {
-        AdversaryKind::Random(d, s) if !prob(*d) || !prob(*s) => {
-            Err("adversary probability outside [0, 1]".into())
-        }
-        AdversaryKind::BrokenDetector { drop_p, miss_p } if !prob(*drop_p) || !prob(*miss_p) => {
-            Err("adversary probability outside [0, 1]".into())
-        }
-        AdversaryKind::Burst(windows) => windows_ok(windows),
-        AdversaryKind::WindowedRandom {
-            windows,
-            drop_p,
-            spurious_p,
-        } => {
-            if !prob(*drop_p) || !prob(*spurious_p) {
-                return Err("adversary probability outside [0, 1]".into());
-            }
-            windows_ok(windows)
-        }
-        AdversaryKind::Compose(members) => members.iter().try_for_each(validate_adversary),
-        _ => Ok(()),
     }
 }
 

@@ -13,10 +13,9 @@
 
 use virtual_infra::contention::{OracleCm, PreStability, SharedCm};
 use virtual_infra::core::cha::{ChaNode, Color, TaggedProposer};
-use virtual_infra::radio::adversary::RandomLoss;
 use virtual_infra::radio::geometry::Point;
 use virtual_infra::radio::mobility::Static;
-use virtual_infra::radio::{Engine, EngineConfig, NodeSpec, RadioConfig};
+use virtual_infra::radio::{AdversaryKind, Engine, EngineConfig, NodeSpec, RadioConfig};
 
 fn main() {
     const N: usize = 5;
@@ -28,7 +27,7 @@ fn main() {
         seed: 2024,
         record_trace: false,
     });
-    engine.set_adversary(Box::new(RandomLoss::new(0.25, 0.08)));
+    engine.set_adversary(Box::new(AdversaryKind::Random(0.25, 0.08)));
 
     let cm = SharedCm::new(OracleCm::new(STABLE_AT, PreStability::Random(0.25), 7));
     let ids: Vec<_> = (0..N)

@@ -6,10 +6,9 @@ use virtual_infra::apps::georouting::{quantize, GeoRouterVn, InjectorClient};
 use virtual_infra::apps::register::{ReaderClient, RegisterVn, WriterClient};
 use virtual_infra::apps::tracking::{cell_of, QueryClient, ReporterClient, TrackingVn};
 use virtual_infra::core::vi::{VnId, VnLayout, World, WorldConfig};
-use virtual_infra::radio::adversary::BurstLoss;
 use virtual_infra::radio::geometry::Point;
 use virtual_infra::radio::mobility::{PatrolRoute, Static};
-use virtual_infra::radio::RadioConfig;
+use virtual_infra::radio::{AdversaryKind, RadioConfig};
 
 /// A reporter that commutes between two virtual-node regions: both
 /// virtual nodes end up knowing the object, each from the reports it
@@ -137,7 +136,7 @@ fn routing_is_safe_under_bursts() {
         seed: 30,
         record_trace: false,
     });
-    world.set_adversary(Box::new(BurstLoss::new(vec![300..400, 700..760])));
+    world.set_adversary(Box::new(AdversaryKind::Burst(vec![300..400, 700..760])));
     for loc in &locs {
         world.add_device(Box::new(Static::new(Point::new(loc.x + 0.5, loc.y))), None);
         world.add_device(Box::new(Static::new(Point::new(loc.x - 0.5, loc.y))), None);

@@ -6,10 +6,9 @@
 use virtual_infra::core::vi::{
     CollectorClient, CounterAutomaton, CounterState, VnId, VnLayout, World, WorldConfig,
 };
-use virtual_infra::radio::adversary::BurstLoss;
 use virtual_infra::radio::geometry::Point;
 use virtual_infra::radio::mobility::{DepartAt, Static};
-use virtual_infra::radio::{NodeId, RadioConfig};
+use virtual_infra::radio::{AdversaryKind, NodeId, RadioConfig};
 
 const VN: Point = Point::new(50.0, 50.0);
 
@@ -127,9 +126,9 @@ fn burst_disruption_recovers() {
     });
     // Burst of total loss + false detector reports between rounds
     // 200-280 (several virtual rounds).
-    #[allow(clippy::single_range_in_vec_init)] // BurstLoss takes a list of burst windows
+    #[allow(clippy::single_range_in_vec_init)] // a list of burst windows
     let bursts = vec![200..280];
-    world.set_adversary(Box::new(BurstLoss::new(bursts)));
+    world.set_adversary(Box::new(AdversaryKind::Burst(bursts)));
     let ids: Vec<NodeId> = (0..3)
         .map(|i| static_device(&mut world, 0.3 * i as f64, 0.0))
         .collect();

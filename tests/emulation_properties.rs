@@ -4,10 +4,9 @@
 
 use proptest::prelude::*;
 use virtual_infra::core::vi::{CounterAutomaton, CounterState, VnId, VnLayout, World, WorldConfig};
-use virtual_infra::radio::adversary::BurstLoss;
 use virtual_infra::radio::geometry::Point;
 use virtual_infra::radio::mobility::Static;
-use virtual_infra::radio::RadioConfig;
+use virtual_infra::radio::{AdversaryKind, RadioConfig};
 
 #[derive(Clone, Debug)]
 struct Scenario {
@@ -64,9 +63,9 @@ fn build(s: &Scenario) -> World<CounterAutomaton> {
     if let Some((start, len)) = s.burst {
         let from = start * rpv;
         let to = (start + len) * rpv;
-        #[allow(clippy::single_range_in_vec_init)] // BurstLoss takes burst windows
+        #[allow(clippy::single_range_in_vec_init)] // a list of burst windows
         let bursts = vec![from..to];
-        world.set_adversary(Box::new(BurstLoss::new(bursts)));
+        world.set_adversary(Box::new(AdversaryKind::Burst(bursts)));
     }
     let mut device_index = 0usize;
     for loc in &locations {

@@ -7,15 +7,14 @@ use rand::SeedableRng;
 use virtual_infra::contention::{
     Advice, BackoffCm, ChannelFeedback, ContentionManager, OracleCm, RegionalCm, RegionalConfig,
 };
-use virtual_infra::radio::adversary::{NoAdversary, RandomLoss};
 use virtual_infra::radio::channel::{
     resolve_round, resolve_round_reference, Medium, ReceptionBuffer, TopologyDelta, TxIntent,
 };
 use virtual_infra::radio::geometry::{Heard, Point, Rect, SnapshotIndex, SpatialGrid};
 use virtual_infra::radio::mobility::{Billiard, MobilityModel, Static, Waypoint};
 use virtual_infra::radio::{
-    ChannelStats, Engine, EngineConfig, NodeId, NodeSpec, Process, RadioConfig, RoundCtx,
-    RoundReception, RoundRecord, Trace,
+    AdversaryKind, ChannelStats, Engine, EngineConfig, NodeId, NodeSpec, Process, RadioConfig,
+    RoundCtx, RoundReception, RoundRecord, Trace,
 };
 
 /// The contender lists of `OracleCm` / `RegionalCm` as both rolled
@@ -144,7 +143,7 @@ fn engine_run(nodes: &[NodeGen], seed: u64, stabilize: u64, drop_p: f64, rounds:
         seed,
         record_trace: true,
     });
-    engine.set_adversary(Box::new(RandomLoss::new(drop_p, 0.1)));
+    engine.set_adversary(Box::new(AdversaryKind::Random(drop_p, 0.1)));
     let mut ids = Vec::new();
     for node in nodes {
         let &(_, _, chatty, spawn, crash) = node;
@@ -176,7 +175,7 @@ fn engine_run(nodes: &[NodeGen], seed: u64, stabilize: u64, drop_p: f64, rounds:
 fn spec_run(nodes: &[NodeGen], seed: u64, stabilize: u64, drop_p: f64, rounds: u64) -> Observed {
     let cfg = RadioConfig::stabilizing(10.0, 20.0, stabilize);
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut adversary = RandomLoss::new(drop_p, 0.1);
+    let mut adversary = AdversaryKind::Random(drop_p, 0.1);
     let mut state: Vec<(Box<dyn MobilityModel>, Recorder)> = nodes
         .iter()
         .map(|node| (mobility_of(node), Recorder::new(node.2)))
@@ -262,7 +261,7 @@ proptest! {
             payload: tx.then_some(i as u64),
         }).collect();
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut adv = RandomLoss::new(drop_p, 0.0);
+        let mut adv = AdversaryKind::Random(drop_p, 0.0);
         let out = resolve_round(0, &cfg, &intents, &mut adv, &mut rng);
         for (j, rx) in out.iter().enumerate() {
             let received: Vec<usize> = rx.messages.iter().map(|&(src, _)| src.index()).collect();
@@ -292,7 +291,7 @@ proptest! {
             payload: tx.then_some(i as u64),
         }).collect();
         let mut rng = StdRng::seed_from_u64(seed);
-        let out = resolve_round(0, &cfg, &intents, &mut NoAdversary, &mut rng);
+        let out = resolve_round(0, &cfg, &intents, &mut AdversaryKind::None, &mut rng);
         for (j, rx) in out.iter().enumerate() {
             for &(src, _) in &rx.messages {
                 let i = src.index();
@@ -579,8 +578,8 @@ proptest! {
         let mut soa = ReceptionBuffer::new();
         let mut rng_fast = StdRng::seed_from_u64(seed);
         let mut rng_ref = StdRng::seed_from_u64(seed);
-        let mut adv_fast = RandomLoss::new(drop_p, spurious_p);
-        let mut adv_ref = RandomLoss::new(drop_p, spurious_p);
+        let mut adv_fast = AdversaryKind::Random(drop_p, spurious_p);
+        let mut adv_ref = adv_fast.clone();
 
         let mut positions: Vec<Point> = nodes.iter().map(|&(p, _)| p).collect();
         let mut intents: Vec<TxIntent<u64>> = Vec::new();

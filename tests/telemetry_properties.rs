@@ -20,12 +20,11 @@
 
 use proptest::prelude::*;
 use std::sync::{Arc, Mutex};
-use virtual_infra::radio::adversary::RandomLoss;
 use virtual_infra::radio::geometry::{Point, Rect};
 use virtual_infra::radio::mobility::{Billiard, MobilityModel, Static, Waypoint};
 use virtual_infra::radio::{
-    ChannelStats, Engine, EngineConfig, NodeId, NodeSpec, Process, RadioConfig, RoundCtx,
-    RoundReception,
+    AdversaryKind, ChannelStats, Engine, EngineConfig, NodeId, NodeSpec, Process, RadioConfig,
+    RoundCtx, RoundReception,
 };
 use virtual_infra::scenario::{catalog, EngineTuning, SweepRunner, WorkloadSpec};
 use virtual_infra::telemetry::monitor::{self, MonitorSink};
@@ -91,7 +90,7 @@ fn run_engine(
         seed,
         record_trace: true,
     });
-    engine.set_adversary(Box::new(RandomLoss::new(drop_p, 0.1)));
+    engine.set_adversary(Box::new(AdversaryKind::Random(drop_p, 0.1)));
     engine.set_observers(obs.clone());
     let mut ids: Vec<NodeId> = Vec::new();
     for &(start, mobility, chatty, spawn, crash) in specs {

@@ -16,12 +16,12 @@ mod counting_alloc;
 use counting_alloc::allocations;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use virtual_infra::radio::adversary::NoAdversary;
 use virtual_infra::radio::channel::{Medium, ReceptionBuffer, TopologyDelta, TxIntent};
 use virtual_infra::radio::geometry::Point;
 use virtual_infra::radio::mobility::Static;
 use virtual_infra::radio::{
-    Engine, EngineConfig, NodeId, NodeSpec, Process, RadioConfig, RoundCtx, RoundReception,
+    AdversaryKind, Engine, EngineConfig, NodeId, NodeSpec, Process, RadioConfig, RoundCtx,
+    RoundReception,
 };
 use virtual_infra::telemetry::Observers;
 
@@ -142,7 +142,7 @@ fn steady_state_rounds_allocate_nothing() {
                 round,
                 &intents,
                 delta(round),
-                &mut NoAdversary,
+                &mut AdversaryKind::None,
                 &mut rng,
                 &mut out,
             );
