@@ -157,16 +157,27 @@ guards=(
   "$code .github" '-'
   'a retired vi-bench timing name is back; artifacts are BENCH_<id>.json, compared with cmp'
 
-  # One sink registry: the Perfetto export is `TraceSink`, a
-  # `MonitorSink` that the monitor's one env reader installs for
+  # One trace collector: the Perfetto export is `TraceSink`, a
+  # `MonitorSink` that the monitor's one env reader opens for
   # `VI_TRACE`. (`CausalSummary::dropped_spans`, a field, survives.)
   'record_span|record_flow|enable_tracing|tracing_enabled|flush_env|env_trace_path|take_events|export_flows|dropped_spans'
   "$code" '\.dropped_spans|dropped_spans: '
-  'the second trace collector is back; Perfetto export is TraceSink on the monitor registry'
+  'the second trace collector is back; Perfetto export is TraceSink, one more monitor sink'
 
+  # Monitor sinks are values: a sweep carries its own `SinkSet`
+  # (`SweepRunner::with_sinks`), which starts as the environment's.
+  # The process-global sink registry, its functions, and the renamed
+  # jobs and test lock that kept tests apart on it are gone.
+  'install_sink|uninstall_sink|have_sinks|installed_sinks|force_enable|effective_every|emit_global|flush_global|REGISTRY|e21a_|e21s_|e19_trace'
+  "$code" '-'
+  'a deleted duplicate is back; a sweep carries its sinks (SweepRunner::with_sinks)'
+
+  # The one `static` in library code is the environment, read once
+  # (`monitor::env`): opening its sinks and binding its port happen
+  # once per process, and the value never changes afterwards.
   ':[0-9]+:\s*(pub(\([a-z]+\))? )?static '
-  'above-tests:crates/telemetry/src/trace_export.rs' '-'
-  'trace export holds no process-global state'
+  'above-tests:src crates/*/src' '^crates/telemetry/src/monitor\.rs:[0-9]+: +static ENV: OnceLock<Env> = OnceLock::new\(\);$'
+  'library code holds process-global state again; only the read-once environment (monitor::env) may'
 
   # One branch-free `Heard` fold (`HeardFold`) serves the churn scan,
   # the cached lists and scatter; the min-based fold survives only as

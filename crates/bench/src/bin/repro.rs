@@ -17,9 +17,9 @@
 //! `(scenario, seed, tuning)`, and exits 0 iff the replay reproduces
 //! the recorded audit verdict and re-dumps the identical bundle.
 //!
-//! `--monitor` turns live monitoring on for the selected experiments
-//! (equivalent to the `VI_MONITOR_*` environment, with a JSONL sink at
-//! `monitor.jsonl` as the default when no sink is configured).
+//! `--monitor` turns live monitoring on for the selected experiments:
+//! it sets `VI_MONITOR_LOG=monitor.jsonl` when neither `VI_MONITOR_LOG`
+//! nor `VI_MONITOR_ADDR` is set.
 //! `monitor <addr>` is the matching client: it polls an exporter's
 //! `/metrics` and prints a one-line-per-run progress view.
 //!
@@ -284,26 +284,18 @@ fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let experiments = all_experiments();
 
-    // `--monitor` composes with experiment selection: strip the flag,
-    // force monitoring on, and default to a JSONL sink when the
-    // environment configured none.
+    // `--monitor` composes with experiment selection: strip the flag
+    // and, when the environment configured no snapshot sink, ask it for
+    // a JSONL log — before anything reads the environment. (A
+    // `VI_TRACE` sink alone requests no snapshots.)
     if let Some(pos) = args.iter().position(|a| a == "--monitor") {
         args.remove(pos);
-        // Reads the environment (installing its sinks) before forcing:
-        // a non-zero period means a snapshot sink was configured there,
-        // which an installed `VI_TRACE` sink alone is not.
-        let configured = monitor::effective_every(0) > 0;
-        monitor::force_enable();
-        if configured {
+        let set = |key: &str| std::env::var_os(key).is_some_and(|v| !v.is_empty());
+        if set("VI_MONITOR_LOG") || set("VI_MONITOR_ADDR") {
             eprintln!("monitoring on (environment-configured sinks)");
         } else {
-            match monitor::JsonlSink::create("monitor.jsonl") {
-                Ok(sink) => {
-                    monitor::install_sink(std::sync::Arc::new(sink));
-                    eprintln!("monitoring on: streaming snapshots to monitor.jsonl");
-                }
-                Err(e) => eprintln!("warning: cannot open monitor.jsonl: {e}"),
-            }
+            std::env::set_var("VI_MONITOR_LOG", "monitor.jsonl");
+            eprintln!("monitoring on: streaming snapshots to monitor.jsonl");
         }
     }
 

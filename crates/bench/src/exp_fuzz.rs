@@ -28,6 +28,7 @@
 //!
 //! The artifact is `BENCH_fuzz_hunt.json`.
 
+use crate::harness::write_incident_file;
 use crate::table::Table;
 use std::collections::BTreeMap;
 use vi_fuzz::{run_campaign, FailureClass, Finding, FuzzConfig, FuzzReport};
@@ -184,23 +185,11 @@ pub fn fuzz_hunt() -> Table {
         ]);
     }
 
-    if let Ok(dir) = std::env::var("VI_INCIDENT_DIR") {
-        let dir = std::path::Path::new(&dir);
-        let spec_path = dir.join("fuzz_min_majority.spec.json");
-        match serde_json::to_string(&planted.spec) {
-            Ok(json) => match std::fs::write(&spec_path, json) {
-                Ok(()) => eprintln!("wrote {}", spec_path.display()),
-                Err(e) => eprintln!("warning: could not write {}: {e}", spec_path.display()),
-            },
-            Err(e) => eprintln!("warning: could not serialize minimized spec: {e}"),
-        }
-        if let Some(bundle) = &planted.bundle {
-            let bundle_path = dir.join("fuzz_min_majority.bundle.json");
-            match bundle.save(&bundle_path) {
-                Ok(()) => eprintln!("wrote {}", bundle_path.display()),
-                Err(e) => eprintln!("warning: could not write {}: {e}", bundle_path.display()),
-            }
-        }
+    write_incident_file("fuzz_min_majority.spec.json", || {
+        serde_json::to_string(&planted.spec).expect("a spec serializes")
+    });
+    if let Some(bundle) = &planted.bundle {
+        write_incident_file("fuzz_min_majority.bundle.json", || bundle.to_json());
     }
 
     t.note("1-worker vs 4-worker campaigns asserted identical: counts, coverage map, findings, bundles");

@@ -2,9 +2,10 @@
 //! periodic telemetry snapshots, streaming sinks, the Prometheus
 //! `/metrics` exporter, and sweep progress events.
 //!
-//! The experiment drives monitored sweeps of catalog scenarios through
-//! a [`RingSink`] and a live [`PrometheusExporter`] and asserts the
-//! acceptance criteria inline before reporting anything:
+//! The experiment drives two monitored sweeps of catalog scenarios,
+//! each carrying its own [`RingSink`] (the auto-worker one a live
+//! [`PrometheusExporter`] too), and asserts the acceptance criteria
+//! inline before reporting anything:
 //!
 //! * the deterministic projection of every snapshot (counter deltas,
 //!   totals, rounds, traffic progress — everything except wall-clock
@@ -32,7 +33,7 @@ use std::time::Duration;
 use vi_scenario::{catalog, EngineTuning, ScenarioOutcome, ScenarioSpec, SweepRunner};
 use vi_telemetry::monitor::{self, scrape_metrics};
 use vi_telemetry::{
-    Counters, JobState, MonitorEvent, PrometheusExporter, RingSink, TrafficProgress,
+    Counters, JobState, MonitorEvent, PrometheusExporter, RingSink, SinkSet, TrafficProgress,
 };
 
 /// Seeds of the monitored matrix.
@@ -47,17 +48,10 @@ const SCENARIOS: [&str; 3] = ["clique", "commuter_wave", "quake_drill"];
 /// several times.
 const EVERY: u64 = 16;
 
-/// The catalog picks with `prefix`ed names, so concurrently running
-/// tests (which share the process-global sink registry) can never
-/// collide with this experiment's events.
-fn specs(prefix: &str) -> Vec<ScenarioSpec> {
+fn specs() -> Vec<ScenarioSpec> {
     SCENARIOS
         .iter()
-        .map(|name| {
-            let mut spec = catalog::scenario(name).expect("catalog name");
-            spec.name = format!("{prefix}{name}");
-            spec
-        })
+        .map(|name| catalog::scenario(name).expect("catalog name"))
         .collect()
 }
 
@@ -76,15 +70,14 @@ struct DetSnap {
     traffic: Option<TrafficProgress>,
 }
 
-/// Extracts the deterministic snapshot projections for runs whose
-/// scenario name starts with `prefix` (stripped), sorted by
+/// Extracts the deterministic snapshot projections, sorted by
 /// `(scenario, seed, seq)` so worker interleaving cannot matter.
-fn det_snaps(events: &[MonitorEvent], prefix: &str) -> Vec<DetSnap> {
+fn det_snaps(events: &[MonitorEvent]) -> Vec<DetSnap> {
     let mut snaps: Vec<DetSnap> = events
         .iter()
         .filter_map(|e| match e {
-            MonitorEvent::Snapshot(s) if s.scenario.starts_with(prefix) => Some(DetSnap {
-                scenario: s.scenario[prefix.len()..].to_string(),
+            MonitorEvent::Snapshot(s) => Some(DetSnap {
+                scenario: s.scenario.clone(),
                 seed: s.seed,
                 seq: s.seq,
                 round: s.round,
@@ -136,18 +129,12 @@ fn assert_prometheus_well_formed(body: &str) {
 /// Finished per job, Started and Finished naming the same worker, with
 /// every Finished digest equal to the FNV-1a digest of the job's
 /// actual outcome JSON.
-fn assert_job_events(events: &[MonitorEvent], prefix: &str, outcomes: &[ScenarioOutcome]) {
+fn assert_job_events(events: &[MonitorEvent], outcomes: &[ScenarioOutcome]) {
     for (job, out) in outcomes.iter().enumerate() {
         let mine: Vec<&JobState> = events
             .iter()
             .filter_map(|e| match e {
-                MonitorEvent::Job(j)
-                    if j.scenario.starts_with(prefix)
-                        && j.job == job as u64
-                        && j.seed == out.seed =>
-                {
-                    Some(&j.state)
-                }
+                MonitorEvent::Job(j) if j.job == job as u64 && j.seed == out.seed => Some(&j.state),
                 _ => None,
             })
             .collect();
@@ -177,12 +164,8 @@ fn assert_job_events(events: &[MonitorEvent], prefix: &str, outcomes: &[Scenario
 /// across worker counts, outcome identity under monitoring, delta
 /// reconciliation, `/metrics` well-formedness, or job-event digests.
 pub fn live_monitor() -> Table {
-    let ring: Arc<RingSink> = Arc::new(RingSink::with_capacity(1 << 16));
-    let ring_sink: Arc<dyn monitor::MonitorSink> = ring.clone();
+    let specs = specs();
     let exporter = PrometheusExporter::bind("127.0.0.1:0").expect("bind ephemeral /metrics port");
-    let exporter_sink: Arc<dyn monitor::MonitorSink> = exporter.clone();
-    monitor::install_sink(ring_sink.clone());
-    monitor::install_sink(exporter_sink.clone());
     let addr = exporter.addr().to_string();
     let tuning = EngineTuning::DEFAULT.with_monitor(EVERY);
 
@@ -190,14 +173,14 @@ pub fn live_monitor() -> Table {
     // runs. The sweep runs on a helper thread; this thread polls until
     // a scrape shows one of the sweep's scenarios (or the sweep ends —
     // the exporter keeps serving, so the final scrape still validates).
-    let sweep_specs = specs("e21a_");
-    let sweep = std::thread::spawn(move || {
-        SweepRunner::auto().run_matrix_with(&sweep_specs, &SEEDS, tuning)
-    });
+    let auto_ring = Arc::new(RingSink::with_capacity(1 << 16));
+    let auto = SweepRunner::auto().with_sinks(SinkSet::new(vec![auto_ring.clone(), exporter]));
+    let sweep_specs = specs.clone();
+    let sweep = std::thread::spawn(move || auto.run_matrix_with(&sweep_specs, &SEEDS, tuning));
     let mut live_body = String::new();
     for _ in 0..400 {
         if let Ok(body) = scrape_metrics(&addr) {
-            if body.contains("vi_round{scenario=\"e21a_") {
+            if body.contains("vi_round{scenario=") {
                 live_body = body;
                 break;
             }
@@ -217,32 +200,34 @@ pub fn live_monitor() -> Table {
         "missing counter family in /metrics"
     );
     assert!(
-        live_body.contains("vi_rounds_total{scenario=\"e21a_"),
+        live_body.contains("vi_rounds_total{scenario="),
         "missing per-scenario counter samples in /metrics"
     );
 
     // Acceptance (a): the same matrix on 1 worker — the deterministic
     // snapshot projections must be byte-identical to the auto sweep's.
-    let seq_specs = specs("e21s_");
-    let seq_outcomes = SweepRunner::new(1).run_matrix_with(&seq_specs, &SEEDS, tuning);
-    let events = ring.events();
-    let auto_snaps = det_snaps(&events, "e21a_");
-    let seq_snaps = det_snaps(&events, "e21s_");
+    let seq_ring = Arc::new(RingSink::with_capacity(1 << 16));
+    let seq_outcomes = SweepRunner::new(1)
+        .with_sinks(SinkSet::new(vec![seq_ring.clone()]))
+        .run_matrix_with(&specs, &SEEDS, tuning);
+    let (auto_events, seq_events) = (auto_ring.events(), seq_ring.events());
+    let auto_snaps = det_snaps(&auto_events);
+    let seq_snaps = det_snaps(&seq_events);
     assert!(!auto_snaps.is_empty(), "no snapshots sampled");
     assert_eq!(
         serde_json::to_string(&auto_snaps).unwrap(),
         serde_json::to_string(&seq_snaps).unwrap(),
         "snapshot stream depends on the worker count"
     );
-    assert_job_events(&events, "e21a_", &auto_outcomes);
-    assert_job_events(&events, "e21s_", &seq_outcomes);
+    assert_job_events(&auto_events, &auto_outcomes);
+    assert_job_events(&seq_events, &seq_outcomes);
 
     // Reconciliation: per job, deltas merged in seq order equal the
     // final totals.
     for out in &seq_outcomes {
         let mine: Vec<&DetSnap> = seq_snaps
             .iter()
-            .filter(|s| format!("e21s_{}", s.scenario) == out.scenario && s.seed == out.seed)
+            .filter(|s| s.scenario == out.scenario && s.seed == out.seed)
             .collect();
         assert!(
             !mine.is_empty(),
@@ -263,9 +248,6 @@ pub fn live_monitor() -> Table {
         );
     }
 
-    monitor::uninstall_sink(&ring_sink);
-    monitor::uninstall_sink(&exporter_sink);
-
     // Acceptance (b): per job, an unmonitored run must serialize
     // byte-for-byte like the monitored one.
     let mut t = Table::new(
@@ -273,7 +255,7 @@ pub fn live_monitor() -> Table {
         &["scenario", "seed", "rounds", "snapshots"],
     );
     for (job, out) in seq_outcomes.iter().enumerate() {
-        let spec = &seq_specs[job / SEEDS.len()];
+        let spec = &specs[job / SEEDS.len()];
         let plain = spec.run_with(out.seed, EngineTuning::DEFAULT);
         assert_eq!(
             serde_json::to_string(&plain).unwrap(),
@@ -284,10 +266,10 @@ pub fn live_monitor() -> Table {
         );
         let snaps = seq_snaps
             .iter()
-            .filter(|s| format!("e21s_{}", s.scenario) == out.scenario && s.seed == out.seed)
+            .filter(|s| s.scenario == out.scenario && s.seed == out.seed)
             .count();
         t.row(&[
-            out.scenario["e21s_".len()..].to_string(),
+            out.scenario.clone(),
             out.seed.to_string(),
             out.rounds.to_string(),
             snaps.to_string(),
@@ -305,7 +287,7 @@ pub fn live_monitor() -> Table {
 mod tests {
     use super::*;
     use crate::harness::guards::assert_on_overhead_is_bounded;
-    use vi_telemetry::{Monitor, Observers, SinkSet};
+    use vi_telemetry::{Monitor, Observers};
 
     /// Fast end-to-end: the full experiment runs, asserts its
     /// acceptance criteria inline, and reports one row per job.
@@ -320,10 +302,9 @@ mod tests {
                 "row {row}: a monitored run samples at least twice"
             );
         }
-        crate::tests::assert_pinned("live_monitor", &t);
     }
 
-    /// An explicit monitor over a local sink set (no global registry):
+    /// An explicit monitor over a local sink set, outside any sweep:
     /// a run's rounds sample on the monitor's period and the deltas
     /// reconcile — the embedder-facing API works without env vars.
     #[test]
@@ -363,13 +344,10 @@ mod tests {
     #[test]
     #[ignore = "wall-clock benchmark; CI runs it explicitly in release (E-series step)"]
     fn monitor_on_overhead_is_bounded() {
-        let ring: Arc<dyn monitor::MonitorSink> = Arc::new(RingSink::with_capacity(1 << 14));
-        monitor::install_sink(ring.clone());
         assert_on_overhead_is_bounded(
             "monitor",
             EngineTuning::DEFAULT,
             EngineTuning::DEFAULT.with_monitor(64),
         );
-        monitor::uninstall_sink(&ring);
     }
 }

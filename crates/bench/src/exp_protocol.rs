@@ -26,12 +26,12 @@
 //!    propose→decide chains.
 //!
 //! The artifact is `BENCH_protocol_trace.json`. The clique run's
-//! causal DAG is also emitted to the monitor sinks as one
+//! causal DAG is also emitted to the environment's monitor sinks as one
 //! `MonitorEvent::Causal`; under `VI_TRACE` the trace sink exports it
 //! as Perfetto flow events.
 
 use crate::exp_traffic::traffic_jobs;
-use crate::harness::paired_sweep;
+use crate::harness::{paired_sweep, write_incident_file};
 use crate::table::Table;
 use vi_scenario::{catalog, EngineTuning, IncidentBundle, ScenarioOutcome, ScenarioSpec};
 use vi_telemetry::monitor::{self, MonitorEvent};
@@ -127,12 +127,13 @@ pub fn protocol_trace() -> Table {
     for (spec, out) in specs.iter().zip(&outcomes) {
         assert_zero_perturbation(spec, out);
     }
-    // The clique's causal DAG goes to every installed sink; under
+    // The clique's causal DAG goes to the environment's sinks; under
     // VI_TRACE the trace sink draws it as Perfetto flow arrows on the
     // protocol lane.
     if let Some(summary) = &outcomes[0].causal {
-        monitor::emit_global(&MonitorEvent::Causal(Box::new(summary.clone())));
-        monitor::flush_global();
+        let sinks = &monitor::env().sinks;
+        sinks.emit(&MonitorEvent::Causal(Box::new(summary.clone())));
+        sinks.flush();
     }
 
     let mut t = Table::new(
@@ -184,13 +185,7 @@ pub fn protocol_trace() -> Table {
             .to_string(),
         bundle.flight.len().to_string(),
     ]);
-    if let Ok(dir) = std::env::var("VI_INCIDENT_DIR") {
-        let path = std::path::Path::new(&dir).join("incident_broken_majority.json");
-        match bundle.save(&path) {
-            Ok(()) => eprintln!("wrote {}", path.display()),
-            Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
-        }
-    }
+    write_incident_file("incident_broken_majority.json", || bundle.to_json());
 
     t.note("latencies in rounds: invoke→complete per traffic app, propose→decide for cha");
     t.note("1-worker vs 4-worker traced sweeps asserted byte-identical (causal DAGs included)");

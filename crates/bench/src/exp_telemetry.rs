@@ -13,10 +13,11 @@
 //! worker and on `auto()` workers yields identical counter sets
 //! (wall-clock phase stats are excluded from summary equality).
 //!
-//! The Perfetto side (`VI_TRACE`, a `TraceSink` on the monitor
-//! registry) is exercised by this module's tests: a sweep's job events
-//! become `sweep-worker` and per-job spans that must round-trip
-//! through the Chrome trace-event JSON format.
+//! The Perfetto side (`VI_TRACE`, a `TraceSink` among the
+//! environment's monitor sinks) is exercised by this module's tests: a
+//! sweep carrying a `TraceSink` turns its job events into
+//! `sweep-worker` and per-job spans that must round-trip through the
+//! Chrome trace-event JSON format.
 
 use crate::table::Table;
 use vi_scenario::{catalog, EngineTuning, ScenarioSpec, SweepRunner};
@@ -114,9 +115,9 @@ mod tests {
     use super::*;
     use crate::harness::guards::assert_on_overhead_is_bounded;
     use std::sync::Arc;
-    use vi_telemetry::monitor::{self, MonitorSink};
+    use vi_telemetry::monitor::MonitorSink;
     use vi_telemetry::trace_export::{TraceEvent, TraceFile, PID_SWEEP};
-    use vi_telemetry::TraceSink;
+    use vi_telemetry::{SinkSet, TraceSink};
 
     /// The counter algebra of a pure-CHA run: the round-mode counters
     /// partition `rounds_total`, and the delivery counters mirror the
@@ -141,24 +142,20 @@ mod tests {
         assert_eq!(stripped, plain, "telemetry must not perturb the run");
     }
 
-    /// A sweep into an installed [`TraceSink`] writes spans that
-    /// round-trip through the Chrome trace-event format: one
-    /// `scenario#seed` span per job, and a `sweep-worker` span on every
-    /// lane that ran one (which lanes do is the scheduler's business).
-    /// Concurrent tests' sweeps may land in the same sink, so only this
-    /// sweep's names are required.
+    /// A sweep carrying a [`TraceSink`] writes spans that round-trip
+    /// through the Chrome trace-event format: one `scenario#seed` span
+    /// per job, and a `sweep-worker` span on every lane that ran one
+    /// (which lanes do is the scheduler's business).
     #[test]
     fn sweep_trace_validates_as_chrome_trace_json() {
         let dir = std::env::temp_dir().join("vi_bench_trace_test");
         std::fs::create_dir_all(&dir).expect("temp dir");
         let path = dir.join("trace.json");
         let sink = Arc::new(TraceSink::create(path.to_str().expect("utf-8")).expect("create"));
-        let installed: Arc<dyn MonitorSink> = sink.clone();
-        monitor::install_sink(installed.clone());
-        let mut spec = catalog::scenario("clique").expect("catalog name");
-        spec.name = "e19_trace".to_string();
-        let _ = SweepRunner::new(2).run_matrix(&[spec], &[1, 2, 3, 4]);
-        monitor::uninstall_sink(&installed);
+        let spec = catalog::scenario("clique").expect("catalog name");
+        let _ = SweepRunner::new(2)
+            .with_sinks(SinkSet::new(vec![sink.clone()]))
+            .run_matrix(&[spec], &[1, 2, 3, 4]);
         sink.flush();
 
         let raw = std::fs::read_to_string(&path).expect("read trace");
@@ -176,14 +173,11 @@ mod tests {
         );
         let jobs: Vec<&&TraceEvent> = sweep
             .iter()
-            .filter(|ev| ev.name.starts_with("e19_trace#"))
+            .filter(|ev| ev.name.starts_with("clique#"))
             .collect();
         let mut names: Vec<&str> = jobs.iter().map(|ev| ev.name.as_str()).collect();
         names.sort_unstable();
-        assert_eq!(
-            names,
-            ["e19_trace#1", "e19_trace#2", "e19_trace#3", "e19_trace#4"]
-        );
+        assert_eq!(names, ["clique#1", "clique#2", "clique#3", "clique#4"]);
         for job in jobs {
             assert!(job.tid < 2, "tid is the worker index: {job:?}");
             assert!(

@@ -7,6 +7,20 @@ use vi_scenario::{
     ChaEngine, CmSpec, EngineTuning, NemesisSpec, PlacementSpec, PopulationSpec, ScenarioOutcome,
     ScenarioSpec, SweepRunner, WorkloadSpec,
 };
+use vi_telemetry::monitor;
+
+/// Writes `json()` to `name` under `VI_INCIDENT_DIR`, when that is
+/// set, and says on stderr where it went (or why it did not).
+pub(crate) fn write_incident_file(name: &str, json: impl FnOnce() -> String) {
+    let Some(dir) = &monitor::env().incident_dir else {
+        return;
+    };
+    let path = dir.join(name);
+    match std::fs::write(&path, json()) {
+        Ok(()) => eprintln!("wrote {}", path.display()),
+        Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
+    }
+}
 
 /// The Section 3 single-region clique every CHA experiment runs: `n`
 /// static nodes 0.1 m apart on a line that wraps at 2 m (so every pair
@@ -99,13 +113,15 @@ pub fn paired_sweep(
 /// table.
 #[cfg(test)]
 pub(crate) mod guards {
+    use std::sync::Arc;
     use std::time::Instant;
     use vi_radio::geometry::Rect;
     use vi_radio::{AdversaryKind, RadioConfig};
     use vi_scenario::{
         CmSpec, EngineTuning, MobilitySpec, NemesisSpec, PlacementSpec, PopulationSpec,
-        ScenarioSpec, WorkloadSpec,
+        ScenarioSpec, SweepRunner, WorkloadSpec,
     };
+    use vi_telemetry::{RingSink, SinkSet};
 
     /// A constant-density metropolis (15 m spacing: each `R2` disk
     /// holds a handful of nodes regardless of `n`): `n` nodes uniform
@@ -145,16 +161,22 @@ pub(crate) mod guards {
     /// Asserts that an instrument costs at most 1.3× on a
     /// metropolis-scale run (n = 5 000, 2 % mobile): ms/round under
     /// `on` against ms/round under `off`, as interleaved min-of-pairs
-    /// (scheduler noise only inflates), three attempts.
+    /// (scheduler noise only inflates), three attempts. Both run as a
+    /// one-job sweep carrying a ring sink, so a monitor period has
+    /// somewhere to sample into.
     ///
     /// # Panics
     ///
     /// Panics if the ratio is above 1.3 on every attempt.
     pub(crate) fn assert_on_overhead_is_bounded(what: &str, off: EngineTuning, on: EngineTuning) {
         let spec = metropolis_spec(&format!("{what}_overhead_5000"), 5000, 0.02, 10);
+        let ring = Arc::new(RingSink::with_capacity(1 << 14));
+        let runner = SweepRunner::new(1).with_sinks(SinkSet::new(vec![ring]));
         let run_ms = |tuning: EngineTuning| -> f64 {
             let t0 = Instant::now();
-            let out = spec.run_with(1, tuning);
+            let out = runner
+                .run_matrix_with(std::slice::from_ref(&spec), &[1], tuning)
+                .remove(0);
             t0.elapsed().as_secs_f64() * 1000.0 / out.rounds.max(1) as f64
         };
         let mut failure = String::new();

@@ -132,10 +132,8 @@ mod tests {
     /// already computes the table compares it (`assert_pinned`):
     /// `msgsize` takes ≈ 45 s in a debug build (its full-history
     /// baseline is quadratic by design), so
-    /// `msgsize_chap_is_constant_baseline_grows` pays that once, and
-    /// `live_monitor` drives the process-global sink registry, which
-    /// `live_monitor_reports_every_job` must have to itself.
-    const NOT_REGENERATED: [&str; 2] = ["msgsize", "live_monitor"];
+    /// `msgsize_chap_is_constant_baseline_grows` pays that once.
+    const NOT_REGENERATED: [&str; 1] = ["msgsize"];
 
     fn expected_dir() -> PathBuf {
         Path::new(env!("CARGO_MANIFEST_DIR")).join("expected")

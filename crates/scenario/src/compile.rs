@@ -27,7 +27,7 @@ use vi_radio::trace::ChannelStats;
 use vi_radio::{
     Adversary, Engine, EngineConfig, NodeId, NodeSpec, Process, ScriptedAdversary, WireSized,
 };
-use vi_telemetry::{monitor, CausalSummary, Monitor, Observers, Phase, TelemetrySummary};
+use vi_telemetry::{monitor, CausalSummary, Monitor, Observers, Phase, SinkSet, TelemetrySummary};
 use vi_traffic::{AppKind, DevicePlan, TrafficSpec, TrafficSummary, TrafficWorld};
 
 /// Salt separating the placement RNG stream from the engine's seed
@@ -66,11 +66,11 @@ pub struct EngineTuning {
     /// panic. `0` (the default) disables the recorder.
     pub flight_rounds: usize,
     /// Live-monitoring sample period in rounds: emit a
-    /// `TelemetrySnapshot` to every installed monitor sink each
+    /// `TelemetrySnapshot` to the run's monitor sinks each
     /// `monitor_every` rounds. `0` (the default) defers to the
     /// environment (`VI_MONITOR_LOG` / `VI_MONITOR_ADDR` /
-    /// `VI_MONITOR_EVERY`); a run only samples when at least one sink
-    /// is installed. Monitoring rides the wall-clock side: a monitored
+    /// `VI_MONITOR_EVERY`); a run only samples when it has at least
+    /// one sink. Monitoring rides the wall-clock side: a monitored
     /// run's [`ScenarioOutcome`] is byte-identical to an unmonitored
     /// run's.
     pub monitor_every: u64,
@@ -114,7 +114,7 @@ impl EngineTuning {
     }
 
     /// This tuning with live monitoring sampling every `every` rounds
-    /// (snapshots still require at least one installed sink).
+    /// (snapshots still require at least one sink).
     pub fn with_monitor(mut self, every: u64) -> Self {
         self.monitor_every = every;
         self
@@ -122,12 +122,11 @@ impl EngineTuning {
 
     /// The observer handle of one run of `spec`, built once: null
     /// unless something observes; the monitor rides along when a
-    /// sampling period is in effect and at least one sink is
-    /// installed, the causal and flight recorders when asked for. A
-    /// traffic workload's engine feeds only the recorders.
-    fn observers(&self, spec: &ScenarioSpec, seed: u64) -> Observers {
-        let every = monitor::effective_every(self.monitor_every);
-        let sinks = monitor::installed_sinks();
+    /// sampling period is in effect and `sinks` is not empty, the
+    /// causal and flight recorders when asked for. A traffic
+    /// workload's engine feeds only the recorders.
+    fn observers(&self, spec: &ScenarioSpec, seed: u64, sinks: &SinkSet) -> Observers {
+        let every = monitor::env().every(self.monitor_every);
         let monitored = every > 0 && !sinks.is_empty();
         if !(self.telemetry || self.tracing || self.flight_rounds > 0 || monitored) {
             return Observers::default();
@@ -138,7 +137,7 @@ impl EngineTuning {
             obs = obs.with_causal(seed);
         }
         if monitored {
-            obs = obs.with_monitor(Monitor::new(&spec.name, seed, every, sinks));
+            obs = obs.with_monitor(Monitor::new(&spec.name, seed, every, sinks.clone()));
         }
         obs
     }
@@ -237,8 +236,21 @@ impl ScenarioSpec {
     /// [`IncidentBundle`] to the outcome; a run that *panics* writes
     /// the bundle to `$VI_INCIDENT_DIR/incident_<scenario>_<seed>.json`
     /// (when that variable is set) before resuming the unwind.
+    ///
+    /// A monitored run samples into the environment's sinks; one run
+    /// by a [`crate::SweepRunner`] samples into the runner's.
     pub fn run_with(&self, seed: u64, tuning: EngineTuning) -> ScenarioOutcome {
-        let obs = tuning.observers(self, seed);
+        self.run_in(seed, tuning, &monitor::env().sinks)
+    }
+
+    /// [`ScenarioSpec::run_with`], sampling into `sinks`.
+    pub(crate) fn run_in(
+        &self,
+        seed: u64,
+        tuning: EngineTuning,
+        sinks: &SinkSet,
+    ) -> ScenarioOutcome {
+        let obs = tuning.observers(self, seed, sinks);
         let mut out = if tuning.flight_rounds > 0 {
             let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 self.dispatch(seed, &obs)
@@ -260,9 +272,8 @@ impl ScenarioSpec {
                         obs.causal_summary(),
                         None,
                     );
-                    if let Ok(dir) = std::env::var("VI_INCIDENT_DIR") {
-                        let path = std::path::Path::new(&dir)
-                            .join(format!("incident_{}_{}.json", self.name, seed));
+                    if let Some(dir) = &monitor::env().incident_dir {
+                        let path = dir.join(format!("incident_{}_{}.json", self.name, seed));
                         let _ = bundle.save(&path);
                     }
                     std::panic::resume_unwind(payload);

@@ -18,7 +18,7 @@ use crate::spec::ScenarioSpec;
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-use vi_telemetry::monitor::{self, JobEvent, JobState, MonitorEvent};
+use vi_telemetry::monitor::{self, JobEvent, JobState, MonitorEvent, SinkSet};
 
 /// Parses a `VI_WORKERS`-style override: a positive integer (after
 /// trimming) yields `Some(n)`. The second component flags a value
@@ -41,21 +41,27 @@ fn job_threads(workers: usize, jobs: usize) -> usize {
     workers.min(jobs.max(1))
 }
 
-/// Fans `scenario × seed` jobs across a fixed-size worker pool.
-#[derive(Clone, Copy, Debug)]
+/// Fans `scenario × seed` jobs across a fixed-size worker pool, and
+/// reports them to its own monitor sinks.
+#[derive(Clone)]
 pub struct SweepRunner {
     workers: usize,
+    sinks: SinkSet,
 }
 
 impl SweepRunner {
-    /// A runner with exactly `workers` worker threads.
+    /// A runner with exactly `workers` worker threads, reporting to
+    /// the environment's monitor sinks.
     ///
     /// # Panics
     ///
     /// Panics if `workers` is 0.
     pub fn new(workers: usize) -> Self {
         assert!(workers > 0, "sweep runner needs at least one worker");
-        SweepRunner { workers }
+        SweepRunner {
+            workers,
+            sinks: monitor::env().sinks.clone(),
+        }
     }
 
     /// A runner sized to the machine (`available_parallelism`, falling
@@ -85,6 +91,14 @@ impl SweepRunner {
     /// The configured worker count.
     pub fn workers(&self) -> usize {
         self.workers
+    }
+
+    /// This runner with `sinks` added to the environment's: they see
+    /// this runner's sweeps — job events, and the snapshots of jobs
+    /// run with a sampling period — and no other runner's.
+    pub fn with_sinks(mut self, sinks: SinkSet) -> Self {
+        self.sinks = self.sinks.and(&sinks);
+        self
     }
 
     /// Runs every scenario with every seed (the full cross product,
@@ -164,16 +178,17 @@ impl SweepRunner {
             jobs.iter().map(|_| Mutex::new(None)).collect();
         let job_threads = job_threads(self.workers, jobs.len());
         // Sweep progress events (wall-clock-side; with no sink this is
-        // one relaxed load per sweep): every queued job is announced up
+        // one branch per sweep): every queued job is announced up
         // front in job order, workers report started/finished as they
         // go. Events carry the deterministic job index and the outcome
         // digest, so a consumer ordering by `(job, state)` sees the
         // same sequence at any worker count; the worker index is what
         // the Perfetto export (a sink like any other) lanes them by.
-        let monitored = monitor::have_sinks();
+        let sinks = &self.sinks;
+        let monitored = !sinks.is_empty();
         if monitored {
             for (i, (spec, seed)) in jobs.iter().enumerate() {
-                monitor::emit_global(&MonitorEvent::Job(JobEvent {
+                sinks.emit(&MonitorEvent::Job(JobEvent {
                     job: i as u64,
                     scenario: spec.name.clone(),
                     seed: *seed,
@@ -191,19 +206,19 @@ impl SweepRunner {
                         break;
                     };
                     if monitored {
-                        monitor::emit_global(&MonitorEvent::Job(JobEvent {
+                        sinks.emit(&MonitorEvent::Job(JobEvent {
                             job: i as u64,
                             scenario: spec.name.clone(),
                             seed: *seed,
                             state: JobState::Started { worker },
                         }));
                     }
-                    let outcome = spec.run_with(*seed, tuning);
+                    let outcome = spec.run_in(*seed, tuning, sinks);
                     if monitored {
                         let digest = serde_json::to_string(&outcome)
                             .map(|json| monitor::outcome_digest(json.as_bytes()))
                             .unwrap_or(0);
-                        monitor::emit_global(&MonitorEvent::Job(JobEvent {
+                        sinks.emit(&MonitorEvent::Job(JobEvent {
                             job: i as u64,
                             scenario: spec.name.clone(),
                             seed: *seed,
@@ -215,7 +230,7 @@ impl SweepRunner {
             }
         });
         if monitored {
-            monitor::flush_global();
+            sinks.flush();
         }
         slots
             .into_iter()
@@ -232,8 +247,10 @@ impl SweepRunner {
 mod tests {
     use super::*;
     use crate::spec::{CmSpec, PlacementSpec, PopulationSpec, WorkloadSpec};
+    use std::sync::Arc;
     use vi_radio::geometry::{Point, Rect};
     use vi_radio::{AdversaryKind, RadioConfig};
+    use vi_telemetry::RingSink;
 
     fn small_matrix() -> Vec<ScenarioSpec> {
         let clique = ScenarioSpec {
@@ -375,6 +392,59 @@ mod tests {
             serde_json::to_string(&plain).unwrap(),
             "telemetry changed the simulation"
         );
+    }
+
+    /// Two sweeps running at once over identically named jobs, each
+    /// carrying its own ring: a ring sees Queued, Started and Finished
+    /// for each of its own sweep's jobs and nothing else, and each
+    /// Finished digest is that sweep's own outcome's.
+    #[test]
+    fn concurrent_sweeps_report_only_to_their_own_sinks() {
+        let scenarios = small_matrix();
+        let seeds = [[1u64, 2], [3, 4]];
+        let rings = [(); 2].map(|_| Arc::new(RingSink::with_capacity(1 << 10)));
+        let outcomes: Vec<Vec<ScenarioOutcome>> = std::thread::scope(|scope| {
+            let sweeps: Vec<_> = rings
+                .iter()
+                .zip(&seeds)
+                .map(|(ring, seeds)| {
+                    let runner = SweepRunner::new(2).with_sinks(SinkSet::new(vec![ring.clone()]));
+                    let scenarios = &scenarios;
+                    scope.spawn(move || runner.run_matrix(scenarios, seeds))
+                })
+                .collect();
+            sweeps.into_iter().map(|s| s.join().unwrap()).collect()
+        });
+        for (ring, outcomes) in rings.iter().zip(&outcomes) {
+            let events = ring.events();
+            assert_eq!(events.len(), 3 * outcomes.len(), "{events:?}");
+            for (job, out) in outcomes.iter().enumerate() {
+                let mine: Vec<JobState> = events
+                    .iter()
+                    .filter_map(|e| match e {
+                        MonitorEvent::Job(j) if j.job == job as u64 => {
+                            assert_eq!((&j.scenario, j.seed), (&out.scenario, out.seed));
+                            Some(j.state)
+                        }
+                        _ => None,
+                    })
+                    .collect();
+                let JobState::Started { worker } = mine[1] else {
+                    panic!("job {job}: {mine:?}");
+                };
+                let json = serde_json::to_string(out).unwrap();
+                let digest = monitor::outcome_digest(json.as_bytes());
+                assert_eq!(
+                    mine,
+                    [
+                        JobState::Queued,
+                        JobState::Started { worker },
+                        JobState::Finished { worker, digest }
+                    ],
+                    "job {job}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -354,10 +354,11 @@ pub struct ScenarioSpec {
 
 /// Which part of a [`ScenarioSpec`] a validation failure lives in.
 ///
-/// Mutation-based fuzzing (the `vi-fuzz` crate) leans on this being a
-/// *typed error*, never a panic: every mutated spec is either runnable
-/// or rejected here, and the fuzzer uses the kind to steer repair
-/// mutations. Each variant's `Display` is the human-readable message.
+/// Mutation-based fuzzing (the `vi-fuzz` crate) leans on validation
+/// being an error, never a panic: every mutated spec is either
+/// runnable or rejected by [`ScenarioSpec::validate`], and the fuzzer
+/// counts any `Err` as a rejection. Each variant's `Display` is the
+/// human-readable message.
 #[derive(Clone, Debug, PartialEq)]
 pub enum SpecErrorKind {
     /// Radio parameters out of range (the `RadioConfig` message).
@@ -414,7 +415,7 @@ impl std::fmt::Display for SpecErrorKind {
 }
 
 /// The first validation failure of a spec: which scenario, and which
-/// part of it. Produced by [`ScenarioSpec::validate_typed`].
+/// part of it. [`ScenarioSpec::validate`] returns its `Display`.
 #[derive(Clone, Debug, PartialEq)]
 pub struct SpecError {
     /// Name of the offending scenario.
@@ -465,14 +466,9 @@ impl ScenarioSpec {
         self.validate_typed().map_err(|e| e.to_string())
     }
 
-    /// [`validate`](Self::validate), but returning the typed
-    /// [`SpecError`] so callers can branch on *which* part of the
-    /// spec is broken.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first problem found.
-    pub fn validate_typed(&self) -> Result<(), SpecError> {
+    /// [`validate`](Self::validate), returning the typed
+    /// [`SpecError`] (the tests branch on its kind).
+    fn validate_typed(&self) -> Result<(), SpecError> {
         let fail = |kind: SpecErrorKind| {
             Err(SpecError {
                 scenario: self.name.clone(),

@@ -34,12 +34,13 @@
 //!   in-memory ring, and a Prometheus-text `/metrics` exporter
 //!   (`VI_MONITOR_ADDR`).
 //! * **Perfetto/Chrome trace export** ([`TraceSink`], module
-//!   [`trace_export`]) — one more sink on the same registry: sweep job
-//!   events become per-job and per-worker spans, a
-//!   [`MonitorEvent::Causal`] DAG becomes flow arrows, and every flush
-//!   rewrites the Chrome trace-event JSON file (opens in
-//!   `ui.perfetto.dev`) with everything seen so far. `VI_TRACE=out.json`
-//!   installs one; it requests no snapshot sampling.
+//!   [`trace_export`]) — one more [`MonitorSink`]: sweep job events
+//!   become per-job and per-worker spans, a [`MonitorEvent::Causal`]
+//!   DAG becomes flow arrows, and every flush rewrites the Chrome
+//!   trace-event JSON file (opens in `ui.perfetto.dev`) with
+//!   everything seen so far. `VI_TRACE=out.json` adds one to the
+//!   environment's sinks ([`monitor::env`]); it requests no snapshot
+//!   sampling.
 //!
 //! The counters, the phase timers, the two recorders and the monitor
 //! of one run share one state behind one [`Observers`] handle (module

@@ -6,8 +6,10 @@
 //! since the previous sample into a [`TelemetrySnapshot`] — counter
 //! deltas ([`Counters::delta`]), phase-histogram deltas
 //! ([`crate::PhaseTimers::subtracting`]), and the in-flight traffic
-//! picture ([`TrafficProgress`]) — then fans it out through every
-//! installed [`MonitorSink`]:
+//! picture ([`TrafficProgress`]) — then fans it out through the run's
+//! [`SinkSet`], a value: a sweep carries its own sinks (see
+//! `vi_scenario::SweepRunner::with_sinks`), which start as the sinks
+//! the environment opened ([`env`], read once per process):
 //!
 //! * [`JsonlSink`] — one JSON event per line, line-buffered so each
 //!   snapshot is durable the moment it is sampled
@@ -39,7 +41,7 @@ use std::collections::BTreeMap;
 use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, LineWriter, Read, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::path::PathBuf;
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// Default sampling period (rounds between snapshots) when monitoring
@@ -166,16 +168,17 @@ pub struct SinkSet {
 }
 
 impl SinkSet {
-    /// The empty set (every emit is a no-op).
-    pub fn empty() -> Self {
-        SinkSet::default()
-    }
-
     /// A set over the given sinks.
     pub fn new(sinks: Vec<Arc<dyn MonitorSink>>) -> Self {
         SinkSet {
             sinks: Arc::new(sinks),
         }
+    }
+
+    /// This set's sinks followed by `other`'s.
+    pub fn and(&self, other: &SinkSet) -> Self {
+        let sinks = self.sinks.iter().chain(other.sinks.iter());
+        SinkSet::new(sinks.cloned().collect())
     }
 
     /// Whether the set has no sinks.
@@ -490,29 +493,42 @@ pub fn scrape_metrics(addr: &str) -> std::io::Result<String> {
 }
 
 // ---------------------------------------------------------------------------
-// The process-global sink registry
+// The environment, read once
 // ---------------------------------------------------------------------------
 
-static SINKS: Mutex<Vec<Arc<dyn MonitorSink>>> = Mutex::new(Vec::new());
-static HAVE_SINKS: AtomicBool = AtomicBool::new(false);
-static FORCED: AtomicBool = AtomicBool::new(false);
-static ENV: OnceLock<EnvMonitor> = OnceLock::new();
-
-struct EnvMonitor {
-    /// Whether the environment asked for snapshot sampling.
-    requested: bool,
+/// What the side-output environment asks for, read once per process
+/// by [`env`]: opening its file sinks and binding its port must happen
+/// once, and a run built anywhere must see the same sinks.
+pub struct Env {
+    /// The sinks the environment opened. Every sweep's sinks start as
+    /// these, and a run outside a sweep samples into them.
+    pub sinks: SinkSet,
+    /// `VI_INCIDENT_DIR`: where incident bundles and minimized fuzz
+    /// repros are written (unset: nowhere).
+    pub incident_dir: Option<PathBuf>,
+    /// The sampling period the environment asked for (0 = none).
     every: u64,
 }
 
-/// Reads the environment once, installing its sinks.
-fn env_monitor() -> &'static EnvMonitor {
-    ENV.get_or_init(|| {
-        let (env, sinks) = read_env(|key| std::env::var(key).ok());
-        for sink in sinks {
-            install_sink(sink);
+impl Env {
+    /// The sampling period of a run whose tuning asks for `explicit`
+    /// (0 = "not set on the tuning"): an explicit period wins;
+    /// otherwise the environment's, when `VI_MONITOR_LOG` or
+    /// `VI_MONITOR_ADDR` asked for sampling; else 0 (off).
+    pub fn every(&self, explicit: u64) -> u64 {
+        if explicit == 0 {
+            self.every
+        } else {
+            explicit
         }
-        env
-    })
+    }
+}
+
+/// The environment, read on first use (one `OnceLock` probe after
+/// that, so the unmonitored path stays effectively free).
+pub fn env() -> &'static Env {
+    static ENV: OnceLock<Env> = OnceLock::new();
+    ENV.get_or_init(|| read_env(|key| std::env::var(key).ok()))
 }
 
 /// The one reader of the side-output environment, over a variable
@@ -521,9 +537,11 @@ fn env_monitor() -> &'static EnvMonitor {
 /// request snapshot sampling, at `VI_MONITOR_EVERY=K` rounds (default
 /// [`DEFAULT_EVERY`]). `VI_TRACE=out.json` opens a [`TraceSink`] and
 /// requests nothing: span export alone turns on neither the counters
-/// nor the monitor. Failures warn on stderr and leave that sink out
-/// rather than failing the run.
-fn read_env(var: impl Fn(&str) -> Option<String>) -> (EnvMonitor, Vec<Arc<dyn MonitorSink>>) {
+/// nor the monitor. `VI_INCIDENT_DIR` names the incident directory.
+/// Failures warn on stderr and leave that sink out rather than failing
+/// the run.
+fn read_env(var: impl Fn(&str) -> Option<String>) -> Env {
+    let incident_dir = var("VI_INCIDENT_DIR").map(PathBuf::from);
     let var = |key: &str| var(key).filter(|v| !v.is_empty());
     let mut sinks: Vec<Arc<dyn MonitorSink>> = Vec::new();
     let mut requested = false;
@@ -556,75 +574,11 @@ fn read_env(var: impl Fn(&str) -> Option<String>) -> (EnvMonitor, Vec<Arc<dyn Mo
         .and_then(|v| v.parse::<u64>().ok())
         .filter(|&v| v > 0)
         .unwrap_or(DEFAULT_EVERY);
-    (EnvMonitor { requested, every }, sinks)
-}
-
-/// Adds a sink to the process-global registry. Every monitored run
-/// and sweep started afterwards fans out to it.
-pub fn install_sink(sink: Arc<dyn MonitorSink>) {
-    let mut sinks = SINKS.lock().unwrap_or_else(|e| e.into_inner());
-    sinks.push(sink);
-    HAVE_SINKS.store(true, Ordering::Relaxed);
-}
-
-/// Removes one specific sink (by identity), leaving the others —
-/// environment-installed sinks included — in place. Used by callers
-/// that install a temporary sink around one sweep.
-pub fn uninstall_sink(sink: &Arc<dyn MonitorSink>) {
-    let mut sinks = SINKS.lock().unwrap_or_else(|e| e.into_inner());
-    sinks.retain(|s| !Arc::ptr_eq(s, sink));
-    if sinks.is_empty() {
-        HAVE_SINKS.store(false, Ordering::Relaxed);
+    Env {
+        sinks: SinkSet::new(sinks),
+        incident_dir,
+        every: if requested { every } else { 0 },
     }
-}
-
-/// Whether any sink is installed or configured. The first call reads
-/// the environment (installing its sinks), so sweeps and
-/// explicitly-tuned runs see environment sinks no matter which entry
-/// point touches monitoring first; afterwards this is one `OnceLock`
-/// probe plus a relaxed load — the disabled path stays effectively
-/// free.
-pub fn have_sinks() -> bool {
-    env_monitor();
-    HAVE_SINKS.load(Ordering::Relaxed)
-}
-
-/// A snapshot of the installed sinks.
-pub fn installed_sinks() -> SinkSet {
-    if !have_sinks() {
-        return SinkSet::empty();
-    }
-    let sinks = SINKS.lock().unwrap_or_else(|e| e.into_inner());
-    SinkSet::new(sinks.clone())
-}
-
-/// Turns monitoring on for the rest of the process regardless of the
-/// environment (the `repro --monitor` flag and embedders).
-pub fn force_enable() {
-    FORCED.store(true, Ordering::Relaxed);
-}
-
-/// The effective sampling period for a run whose tuning asks for
-/// `explicit` (0 = "not set on the tuning"): an explicit period wins;
-/// otherwise monitoring runs at the environment period when requested
-/// via `VI_MONITOR_LOG` / `VI_MONITOR_ADDR` / [`force_enable`]; else
-/// 0 (off). Reading the environment happens once, lazily.
-pub fn effective_every(explicit: u64) -> u64 {
-    let env = env_monitor();
-    match explicit {
-        0 if env.requested || FORCED.load(Ordering::Relaxed) => env.every,
-        _ => explicit,
-    }
-}
-
-/// Emits one event to every installed sink (sweep workers).
-pub fn emit_global(event: &MonitorEvent) {
-    installed_sinks().emit(event);
-}
-
-/// Flushes every installed sink (end of sweep).
-pub fn flush_global() {
-    installed_sinks().flush();
 }
 
 /// FNV-1a digest of `bytes` — the deterministic outcome digest carried
@@ -940,10 +894,10 @@ mod tests {
         assert_eq!(back, job);
     }
 
-    /// `VI_TRACE` alone installs its sink and requests no sampling, so
-    /// a run under it builds no monitor and, through one, no live
-    /// observer handle (`effective_every(0)` stays 0); beside `VI_MONITOR_LOG` it only
-    /// adds its sink.
+    /// `VI_TRACE` alone opens its sink and requests no sampling, so a
+    /// run under it builds no monitor and, through one, no live
+    /// observer handle (`every(0)` stays 0); beside `VI_MONITOR_LOG`
+    /// it only adds its sink.
     #[test]
     fn vi_trace_alone_turns_on_no_sampling() {
         let dir = std::env::temp_dir().join("vi_monitor_env_test");
@@ -952,10 +906,10 @@ mod tests {
         let (trace, log) = (path("trace.json"), path("log.jsonl"));
         let env = |vars: &[(&str, &str)]| {
             let lookup = |key: &str| vars.iter().find(|v| v.0 == key).map(|v| v.1.to_string());
-            let (env, sinks) = read_env(lookup);
-            (env.requested, env.every, sinks.len())
+            let env = read_env(lookup);
+            (env.every(0), env.sinks.sinks.len())
         };
-        assert_eq!(env(&[("VI_TRACE", &trace)]), (false, DEFAULT_EVERY, 1));
+        assert_eq!(env(&[("VI_TRACE", &trace)]), (0, 1));
         assert!(std::fs::read_to_string(&trace)
             .unwrap()
             .contains("traceEvents"));
@@ -964,11 +918,7 @@ mod tests {
             ("VI_MONITOR_LOG", &log),
             ("VI_MONITOR_EVERY", "16"),
         ];
-        assert_eq!(env(&both), (true, 16, 2));
-        assert_eq!(
-            env(&[("VI_TRACE", "")]),
-            (false, DEFAULT_EVERY, 0),
-            "empty is unset"
-        );
+        assert_eq!(env(&both), (16, 2));
+        assert_eq!(env(&[("VI_TRACE", "")]), (0, 0), "empty is unset");
     }
 }

@@ -1,10 +1,11 @@
 //! Perfetto/Chrome trace-event export, as a monitor sink.
 //!
-//! [`TraceSink`] renders what the sink registry carries into the
+//! [`TraceSink`] renders the monitor events it is given into the
 //! Chrome trace-event JSON format (`{"traceEvents": [...]}`, complete
 //! events and flow endpoints, microsecond units), which opens directly
-//! in `ui.perfetto.dev`. `VI_TRACE=out.json` installs one (see
-//! [`crate::monitor`]).
+//! in `ui.perfetto.dev`. `VI_TRACE=out.json` adds one to the
+//! environment's sinks, which every sweep starts with (see
+//! [`crate::monitor::env`]).
 //!
 //! * `pid` [`PID_SWEEP`], on the wall clock: one `scenario#seed` span
 //!   per `Started` → `Finished` pair of a [`JobEvent`], and per sweep

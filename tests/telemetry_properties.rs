@@ -13,13 +13,13 @@
 //!    exactly with the end-of-run telemetry totals at any sampling
 //!    period.
 //!
-//! Two plain tests use the process-global sink registry: the Perfetto
-//! export (a `TraceSink` keeps every sweep and causal DAG of the
-//! process), and a monitored traffic run, whose engine feeds no
-//! counter and no snapshot.
+//! Two plain tests run sweeps that carry their own sinks: the Perfetto
+//! export (a `TraceSink` keeps every sweep and causal DAG it is given),
+//! and a monitored traffic run, whose engine feeds no counter and no
+//! snapshot.
 
 use proptest::prelude::*;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use virtual_infra::radio::geometry::{Point, Rect};
 use virtual_infra::radio::mobility::{Billiard, MobilityModel, Static, Waypoint};
 use virtual_infra::radio::{
@@ -27,7 +27,6 @@ use virtual_infra::radio::{
     RoundCtx, RoundReception,
 };
 use virtual_infra::scenario::{catalog, EngineTuning, SweepRunner, WorkloadSpec};
-use virtual_infra::telemetry::monitor::{self, MonitorSink};
 use virtual_infra::telemetry::trace_export::TraceFile;
 use virtual_infra::telemetry::{
     Counters, Monitor, MonitorEvent, Observers, RingSink, SinkSet, TelemetrySnapshot, TraceSink,
@@ -254,39 +253,30 @@ proptest! {
     }
 }
 
-/// The tests that install sinks on the process-global registry hold
-/// this lock, so neither sees the other's events.
-static REGISTRY: Mutex<()> = Mutex::new(());
-
-/// Two sweeps and one causal DAG into one installed `TraceSink`: the
-/// file holds both sweeps' job spans (a flush rewrites everything seen
-/// so far; it never drains) and the DAG's flows as equal, non-zero
-/// counts of `s` and `f` endpoints. Installing sinks turns on no
-/// snapshot sampling: a ring beside the trace sink sees job events
-/// only.
+/// Two sweeps and one causal DAG into one `TraceSink`: the file holds
+/// both sweeps' job spans (a flush rewrites everything seen so far; it
+/// never drains) and the DAG's flows as equal, non-zero counts of `s`
+/// and `f` endpoints. Carrying sinks turns on no snapshot sampling: a
+/// ring beside the trace sink sees job events only.
 #[test]
 fn trace_sink_keeps_every_sweep_and_the_causal_flows() {
-    let _registry = REGISTRY.lock().unwrap_or_else(|e| e.into_inner());
     let dir = std::env::temp_dir().join("vi_trace_sink_sweeps");
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("trace.json");
-    let trace: Arc<dyn MonitorSink> = Arc::new(TraceSink::create(path.to_str().unwrap()).unwrap());
+    let trace = Arc::new(TraceSink::create(path.to_str().unwrap()).unwrap());
     let ring = Arc::new(RingSink::with_capacity(1 << 12));
-    let ring_sink: Arc<dyn MonitorSink> = ring.clone();
-    monitor::install_sink(trace.clone());
-    monitor::install_sink(ring_sink.clone());
+    let sinks = SinkSet::new(vec![trace, ring.clone()]);
+    let runner = SweepRunner::new(2).with_sinks(sinks.clone());
 
     let clique = catalog::scenario("clique").unwrap();
     let mut second = clique.clone();
     second.name = "clique_again".to_string();
-    SweepRunner::new(2).run_matrix(std::slice::from_ref(&clique), &[1, 2]);
-    SweepRunner::new(2).run_matrix(&[second], &[3]);
+    runner.run_matrix(std::slice::from_ref(&clique), &[1, 2]);
+    runner.run_matrix(&[second], &[3]);
     let traced = clique.run_with(1, EngineTuning::DEFAULT.with_tracing());
     let dag = traced.causal.expect("tracing on");
-    monitor::emit_global(&MonitorEvent::Causal(Box::new(dag)));
-    monitor::flush_global();
-    monitor::uninstall_sink(&trace);
-    monitor::uninstall_sink(&ring_sink);
+    sinks.emit(&MonitorEvent::Causal(Box::new(dag)));
+    sinks.flush();
 
     let file: TraceFile = serde_json::from_str(&std::fs::read_to_string(&path).unwrap()).unwrap();
     let events = file.traceEvents;
@@ -303,7 +293,7 @@ fn trace_sink_keeps_every_sweep_and_the_causal_flows() {
         !events
             .iter()
             .any(|e| matches!(e, MonitorEvent::Snapshot(_))),
-        "an installed sink alone requests no snapshots"
+        "a sink alone requests no snapshots"
     );
     std::fs::remove_file(&path).ok();
 }
@@ -314,17 +304,20 @@ fn trace_sink_keeps_every_sweep_and_the_causal_flows() {
 /// driver's virtual rounds, never an engine round.
 #[test]
 fn a_traffic_runs_engine_feeds_no_counter_and_no_sample() {
-    let _registry = REGISTRY.lock().unwrap_or_else(|e| e.into_inner());
     let spec = catalog::scenario("quake_drill").unwrap();
     let WorkloadSpec::Traffic { traffic, .. } = &spec.workload else {
         panic!("quake_drill is a traffic scenario");
     };
     let last_vr = traffic.virtual_rounds + traffic.timeout_rounds + 1;
     let ring = Arc::new(RingSink::with_capacity(1 << 12));
-    let sink: Arc<dyn MonitorSink> = ring.clone();
-    monitor::install_sink(sink.clone());
-    let out = spec.run_with(1, EngineTuning::DEFAULT.with_telemetry().with_monitor(4));
-    monitor::uninstall_sink(&sink);
+    let out = SweepRunner::new(1)
+        .with_sinks(SinkSet::new(vec![ring.clone()]))
+        .run_matrix_with(
+            std::slice::from_ref(&spec),
+            &[1],
+            EngineTuning::DEFAULT.with_telemetry().with_monitor(4),
+        )
+        .remove(0);
 
     let engine_counts = |c: &Counters| {
         (
