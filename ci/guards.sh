@@ -77,6 +77,17 @@ guards=(
   "$code" '-'
   'a deleted duplicate is back; an adversary is an AdversaryKind value'
 
+  # One client per app: vi-traffic's `App` adapters are the apps'
+  # clients. vi-apps is the four virtual-node automata and their
+  # messages; its six hand-written clients are gone.
+  'impl ClientApp'
+  'above-tests:crates/apps/src' '-'
+  'vi-apps has a client again; each app is driven by its vi-traffic App adapter'
+
+  'WriterClient|ReaderClient|LockClient|ReporterClient|QueryClient|InjectorClient'
+  "$code" '-'
+  'a deleted duplicate client is back; drive the app through run_traffic or HistoryRecorder::record'
+
   'current_history'
   'crates/core/src/vi' '-'
   'the emulator folds through ChaProtocol::fold_decided, not a History'

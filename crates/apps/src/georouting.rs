@@ -9,7 +9,7 @@
 //! guarantees loop freedom.
 
 use serde::{Deserialize, Serialize};
-use vi_core::vi::{ClientApp, VirtualAutomaton, VirtualInput, VirtualReception, VnCtx};
+use vi_core::vi::{VirtualAutomaton, VirtualInput, VnCtx};
 use vi_radio::geometry::Point;
 use vi_radio::WireSized;
 
@@ -125,52 +125,26 @@ impl VirtualAutomaton for GeoRouterVn {
     }
 }
 
-/// A client that injects one packet towards `dst` at virtual round
-/// `at_vr`.
-pub struct InjectorClient {
-    dst: QPoint,
-    payload: u32,
-    at_vr: u64,
-    sent: bool,
-}
-
-impl InjectorClient {
-    /// Creates an injector addressing the quantized location `dst`.
-    pub fn new(dst: QPoint, payload: u32, at_vr: u64) -> Self {
-        InjectorClient {
-            dst,
-            payload,
-            at_vr,
-            sent: false,
-        }
-    }
-}
-
-impl ClientApp<RouteMsg> for InjectorClient {
-    fn on_virtual_round(
-        &mut self,
-        vr: u64,
-        _pos: Point,
-        _prev: &VirtualReception<RouteMsg>,
-    ) -> Option<RouteMsg> {
-        if vr >= self.at_vr && !self.sent {
-            self.sent = true;
-            return Some(RouteMsg::Packet {
-                dst: self.dst,
-                payload: self.payload,
-                carrier_dist: u64::MAX,
-            });
-        }
-        None
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vi_core::vi::{VnId, VnLayout, World, WorldConfig};
+    use vi_core::vi::{ClientApp, VirtualReception, VnId, VnLayout, World, WorldConfig};
     use vi_radio::mobility::Static;
     use vi_radio::RadioConfig;
+
+    /// Sends its one packet at virtual round 5.
+    struct OneShot(Option<RouteMsg>);
+
+    impl ClientApp<RouteMsg> for OneShot {
+        fn on_virtual_round(
+            &mut self,
+            vr: u64,
+            _: Point,
+            _: &VirtualReception<RouteMsg>,
+        ) -> Option<RouteMsg> {
+            self.0.take_if(|_| vr >= 5)
+        }
+    }
 
     #[test]
     fn quantization_roundtrip() {
@@ -210,7 +184,7 @@ mod tests {
         }
         world.add_device(
             Box::new(Static::new(Point::new(50.0, 51.0))),
-            Some(Box::new(InjectorClient::new(dst, 42, 5))),
+            Some(Box::new(OneShot(Some(RouteMsg::inject(dst, 42))))),
         );
         world.run_virtual_rounds(30);
 

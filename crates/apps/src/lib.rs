@@ -12,12 +12,12 @@
 //! * [`mutex`] — a FIFO lock server hosted on a virtual node (the
 //!   coordination primitive behind the robot motivation \[4, 27\]).
 //!
-//! Each app's message type is plain data the `vi-traffic` service
-//! adapters match on directly to extract request completions (and
-//! their semantic outcomes, for the `vi-audit` history checkers) when
-//! the apps run under generated client load; `LockMsg::granted_client`
-//! and `RouteMsg::inject` are the shared helpers that survive on the
-//! adapter path.
+//! The crate is the four virtual-node automata and their messages;
+//! vi-traffic's `App` adapters are their clients. Each message type is
+//! plain data those adapters match on directly to extract request
+//! completions (and their semantic outcomes, for the `vi-audit`
+//! history checkers); `LockMsg::granted_client` and `RouteMsg::inject`
+//! are the helpers they share.
 
 #![forbid(unsafe_code)]
 

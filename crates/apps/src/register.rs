@@ -12,11 +12,11 @@
 //! virtual node adopts the largest tag seen. Readers observe a
 //! *regular* register on the decided prefix: every read returns a
 //! value no older than the last acknowledged write (tag-monotone reads
-//! — asserted in the tests).
+//! — the audited traffic runs in `tests/apps_scenarios.rs` check them
+//! with the linearizability checker).
 
 use serde::{Deserialize, Serialize};
-use vi_core::vi::{ClientApp, VirtualAutomaton, VirtualInput, VirtualReception, VnCtx};
-use vi_radio::geometry::Point;
+use vi_core::vi::{VirtualAutomaton, VirtualInput, VnCtx};
 use vi_radio::WireSized;
 
 /// Messages of the register service.
@@ -126,106 +126,52 @@ impl VirtualAutomaton for RegisterVn {
     }
 }
 
-/// A single writer: issues `Write(tag, base + tag)` and advances the
-/// tag once the matching ack arrives (retrying meanwhile).
-pub struct WriterClient {
-    base: u64,
-    tag: u64,
-    acked: u64,
-    writes_total: u64,
-    /// Tags acknowledged so far, in arrival order.
-    pub ack_log: Vec<u64>,
-}
-
-impl WriterClient {
-    /// Creates a writer producing values `base + tag`, issuing
-    /// `writes_total` writes in total.
-    pub fn new(base: u64, writes_total: u64) -> Self {
-        WriterClient {
-            base,
-            tag: 1,
-            acked: 0,
-            writes_total,
-            ack_log: Vec::new(),
-        }
-    }
-}
-
-impl ClientApp<RegMsg> for WriterClient {
-    fn on_virtual_round(
-        &mut self,
-        _vr: u64,
-        _pos: Point,
-        prev: &VirtualReception<RegMsg>,
-    ) -> Option<RegMsg> {
-        for m in &prev.messages {
-            if let RegMsg::Ack { tag } = m {
-                if *tag == self.tag && self.acked < self.tag {
-                    self.acked = self.tag;
-                    self.ack_log.push(*tag);
-                    self.tag += 1;
-                }
-            }
-        }
-        (self.tag <= self.writes_total).then_some(RegMsg::Write {
-            tag: self.tag,
-            value: self.base + self.tag,
-        })
-    }
-}
-
-/// A reader: issues `Read` every `period` rounds and logs the replies.
-pub struct ReaderClient {
-    period: u64,
-    next_nonce: u64,
-    /// `(tag, value)` pairs observed, in arrival order.
-    pub read_log: Vec<(u64, u64)>,
-}
-
-impl ReaderClient {
-    /// Creates a reader.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `period == 0`.
-    pub fn new(period: u64) -> Self {
-        assert!(period > 0, "period must be positive");
-        ReaderClient {
-            period,
-            next_nonce: 1,
-            read_log: Vec::new(),
-        }
-    }
-}
-
-impl ClientApp<RegMsg> for ReaderClient {
-    fn on_virtual_round(
-        &mut self,
-        vr: u64,
-        _pos: Point,
-        prev: &VirtualReception<RegMsg>,
-    ) -> Option<RegMsg> {
-        for m in &prev.messages {
-            if let RegMsg::Value { tag, value, .. } = m {
-                self.read_log.push((*tag, *value));
-            }
-        }
-        (vr.is_multiple_of(self.period)).then(|| {
-            let nonce = self.next_nonce;
-            self.next_nonce += 1;
-            RegMsg::Read { nonce }
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vi_core::vi::{VnLayout, World, WorldConfig};
+    use vi_core::vi::{ClientApp, VirtualReception, VnLayout, World, WorldConfig};
+    use vi_radio::geometry::Point;
     use vi_radio::mobility::Static;
+    use vi_radio::NodeId;
     use vi_radio::RadioConfig;
 
-    fn register_world() -> (World<RegisterVn>, vi_radio::NodeId, vi_radio::NodeId) {
+    /// Writes tags `1..=writes` (value `1000 + tag`), each until it is
+    /// acked; with `writes == 0` it reads every other round instead.
+    #[derive(Clone, Default)]
+    struct TestClient {
+        writes: u64,
+        acks: Vec<u64>,
+        reads: Vec<(u64, u64)>,
+    }
+
+    impl ClientApp<RegMsg> for TestClient {
+        fn on_virtual_round(
+            &mut self,
+            vr: u64,
+            _: Point,
+            prev: &VirtualReception<RegMsg>,
+        ) -> Option<RegMsg> {
+            for m in &prev.messages {
+                match *m {
+                    RegMsg::Ack { tag } if tag == self.acks.len() as u64 + 1 => self.acks.push(tag),
+                    RegMsg::Value { tag, value, .. } => self.reads.push((tag, value)),
+                    _ => {}
+                }
+            }
+            let tag = self.acks.len() as u64 + 1;
+            if self.writes == 0 {
+                return vr.is_multiple_of(2).then_some(RegMsg::Read { nonce: vr });
+            }
+            (tag <= self.writes).then_some(RegMsg::Write {
+                tag,
+                value: 1000 + tag,
+            })
+        }
+    }
+
+    /// One virtual node, a writer of 3 tags, a reader and an emulator,
+    /// run for 30 virtual rounds; returns the writer's and reader's logs.
+    fn register_run() -> (TestClient, TestClient) {
         let layout = VnLayout::new(vec![Point::new(50.0, 50.0)], 2.5);
         let mut world = World::new(WorldConfig {
             radio: RadioConfig::reliable(10.0, 20.0),
@@ -234,28 +180,32 @@ mod tests {
             seed: 13,
             record_trace: false,
         });
-        let writer = world.add_device(
-            Box::new(Static::new(Point::new(50.4, 50.0))),
-            Some(Box::new(WriterClient::new(1000, 3))),
-        );
-        let reader = world.add_device(
-            Box::new(Static::new(Point::new(49.6, 50.0))),
-            Some(Box::new(ReaderClient::new(2))),
-        );
+        let mut add = |at: Point, writes: u64| {
+            let client = TestClient {
+                writes,
+                ..TestClient::default()
+            };
+            world.add_device(Box::new(Static::new(at)), Some(Box::new(client)))
+        };
+        let writer = add(Point::new(50.4, 50.0), 3);
+        let reader = add(Point::new(49.6, 50.0), 0);
         world.add_device(Box::new(Static::new(Point::new(50.0, 50.6))), None);
-        (world, writer, reader)
+        world.run_virtual_rounds(30);
+        let log = |id: NodeId| world.device(id).client::<TestClient>().unwrap().clone();
+        (log(writer), log(reader))
     }
 
     #[test]
     fn writes_are_acked_and_read_back() {
-        let (mut world, writer, reader) = register_world();
-        world.run_virtual_rounds(30);
-        let w: &WriterClient = world.device(writer).client::<WriterClient>().unwrap();
-        assert_eq!(w.ack_log, vec![1, 2, 3], "all writes acknowledged in order");
-        let r: &ReaderClient = world.device(reader).client::<ReaderClient>().unwrap();
-        assert!(!r.read_log.is_empty(), "reader got replies");
+        let (writer, reader) = register_run();
         assert_eq!(
-            r.read_log.last(),
+            writer.acks,
+            vec![1, 2, 3],
+            "all writes acknowledged in order"
+        );
+        assert!(!reader.reads.is_empty(), "reader got replies");
+        assert_eq!(
+            reader.reads.last(),
             Some(&(3, 1003)),
             "final read returns the last write"
         );
@@ -263,10 +213,8 @@ mod tests {
 
     #[test]
     fn reads_are_tag_monotone() {
-        let (mut world, _, reader) = register_world();
-        world.run_virtual_rounds(30);
-        let r: &ReaderClient = world.device(reader).client::<ReaderClient>().unwrap();
-        let tags: Vec<u64> = r.read_log.iter().map(|&(t, _)| t).collect();
+        let (_, reader) = register_run();
+        let tags: Vec<u64> = reader.reads.iter().map(|&(t, _)| t).collect();
         assert!(
             tags.windows(2).all(|w| w[0] <= w[1]),
             "regular register: tags never go backward: {tags:?}"

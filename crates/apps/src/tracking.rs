@@ -9,7 +9,6 @@
 
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use vi_core::vi::{ClientApp, VirtualReception};
 use vi_core::vi::{VirtualAutomaton, VirtualInput, VnCtx};
 use vi_radio::geometry::Point;
 use vi_radio::WireSized;
@@ -119,134 +118,15 @@ impl VirtualAutomaton for TrackingVn {
     }
 }
 
-/// A client that reports its own (quantized) position every `period`
-/// virtual rounds.
-pub struct ReporterClient {
-    object: u32,
-    period: u64,
-    cell_size: f64,
-}
-
-impl ReporterClient {
-    /// Creates a reporter for `object`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `period == 0` or `cell_size <= 0`.
-    pub fn new(object: u32, period: u64, cell_size: f64) -> Self {
-        assert!(period > 0, "period must be positive");
-        assert!(cell_size > 0.0, "cell size must be positive");
-        ReporterClient {
-            object,
-            period,
-            cell_size,
-        }
-    }
-}
-
-impl ClientApp<TrackMsg> for ReporterClient {
-    fn on_virtual_round(
-        &mut self,
-        vr: u64,
-        pos: Point,
-        _prev: &VirtualReception<TrackMsg>,
-    ) -> Option<TrackMsg> {
-        (vr.is_multiple_of(self.period)).then(|| TrackMsg::Report {
-            object: self.object,
-            cell: cell_of(pos, self.cell_size),
-        })
-    }
-}
-
-/// A client that queries for an object every `period` virtual rounds
-/// and records the answers it hears.
-pub struct QueryClient {
-    object: u32,
-    period: u64,
-    /// `(virtual round heard, answered cell)` pairs.
-    pub answers: Vec<(u64, Option<Cell>)>,
-}
-
-impl QueryClient {
-    /// Creates a querier for `object`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `period == 0`.
-    pub fn new(object: u32, period: u64) -> Self {
-        assert!(period > 0, "period must be positive");
-        QueryClient {
-            object,
-            period,
-            answers: Vec::new(),
-        }
-    }
-}
-
-impl ClientApp<TrackMsg> for QueryClient {
-    fn on_virtual_round(
-        &mut self,
-        vr: u64,
-        _pos: Point,
-        prev: &VirtualReception<TrackMsg>,
-    ) -> Option<TrackMsg> {
-        for m in &prev.messages {
-            if let TrackMsg::Answer { object, cell } = m {
-                if *object == self.object {
-                    self.answers.push((vr, *cell));
-                }
-            }
-        }
-        (vr % self.period == 1).then_some(TrackMsg::Query {
-            object: self.object,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vi_core::vi::{VnId, VnLayout, World, WorldConfig};
-    use vi_radio::mobility::Static;
-    use vi_radio::RadioConfig;
+    use vi_core::vi::VnId;
 
     #[test]
     fn cell_quantization() {
         assert_eq!(cell_of(Point::new(0.0, 0.0), 10.0), (0, 0));
         assert_eq!(cell_of(Point::new(19.9, 31.0), 10.0), (1, 3));
-    }
-
-    #[test]
-    fn query_answered_with_reported_cell() {
-        let layout = VnLayout::new(vec![Point::new(50.0, 50.0)], 2.5);
-        let mut world = World::new(WorldConfig {
-            radio: RadioConfig::reliable(10.0, 20.0),
-            layout,
-            automaton: TrackingVn,
-            seed: 11,
-            record_trace: false,
-        });
-        // Three devices near the virtual node: a reporter, a querier,
-        // and a silent relay (all three also emulate the VN).
-        world.add_device(
-            Box::new(Static::new(Point::new(50.5, 50.0))),
-            Some(Box::new(ReporterClient::new(7, 2, 10.0))),
-        );
-        let querier = world.add_device(
-            Box::new(Static::new(Point::new(49.5, 50.0))),
-            Some(Box::new(QueryClient::new(7, 3))),
-        );
-        world.add_device(Box::new(Static::new(Point::new(50.0, 50.7))), None);
-        world.run_virtual_rounds(15);
-
-        let q: &QueryClient = world.device(querier).client::<QueryClient>().unwrap();
-        assert!(!q.answers.is_empty(), "querier should have heard an answer");
-        let (_, cell) = q.answers.last().unwrap();
-        assert_eq!(
-            *cell,
-            Some(cell_of(Point::new(50.5, 50.0), 10.0)),
-            "answer matches the reporter's cell"
-        );
     }
 
     #[test]

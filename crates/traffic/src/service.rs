@@ -28,8 +28,7 @@
 //! harness and the in-world client program shuttles outbound messages
 //! and observed receptions. Ports broadcast in staggered slots —
 //! client `i` speaks only in virtual rounds `vr ≡ i (mod clients)` —
-//! so client-phase broadcasts never collide with each other, exactly
-//! like the stagger the mutex app's reference client uses.
+//! so client-phase broadcasts never collide with each other.
 
 use crate::workload::AppKind;
 use serde::{Deserialize, Serialize};

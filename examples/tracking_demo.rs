@@ -1,76 +1,84 @@
-//! Tracking a mobile object across a grid of virtual nodes.
+//! Tracking a mobile object with a virtual node.
 //!
 //! ```sh
 //! cargo run --example tracking_demo
 //! ```
 //!
-//! A reporter device wanders the field (random waypoint) broadcasting
-//! its position; the virtual node covering each area records it; a
-//! stationary query client asks its local virtual node where the
-//! object is. This is the paper's location-service motivation: the
-//! service address (the virtual node) never moves even though every
-//! implementing device does.
+//! A reporter device wanders the field (random waypoint) reporting its
+//! cell; the virtual node covering the field records it; a stationary
+//! querier asks the virtual node where the object is. Both run
+//! vi-traffic's tracking client. This is the paper's location-service
+//! motivation: the service address (the virtual node) never moves even
+//! though every implementing device does.
 
-use virtual_infra::apps::tracking::{cell_of, QueryClient, ReporterClient, TrackingVn};
-use virtual_infra::core::vi::{VnId, VnLayout, World, WorldConfig};
+use virtual_infra::audit::HistoryRecorder;
+use virtual_infra::core::vi::VnLayout;
 use virtual_infra::radio::geometry::{Point, Rect};
 use virtual_infra::radio::mobility::{Static, Waypoint};
-use virtual_infra::radio::RadioConfig;
+use virtual_infra::radio::{AdversaryKind, RadioConfig};
+use virtual_infra::traffic::{
+    AppKind, DevicePlan, OpDesc, OpOutcome, TrafficEvent, TrafficSpec, TrafficWorld,
+};
 
 fn main() {
-    const CELL: f64 = 10.0;
-    // One tracking virtual node at the center of a 100 m field.
-    let vn_loc = Point::new(50.0, 50.0);
-    let layout = VnLayout::new(vec![vn_loc], 2.5);
-    let mut world = World::new(WorldConfig {
-        radio: RadioConfig::reliable(60.0, 90.0), // long range: covers the field
-        layout,
-        automaton: TrackingVn,
+    let parked = |x, y| {
+        let start = Point::new(x, y);
+        let mobility = Box::new(Static::new(start));
+        DevicePlan {
+            start,
+            mobility,
+            spawn_at: None,
+            crash_at: None,
+        }
+    };
+    let roam_from = Point::new(20.0, 20.0);
+    let tw = TrafficWorld {
+        // Long range: one tracking virtual node covers the 100 m field.
+        radio: RadioConfig::reliable(60.0, 90.0),
+        layout: VnLayout::new(vec![Point::new(50.0, 50.0)], 2.5),
         seed: 99,
-        record_trace: false,
-    });
+        adversary: AdversaryKind::None,
+        devices: vec![
+            // Client 0 is the tracked object, client 1 the querier.
+            DevicePlan {
+                mobility: Box::new(Waypoint::new(roam_from, 0.05, Rect::square(100.0))),
+                ..parked(roam_from.x, roam_from.y)
+            },
+            parked(40.0, 50.0),
+            // Two devices near the virtual node keep it alive.
+            parked(50.5, 50.0),
+            parked(49.5, 50.2),
+        ],
+    };
+    let spec = TrafficSpec::closed(2, 1, 1, 60);
+    let (_, history) = HistoryRecorder::record(AppKind::Tracking, tw, &spec);
 
-    // Two static devices near the virtual node keep it alive.
-    world.add_device(Box::new(Static::new(Point::new(50.5, 50.0))), None);
-    world.add_device(Box::new(Static::new(Point::new(49.5, 50.2))), None);
-
-    // The tracked object: reports every 2 virtual rounds while roaming.
-    let reporter = world.add_device(
-        Box::new(Waypoint::new(
-            Point::new(20.0, 20.0),
-            0.05,
-            Rect::square(100.0),
-        )),
-        Some(Box::new(ReporterClient::new(7, 2, CELL))),
-    );
-
-    // A stationary query client.
-    let querier = world.add_device(
-        Box::new(Static::new(Point::new(40.0, 50.0))),
-        Some(Box::new(QueryClient::new(7, 3))),
-    );
-
-    for _ in 0..6 {
-        world.run_virtual_rounds(5);
-        let vr = world.virtual_rounds_done();
-        let true_pos = world.engine().position(reporter).expect("placed");
-        let true_cell = cell_of(true_pos, CELL);
-        let q: &QueryClient = world.device(querier).client::<QueryClient>().unwrap();
-        let tracked = q.answers.last().and_then(|(_, c)| *c);
-        println!(
-            "vr {vr:>2}: object at {true_pos} = cell {true_cell:?}; service's last answer: {tracked:?}"
-        );
+    // The object's reports against what the querier was told about it.
+    let (mut lookups, mut answers) = (Vec::new(), 0);
+    for e in &history.events {
+        match *e {
+            TrafficEvent::Invoke {
+                vr,
+                op: OpDesc::Report { object: 0, cell },
+                ..
+            } => println!("vr {vr:>2}: object reports cell {cell:?}"),
+            TrafficEvent::Invoke {
+                id,
+                client: 1,
+                op: OpDesc::Lookup { object: 0 },
+                ..
+            } => lookups.push(id),
+            TrafficEvent::Complete {
+                id,
+                vr,
+                outcome: OpOutcome::Answered { cell },
+                ..
+            } if lookups.contains(&id) => {
+                answers += 1;
+                println!("vr {vr:>2}:   querier is told {cell:?}");
+            }
+            _ => {}
+        }
     }
-
-    let q: &QueryClient = world.device(querier).client::<QueryClient>().unwrap();
-    println!(
-        "\nquery client received {} answers over the run",
-        q.answers.len()
-    );
-    let (state, folded) = world.vn_state(VnId(0)).expect("vn alive");
-    println!(
-        "virtual node (folded to vr {folded}) knows {} object(s): {:?}",
-        state.objects.len(),
-        state.objects
-    );
+    println!("\nquerier received {answers} answers about the object");
 }
