@@ -29,22 +29,10 @@
 //! committed `crates/bench/expected/<id>.json`, and a change that
 //! moves a table re-pins that file with its reason stated.
 
-use vi_bench::{all_experiments, Table};
+use std::path::Path;
+use vi_bench::all_experiments;
+use vi_bench::harness::write_file;
 use vi_telemetry::monitor;
-
-fn write_json(id: &str, table: &Table) {
-    let path = format!("BENCH_{id}.json");
-    match serde_json::to_string(table) {
-        Ok(json) => {
-            if let Err(e) = std::fs::write(&path, json) {
-                eprintln!("warning: could not write {path}: {e}");
-            } else {
-                eprintln!("wrote {path}");
-            }
-        }
-        Err(e) => eprintln!("warning: could not serialize {id} table: {e}"),
-    }
-}
 
 /// Replays an incident bundle and reports whether it reproduces.
 ///
@@ -90,48 +78,43 @@ fn replay_incident(path: &str) -> ! {
     }
 }
 
+/// Prints `fuzz: <what>` and exits 2: a usage or I/O error, or a spec
+/// that does not parse or validate.
+fn fuzz_error(what: impl std::fmt::Display) -> ! {
+    eprintln!("fuzz: {what}");
+    std::process::exit(2)
+}
+
+/// Parses `flag`'s `value` as a number, or exits 2.
+fn number<T: std::str::FromStr>(flag: &str, value: String) -> T
+where
+    T::Err: std::fmt::Display,
+{
+    value
+        .parse()
+        .unwrap_or_else(|e| fuzz_error(format_args!("{flag}: {e}")))
+}
+
 /// `repro fuzz`: run a coverage-guided fuzz campaign, or (with
 /// `--minimize <spec.json>`) shrink one failing spec.
 ///
 /// Exit codes: 0 — campaign ran (findings are *results*, not
 /// failures) or minimization reproduced and shrank; 1 — the spec
-/// passed to `--minimize` does not fail; 2 — usage or I/O error.
+/// passed to `--minimize` does not fail; 2 — see [`fuzz_error`].
 fn fuzz_cmd(args: &[String]) -> ! {
     let mut config = vi_fuzz::FuzzConfig::default();
     let mut minimize_path: Option<String> = None;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         let mut want = |flag: &str| -> String {
-            match it.next() {
-                Some(v) => v.clone(),
-                None => {
-                    eprintln!("fuzz: {flag} needs a value");
-                    std::process::exit(2);
-                }
-            }
+            it.next()
+                .cloned()
+                .unwrap_or_else(|| fuzz_error(format_args!("{flag} needs a value")))
         };
         match a.as_str() {
-            "--iters" => match want("--iters").parse() {
-                Ok(n) => config.iters = n,
-                Err(e) => {
-                    eprintln!("fuzz: --iters: {e}");
-                    std::process::exit(2);
-                }
-            },
-            "--seed" => match want("--seed").parse() {
-                Ok(n) => config.seed = n,
-                Err(e) => {
-                    eprintln!("fuzz: --seed: {e}");
-                    std::process::exit(2);
-                }
-            },
-            "--workers" => match want("--workers").parse() {
-                Ok(n) => config.workers = n,
-                Err(e) => {
-                    eprintln!("fuzz: --workers: {e}");
-                    std::process::exit(2);
-                }
-            },
+            "--iters" => config.iters = number("--iters", want("--iters")),
+            "--seed" => config.seed = number("--seed", want("--seed")),
+            "--workers" => config.workers = number("--workers", want("--workers")),
             "--corpus-dir" => config.corpus_dir = Some(want("--corpus-dir").into()),
             "--minimize" => minimize_path = Some(want("--minimize")),
             other => {
@@ -146,20 +129,13 @@ fn fuzz_cmd(args: &[String]) -> ! {
 
     if let Some(path) = minimize_path {
         // Minimize-only mode: the failure must already reproduce.
-        let json = match std::fs::read_to_string(&path) {
-            Ok(json) => json,
-            Err(e) => {
-                eprintln!("fuzz: {path}: {e}");
-                std::process::exit(2);
-            }
-        };
-        let spec: vi_scenario::ScenarioSpec = match serde_json::from_str(&json) {
-            Ok(spec) => spec,
-            Err(e) => {
-                eprintln!("fuzz: {path}: {e}");
-                std::process::exit(2);
-            }
-        };
+        let spec = std::fs::read_to_string(&path)
+            .map_err(|e| e.to_string())
+            .and_then(|json| {
+                serde_json::from_str::<vi_scenario::ScenarioSpec>(&json).map_err(|e| e.to_string())
+            })
+            .and_then(|spec| spec.validate().map(|()| spec))
+            .unwrap_or_else(|e| fuzz_error(format_args!("{path}: {e}")));
         let Some(class) = vi_fuzz::campaign::classify_run(&spec, config.seed) else {
             eprintln!(
                 "fuzz: '{}' does not fail under seed {} — nothing to minimize",
@@ -169,17 +145,9 @@ fn fuzz_cmd(args: &[String]) -> ! {
         };
         let min = vi_fuzz::minimize(&spec, config.seed, class, config.minimize_budget);
         let out_path = format!("{path}.min.json");
-        match serde_json::to_string(&min.spec) {
-            Ok(json) => {
-                if let Err(e) = std::fs::write(&out_path, json) {
-                    eprintln!("fuzz: {out_path}: {e}");
-                    std::process::exit(2);
-                }
-            }
-            Err(e) => {
-                eprintln!("fuzz: serialize: {e}");
-                std::process::exit(2);
-            }
+        let json = serde_json::to_string(&min.spec).expect("a spec serializes");
+        if let Err(e) = std::fs::write(&out_path, json) {
+            fuzz_error(format_args!("{out_path}: {e}"));
         }
         println!(
             "minimized '{}' ({}) in {} runs / {} accepted shrinks -> {out_path}",
@@ -191,35 +159,28 @@ fn fuzz_cmd(args: &[String]) -> ! {
         std::process::exit(0);
     }
 
-    match vi_fuzz::run_campaign(&config) {
-        Ok(report) => {
-            println!(
-                "fuzz: {} iters -> {} executed, {} rejected, {} buckets ({} new), {} finding(s)",
-                report.iters,
-                report.executed,
-                report.rejected,
-                report.corpus.len(),
-                report.new_buckets,
-                report.findings.len(),
-            );
-            for f in &report.findings {
-                println!(
-                    "  [{}] {} (discovered as '{}' at iter {}, seed {}, minimized in {} runs)",
-                    f.class.label(),
-                    f.spec.name,
-                    f.discovered_as,
-                    f.iteration,
-                    f.seed,
-                    f.minimize_runs,
-                );
-            }
-            std::process::exit(0);
-        }
-        Err(e) => {
-            eprintln!("fuzz: {e}");
-            std::process::exit(2);
-        }
+    let report = vi_fuzz::run_campaign(&config).unwrap_or_else(|e| fuzz_error(e));
+    println!(
+        "fuzz: {} iters -> {} executed, {} rejected, {} buckets ({} new), {} finding(s)",
+        report.iters,
+        report.executed,
+        report.rejected,
+        report.corpus.len(),
+        report.new_buckets,
+        report.findings.len(),
+    );
+    for f in &report.findings {
+        println!(
+            "  [{}] {} (discovered as '{}' at iter {}, seed {}, minimized in {} runs)",
+            f.class.label(),
+            f.spec.name,
+            f.discovered_as,
+            f.iteration,
+            f.seed,
+            f.minimize_runs,
+        );
     }
+    std::process::exit(0);
 }
 
 /// `repro monitor <addr>`: polls an exporter's `/metrics` once a
@@ -343,7 +304,8 @@ fn main() {
                 eprintln!("running {id} ...");
                 let table = run();
                 println!("{table}");
-                write_json(id, &table);
+                let json = serde_json::to_string(&table).expect("a table serializes");
+                write_file(Path::new(&format!("BENCH_{id}.json")), &json);
             }
             None => {
                 eprintln!("unknown experiment '{want}' — try `repro list`");

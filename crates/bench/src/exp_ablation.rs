@@ -96,6 +96,10 @@ pub fn ablation_3pc() -> Table {
         }
         .run(77);
         let violations = out.agreement_violations + out.validity_violations;
+        assert_eq!(violations, 0, "CHAP never disagrees, at drop rate {drop_p}");
+        if drop_p == 0.5 {
+            assert!(inconsistent > 0, "3PC must split under 50% pre-commit loss");
+        }
         let bottom = 1.0 - out.decided_fraction;
 
         t.row(&[
@@ -146,12 +150,22 @@ pub fn detector_necessity() -> Table {
     for (g, &miss_p) in miss_rates.iter().enumerate() {
         let group = &outcomes[g * runs as usize..(g + 1) * runs as usize];
         let bad_runs = group.iter().filter(|o| o.safety_violations() > 0).count();
+        if miss_p == 0.0 {
+            assert_eq!(
+                bad_runs, 0,
+                "the paper's model (miss rate 0) must stay safe"
+            );
+        } else if miss_p == 1.0 {
+            assert!(bad_runs > 0, "a fully blind detector must break safety");
+        }
         t.row(&[f2(miss_p), runs.to_string(), bad_runs.to_string()]);
     }
     t.note("miss rate 0 (the paper's model) must show zero violations; any incompleteness admits disagreement");
     t
 }
 
+/// Each experiment asserts its claim on typed values; these tests
+/// check that the rendered table carries the same claim.
 #[cfg(test)]
 mod tests {
     use super::*;

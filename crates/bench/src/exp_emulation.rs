@@ -69,6 +69,7 @@ pub fn overhead() -> Table {
         (2, 2, 30.0, 6),
         (2, 2, 30.0, 12),
     ];
+    let mut rounds_per_vr = Vec::new();
     for (rows, cols, spacing, devs) in configs {
         let (mut world, vns) = grid_world(rows, cols, spacing, devs, 23);
         let vrs = 12;
@@ -76,6 +77,7 @@ pub fn overhead() -> Table {
         let plan = world.plan();
         let r = world.report();
         let green = r.decided as f64 / (r.decided + r.bottom).max(1) as f64;
+        rounds_per_vr.push(plan.rounds_per_vr());
         t.row(&[
             vns.to_string(),
             f2(spacing),
@@ -86,6 +88,13 @@ pub fn overhead() -> Table {
             world.stats().max_message_bytes.to_string(),
         ]);
     }
+    // Rows 2, 4 and 5 share one layout with 12, 24 and 48 devices;
+    // row 0 is the sparsest layout.
+    let r = &rounds_per_vr;
+    assert!(
+        r[2] == r[4] && r[2] == r[5] && r[2] > r[0],
+        "rounds/vr must grow with density only: {r:?}"
+    );
     t.note("rounds/vr = s + 12: grows with density only; adding devices changes nothing");
     t
 }
@@ -106,6 +115,7 @@ pub fn availability() -> Table {
         ],
     );
     let residence = 3u64;
+    let mut regimes = Vec::new();
     for gap in [1u64, 2, 3, 5, 8] {
         let vn_loc = Point::new(50.0, 50.0);
         let layout = VnLayout::new(vec![vn_loc], REGION);
@@ -148,13 +158,20 @@ pub fn availability() -> Table {
             }
         }
         let (_, report) = world.vn_report(VnId(0));
+        let live = live as f64 / total_vrs as f64;
+        regimes.push((live, report.resets));
         t.row(&[
             gap.to_string(),
-            f2(live as f64 / total_vrs as f64),
+            f2(live),
             report.resets.to_string(),
             report.joins.to_string(),
         ]);
     }
+    let (dense, sparse) = (regimes[0], regimes[regimes.len() - 1]);
+    assert!(
+        dense.0 > 0.9 && sparse.0 < dense.0 && sparse.1 > dense.1,
+        "coverage gaps must cost availability and state (live, resets): {regimes:?}"
+    );
     t.note("three regimes: ample overlap (gap 1) hands state over by join transfer; marginal overlap (gap ≈ residence) keeps the vn alive but loses state at handoff (reset); gap >> residence loses coverage itself");
     t
 }
@@ -210,11 +227,16 @@ pub fn join_latency() -> Table {
         } else {
             "reset"
         };
+        let latency = replica_at - join_vr;
+        assert!(
+            report.joins > 0 && latency <= 2 * s + 2,
+            "a live vn is joined by transfer within a schedule cycle: {via} after {latency} vrs, s = {s}"
+        );
         t.row(&[
             s.to_string(),
             join_vr.to_string(),
             replica_at.to_string(),
-            (replica_at - join_vr).to_string(),
+            latency.to_string(),
             via.to_string(),
         ]);
     }
@@ -238,6 +260,7 @@ pub fn schedule_quality() -> Table {
         ],
     );
     let conflict = R1 + 2.0 * R2; // 50
+    let mut lengths = Vec::new();
     for (rows, cols, spacing) in [
         (4usize, 4usize, 200.0f64),
         (4, 4, 60.0),
@@ -257,19 +280,35 @@ pub fn schedule_quality() -> Table {
             })
             .max()
             .unwrap_or(0);
+        let (complete, non_conflicting) = (
+            schedule.is_complete(&layout),
+            schedule.is_non_conflicting(&layout, conflict),
+        );
+        assert!(
+            complete && non_conflicting && schedule.len() <= max_degree as u64 + 1,
+            "{rows}x{cols} at {spacing}: the greedy schedule must be valid with s <= degree + 1"
+        );
+        lengths.push(schedule.len());
         t.row(&[
             format!("{rows}x{cols}"),
             f2(spacing),
             max_degree.to_string(),
             schedule.len().to_string(),
-            schedule.is_complete(&layout).to_string(),
-            schedule.is_non_conflicting(&layout, conflict).to_string(),
+            complete.to_string(),
+            non_conflicting.to_string(),
         ]);
     }
+    // Rows 3 and 4: one spacing, a 4x4 and an 8x8 grid.
+    assert!(
+        lengths[4] <= lengths[3] + 2,
+        "density, not count, drives s: {lengths:?}"
+    );
     t.note("greedy colouring: s ≤ max degree + 1; same density ⇒ same s regardless of grid size");
     t
 }
 
+/// Each experiment asserts its claim on typed values; these tests
+/// check that the rendered table carries the same claim.
 #[cfg(test)]
 mod tests {
     use super::*;

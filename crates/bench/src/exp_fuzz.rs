@@ -1,8 +1,7 @@
 //! Experiment E22 (`fuzz_hunt`): the coverage-guided fuzz campaign as
 //! a reproducible experiment.
 //!
-//! Three claims, the first two asserted inline before anything is
-//! reported:
+//! Three claims, each asserted inline before anything is reported:
 //!
 //! 1. **Campaigns are deterministic and worker-invariant.** The same
 //!    [`FuzzConfig`] runs under 1 sweep worker and under 4; the two
@@ -15,23 +14,27 @@
 //!    majority linearizability violation that the `broken_majority`
 //!    catalog scenario plants deliberately — an audit-class finding in
 //!    the `fuzz_majority` family — within the fixed iteration budget.
-//!    Its delta-debugged repro spec must still fail the same way, and
-//!    its incident bundle must replay byte-identically at 1 and 4
-//!    workers. With `VI_INCIDENT_DIR` set, the minimized spec and
-//!    bundle are written to disk (CI uploads both and replays the
-//!    bundle via `repro --replay`).
-//! 3. **Coverage feedback earns its keep.** The table reports the
-//!    corpus (buckets per workload family), the findings (class,
-//!    discovery iteration, minimization effort), and campaign
+//!    It must be found by mutation, not as an ancestor, and shrunk by
+//!    the minimizer. Its delta-debugged repro spec must still fail the
+//!    same way, and its incident bundle must replay byte-identically
+//!    at 1 and 4 workers. With `VI_INCIDENT_DIR` set, the minimized
+//!    spec and bundle are written to disk (CI uploads both and replays
+//!    the bundle via `repro --replay`).
+//! 3. **Coverage feedback earns its keep.** Every seed-corpus family
+//!    owns a bucket, mutation grows the map past 16 buckets, and every
+//!    candidate and ancestor is executed or rejected. The table
+//!    reports the corpus (buckets per workload family), the findings
+//!    (class, discovery iteration, minimization effort), and campaign
 //!    throughput (executed / rejected / new-bucket counts), so corpus
 //!    growth can be tracked across PRs.
 //!
 //! The artifact is `BENCH_fuzz_hunt.json`.
 
-use crate::harness::write_incident_file;
+use crate::harness::{assert_replays, write_file};
 use crate::table::Table;
 use std::collections::BTreeMap;
 use vi_fuzz::{run_campaign, FailureClass, Finding, FuzzConfig, FuzzReport};
+use vi_telemetry::monitor;
 
 /// The pinned campaign: seed 5 at 200 iterations rediscovers the
 /// planted majority violation (and, as a bonus, a CHA safety
@@ -53,7 +56,8 @@ pub fn campaign_config(workers: usize) -> FuzzConfig {
 }
 
 /// Runs the pinned campaign at 1 and 4 workers and asserts the two
-/// reports are identical (counts, corpus, and findings).
+/// reports are equal (counts, corpus, and every field of every
+/// finding).
 ///
 /// # Panics
 ///
@@ -62,27 +66,19 @@ pub fn campaign_config(workers: usize) -> FuzzConfig {
 pub fn paired_campaign() -> FuzzReport {
     let sequential = run_campaign(&campaign_config(1)).expect("in-memory campaign");
     let parallel = run_campaign(&campaign_config(4)).expect("in-memory campaign");
-    assert_eq!(sequential.executed, parallel.executed);
-    assert_eq!(sequential.rejected, parallel.rejected);
-    assert_eq!(sequential.new_buckets, parallel.new_buckets);
     assert_eq!(
-        sequential.corpus, parallel.corpus,
-        "coverage maps must not depend on the worker count"
+        sequential, parallel,
+        "campaigns must not depend on the worker count"
     );
-    assert_eq!(sequential.findings.len(), parallel.findings.len());
-    for (a, b) in sequential.findings.iter().zip(&parallel.findings) {
-        assert_eq!(a.class, b.class);
-        assert_eq!(a.spec, b.spec, "minimized specs must be worker-invariant");
-        assert_eq!(a.seed, b.seed);
-        assert_eq!(a.bundle, b.bundle, "bundles must be worker-invariant");
-    }
     parallel
 }
 
 /// Extracts the rediscovered planted violation — the audit-class
 /// finding in the `fuzz_majority` family — and asserts its repro
-/// contract: the minimized spec still fails as an audit violation,
-/// and its bundle replays byte-identically.
+/// contract: it was found by mutation (iteration above 0) and shrunk
+/// by the minimizer (runs above 0, named `<stem>~min`), the minimized
+/// spec still fails as an audit violation, and its bundle replays
+/// byte-identically.
 ///
 /// # Panics
 ///
@@ -96,6 +92,13 @@ pub fn rediscovered_violation(report: &FuzzReport) -> &Finding {
             f.class == FailureClass::AuditViolation && f.spec.name.starts_with("fuzz_majority")
         })
         .expect("campaign must rediscover the planted majority violation");
+    assert!(
+        finding.iteration > 0 && finding.minimize_runs > 0 && finding.spec.name.ends_with("~min"),
+        "the planted violation is found by mutation and minimized: iteration {}, {} minimizer runs, '{}'",
+        finding.iteration,
+        finding.minimize_runs,
+        finding.spec.name
+    );
     assert_eq!(
         vi_fuzz::campaign::classify_run(&finding.spec, finding.seed),
         Some(FailureClass::AuditViolation),
@@ -105,17 +108,7 @@ pub fn rediscovered_violation(report: &FuzzReport) -> &Finding {
         .bundle
         .as_ref()
         .expect("audit findings package a replayable bundle");
-    let replay = bundle.replay();
-    assert_eq!(
-        replay.audit.as_ref(),
-        bundle.audit.as_ref(),
-        "a replay must reproduce the audit verdict"
-    );
-    assert_eq!(
-        replay.incident.as_ref(),
-        Some(bundle),
-        "a replay must reproduce the bundle byte-identically"
-    );
+    assert_replays(bundle);
     finding
 }
 
@@ -147,6 +140,22 @@ pub fn fuzz_hunt() -> Table {
     for entry in report.corpus.entries() {
         *per_family.entry(&entry.signature.family).or_default() += 1;
     }
+    for family in ["fuzz_cha", "fuzz_counter", "fuzz_register", "fuzz_majority"] {
+        assert!(
+            per_family.contains_key(family),
+            "{family} must own coverage"
+        );
+    }
+    assert!(
+        report.corpus.len() >= 16,
+        "mutation must earn buckets past the 4 ancestors: {}",
+        report.corpus.len()
+    );
+    assert_eq!(
+        report.executed + report.rejected,
+        report.iters + 4,
+        "every candidate and ancestor is executed or rejected"
+    );
     for (family, buckets) in &per_family {
         t.row(&[
             "coverage".to_string(),
@@ -185,11 +194,15 @@ pub fn fuzz_hunt() -> Table {
         ]);
     }
 
-    write_incident_file("fuzz_min_majority.spec.json", || {
-        serde_json::to_string(&planted.spec).expect("a spec serializes")
-    });
-    if let Some(bundle) = &planted.bundle {
-        write_incident_file("fuzz_min_majority.bundle.json", || bundle.to_json());
+    if let Some(dir) = &monitor::env().incident_dir {
+        let spec = serde_json::to_string(&planted.spec).expect("a spec serializes");
+        write_file(&dir.join("fuzz_min_majority.spec.json"), &spec);
+        if let Some(bundle) = &planted.bundle {
+            write_file(
+                &dir.join("fuzz_min_majority.bundle.json"),
+                &bundle.to_json(),
+            );
+        }
     }
 
     t.note("1-worker vs 4-worker campaigns asserted identical: counts, coverage map, findings, bundles");

@@ -7,11 +7,10 @@
 //!
 //! 1. **Tracing is zero-perturbation and worker-invariant.** Every job
 //!    runs traced (causal recorder + 16-round flight window) under 1
-//!    sweep worker and under 4; the two outcome tables — causal DAGs,
-//!    decision timelines, and channel stats included — must serialize
-//!    byte-identically. Each traced
-//!    outcome, stripped of its observability fields, must equal the
-//!    plain untraced run.
+//!    sweep worker and under 4; the two outcome lists — causal DAGs,
+//!    decision timelines, and channel stats included — must be equal.
+//!    Each traced outcome records spans and edges and, stripped of its
+//!    observability fields, must equal the plain untraced run.
 //! 2. **Violations dump replayable incident bundles.** The
 //!    `broken_majority` catalog scenario deterministically fails the
 //!    WGL linearizability audit; its run must attach an
@@ -31,9 +30,9 @@
 //! as Perfetto flow events.
 
 use crate::exp_traffic::traffic_jobs;
-use crate::harness::{paired_sweep, write_incident_file};
+use crate::harness::{assert_replays, assert_unperturbed, paired_sweep, write_file};
 use crate::table::Table;
-use vi_scenario::{catalog, EngineTuning, IncidentBundle, ScenarioOutcome, ScenarioSpec};
+use vi_scenario::{catalog, EngineTuning, IncidentBundle, ScenarioSpec};
 use vi_telemetry::monitor::{self, MonitorEvent};
 
 /// The seed every E20 job runs with.
@@ -66,30 +65,6 @@ pub fn traced_tuning() -> EngineTuning {
         .with_flight(FLIGHT_ROUNDS)
 }
 
-/// Runs `specs` with [`SEED`] under [`traced_tuning`] at 1 and 4
-/// sweep workers ([`paired_sweep`]): a causal span, a flight event, or
-/// a counter recorded on a parallel code path shows as a mismatch.
-fn traced_sweep(specs: &[ScenarioSpec]) -> Vec<ScenarioOutcome> {
-    let jobs: Vec<(ScenarioSpec, u64)> = specs.iter().map(|s| (s.clone(), SEED)).collect();
-    paired_sweep(&jobs, traced_tuning(), 4)
-}
-
-/// Asserts a traced outcome equals the plain run of the same job once
-/// its observability fields are stripped: tracing must not perturb
-/// the simulation.
-///
-/// # Panics
-///
-/// Panics on any divergence.
-pub fn assert_zero_perturbation(spec: &ScenarioSpec, traced: &ScenarioOutcome) {
-    let plain = spec.run(SEED);
-    let mut stripped = traced.clone();
-    stripped.telemetry = None;
-    stripped.causal = None;
-    stripped.incident = None;
-    assert_eq!(stripped, plain, "{}: tracing perturbed the run", spec.name);
-}
-
 /// The forced-violation fixture: runs `broken_majority` traced,
 /// extracts the incident bundle, verifies it replays to the identical
 /// audit verdict and bundle, and returns it.
@@ -105,27 +80,20 @@ pub fn forced_violation_bundle() -> IncidentBundle {
     let bundle = out
         .incident
         .expect("violation must dump an incident bundle");
-    let replay = bundle.replay();
-    assert_eq!(
-        replay.audit.as_ref(),
-        bundle.audit.as_ref(),
-        "a replay must reproduce the audit verdict"
-    );
-    assert_eq!(
-        replay.incident.as_ref(),
-        Some(&bundle),
-        "a replay must reproduce the bundle byte-identically"
-    );
+    assert_replays(&bundle);
     bundle
 }
 
 /// E20 — the protocol-trace table: per-app decision timelines, causal
 /// DAG sizes, and the forced-violation incident bundle.
 pub fn protocol_trace() -> Table {
+    // 1 and 4 sweep workers: a causal span, a flight event, or a
+    // counter recorded on a parallel code path shows as a mismatch.
     let specs = protocol_specs();
-    let outcomes = traced_sweep(&specs);
+    let jobs: Vec<(ScenarioSpec, u64)> = specs.iter().map(|s| (s.clone(), SEED)).collect();
+    let outcomes = paired_sweep(&jobs, traced_tuning(), 4);
     for (spec, out) in specs.iter().zip(&outcomes) {
-        assert_zero_perturbation(spec, out);
+        assert_unperturbed(spec, SEED, out);
     }
     // The clique's causal DAG goes to the environment's sinks; under
     // VI_TRACE the trace sink draws it as Perfetto flow arrows on the
@@ -145,6 +113,11 @@ pub fn protocol_trace() -> Table {
     );
     for out in &outcomes {
         let c = out.causal.as_ref().expect("tracing was enabled");
+        assert!(
+            !c.spans.is_empty() && !c.edges.is_empty(),
+            "{}: a traced run records spans and traces receptions",
+            out.scenario
+        );
         let base = out.scenario.split('/').next().unwrap_or(&out.scenario);
         for (app, d) in &c.decision {
             t.row(&[
@@ -165,6 +138,10 @@ pub fn protocol_trace() -> Table {
     }
 
     let bundle = forced_violation_bundle();
+    let (spans, edges) = bundle
+        .causal
+        .as_ref()
+        .map_or((0, 0), |c| (c.spans.len(), c.edges.len()));
     t.row(&[
         "broken_majority".to_string(),
         "(incident)".to_string(),
@@ -173,19 +150,16 @@ pub fn protocol_trace() -> Table {
         "-".to_string(),
         "-".to_string(),
         "-".to_string(),
-        bundle
-            .causal
-            .as_ref()
-            .map_or(0, |c| c.spans.len())
-            .to_string(),
-        bundle
-            .causal
-            .as_ref()
-            .map_or(0, |c| c.edges.len())
-            .to_string(),
+        spans.to_string(),
+        edges.to_string(),
         bundle.flight.len().to_string(),
     ]);
-    write_incident_file("incident_broken_majority.json", || bundle.to_json());
+    if let Some(dir) = &monitor::env().incident_dir {
+        write_file(
+            &dir.join("incident_broken_majority.json"),
+            &bundle.to_json(),
+        );
+    }
 
     t.note("latencies in rounds: invoke→complete per traffic app, propose→decide for cha");
     t.note("1-worker vs 4-worker traced sweeps asserted byte-identical (causal DAGs included)");
@@ -208,14 +182,15 @@ mod tests {
     /// traffic app).
     #[test]
     fn traced_sweeps_are_worker_invariant_and_zero_perturbation() {
-        let specs: Vec<ScenarioSpec> = protocol_specs()
+        let jobs: Vec<(ScenarioSpec, u64)> = protocol_specs()
             .into_iter()
             .filter(|s| s.name == "clique" || s.name.starts_with("robot_patrol/register/"))
+            .map(|s| (s, SEED))
             .collect();
-        assert_eq!(specs.len(), 2);
-        let outcomes = traced_sweep(&specs);
-        for (spec, out) in specs.iter().zip(&outcomes) {
-            assert_zero_perturbation(spec, out);
+        assert_eq!(jobs.len(), 2);
+        let outcomes = paired_sweep(&jobs, traced_tuning(), 4);
+        for ((spec, seed), out) in jobs.iter().zip(&outcomes) {
+            assert_unperturbed(spec, *seed, out);
             let c = out.causal.as_ref().expect("tracing on");
             assert!(!c.spans.is_empty(), "{}: spans recorded", spec.name);
             assert!(!c.edges.is_empty(), "{}: receptions traced", spec.name);

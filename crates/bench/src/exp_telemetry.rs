@@ -9,8 +9,8 @@
 //! re-anchors, receptions and collisions, adversary consultations,
 //! traffic timeouts and audited operations. Counters live on the
 //! sequential control path of the engine, so the experiment asserts
-//! the tentpole acceptance criterion inline: the same matrix on 1
-//! worker and on `auto()` workers yields identical counter sets
+//! inline ([`paired_sweep`]) that the same matrix on 1 worker and on
+//! `auto()` workers yields equal outcomes, counter sets included
 //! (wall-clock phase stats are excluded from summary equality).
 //!
 //! The Perfetto side (`VI_TRACE`, a `TraceSink` among the
@@ -19,8 +19,9 @@
 //! `sweep-worker` and per-job spans that must round-trip through the
 //! Chrome trace-event JSON format.
 
+use crate::harness::{catalog_specs, matrix_jobs, paired_sweep};
 use crate::table::Table;
-use vi_scenario::{catalog, EngineTuning, ScenarioSpec, SweepRunner};
+use vi_scenario::{EngineTuning, SweepRunner};
 
 /// Seeds of the telemetry matrix (two is enough — determinism across
 /// seeds is E15's job; this experiment characterizes counter shapes).
@@ -38,33 +39,20 @@ const SCENARIOS: [&str; 5] = [
     "quake_drill",
 ];
 
-fn specs() -> Vec<ScenarioSpec> {
-    SCENARIOS
-        .iter()
-        .map(|name| catalog::scenario(name).expect("catalog name"))
-        .collect()
-}
-
 /// E19 — per-scenario deterministic counters, with the 1-vs-N-worker
 /// counter identity asserted before anything is reported.
 ///
 /// # Panics
 ///
-/// Panics if any counter set differs between the 1-worker and the
-/// `auto()`-worker run of the same job — that would mean a counter
-/// leaked onto a parallel code path.
+/// Panics if any outcome, counter set included, differs between the
+/// 1-worker and the `auto()`-worker run of the same job — that would
+/// mean a counter leaked onto a parallel code path.
 pub fn telemetry() -> Table {
-    let specs = specs();
-    let tuning = EngineTuning::DEFAULT.with_telemetry();
-    let outcomes = SweepRunner::auto().run_matrix_with(&specs, &SEEDS, tuning);
-    let sequential = SweepRunner::new(1).run_matrix_with(&specs, &SEEDS, tuning);
-    for (a, b) in outcomes.iter().zip(&sequential) {
-        assert_eq!(
-            a.telemetry, b.telemetry,
-            "{}#{}: counters depend on the worker count",
-            a.scenario, a.seed
-        );
-    }
+    let outcomes = paired_sweep(
+        &matrix_jobs(&catalog_specs(&SCENARIOS), &SEEDS),
+        EngineTuning::DEFAULT.with_telemetry(),
+        SweepRunner::auto().workers(),
+    );
 
     let mut t = Table::new(
         "E19 telemetry: deterministic engine counters across catalog scenarios",
@@ -115,6 +103,7 @@ mod tests {
     use super::*;
     use crate::harness::guards::assert_on_overhead_is_bounded;
     use std::sync::Arc;
+    use vi_scenario::catalog;
     use vi_telemetry::monitor::MonitorSink;
     use vi_telemetry::trace_export::{TraceEvent, TraceFile, PID_SWEEP};
     use vi_telemetry::{SinkSet, TraceSink};

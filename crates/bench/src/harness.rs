@@ -1,22 +1,19 @@
 //! Shared experiment runners.
 
+use std::path::Path;
 use vi_core::cha::ChaOutput;
 use vi_radio::geometry::{Point, Rect};
 use vi_radio::{AdversaryKind, NodeId, RadioConfig};
 use vi_scenario::{
-    ChaEngine, CmSpec, EngineTuning, NemesisSpec, PlacementSpec, PopulationSpec, ScenarioOutcome,
-    ScenarioSpec, SweepRunner, WorkloadSpec,
+    catalog, ChaEngine, CmSpec, EngineTuning, IncidentBundle, NemesisSpec, PlacementSpec,
+    PopulationSpec, ScenarioOutcome, ScenarioSpec, SweepRunner, WorkloadSpec,
 };
-use vi_telemetry::monitor;
 
-/// Writes `json()` to `name` under `VI_INCIDENT_DIR`, when that is
-/// set, and says on stderr where it went (or why it did not).
-pub(crate) fn write_incident_file(name: &str, json: impl FnOnce() -> String) {
-    let Some(dir) = &monitor::env().incident_dir else {
-        return;
-    };
-    let path = dir.join(name);
-    match std::fs::write(&path, json()) {
+/// Writes `contents` to `path` and says on stderr where it went (or
+/// why it did not): `repro`'s `BENCH_<id>.json` artifacts and the
+/// experiments' files under `VI_INCIDENT_DIR`.
+pub fn write_file(path: &Path, contents: &str) {
+    match std::fs::write(path, contents) {
         Ok(()) => eprintln!("wrote {}", path.display()),
         Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
     }
@@ -82,10 +79,27 @@ pub(crate) fn all_green_from(outputs: &[&[ChaOutput<u64>]]) -> Option<u64> {
     })
 }
 
+/// The named catalog scenarios, in order.
+pub fn catalog_specs(names: &[&str]) -> Vec<ScenarioSpec> {
+    names
+        .iter()
+        .map(|name| catalog::scenario(name).expect("catalog name"))
+        .collect()
+}
+
+/// The `scenarios × seeds` job list, scenario-major.
+pub fn matrix_jobs(scenarios: &[ScenarioSpec], seeds: &[u64]) -> Vec<(ScenarioSpec, u64)> {
+    scenarios
+        .iter()
+        .flat_map(|s| seeds.iter().map(move |&seed| (s.clone(), seed)))
+        .collect()
+}
+
 /// Runs `jobs` under `tuning` with 1 sweep worker and with `workers`
 /// (at least two, so the cross-check always exercises real
-/// concurrency), asserts the serialized outcome tables are
-/// byte-identical, and returns the outcomes in job order.
+/// concurrency), asserts the outcomes are equal, and returns them in
+/// job order. Outcome equality skips only telemetry's wall-clock phase
+/// timers.
 ///
 /// # Panics
 ///
@@ -100,11 +114,52 @@ pub fn paired_sweep(
     let sequential = SweepRunner::new(1).run_with(jobs, tuning);
     let parallel = SweepRunner::new(workers.max(2)).run_with(jobs, tuning);
     assert_eq!(
-        serde_json::to_string(&sequential).expect("serializable outcomes"),
-        serde_json::to_string(&parallel).expect("serializable outcomes"),
+        sequential, parallel,
         "sweep outcomes must not depend on the worker count"
     );
     parallel
+}
+
+/// Asserts that `observed`, a run of `spec` with `seed` under some
+/// observing tuning (telemetry, tracing, a flight recorder, a
+/// monitor), equals the plain run once its observability fields are
+/// stripped: observing a run must not perturb it.
+///
+/// # Panics
+///
+/// Panics on any divergence.
+pub fn assert_unperturbed(spec: &ScenarioSpec, seed: u64, observed: &ScenarioOutcome) {
+    let stripped = ScenarioOutcome {
+        telemetry: None,
+        causal: None,
+        incident: None,
+        ..observed.clone()
+    };
+    assert_eq!(
+        stripped,
+        spec.run(seed),
+        "{}#{seed}: observing the run perturbed it",
+        spec.name
+    );
+}
+
+/// Asserts that `bundle` replays to its recorded audit verdict and
+/// re-dumps itself byte-identically.
+///
+/// # Panics
+///
+/// Panics if the replay diverges.
+pub fn assert_replays(bundle: &IncidentBundle) {
+    let replay = bundle.replay();
+    assert_eq!(
+        replay.audit, bundle.audit,
+        "a replay must reproduce the audit verdict"
+    );
+    assert_eq!(
+        replay.incident.as_ref(),
+        Some(bundle),
+        "a replay must reproduce the bundle byte-identically"
+    );
 }
 
 /// What the `#[ignore]`d release guards of E19 and E21 share. vi-bench

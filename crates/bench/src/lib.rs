@@ -4,9 +4,11 @@
 //! of the paper. Each experiment (E1–E22; E14 and E18 are retired, not
 //! renumbered) is a function returning a [`Table`], callable from the
 //! `repro` binary (which prints paper-shaped tables and writes a
-//! `BENCH_<id>.json` artifact per experiment) and exercised by unit
-//! tests that assert the claimed *shape* (who wins, what stays
-//! constant, what grows). Every CHA clique (E2–E6, E12, E13) is a
+//! `BENCH_<id>.json` artifact per experiment). Each experiment asserts
+//! its paper claim — the claimed *shape*: who wins, what stays
+//! constant, what grows — on the values it computes, before it returns
+//! its table, so `repro` panics on a broken claim rather than printing
+//! it. Every CHA clique (E2–E6, E12, E13) is a
 //! [`harness::clique_spec`] run by vi-scenario, and the baselines run
 //! typed engines, so vi-bench builds and downcasts no node. Seed sweeps
 //! (E6, E13, E15, E16, E17) fan across cores through
@@ -125,38 +127,17 @@ pub fn all_experiments() -> Vec<Experiment> {
 
 #[cfg(test)]
 mod tests {
-    use super::{all_experiments, Table};
-    use std::path::{Path, PathBuf};
-
-    /// The ids this test does not regenerate, because the test that
-    /// already computes the table compares it (`assert_pinned`):
-    /// `msgsize` takes ≈ 45 s in a debug build (its full-history
-    /// baseline is quadratic by design), so
-    /// `msgsize_chap_is_constant_baseline_grows` pays that once.
-    const NOT_REGENERATED: [&str; 1] = ["msgsize"];
-
-    fn expected_dir() -> PathBuf {
-        Path::new(env!("CARGO_MANIFEST_DIR")).join("expected")
-    }
-
-    /// Asserts `table` serializes to `expected/<id>.json` byte for byte.
-    pub(crate) fn assert_pinned(id: &str, table: &Table) {
-        let expected = std::fs::read_to_string(expected_dir().join(format!("{id}.json")))
-            .expect("pinned table is readable");
-        assert_eq!(
-            serde_json::to_string(table).expect("serializable table"),
-            expected,
-            "{id}: table drifted from crates/bench/expected/{id}.json"
-        );
-    }
+    use super::all_experiments;
+    use std::path::Path;
 
     /// No experiment reads a clock, so each serialized table is a pure
     /// function of the code and `expected/<id>.json` pins it. A change
     /// that moves one re-pins the file (`repro <id>`, copy
-    /// `BENCH_<id>.json` over it) and says why in CHANGES.md.
+    /// `BENCH_<id>.json` over it) and says why in CHANGES.md. Each run
+    /// also asserts the experiment's paper claim.
     #[test]
     fn tables_equal_the_committed_expected_files() {
-        let dir = expected_dir();
+        let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("expected");
         let experiments = all_experiments();
 
         let mut pinned: Vec<String> = std::fs::read_dir(&dir)
@@ -176,9 +157,13 @@ mod tests {
         );
 
         for (id, _, run) in experiments {
-            if !NOT_REGENERATED.contains(&id) {
-                assert_pinned(id, &run());
-            }
+            let expected = std::fs::read_to_string(dir.join(format!("{id}.json")))
+                .expect("pinned table is readable");
+            assert_eq!(
+                serde_json::to_string(&run()).expect("serializable table"),
+                expected,
+                "{id}: table drifted from crates/bench/expected/{id}.json"
+            );
         }
     }
 }

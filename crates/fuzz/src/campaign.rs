@@ -88,7 +88,7 @@ pub fn classify_run(spec: &ScenarioSpec, seed: u64) -> Option<FailureClass> {
 }
 
 /// One confirmed, minimized failure.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Finding {
     /// How the run failed.
     pub class: FailureClass,
@@ -139,7 +139,7 @@ impl Default for FuzzConfig {
 
 /// What a campaign did: corpus growth, throughput accounting, and
 /// every (deduplicated) finding.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct FuzzReport {
     /// Candidates generated (= the configured budget).
     pub iters: u64,

@@ -134,7 +134,9 @@ impl IncidentBundle {
     ///
     /// # Errors
     ///
-    /// Returns a description of the parse failure.
+    /// Returns a description of the parse failure, of a version skew,
+    /// or of the first problem [`ScenarioSpec::validate`] finds in the
+    /// bundled scenario (a replay would otherwise panic on it).
     pub fn from_json(json: &str) -> Result<Self, String> {
         let bundle: IncidentBundle =
             serde_json::from_str(json).map_err(|e| format!("incident bundle: {e}"))?;
@@ -144,6 +146,10 @@ impl IncidentBundle {
                 bundle.version
             ));
         }
+        bundle
+            .scenario
+            .validate()
+            .map_err(|e| format!("incident bundle: {e}"))?;
         Ok(bundle)
     }
 
@@ -207,5 +213,13 @@ mod tests {
         bundle.version = BUNDLE_VERSION + 1;
         let err = IncidentBundle::from_json(&bundle.to_json()).unwrap_err();
         assert!(err.contains("version"), "{err}");
+    }
+
+    #[test]
+    fn invalid_scenario_is_rejected() {
+        let mut bundle = violating_bundle();
+        bundle.scenario.adversary = vi_radio::AdversaryKind::Random(1.5, 0.0);
+        let err = IncidentBundle::from_json(&bundle.to_json()).unwrap_err();
+        assert!(err.contains("probability outside [0, 1]"), "{err}");
     }
 }
