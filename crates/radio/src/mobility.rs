@@ -313,7 +313,7 @@ impl MobilityModel for DepartAt {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn rng() -> StdRng {
         StdRng::seed_from_u64(42)
@@ -477,6 +477,47 @@ mod tests {
                 pos.distance(expected) < 1e-9,
                 "round {r}: {pos} vs {expected}"
             );
+        }
+    }
+
+    /// FNV-1a over 64-bit words.
+    fn fold(h: u64, word: u64) -> u64 {
+        (h ^ word).wrapping_mul(0x0000_0100_0000_01b3)
+    }
+
+    #[test]
+    fn trajectories_are_pinned() {
+        // Each kind runs 300 rounds from one seed and one start: the
+        // waypoint walker arrives and redraws many times, the billiard
+        // reflects off the walls, the patrol wraps round its circuit,
+        // and the departure waits 100 rounds. Pinned per kind: a digest
+        // of every position's bits and `is_settled` answer, and the
+        // RNG's next draw (what the model left of the shared stream).
+        let (start, arena) = (Point::new(5.0, 5.0), Rect::square(20.0));
+        let route = vec![Point::ORIGIN, Point::new(4.0, 0.0), Point::new(4.0, 4.0)];
+        let models: [Box<dyn MobilityModel>; 5] = [
+            Box::new(Static::new(start)),
+            Box::new(Waypoint::new(start, 1.5, arena)),
+            Box::new(Billiard::new(start, (0.7, -1.1), arena)),
+            Box::new(PatrolRoute::new(route, 1.5)),
+            Box::new(DepartAt::new(start, (3.0, 4.0), 0.5, 100)),
+        ];
+        let pinned = [
+            (0xac68d9cf7cdc68f0, 0xd0764d4f4476689f),
+            (0x485ae374a8131b83, 0xa9bdb423b1db1f6d),
+            (0x61c34212696578d0, 0xd0764d4f4476689f),
+            (0xdfe823be5c584f6f, 0xd0764d4f4476689f),
+            (0x2925116481fe1567, 0xd0764d4f4476689f),
+        ];
+        for (kind, (mut m, pin)) in models.into_iter().zip(pinned).enumerate() {
+            let mut rng = rng();
+            let mut h = fold(0xcbf2_9ce4_8422_2325, m.is_settled() as u64);
+            for r in 0..300 {
+                let p = m.advance(r, &mut rng);
+                h = fold(fold(h, p.x.to_bits()), p.y.to_bits());
+                h = fold(h, m.is_settled() as u64);
+            }
+            assert_eq!((h, rng.next_u64()), pin, "kind {kind}");
         }
     }
 
