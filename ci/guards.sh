@@ -79,6 +79,14 @@ guards=(
   "$code" '-'
   'a deleted duplicate is back; an adversary is an AdversaryKind value'
 
+  # One mobility description: `MobilitySpec` (vi-radio) validates and
+  # builds every model, and a static node's model is its `Point`. The
+  # five structs that mirrored its variants and vi-scenario's copy of
+  # their asserts are gone.
+  'struct (Static|Waypoint|Billiard|PatrolRoute|DepartAt)\b|\b(Static|Waypoint|Billiard|PatrolRoute|DepartAt)::new\('
+  "$code" '-'
+  'a mobility is a MobilitySpec value'
+
   # One client per app: vi-traffic's `App` adapters are the apps'
   # clients. vi-apps is the four virtual-node automata and their
   # messages; its six hand-written clients are gone.

@@ -129,7 +129,6 @@ impl VirtualAutomaton for GeoRouterVn {
 mod tests {
     use super::*;
     use vi_core::vi::{ClientApp, VirtualReception, VnId, VnLayout, World, WorldConfig};
-    use vi_radio::mobility::Static;
     use vi_radio::RadioConfig;
 
     /// Sends its one packet at virtual round 5.
@@ -179,11 +178,11 @@ mod tests {
         // Two emulating devices per virtual node + the injector client
         // near vn0.
         for loc in &locs {
-            world.add_device(Box::new(Static::new(Point::new(loc.x + 0.5, loc.y))), None);
-            world.add_device(Box::new(Static::new(Point::new(loc.x - 0.5, loc.y))), None);
+            world.add_device(Box::new(Point::new(loc.x + 0.5, loc.y)), None);
+            world.add_device(Box::new(Point::new(loc.x - 0.5, loc.y)), None);
         }
         world.add_device(
-            Box::new(Static::new(Point::new(50.0, 51.0))),
+            Box::new(Point::new(50.0, 51.0)),
             Some(Box::new(OneShot(Some(RouteMsg::inject(dst, 42))))),
         );
         world.run_virtual_rounds(30);

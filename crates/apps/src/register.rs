@@ -131,7 +131,6 @@ mod tests {
     use super::*;
     use vi_core::vi::{ClientApp, VirtualReception, VnLayout, World, WorldConfig};
     use vi_radio::geometry::Point;
-    use vi_radio::mobility::Static;
     use vi_radio::NodeId;
     use vi_radio::RadioConfig;
 
@@ -185,11 +184,11 @@ mod tests {
                 writes,
                 ..TestClient::default()
             };
-            world.add_device(Box::new(Static::new(at)), Some(Box::new(client)))
+            world.add_device(Box::new(at), Some(Box::new(client)))
         };
         let writer = add(Point::new(50.4, 50.0), 3);
         let reader = add(Point::new(49.6, 50.0), 0);
-        world.add_device(Box::new(Static::new(Point::new(50.0, 50.6))), None);
+        world.add_device(Box::new(Point::new(50.0, 50.6)), None);
         world.run_virtual_rounds(30);
         let log = |id: NodeId| world.device(id).client::<TestClient>().unwrap().clone();
         (log(writer), log(reader))

@@ -54,7 +54,7 @@ mod tests {
     use super::*;
     use vi_core::vi::VnLayout;
     use vi_radio::geometry::Point;
-    use vi_radio::mobility::{MobilityModel, Static};
+    use vi_radio::mobility::MobilityModel;
     use vi_radio::{AdversaryKind, RadioConfig};
     use vi_traffic::{AppKind, DevicePlan, TrafficSpec, TrafficWorld};
 
@@ -66,7 +66,7 @@ mod tests {
                 let start = Point::new(49.4 + 0.4 * i as f64, 50.2);
                 DevicePlan {
                     start,
-                    mobility: Box::new(Static::new(start)) as Box<dyn MobilityModel>,
+                    mobility: Box::new(start) as Box<dyn MobilityModel>,
                     spawn_at: None,
                     crash_at: None,
                 }

@@ -113,7 +113,6 @@ mod tests {
     use vi_contention::OracleCm;
     use vi_core::cha::TaggedProposer;
     use vi_radio::geometry::Point;
-    use vi_radio::mobility::Static;
     use vi_radio::{Engine, EngineConfig, NodeSpec, RadioConfig};
 
     fn run(n: usize, rounds: u64) -> (Engine<FullHistoryMessage<u64>>, Vec<vi_radio::NodeId>) {
@@ -126,7 +125,7 @@ mod tests {
         let ids: Vec<_> = (0..n)
             .map(|i| {
                 engine.add_node(NodeSpec::new(
-                    Box::new(Static::new(Point::new(i as f64 * 0.3, 0.0))),
+                    Box::new(Point::new(i as f64 * 0.3, 0.0)),
                     Box::new(FullHistoryNode::new(
                         Box::new(TaggedProposer::new(i as u64)),
                         cm.clone(),

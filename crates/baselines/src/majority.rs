@@ -137,7 +137,6 @@ impl<V: Clone + WireSized + 'static> Process<MajorityMessage<V>> for MajorityCon
 mod tests {
     use super::*;
     use vi_radio::geometry::Point;
-    use vi_radio::mobility::Static;
     use vi_radio::{Engine, EngineConfig, NodeSpec, RadioConfig};
 
     fn run(n: usize, instances: u64) -> (Engine<MajorityMessage<u64>>, Vec<vi_radio::NodeId>) {
@@ -149,7 +148,7 @@ mod tests {
         let ids: Vec<_> = (0..n)
             .map(|i| {
                 engine.add_node(NodeSpec::new(
-                    Box::new(Static::new(Point::new(i as f64 * 0.2, 0.0))),
+                    Box::new(Point::new(i as f64 * 0.2, 0.0)),
                     Box::new(MajorityConsensus::new(
                         i,
                         n,
@@ -203,7 +202,7 @@ mod tests {
         let ids: Vec<_> = (0..n)
             .map(|i| {
                 let spec = NodeSpec::new(
-                    Box::new(Static::new(Point::new(i as f64 * 0.2, 0.0))),
+                    Box::new(Point::new(i as f64 * 0.2, 0.0)),
                     Box::new(MajorityConsensus::<u64>::new(i, n, Box::new(|k| k)))
                         as Box<dyn vi_radio::Process<MajorityMessage<u64>>>,
                 );

@@ -217,7 +217,6 @@ mod tests {
     use super::*;
     use vi_audit::{check_register, LinResult};
     use vi_radio::geometry::Point;
-    use vi_radio::mobility::Static;
     use vi_radio::{Engine, EngineConfig, NodeId, NodeSpec, RadioConfig, ScriptedAdversary};
 
     fn build(n: usize, writes: u64, rounds: u64, partition_from: Option<u64>) -> Vec<RegOp> {
@@ -237,7 +236,7 @@ mod tests {
         let ids: Vec<NodeId> = (0..n)
             .map(|i| {
                 engine.add_node(NodeSpec::by_value(
-                    Box::new(Static::new(Point::new(i as f64 * 0.2, 0.0))),
+                    Box::new(Point::new(i as f64 * 0.2, 0.0)),
                     MajorityRegister::new(i, n, writes),
                 ))
             })

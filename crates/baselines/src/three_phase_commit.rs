@@ -177,7 +177,6 @@ mod tests {
     use super::*;
     use vi_radio::adversary::ScriptedAdversary;
     use vi_radio::geometry::Point;
-    use vi_radio::mobility::Static;
     use vi_radio::{Engine, EngineConfig, NodeId, NodeSpec, RadioConfig};
 
     fn build(
@@ -193,7 +192,7 @@ mod tests {
         let ids: Vec<_> = (0..n)
             .map(|i| {
                 let mut spec = NodeSpec::new(
-                    Box::new(Static::new(Point::new(i as f64 * 0.2, 0.0))),
+                    Box::new(Point::new(i as f64 * 0.2, 0.0)),
                     Box::new(ThreePhaseCommit::<u64>::new(i, n, Box::new(|k| k)))
                         as Box<dyn vi_radio::Process<TpcMessage<u64>>>,
                 );

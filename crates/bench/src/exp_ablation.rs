@@ -20,7 +20,6 @@ use vi_baselines::{ThreePhaseCommit, TpcDecision, TpcMessage};
 use vi_contention::PreStability;
 use vi_radio::adversary::ScriptedAdversary;
 use vi_radio::geometry::Point;
-use vi_radio::mobility::Static;
 use vi_radio::{AdversaryKind, Engine, EngineConfig, NodeSpec, RadioConfig};
 use vi_scenario::{CmSpec, ScenarioSpec, SweepRunner};
 
@@ -40,7 +39,7 @@ fn tpc_instance(n: usize, drop_p: f64, rng: &mut StdRng, seed: u64) -> Vec<TpcDe
     let ids: Vec<_> = (0..n)
         .map(|i| {
             let mut spec = NodeSpec::by_value(
-                Box::new(Static::new(Point::new(i as f64 * 0.2, 0.0))),
+                Box::new(Point::new(i as f64 * 0.2, 0.0)),
                 ThreePhaseCommit::new(i, n, Box::new(|k| k)),
             );
             if i == 0 {

@@ -8,7 +8,6 @@ use vi_baselines::{FullHistoryMessage, FullHistoryNode, MajorityConsensus, Major
 use vi_contention::{OracleCm, PreStability, SharedCm};
 use vi_core::cha::{ChaProtocol, Color, TaggedProposer};
 use vi_radio::geometry::Point;
-use vi_radio::mobility::Static;
 use vi_radio::{AdversaryKind, Engine, EngineConfig, NodeSpec, RadioConfig};
 use vi_scenario::{CmSpec, ScenarioSpec, SweepRunner};
 
@@ -81,7 +80,7 @@ pub fn msgsize() -> Table {
         let cm = SharedCm::new(OracleCm::perfect());
         for i in 0..3 {
             engine.add_node(NodeSpec::by_value(
-                Box::new(Static::new(Point::new(i as f64 * 0.3, 0.0))),
+                Box::new(Point::new(i as f64 * 0.3, 0.0)),
                 FullHistoryNode::new(Box::new(TaggedProposer::new(i)), cm.clone()),
             ));
         }
@@ -132,7 +131,7 @@ pub fn rounds() -> Table {
         let ids: Vec<_> = (0..n)
             .map(|i| {
                 engine.add_node(NodeSpec::by_value(
-                    Box::new(Static::new(Point::new(i as f64 * 0.1, 0.0))),
+                    Box::new(Point::new(i as f64 * 0.1, 0.0)),
                     MajorityConsensus::new(i, n, Box::new(|k| k)),
                 ))
             })

@@ -2,8 +2,8 @@
 
 use crate::table::{f2, Table};
 use vi_core::vi::{CounterAutomaton, Schedule, VnId, VnLayout, World, WorldConfig};
-use vi_radio::geometry::Point;
-use vi_radio::mobility::{DepartAt, Static};
+use vi_radio::geometry::{Point, Rect};
+use vi_radio::mobility::MobilitySpec;
 use vi_radio::{NodeId, RadioConfig};
 
 const R1: f64 = 10.0;
@@ -34,10 +34,7 @@ fn grid_world(
     for loc in locations {
         for d in 0..devices_per_vn {
             let off = 0.4 * (d as f64 + 1.0) / devices_per_vn as f64;
-            world.add_device(
-                Box::new(Static::new(Point::new(loc.x + off, loc.y - off))),
-                None,
-            );
+            world.add_device(Box::new(Point::new(loc.x + off, loc.y - off)), None);
         }
     }
     (world, vns)
@@ -136,12 +133,16 @@ pub fn availability() -> Table {
             let spawn = vr * rpv;
             let speed = 3.2 / (residence * rpv) as f64;
             world.add_device_spec(
-                Box::new(DepartAt::new(
-                    Point::new(vn_loc.x + 0.1 * (arrivals % 5) as f64, vn_loc.y),
-                    (1.0, 0.3),
+                MobilitySpec::DepartAt {
+                    dir_x: 1.0,
+                    dir_y: 0.3,
                     speed,
-                    spawn,
-                )),
+                    depart_at: spawn,
+                }
+                .build(
+                    Point::new(vn_loc.x + 0.1 * (arrivals % 5) as f64, vn_loc.y),
+                    Rect::square(100.0),
+                ),
                 None,
                 Some(spawn),
                 None,
@@ -199,13 +200,13 @@ pub fn join_latency() -> Table {
             record_trace: false,
         });
         // Anchors keep vn0 alive from the start.
-        world.add_device(Box::new(Static::new(Point::new(50.3, 50.0))), None);
-        world.add_device(Box::new(Static::new(Point::new(49.7, 50.0))), None);
+        world.add_device(Box::new(Point::new(50.3, 50.0)), None);
+        world.add_device(Box::new(Point::new(49.7, 50.0)), None);
         let rpv = world.plan().rounds_per_vr();
         let s = world.plan().schedule_len();
         let join_vr = 6u64;
         let joiner: NodeId = world.add_device_spec(
-            Box::new(Static::new(Point::new(50.0, 50.4))),
+            Box::new(Point::new(50.0, 50.4)),
             None,
             Some((join_vr - 1) * rpv),
             None,

@@ -31,6 +31,23 @@ pub enum PreStability {
     Random(f64),
 }
 
+impl PreStability {
+    /// Checks the one parameter: a `Random` probability lies in
+    /// `[0, 1]`.
+    ///
+    /// # Errors
+    ///
+    /// Returns what is wrong.
+    pub fn validate(&self) -> Result<(), String> {
+        match self {
+            PreStability::Random(p) if !(0.0..=1.0).contains(p) => {
+                Err("pre-stability probability must lie in [0, 1]".into())
+            }
+            _ => Ok(()),
+        }
+    }
+}
+
 /// Deterministic leader-election contention manager (Property 3).
 ///
 /// From `stabilize_at` onwards, the leader for round `r` is the
@@ -56,12 +73,13 @@ pub struct OracleCm {
 impl OracleCm {
     /// Creates an oracle that behaves per `pre` before `stabilize_at`
     /// and realizes Property 3 from `stabilize_at` onwards.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pre` fails [`PreStability::validate`].
     pub fn new(stabilize_at: u64, pre: PreStability, seed: u64) -> Self {
-        if let PreStability::Random(p) = pre {
-            assert!(
-                (0.0..=1.0).contains(&p),
-                "pre-stability probability must lie in [0, 1]"
-            );
+        if let Err(e) = pre.validate() {
+            panic!("{e}");
         }
         OracleCm {
             stabilize_at,

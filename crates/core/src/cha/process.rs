@@ -227,7 +227,6 @@ mod tests {
     use std::rc::Rc;
     use vi_contention::{Advice, ContentionManager, OracleCm};
     use vi_radio::geometry::Point;
-    use vi_radio::mobility::Static;
     use vi_radio::{Engine, EngineConfig, NodeSpec, RadioConfig};
 
     fn clique(n: usize) -> (Engine<ChaMessage<u64>>, Vec<vi_radio::NodeId>, SharedCm) {
@@ -240,7 +239,7 @@ mod tests {
         let ids = (0..n)
             .map(|i| {
                 engine.add_node(NodeSpec::new(
-                    Box::new(Static::new(Point::new(i as f64 * 0.5, 0.0))),
+                    Box::new(Point::new(i as f64 * 0.5, 0.0)),
                     Box::new(ChaNode::new(
                         Box::new(TaggedProposer::new(i as u64)),
                         cm.clone(),
@@ -306,7 +305,7 @@ mod tests {
         // ballot phase and participates from instance 3.
         let late = engine.add_node(
             NodeSpec::new(
-                Box::new(Static::new(Point::new(2.0, 0.0))),
+                Box::new(Point::new(2.0, 0.0)),
                 Box::new(ChaNode::from_checkpoint(
                     2,
                     2,

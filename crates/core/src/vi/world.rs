@@ -249,7 +249,6 @@ mod tests {
     use crate::vi::automaton::{CounterAutomaton, CounterState};
     use crate::vi::client::CollectorClient;
     use vi_radio::geometry::Point;
-    use vi_radio::mobility::Static;
 
     fn single_vn_world(n_devices: usize) -> (World<CounterAutomaton>, Vec<NodeId>) {
         let layout = VnLayout::new(vec![Point::new(50.0, 50.0)], 2.5);
@@ -263,7 +262,7 @@ mod tests {
         let ids: Vec<NodeId> = (0..n_devices)
             .map(|i| {
                 world.add_device(
-                    Box::new(Static::new(Point::new(50.0 + i as f64 * 0.5, 50.0))),
+                    Box::new(Point::new(50.0 + i as f64 * 0.5, 50.0)),
                     Some(Box::new(CollectorClient::<u64>::default())),
                 )
             })

@@ -188,9 +188,8 @@ pub fn audit_round(rec: &RoundRecord, cfg: &RadioConfig) -> Vec<ChannelViolation
 mod tests {
     use super::*;
     use crate::adversary::AdversaryKind;
-    use crate::geometry::Point;
-    use crate::geometry::Rect;
-    use crate::mobility::Waypoint;
+    use crate::geometry::{Point, Rect};
+    use crate::mobility::MobilitySpec;
     use crate::{Engine, EngineConfig, NodeSpec, Process, RoundCtx, RoundReception};
 
     struct Chatty;
@@ -224,7 +223,7 @@ mod tests {
         for i in 0..6 {
             let start = Point::new(5.0 + 3.0 * i as f64, 10.0);
             engine.add_node(NodeSpec::new(
-                Box::new(Waypoint::new(start, 0.8, Rect::square(40.0))),
+                MobilitySpec::Waypoint { speed: 0.8 }.build(start, Rect::square(40.0)),
                 if i % 2 == 0 {
                     Box::new(Chatty) as Box<dyn Process<u64>>
                 } else {

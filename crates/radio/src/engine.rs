@@ -657,7 +657,6 @@ impl<M, P> fmt::Debug for Engine<M, P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mobility::Static;
 
     /// Counts receptions and collisions; broadcasts `value` every
     /// round while `chatty`.
@@ -703,10 +702,7 @@ mod tests {
     }
 
     fn static_node(engine: &mut Engine<u64>, x: f64, p: Chatter) -> NodeId {
-        engine.add_node(NodeSpec::new(
-            Box::new(Static::new(Point::new(x, 0.0))),
-            Box::new(p),
-        ))
+        engine.add_node(NodeSpec::new(Box::new(Point::new(x, 0.0)), Box::new(p)))
     }
 
     #[test]
@@ -733,11 +729,7 @@ mod tests {
     fn crash_at_stops_participation() {
         let mut e = engine();
         let _tx = e.add_node(
-            NodeSpec::new(
-                Box::new(Static::new(Point::ORIGIN)),
-                Box::new(Chatter::new(true, 1)),
-            )
-            .crash_at(2),
+            NodeSpec::new(Box::new(Point::ORIGIN), Box::new(Chatter::new(true, 1))).crash_at(2),
         );
         let rx = static_node(&mut e, 5.0, Chatter::new(false, 0));
         e.run(5);
@@ -750,11 +742,7 @@ mod tests {
     fn spawn_at_delays_participation() {
         let mut e = engine();
         let late = e.add_node(
-            NodeSpec::new(
-                Box::new(Static::new(Point::ORIGIN)),
-                Box::new(Chatter::new(true, 9)),
-            )
-            .spawn_at(3),
+            NodeSpec::new(Box::new(Point::ORIGIN), Box::new(Chatter::new(true, 9))).spawn_at(3),
         );
         let rx = static_node(&mut e, 5.0, Chatter::new(false, 0));
         e.run(5);

@@ -40,7 +40,6 @@
 //! use vi_radio::{Engine, EngineConfig, NodeSpec, Process, RadioConfig, RoundCtx,
 //!                RoundReception, WireSized};
 //! use vi_radio::geometry::Point;
-//! use vi_radio::mobility::Static;
 //!
 //! #[derive(Clone, Debug)]
 //! struct Ping(u64);
@@ -66,11 +65,11 @@
 //!     record_trace: false,
 //! });
 //! engine.add_node(NodeSpec::by_value(
-//!     Box::new(Static::new(Point::new(0.0, 0.0))),
+//!     Box::new(Point::new(0.0, 0.0)),
 //!     Beacon { sent: false, heard: 0 },
 //! ));
 //! let listener = engine.add_node(NodeSpec::by_value(
-//!     Box::new(Static::new(Point::new(1.0, 0.0))),
+//!     Box::new(Point::new(1.0, 0.0)),
 //!     Beacon { sent: true, heard: 0 },
 //! ));
 //! engine.run(3);

@@ -1,18 +1,20 @@
-//! Mobility models with bounded velocity.
+//! Mobility with bounded velocity.
 //!
 //! The paper's model: "At any given time, a node resides at a location
 //! in the plane, and its velocity is bounded by `vmax`." One simulator
 //! round is one time slot, so the velocity bound becomes a bound on
 //! per-round displacement.
 //!
-//! Every model implements [`MobilityModel`]; the engine calls
-//! [`MobilityModel::advance`] once per round *before* collecting
-//! transmissions, and delivers the resulting position to the process
-//! through [`RoundCtx`](crate::RoundCtx) — this plays the role of the
+//! A [`MobilitySpec`] describes how a node moves: it validates itself
+//! and [builds](MobilitySpec::build) the model, and a static node's
+//! model is its [`Point`]. The engine calls [`MobilityModel::advance`]
+//! once per round *before* collecting transmissions, and delivers the
+//! position to the process through [`RoundCtx`](crate::RoundCtx): the
 //! paper's GPS / location service.
 
 use crate::geometry::{Point, Rect};
 use rand::rngs::StdRng;
+use serde::{Deserialize, Serialize};
 
 /// A trajectory generator with bounded per-round displacement.
 pub trait MobilityModel {
@@ -41,22 +43,10 @@ pub trait MobilityModel {
     }
 }
 
-/// A node that never moves (`vmax = 0`).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct Static {
-    pos: Point,
-}
-
-impl Static {
-    /// Creates a static node at `pos`.
-    pub fn new(pos: Point) -> Self {
-        Static { pos }
-    }
-}
-
-impl MobilityModel for Static {
+/// A static node is its position: it never moves and is settled.
+impl MobilityModel for Point {
     fn advance(&mut self, _round: u64, _rng: &mut StdRng) -> Point {
-        self.pos
+        *self
     }
 
     fn vmax(&self) -> f64 {
@@ -68,245 +58,224 @@ impl MobilityModel for Static {
     }
 }
 
-/// Random-waypoint mobility: pick a uniform target in `bounds`, walk
-/// towards it at `speed` per round, pick a new target on arrival.
-///
-/// This is the standard ad-hoc-network mobility model and the default
-/// for the churn experiments (E8).
-#[derive(Clone, Debug)]
-pub struct Waypoint {
+/// How a node moves, given its start position and the arena bounds.
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+pub enum MobilitySpec {
+    /// Never moves.
+    Static,
+    /// Random waypoint: walk towards a uniform target in the arena,
+    /// and draw a new one (x, then y) on arrival. The standard
+    /// ad-hoc-network model, and the churn experiments' default.
+    Waypoint {
+        /// Speed in meters per round.
+        speed: f64,
+    },
+    /// Constant velocity, reflecting off the arena bounds: it leaves a
+    /// virtual-node region as fast as the velocity bound allows (the
+    /// temporary-leader lease analysis of Section 4.2).
+    Billiard {
+        /// X velocity in meters per round.
+        vel_x: f64,
+        /// Y velocity in meters per round.
+        vel_y: f64,
+    },
+    /// Cyclic patrol through explicit waypoints (the robots of the
+    /// robot-coordination example); starts at the first waypoint, so
+    /// the start position is ignored.
+    PatrolRoute {
+        /// Waypoints, visited cyclically.
+        route: Vec<Point>,
+        /// Speed in meters per round.
+        speed: f64,
+    },
+    /// Stationary until round `depart_at`, then a straight-line walk
+    /// along the (normalised) direction: a replica scripted to leave a
+    /// virtual node's region.
+    DepartAt {
+        /// X component of the departure direction.
+        dir_x: f64,
+        /// Y component of the departure direction.
+        dir_y: f64,
+        /// Speed in meters per round.
+        speed: f64,
+        /// Round at which the node departs.
+        depart_at: u64,
+    },
+}
+
+/// Euclidean length of `(x, y)`.
+fn norm(x: f64, y: f64) -> f64 {
+    (x * x + y * y).sqrt()
+}
+
+impl MobilitySpec {
+    /// Checks what [`build`](Self::build) needs: a finite,
+    /// non-negative speed, a finite velocity, a non-empty route, a
+    /// non-zero departure direction.
+    ///
+    /// # Errors
+    ///
+    /// Returns what is wrong, naming the kind.
+    pub fn validate(&self) -> Result<(), String> {
+        let speed_ok = |kind: &str, speed: f64| {
+            if speed.is_finite() && speed >= 0.0 {
+                Ok(())
+            } else {
+                Err(format!("{kind} speed must be finite and non-negative"))
+            }
+        };
+        match self {
+            MobilitySpec::Static => Ok(()),
+            MobilitySpec::Waypoint { speed } => speed_ok("waypoint", *speed),
+            MobilitySpec::Billiard { vel_x, vel_y } if vel_x.is_finite() && vel_y.is_finite() => {
+                Ok(())
+            }
+            MobilitySpec::Billiard { .. } => Err("billiard velocity must be finite".into()),
+            MobilitySpec::PatrolRoute { route, .. } if route.is_empty() => {
+                Err("patrol route must not be empty".into())
+            }
+            MobilitySpec::PatrolRoute { speed, .. } => speed_ok("patrol", *speed),
+            MobilitySpec::DepartAt {
+                dir_x,
+                dir_y,
+                speed,
+                ..
+            } if norm(*dir_x, *dir_y) > 0.0 => speed_ok("departure", *speed),
+            MobilitySpec::DepartAt { .. } => Err("departure direction must be non-zero".into()),
+        }
+    }
+
+    /// Builds the model of a node starting at `start` inside `arena`
+    /// (a patrol starts at its first waypoint instead).
+    ///
+    /// # Panics
+    ///
+    /// Panics if [`validate`](Self::validate) fails, or if a waypoint
+    /// or billiard node starts outside `arena`.
+    pub fn build(&self, start: Point, arena: Rect) -> Box<dyn MobilityModel> {
+        if let Err(e) = self.validate() {
+            panic!("invalid mobility: {e}");
+        }
+        let mut spec = self.clone();
+        let (pos, next) = match &mut spec {
+            MobilitySpec::Static => return Box::new(start),
+            MobilitySpec::Waypoint { .. } | MobilitySpec::Billiard { .. } => {
+                assert!(
+                    arena.contains(start),
+                    "{self:?} start {start} outside bounds {arena}"
+                );
+                (start, 0)
+            }
+            MobilitySpec::PatrolRoute { route, .. } => (route[0], 1 % route.len()),
+            MobilitySpec::DepartAt { dir_x, dir_y, .. } => {
+                let n = norm(*dir_x, *dir_y);
+                (*dir_x, *dir_y) = (*dir_x / n, *dir_y / n);
+                (start, 0)
+            }
+        };
+        Box::new(Moving {
+            pos,
+            target: pos,
+            next,
+            spec,
+            arena,
+        })
+    }
+}
+
+/// Every moving kind's runtime. `spec` is the node's description, and
+/// it steps in place: [`MobilitySpec::build`] stores a departure's
+/// direction normalised, and a billiard's velocity reflects off the
+/// arena's walls.
+struct Moving {
     pos: Point,
+    /// A waypoint walker's target.
     target: Point,
-    speed: f64,
-    bounds: Rect,
-}
-
-impl Waypoint {
-    /// Creates a waypoint walker starting at `start`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `speed` is negative or not finite, or if `start` lies
-    /// outside `bounds`.
-    pub fn new(start: Point, speed: f64, bounds: Rect) -> Self {
-        assert!(
-            speed.is_finite() && speed >= 0.0,
-            "waypoint speed must be finite and non-negative"
-        );
-        assert!(
-            bounds.contains(start),
-            "waypoint start {start} outside bounds {bounds}"
-        );
-        Waypoint {
-            pos: start,
-            target: start,
-            speed,
-            bounds,
-        }
-    }
-}
-
-impl MobilityModel for Waypoint {
-    fn advance(&mut self, _round: u64, rng: &mut StdRng) -> Point {
-        if self.pos == self.target {
-            self.target = Point::new(
-                rng.random_range(self.bounds.min.x..=self.bounds.max.x),
-                rng.random_range(self.bounds.min.y..=self.bounds.max.y),
-            );
-        }
-        self.pos = self.pos.step_towards(self.target, self.speed);
-        self.pos
-    }
-
-    fn vmax(&self) -> f64 {
-        self.speed
-    }
-
-    fn is_settled(&self) -> bool {
-        // A zero-speed walker that has already drawn a (distinct)
-        // target never reaches it, so it neither moves nor redraws.
-        // While `pos == target` the next advance draws a target, so the
-        // model is NOT settled then.
-        self.speed == 0.0 && self.pos != self.target
-    }
-}
-
-/// Billiard mobility: constant velocity, reflecting off the bounds.
-///
-/// Useful for worst-case region-departure experiments: a billiard node
-/// leaves a virtual-node region as fast as the velocity bound allows,
-/// exercising the temporary-leader lease analysis of Section 4.2.
-#[derive(Clone, Debug)]
-pub struct Billiard {
-    pos: Point,
-    vel: (f64, f64),
-    bounds: Rect,
-}
-
-impl Billiard {
-    /// Creates a billiard walker at `start` with velocity `vel`
-    /// (meters per round).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `start` lies outside `bounds` or `vel` is not finite.
-    pub fn new(start: Point, vel: (f64, f64), bounds: Rect) -> Self {
-        assert!(
-            vel.0.is_finite() && vel.1.is_finite(),
-            "billiard velocity must be finite"
-        );
-        assert!(
-            bounds.contains(start),
-            "billiard start {start} outside bounds {bounds}"
-        );
-        Billiard {
-            pos: start,
-            vel,
-            bounds,
-        }
-    }
-}
-
-impl MobilityModel for Billiard {
-    fn advance(&mut self, _round: u64, _rng: &mut StdRng) -> Point {
-        let mut x = self.pos.x + self.vel.0;
-        let mut y = self.pos.y + self.vel.1;
-        if x < self.bounds.min.x || x > self.bounds.max.x {
-            self.vel.0 = -self.vel.0;
-            x = x.clamp(self.bounds.min.x, self.bounds.max.x);
-        }
-        if y < self.bounds.min.y || y > self.bounds.max.y {
-            self.vel.1 = -self.vel.1;
-            y = y.clamp(self.bounds.min.y, self.bounds.max.y);
-        }
-        self.pos = Point::new(x, y);
-        self.pos
-    }
-
-    fn vmax(&self) -> f64 {
-        (self.vel.0 * self.vel.0 + self.vel.1 * self.vel.1).sqrt()
-    }
-
-    fn is_settled(&self) -> bool {
-        self.vel == (0.0, 0.0)
-    }
-}
-
-/// Follows an explicit list of waypoints in a loop at bounded speed.
-///
-/// Used by the robot-coordination example, where client robots patrol
-/// fixed circuits through virtual-node regions.
-#[derive(Clone, Debug)]
-pub struct PatrolRoute {
-    pos: Point,
-    route: Vec<Point>,
+    /// A patrol's next stop, as an index into its route.
     next: usize,
-    speed: f64,
+    spec: MobilitySpec,
+    arena: Rect,
 }
 
-impl PatrolRoute {
-    /// Creates a patroller that starts at the first waypoint and
-    /// visits `route` cyclically at `speed` per round.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `route` is empty or `speed` is negative/not finite.
-    pub fn new(route: Vec<Point>, speed: f64) -> Self {
-        assert!(!route.is_empty(), "patrol route must not be empty");
-        assert!(
-            speed.is_finite() && speed >= 0.0,
-            "patrol speed must be finite and non-negative"
-        );
-        PatrolRoute {
-            pos: route[0],
-            next: 1 % route.len(),
-            route,
-            speed,
-        }
+/// One billiard axis: steps `x` by `v` and, past `[lo, hi]`, reverses
+/// `v` and clamps.
+fn reflect(x: f64, v: &mut f64, lo: f64, hi: f64) -> f64 {
+    let x = x + *v;
+    if x < lo || x > hi {
+        *v = -*v;
+        return x.clamp(lo, hi);
     }
+    x
 }
 
-impl MobilityModel for PatrolRoute {
-    fn advance(&mut self, _round: u64, _rng: &mut StdRng) -> Point {
-        let target = self.route[self.next];
-        self.pos = self.pos.step_towards(target, self.speed);
-        if self.pos == target {
-            self.next = (self.next + 1) % self.route.len();
-        }
-        self.pos
-    }
-
-    fn vmax(&self) -> f64 {
-        self.speed
-    }
-
-    fn is_settled(&self) -> bool {
-        // A one-stop circuit pins the patroller to its start; a
-        // zero-speed patroller can never reach its next waypoint
-        // (`step_towards` with a zero step only moves when already
-        // there, and construction starts it *at* route[0] with the next
-        // target distinct unless the route is a single stop).
-        self.route.len() == 1 || (self.speed == 0.0 && self.pos != self.route[self.next])
-    }
-}
-
-/// Departs a region at a given round: stays at `home` until
-/// `depart_at`, then walks away in a straight line at `speed`.
-///
-/// Used by churn experiments to script replicas leaving a virtual
-/// node's region.
-#[derive(Clone, Debug)]
-pub struct DepartAt {
-    pos: Point,
-    direction: (f64, f64),
-    speed: f64,
-    depart_at: u64,
-}
-
-impl DepartAt {
-    /// Creates a node at `home` that departs at round `depart_at`
-    /// along `direction` (normalized internally) at `speed` per round.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `direction` is the zero vector or `speed` is
-    /// negative/not finite.
-    pub fn new(home: Point, direction: (f64, f64), speed: f64, depart_at: u64) -> Self {
-        let norm = (direction.0 * direction.0 + direction.1 * direction.1).sqrt();
-        assert!(norm > 0.0, "departure direction must be non-zero");
-        assert!(
-            speed.is_finite() && speed >= 0.0,
-            "departure speed must be finite and non-negative"
-        );
-        DepartAt {
-            pos: home,
-            direction: (direction.0 / norm, direction.1 / norm),
-            speed,
-            depart_at,
-        }
-    }
-}
-
-impl MobilityModel for DepartAt {
-    fn advance(&mut self, round: u64, _rng: &mut StdRng) -> Point {
-        if round >= self.depart_at {
-            self.pos = Point::new(
-                self.pos.x + self.direction.0 * self.speed,
-                self.pos.y + self.direction.1 * self.speed,
-            );
+impl MobilityModel for Moving {
+    fn advance(&mut self, round: u64, rng: &mut StdRng) -> Point {
+        let Rect { min, max } = self.arena;
+        match &mut self.spec {
+            MobilitySpec::Static => {}
+            MobilitySpec::Waypoint { speed } => {
+                if self.pos == self.target {
+                    self.target = Point::new(
+                        rng.random_range(min.x..=max.x),
+                        rng.random_range(min.y..=max.y),
+                    );
+                }
+                self.pos = self.pos.step_towards(self.target, *speed);
+            }
+            MobilitySpec::Billiard { vel_x, vel_y } => {
+                let x = reflect(self.pos.x, vel_x, min.x, max.x);
+                let y = reflect(self.pos.y, vel_y, min.y, max.y);
+                self.pos = Point::new(x, y);
+            }
+            MobilitySpec::PatrolRoute { route, speed } => {
+                let target = route[self.next];
+                self.pos = self.pos.step_towards(target, *speed);
+                if self.pos == target {
+                    self.next = (self.next + 1) % route.len();
+                }
+            }
+            MobilitySpec::DepartAt {
+                dir_x,
+                dir_y,
+                speed,
+                depart_at,
+            } => {
+                if round >= *depart_at {
+                    self.pos =
+                        Point::new(self.pos.x + *dir_x * *speed, self.pos.y + *dir_y * *speed);
+                }
+            }
         }
         self.pos
     }
 
     fn vmax(&self) -> f64 {
-        self.speed
+        match self.spec {
+            MobilitySpec::Static => 0.0,
+            MobilitySpec::Billiard { vel_x, vel_y } => norm(vel_x, vel_y),
+            MobilitySpec::Waypoint { speed }
+            | MobilitySpec::PatrolRoute { speed, .. }
+            | MobilitySpec::DepartAt { speed, .. } => speed,
+        }
     }
 
     fn is_settled(&self) -> bool {
-        // Settling must be permanent, so a pre-departure node does not
-        // count (it will move later); only a zero-speed departure never
-        // goes anywhere.
-        self.speed == 0.0
+        match &self.spec {
+            MobilitySpec::Static => true,
+            // A zero-speed walker that has drawn a (distinct) target
+            // never reaches it, so it neither moves nor redraws; while
+            // `pos == target` the next advance draws a target.
+            MobilitySpec::Waypoint { speed } => *speed == 0.0 && self.pos != self.target,
+            MobilitySpec::Billiard { vel_x, vel_y } => (*vel_x, *vel_y) == (0.0, 0.0),
+            // A one-stop circuit pins the patroller to its start; a
+            // zero-speed patroller never reaches a distinct next stop.
+            MobilitySpec::PatrolRoute { route, speed } => {
+                route.len() == 1 || (*speed == 0.0 && self.pos != route[self.next])
+            }
+            // Settling is permanent, so a node that has not departed
+            // yet does not count; only a zero-speed departure stays.
+            MobilitySpec::DepartAt { speed, .. } => *speed == 0.0,
+        }
     }
 }
 
@@ -321,7 +290,7 @@ mod tests {
 
     /// Runs a model for `rounds` rounds and asserts the per-round
     /// displacement bound.
-    fn assert_vmax_respected<M: MobilityModel>(mut m: M, rounds: u64) {
+    fn assert_vmax_respected(mut m: Box<dyn MobilityModel>, rounds: u64) {
         let mut rng = rng();
         let mut prev = m.advance(0, &mut rng);
         for r in 1..rounds {
@@ -339,7 +308,7 @@ mod tests {
     #[test]
     fn static_never_moves() {
         let p = Point::new(3.0, 4.0);
-        let mut m = Static::new(p);
+        let mut m = p;
         let mut rng = rng();
         for r in 0..10 {
             assert_eq!(m.advance(r, &mut rng), p);
@@ -348,14 +317,15 @@ mod tests {
 
     #[test]
     fn waypoint_respects_vmax() {
-        let m = Waypoint::new(Point::new(5.0, 5.0), 1.5, Rect::square(100.0));
+        let m =
+            MobilitySpec::Waypoint { speed: 1.5 }.build(Point::new(5.0, 5.0), Rect::square(100.0));
         assert_vmax_respected(m, 500);
     }
 
     #[test]
     fn waypoint_stays_in_bounds() {
         let bounds = Rect::square(50.0);
-        let mut m = Waypoint::new(Point::new(5.0, 5.0), 3.0, bounds);
+        let mut m = MobilitySpec::Waypoint { speed: 3.0 }.build(Point::new(5.0, 5.0), bounds);
         let mut rng = rng();
         for r in 0..1000 {
             let p = m.advance(r, &mut rng);
@@ -366,10 +336,14 @@ mod tests {
     #[test]
     fn billiard_respects_vmax_and_bounds() {
         let bounds = Rect::square(20.0);
-        let m = Billiard::new(Point::new(1.0, 1.0), (0.7, 1.1), bounds);
+        let spec = MobilitySpec::Billiard {
+            vel_x: 0.7,
+            vel_y: 1.1,
+        };
+        let m = spec.build(Point::new(1.0, 1.0), bounds);
         let vmax = m.vmax();
         assert!((vmax - (0.49f64 + 1.21).sqrt()).abs() < 1e-12);
-        let mut m2 = m.clone();
+        let mut m2 = spec.build(Point::new(1.0, 1.0), bounds);
         let mut rng = rng();
         for r in 0..1000 {
             let p = m2.advance(r, &mut rng);
@@ -381,12 +355,22 @@ mod tests {
     #[test]
     fn billiard_bounces() {
         let bounds = Rect::square(5.0);
-        let mut m = Billiard::new(Point::new(4.5, 2.0), (1.0, 0.0), bounds);
+        let mut m = MobilitySpec::Billiard {
+            vel_x: 1.0,
+            vel_y: 0.0,
+        }
+        .build(Point::new(4.5, 2.0), bounds);
         let mut rng = rng();
         let p1 = m.advance(0, &mut rng);
         assert_eq!(p1, Point::new(5.0, 2.0));
         let p2 = m.advance(1, &mut rng);
         assert!(p2.x < 5.0, "should have reversed direction");
+    }
+
+    /// A patrol through `route` at `speed` (its start position is
+    /// ignored).
+    fn patrol(route: Vec<Point>, speed: f64) -> MobilitySpec {
+        MobilitySpec::PatrolRoute { route, speed }
     }
 
     #[test]
@@ -396,7 +380,7 @@ mod tests {
             Point::new(4.0, 0.0),
             Point::new(4.0, 4.0),
         ];
-        let mut m = PatrolRoute::new(route.clone(), 2.0);
+        let mut m = patrol(route.clone(), 2.0).build(Point::ORIGIN, Rect::square(10.0));
         let mut rng = rng();
         let mut visited = vec![route[0]];
         for r in 0..20 {
@@ -410,10 +394,21 @@ mod tests {
         assert_eq!(visited[2], route[2]);
     }
 
+    /// A node at `home` that departs at `depart_at` along `dir`.
+    fn depart(home: Point, dir: (f64, f64), speed: f64, depart_at: u64) -> Box<dyn MobilityModel> {
+        let spec = MobilitySpec::DepartAt {
+            dir_x: dir.0,
+            dir_y: dir.1,
+            speed,
+            depart_at,
+        };
+        spec.build(home, Rect::square(100.0))
+    }
+
     #[test]
     fn depart_at_waits_then_leaves() {
         let home = Point::new(10.0, 10.0);
-        let mut m = DepartAt::new(home, (1.0, 0.0), 2.0, 5);
+        let mut m = depart(home, (1.0, 0.0), 2.0, 5);
         let mut rng = rng();
         for r in 0..5 {
             assert_eq!(m.advance(r, &mut rng), home);
@@ -427,18 +422,18 @@ mod tests {
     #[test]
     #[should_panic(expected = "patrol route must not be empty")]
     fn patrol_rejects_empty_route() {
-        let _ = PatrolRoute::new(vec![], 1.0);
+        let _ = patrol(vec![], 1.0).build(Point::ORIGIN, Rect::square(10.0));
     }
 
-    /// Replays a model from identical seeds and asserts the two
-    /// position streams match (determinism), returning one of them.
-    fn positions<M: MobilityModel + Clone>(m: &M, rounds: u64) -> Vec<Point> {
-        let run = |mut m: M| -> Vec<Point> {
+    /// Replays a model built twice from identical seeds and asserts the
+    /// two position streams match (determinism), returning one of them.
+    fn positions(build: impl Fn() -> Box<dyn MobilityModel>, rounds: u64) -> Vec<Point> {
+        let run = |mut m: Box<dyn MobilityModel>| -> Vec<Point> {
             let mut rng = rng();
             (0..rounds).map(|r| m.advance(r, &mut rng)).collect()
         };
-        let a = run(m.clone());
-        let b = run(m.clone());
+        let a = run(build());
+        let b = run(build());
         assert_eq!(a, b, "mobility must be deterministic per seed");
         a
     }
@@ -446,8 +441,8 @@ mod tests {
     #[test]
     fn patrol_with_single_waypoint_pins_the_node() {
         let p = Point::new(3.0, 7.0);
-        let m = PatrolRoute::new(vec![p], 2.5);
-        for (r, pos) in positions(&m, 50).into_iter().enumerate() {
+        let build = || patrol(vec![p], 2.5).build(p, Rect::square(10.0));
+        for (r, pos) in positions(build, 50).into_iter().enumerate() {
             assert_eq!(pos, p, "round {r}: a 1-stop patrol never leaves it");
         }
     }
@@ -456,9 +451,9 @@ mod tests {
     fn zero_speed_waypoint_never_moves_and_stays_in_bounds() {
         let bounds = Rect::square(30.0);
         let start = Point::new(12.0, 8.0);
-        let m = Waypoint::new(start, 0.0, bounds);
-        assert_eq!(m.vmax(), 0.0);
-        for (r, pos) in positions(&m, 100).into_iter().enumerate() {
+        let build = || MobilitySpec::Waypoint { speed: 0.0 }.build(start, bounds);
+        assert_eq!(build().vmax(), 0.0);
+        for (r, pos) in positions(build, 100).into_iter().enumerate() {
             assert_eq!(pos, start, "round {r}: zero speed pins the walker");
             assert!(bounds.contains(pos));
         }
@@ -467,8 +462,7 @@ mod tests {
     #[test]
     fn depart_at_in_the_past_departs_immediately() {
         let home = Point::new(5.0, 5.0);
-        let m = DepartAt::new(home, (0.0, 1.0), 1.5, 0);
-        let ps = positions(&m, 20);
+        let ps = positions(|| depart(home, (0.0, 1.0), 1.5, 0), 20);
         // Already moving in round 0: no stationary prefix.
         assert_eq!(ps[0], Point::new(5.0, 6.5));
         for (r, pos) in ps.iter().enumerate() {
@@ -495,12 +489,20 @@ mod tests {
         // RNG's next draw (what the model left of the shared stream).
         let (start, arena) = (Point::new(5.0, 5.0), Rect::square(20.0));
         let route = vec![Point::ORIGIN, Point::new(4.0, 0.0), Point::new(4.0, 4.0)];
-        let models: [Box<dyn MobilityModel>; 5] = [
-            Box::new(Static::new(start)),
-            Box::new(Waypoint::new(start, 1.5, arena)),
-            Box::new(Billiard::new(start, (0.7, -1.1), arena)),
-            Box::new(PatrolRoute::new(route, 1.5)),
-            Box::new(DepartAt::new(start, (3.0, 4.0), 0.5, 100)),
+        let specs = [
+            MobilitySpec::Static,
+            MobilitySpec::Waypoint { speed: 1.5 },
+            MobilitySpec::Billiard {
+                vel_x: 0.7,
+                vel_y: -1.1,
+            },
+            MobilitySpec::PatrolRoute { route, speed: 1.5 },
+            MobilitySpec::DepartAt {
+                dir_x: 3.0,
+                dir_y: 4.0,
+                speed: 0.5,
+                depart_at: 100,
+            },
         ];
         let pinned = [
             (0xac68d9cf7cdc68f0, 0xd0764d4f4476689f),
@@ -509,7 +511,8 @@ mod tests {
             (0xdfe823be5c584f6f, 0xd0764d4f4476689f),
             (0x2925116481fe1567, 0xd0764d4f4476689f),
         ];
-        for (kind, (mut m, pin)) in models.into_iter().zip(pinned).enumerate() {
+        for (kind, (spec, pin)) in specs.into_iter().zip(pinned).enumerate() {
+            let mut m = spec.build(start, arena);
             let mut rng = rng();
             let mut h = fold(0xcbf2_9ce4_8422_2325, m.is_settled() as u64);
             for r in 0..300 {
@@ -524,6 +527,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "outside bounds")]
     fn waypoint_rejects_start_outside_bounds() {
-        let _ = Waypoint::new(Point::new(-1.0, 0.0), 1.0, Rect::square(10.0));
+        let _ =
+            MobilitySpec::Waypoint { speed: 1.0 }.build(Point::new(-1.0, 0.0), Rect::square(10.0));
     }
 }

@@ -13,9 +13,10 @@ use vi_audit::NemesisSpec;
 use vi_contention::{BackoffCm, BackoffConfig, OracleCm, PreStability, SharedCm};
 use vi_core::vi::VnLayout;
 use vi_radio::geometry::{Point, Rect};
-use vi_radio::mobility::{Billiard, DepartAt, MobilityModel, PatrolRoute, Static, Waypoint};
 use vi_radio::{AdversaryKind, RadioConfig};
 use vi_traffic::{AppKind, TrafficSpec};
+
+pub use vi_radio::mobility::MobilitySpec;
 
 /// Where a population's nodes start, as a function of the node's index
 /// within the population.
@@ -65,76 +66,12 @@ impl PlacementSpec {
                 rng.random_range(arena.min.y..=arena.max.y),
             ),
         };
-        // Mobility constructors assert in-bounds starts; clamp so every
-        // placement is valid inside the arena.
+        // Waypoint and billiard models assert an in-bounds start; clamp
+        // so every placement is valid inside the arena.
         Point::new(
             p.x.clamp(arena.min.x, arena.max.x),
             p.y.clamp(arena.min.y, arena.max.y),
         )
-    }
-}
-
-/// How a population's nodes move, given their start position and the
-/// arena bounds. Mirrors the models in [`vi_radio::mobility`].
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
-pub enum MobilitySpec {
-    /// Never moves ([`Static`]).
-    Static,
-    /// Random waypoint inside the arena at `speed` m/round
-    /// ([`Waypoint`]).
-    Waypoint {
-        /// Speed in meters per round.
-        speed: f64,
-    },
-    /// Constant velocity, reflecting off the arena bounds
-    /// ([`Billiard`]).
-    Billiard {
-        /// X velocity in meters per round.
-        vel_x: f64,
-        /// Y velocity in meters per round.
-        vel_y: f64,
-    },
-    /// Cyclic patrol through explicit waypoints ([`PatrolRoute`]);
-    /// starts at the first waypoint (the placement is ignored).
-    PatrolRoute {
-        /// Waypoints, visited cyclically.
-        route: Vec<Point>,
-        /// Speed in meters per round.
-        speed: f64,
-    },
-    /// Stationary until `depart_at`, then a straight-line walk
-    /// ([`DepartAt`]).
-    DepartAt {
-        /// X component of the departure direction.
-        dir_x: f64,
-        /// Y component of the departure direction.
-        dir_y: f64,
-        /// Speed in meters per round.
-        speed: f64,
-        /// Round at which the node departs.
-        depart_at: u64,
-    },
-}
-
-impl MobilitySpec {
-    /// Builds the mobility model for a node starting at `start`.
-    pub fn build(&self, start: Point, arena: Rect) -> Box<dyn MobilityModel> {
-        match self {
-            MobilitySpec::Static => Box::new(Static::new(start)),
-            MobilitySpec::Waypoint { speed } => Box::new(Waypoint::new(start, *speed, arena)),
-            MobilitySpec::Billiard { vel_x, vel_y } => {
-                Box::new(Billiard::new(start, (*vel_x, *vel_y), arena))
-            }
-            MobilitySpec::PatrolRoute { route, speed } => {
-                Box::new(PatrolRoute::new(route.clone(), *speed))
-            }
-            MobilitySpec::DepartAt {
-                dir_x,
-                dir_y,
-                speed,
-                depart_at,
-            } => Box::new(DepartAt::new(start, (*dir_x, *dir_y), *speed, *depart_at)),
-        }
     }
 }
 
@@ -381,7 +318,8 @@ pub enum SpecErrorKind {
     Population {
         /// Index of the offending population.
         index: usize,
-        /// What is wrong, phrased to follow "population i has".
+        /// What is wrong (the placement check's or
+        /// [`MobilitySpec::validate`]'s message).
         detail: String,
     },
     /// Virtual-node layout geometry (no locations, non-finite
@@ -408,7 +346,7 @@ impl std::fmt::Display for SpecErrorKind {
             SpecErrorKind::EmptyDeployment => f.write_str("scenario deploys no nodes"),
             SpecErrorKind::Nemesis(d) => write!(f, "nemesis {d}"),
             SpecErrorKind::Population { index, detail } => {
-                write!(f, "population {index} has {detail}")
+                write!(f, "population {index}: {detail}")
             }
         }
     }
@@ -556,63 +494,30 @@ impl ScenarioSpec {
                 )));
             }
         }
-        let prob = |p: f64| (0.0..=1.0).contains(&p);
-        if let CmSpec::Oracle {
-            pre: PreStability::Random(p),
-            ..
-        } = self.cm
-        {
-            if !prob(p) {
-                return fail(SpecErrorKind::Cm("CM probability outside [0, 1]".into()));
+        if let CmSpec::Oracle { pre, .. } = &self.cm {
+            if let Err(e) = pre.validate() {
+                return fail(SpecErrorKind::Cm(e));
             }
         }
-        let good_speed = |s: f64| s.is_finite() && s >= 0.0;
-        for (i, pop) in self.populations.iter().enumerate() {
-            let bad = |what: &str| {
-                Err(SpecError {
-                    scenario: self.name.clone(),
-                    kind: SpecErrorKind::Population {
-                        index: i,
-                        detail: what.into(),
-                    },
-                })
+        for (index, pop) in self.populations.iter().enumerate() {
+            let placement = match pop.placement {
+                PlacementSpec::Line {
+                    start,
+                    step_x,
+                    step_y,
+                } if !(finite(start) && finite(Point::new(step_x, step_y))) => {
+                    Err("line placement start and step must be finite".to_string())
+                }
+                PlacementSpec::Cluster { center, .. } if !finite(center) => {
+                    Err("cluster center must be finite".to_string())
+                }
+                PlacementSpec::Cluster { radius, .. } if !(radius.is_finite() && radius >= 0.0) => {
+                    Err("cluster radius must be finite and non-negative".to_string())
+                }
+                _ => Ok(()),
             };
-            if let PlacementSpec::Cluster { radius, .. } = pop.placement {
-                if !good_speed(radius) {
-                    return bad("an invalid cluster radius");
-                }
-            }
-            match &pop.mobility {
-                MobilitySpec::Waypoint { speed } if !good_speed(*speed) => {
-                    return bad("an invalid speed");
-                }
-                MobilitySpec::Billiard { vel_x, vel_y }
-                    if !vel_x.is_finite() || !vel_y.is_finite() =>
-                {
-                    return bad("a non-finite velocity");
-                }
-                MobilitySpec::PatrolRoute { route, speed } => {
-                    if route.is_empty() {
-                        return bad("an empty route");
-                    }
-                    if !good_speed(*speed) {
-                        return bad("an invalid speed");
-                    }
-                }
-                MobilitySpec::DepartAt {
-                    dir_x,
-                    dir_y,
-                    speed,
-                    ..
-                } => {
-                    if *dir_x == 0.0 && *dir_y == 0.0 {
-                        return bad("a zero departure direction");
-                    }
-                    if !good_speed(*speed) {
-                        return bad("an invalid speed");
-                    }
-                }
-                _ => {}
+            if let Err(detail) = placement.and_then(|()| pop.mobility.validate()) {
+                return fail(SpecErrorKind::Population { index, detail });
             }
         }
         // Churn, partition, and fault windows must start inside the
@@ -972,6 +877,43 @@ mod tests {
                         center: Point::new(5.0, 5.0),
                         radius: -2.0,
                     }
+                }),
+            ),
+            // A non-finite placement survives the arena clamp, and a
+            // moving model rejects the start it yields.
+            (
+                "line placement",
+                Box::new(|s| {
+                    s.populations[0].placement = PlacementSpec::Line {
+                        start: Point::new(f64::NAN, 0.0),
+                        step_x: 0.1,
+                        step_y: 0.0,
+                    };
+                    s.populations[0].mobility = MobilitySpec::Waypoint { speed: 0.5 };
+                }),
+            ),
+            (
+                "line placement",
+                Box::new(|s| {
+                    s.populations[0].placement = PlacementSpec::Line {
+                        start: Point::ORIGIN,
+                        step_x: f64::INFINITY,
+                        step_y: 0.0,
+                    };
+                    s.populations[0].mobility = MobilitySpec::Waypoint { speed: 0.5 };
+                }),
+            ),
+            (
+                "cluster center",
+                Box::new(|s| {
+                    s.populations[0].placement = PlacementSpec::Cluster {
+                        center: Point::new(5.0, f64::NAN),
+                        radius: 2.0,
+                    };
+                    s.populations[0].mobility = MobilitySpec::Billiard {
+                        vel_x: 0.1,
+                        vel_y: 0.0,
+                    };
                 }),
             ),
         ];

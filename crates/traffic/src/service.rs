@@ -1005,7 +1005,6 @@ pub(crate) fn build_observed(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vi_radio::mobility::Static;
 
     /// One virtual node at (50, 50) with `n` static devices close by.
     fn small_world(n: usize, seed: u64) -> TrafficWorld {
@@ -1015,7 +1014,7 @@ mod tests {
                 let start = Point::new(49.4 + 0.4 * i as f64, 50.2);
                 DevicePlan {
                     start,
-                    mobility: Box::new(Static::new(start)) as Box<dyn MobilityModel>,
+                    mobility: Box::new(start) as Box<dyn MobilityModel>,
                     spawn_at: None,
                     crash_at: None,
                 }

@@ -16,7 +16,6 @@
 use virtual_infra::audit::{check_register, LinResult, RegOpKind};
 use virtual_infra::baselines::{collect_register_ops, MajRegMessage, MajorityRegister};
 use virtual_infra::radio::geometry::Point;
-use virtual_infra::radio::mobility::Static;
 use virtual_infra::radio::{
     Engine, EngineConfig, NodeId, NodeSpec, RadioConfig, ScriptedAdversary,
 };
@@ -66,7 +65,7 @@ fn main() {
     let ids: Vec<NodeId> = (0..n)
         .map(|i| {
             engine.add_node(NodeSpec::by_value(
-                Box::new(Static::new(Point::new(i as f64 * 0.2, 0.0))),
+                Box::new(Point::new(i as f64 * 0.2, 0.0)),
                 MajorityRegister::new(i, n, 8),
             ))
         })

@@ -14,7 +14,6 @@
 use virtual_infra::contention::{OracleCm, PreStability, SharedCm};
 use virtual_infra::core::cha::{ChaNode, Color, TaggedProposer};
 use virtual_infra::radio::geometry::Point;
-use virtual_infra::radio::mobility::Static;
 use virtual_infra::radio::{AdversaryKind, Engine, EngineConfig, NodeSpec, RadioConfig};
 
 fn main() {
@@ -33,7 +32,7 @@ fn main() {
     let ids: Vec<_> = (0..N)
         .map(|i| {
             engine.add_node(NodeSpec::new(
-                Box::new(Static::new(Point::new(i as f64, 0.0))),
+                Box::new(Point::new(i as f64, 0.0)),
                 Box::new(ChaNode::<u64>::new(
                     Box::new(TaggedProposer::new(i as u64)),
                     cm.clone(),

@@ -12,7 +12,6 @@
 use virtual_infra::audit::{audit, HistoryRecorder};
 use virtual_infra::core::vi::{RoundPlan, Schedule, VnLayout};
 use virtual_infra::radio::geometry::Point;
-use virtual_infra::radio::mobility::Static;
 use virtual_infra::radio::{AdversaryKind, RadioConfig};
 use virtual_infra::traffic::{
     AppKind, DevicePlan, OpDesc, OpOutcome, TrafficEvent, TrafficSpec, TrafficWorld,
@@ -23,7 +22,7 @@ fn main() {
     let rpv = RoundPlan::new(Schedule::build(&layout, 10.0 + 2.0 * 20.0).len()).rounds_per_vr();
     let device = |x, y, crash_at| {
         let start = Point::new(x, y);
-        let mobility = Box::new(Static::new(start));
+        let mobility = Box::new(start);
         DevicePlan {
             start,
             mobility,

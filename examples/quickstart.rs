@@ -15,7 +15,6 @@ use virtual_infra::core::vi::{
     CollectorClient, CounterAutomaton, VnId, VnLayout, World, WorldConfig,
 };
 use virtual_infra::radio::geometry::Point;
-use virtual_infra::radio::mobility::Static;
 use virtual_infra::radio::RadioConfig;
 
 fn main() {
@@ -35,7 +34,7 @@ fn main() {
     let devices: Vec<_> = (0..3)
         .map(|i| {
             world.add_device(
-                Box::new(Static::new(Point::new(49.4 + i as f64 * 0.6, 50.0))),
+                Box::new(Point::new(49.4 + i as f64 * 0.6, 50.0)),
                 Some(Box::new(CollectorClient::<u64>::default())),
             )
         })

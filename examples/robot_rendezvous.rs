@@ -22,8 +22,8 @@ use virtual_infra::core::vi::{
     ClientApp, VirtualAutomaton, VirtualInput, VirtualReception, VnCtx, VnId, VnLayout, World,
     WorldConfig,
 };
-use virtual_infra::radio::geometry::Point;
-use virtual_infra::radio::mobility::{PatrolRoute, Static};
+use virtual_infra::radio::geometry::{Point, Rect};
+use virtual_infra::radio::mobility::MobilitySpec;
 use virtual_infra::radio::{RadioConfig, WireSized};
 
 /// Robot coordination messages (positions in millimeters).
@@ -124,8 +124,8 @@ fn main() {
     });
 
     // Two devices anchor the virtual node.
-    world.add_device(Box::new(Static::new(Point::new(50.5, 50.0))), None);
-    world.add_device(Box::new(Static::new(Point::new(49.5, 50.0))), None);
+    world.add_device(Box::new(Point::new(50.5, 50.0)), None);
+    world.add_device(Box::new(Point::new(49.5, 50.0)), None);
 
     // Three patrolling robots on different circuits.
     let circuits = [
@@ -137,8 +137,9 @@ fn main() {
         .into_iter()
         .enumerate()
         .map(|(i, route)| {
+            let start = route[0];
             world.add_device(
-                Box::new(PatrolRoute::new(route, 1.5)),
+                MobilitySpec::PatrolRoute { route, speed: 1.5 }.build(start, Rect::square(100.0)),
                 Some(Box::new(Robot {
                     id: i as u32,
                     announcements: Vec::new(),

@@ -14,7 +14,7 @@
 use virtual_infra::audit::HistoryRecorder;
 use virtual_infra::core::vi::VnLayout;
 use virtual_infra::radio::geometry::{Point, Rect};
-use virtual_infra::radio::mobility::{Static, Waypoint};
+use virtual_infra::radio::mobility::MobilitySpec;
 use virtual_infra::radio::{AdversaryKind, RadioConfig};
 use virtual_infra::traffic::{
     AppKind, DevicePlan, OpDesc, OpOutcome, TrafficEvent, TrafficSpec, TrafficWorld,
@@ -23,7 +23,7 @@ use virtual_infra::traffic::{
 fn main() {
     let parked = |x, y| {
         let start = Point::new(x, y);
-        let mobility = Box::new(Static::new(start));
+        let mobility = Box::new(start);
         DevicePlan {
             start,
             mobility,
@@ -41,7 +41,8 @@ fn main() {
         devices: vec![
             // Client 0 is the tracked object, client 1 the querier.
             DevicePlan {
-                mobility: Box::new(Waypoint::new(roam_from, 0.05, Rect::square(100.0))),
+                mobility: MobilitySpec::Waypoint { speed: 0.05 }
+                    .build(roam_from, Rect::square(100.0)),
                 ..parked(roam_from.x, roam_from.y)
             },
             parked(40.0, 50.0),

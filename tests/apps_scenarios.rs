@@ -16,14 +16,14 @@ use virtual_infra::audit::{audit, History, HistoryRecorder};
 use virtual_infra::core::vi::{
     ClientApp, RoundPlan, Schedule, VirtualReception, VnId, VnLayout, World, WorldConfig,
 };
-use virtual_infra::radio::geometry::Point;
-use virtual_infra::radio::mobility::{PatrolRoute, Static};
+use virtual_infra::radio::geometry::{Point, Rect};
+use virtual_infra::radio::mobility::MobilitySpec;
 use virtual_infra::radio::{AdversaryKind, RadioConfig};
 use virtual_infra::traffic::{AppKind, DevicePlan, OpDesc, OpOutcome, TrafficSpec, TrafficWorld};
 
 /// A device parked at `at` from the first round on.
 fn parked(at: Point) -> DevicePlan {
-    let mobility = Box::new(Static::new(at));
+    let mobility = Box::new(at);
     DevicePlan {
         start: at,
         mobility,
@@ -231,7 +231,11 @@ fn tracking_across_regions() {
     let route = vec![Point::new(35.0, 55.0), Point::new(165.0, 55.0)];
     let mut devices = vec![
         DevicePlan {
-            mobility: Box::new(PatrolRoute::new(route.clone(), 0.25)),
+            mobility: MobilitySpec::PatrolRoute {
+                route: route.clone(),
+                speed: 0.25,
+            }
+            .build(route[0], Rect::square(200.0)),
             ..parked(route[0])
         },
         parked(Point::new(32.0, 53.0)),
@@ -305,13 +309,10 @@ fn routing_is_safe_under_bursts() {
     });
     world.set_adversary(Box::new(AdversaryKind::Burst(vec![300..400, 700..760])));
     for loc in &locs {
-        world.add_device(Box::new(Static::new(Point::new(loc.x + 0.5, loc.y))), None);
-        world.add_device(Box::new(Static::new(Point::new(loc.x - 0.5, loc.y))), None);
+        world.add_device(Box::new(Point::new(loc.x + 0.5, loc.y)), None);
+        world.add_device(Box::new(Point::new(loc.x - 0.5, loc.y)), None);
     }
-    world.add_device(
-        Box::new(Static::new(Point::new(50.0, 51.0))),
-        Some(Box::new(injector)),
-    );
+    world.add_device(Box::new(Point::new(50.0, 51.0)), Some(Box::new(injector)));
     world.run_virtual_rounds(50);
     for vn in 0..3 {
         if let Some((state, _)) = world.vn_state(VnId(vn)) {

@@ -15,7 +15,7 @@ use virtual_infra::audit::linearizability::{
 use virtual_infra::audit::{audit, drop_response, mutate, HistoryRecorder, Mutation};
 use virtual_infra::core::vi::VnLayout;
 use virtual_infra::radio::geometry::Point;
-use virtual_infra::radio::mobility::{MobilityModel, Static};
+use virtual_infra::radio::mobility::MobilityModel;
 use virtual_infra::radio::{AdversaryKind, RadioConfig};
 use virtual_infra::traffic::{AppKind, DevicePlan, TrafficSpec, TrafficWorld};
 
@@ -37,7 +37,7 @@ fn small_world(n: usize, seed: u64) -> TrafficWorld {
             let start = Point::new(49.4 + 0.4 * i as f64, 50.2);
             DevicePlan {
                 start,
-                mobility: Box::new(Static::new(start)) as Box<dyn MobilityModel>,
+                mobility: Box::new(start) as Box<dyn MobilityModel>,
                 spawn_at: None,
                 crash_at: None,
             }

@@ -6,8 +6,8 @@
 use virtual_infra::core::vi::{
     CollectorClient, CounterAutomaton, CounterState, VnId, VnLayout, World, WorldConfig,
 };
-use virtual_infra::radio::geometry::Point;
-use virtual_infra::radio::mobility::{DepartAt, Static};
+use virtual_infra::radio::geometry::{Point, Rect};
+use virtual_infra::radio::mobility::MobilitySpec;
 use virtual_infra::radio::{AdversaryKind, NodeId, RadioConfig};
 
 const VN: Point = Point::new(50.0, 50.0);
@@ -24,10 +24,7 @@ fn counter_world(seed: u64) -> World<CounterAutomaton> {
 }
 
 fn static_device(world: &mut World<CounterAutomaton>, dx: f64, dy: f64) -> NodeId {
-    world.add_device(
-        Box::new(Static::new(Point::new(VN.x + dx, VN.y + dy))),
-        None,
-    )
+    world.add_device(Box::new(Point::new(VN.x + dx, VN.y + dy)), None)
 }
 
 /// All replicas of a virtual node hold identical state whenever they
@@ -41,7 +38,7 @@ fn replicas_never_diverge() {
         .collect();
     // Also a client generating traffic for the counter to chew on.
     world.add_device(
-        Box::new(Static::new(Point::new(VN.x, VN.y - 1.0))),
+        Box::new(Point::new(VN.x, VN.y - 1.0)),
         Some(Box::new(CollectorClient::<u64>::default())),
     );
     for _ in 0..12 {
@@ -72,7 +69,7 @@ fn virtual_node_outlives_every_founding_device() {
     let founders: Vec<NodeId> = (0..3)
         .map(|i| {
             world.add_device_spec(
-                Box::new(Static::new(Point::new(VN.x + 0.3 * i as f64, VN.y))),
+                Box::new(Point::new(VN.x + 0.3 * i as f64, VN.y)),
                 None,
                 None,
                 Some(10 * rpv + i), // all crash around vr 11
@@ -83,7 +80,7 @@ fn virtual_node_outlives_every_founding_device() {
     let heirs: Vec<NodeId> = (0..2)
         .map(|i| {
             world.add_device_spec(
-                Box::new(Static::new(Point::new(VN.x - 0.3 * (i + 1) as f64, VN.y))),
+                Box::new(Point::new(VN.x - 0.3 * (i + 1) as f64, VN.y)),
                 None,
                 Some(7 * rpv),
                 None,
@@ -157,11 +154,11 @@ fn co_located_clients_see_identical_vn_traffic() {
         static_device(&mut world, 0.4 + 0.2 * i as f64, 0.0);
     }
     let c1 = world.add_device(
-        Box::new(Static::new(Point::new(VN.x - 0.5, VN.y))),
+        Box::new(Point::new(VN.x - 0.5, VN.y)),
         Some(Box::new(CollectorClient::<u64>::default())),
     );
     let c2 = world.add_device(
-        Box::new(Static::new(Point::new(VN.x - 0.7, VN.y))),
+        Box::new(Point::new(VN.x - 0.7, VN.y)),
         Some(Box::new(CollectorClient::<u64>::default())),
     );
     world.run_virtual_rounds(12);
@@ -194,12 +191,13 @@ fn region_departure_forces_rejoin() {
     // A wanderer that leaves after vr 5 at a speed that exits the
     // region within ~2 virtual rounds.
     let wanderer = world.add_device(
-        Box::new(DepartAt::new(
-            Point::new(VN.x, VN.y + 0.5),
-            (0.0, 1.0),
-            2.6 / (2 * rpv) as f64,
-            5 * rpv,
-        )),
+        MobilitySpec::DepartAt {
+            dir_x: 0.0,
+            dir_y: 1.0,
+            speed: 2.6 / (2 * rpv) as f64,
+            depart_at: 5 * rpv,
+        }
+        .build(Point::new(VN.x, VN.y + 0.5), Rect::square(100.0)),
         None,
     );
     world.run_virtual_rounds(5);
@@ -225,7 +223,7 @@ fn emulation_is_deterministic() {
         let rpv = world.plan().rounds_per_vr();
         for i in 0..4u64 {
             world.add_device_spec(
-                Box::new(Static::new(Point::new(VN.x + 0.2 * i as f64 - 0.3, VN.y))),
+                Box::new(Point::new(VN.x + 0.2 * i as f64 - 0.3, VN.y)),
                 None,
                 Some(i * rpv),
                 (i == 2).then_some(12 * rpv),

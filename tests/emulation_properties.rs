@@ -5,7 +5,6 @@
 use proptest::prelude::*;
 use virtual_infra::core::vi::{CounterAutomaton, CounterState, VnId, VnLayout, World, WorldConfig};
 use virtual_infra::radio::geometry::Point;
-use virtual_infra::radio::mobility::Static;
 use virtual_infra::radio::{AdversaryKind, RadioConfig};
 
 #[derive(Clone, Debug)]
@@ -77,7 +76,7 @@ fn build(s: &Scenario) -> World<CounterAutomaton> {
                 .find(|&&(idx, _, _)| idx == device_index)
                 .map(|&(_, sp, cr)| (sp * rpv, cr * rpv));
             world.add_device_spec(
-                Box::new(Static::new(Point::new(loc.x + off, loc.y - off / 2.0))),
+                Box::new(Point::new(loc.x + off, loc.y - off / 2.0)),
                 None,
                 lifecycle.map(|(sp, _)| sp),
                 lifecycle.map(|(_, cr)| cr),

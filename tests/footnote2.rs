@@ -15,7 +15,6 @@ use virtual_infra::contention::{OracleCm, SharedCm};
 use virtual_infra::core::cha::{ChaMessage, ChaNode, Color, TaggedProposer};
 use virtual_infra::radio::adversary::ScriptedAdversary;
 use virtual_infra::radio::geometry::Point;
-use virtual_infra::radio::mobility::Static;
 use virtual_infra::radio::{Engine, EngineConfig, NodeSpec, RadioConfig};
 
 #[test]
@@ -41,7 +40,7 @@ fn survivors_stay_consistent_with_a_dead_nodes_unacknowledged_decision() {
     let ids: Vec<_> = (0..3)
         .map(|i| {
             let spec = NodeSpec::new(
-                Box::new(Static::new(Point::new(i as f64, 0.0))),
+                Box::new(Point::new(i as f64, 0.0)),
                 Box::new(ChaNode::<u64>::new(
                     Box::new(TaggedProposer::new(i)),
                     cm.clone(),
@@ -117,7 +116,7 @@ fn orange_disruption_prevents_any_decision() {
     let ids: Vec<_> = (0..3)
         .map(|i| {
             engine.add_node(NodeSpec::new(
-                Box::new(Static::new(Point::new(i as f64, 0.0))),
+                Box::new(Point::new(i as f64, 0.0)),
                 Box::new(ChaNode::<u64>::new(
                     Box::new(TaggedProposer::new(i)),
                     cm.clone(),

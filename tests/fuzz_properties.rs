@@ -127,7 +127,7 @@ proptest! {
     ) {
         use virtual_infra::core::vi::VnLayout;
         use virtual_infra::radio::geometry::Point;
-        use virtual_infra::radio::mobility::{MobilityModel, Static};
+        use virtual_infra::radio::mobility::MobilityModel;
         use virtual_infra::radio::{AdversaryKind, RadioConfig};
         use virtual_infra::traffic::{AppKind, DevicePlan, TrafficSpec, TrafficWorld};
 
@@ -137,7 +137,7 @@ proptest! {
                 let start = Point::new(49.4 + 0.4 * i as f64, 50.2);
                 DevicePlan {
                     start,
-                    mobility: Box::new(Static::new(start)) as Box<dyn MobilityModel>,
+                    mobility: Box::new(start) as Box<dyn MobilityModel>,
                     spawn_at: None,
                     crash_at: None,
                 }

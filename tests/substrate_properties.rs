@@ -11,7 +11,7 @@ use virtual_infra::radio::channel::{
     resolve_round, resolve_round_reference, Medium, ReceptionBuffer, TopologyDelta, TxIntent,
 };
 use virtual_infra::radio::geometry::{Heard, Point, Rect, SnapshotIndex, SpatialGrid};
-use virtual_infra::radio::mobility::{Billiard, MobilityModel, Static, Waypoint};
+use virtual_infra::radio::mobility::{MobilityModel, MobilitySpec};
 use virtual_infra::radio::{
     AdversaryKind, ChannelStats, Engine, EngineConfig, NodeId, NodeSpec, Process, RadioConfig,
     RoundCtx, RoundReception, RoundRecord, Trace,
@@ -121,14 +121,17 @@ fn arb_nodes() -> impl Strategy<Value = Vec<NodeGen>> {
 
 /// Static, roaming waypoint, parked waypoint (settles), or billiard.
 fn mobility_of(&(start, kind, ..): &NodeGen) -> Box<dyn MobilityModel> {
-    let bounds = Rect::square(200.0);
+    let spec = match kind {
+        0 => MobilitySpec::Static,
+        1 => MobilitySpec::Waypoint { speed: 0.7 },
+        2 => MobilitySpec::Waypoint { speed: 0.0 },
+        _ => MobilitySpec::Billiard {
+            vel_x: 0.5,
+            vel_y: -0.3,
+        },
+    };
     let start = Point::new(start.x.min(190.0), start.y.min(190.0));
-    match kind {
-        0 => Box::new(Static::new(start)),
-        1 => Box::new(Waypoint::new(start, 0.7, bounds)),
-        2 => Box::new(Waypoint::new(start, 0.0, bounds)),
-        _ => Box::new(Billiard::new(start, (0.5, -0.3), bounds)),
-    }
+    spec.build(start, Rect::square(200.0))
 }
 
 /// Everything an execution exposes: each node's `(heard,
@@ -322,8 +325,12 @@ proptest! {
         let start = Point::new(start.0, start.1);
         let mut rng = StdRng::seed_from_u64(seed);
         let mut models: Vec<Box<dyn MobilityModel>> = vec![
-            Box::new(Waypoint::new(start, speed, bounds)),
-            Box::new(Billiard::new(start, vel, bounds)),
+            MobilitySpec::Waypoint { speed }.build(start, bounds),
+            MobilitySpec::Billiard {
+                vel_x: vel.0,
+                vel_y: vel.1,
+            }
+            .build(start, bounds),
         ];
         for m in &mut models {
             let mut prev = m.advance(0, &mut rng);

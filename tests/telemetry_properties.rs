@@ -21,7 +21,7 @@
 use proptest::prelude::*;
 use std::sync::Arc;
 use virtual_infra::radio::geometry::{Point, Rect};
-use virtual_infra::radio::mobility::{Billiard, MobilityModel, Static, Waypoint};
+use virtual_infra::radio::mobility::{MobilityModel, MobilitySpec};
 use virtual_infra::radio::{
     AdversaryKind, ChannelStats, Engine, EngineConfig, NodeId, NodeSpec, Process, RadioConfig,
     RoundCtx, RoundReception,
@@ -73,6 +73,22 @@ fn live(seed: u64) -> Observers {
         .with_monitor(Monitor::new("prop", seed, 3, SinkSet::new(vec![ring])))
 }
 
+/// Static, roaming waypoint, parked waypoint (settles), or billiard,
+/// from `start` pulled inside the 200 m arena.
+fn model(start: Point, kind: u8) -> Box<dyn MobilityModel> {
+    let spec = match kind {
+        0 => MobilitySpec::Static,
+        1 => MobilitySpec::Waypoint { speed: 0.7 },
+        2 => MobilitySpec::Waypoint { speed: 0.0 },
+        _ => MobilitySpec::Billiard {
+            vel_x: 0.5,
+            vel_y: -0.3,
+        },
+    };
+    let start = Point::new(start.x.min(190.0), start.y.min(190.0));
+    spec.build(start, Rect::square(200.0))
+}
+
 /// Builds and runs one engine under `obs`; returns the observable
 /// execution and the handle's counter set (when it is live).
 fn run_engine(
@@ -83,7 +99,6 @@ fn run_engine(
     rounds: u64,
     obs: &Observers,
 ) -> (Observation, Option<Counters>) {
-    let bounds = Rect::square(200.0);
     let mut engine: Engine<u64> = Engine::new(EngineConfig {
         radio: RadioConfig::stabilizing(10.0, 20.0, stabilize),
         seed,
@@ -93,15 +108,8 @@ fn run_engine(
     engine.set_observers(obs.clone());
     let mut ids: Vec<NodeId> = Vec::new();
     for &(start, mobility, chatty, spawn, crash) in specs {
-        let start = Point::new(start.x.min(190.0), start.y.min(190.0));
-        let model: Box<dyn MobilityModel> = match mobility {
-            0 => Box::new(Static::new(start)),
-            1 => Box::new(Waypoint::new(start, 0.7, bounds)),
-            2 => Box::new(Waypoint::new(start, 0.0, bounds)),
-            _ => Box::new(Billiard::new(start, (0.5, -0.3), bounds)),
-        };
         let mut spec = NodeSpec::new(
-            model,
+            model(start, mobility),
             Box::new(Recorder {
                 chatty,
                 heard: Vec::new(),
@@ -190,7 +198,6 @@ proptest! {
         rounds in 5u64..40,
         every in 1u64..12,
     ) {
-        let bounds = Rect::square(200.0);
         let mut engine: Engine<u64> = Engine::new(EngineConfig {
             radio: RadioConfig::reliable(10.0, 20.0),
             seed,
@@ -201,15 +208,8 @@ proptest! {
             .with_monitor(Monitor::new("prop", seed, every, SinkSet::new(vec![ring.clone()])));
         engine.set_observers(obs.clone());
         for &(start, mobility, chatty, spawn, crash) in &specs {
-            let start = Point::new(start.x.min(190.0), start.y.min(190.0));
-            let model: Box<dyn MobilityModel> = match mobility {
-                0 => Box::new(Static::new(start)),
-                1 => Box::new(Waypoint::new(start, 0.7, bounds)),
-                2 => Box::new(Waypoint::new(start, 0.0, bounds)),
-                _ => Box::new(Billiard::new(start, (0.5, -0.3), bounds)),
-            };
             let mut spec = NodeSpec::new(
-                model,
+                model(start, mobility),
                 Box::new(Recorder { chatty, heard: Vec::new(), collisions: 0 }),
             );
             if spawn > 0 {

@@ -5,7 +5,6 @@
 use proptest::prelude::*;
 use virtual_infra::core::vi::{RoundPlan, Schedule, VnLayout};
 use virtual_infra::radio::geometry::{Point, Rect};
-use virtual_infra::radio::mobility::Static;
 use virtual_infra::radio::{AdversaryKind, RadioConfig};
 use virtual_infra::scenario::{
     CmSpec, LayoutSpec, PlacementSpec, PopulationSpec, ScenarioSpec, SweepRunner, WorkloadSpec,
@@ -167,7 +166,7 @@ fn lossy_world(seed: u64) -> TrafficWorld {
             .into_iter()
             .map(|start| DevicePlan {
                 start,
-                mobility: Box::new(Static::new(start)),
+                mobility: Box::new(start),
                 spawn_at: None,
                 crash_at: None,
             })

@@ -18,7 +18,6 @@ mod counting_alloc;
 use counting_alloc::allocations;
 use virtual_infra::core::vi::VnLayout;
 use virtual_infra::radio::geometry::Point;
-use virtual_infra::radio::mobility::Static;
 use virtual_infra::radio::{AdversaryKind, RadioConfig};
 use virtual_infra::traffic::{
     build_service, AppKind, DevicePlan, OpClass, Request, Service, TrafficWorld,
@@ -42,7 +41,7 @@ fn deployment() -> Box<dyn Service> {
             let start = Point::new(49.0 + 0.4 * i as f64, 50.2);
             DevicePlan {
                 start,
-                mobility: Box::new(Static::new(start)),
+                mobility: Box::new(start),
                 spawn_at: None,
                 crash_at: None,
             }

@@ -18,7 +18,6 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use virtual_infra::radio::channel::{Medium, ReceptionBuffer, TopologyDelta, TxIntent};
 use virtual_infra::radio::geometry::Point;
-use virtual_infra::radio::mobility::Static;
 use virtual_infra::radio::{
     AdversaryKind, Engine, EngineConfig, NodeId, NodeSpec, Process, RadioConfig, RoundCtx,
     RoundReception,
@@ -69,7 +68,7 @@ fn deployment(record_trace: bool) -> Engine<u64> {
     });
     for i in 0..N {
         engine.add_node(NodeSpec::new(
-            Box::new(Static::new(home(i))),
+            Box::new(home(i)),
             Box::new(Counter {
                 phase: i as u64,
                 heard: 0,
