@@ -213,6 +213,14 @@ guards=(
   'if hit|nearest\.min\('
   'above-tests:crates/radio/src/geometry.rs crates/radio/src/channel.rs' '-'
   'a Heard fold branches on hit or keeps a minimum again; fold through HeardFold::push'
+
+  # One collision-detector rule: a report exactly when a broadcast
+  # within R2 was lost. The gray-ring knob (`RadioConfig` field and
+  # builder) and the R1 flag every `Heard` fold computed for the
+  # R1-only detector are gone.
+  'ring_reports|within_r1'
+  "$code" '-'
+  'the collision detector has one rule'
 )
 
 # `path:line:text` for every line above a file's first `#[cfg(test)]`

@@ -20,7 +20,9 @@ use rand::SeedableRng;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use vi_audit::pick;
-use vi_scenario::{EngineTuning, IncidentBundle, ScenarioOutcome, ScenarioSpec, SweepRunner};
+use vi_scenario::{
+    file_stem, EngineTuning, IncidentBundle, ScenarioOutcome, ScenarioSpec, SweepRunner,
+};
 
 /// Salt folded into the campaign seed so the mutation stream shares
 /// nothing with the simulation seeds it hands out.
@@ -293,7 +295,9 @@ pub fn run_campaign(config: &FuzzConfig) -> Result<FuzzReport, String> {
 /// repro spec as `<family>-<class>.json` (feed it back through
 /// `repro fuzz --minimize` or lift it into the catalog) and, when one
 /// was packaged, its replayable bundle as
-/// `<family>-<class>.bundle.json` (feed it to `repro --replay`).
+/// `<family>-<class>.bundle.json` (feed it to `repro --replay`). The
+/// stem goes through [`file_stem`], so a family with a `/` stays in
+/// `findings/`.
 fn save_findings(report: &FuzzReport, dir: &std::path::Path) -> Result<(), String> {
     if report.findings.is_empty() {
         return Ok(());
@@ -301,7 +305,7 @@ fn save_findings(report: &FuzzReport, dir: &std::path::Path) -> Result<(), Strin
     let findings_dir = dir.join("findings");
     std::fs::create_dir_all(&findings_dir).map_err(|e| e.to_string())?;
     for f in &report.findings {
-        let stem = format!("{}-{}", family(&f.spec.name), f.class.label());
+        let stem = file_stem(&format!("{}-{}", family(&f.spec.name), f.class.label()));
         let json = serde_json::to_string(&f.spec).map_err(|e| e.to_string())?;
         std::fs::write(findings_dir.join(format!("{stem}.json")), json)
             .map_err(|e| e.to_string())?;

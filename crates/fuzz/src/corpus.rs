@@ -9,7 +9,7 @@ use crate::coverage::Signature;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::path::Path;
-use vi_scenario::ScenarioSpec;
+use vi_scenario::{file_stem, ScenarioSpec};
 
 /// One retained spec: the first reacher of its coverage bucket.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
@@ -77,7 +77,7 @@ impl Corpus {
     }
 
     /// Writes every entry as `<dir>/<signature-key>.json` (creating
-    /// `dir`), the on-disk layout `repro fuzz --corpus-dir` reads
+    /// `dir`; the key goes through [`file_stem`]), the on-disk layout `repro fuzz --corpus-dir` reads
     /// back. One file per bucket keeps diffs reviewable and lets a
     /// minimized repro spec be lifted out with `jq .spec`.
     ///
@@ -88,7 +88,8 @@ impl Corpus {
         std::fs::create_dir_all(dir)?;
         for entry in self.entries.values() {
             let json = serde_json::to_string(entry).expect("corpus entries serialize");
-            std::fs::write(dir.join(format!("{}.json", entry.signature.key())), json)?;
+            let stem = file_stem(&entry.signature.key());
+            std::fs::write(dir.join(format!("{stem}.json")), json)?;
         }
         Ok(())
     }

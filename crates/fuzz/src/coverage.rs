@@ -107,8 +107,8 @@ impl Signature {
         }
     }
 
-    /// A compact, filesystem-safe rendering, used for corpus entry
-    /// file names and bench rows.
+    /// A compact rendering without spaces, used for bench rows and
+    /// (through `vi_scenario::file_stem`) corpus entry file names.
     pub fn key(&self) -> String {
         let b = |v: bool| u8::from(v);
         format!(

@@ -8,9 +8,12 @@
 //! > `pi`, and (ii) no \[other\] node within distance `R2` of `pj`
 //! > broadcasts in round `r`, then `pj` receives the message `m`.
 //!
-//! together with the collision-detector Properties 1 (completeness —
-//! enforced structurally, in every round) and 2 (eventual accuracy —
-//! enforced from round `racc` onwards).
+//! together with the collision-detector Properties 1 (completeness)
+//! and 2 (eventual accuracy) through one rule: a receiver's detector
+//! reports exactly when a message broadcast within `R2` of it was
+//! lost. Every loss within `R1` is such a loss, so completeness holds
+//! in every round; before round `racc` the adversary may add spurious
+//! reports, and from `racc` onwards nothing else is reported.
 //!
 //! Nodes are half-duplex: a broadcaster does not receive other nodes'
 //! messages in the same round (it does observe its own, which models
@@ -455,7 +458,7 @@ impl Medium {
             // One fused scan of the round's broadcaster index per
             // receiver: no list in between.
             let snapshot = &self.snapshot;
-            walk.run(|j, rx| snapshot.scan(rx.pos, cfg.r1, cfg.r2, j as u32));
+            walk.run(|j, rx| snapshot.scan(rx.pos, cfg.r2, j as u32));
             return;
         }
 
@@ -567,7 +570,6 @@ impl Medium {
                 c.rounds_steady += 1;
             }
         });
-        let r1_sq = cfg.r1 * cfg.r1;
         let (grid, nbr, is_tx) = (&self.grid, &mut self.nbr, &self.is_tx);
         if scatter {
             self.events.clear();
@@ -586,7 +588,7 @@ impl Medium {
                         .next_if(|&&(key, _)| (key >> 32) == j as u64)
                         .map(|&(key, d2)| (key as u32, d2))
                 });
-                Heard::of(mine, r1_sq)
+                Heard::of(mine)
             });
         } else if rebuild {
             // One full grid query per receiver refills its cached
@@ -601,10 +603,10 @@ impl Medium {
                 neighborhood(grid, cfg.r2, j as u32, fresh);
                 nbr[j].clear();
                 nbr[j].extend_from_slice(fresh);
-                heard_in(&nbr[j], is_tx, r1_sq)
+                heard_in(&nbr[j], is_tx)
             });
         } else {
-            walk.run(|j, _| heard_in(&nbr[j], is_tx, r1_sq));
+            walk.run(|j, _| heard_in(&nbr[j], is_tx));
         }
     }
 }
@@ -623,8 +625,8 @@ fn neighborhood(grid: &SpatialGrid, r2: f64, rx: u32, out: &mut Vec<(u32, f64)>)
 
 /// What a receiver hears of the broadcasters in `list`, its cached
 /// `R2` neighborhood.
-fn heard_in(list: &[(u32, f64)], is_tx: &[bool], r1_sq: f64) -> Heard {
-    let empty = HeardFold::new(r1_sq);
+fn heard_in(list: &[(u32, f64)], is_tx: &[bool]) -> Heard {
+    let empty = HeardFold::default();
     list.iter()
         .fold(empty, |f, &(i, d2)| f.push(is_tx[i as usize], i, d2))
         .finish()
@@ -705,8 +707,8 @@ fn list_insert(list: &mut Vec<(u32, f64)>, key: u32, d2: f64) {
 /// within `R2`) is true for every one of them as soon as there are
 /// two, and then no message is deliverable, the adversary is not asked
 /// about any of them, and all that is left of the walk is "something
-/// was lost within `R2`, and within `R1` iff one of them is that
-/// close". So the sender matters only when it is alone.
+/// was lost within `R2`" — all the collision detector reads. So the
+/// sender matters only when it is alone.
 #[allow(clippy::too_many_arguments)]
 fn resolve_receiver<M: Clone>(
     cfg: &RadioConfig,
@@ -723,36 +725,28 @@ fn resolve_receiver<M: Clone>(
     if let Some(own) = &rx_intent.payload {
         out.push_message(rx_intent.node, own.clone());
     }
-    let (lost_within_r1, lost_within_r2) = match heard {
-        Heard::Silence => (false, false),
+    let lost = match heard {
+        Heard::Silence => false,
         Heard::One { slot, d2 } => {
             let tx = &intents[slot as usize];
-            let in_r1 = d2 <= cfg.r1 * cfg.r1;
-            let physically_ok = rx_intent.payload.is_none() && in_r1;
+            let physically_ok = rx_intent.payload.is_none() && d2 <= cfg.r1 * cfg.r1;
             let delivered = physically_ok
                 && !(round < cfg.rcf
                     && adversary.drop_message(round, tx.node, rx_intent.node, rng));
             if delivered {
                 out.push_message(tx.node, tx.payload.as_ref().expect("broadcaster").clone());
-                (false, false)
-            } else {
-                (in_r1, true)
             }
+            !delivered
         }
-        Heard::Many { within_r1 } => (within_r1, true),
+        Heard::Many => true,
     };
-    // Collision detector output: Property 1 (completeness) forces a
-    // report on any R1 loss; Property 2 (eventual accuracy) applies
-    // from racc onwards; before racc the adversary may inject false
-    // positives; the E13 necessity ablation may suppress reports.
-    let accurate_report = if cfg.ring_reports {
-        lost_within_r2
-    } else {
-        lost_within_r1
-    };
-    let mut collision = lost_within_r1
-        || accurate_report
-        || (round < cfg.racc && adversary.spurious_collision(round, rx_intent.node, rng));
+    // Collision detector output: a report exactly when something
+    // within R2 was lost, which covers every R1 loss (Property 1) and
+    // nothing else from racc onwards (Property 2); before racc the
+    // adversary may inject false positives; the E13 necessity
+    // ablation may suppress reports.
+    let mut collision =
+        lost || (round < cfg.racc && adversary.spurious_collision(round, rx_intent.node, rng));
     if collision && adversary.suppress_detection(round, rx_intent.node, rng) {
         collision = false;
     }
@@ -812,8 +806,7 @@ pub fn resolve_round_reference<M: Clone>(
     for (j, rx_intent) in intents.iter().enumerate() {
         let j_broadcasting = rx_intent.payload.is_some();
         let mut messages: Vec<(NodeId, M)> = Vec::new();
-        let mut lost_within_r1 = false;
-        let mut lost_within_r2 = false;
+        let mut lost = false;
 
         // The sender observes its own payload (it knows what it sent).
         if let Some(own) = &rx_intent.payload {
@@ -846,26 +839,17 @@ pub fn resolve_round_reference<M: Clone>(
             if delivered {
                 messages.push((tx.node, tx.payload.as_ref().expect("broadcaster").clone()));
             } else {
-                if in_r1 {
-                    lost_within_r1 = true;
-                }
-                lost_within_r2 = true;
+                lost = true;
             }
         }
 
-        // Collision detector output.
-        // Property 1 (completeness): any loss within R1 forces a report.
-        // Property 2 (eventual accuracy): from racc onwards, reports only
-        // when something within R2 was lost. Before racc the adversary may
-        // inject false positives.
-        let accurate_report = if cfg.ring_reports {
-            lost_within_r2
-        } else {
-            lost_within_r1
-        };
-        let mut collision = lost_within_r1
-            || accurate_report
-            || (round < cfg.racc && adversary.spurious_collision(round, rx_intent.node, rng));
+        // Collision detector output: reports exactly when something
+        // within R2 was lost. That covers any loss within R1
+        // (Property 1, completeness) and, from racc onwards, nothing
+        // else (Property 2, eventual accuracy). Before racc the
+        // adversary may inject false positives.
+        let mut collision =
+            lost || (round < cfg.racc && adversary.spurious_collision(round, rx_intent.node, rng));
         // Model-violation hook: the E13 necessity ablation may break
         // completeness here. Normal adversaries never do.
         if collision && adversary.suppress_detection(round, rx_intent.node, rng) {
@@ -916,18 +900,20 @@ mod tests {
         assert!(!out[0].collision);
     }
 
-    /// Outside R1 (but inside R2): not delivered; with ring reports the
-    /// listener's detector fires (accurate: a message within R2 was lost).
+    /// Outside R1 (but inside R2): not delivered, and the listener's
+    /// detector fires (accurate: a message within R2 was lost) — up to
+    /// R2 inclusive, and no further.
     #[test]
     fn gray_ring_loss_reports() {
         let intents = vec![intent(0, 0.0, Some(1u64)), intent(1, 15.0, None)];
         let out = resolve_round(0, &cfg(), &intents, &mut AdversaryKind::None, &mut rng());
         assert!(out[1].messages.is_empty());
-        assert!(out[1].collision, "ring loss should be reported by default");
+        assert!(out[1].collision, "ring loss should be reported");
 
-        let quiet = cfg().without_ring_reports();
-        let out = resolve_round(0, &quiet, &intents, &mut AdversaryKind::None, &mut rng());
-        assert!(!out[1].collision, "ring reports disabled");
+        let edge = vec![intent(0, 0.0, Some(1u64)), intent(1, 20.0, None)];
+        let out = resolve_round(0, &cfg(), &edge, &mut AdversaryKind::None, &mut rng());
+        assert!(out[1].messages.is_empty());
+        assert!(out[1].collision, "a loss exactly at R2 is reported");
     }
 
     /// Outside R2 entirely: silent round.
@@ -1072,8 +1058,9 @@ mod tests {
     }
 
     /// The list-walking body `resolve_receiver` had before it took a
-    /// [`Heard`] (PR 16 and earlier), kept verbatim as the oracle of
-    /// `heard_summary_resolves_like_the_list_walk`.
+    /// [`Heard`], kept as the oracle of
+    /// `heard_summary_resolves_like_the_list_walk` (with the one
+    /// detector rule: report iff something within R2 was lost).
     #[allow(clippy::too_many_arguments)]
     fn walk_list<M: Clone>(
         cfg: &RadioConfig,
@@ -1091,8 +1078,7 @@ mod tests {
             out.push_message(rx_intent.node, own.clone());
         }
         let interfered = txn.len() >= 2;
-        let mut lost_within_r1 = false;
-        let mut lost_within_r2 = false;
+        let mut lost = false;
         for &(i, d2) in txn {
             let tx = &intents[i as usize];
             let in_r1 = d2 <= cfg.r1 * cfg.r1;
@@ -1103,20 +1089,11 @@ mod tests {
             if delivered {
                 out.push_message(tx.node, tx.payload.as_ref().expect("broadcaster").clone());
             } else {
-                if in_r1 {
-                    lost_within_r1 = true;
-                }
-                lost_within_r2 = true;
+                lost = true;
             }
         }
-        let accurate_report = if cfg.ring_reports {
-            lost_within_r2
-        } else {
-            lost_within_r1
-        };
-        let mut collision = lost_within_r1
-            || accurate_report
-            || (round < cfg.racc && adversary.spurious_collision(round, rx_intent.node, rng));
+        let mut collision =
+            lost || (round < cfg.racc && adversary.spurious_collision(round, rx_intent.node, rng));
         if collision && adversary.suppress_detection(round, rx_intent.node, rng) {
             collision = false;
         }
@@ -1126,8 +1103,8 @@ mod tests {
     /// `resolve_receiver(Heard::of(list))` is the list walk: same
     /// reception, same detector output, same adversary calls in the
     /// same order, same RNG stream — for a listening and a broadcasting
-    /// receiver, every shape of list, both detector modes, before and
-    /// after `rcf` / `racc`, whatever the adversary answers.
+    /// receiver, every shape of list, before and after `rcf` / `racc`,
+    /// whatever the adversary answers.
     #[test]
     fn heard_summary_resolves_like_the_list_walk() {
         // Slot 0 receives; slots 1..=3 broadcast. Distances are given
@@ -1150,69 +1127,61 @@ mod tests {
             ("three, middle in R1", &[(1, ring), (2, 4.0), (3, ring)]),
             ("three in R1", &[(1, 1.0), (2, 4.0), (3, 9.0)]),
         ];
+        // rcf = racc = 5: round 3 is before both, round 7 after.
+        let cfg = RadioConfig::stabilizing(10.0, 20.0, 5);
         let mut compared = 0;
         for rx_broadcasts in [false, true] {
             let intents = intents_for(rx_broadcasts);
             for (name, list) in lists {
-                for ring_reports in [true, false] {
-                    // rcf = racc = 5: round 3 is before both, round 7 after.
-                    for round in [3u64, 7] {
-                        for script in 0..8u8 {
-                            let cfg = RadioConfig {
-                                r1: 10.0,
-                                r2: 20.0,
-                                rcf: 5,
-                                racc: 5,
-                                ring_reports,
+                for round in [3u64, 7] {
+                    for script in 0..8u8 {
+                        let answers = [script & 1 != 0, script & 2 != 0, script & 4 != 0];
+                        let case = format!(
+                            "{name}, rx broadcasting: {rx_broadcasts}, \
+                             round {round}, answers {answers:?}"
+                        );
+                        let run = |by_summary: bool| {
+                            let mut adv = Recording {
+                                answers,
+                                calls: Vec::new(),
                             };
-                            let answers = [script & 1 != 0, script & 2 != 0, script & 4 != 0];
-                            let case = format!(
-                                "{name}, rx broadcasting: {rx_broadcasts}, ring reports: \
-                                 {ring_reports}, round {round}, answers {answers:?}"
-                            );
-                            let run = |by_summary: bool| {
-                                let mut adv = Recording {
-                                    answers,
-                                    calls: Vec::new(),
-                                };
-                                let (mut rng, mut out) = (rng(), ReceptionBuffer::new());
-                                if by_summary {
-                                    let heard = Heard::of(list.iter().copied(), cfg.r1 * cfg.r1);
-                                    resolve_receiver(
-                                        &cfg,
-                                        round,
-                                        &intents[0],
-                                        heard,
-                                        &intents,
-                                        &mut adv,
-                                        &mut rng,
-                                        &mut out,
-                                    );
-                                } else {
-                                    walk_list(
-                                        &cfg,
-                                        round,
-                                        &intents[0],
-                                        list,
-                                        &intents,
-                                        &mut adv,
-                                        &mut rng,
-                                        &mut out,
-                                    );
-                                }
-                                (out.to_attributed(), adv.calls, rng)
-                            };
-                            let (summary, walk) = (run(true), run(false));
-                            assert_eq!(summary.0, walk.0, "reception: {case}");
-                            assert_eq!(summary.1, walk.1, "adversary calls: {case}");
-                            assert_eq!(summary.2, walk.2, "RNG stream: {case}");
-                            compared += 1;
-                        }
+                            let (mut rng, mut out) = (rng(), ReceptionBuffer::new());
+                            if by_summary {
+                                let heard = Heard::of(list.iter().copied());
+                                resolve_receiver(
+                                    &cfg,
+                                    round,
+                                    &intents[0],
+                                    heard,
+                                    &intents,
+                                    &mut adv,
+                                    &mut rng,
+                                    &mut out,
+                                );
+                            } else {
+                                walk_list(
+                                    &cfg,
+                                    round,
+                                    &intents[0],
+                                    list,
+                                    &intents,
+                                    &mut adv,
+                                    &mut rng,
+                                    &mut out,
+                                );
+                            }
+                            (out.to_attributed(), adv.calls, rng)
+                        };
+                        let (summary, walk) = (run(true), run(false));
+                        assert_eq!(summary.0, walk.0, "reception: {case}");
+                        assert_eq!(summary.1, walk.1, "adversary calls: {case}");
+                        assert_eq!(summary.2, walk.2, "RNG stream: {case}");
+                        compared += 1;
                     }
                 }
             }
         }
-        assert_eq!(compared, 2 * 10 * 2 * 2 * 8);
+        assert_eq!(compared, 2 * 10 * 2 * 8);
     }
 
     proptest! {
@@ -1222,8 +1191,8 @@ mod tests {
         /// cached neighborhood, is the min-based reference fold over the
         /// list's broadcasters. A distance is exactly `R1²` or `R2²`,
         /// ties the entry before it, is 0, or is anywhere in `[0, R2²]`,
-        /// so a hit exactly at `R1²` often decides `within_r1`, and a
-        /// lone broadcaster is often followed by listeners.
+        /// so equal distances are common, and a lone broadcaster is
+        /// often followed by listeners.
         #[test]
         fn cached_list_fold_matches_the_min_reference(
             entries in proptest::collection::vec((0u32..12, 0usize..5, 0.0f64..1.0), 0..8),
@@ -1238,8 +1207,8 @@ mod tests {
             }
             let broadcasting = list.iter().copied().filter(|&(i, _)| is_tx[i as usize]);
             prop_assert_eq!(
-                heard_in(&list, &is_tx, r1_sq),
-                Heard::reference(broadcasting, r1_sq),
+                heard_in(&list, &is_tx),
+                Heard::reference(broadcasting),
                 "list {:?}, is_tx {:?}", list, is_tx
             );
         }

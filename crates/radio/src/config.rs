@@ -20,10 +20,11 @@ use std::fmt;
 ///   message broadcast within `r2` was actually lost (Property 2).
 ///   Before `racc` the adversary may inject spurious collision
 ///   indications.
-/// * `ring_reports` — whether, after `racc`, the detector also reports
-///   losses from broadcasters in the "gray ring" `(r1, r2]`. Both
-///   settings satisfy Properties 1–2; `true` models a conservative
-///   carrier-sensing detector and is the default.
+///
+/// The collision detector is the strongest one Properties 1–2 allow:
+/// it reports exactly when a message broadcast within `r2` was lost
+/// (so every loss within `r1` too, Property 1), plus, before `racc`,
+/// whatever spurious reports the adversary adds.
 ///
 /// Eventual properties in the paper hold "from some point onwards" as a
 /// formal convention; the simulator makes the stabilization points
@@ -38,8 +39,6 @@ pub struct RadioConfig {
     pub rcf: u64,
     /// First round of collision-detector accuracy (the paper's `racc`).
     pub racc: u64,
-    /// Whether the accurate detector also reports gray-ring losses.
-    pub ring_reports: bool,
 }
 
 impl RadioConfig {
@@ -55,7 +54,6 @@ impl RadioConfig {
             r2,
             rcf: 0,
             racc: 0,
-            ring_reports: true,
         };
         cfg.validate().expect("invalid radio config");
         cfg
@@ -73,7 +71,6 @@ impl RadioConfig {
             r2,
             rcf: stabilize_at,
             racc: stabilize_at,
-            ring_reports: true,
         };
         cfg.validate().expect("invalid radio config");
         cfg
@@ -84,12 +81,6 @@ impl RadioConfig {
     pub fn with_stabilization(mut self, rcf: u64, racc: u64) -> Self {
         self.rcf = rcf;
         self.racc = racc;
-        self
-    }
-
-    /// Disables gray-ring collision reports after `racc`.
-    pub fn without_ring_reports(mut self) -> Self {
-        self.ring_reports = false;
         self
     }
 
@@ -168,7 +159,6 @@ mod tests {
             r2: 10.0,
             rcf: 0,
             racc: 0,
-            ring_reports: true,
         };
         assert_eq!(
             cfg.validate(),
@@ -183,7 +173,6 @@ mod tests {
             r2: 1.0,
             rcf: 0,
             racc: 0,
-            ring_reports: true,
         };
         assert!(matches!(
             cfg.validate(),
@@ -198,7 +187,6 @@ mod tests {
             r2: 1.0,
             rcf: 0,
             racc: 0,
-            ring_reports: true,
         };
         assert_eq!(cfg.validate(), Err(ConfigError::NonFiniteRadius));
     }

@@ -430,8 +430,8 @@ impl SpatialGrid {
 /// What a receiver hears of one round's broadcasters under the
 /// quasi-unit-disk rule — everything the delivery rule reads, and
 /// nothing it does not: with two or more broadcasters inside `R2` the
-/// receiver gets at most the `±` indication, so only *whether one of
-/// them is inside `R1`* matters, not who or in which order.
+/// receiver gets nothing but the `±` indication, so neither who they
+/// are, nor where, nor in which order matters.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum Heard {
     /// No other broadcaster within `R2`.
@@ -444,42 +444,30 @@ pub enum Heard {
         d2: f64,
     },
     /// Two or more: they destroy each other at this receiver.
-    Many {
-        /// Whether at least one of them is within `R1`.
-        within_r1: bool,
-    },
+    Many,
 }
 
 impl Heard {
     /// Folds the `(slot, d²)` hits inside `R2` of one receiver (itself
-    /// excluded) into the summary; `r1_sq` is `R1²`, inclusive.
-    pub fn of(hits: impl IntoIterator<Item = (u32, f64)>, r1_sq: f64) -> Heard {
-        let empty = HeardFold::new(r1_sq);
+    /// excluded) into the summary.
+    pub fn of(hits: impl IntoIterator<Item = (u32, f64)>) -> Heard {
         hits.into_iter()
-            .fold(empty, |f, (slot, d2)| f.push(true, slot, d2))
+            .fold(HeardFold::default(), |f, (slot, d2)| f.push(true, slot, d2))
             .finish()
     }
 }
 
 /// The branch-free fold every round kind builds a [`Heard`] with. No
-/// minimum: one hit's `d2` is the last hit's; two or more read only
-/// whether any hit is within `R1`.
+/// minimum: one hit's `d2` is the last hit's, and two or more are
+/// only counted.
 #[derive(Clone, Copy, Default)]
 pub(crate) struct HeardFold {
-    r1_sq: f64,
     count: usize,
-    in_r1: bool,
     last: u32,
     last_d2: f64,
 }
 
 impl HeardFold {
-    /// An empty fold reporting on `R1² = r1_sq` (inclusive).
-    pub(crate) fn new(r1_sq: f64) -> Self {
-        let empty = HeardFold::default();
-        HeardFold { r1_sq, ..empty }
-    }
-
     /// Folds in candidate `slot` at squared distance `d2`; it counts iff `hit`.
     #[inline(always)]
     pub(crate) fn push(mut self, hit: bool, slot: u32, d2: f64) -> Self {
@@ -487,7 +475,6 @@ impl HeardFold {
         // scan's candidates hit, in no order a predictor can learn.
         let keep = u64::from(hit).wrapping_neg();
         self.count += usize::from(hit);
-        self.in_r1 |= hit & (d2 <= self.r1_sq);
         self.last = (slot & keep as u32) | (self.last & !keep as u32);
         self.last_d2 = f64::from_bits((d2.to_bits() & keep) | (self.last_d2.to_bits() & !keep));
         self
@@ -501,9 +488,7 @@ impl HeardFold {
                 slot: self.last,
                 d2: self.last_d2,
             },
-            _ => Heard::Many {
-                within_r1: self.in_r1,
-            },
+            _ => Heard::Many,
         }
     }
 }
@@ -525,10 +510,10 @@ impl HeardFold {
 /// let mut index = SnapshotIndex::new(20.0);
 /// index.rebuild([(Point::new(0.0, 0.0), 7), (Point::new(50.0, 0.0), 9)]);
 /// // Slot 7 is the only broadcaster within 20 m of (5, 0) ...
-/// let heard = index.scan(Point::new(5.0, 0.0), 10.0, 20.0, u32::MAX);
+/// let heard = index.scan(Point::new(5.0, 0.0), 20.0, u32::MAX);
 /// assert_eq!(heard, Heard::One { slot: 7, d2: 25.0 });
 /// // ... and hears nothing but itself.
-/// assert_eq!(index.scan(Point::new(0.0, 0.0), 10.0, 20.0, 7), Heard::Silence);
+/// assert_eq!(index.scan(Point::new(0.0, 0.0), 20.0, 7), Heard::Silence);
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct SnapshotIndex {
@@ -602,18 +587,17 @@ impl SnapshotIndex {
 
     /// What a receiver at `center` hears of the indexed points: those
     /// within `r2` (inclusive), except the one tagged `exclude` — the
-    /// receiver's own slot when it broadcasts itself. `r1 <= r2` is the
-    /// inner radius [`Heard::Many`] reports on (inclusive).
+    /// receiver's own slot when it broadcasts itself.
     ///
     /// One fused pass over the block's cell rows: hits are counted, not
     /// listed, and every candidate goes through the branch-free fold.
-    pub fn scan(&self, center: Point, r1: f64, r2: f64, exclude: u32) -> Heard {
+    pub fn scan(&self, center: Point, r2: f64, exclude: u32) -> Heard {
         if self.entries.is_empty() {
             return Heard::Silence;
         }
         let r2_sq = r2 * r2;
         let ((cx0, cx1), (cy0, cy1)) = self.frame.cell_range(center, r2);
-        let mut fold = HeardFold::new(r1 * r1);
+        let mut fold = HeardFold::default();
         for cy in cy0..=cy1 {
             let row = cy * self.frame.cols;
             let lo = self.starts[row + cx0] as usize;
@@ -630,9 +614,9 @@ impl SnapshotIndex {
 #[cfg(test)]
 impl Heard {
     /// The min-based fold [`HeardFold`] replaced, kept as the reference
-    /// the fold is held against: it keeps the nearest hit's distance and
-    /// reads `within_r1` off it.
-    pub(crate) fn reference(hits: impl IntoIterator<Item = (u32, f64)>, r1_sq: f64) -> Heard {
+    /// the fold is held against: it keeps the nearest hit's distance,
+    /// which is the one hit's when there is one.
+    pub(crate) fn reference(hits: impl IntoIterator<Item = (u32, f64)>) -> Heard {
         let (mut count, mut nearest, mut last) = (0usize, f64::INFINITY, 0u32);
         for (slot, d2) in hits {
             count += 1;
@@ -645,9 +629,7 @@ impl Heard {
                 slot: last,
                 d2: nearest,
             },
-            _ => Heard::Many {
-                within_r1: nearest <= r1_sq,
-            },
+            _ => Heard::Many,
         }
     }
 }

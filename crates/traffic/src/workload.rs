@@ -172,6 +172,12 @@ impl TrafficSpec {
                 self.query_fraction
             ));
         }
+        let Some(total_rounds) = self.total_rounds() else {
+            return Err(format!(
+                "virtual_rounds {} plus timeout_rounds {} overflow the run length",
+                self.virtual_rounds, self.timeout_rounds
+            ));
+        };
         match &self.mode {
             LoadMode::Open {
                 rate_per_round,
@@ -192,14 +198,36 @@ impl TrafficSpec {
             }
             LoadMode::Closed {
                 outstanding_per_client,
-                ..
+                think_rounds,
             } => {
                 if *outstanding_per_client == 0 {
                     return Err("closed loop needs outstanding_per_client >= 1".into());
                 }
+                // A slot freed in the last round thinks until
+                // `total_rounds + 1 + think_rounds`.
+                if total_rounds
+                    .checked_add(1)
+                    .and_then(|t| t.checked_add(*think_rounds))
+                    .is_none()
+                {
+                    return Err(format!(
+                        "think_rounds {think_rounds} overflow the run length"
+                    ));
+                }
             }
         }
         Ok(())
+    }
+
+    /// How many virtual rounds the driver runs: the admission window
+    /// plus a drain tail long enough for every late request to either
+    /// complete or time out (a request admitted in the final window
+    /// round needs `timeout_rounds + 1` more sweeps to cross the strict
+    /// `> timeout_rounds` threshold). `None` if that overflows `u64`.
+    pub fn total_rounds(&self) -> Option<u64> {
+        self.virtual_rounds
+            .checked_add(self.timeout_rounds)?
+            .checked_add(1)
     }
 
     /// The open-loop arrival rate active in virtual round `vr` (the
