@@ -221,6 +221,13 @@ guards=(
   'ring_reports|within_r1'
   "$code" '-'
   'the collision detector has one rule'
+
+  # An audited traffic run hands each event to a `vi_audit::Auditor`
+  # as the driver produces it (`run_traffic`'s sink), and an
+  # unaudited one passes no sink: no operation history is buffered.
+  'History::from_events|Vec<TrafficEvent>'
+  'crates/scenario/src' '-'
+  'the scenario compiler audits as the run goes; it keeps no history'
 )
 
 # `path:line:text` for every line above a file's first `#[cfg(test)]`

@@ -1,5 +1,29 @@
-//! Per-app consistency checkers over recorded histories, and the
-//! [`audit`] dispatcher that runs every checker an app answers to.
+//! Per-app consistency checkers, run by the [`Auditor`] over a
+//! traffic run's operation history as the run produces it.
+//!
+//! The auditor takes one event at a time — `vi_traffic::run_traffic`
+//! hands each to its sink the moment the driver produces it — and keeps
+//! only what its checks need, never the history itself:
+//!
+//! * `well_formed` (every app): each invoked op's client, invocation
+//!   round and description, and whether it has resolved; a resolution
+//!   is checked against its invocation when it arrives.
+//! * `linearizable` (register): one [`RegOp`] per write or read, in
+//!   invocation order, resolved in place — a read that never returned
+//!   a value is dropped at the end — plus each op's client. The WGL
+//!   search runs over them in [`Auditor::finish`].
+//! * `mutual_exclusion` and `fifo_grants` (mutex): each client's
+//!   grant/release intervals, the grant/release alternation as the
+//!   records arrive, and each client's acquire and completion order.
+//! * `monotone_freshness` (tracking): the reports and every answered
+//!   lookup.
+//! * `delivery_once` (georouting): the sends, every delivery record
+//!   and every completed send.
+//!
+//! [`audit`] feeds a stored [`History`] through an auditor. A report is
+//! the one the batch checkers this replaced (the test-only `reference`
+//! module) give the same history, whenever the history invokes each id
+//! at most once and before any resolution of it — as the driver does.
 //!
 //! All checkers share two conventions:
 //!
@@ -8,11 +32,11 @@
 //!   as concurrent with everything after its invocation and never
 //!   require it to have happened — but also never assume it didn't.
 //! * **Determinism.** Verdicts and witnesses are pure functions of the
-//!   event list; no hash-order or wall-clock state leaks in, so audit
-//!   reports are byte-identical across sweep workers.
+//!   event sequence; no hash-order or wall-clock state leaks in, so
+//!   audit reports are byte-identical across sweep workers.
 
 use crate::history::History;
-use crate::linearizability::{self, LinResult, RegOp, RegOpKind, PENDING};
+use crate::linearizability::{self, LinResult, RegOp, RegOpKind, INITIAL_VALUE, PENDING};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use vi_traffic::{AppKind, AuditRecord, OpDesc, OpOutcome, TrafficEvent};
@@ -139,32 +163,14 @@ impl AuditReport {
     }
 }
 
-/// Runs every checker `history.app` answers to.
+/// Runs every checker `history.app` answers to: feeds the stored
+/// events to an [`Auditor`] and finishes it.
 pub fn audit(history: &History) -> AuditReport {
-    let mut checks = vec![check_well_formed(history)];
-    match history.app {
-        AppKind::Register => checks.push(check_register_linearizable(history)),
-        AppKind::Mutex => {
-            checks.push(check_mutual_exclusion(history));
-            checks.push(check_fifo_grants(history));
-        }
-        AppKind::Tracking => checks.push(check_monotone_freshness(history)),
-        AppKind::Georouting => checks.push(check_delivery_once(history)),
+    let mut auditor = Auditor::new(history.app);
+    for event in &history.events {
+        auditor.observe(event);
     }
-    let (mut ops, mut timeouts) = (0, 0);
-    for e in &history.events {
-        match e {
-            TrafficEvent::Invoke { .. } => ops += 1,
-            TrafficEvent::Timeout { .. } => timeouts += 1,
-            _ => {}
-        }
-    }
-    AuditReport {
-        app: history.app.name().to_string(),
-        ops,
-        timeouts,
-        checks,
-    }
+    auditor.finish()
 }
 
 /// Does `outcome` answer `op`? (A `Write` must be `Acked`, a `Read`
@@ -179,122 +185,6 @@ fn outcome_matches(op: &OpDesc, outcome: &OpOutcome) -> bool {
             | (OpDesc::Lookup { .. }, OpOutcome::Answered { .. })
             | (OpDesc::Send { .. }, OpOutcome::Delivered)
     )
-}
-
-/// Structural sanity of the history itself: every resolution names an
-/// operation that was invoked earlier, by the same client, resolves it
-/// at most once, never before its invocation, and with an outcome of
-/// the right shape. Every semantic checker builds on this.
-pub fn check_well_formed(history: &History) -> CheckResult {
-    let mut invoked: BTreeMap<u64, (u32, u64, OpDesc)> = BTreeMap::new();
-    let mut resolved: BTreeMap<u64, u64> = BTreeMap::new();
-    let mut examined = 0u64;
-    let mut problems: Vec<String> = Vec::new();
-    for e in &history.events {
-        match e {
-            TrafficEvent::Invoke { id, client, vr, op } => {
-                examined += 1;
-                if invoked.insert(*id, (*client, *vr, *op)).is_some() {
-                    problems.push(format!("op #{id} invoked twice"));
-                }
-            }
-            TrafficEvent::Complete {
-                id,
-                client,
-                vr,
-                outcome,
-            } => {
-                examined += 1;
-                match invoked.get(id) {
-                    None => problems.push(format!("completion of #{id} without invocation")),
-                    Some((c, inv, op)) => {
-                        if c != client {
-                            problems.push(format!(
-                                "#{id} invoked by client {c} but completed by {client}"
-                            ));
-                        }
-                        if vr < inv {
-                            problems.push(format!(
-                                "#{id} completed at vr {vr} before its invocation at {inv}"
-                            ));
-                        }
-                        if !outcome_matches(op, outcome) {
-                            problems
-                                .push(format!("#{id}: outcome {outcome:?} does not answer {op:?}"));
-                        }
-                    }
-                }
-                if resolved.insert(*id, *vr).is_some() {
-                    problems.push(format!("op #{id} resolved twice"));
-                }
-            }
-            TrafficEvent::Timeout { id, client, vr } => {
-                examined += 1;
-                match invoked.get(id) {
-                    None => problems.push(format!("timeout of #{id} without invocation")),
-                    Some((c, inv, _)) => {
-                        if c != client {
-                            problems.push(format!(
-                                "#{id} invoked by client {c} but timed out at {client}"
-                            ));
-                        }
-                        if vr < inv {
-                            problems.push(format!(
-                                "#{id} timed out at vr {vr} before its invocation at {inv}"
-                            ));
-                        }
-                    }
-                }
-                if resolved.insert(*id, *vr).is_some() {
-                    problems.push(format!("op #{id} resolved twice"));
-                }
-            }
-            TrafficEvent::Protocol { .. } => {}
-        }
-    }
-    if problems.is_empty() {
-        CheckResult::pass("well_formed", examined)
-    } else {
-        problems.truncate(4);
-        CheckResult::violation("well_formed", examined, problems.join("; "))
-    }
-}
-
-/// Extracts the register operations a WGL check runs over: acked and
-/// pending writes, plus returned reads (timed-out reads constrain
-/// nothing and are dropped).
-pub fn register_ops(history: &History) -> Vec<RegOp> {
-    let completes: BTreeMap<u64, (u64, OpOutcome)> = history
-        .completes()
-        .into_iter()
-        .map(|(id, _, vr, outcome)| (id, (vr, outcome)))
-        .collect();
-    let mut ops = Vec::new();
-    for (id, _, inv, op) in history.invokes() {
-        match op {
-            OpDesc::Write { value } => {
-                let ret = completes.get(&id).map_or(PENDING, |&(vr, _)| vr);
-                ops.push(RegOp {
-                    id,
-                    kind: RegOpKind::Write { value },
-                    inv,
-                    ret,
-                });
-            }
-            OpDesc::Read => {
-                if let Some(&(vr, OpOutcome::ReadValue { value, .. })) = completes.get(&id) {
-                    ops.push(RegOp {
-                        id,
-                        kind: RegOpKind::Read { returned: value },
-                        inv,
-                        ret: vr,
-                    });
-                }
-            }
-            _ => {}
-        }
-    }
-    ops
 }
 
 /// The op ids a minimized witness names. Every witness line the
@@ -327,15 +217,10 @@ fn linearizable_result(ops: &[RegOp]) -> CheckResult {
     }
 }
 
-/// The atomic-register checker: WGL search for a legal linearization.
-pub fn check_register_linearizable(history: &History) -> CheckResult {
-    linearizable_result(&register_ops(history))
-}
-
 /// Audits a bag of pre-extracted register operations directly —
 /// the entry point for workloads (like the stale-read
 /// `MajorityRegister` baseline) that produce [`RegOp`]s without going
-/// through the traffic driver's event history.
+/// through the traffic driver's events.
 pub fn audit_register_ops(app: &str, ops: &[RegOp]) -> AuditReport {
     let pending = ops.iter().filter(|o| o.ret == PENDING).count() as u64;
     AuditReport {
@@ -344,6 +229,29 @@ pub fn audit_register_ops(app: &str, ops: &[RegOp]) -> AuditReport {
         timeouts: pending,
         checks: vec![linearizable_result(ops)],
     }
+}
+
+/// An invoked op not kept as a [`RegOp`] (all but a register run's
+/// writes and reads), as `well_formed` and the mutex, tracking and
+/// georouting checks need it.
+#[derive(Clone, Copy, Debug)]
+struct Invoked {
+    id: u64,
+    client: u32,
+    /// Invocation round.
+    inv: u64,
+    /// Round of its latest completion, [`PENDING`] before one.
+    ret: u64,
+    op: OpDesc,
+    resolved: bool,
+}
+
+/// Where an invoked op is kept: an index into [`Auditor::register`]
+/// or [`Auditor::other`].
+#[derive(Clone, Copy)]
+enum At {
+    Register(usize),
+    Other(usize),
 }
 
 /// A client's lock-holding interval: grant heard at `granted`,
@@ -357,45 +265,427 @@ struct HoldInterval {
     released: u64,
 }
 
-/// Pairs each client's grant/release protocol records into holding
-/// intervals, in grant order: a grant opens an interval, the client's
-/// next release closes its most recent open one.
-fn hold_intervals(history: &History) -> Vec<HoldInterval> {
-    let mut per_client: BTreeMap<u32, Vec<HoldInterval>> = BTreeMap::new();
-    for record in history.protocol() {
-        match record {
+/// The protocol-record half of `fifo_grants`, checked as the records
+/// arrive: per client, grants and releases alternate.
+#[derive(Default)]
+struct Alternation {
+    holding: BTreeMap<u32, bool>,
+    grants: BTreeMap<u32, u64>,
+    checked: u64,
+    /// The first break, which ends the check.
+    failure: Option<CheckResult>,
+}
+
+impl Alternation {
+    fn observe(&mut self, record: AuditRecord) {
+        if self.failure.is_some() {
+            return;
+        }
+        let problem = match record {
             AuditRecord::Granted { client, vr } => {
-                per_client.entry(client).or_default().push(HoldInterval {
-                    client,
-                    granted: vr,
-                    released: PENDING,
-                });
+                self.checked += 1;
+                *self.grants.entry(client).or_default() += 1;
+                (self.holding.insert(client, true) == Some(true)).then(|| {
+                    format!("client {client} re-granted at vr {vr} without a release between")
+                })
             }
-            AuditRecord::Released { client, vr } => {
-                if let Some(open) = per_client
-                    .entry(client)
-                    .or_default()
-                    .iter_mut()
-                    .rev()
-                    .find(|iv| iv.released == PENDING)
-                {
-                    open.released = vr;
-                }
-            }
-            _ => {}
+            AuditRecord::Released { client, vr } => (self.holding.insert(client, false)
+                != Some(true))
+            .then(|| format!("client {client} released at vr {vr} without holding the lock")),
+            _ => None,
+        };
+        self.failure = problem.map(|msg| CheckResult::violation("fifo_grants", self.checked, msg));
+    }
+}
+
+/// A lookup answer, for `monotone_freshness`.
+#[derive(Clone, Copy, Debug)]
+struct Answer {
+    id: u64,
+    object: u32,
+    vr: u64,
+    cell: Option<(u32, u32)>,
+}
+
+/// What the app's own checks keep beyond the invoked ops.
+enum AppLog {
+    /// The register's ops live in [`Auditor::register`].
+    Register,
+    Mutex {
+        /// Each client's holding intervals, in grant order.
+        holds: BTreeMap<u32, Vec<HoldInterval>>,
+        alternation: Alternation,
+        /// Per completing client, the ids it completed, in order.
+        completed: BTreeMap<u32, Vec<u64>>,
+    },
+    Tracking {
+        /// Answered lookups, in completion order.
+        answers: Vec<Answer>,
+    },
+    Georouting {
+        /// Delivery records in arrival order: `(vn, payload, vr)`.
+        deliveries: Vec<(usize, u32, u64)>,
+        /// Sends completed as delivered, in completion order: `(id,
+        /// payload)`.
+        completed: Vec<(u64, u32)>,
+    },
+}
+
+/// Runs every checker an app answers to over its operation history,
+/// one event at a time: [`Auditor::observe`] each event in driver
+/// order, then [`Auditor::finish`] for the report. What it keeps per
+/// app is listed in the [module docs](self); for the register that is
+/// one [`RegOp`] and one client per write or read.
+pub struct Auditor {
+    app: AppKind,
+    /// Invoked operations.
+    ops: u64,
+    /// Timed-out operations.
+    timeouts: u64,
+    /// Latest invoked id.
+    last_id: Option<u64>,
+    /// Every invoked id exceeded the one before (as in every driver
+    /// history): ops are found by binary search, not by a scan.
+    increasing: bool,
+    /// `well_formed`: events examined, and its first four problems.
+    examined: u64,
+    problems: Vec<String>,
+    /// Ids resolved with no invocation of them before.
+    orphans: BTreeSet<u64>,
+    /// Register runs: each write and read, in invocation order.
+    register: Vec<RegOp>,
+    /// Per `register` entry: its client and whether it has resolved.
+    register_clients: Vec<(u32, bool)>,
+    /// Every other invoked op, in invocation order.
+    other: Vec<Invoked>,
+    log: AppLog,
+}
+
+/// The position of op `id` among `items` (in invocation order, keyed
+/// by `key`): binary search while ids have increased, else the latest
+/// match of a scan.
+fn find<T>(items: &[T], id: u64, increasing: bool, key: impl Fn(&T) -> u64) -> Option<usize> {
+    if increasing {
+        items.binary_search_by_key(&id, key).ok()
+    } else {
+        items.iter().rposition(|t| key(t) == id)
+    }
+}
+
+impl Auditor {
+    /// An auditor for a run of `app`.
+    pub fn new(app: AppKind) -> Self {
+        let log = match app {
+            AppKind::Register => AppLog::Register,
+            AppKind::Mutex => AppLog::Mutex {
+                holds: BTreeMap::new(),
+                alternation: Alternation::default(),
+                completed: BTreeMap::new(),
+            },
+            AppKind::Tracking => AppLog::Tracking {
+                answers: Vec::new(),
+            },
+            AppKind::Georouting => AppLog::Georouting {
+                deliveries: Vec::new(),
+                completed: Vec::new(),
+            },
+        };
+        Auditor {
+            app,
+            ops: 0,
+            timeouts: 0,
+            last_id: None,
+            increasing: true,
+            examined: 0,
+            problems: Vec::new(),
+            orphans: BTreeSet::new(),
+            register: Vec::new(),
+            register_clients: Vec::new(),
+            other: Vec::new(),
+            log,
         }
     }
-    let mut all: Vec<HoldInterval> = per_client.into_values().flatten().collect();
-    all.sort_by_key(|iv| (iv.granted, iv.client));
-    all
+
+    /// Takes the run's next event.
+    pub fn observe(&mut self, event: &TrafficEvent) {
+        match *event {
+            TrafficEvent::Invoke { id, client, vr, op } => self.invoke(id, client, vr, op),
+            TrafficEvent::Complete {
+                id,
+                client,
+                vr,
+                outcome,
+            } => self.complete(id, client, vr, outcome),
+            TrafficEvent::Timeout { id, client, vr } => self.time_out(id, client, vr),
+            TrafficEvent::Protocol { record } => self.protocol(record),
+        }
+    }
+
+    /// Notes a `well_formed` problem; the first four make the witness.
+    fn problem(&mut self, problem: String) {
+        if self.problems.len() < 4 {
+            self.problems.push(problem);
+        }
+    }
+
+    fn locate(&self, id: u64) -> Option<At> {
+        find(&self.register, id, self.increasing, |o| o.id)
+            .map(At::Register)
+            .or_else(|| find(&self.other, id, self.increasing, |o| o.id).map(At::Other))
+    }
+
+    /// The invocation at `at`: client, round and op.
+    fn invocation(&self, at: At) -> (u32, u64, OpDesc) {
+        match at {
+            At::Register(i) => {
+                let o = &self.register[i];
+                let op = match o.kind {
+                    RegOpKind::Write { value } => OpDesc::Write { value },
+                    RegOpKind::Read { .. } => OpDesc::Read,
+                };
+                (self.register_clients[i].0, o.inv, op)
+            }
+            At::Other(i) => {
+                let o = &self.other[i];
+                (o.client, o.inv, o.op)
+            }
+        }
+    }
+
+    /// Whether the op at `at` has resolved.
+    fn resolved(&mut self, at: At) -> &mut bool {
+        match at {
+            At::Register(i) => &mut self.register_clients[i].1,
+            At::Other(i) => &mut self.other[i].resolved,
+        }
+    }
+
+    fn invoke(&mut self, id: u64, client: u32, inv: u64, op: OpDesc) {
+        self.ops += 1;
+        self.examined += 1;
+        // While ids increase, a new highest id was never invoked before.
+        let fresh = self.last_id.is_none_or(|last| last < id);
+        let earlier = if self.increasing && fresh {
+            None
+        } else {
+            self.locate(id)
+        };
+        let resolved = match earlier {
+            Some(at) => {
+                self.problem(format!("op #{id} invoked twice"));
+                *self.resolved(at)
+            }
+            None => self.orphans.remove(&id),
+        };
+        self.increasing &= fresh;
+        self.last_id = Some(id);
+        let kind = match op {
+            OpDesc::Write { value } => Some(RegOpKind::Write { value }),
+            OpDesc::Read => Some(RegOpKind::Read {
+                returned: INITIAL_VALUE,
+            }),
+            _ => None,
+        };
+        match kind.filter(|_| self.app == AppKind::Register) {
+            // A read's `ret` stays PENDING until a value answers it.
+            Some(kind) => {
+                self.register.push(RegOp {
+                    id,
+                    kind,
+                    inv,
+                    ret: PENDING,
+                });
+                self.register_clients.push((client, resolved));
+            }
+            None => self.other.push(Invoked {
+                id,
+                client,
+                inv,
+                ret: PENDING,
+                op,
+                resolved,
+            }),
+        }
+    }
+
+    /// The `well_formed` checks of a resolution of `id` by `client` at
+    /// `vr` — a completion with `outcome`, or a timeout — against its
+    /// invocation. Returns where the op is kept and what it was, if it
+    /// was invoked.
+    fn resolution(
+        &mut self,
+        id: u64,
+        client: u32,
+        vr: u64,
+        outcome: Option<OpOutcome>,
+    ) -> Option<(At, OpDesc)> {
+        let (noun, verb, by) = match outcome {
+            Some(_) => ("completion", "completed", "completed by"),
+            None => ("timeout", "timed out", "timed out at"),
+        };
+        let Some(at) = self.locate(id) else {
+            self.problem(format!("{noun} of #{id} without invocation"));
+            if !self.orphans.insert(id) {
+                self.problem(format!("op #{id} resolved twice"));
+            }
+            return None;
+        };
+        let (c, inv, op) = self.invocation(at);
+        if c != client {
+            self.problem(format!("#{id} invoked by client {c} but {by} {client}"));
+        }
+        if vr < inv {
+            self.problem(format!(
+                "#{id} {verb} at vr {vr} before its invocation at {inv}"
+            ));
+        }
+        if let Some(outcome) = outcome.filter(|o| !outcome_matches(&op, o)) {
+            self.problem(format!("#{id}: outcome {outcome:?} does not answer {op:?}"));
+        }
+        if std::mem::replace(self.resolved(at), true) {
+            self.problem(format!("op #{id} resolved twice"));
+        }
+        Some((at, op))
+    }
+
+    fn complete(&mut self, id: u64, client: u32, vr: u64, outcome: OpOutcome) {
+        self.examined += 1;
+        if let AppLog::Mutex { completed, .. } = &mut self.log {
+            completed.entry(client).or_default().push(id);
+        }
+        let Some((at, op)) = self.resolution(id, client, vr, Some(outcome)) else {
+            return;
+        };
+        match at {
+            // The latest completion decides: a write returned then, a
+            // read counts only if it carries a value.
+            At::Register(i) => {
+                let o = &mut self.register[i];
+                o.ret = vr;
+                if let RegOpKind::Read { returned } = &mut o.kind {
+                    match outcome {
+                        OpOutcome::ReadValue { value, .. } => *returned = value,
+                        _ => o.ret = PENDING,
+                    }
+                }
+            }
+            At::Other(i) => {
+                self.other[i].ret = vr;
+                match (&mut self.log, op, outcome) {
+                    (
+                        AppLog::Tracking { answers },
+                        OpDesc::Lookup { object },
+                        OpOutcome::Answered { cell },
+                    ) => answers.push(Answer {
+                        id,
+                        object,
+                        vr,
+                        cell,
+                    }),
+                    (
+                        AppLog::Georouting { completed, .. },
+                        OpDesc::Send { payload, .. },
+                        OpOutcome::Delivered,
+                    ) => completed.push((id, payload)),
+                    _ => {}
+                }
+            }
+        }
+    }
+
+    fn time_out(&mut self, id: u64, client: u32, vr: u64) {
+        self.timeouts += 1;
+        self.examined += 1;
+        self.resolution(id, client, vr, None);
+    }
+
+    fn protocol(&mut self, record: AuditRecord) {
+        match &mut self.log {
+            AppLog::Mutex {
+                holds, alternation, ..
+            } => {
+                alternation.observe(record);
+                match record {
+                    // A grant opens an interval, the client's next
+                    // release closes its most recent open one.
+                    AuditRecord::Granted { client, vr } => {
+                        holds.entry(client).or_default().push(HoldInterval {
+                            client,
+                            granted: vr,
+                            released: PENDING,
+                        });
+                    }
+                    AuditRecord::Released { client, vr } => {
+                        if let Some(open) = holds
+                            .entry(client)
+                            .or_default()
+                            .iter_mut()
+                            .rev()
+                            .find(|iv| iv.released == PENDING)
+                        {
+                            open.released = vr;
+                        }
+                    }
+                    _ => {}
+                }
+            }
+            AppLog::Georouting { deliveries, .. } => {
+                if let AuditRecord::Delivered { vn, payload, vr } = record {
+                    deliveries.push((vn, payload, vr));
+                }
+            }
+            AppLog::Register | AppLog::Tracking { .. } => {}
+        }
+    }
+
+    /// Runs the checks over what the events left and reports.
+    pub fn finish(self) -> AuditReport {
+        let well_formed = if self.problems.is_empty() {
+            CheckResult::pass("well_formed", self.examined)
+        } else {
+            CheckResult::violation("well_formed", self.examined, self.problems.join("; "))
+        };
+        let mut checks = vec![well_formed];
+        match self.log {
+            AppLog::Register => {
+                // Freed before the search, whose peak it would raise.
+                drop(self.register_clients);
+                let mut ops = self.register;
+                ops.retain(|o| o.ret != PENDING || matches!(o.kind, RegOpKind::Write { .. }));
+                checks.push(linearizable_result(&ops));
+            }
+            AppLog::Mutex {
+                holds,
+                alternation,
+                completed,
+            } => {
+                checks.push(check_mutual_exclusion(holds));
+                checks.push(check_fifo_grants(alternation, &self.other, &completed));
+            }
+            AppLog::Tracking { answers } => {
+                checks.push(check_monotone_freshness(&self.other, &answers));
+            }
+            AppLog::Georouting {
+                deliveries,
+                completed,
+            } => checks.push(check_delivery_once(&self.other, &deliveries, &completed)),
+        }
+        AuditReport {
+            app: self.app.name().to_string(),
+            ops: self.ops,
+            timeouts: self.timeouts,
+            checks,
+        }
+    }
 }
 
 /// Mutual exclusion: no two clients' holding intervals strictly
 /// overlap. Touching is legal — the server can process a release and
 /// emit the next grant within the same virtual round, so client B's
 /// grant may be heard in the round client A's release hit the channel.
-pub fn check_mutual_exclusion(history: &History) -> CheckResult {
-    let intervals = hold_intervals(history);
+fn check_mutual_exclusion(holds: BTreeMap<u32, Vec<HoldInterval>>) -> CheckResult {
+    let mut intervals: Vec<HoldInterval> = holds.into_values().flatten().collect();
+    intervals.sort_by_key(|iv| (iv.granted, iv.client));
     let checked = intervals.len() as u64;
     let mut max_end: u64 = 0;
     let mut owner: u32 = u32::MAX;
@@ -429,59 +719,34 @@ pub fn check_mutual_exclusion(history: &History) -> CheckResult {
 /// releases alternate (no re-grant without a release between), no
 /// client receives more grants than it invoked acquires, and each
 /// client's acquires complete in invocation order.
-pub fn check_fifo_grants(history: &History) -> CheckResult {
-    let mut checked = 0u64;
-    // (a) alternation per client, in protocol-record order.
-    let mut holding: BTreeMap<u32, bool> = BTreeMap::new();
-    let mut grants: BTreeMap<u32, u64> = BTreeMap::new();
-    for record in history.protocol() {
-        let problem = match record {
-            AuditRecord::Granted { client, vr } => {
-                checked += 1;
-                *grants.entry(client).or_default() += 1;
-                (holding.insert(client, true) == Some(true)).then(|| {
-                    format!("client {client} re-granted at vr {vr} without a release between")
-                })
-            }
-            AuditRecord::Released { client, vr } => (holding.insert(client, false) != Some(true))
-                .then(|| format!("client {client} released at vr {vr} without holding the lock")),
-            _ => None,
-        };
-        if let Some(msg) = problem {
-            return CheckResult::violation("fifo_grants", checked, msg);
-        }
+fn check_fifo_grants(
+    alternation: Alternation,
+    invoked: &[Invoked],
+    completed: &BTreeMap<u32, Vec<u64>>,
+) -> CheckResult {
+    if let Some(failure) = alternation.failure {
+        return failure;
     }
-    // (b) grants never exceed invoked acquires.
-    let mut acquires: BTreeMap<u32, u64> = BTreeMap::new();
-    for (_, client, _, op) in history.invokes() {
-        if op == OpDesc::Acquire {
-            *acquires.entry(client).or_default() += 1;
-        }
+    let checked = alternation.checked;
+    let mut asked: BTreeMap<u32, Vec<u64>> = BTreeMap::new();
+    for o in invoked.iter().filter(|o| o.op == OpDesc::Acquire) {
+        asked.entry(o.client).or_default().push(o.id);
     }
-    for (&client, &granted) in &grants {
-        let asked = acquires.get(&client).copied().unwrap_or(0);
-        if granted > asked {
+    // Grants never exceed invoked acquires.
+    for (&client, &granted) in &alternation.grants {
+        let acquires = asked.get(&client).map_or(0, Vec::len) as u64;
+        if granted > acquires {
             return CheckResult::violation(
                 "fifo_grants",
                 checked,
-                format!("client {client} got {granted} grants for {asked} acquires"),
+                format!("client {client} got {granted} grants for {acquires} acquires"),
             );
         }
     }
-    // (c) per-client completion order == invocation order.
-    let mut invoked: BTreeMap<u32, Vec<u64>> = BTreeMap::new();
-    for (id, client, _, op) in history.invokes() {
-        if op == OpDesc::Acquire {
-            invoked.entry(client).or_default().push(id);
-        }
-    }
-    let mut completed: BTreeMap<u32, Vec<u64>> = BTreeMap::new();
-    for (id, client, _, _) in history.completes() {
-        completed.entry(client).or_default().push(id);
-    }
-    for (client, done) in &completed {
+    // Per-client completion order == invocation order.
+    for (client, done) in completed {
         let done_ids: BTreeSet<u64> = done.iter().copied().collect();
-        let asked = invoked.get(client).map_or(&[][..], Vec::as_slice);
+        let asked = asked.get(client).map_or(&[][..], Vec::as_slice);
         let in_order = asked.iter().filter(|id| done_ids.contains(id));
         if !in_order.eq(done) {
             return CheckResult::violation(
@@ -503,19 +768,14 @@ type ReportSeq = Vec<(u64, (u32, u32))>;
 /// backwards through the object's report sequence (the virtual node's
 /// state only moves forward). `None` answers are legal only before the
 /// first `Some` — the node never forgets an object.
-pub fn check_monotone_freshness(history: &History) -> CheckResult {
+fn check_monotone_freshness(invoked: &[Invoked], answers: &[Answer]) -> CheckResult {
     // Candidate reports per object: completed (cell, send round) and
     // timed-out (cell, invocation round — the broadcast, if it ever
     // happened, came no earlier) reports, in round order.
-    let completes: BTreeMap<u64, (u64, OpOutcome)> = history
-        .completes()
-        .into_iter()
-        .map(|(id, _, vr, outcome)| (id, (vr, outcome)))
-        .collect();
     let mut reports: BTreeMap<u32, ReportSeq> = BTreeMap::new();
-    for (id, _, inv, op) in history.invokes() {
-        if let OpDesc::Report { object, cell } = op {
-            let vr = completes.get(&id).map_or(inv, |&(vr, _)| vr);
+    for o in invoked {
+        if let OpDesc::Report { object, cell } = o.op {
+            let vr = if o.ret == PENDING { o.inv } else { o.ret };
             reports.entry(object).or_default().push((vr, cell));
         }
     }
@@ -523,25 +783,20 @@ pub fn check_monotone_freshness(history: &History) -> CheckResult {
         seq.sort_unstable();
     }
     // Answers per object, in completion (chronological) order.
-    let invokes: BTreeMap<u64, OpDesc> = history
-        .invokes()
-        .into_iter()
-        .map(|(id, _, _, op)| (id, op))
-        .collect();
     let mut checked = 0u64;
     let mut floor: BTreeMap<u32, usize> = BTreeMap::new();
     let mut seen_some: BTreeMap<u32, bool> = BTreeMap::new();
-    for (id, _, vr, outcome) in history.completes() {
-        let Some(OpDesc::Lookup { object }) = invokes.get(&id) else {
-            continue;
-        };
-        let OpOutcome::Answered { cell } = outcome else {
-            continue;
-        };
+    for &Answer {
+        id,
+        object,
+        vr,
+        cell,
+    } in answers
+    {
         checked += 1;
         match cell {
             None => {
-                if seen_some.get(object).copied().unwrap_or(false) {
+                if seen_some.get(&object).copied().unwrap_or(false) {
                     return CheckResult::violation(
                         "monotone_freshness",
                         checked,
@@ -553,15 +808,15 @@ pub fn check_monotone_freshness(history: &History) -> CheckResult {
                 }
             }
             Some(c) => {
-                let seq = reports.get(object).map(Vec::as_slice).unwrap_or(&[]);
-                let p = floor.get(object).copied().unwrap_or(0);
+                let seq = reports.get(&object).map(Vec::as_slice).unwrap_or(&[]);
+                let p = floor.get(&object).copied().unwrap_or(0);
                 match seq[p.min(seq.len())..]
                     .iter()
                     .position(|&(rvr, rcell)| rcell == c && rvr < vr)
                 {
                     Some(offset) => {
-                        floor.insert(*object, p + offset);
-                        seen_some.insert(*object, true);
+                        floor.insert(object, p + offset);
+                        seen_some.insert(object, true);
                     }
                     None => {
                         return CheckResult::violation(
@@ -584,21 +839,21 @@ pub fn check_monotone_freshness(history: &History) -> CheckResult {
 /// most once, only at the virtual node it was addressed to, never
 /// before it was sent, and every completed send is backed by a raw
 /// delivery record.
-pub fn check_delivery_once(history: &History) -> CheckResult {
-    let sends: BTreeMap<u32, (u64, usize, u64)> = history
-        .invokes()
-        .into_iter()
-        .filter_map(|(id, _, inv, op)| match op {
-            OpDesc::Send { vn, payload } => Some((payload, (id, vn, inv))),
+fn check_delivery_once(
+    invoked: &[Invoked],
+    deliveries: &[(usize, u32, u64)],
+    completed: &[(u64, u32)],
+) -> CheckResult {
+    let sends: BTreeMap<u32, (u64, usize, u64)> = invoked
+        .iter()
+        .filter_map(|o| match o.op {
+            OpDesc::Send { vn, payload } => Some((payload, (o.id, vn, o.inv))),
             _ => None,
         })
         .collect();
     let mut delivered: BTreeMap<u32, u64> = BTreeMap::new();
     let mut checked = 0u64;
-    for record in history.protocol() {
-        let AuditRecord::Delivered { vn, payload, vr } = record else {
-            continue;
-        };
+    for &(vn, payload, vr) in deliveries {
         checked += 1;
         if let Some(first) = delivered.insert(payload, vr) {
             return CheckResult::violation(
@@ -634,27 +889,20 @@ pub fn check_delivery_once(history: &History) -> CheckResult {
         }
     }
     // Every completed send is backed by a delivery record.
-    let invokes: BTreeMap<u64, OpDesc> = history
-        .invokes()
-        .into_iter()
-        .map(|(id, _, _, op)| (id, op))
-        .collect();
-    for (id, _, _, outcome) in history.completes() {
-        if outcome != OpOutcome::Delivered {
-            continue;
-        }
-        if let Some(OpDesc::Send { payload, .. }) = invokes.get(&id) {
-            if !delivered.contains_key(payload) {
-                return CheckResult::violation(
-                    "delivery_once",
-                    checked,
-                    format!("send #{id} completed but payload {payload} was never delivered"),
-                );
-            }
+    for &(id, payload) in completed {
+        if !delivered.contains_key(&payload) {
+            return CheckResult::violation(
+                "delivery_once",
+                checked,
+                format!("send #{id} completed but payload {payload} was never delivered"),
+            );
         }
     }
     CheckResult::pass("delivery_once", checked)
 }
+
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {
@@ -663,6 +911,18 @@ mod tests {
 
     fn h(app: AppKind, events: Vec<Event>) -> History {
         History::from_events(app, events)
+    }
+
+    /// The named check of `history`'s audit, whose report must be the
+    /// batch checkers'.
+    fn check(history: &History, name: &str) -> CheckResult {
+        let report = audit(history);
+        assert_eq!(report, reference::audit_reference(history));
+        report
+            .checks
+            .into_iter()
+            .find(|c| c.name == name)
+            .expect("the app answers to the check")
     }
 
     fn inv(id: u64, client: u32, vr: u64, op: OpDesc) -> Event {
@@ -697,9 +957,9 @@ mod tests {
                 },
             ],
         );
-        assert!(check_well_formed(&good).ok());
+        assert!(check(&good, "well_formed").ok());
         let orphan = h(AppKind::Register, vec![done(9, 0, 3, OpOutcome::Acked)]);
-        let res = check_well_formed(&orphan);
+        let res = check(&orphan, "well_formed");
         assert!(!res.ok());
         assert!(res.witness.unwrap().contains("without invocation"));
     }
@@ -713,7 +973,57 @@ mod tests {
                 done(1, 0, 3, OpOutcome::ReadValue { tag: 1, value: 1 }),
             ],
         );
-        assert!(!check_well_formed(&bad).ok());
+        assert!(!check(&bad, "well_formed").ok());
+    }
+
+    /// Malformed histories the driver never produces still get the
+    /// batch checkers' report, witness text and counts included: an
+    /// orphan completion completed again, a double resolution that
+    /// breaks every rule at once (its fifth problem is cut), a read
+    /// completed twice (the later, stale value wins), and ids invoked
+    /// out of order (found by a scan, not a binary search).
+    #[test]
+    fn malformed_histories_audit_like_the_batch_checkers() {
+        let base = vec![
+            inv(1, 0, 1, OpDesc::Write { value: 1 }),
+            done(1, 0, 3, OpOutcome::Acked),
+            inv(2, 1, 4, OpDesc::Read),
+            done(2, 1, 6, OpOutcome::ReadValue { tag: 1, value: 1 }),
+        ];
+        let mut orphan = base.clone();
+        orphan.push(done(7, 0, 8, OpOutcome::Acked));
+        orphan.push(done(7, 1, 9, OpOutcome::Acked));
+        let mut double = base.clone();
+        double.push(done(2, 0, 2, OpOutcome::Acked));
+        double.push(Event::Timeout {
+            id: 1,
+            client: 0,
+            vr: 9,
+        });
+        let mut twice = base.clone();
+        twice.push(done(2, 1, 7, OpOutcome::ReadValue { tag: 0, value: 0 }));
+        let shuffled = vec![
+            inv(5, 0, 1, OpDesc::Write { value: 5 }),
+            inv(3, 1, 2, OpDesc::Read),
+            done(3, 1, 4, OpOutcome::ReadValue { tag: 1, value: 5 }),
+            done(5, 0, 5, OpOutcome::Acked),
+        ];
+        for (events, name, needle) in [
+            (orphan, "well_formed", "op #7 resolved twice"),
+            (
+                double,
+                "well_formed",
+                "#2: outcome Acked does not answer Read",
+            ),
+            (twice, "linearizable", "R→0"),
+            (shuffled, "linearizable", ""),
+        ] {
+            let res = check(&h(AppKind::Register, events), name);
+            assert!(
+                res.witness.as_deref().unwrap_or("").contains(needle),
+                "{needle}: {res:?}"
+            );
+        }
     }
 
     #[test]
@@ -787,7 +1097,7 @@ mod tests {
                 proto(AuditRecord::Released { client: 1, vr: 10 }),
             ],
         );
-        assert!(check_mutual_exclusion(&touching).ok());
+        assert!(check(&touching, "mutual_exclusion").ok());
         let overlap = h(
             AppKind::Mutex,
             vec![
@@ -797,7 +1107,7 @@ mod tests {
                 proto(AuditRecord::Released { client: 1, vr: 9 }),
             ],
         );
-        let res = check_mutual_exclusion(&overlap);
+        let res = check(&overlap, "mutual_exclusion");
         assert!(!res.ok());
         assert!(res.witness.unwrap().contains("still held"));
     }
@@ -811,7 +1121,7 @@ mod tests {
                 proto(AuditRecord::Granted { client: 1, vr: 9 }),
             ],
         );
-        assert!(!check_mutual_exclusion(&hist).ok());
+        assert!(!check(&hist, "mutual_exclusion").ok());
     }
 
     #[test]
@@ -824,7 +1134,7 @@ mod tests {
                 proto(AuditRecord::Granted { client: 0, vr: 7 }),
             ],
         );
-        let res = check_fifo_grants(&double);
+        let res = check(&double, "fifo_grants");
         assert!(!res.ok());
         assert!(res.witness.unwrap().contains("re-granted"));
         let phantom = h(
@@ -834,7 +1144,7 @@ mod tests {
                 proto(AuditRecord::Released { client: 3, vr: 6 }),
             ],
         );
-        let res = check_fifo_grants(&phantom);
+        let res = check(&phantom, "fifo_grants");
         assert!(!res.ok(), "grant without any acquire must fail");
     }
 
@@ -850,10 +1160,10 @@ mod tests {
                 events.push(done(i, 0, 4 * i + 2, OpOutcome::Granted));
             }
         }
-        assert!(check_fifo_grants(&h(AppKind::Mutex, events.clone())).ok());
+        assert!(check(&h(AppKind::Mutex, events.clone()), "fifo_grants").ok());
         // #3 was invoked before #4 but completes after it.
         events.push(done(3, 0, 20_001, OpOutcome::Granted));
-        let res = check_fifo_grants(&h(AppKind::Mutex, events));
+        let res = check(&h(AppKind::Mutex, events), "fifo_grants");
         assert!(!res.ok());
         let witness = res.witness.unwrap();
         assert!(
@@ -891,18 +1201,18 @@ mod tests {
                 done(3, 1, 9, OpOutcome::Answered { cell: Some((2, 2)) }),
             ],
         );
-        assert!(check_monotone_freshness(&fwd).ok());
+        assert!(check(&fwd, "monotone_freshness").ok());
         // A later lookup must not go back to the older cell.
         let mut events = fwd.events.clone();
         events.push(inv(4, 1, 10, OpDesc::Lookup { object: 0 }));
         events.push(done(4, 1, 12, OpOutcome::Answered { cell: Some((1, 1)) }));
         let back = h(AppKind::Tracking, events.clone());
-        assert!(!check_monotone_freshness(&back).ok());
+        assert!(!check(&back, "monotone_freshness").ok());
         // Nor forget the object entirely.
         events.pop();
         events.push(done(4, 1, 12, OpOutcome::Answered { cell: None }));
         let amnesia = h(AppKind::Tracking, events);
-        assert!(!check_monotone_freshness(&amnesia).ok());
+        assert!(!check(&amnesia, "monotone_freshness").ok());
     }
 
     #[test]
@@ -914,7 +1224,7 @@ mod tests {
                 done(1, 1, 3, OpOutcome::Answered { cell: Some((9, 9)) }),
             ],
         );
-        assert!(!check_monotone_freshness(&bogus).ok());
+        assert!(!check(&bogus, "monotone_freshness").ok());
         // Answer predating the report's send round.
         let early = h(
             AppKind::Tracking,
@@ -933,7 +1243,7 @@ mod tests {
                 done(2, 1, 4, OpOutcome::Answered { cell: Some((1, 1)) }),
             ],
         );
-        assert!(!check_monotone_freshness(&early).ok());
+        assert!(!check(&early, "monotone_freshness").ok());
     }
 
     #[test]
@@ -950,7 +1260,7 @@ mod tests {
                 done(1, 0, 7, OpOutcome::Delivered),
             ],
         );
-        assert!(check_delivery_once(&clean).ok());
+        assert!(check(&clean, "delivery_once").ok());
         for (bad, needle) in [
             (
                 vec![
@@ -995,7 +1305,7 @@ mod tests {
                 "never delivered",
             ),
         ] {
-            let res = check_delivery_once(&h(AppKind::Georouting, bad));
+            let res = check(&h(AppKind::Georouting, bad), "delivery_once");
             assert!(!res.ok());
             assert!(
                 res.witness.as_ref().unwrap().contains(needle),

@@ -10,8 +10,10 @@
 //! so audits are sweep-worker invariant by construction.
 //!
 //! A history is built from driver events with [`History::from_events`]
-//! (`vi_traffic::run_traffic` and `drive_recorded` both return them);
-//! [`HistoryRecorder::record`] does both steps for an unobserved run.
+//! (`drive_recorded` returns them, and `vi_traffic::run_traffic` hands
+//! them to its sink); [`HistoryRecorder::record`] does both steps for
+//! an unobserved run. An audit does not need one: the
+//! [`crate::Auditor`] takes the events as the run produces them.
 
 use serde::{Deserialize, Serialize};
 use vi_traffic::{
@@ -110,18 +112,23 @@ impl History {
 
 /// Captures operation histories from traffic runs:
 /// [`HistoryRecorder::record`] is the one-shot, no-observer entry.
-/// Observed runs (the audited scenario compiler) and hand-built
-/// histories (checker unit tests, external drivers) call
-/// `vi_traffic::run_traffic` or their own driver and wrap the events
-/// with [`History::from_events`].
+/// Hand-built histories (checker unit tests, external drivers) wrap
+/// their events with [`History::from_events`].
 pub struct HistoryRecorder;
 
 impl HistoryRecorder {
     /// Runs `spec` against the `app` service over `tw` (exactly like
     /// `vi_traffic::run_traffic` with no observer) and captures the
-    /// complete history.
+    /// complete history through its sink.
     pub fn record(app: AppKind, tw: TrafficWorld, spec: &TrafficSpec) -> (TrafficOutcome, History) {
-        let (outcome, events) = run_traffic(app, tw, spec, &vi_telemetry::Observers::default());
+        let mut events = Vec::new();
+        let outcome = run_traffic(
+            app,
+            tw,
+            spec,
+            &vi_telemetry::Observers::default(),
+            Some(&mut |e| events.push(e)),
+        );
         (outcome, History::from_events(app, events))
     }
 }

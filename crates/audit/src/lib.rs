@@ -11,19 +11,23 @@
 //! and churn. This crate closes the measurement gap: `vi-traffic`
 //! times the apps, `vi-audit` *certifies* them.
 //!
-//! * [`History`] / [`HistoryRecorder`] (module [`history`]) — the
-//!   complete serializable operation history of a traffic run:
-//!   invocations, responses, timeouts (`:info` ops — maybe-happened,
-//!   concurrent-forever), and protocol-level observations, in
-//!   deterministic driver order.
 //! * The **checkers** (module [`check`]) — per-app oracles over a
-//!   history: a memoized Wing–Gong/WGL linearizability search for the
-//!   register (module [`linearizability`], with minimized
-//!   counterexample witnesses), mutual exclusion + FIFO-grant
-//!   discipline for the mutex, monotone freshness for tracking
-//!   lookups, and delivery/no-duplication for georouting. [`audit`]
-//!   runs everything an app answers to and returns an
-//!   [`AuditReport`].
+//!   run's operation history: a memoized Wing–Gong/WGL
+//!   linearizability search for the register (module
+//!   [`linearizability`], with minimized counterexample witnesses),
+//!   mutual exclusion + FIFO-grant discipline for the mutex, monotone
+//!   freshness for tracking lookups, and delivery/no-duplication for
+//!   georouting. An [`Auditor`] runs everything an app answers to and
+//!   returns an [`AuditReport`]. It is the sink of
+//!   `vi_traffic::run_traffic`: it takes each event as the driver
+//!   produces it and keeps only what its checks need, so an audited
+//!   run buffers no history. A run given no sink records nothing.
+//! * [`History`] / [`HistoryRecorder`] (module [`history`]) — a
+//!   stored, serializable operation history: invocations, responses,
+//!   timeouts (`:info` ops — maybe-happened, concurrent-forever), and
+//!   protocol-level observations, in deterministic driver order, for
+//!   callers that keep one (tests, mutations, the examples); [`audit`]
+//!   feeds one through an auditor.
 //! * [`NemesisSpec`] (module [`nemesis`]) — declarative timed fault
 //!   schedules (crash bursts, jam windows, detector-corruption
 //!   windows) that compile onto the simulator's existing churn and
@@ -41,9 +45,7 @@ pub mod linearizability;
 pub mod mutate;
 pub mod nemesis;
 
-pub use check::{
-    audit, audit_register_ops, check_register_linearizable, AuditReport, CheckResult, Verdict,
-};
+pub use check::{audit, audit_register_ops, AuditReport, Auditor, CheckResult, Verdict};
 pub use history::{Event, History, HistoryRecorder};
 pub use linearizability::{check_register, synthetic_history, LinResult, RegOp, RegOpKind};
 pub use mutate::{drop_response, mutate, pick, Mutation};

@@ -19,7 +19,7 @@ use crate::spec::{ScenarioSpec, SpecError, SpecErrorKind, WorkloadSpec};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
-use vi_audit::{audit, audit_register_ops, AuditReport, History};
+use vi_audit::{audit_register_ops, AuditReport, Auditor};
 use vi_baselines::{collect_register_ops, MajRegMessage, MajorityRegister};
 use vi_core::cha::{ChaMessage, ChaNode, ChaSpecChecker, TaggedProposer};
 use vi_core::vi::{CounterAutomaton, World, WorldConfig};
@@ -549,8 +549,9 @@ impl ScenarioSpec {
     /// Runs a client-traffic workload: populations emulate the app's
     /// virtual nodes; the first `traffic.clients` devices also run
     /// request ports driven by the vi-traffic generator. With
-    /// `audited`, the run's operation history feeds the `vi-audit`
-    /// checkers and the outcome carries their verdicts.
+    /// `audited`, each event of the run's operation history goes to a
+    /// `vi-audit` [`Auditor`] as it happens and the outcome carries its
+    /// verdicts; without, nothing is recorded.
     fn run_traffic(
         &self,
         seed: u64,
@@ -576,11 +577,16 @@ impl ScenarioSpec {
         // engine feeds no counter: the handle records the
         // workload-level counters only (timeouts, audit ops, delivery
         // totals); per-round resolver-mode counters stay zero.
-        let (out, events) = vi_traffic::run_traffic(app, tw, traffic, obs);
-        let report = audited.then(|| {
-            let history = History::from_events(app, events);
+        let mut auditor = audited.then(|| Auditor::new(app));
+        let out = match &mut auditor {
+            Some(auditor) => {
+                vi_traffic::run_traffic(app, tw, traffic, obs, Some(&mut |e| auditor.observe(&e)))
+            }
+            None => vi_traffic::run_traffic(app, tw, traffic, obs, None),
+        };
+        let report = auditor.map(|auditor| {
             let t_check = obs.timer();
-            let report = audit(&history);
+            let report = auditor.finish();
             obs.phase_since(Phase::Checker, t_check);
             report
         });

@@ -12,7 +12,8 @@
 //! them.
 //!
 //! Entry points: [`run_traffic`] builds the app service over a
-//! [`TrafficWorld`] and runs it under the run's observer handle;
+//! [`TrafficWorld`] and runs it under the run's observer handle,
+//! handing each [`TrafficEvent`] to the caller's sink as it happens;
 //! [`drive`] and [`drive_recorded`] drive a service the caller built
 //! (unobserved), without and with the operation history.
 
@@ -111,8 +112,12 @@ enum Slot {
 }
 
 /// Runs `spec` against the app service built over `tw`, and returns
-/// the outcome with the run's complete operation history — the input
-/// of the `vi-audit` consistency checkers.
+/// the outcome.
+///
+/// Each operation-history event goes to `sink` the moment the driver
+/// produces it, in driver order — the input of the `vi-audit`
+/// consistency checkers, which consume it as the run goes. Without a
+/// sink nothing is recorded: the run keeps no history.
 ///
 /// The world is built holding a clone of `obs`. Its causal recorder
 /// traces every invocation/completion here and every
@@ -121,7 +126,7 @@ enum Slot {
 /// samples the driver's in-flight picture every K virtual rounds. The
 /// engine of a traffic run feeds no counter, timer or monitor sample:
 /// the handle's owner says so when it builds it
-/// ([`Observers::new`]). Observers never perturb: summary, history and
+/// ([`Observers::new`]). Observers never perturb: summary, events and
 /// stats are byte-identical under `Observers::default()`.
 ///
 /// # Panics
@@ -133,24 +138,21 @@ pub fn run_traffic(
     tw: TrafficWorld,
     spec: &TrafficSpec,
     obs: &Observers,
-) -> (TrafficOutcome, Vec<TrafficEvent>) {
+    sink: Option<&mut dyn FnMut(TrafficEvent)>,
+) -> TrafficOutcome {
     spec.validate().expect("invalid traffic spec");
     let seed = tw.seed;
     let mut service = build_observed(app, tw, spec.clients, obs.clone());
-    let mut events = Vec::new();
-    let summary = drive_inner(service.as_mut(), spec, seed, Some(&mut events), obs);
+    let summary = drive_inner(service.as_mut(), spec, seed, sink, obs);
     let totals = service.world_totals();
-    (
-        TrafficOutcome {
-            summary,
-            stats: service.stats(),
-            vn_decided: totals.decided,
-            vn_bottom: totals.bottom,
-            vn_joins: totals.joins,
-            vn_resets: totals.resets,
-        },
-        events,
-    )
+    TrafficOutcome {
+        summary,
+        stats: service.stats(),
+        vn_decided: totals.decided,
+        vn_bottom: totals.bottom,
+        vn_joins: totals.joins,
+        vn_resets: totals.resets,
+    }
 }
 
 /// Drives `service` under `spec`, measuring completions. Exposed so
@@ -171,7 +173,7 @@ pub fn drive_recorded(
         service,
         spec,
         seed,
-        Some(&mut events),
+        Some(&mut |e| events.push(e)),
         &Observers::default(),
     );
     (summary, events)
@@ -181,7 +183,7 @@ fn drive_inner(
     service: &mut dyn Service,
     spec: &TrafficSpec,
     seed: u64,
-    events: Option<&mut Vec<TrafficEvent>>,
+    sink: Option<&mut dyn FnMut(TrafficEvent)>,
     obs: &Observers,
 ) -> TrafficSummary {
     let clients = spec.clients;
@@ -194,7 +196,7 @@ fn drive_inner(
         obs,
         next_id: 0,
         outstanding: BTreeMap::new(),
-        events,
+        sink,
     };
     let mut hist = LatencyHistogram::new();
     let mut completed = 0u64;
@@ -267,8 +269,8 @@ fn drive_inner(
         }
         peak = peak.max(this_round);
         // Drain the service's audit records every round — they would
-        // accumulate for the whole run otherwise — but record them
-        // only when a history is wanted.
+        // accumulate for the whole run otherwise — but hand them on
+        // only when there is a sink.
         for record in run.service.drain_audit() {
             run.record(TrafficEvent::Protocol { record });
         }
@@ -330,8 +332,8 @@ fn drive_inner(
 }
 
 /// The run state every admission touches: the service, the request
-/// stream (ids and classes), the outstanding table and the history.
-struct Run<'a> {
+/// stream (ids and classes), the outstanding table and the event sink.
+struct Run<'a, 's> {
     service: &'a mut dyn Service,
     rng: StdRng,
     has_reads: bool,
@@ -340,11 +342,11 @@ struct Run<'a> {
     next_id: u64,
     /// id → (issued vr, client).
     outstanding: BTreeMap<u64, (u64, usize)>,
-    /// The operation history, when one is wanted.
-    events: Option<&'a mut Vec<TrafficEvent>>,
+    /// Where the operation history goes, when anything wants it.
+    sink: Option<&'s mut dyn FnMut(TrafficEvent)>,
 }
 
-impl Run<'_> {
+impl Run<'_, '_> {
     /// Admits the next request of `client` at virtual round `vr`.
     fn issue(&mut self, client: usize, vr: u64) -> u64 {
         self.next_id += 1;
@@ -371,10 +373,10 @@ impl Run<'_> {
         self.next_id
     }
 
-    /// Appends `event` to the history, if one is kept.
+    /// Hands `event` to the sink, if there is one.
     fn record(&mut self, event: TrafficEvent) {
-        if let Some(ev) = self.events.as_deref_mut() {
-            ev.push(event);
+        if let Some(sink) = self.sink.as_deref_mut() {
+            sink(event);
         }
     }
 }
@@ -400,13 +402,21 @@ mod tests {
     use vi_radio::mobility::MobilityModel;
     use vi_radio::{AdversaryKind, RadioConfig};
 
-    /// [`run_traffic`] with no observer.
+    /// [`run_traffic`] with no observer, collecting the events.
     fn run(
         app: AppKind,
         tw: TrafficWorld,
         spec: &TrafficSpec,
     ) -> (TrafficOutcome, Vec<TrafficEvent>) {
-        run_traffic(app, tw, spec, &Observers::default())
+        let mut events = Vec::new();
+        let out = run_traffic(
+            app,
+            tw,
+            spec,
+            &Observers::default(),
+            Some(&mut |e| events.push(e)),
+        );
+        (out, events)
     }
 
     fn small_world(n: usize, seed: u64) -> TrafficWorld {
@@ -573,7 +583,14 @@ mod tests {
         let spec = TrafficSpec::open(2, 0.4, 25);
         let (a, ea) = run(AppKind::Register, small_world(3, 6), &spec);
         let obs = Observers::new(true).with_causal(6).with_flight(8);
-        let (b, eb) = run_traffic(AppKind::Register, small_world(3, 6), &spec, &obs);
+        let mut eb = Vec::new();
+        let b = run_traffic(
+            AppKind::Register,
+            small_world(3, 6),
+            &spec,
+            &obs,
+            Some(&mut |e| eb.push(e)),
+        );
         assert_eq!(a.summary, b.summary, "tracing must not perturb the run");
         assert_eq!(ea, eb, "histories must be identical under tracing");
         let s = obs.causal_summary().expect("recorder was enabled");

@@ -35,11 +35,12 @@
 //! * The **driver** (module [`driver`]) — [`run_traffic`] builds the
 //!   service over a [`TrafficWorld`], replays the admission schedule,
 //!   sweeps timeouts, and emits a [`TrafficSummary`]
-//!   (p50/p95/p99/max, throughput, drop accounting) together with
-//!   the run's complete operation history as [`TrafficEvent`]s —
-//!   invocations with concrete [`OpDesc`]s, responses with semantic
-//!   [`OpOutcome`]s, timeouts, and protocol-level [`AuditRecord`]s —
-//!   the input of the `vi-audit` consistency checkers.
+//!   (p50/p95/p99/max, throughput, drop accounting). Given a sink, it
+//!   hands the sink the run's operation history as it happens, one
+//!   [`TrafficEvent`] at a time — invocations with concrete
+//!   [`OpDesc`]s, responses with semantic [`OpOutcome`]s, timeouts,
+//!   and protocol-level [`AuditRecord`]s — the input of the
+//!   `vi-audit` consistency checkers; without one it records nothing.
 
 #![forbid(unsafe_code)]
 

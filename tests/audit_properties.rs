@@ -3,27 +3,39 @@
 //! invocation / swap invocation-response rounds / forge a response)
 //! are rejected, and dropping a *response* — which merely turns the
 //! op into a Jepsen `:info` maybe-op — keeps the history legal. The
-//! WGL register search is checked on its own against a brute-force
+//! online auditor is checked against the batch checkers it replaced,
+//! and the WGL register search on its own against a brute-force
 //! permutation oracle and against the full-bitset search it replaced.
 
+use check_reference::audit_reference;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use reference::check_register_reference;
 use virtual_infra::audit::linearizability::{
     check_register, LinResult, RegOp, RegOpKind, DEFAULT_BUDGET, INITIAL_VALUE, PENDING,
 };
-use virtual_infra::audit::{audit, drop_response, mutate, HistoryRecorder, Mutation};
+use virtual_infra::audit::{
+    audit, audit_register_ops, drop_response, mutate, AuditReport, CheckResult, History,
+    HistoryRecorder, Mutation, NemesisFault, NemesisSpec, Verdict,
+};
 use virtual_infra::core::vi::VnLayout;
 use virtual_infra::radio::geometry::Point;
 use virtual_infra::radio::mobility::MobilityModel;
 use virtual_infra::radio::{AdversaryKind, RadioConfig};
-use virtual_infra::traffic::{AppKind, DevicePlan, TrafficSpec, TrafficWorld};
+use virtual_infra::traffic::{
+    AppKind, AuditRecord, DevicePlan, OpDesc, OpOutcome, TrafficEvent, TrafficSpec, TrafficWorld,
+};
 
 /// vi-audit's test-only reference search (the full-bitset WGL the
 /// window-compact, segmented one replaced), compiled in from the
 /// crate's sources; it resolves its imports through this file's.
 #[path = "../crates/audit/src/linearizability/reference.rs"]
 mod reference;
+
+/// vi-audit's test-only batch checkers (the ones the online auditor
+/// replaced), compiled in the same way.
+#[path = "../crates/audit/src/check/reference.rs"]
+mod check_reference;
 
 fn arb_app() -> impl Strategy<Value = AppKind> {
     (0u8..4).prop_map(|i| AppKind::all()[i as usize])
@@ -104,6 +116,141 @@ proptest! {
                 app.name(),
                 verdict.violations()
             );
+        }
+    }
+}
+
+/// The fault schedules the oracle test records under: none, and one
+/// of each kind, inside the first 600 of the 728 rounds a
+/// `small_world` run of 25 virtual rounds takes. The jam and the
+/// detector chaos time requests out.
+fn nemesis(kind: usize) -> NemesisSpec {
+    let faults = match kind {
+        0 => Vec::new(),
+        1 => vec![NemesisFault::CrashBurst {
+            at_round: 300,
+            victims: 1,
+        }],
+        2 => vec![NemesisFault::Jam { window: 200..500 }],
+        _ => vec![NemesisFault::DetectorChaos {
+            window: 100..600,
+            spurious_p: 0.3,
+        }],
+    };
+    NemesisSpec { faults }
+}
+
+/// `small_world` with a fourth device (the crash victim; the two
+/// client ports are protected) under `nemesis`, on a radio that
+/// stabilises after the faults.
+fn nemesis_world(nemesis: &NemesisSpec, seed: u64) -> TrafficWorld {
+    let mut world = small_world(4, seed);
+    world.radio = RadioConfig::stabilizing(10.0, 20.0, 600);
+    nemesis.apply_crashes(&mut world.devices, 2);
+    world.adversary = nemesis.compile_adversary(&world.adversary);
+    world
+}
+
+/// Malformed variants of a recorded history, which no driver produces,
+/// built at a seeded op: a completion of an id nobody invoked, after
+/// the run; a lost protocol record (a grant, release or delivery); a
+/// second resolution of a resolved op, by the other client and before
+/// its invocation round; and a completion repeated after the run, a
+/// read's with a different value (the last one counts).
+fn malformed(history: &History, seed: u64) -> Vec<History> {
+    let resolutions: Vec<TrafficEvent> = history
+        .events
+        .iter()
+        .filter(|e| {
+            matches!(
+                e,
+                TrafficEvent::Complete { .. } | TrafficEvent::Timeout { .. }
+            )
+        })
+        .copied()
+        .collect();
+    let end = history.events.iter().fold(0, |vr, e| match *e {
+        TrafficEvent::Invoke { vr: v, .. }
+        | TrafficEvent::Complete { vr: v, .. }
+        | TrafficEvent::Timeout { vr: v, .. } => vr.max(v),
+        TrafficEvent::Protocol { .. } => vr,
+    });
+    let with = |event: TrafficEvent| {
+        let mut h = history.clone();
+        h.events.push(event);
+        h
+    };
+    let mut out = vec![with(TrafficEvent::Complete {
+        id: u64::MAX,
+        client: 0,
+        vr: end + 1,
+        outcome: OpOutcome::Acked,
+    })];
+    let records: Vec<usize> = (0..history.events.len())
+        .filter(|&i| matches!(history.events[i], TrafficEvent::Protocol { .. }))
+        .collect();
+    if !records.is_empty() {
+        let mut lost = history.clone();
+        lost.events.remove(records[seed as usize % records.len()]);
+        out.push(lost);
+    }
+    if resolutions.is_empty() {
+        return out;
+    }
+    let victim = resolutions[seed as usize % resolutions.len()];
+    let (TrafficEvent::Complete { id, client, .. } | TrafficEvent::Timeout { id, client, .. }) =
+        victim
+    else {
+        unreachable!("filtered to resolutions")
+    };
+    out.push(with(TrafficEvent::Timeout {
+        id,
+        client: client ^ 1,
+        vr: 0,
+    }));
+    if let TrafficEvent::Complete { outcome, .. } = victim {
+        let outcome = match outcome {
+            OpOutcome::ReadValue { tag, value } => OpOutcome::ReadValue {
+                tag: tag + 1,
+                value: value + 1,
+            },
+            other => other,
+        };
+        out.push(with(TrafficEvent::Complete {
+            id,
+            client,
+            vr: end + 2,
+            outcome,
+        }));
+    }
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// The online auditor's report equals the batch checkers' — every
+    /// verdict, witness text, implicated op and count — on recorded
+    /// runs of every app under each kind of nemesis, on every seeded
+    /// mutation and dropped response of them, and on malformed
+    /// variants of them.
+    #[test]
+    fn the_auditor_reports_what_the_batch_checkers_report(
+        app in arb_app(),
+        kind in 0usize..4,
+        seed in 0u64..1_000,
+        mutation_seed in 0u64..1_000,
+    ) {
+        let spec = TrafficSpec::open(2, 0.4, 25).with_query_fraction(0.5);
+        let world = nemesis_world(&nemesis(kind), seed);
+        let (out, history) = HistoryRecorder::record(app, world, &spec);
+        prop_assert!(out.summary.issued > 0);
+        let mut histories = vec![history.clone()];
+        histories.extend(Mutation::all().into_iter().filter_map(|m| mutate(&history, m, mutation_seed)));
+        histories.extend(drop_response(&history, mutation_seed));
+        histories.extend(malformed(&history, mutation_seed));
+        for h in &histories {
+            prop_assert_eq!(audit(h), audit_reference(h), "{} under nemesis {}", app.name(), kind);
         }
     }
 }

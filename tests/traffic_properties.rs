@@ -200,7 +200,14 @@ fn lossy_traffic_histories_match_the_golden_table() {
             TrafficSpec::closed(3, 2, 1, 240),
         ] {
             spec.timeout_rounds = 12;
-            let (out, events) = run_traffic(app, lossy_world(17), &spec, &Observers::default());
+            let mut events = Vec::new();
+            let out = run_traffic(
+                app,
+                lossy_world(17),
+                &spec,
+                &Observers::default(),
+                Some(&mut |e| events.push(e)),
+            );
             let s = &out.summary;
             assert!(
                 s.completed > 0 && s.timed_out > 0,
@@ -259,7 +266,14 @@ fn clean_world(seed: u64) -> TrafficWorld {
 fn completions_after_recovery(app: AppKind, world: TrafficWorld, rate: f64) -> (usize, usize) {
     let mut spec = TrafficSpec::open(3, rate, RECOVERY_VR);
     spec.timeout_rounds = 12;
-    let (_, events) = run_traffic(app, world, &spec, &Observers::default());
+    let mut events = Vec::new();
+    run_traffic(
+        app,
+        world,
+        &spec,
+        &Observers::default(),
+        Some(&mut |e| events.push(e)),
+    );
     let counted: std::collections::BTreeSet<u64> = events
         .iter()
         .filter_map(|e| match *e {
