@@ -136,11 +136,20 @@ guards=(
   'the hostile-blob parser is back with no caller'
 
   # A CHA outcome is stored once, compactly (`tests/cha_checker_memory.rs`):
-  # each node's outputs hold ⊥ in 24 bytes, and the spec checker
-  # borrows them as `(node, slice)` runs instead of copying them.
+  # each output holds ⊥ in 24 bytes; the incremental checker is handed
+  # each output and keeps only the last decided history, and the
+  # recording checker borrows outputs as `(node, slice)` runs instead of
+  # copying them.
   'struct Recorded|history\.clone\(\)'
   'above-tests:crates/core/src/cha/spec.rs' '-'
   'the spec checker copies outputs again; it borrows them'
+
+  # The scenario compiler checks a CHA run as it goes: each node hands
+  # its proposals and outputs to the run's shared `ChaSpecStream`, and
+  # no node keeps them for a check after the run.
+  '\.outputs\(\)|\.proposals\(\)|record_outputs\('
+  'above-tests:crates/scenario/src' '-'
+  "the scenario compiler checks CHA runs as they go; it reads no node's outputs"
 
   'pub history: Option<History<'
   'above-tests:crates/core/src/cha/protocol.rs' '-'

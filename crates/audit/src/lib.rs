@@ -33,7 +33,7 @@
 //!   windows) that compile onto the simulator's existing churn and
 //!   adversary machinery, so scenarios can be *stressed while
 //!   audited*.
-//! * The **mutation helper** (module [`mutate`]) — seeded history
+//! * The **mutation helper** (module [`mutate`](mod@mutate)) — seeded history
 //!   corruptions (drop/swap/forge) the property tests use to prove
 //!   the checkers actually reject what they claim to reject.
 

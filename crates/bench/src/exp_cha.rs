@@ -1,6 +1,6 @@
 //! Experiments on convergent history agreement (E1–E6, E10).
 
-use crate::harness::{all_green_from, clique_spec, node_outputs};
+use crate::harness::{all_green_from, clique_spec};
 use crate::table::{f2, Table};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -115,10 +115,10 @@ pub fn rounds() -> Table {
     let mut costs = Vec::new();
     for n in [2usize, 4, 8, 16, 32, 64] {
         let instances = 20u64;
-        let (_, cha) = clique_spec("rounds", n, instances, &[])
+        let (_, outputs) = clique_spec("rounds", n, instances, &[])
             .run_cha_clique(5)
             .expect("a CHA clique");
-        let decided = node_outputs(&cha)[0].iter().filter(|o| o.decided()).count() as f64;
+        let decided = outputs[0].iter().filter(|o| o.decided()).count() as f64;
         let chap = (instances * 3) as f64 / decided;
 
         let window = MajorityConsensus::<u64>::window(n);
@@ -179,8 +179,7 @@ pub fn spread() -> Table {
             adversary: AdversaryKind::Random(loss, loss / 2.0),
             ..clique_spec("spread", 5, 300, &[])
         };
-        let (out, cha) = spec.run_cha_clique(11).expect("a CHA clique");
-        let outputs = node_outputs(&cha);
+        let (out, outputs) = spec.run_cha_clique(11).expect("a CHA clique");
 
         let mut counts = [0usize; 4];
         let mut max_spread = 0u8;
@@ -237,9 +236,9 @@ pub fn convergence() -> Table {
             adversary: AdversaryKind::Random(0.5, 0.3),
             ..clique_spec("convergence", 5, d / 3 + 30, &[])
         };
-        let (_, cha) = spec.run_cha_clique(13).expect("a CHA clique");
+        let (_, outputs) = spec.run_cha_clique(13).expect("a CHA clique");
         let first_stable = d / 3 + 1;
-        let from = all_green_from(&node_outputs(&cha)).expect("must converge");
+        let from = all_green_from(&outputs).expect("must converge");
         let lag = from.saturating_sub(first_stable);
         assert!(
             lag <= 3,

@@ -3,10 +3,10 @@
 use std::path::Path;
 use vi_core::cha::ChaOutput;
 use vi_radio::geometry::{Point, Rect};
-use vi_radio::{AdversaryKind, NodeId, RadioConfig};
+use vi_radio::{AdversaryKind, RadioConfig};
 use vi_scenario::{
-    catalog, ChaEngine, CmSpec, EngineTuning, IncidentBundle, NemesisSpec, PlacementSpec,
-    PopulationSpec, ScenarioOutcome, ScenarioSpec, SweepRunner, WorkloadSpec,
+    catalog, CmSpec, EngineTuning, IncidentBundle, NemesisSpec, PlacementSpec, PopulationSpec,
+    ScenarioOutcome, ScenarioSpec, SweepRunner, WorkloadSpec,
 };
 
 /// Writes `contents` to `path` and says on stderr where it went (or
@@ -56,16 +56,10 @@ pub fn clique_spec(name: &str, n: usize, instances: u64, crashes: &[(usize, u64)
     }
 }
 
-/// Each node's outputs in a finished CHA clique, in node order.
-pub fn node_outputs(engine: &ChaEngine) -> Vec<&[ChaOutput<u64>]> {
-    (0..engine.node_count())
-        .map(|i| engine.process_at(NodeId::from(i)).outputs())
-        .collect()
-}
-
 /// The first instance from which every node decided every instance it
-/// finished (measured stabilization; `None` if never).
-pub(crate) fn all_green_from(outputs: &[&[ChaOutput<u64>]]) -> Option<u64> {
+/// finished (measured stabilization; `None` if never), given each
+/// node's outputs as `ScenarioSpec::run_cha_clique` returns them.
+pub(crate) fn all_green_from(outputs: &[Vec<ChaOutput<u64>>]) -> Option<u64> {
     let last = outputs
         .iter()
         .filter_map(|o| o.last())
@@ -264,11 +258,11 @@ mod tests {
 
     #[test]
     fn reliable_run_is_fully_green_after_bootstrap() {
-        let (out, engine) = clique_spec("reliable", 4, 20, &[])
+        let (out, outputs) = clique_spec("reliable", 4, 20, &[])
             .run_cha_clique(1)
             .expect("a CHA clique");
         assert!(out.decided_fraction > 0.9);
-        assert!(all_green_from(&node_outputs(&engine)).unwrap_or(u64::MAX) <= 2);
+        assert!(all_green_from(&outputs).unwrap_or(u64::MAX) <= 2);
         assert_eq!(out.safety_violations(), 0);
         assert!(out.stabilized_kst.is_some(), "liveness");
     }

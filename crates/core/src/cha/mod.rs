@@ -16,4 +16,4 @@ pub mod spec;
 pub use history::{calculate_history, Ballot, Color, History};
 pub use process::{ChaNode, Proposer, TaggedProposer};
 pub use protocol::{ChaMessage, ChaOutput, ChaProtocol, Phase};
-pub use spec::{ChaSpecChecker, SpecViolation};
+pub use spec::{ChaSpecChecker, ChaSpecStream, SharedChaSpec, SpecViolation};

@@ -8,6 +8,7 @@
 
 use crate::cha::history::Ballot;
 use crate::cha::protocol::{ChaMessage, ChaOutput, ChaProtocol, Phase};
+use crate::cha::spec::SharedChaSpec;
 use vi_contention::{ChannelFeedback, CmSlot, SharedCm};
 use vi_radio::{Process, RoundCtx, RoundReception};
 use vi_telemetry::Observers;
@@ -58,7 +59,7 @@ impl Proposer<u64> for TaggedProposer {
 
 /// One CHAP participant wired to the radio engine and a shared
 /// contention manager.
-pub struct ChaNode<V> {
+pub struct ChaNode<V: Clone + 'static> {
     protocol: ChaProtocol<V>,
     proposer: Box<dyn Proposer<V>>,
     cm: SharedCm,
@@ -69,6 +70,8 @@ pub struct ChaNode<V> {
     /// Whether the node broadcast in the current ballot phase (for
     /// contention-manager feedback).
     was_active: bool,
+    /// The run's checker and this node's index in it, if any.
+    spec: Option<(SharedChaSpec<V>, usize)>,
     outputs: Vec<ChaOutput<V>>,
     proposals: Vec<(u64, V)>,
     /// The run's observers (null by default): propose/decide spans
@@ -122,6 +125,7 @@ impl<V: Clone + Ord + 'static> ChaNode<V> {
             slot,
             synced: false,
             was_active: false,
+            spec: None,
             outputs: Vec::new(),
             proposals: Vec::new(),
             obs: Observers::default(),
@@ -138,24 +142,33 @@ impl<V: Clone + Ord + 'static> ChaNode<V> {
         self
     }
 
+    /// This participant handing each proposal and output to the run's
+    /// checker, as node `node`, as it makes them, and keeping neither.
+    pub fn with_checker(mut self, spec: SharedChaSpec<V>, node: usize) -> Self {
+        self.spec = Some((spec, node));
+        self
+    }
+
     /// This participant running exactly `instances` instances: its
-    /// outputs, proposals and protocol window are sized for them once,
-    /// where a node that is not told grows each as it goes. A
-    /// checkpoint joiner counts only the instances after its
-    /// checkpoint.
+    /// protocol window (and, without a checker, its outputs and
+    /// proposals) is sized for them once, where a node that is not told
+    /// grows each as it goes. A checkpoint joiner counts only the
+    /// instances after its checkpoint.
     pub fn with_instances(mut self, instances: usize) -> Self {
-        self.outputs.reserve_exact(instances);
-        self.proposals.reserve_exact(instances);
+        if self.spec.is_none() {
+            self.outputs.reserve_exact(instances);
+            self.proposals.reserve_exact(instances);
+        }
         self.protocol.reserve_instances(instances);
         self
     }
 
-    /// The per-instance outputs produced so far, in instance order.
+    /// The outputs this node kept, in instance order (none with a checker).
     pub fn outputs(&self) -> &[ChaOutput<V>] {
         &self.outputs
     }
 
-    /// The proposals this node made, as `(instance, value)`.
+    /// The proposals this node kept, as `(instance, value)` (none with a checker).
     pub fn proposals(&self) -> &[(u64, V)] {
         &self.proposals
     }
@@ -173,7 +186,10 @@ impl<V: Clone + Ord + vi_radio::WireSized + 'static> Process<ChaMessage<V>> for 
                 self.synced = true;
                 let instance = self.protocol.instance() + 1;
                 let proposal = self.proposer.propose(instance);
-                self.proposals.push((instance, proposal.clone()));
+                match &self.spec {
+                    Some((spec, _)) => spec.borrow_mut().propose(instance, proposal.clone()),
+                    None => self.proposals.push((instance, proposal.clone())),
+                }
                 let ballot = self.protocol.begin_instance(proposal);
                 self.obs.causal(|c| c.propose(self.causal_node, instance));
                 let advice = self.cm.contend(self.slot, ctx.round, ctx.pos);
@@ -213,7 +229,10 @@ impl<V: Clone + Ord + vi_radio::WireSized + 'static> Process<ChaMessage<V>> for 
                     self.obs
                         .causal(|c| c.decide(self.causal_node, out.instance));
                 }
-                self.outputs.push(out);
+                match &self.spec {
+                    Some((spec, node)) => spec.borrow_mut().output(*node, out),
+                    None => self.outputs.push(out),
+                }
             }
         }
     }

@@ -75,9 +75,9 @@ impl<V: WireSized> WireSized for ChaMessage<V> {
 
 /// The per-instance outcome at one node.
 ///
-/// The history is boxed because a node keeps every output it produced
-/// and most of them are ⊥ (99 in 100 across a 20 000-node city): 24
-/// bytes an output for `V = u64` instead of 56.
+/// The history is boxed because most outputs are ⊥ (99 in 100 across
+/// a 20 000-node city): wherever outputs are kept (by a node without a
+/// checker, or for inspection) one is 24 bytes for `V = u64`, not 56.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ChaOutput<V> {
     /// The instance this output concludes.

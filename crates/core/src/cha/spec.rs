@@ -1,8 +1,8 @@
 //! Trace checker for the CHA problem definition (Section 3.2) and
 //! Property 4.
 //!
-//! The checker collects every proposal, output, and final color from
-//! an execution and verifies:
+//! The checker is fed every proposal and output of an execution and
+//! verifies:
 //!
 //! * **Validity** — every value included in any output history was
 //!   proposed for the corresponding instance by some node;
@@ -14,26 +14,23 @@
 //! * **Property 4** — for each instance, the colors chosen by
 //!   different nodes differ by at most one shade.
 //!
-//! Agreement is checked in `O(m · len)` by exploiting transitivity:
-//! prefix-agreement between histories sorted by output instance is
-//! equivalent to pairwise agreement (an exhaustive quadratic checker
-//! is provided for cross-validation in property tests). The other
-//! three checks are likewise linear, times a log, in what was
-//! recorded; the quadratic checker all of this replaced is the
+//! Each check exists once, in [`ChaSpecStream`], which is fed a run's
+//! outputs in instance order as the nodes make them and keeps only each
+//! instance's proposed values (a later history may carry any earlier
+//! instance), the last decided history (prefix agreement is transitive
+//! in instance order), one `kst` bound per node and one shade mask per
+//! instance (`tests/cha_checker_memory.rs`). [`ChaSpecChecker`] checks
+//! recorded outputs by borrowing them and feeding them, stably sorted
+//! by instance, to one; the map-of-maps checker both replaced is the
 //! test-only `reference` module.
-//!
-//! Recording copies nothing: the checker borrows each node's proposals
-//! and outputs where they lie. Checking a 20 000-node, 10-instance run
-//! (vi-perf's metro workloads: 200 000 outputs, 99 in 100 of them ⊥)
-//! raises the heap's high-water mark by about 2.8 MiB — its run
-//! entries and one sort key per proposal — where copying the proposals
-//! took 4.8 MiB and copying the outputs too 14 MiB
-//! (`tests/cha_checker_memory.rs` holds it under 3.5 MiB).
 
 use crate::cha::history::{Color, History};
 use crate::cha::protocol::ChaOutput;
+use std::borrow::Cow;
+use std::cell::{OnceCell, RefCell};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::rc::Rc;
 
 /// A violation of the CHA specification found in a trace.
 #[derive(Clone, Debug, PartialEq)]
@@ -113,48 +110,260 @@ fn lowest_kst<V>(out: &ChaOutput<V>) -> u64 {
     }
 }
 
-/// Collects an execution's CHA events and checks the specification.
-///
-/// The checker borrows the proposals and outputs it checks where they
-/// lie — one slice per recording, typically a node's whole
-/// [`ChaNode::proposals`](crate::cha::ChaNode::proposals) and
-/// [`ChaNode::outputs`](crate::cha::ChaNode::outputs) — and copies
-/// none. Every check is one pass (plus a sort) over what was recorded,
-/// so checking a 20 000-node run's 200 000 outputs costs the heap its
-/// 40 000 run entries and, while validity runs, one sort key per
-/// proposal.
-#[derive(Clone, Debug, Default)]
-pub struct ChaSpecChecker<'a, V> {
-    /// Proposals recorded one at a time.
-    owned_proposals: Vec<(u64, V)>,
-    /// Every recorded run of one node's proposals.
-    proposal_runs: Vec<&'a [(u64, V)]>,
+/// Liveness of one node: its latest output's instance and lowest `kst`,
+/// and the bound its earlier instances and gaps set.
+#[derive(Clone, Copy, Debug, Default)]
+struct NodeKst {
+    at: u64,
+    low: u64,
+    below: u64,
+}
+
+/// A run's checker, shared by its nodes (`ChaNode::with_checker`) the
+/// way [`vi_contention::SharedCm`] shares the contention manager.
+pub type SharedChaSpec<V> = Rc<RefCell<ChaSpecStream<'static, V>>>;
+
+/// The incremental CHA checker: fed proposals and outputs as a run
+/// makes them, it keeps only what each check needs, and its verdicts
+/// can be read at any point. Outputs must come in instance order (a
+/// node's repeated output for an instance counts for liveness by the
+/// later one), and each proposal before any output that includes its
+/// instance; a run's rounds give both.
+#[derive(Clone, Debug)]
+pub struct ChaSpecStream<'a, V: Clone> {
+    /// Each instance's proposed values, sorted, one per distinct value.
+    proposed: BTreeMap<u64, Vec<V>>,
+    validity: Vec<SpecViolation>,
+    agreement: Vec<SpecViolation>,
+    /// The last decided output checked: node, instance and history.
+    prev: Option<(usize, u64, Cow<'a, History<V>>)>,
+    liveness: Vec<NodeKst>,
+    /// Bit `s` of an instance's mask: some node finished it in shade
+    /// `s`. Its last key is the largest instance checked.
+    shades: BTreeMap<u64, u8>,
+    crashed: BTreeSet<usize>,
+    joiners: BTreeSet<usize>,
+    checked: usize,
+    outputs: usize,
+    decided: usize,
+    kept: Option<Vec<Vec<ChaOutput<V>>>>,
+}
+
+impl<'a, V: Clone + Ord> ChaSpecStream<'a, V> {
+    /// An empty checker for a run of `nodes` nodes (its per-node state
+    /// is sized once; a node beyond them grows it).
+    pub fn new(nodes: usize) -> Self {
+        ChaSpecStream {
+            proposed: BTreeMap::new(),
+            validity: Vec::new(),
+            agreement: Vec::new(),
+            prev: None,
+            liveness: Vec::with_capacity(nodes),
+            shades: BTreeMap::new(),
+            crashed: BTreeSet::new(),
+            joiners: BTreeSet::new(),
+            checked: 0,
+            outputs: 0,
+            decided: 0,
+            kept: None,
+        }
+    }
+
+    /// This checker also keeping each output it is handed, for
+    /// [`take_outputs`](Self::take_outputs).
+    pub fn keeping_outputs(mut self) -> Self {
+        self.kept = Some(Vec::new());
+        self
+    }
+
+    /// Marks `node` as crashed (excluded from liveness requirements).
+    pub fn mark_crashed(&mut self, node: usize) {
+        self.crashed.insert(node);
+    }
+
+    /// Marks `node` as a checkpoint joiner, outside the Section 3
+    /// participant set: no check reads its outputs (they summarize the
+    /// pre-join prefix as ⊥), but they count for `decided_fraction`.
+    pub fn mark_joiner(&mut self, node: usize) {
+        self.joiners.insert(node);
+    }
+
+    /// Some node proposed `value` for `instance`.
+    pub fn propose(&mut self, instance: u64, value: V) {
+        // A new instance is sized like the one before it.
+        let room = self.proposed.last_key_value().map_or(0, |(_, vs)| vs.len());
+        let values = self
+            .proposed
+            .entry(instance)
+            .or_insert_with(|| Vec::with_capacity(room));
+        if let Err(at) = values.binary_search(&value) {
+            values.insert(at, value);
+        }
+    }
+
+    /// `node` produced `out`.
+    pub fn output(&mut self, node: usize, out: ChaOutput<V>) {
+        if let Some(kept) = &mut self.kept {
+            kept.resize_with(kept.len().max(node + 1), Vec::new);
+            kept[node].push(out.clone());
+        }
+        self.observe(node, Cow::Owned(out));
+    }
+
+    /// Every check, on one output.
+    fn observe(&mut self, node: usize, out: Cow<'a, ChaOutput<V>>) {
+        self.outputs += 1;
+        self.decided += usize::from(out.decided());
+        if self.joiners.contains(&node) {
+            return;
+        }
+        let k = out.instance;
+        debug_assert!(
+            self.shades.keys().next_back().is_none_or(|&last| last <= k),
+            "outputs arrive in instance order"
+        );
+        self.checked += 1;
+        *self.shades.entry(k).or_default() |= 1 << out.color.shade();
+
+        let len = self.liveness.len().max(node + 1);
+        self.liveness.resize(len, NodeKst::default());
+        let live = &mut self.liveness[node];
+        if k != live.at {
+            live.below = live.below.max(live.low);
+            if k - live.at > 1 {
+                live.below = live.below.max(k);
+            }
+            live.at = k;
+        }
+        live.low = lowest_kst(&out);
+
+        let history = match out {
+            Cow::Borrowed(o) => o.history.as_deref().map(Cow::Borrowed),
+            Cow::Owned(o) => o.history.map(|h| Cow::Owned(*h)),
+        };
+        let Some(h) = history else { return };
+        self.validity
+            .extend(unproposed(&self.proposed, node, k, &h));
+        if let Some((pn, pk, ph)) = &self.prev {
+            if let Some(at) = first_disagreement(ph, &h, *pk) {
+                self.agreement.push(SpecViolation::Agreement {
+                    a: (*pn, *pk),
+                    b: (node, k),
+                    at,
+                });
+            }
+        }
+        self.prev = Some((node, k, h));
+    }
+
+    /// Validity violations so far, in the order their outputs came.
+    pub fn validity(&self) -> &[SpecViolation] {
+        &self.validity
+    }
+
+    /// Agreement violations so far: each decided output against the last.
+    pub fn agreement(&self) -> &[SpecViolation] {
+        &self.agreement
+    }
+
+    /// Property 4: each instance whose colors span more than one shade.
+    pub fn color_spread(&self) -> Vec<SpecViolation> {
+        const BY_SHADE: [Color; 4] = [Color::Red, Color::Orange, Color::Yellow, Color::Green];
+        let mut violations = Vec::new();
+        for (&instance, &mask) in &self.shades {
+            let spread = mask.ilog2() - mask.trailing_zeros();
+            if spread > 1 {
+                violations.push(SpecViolation::ColorSpread {
+                    instance,
+                    colors: BY_SHADE
+                        .into_iter()
+                        .filter(|c| mask & (1 << c.shade()) != 0)
+                        .collect(),
+                });
+            }
+        }
+        violations
+    }
+
+    /// Liveness: the smallest stabilization instance `kst` such that
+    /// from `kst` on, every non-crashed node decided every instance and
+    /// included all of `[kst, k]` in its output at `k`; `None` if no
+    /// such instance exists among the completed ones.
+    ///
+    /// An output at `k` that admits no `kst` below `l` (the start of
+    /// the unbroken run of included instances ending at `k`, or
+    /// `k + 1`) rules out exactly the candidates below `l`, and so does
+    /// an instance a node skipped, even before it joined: the answer is
+    /// the largest such bound over the live nodes.
+    pub fn liveness_kst(&self) -> Option<u64> {
+        let (&last, _) = self.shades.last_key_value()?;
+        let kst = (self.liveness.iter().enumerate())
+            .filter(|(node, _)| !self.crashed.contains(node))
+            .map(|(_, live)| live.below.max(live.low))
+            .fold(1, u64::max);
+        (kst <= last).then_some(kst)
+    }
+
+    /// Number of outputs checked (a joiner's are not).
+    pub fn output_count(&self) -> usize {
+        self.checked
+    }
+
+    /// The share of every output handed over, joiners' included, that
+    /// decided (0 if there were none).
+    pub fn decided_fraction(&self) -> f64 {
+        self.decided as f64 / self.outputs.max(1) as f64
+    }
+
+    /// The outputs kept so far, indexed by node (none unless
+    /// [`keeping_outputs`](Self::keeping_outputs)).
+    pub fn take_outputs(&mut self) -> Vec<Vec<ChaOutput<V>>> {
+        self.kept.as_mut().map(std::mem::take).unwrap_or_default()
+    }
+}
+
+/// Records an execution's CHA events and checks them with a
+/// [`ChaSpecStream`]: proposals go straight in, and outputs are borrowed
+/// where they lie, one slice per recording, until the first check feeds
+/// them to a copy of the stream, stably sorted by instance.
+#[derive(Clone, Debug)]
+pub struct ChaSpecChecker<'a, V: Clone> {
+    /// Every proposal and crash recorded, and no output.
+    fed: ChaSpecStream<'a, V>,
     /// Every recorded run of one node's outputs, in recording order.
     runs: Vec<(usize, &'a [ChaOutput<V>])>,
-    crashed: BTreeSet<usize>,
+    replay: OnceCell<ChaSpecStream<'a, V>>,
+}
+
+impl<'a, V: Clone + Ord + fmt::Debug> Default for ChaSpecChecker<'a, V> {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl<'a, V: Clone + Ord + fmt::Debug> ChaSpecChecker<'a, V> {
     /// Creates an empty checker.
     pub fn new() -> Self {
         ChaSpecChecker {
-            owned_proposals: Vec::new(),
-            proposal_runs: Vec::new(),
+            fed: ChaSpecStream::new(0),
             runs: Vec::new(),
-            crashed: BTreeSet::new(),
+            replay: OnceCell::new(),
         }
     }
 
     /// Records that some node proposed `value` for `instance`.
     pub fn record_proposal(&mut self, instance: u64, value: V) {
-        self.owned_proposals.push((instance, value));
+        self.replay.take();
+        self.fed.propose(instance, value);
     }
 
     /// Records proposals as `(instance, value)` pairs, in any order —
     /// typically one node's whole
     /// [`ChaNode::proposals`](crate::cha::ChaNode::proposals).
-    pub fn record_proposals(&mut self, proposals: &'a [(u64, V)]) {
-        self.proposal_runs.push(proposals);
+    pub fn record_proposals(&mut self, proposals: &[(u64, V)]) {
+        for (instance, value) in proposals {
+            self.record_proposal(*instance, value.clone());
+        }
     }
 
     /// Records outputs (and final colors) `node` produced, one per
@@ -163,6 +372,7 @@ impl<'a, V: Clone + Ord + fmt::Debug> ChaSpecChecker<'a, V> {
     /// validity, agreement and Property 4; liveness judges the node by
     /// the later one.
     pub fn record_outputs(&mut self, node: usize, outs: &'a [ChaOutput<V>]) {
+        self.replay.take();
         self.runs.push((node, outs));
     }
 
@@ -173,14 +383,8 @@ impl<'a, V: Clone + Ord + fmt::Debug> ChaSpecChecker<'a, V> {
 
     /// Marks `node` as crashed (excluded from liveness requirements).
     pub fn mark_crashed(&mut self, node: usize) {
-        self.crashed.insert(node);
-    }
-
-    /// Every proposal as `(instance, value)`.
-    fn proposals(&self) -> impl Iterator<Item = &(u64, V)> + '_ {
-        self.owned_proposals
-            .iter()
-            .chain(self.proposal_runs.iter().flat_map(|run| run.iter()))
+        self.replay.take();
+        self.fed.mark_crashed(node);
     }
 
     /// Every output as `(node, output)`, in recording order.
@@ -190,77 +394,43 @@ impl<'a, V: Clone + Ord + fmt::Debug> ChaSpecChecker<'a, V> {
             .flat_map(|&(node, run)| run.iter().map(move |o| (node, o)))
     }
 
-    /// The decided outputs as `(node, instance, history)`, in recording
-    /// order.
-    fn decided(&self) -> impl Iterator<Item = (usize, u64, &'a History<V>)> + '_ {
-        self.outputs()
-            .filter_map(|(node, o)| o.history.as_deref().map(|h| (node, o.instance, h)))
+    /// The recorded proposals, crashes and outputs, fed to one stream.
+    fn replayed(&self) -> &ChaSpecStream<'a, V> {
+        self.replay.get_or_init(|| {
+            let mut stream = self.fed.clone();
+            let mut order: Vec<_> = self.outputs().collect();
+            order.sort_by_key(|&(_, o)| o.instance);
+            for (node, o) in order {
+                stream.observe(node, Cow::Borrowed(o));
+            }
+            stream
+        })
     }
 
     /// Validity: every included history entry was proposed by someone.
+    /// Violations come in recording order.
     pub fn check_validity(&self) -> Vec<SpecViolation> {
-        // Each instance's proposals sorted once, so an entry costs a
-        // binary search instead of a scan of every node's proposal.
-        // Counted first, so each instance's keys take exactly their
-        // room.
-        let mut counts: BTreeMap<u64, usize> = BTreeMap::new();
-        for &(instance, _) in self.proposals() {
-            *counts.entry(instance).or_default() += 1;
-        }
-        let mut sorted: BTreeMap<u64, Vec<&V>> = counts
-            .into_iter()
-            .map(|(instance, n)| (instance, Vec::with_capacity(n)))
-            .collect();
-        for (instance, value) in self.proposals() {
-            if let Some(values) = sorted.get_mut(instance) {
-                values.push(value);
-            }
-        }
-        for values in sorted.values_mut() {
-            values.sort_unstable();
-        }
-        let mut violations = Vec::new();
-        for (node, output_instance, h) in self.decided() {
-            for (entry_instance, value) in h.iter() {
-                let proposed = sorted
-                    .get(&entry_instance)
-                    .is_some_and(|values| values.binary_search(&value).is_ok());
-                if !proposed {
-                    violations.push(SpecViolation::Validity {
-                        node,
-                        output_instance,
-                        entry_instance,
-                    });
-                }
-            }
-        }
-        violations
+        let decided = self
+            .outputs()
+            .filter_map(|(node, o)| o.history.as_deref().map(|h| (node, o.instance, h)));
+        decided
+            .flat_map(|(node, k, h)| unproposed(&self.fed.proposed, node, k, h))
+            .collect()
     }
 
     /// Agreement, in `O(m · len)` via sorted adjacent comparison.
     pub fn check_agreement(&self) -> Vec<SpecViolation> {
-        let mut decided: Vec<_> = self.decided().collect();
-        decided.sort_by_key(|&(_, k, _)| k);
-        let mut violations = Vec::new();
-        for w in decided.windows(2) {
-            let (na, ka, ha) = w[0];
-            let (nb, kb, hb) = w[1];
-            if let Some(at) = first_disagreement(ha, hb, ka) {
-                violations.push(SpecViolation::Agreement {
-                    a: (na, ka),
-                    b: (nb, kb),
-                    at,
-                });
-            }
-        }
-        violations
+        self.replayed().agreement().to_vec()
     }
 
     /// Agreement by exhaustive pairwise comparison (quadratic; used to
     /// cross-validate [`ChaSpecChecker::check_agreement`] on small
     /// traces).
     pub fn check_agreement_exhaustive(&self) -> Vec<SpecViolation> {
-        let decided: Vec<_> = self.decided().collect();
+        let decided: Vec<_> = self
+            .outputs()
+            .filter_map(|(node, o)| o.history.as_deref().map(|h| (node, o.instance, h)))
+            .collect();
         let mut violations = Vec::new();
         for i in 0..decided.len() {
             for j in (i + 1)..decided.len() {
@@ -279,71 +449,14 @@ impl<'a, V: Clone + Ord + fmt::Debug> ChaSpecChecker<'a, V> {
         violations
     }
 
-    /// Liveness: returns the smallest stabilization instance `kst`
-    /// such that from `kst` on, every non-crashed node decided every
-    /// instance and included all of `[kst, k]` in its output at `k`.
-    /// `None` if no such instance exists among the completed ones.
-    ///
-    /// A node constrains `kst` only up to its last output, and an
-    /// output at `k` that admits no `kst` below `l` (the start of the
-    /// unbroken run of included instances ending at `k`, or `k + 1`)
-    /// rules out exactly the candidates below `l`. So the answer is the largest such `l` over
-    /// every live node's outputs and the instances it skipped.
+    /// Liveness: see [`ChaSpecStream::liveness_kst`].
     pub fn liveness_kst(&self) -> Option<u64> {
-        let last = self.outputs().map(|(_, o)| o.instance).max()?;
-        // Runs grouped by node and each node's outputs by instance,
-        // both by stable sorts, so the later recording of a repeated
-        // (node, instance) pair comes last of its pair.
-        let mut runs: Vec<&(usize, &[ChaOutput<V>])> = self.runs.iter().collect();
-        runs.sort_by_key(|&&(node, _)| node);
-        let mut outs: Vec<&ChaOutput<V>> = Vec::new();
-        let mut kst = 1;
-        for node_runs in runs.chunk_by(|a, b| a.0 == b.0) {
-            if self.crashed.contains(&node_runs[0].0) {
-                continue;
-            }
-            outs.clear();
-            outs.extend(node_runs.iter().flat_map(|&&(_, run)| run));
-            outs.sort_by_key(|o| o.instance);
-            // The node may have joined late, but instances before its
-            // first output count as skipped like any other gap.
-            let mut covered = 0;
-            for (i, out) in outs.iter().enumerate() {
-                if outs.get(i + 1).is_some_and(|o| o.instance == out.instance) {
-                    continue;
-                }
-                if out.instance - covered > 1 {
-                    kst = kst.max(out.instance);
-                }
-                kst = kst.max(lowest_kst(out));
-                covered = out.instance;
-            }
-        }
-        (kst <= last).then_some(kst)
+        self.replayed().liveness_kst()
     }
 
     /// Property 4: per-instance color spread is at most one shade.
     pub fn check_color_spread(&self) -> Vec<SpecViolation> {
-        const BY_SHADE: [Color; 4] = [Color::Red, Color::Orange, Color::Yellow, Color::Green];
-        // Bit `s` of an instance's mask: some node finished it in shade `s`.
-        let mut seen: BTreeMap<u64, u8> = BTreeMap::new();
-        for (_, out) in self.outputs() {
-            *seen.entry(out.instance).or_default() |= 1 << out.color.shade();
-        }
-        let mut violations = Vec::new();
-        for (instance, mask) in seen {
-            let spread = mask.ilog2() - mask.trailing_zeros();
-            if spread > 1 {
-                violations.push(SpecViolation::ColorSpread {
-                    instance,
-                    colors: BY_SHADE
-                        .into_iter()
-                        .filter(|c| mask & (1 << c.shade()) != 0)
-                        .collect(),
-                });
-            }
-        }
-        violations
+        self.replayed().color_spread()
     }
 
     /// Runs every safety check, plus liveness if `expect_liveness`.
@@ -361,6 +474,27 @@ impl<'a, V: Clone + Ord + fmt::Debug> ChaSpecChecker<'a, V> {
     pub fn output_count(&self) -> usize {
         self.runs.iter().map(|(_, run)| run.len()).sum()
     }
+}
+
+/// The entries of `h`, node `node`'s output at instance `k`, whose
+/// value nobody proposed for their instance.
+fn unproposed<'s, V: Ord>(
+    proposed: &'s BTreeMap<u64, Vec<V>>,
+    node: usize,
+    k: u64,
+    h: &'s History<V>,
+) -> impl Iterator<Item = SpecViolation> + 's {
+    h.iter()
+        .filter(|(i, v)| {
+            proposed
+                .get(i)
+                .is_none_or(|vs| vs.binary_search(v).is_err())
+        })
+        .map(move |(entry_instance, _)| SpecViolation::Validity {
+            node,
+            output_instance: k,
+            entry_instance,
+        })
 }
 
 /// First instance `<= upto` where the two histories differ (in value

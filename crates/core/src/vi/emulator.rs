@@ -301,6 +301,8 @@ pub struct Device<VA: VirtualAutomaton> {
     /// Completed reception of the previous virtual round (what the
     /// client app sees).
     client_prev: VirtualReception<VA::Msg>,
+    /// The round `transmit` last planned, with its virtual round and phase, for `deliver`.
+    planned: (u64, u64, VirtualPhase),
 }
 
 impl<VA: VirtualAutomaton> Device<VA> {
@@ -314,6 +316,7 @@ impl<VA: VirtualAutomaton> Device<VA> {
             client,
             client_rx: VirtualReception::default(),
             client_prev: VirtualReception::default(),
+            planned: (u64::MAX, 0, VirtualPhase::Reset),
         }
     }
 
@@ -391,6 +394,7 @@ impl<VA: VirtualAutomaton> Device<VA> {
 impl<VA: VirtualAutomaton> Process<Wire<VA::Msg, VA::State>> for Device<VA> {
     fn transmit(&mut self, ctx: &RoundCtx) -> Option<Wire<VA::Msg, VA::State>> {
         let (vr, phase) = self.dep.plan.phase(ctx.round);
+        self.planned = (ctx.round, vr, phase);
         if phase == VirtualPhase::Client {
             self.begin_virtual_round(vr, ctx.pos);
         }
@@ -490,7 +494,8 @@ impl<VA: VirtualAutomaton> Process<Wire<VA::Msg, VA::State>> for Device<VA> {
     }
 
     fn deliver(&mut self, ctx: &RoundCtx, rx: RoundReception<'_, Wire<VA::Msg, VA::State>>) {
-        let (vr, phase) = self.dep.plan.phase(ctx.round);
+        let (round, vr, phase) = self.planned;
+        debug_assert_eq!(round, ctx.round, "deliver follows transmit");
         let dep = Rc::clone(&self.dep);
         match phase {
             VirtualPhase::Client | VirtualPhase::Vn => {

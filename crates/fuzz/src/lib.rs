@@ -24,7 +24,7 @@
 //!   reaching a new bucket join the **corpus** (module [`corpus`])
 //!   and become future mutation parents;
 //! * any failure triggers the **delta-debugging minimizer** (module
-//!   [`minimize`]), which shrinks the spec while the failure class
+//!   [`minimize`](mod@minimize)), which shrinks the spec while the failure class
 //!   still reproduces, then packages the result as a repro spec plus
 //!   an [`vi_scenario::IncidentBundle`] that replays byte-identically
 //!   at any worker count.

@@ -19,9 +19,11 @@ use crate::spec::{ScenarioSpec, SpecError, SpecErrorKind, WorkloadSpec};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
+use std::cell::RefCell;
+use std::rc::Rc;
 use vi_audit::{audit_register_ops, AuditReport, Auditor};
 use vi_baselines::{collect_register_ops, MajRegMessage, MajorityRegister};
-use vi_core::cha::{ChaMessage, ChaNode, ChaSpecChecker, TaggedProposer};
+use vi_core::cha::{ChaMessage, ChaNode, ChaOutput, ChaSpecStream, TaggedProposer};
 use vi_core::vi::{CounterAutomaton, World, WorldConfig};
 use vi_radio::trace::ChannelStats;
 use vi_radio::{
@@ -34,8 +36,8 @@ use vi_traffic::{AppKind, DevicePlan, TrafficSpec, TrafficSummary, TrafficWorld}
 /// stream (so random placement never perturbs channel resolution).
 const PLACEMENT_SALT: u64 = 0x9e37_79b9_7f4a_7c15;
 
-/// The engine a [`WorkloadSpec::ChaClique`] run leaves behind.
-pub type ChaEngine = Engine<ChaMessage<u64>, ChaNode<u64>>;
+/// Every node's outputs in a [`WorkloadSpec::ChaClique`] run, by node.
+pub type NodeOutputs = Vec<Vec<ChaOutput<u64>>>;
 
 /// Execution tuning for a scenario run: which observers ride along.
 /// How a round is resolved is not tunable — it runs on the thread
@@ -386,17 +388,21 @@ impl ScenarioSpec {
     }
 
     /// Runs this [`WorkloadSpec::ChaClique`] spec with `seed`, like
-    /// [`ScenarioSpec::run`], and hands back the finished engine beside
-    /// the outcome, for callers that read each node's outputs through
-    /// [`Engine::process_at`].
+    /// [`ScenarioSpec::run`], and hands back every node's outputs, in
+    /// node order and each in instance order, beside the outcome: the
+    /// run's checker keeps them as the nodes hand them over.
     ///
     /// # Errors
     ///
     /// [`SpecErrorKind::Workload`] if the spec runs another workload.
-    pub fn run_cha_clique(&self, seed: u64) -> Result<(ScenarioOutcome, ChaEngine), SpecError> {
+    pub fn run_cha_clique(&self, seed: u64) -> Result<(ScenarioOutcome, NodeOutputs), SpecError> {
         match self.workload {
             WorkloadSpec::ChaClique { instances } => {
-                Ok(self.run_cha(seed, &Observers::default(), instances))
+                let checker = ChaSpecStream::new(self.node_count()).keeping_outputs();
+                let (out, mut outputs) =
+                    self.run_cha(seed, &Observers::default(), instances, checker);
+                outputs.resize_with(self.node_count(), Vec::new);
+                Ok((out, outputs))
             }
             _ => Err(SpecError {
                 scenario: self.name.clone(),
@@ -407,7 +413,10 @@ impl ScenarioSpec {
 
     fn dispatch(&self, seed: u64, obs: &Observers) -> ScenarioOutcome {
         match &self.workload {
-            WorkloadSpec::ChaClique { instances } => self.run_cha(seed, obs, *instances).0,
+            WorkloadSpec::ChaClique { instances } => {
+                let checker = ChaSpecStream::new(self.node_count());
+                self.run_cha(seed, obs, *instances, checker).0
+            }
             WorkloadSpec::ViCounter {
                 layout,
                 virtual_rounds,
@@ -426,14 +435,22 @@ impl ScenarioSpec {
         }
     }
 
-    fn run_cha(&self, seed: u64, obs: &Observers, instances: u64) -> (ScenarioOutcome, ChaEngine) {
+    /// Runs the clique, every node handing its proposals and outputs to
+    /// `checker`, and reads its verdicts and kept outputs at the end.
+    fn run_cha(
+        &self,
+        seed: u64,
+        obs: &Observers,
+        instances: u64,
+        checker: ChaSpecStream<'static, u64>,
+    ) -> (ScenarioOutcome, NodeOutputs) {
         let rounds = instances * 3;
-        let mut engine: ChaEngine = self.engine(seed, obs, self.channel_adversary());
+        let mut engine: Engine<ChaMessage<u64>, ChaNode<u64>> =
+            self.engine(seed, obs, self.channel_adversary());
         engine.reserve_nodes(self.node_count());
         let cm = self.cm.build(seed);
+        let checker = Rc::new(RefCell::new(checker));
 
-        let mut crashed: Vec<usize> = Vec::new();
-        let mut genesis: Vec<bool> = Vec::with_capacity(self.node_count());
         for (tag, d) in self.deployment(seed).into_iter().enumerate() {
             let proposer = Box::new(TaggedProposer::new(tag as u64));
             // Nodes deployed from round 0 run the plain Section 3
@@ -444,8 +461,9 @@ impl ScenarioSpec {
             // phase starts instance `spawn.div_ceil(3) + 1`). Each
             // participant mints propose/decide spans under its
             // simulator node index, so they line up with the engine's
-            // broadcast spans and reception edges, and is told how
-            // many instances it will run, so it sizes its storage once.
+            // broadcast spans and reception edges, reports to the
+            // checker under the same index, and is told how many
+            // instances it will run, so it sizes its storage once.
             let k0 = d.spawn_at.map_or(0, |spawn| spawn.div_ceil(3));
             let node = match d.spawn_at {
                 None => ChaNode::<u64>::new(proposer, cm.clone()),
@@ -453,61 +471,41 @@ impl ScenarioSpec {
             };
             let node = node
                 .with_observers(obs.clone(), tag as u64)
+                .with_checker(Rc::clone(&checker), tag)
                 .with_instances(instances.saturating_sub(k0) as usize);
+            // The Section 3 specification (and its checker) quantifies
+            // over a fixed participant set. Every node's proposals
+            // count (adopted values must trace back to *some*
+            // proposal) and every node's outputs count towards
+            // `decided_fraction`, but only genesis nodes' outputs are
+            // checked: a checkpoint joiner's history summarizes the
+            // pre-join prefix as ⊥, which the strict history-equality
+            // relation would misread as disagreement.
             let mut spec = NodeSpec::by_value(d.mobility, node);
             if let Some(spawn) = d.spawn_at {
                 spec = spec.spawn_at(spawn);
+                checker.borrow_mut().mark_joiner(tag);
             }
             if let Some(c) = d.crash_at {
                 spec = spec.crash_at(c);
                 if c < rounds {
-                    crashed.push(tag);
+                    checker.borrow_mut().mark_crashed(tag);
                 }
             }
             engine.add_node(spec);
-            genesis.push(d.spawn_at.is_none());
         }
         engine.run(rounds);
 
         let t_check = obs.timer();
-        // The Section 3 specification (and its checker) quantifies
-        // over a fixed participant set. Every node's proposals are
-        // recorded (adopted values must trace back to *some* proposal)
-        // and every node counts towards `decided_fraction`, but only
-        // genesis nodes' outputs feed the checker: a checkpoint
-        // joiner's history summarizes the pre-join prefix as ⊥, which
-        // the strict history-equality relation would misread as
-        // disagreement. The checker borrows each node's proposals and
-        // outputs in place.
-        let mut checker = ChaSpecChecker::new();
-        let mut total_outputs = 0usize;
-        let mut decided = 0usize;
-        for (node, &genesis) in genesis.iter().enumerate() {
-            let p = engine.process_at(NodeId::from(node));
-            checker.record_proposals(p.proposals());
-            if genesis {
-                checker.record_outputs(node, p.outputs());
-            }
-            total_outputs += p.outputs().len();
-            decided += p.outputs().iter().filter(|o| o.decided()).count();
-        }
-        for &node in &crashed {
-            checker.mark_crashed(node);
-        }
-
-        let decided_fraction = if total_outputs == 0 {
-            0.0
-        } else {
-            decided as f64 / total_outputs as f64
-        };
-        let mut out = self.outcome(seed, engine.stats(), decided_fraction);
+        let mut checker = checker.borrow_mut();
+        let mut out = self.outcome(seed, engine.stats(), checker.decided_fraction());
         out.outputs_checked = checker.output_count();
-        out.validity_violations = checker.check_validity().len();
-        out.agreement_violations = checker.check_agreement().len();
-        out.spread_violations = checker.check_color_spread().len();
+        out.validity_violations = checker.validity().len();
+        out.agreement_violations = checker.agreement().len();
+        out.spread_violations = checker.color_spread().len();
         out.stabilized_kst = checker.liveness_kst();
         obs.phase_since(Phase::Checker, t_check);
-        (out, engine)
+        (out, checker.take_outputs())
     }
 
     fn run_vi(
@@ -875,9 +873,10 @@ mod tests {
         assert_eq!(out, spec.run(3), "world runs are deterministic");
     }
 
-    /// The entry that keeps the engine runs the same execution as
-    /// `run`: its outcome serializes to the same bytes, and its engine
-    /// holds the outputs the outcome counted.
+    /// The entry that keeps the outputs runs the same execution as
+    /// `run`: its outcome serializes to the same bytes, and it hands
+    /// back one output list per node, holding the outputs the outcome
+    /// counted.
     #[test]
     fn cha_clique_entry_matches_run() {
         let mut lossy = clique(4, 40);
@@ -893,17 +892,16 @@ mod tests {
             .push(PopulationSpec::fixed(2, line_from(0.4)).crashing_at(50));
         let catalog = crate::catalog::scenario("clique").expect("catalog clique");
         for (spec, seed) in [(catalog, 2), (lossy, 7)] {
-            let (out, engine) = spec.run_cha_clique(seed).expect("a CHA clique");
+            let (out, outputs) = spec.run_cha_clique(seed).expect("a CHA clique");
             assert_eq!(
                 serde_json::to_string(&out).expect("serializable"),
                 serde_json::to_string(&spec.run(seed)).expect("serializable"),
                 "{}",
                 spec.name
             );
-            let outputs: usize = (0..engine.node_count())
-                .map(|i| engine.process_at(NodeId::from(i)).outputs().len())
-                .sum();
-            assert_eq!(outputs, out.outputs_checked, "{}", spec.name);
+            assert_eq!(outputs.len(), spec.node_count(), "{}", spec.name);
+            let total: usize = outputs.iter().map(Vec::len).sum();
+            assert_eq!(total, out.outputs_checked, "{}", spec.name);
         }
     }
 

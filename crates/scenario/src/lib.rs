@@ -48,7 +48,7 @@ pub mod incident;
 pub mod runner;
 pub mod spec;
 
-pub use compile::{ChaEngine, EngineTuning, ScenarioOutcome};
+pub use compile::{EngineTuning, NodeOutputs, ScenarioOutcome};
 pub use incident::{file_stem, IncidentBundle, IncidentReason, BUNDLE_VERSION};
 pub use runner::SweepRunner;
 pub use spec::{

@@ -9,7 +9,7 @@
 //! picture ([`TrafficProgress`]) — then fans it out through the run's
 //! [`SinkSet`], a value: a sweep carries its own sinks (see
 //! `vi_scenario::SweepRunner::with_sinks`), which start as the sinks
-//! the environment opened ([`env`], read once per process):
+//! the environment opened ([`env`](fn@env), read once per process):
 //!
 //! * [`JsonlSink`] — one JSON event per line, line-buffered so each
 //!   snapshot is durable the moment it is sampled
@@ -497,7 +497,7 @@ pub fn scrape_metrics(addr: &str) -> std::io::Result<String> {
 // ---------------------------------------------------------------------------
 
 /// What the side-output environment asks for, read once per process
-/// by [`env`]: opening its file sinks and binding its port must happen
+/// by [`env`](fn@env): opening its file sinks and binding its port must happen
 /// once, and a run built anywhere must see the same sinks.
 pub struct Env {
     /// The sinks the environment opened. Every sweep's sinks start as

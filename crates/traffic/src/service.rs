@@ -76,7 +76,7 @@ fn splitmix64(mut x: u64) -> u64 {
 /// Bounded deterministic exponential backoff with seeded jitter: the
 /// virtual rounds to wait before retransmit `attempt + 1` of the
 /// request identified by `key`. The base interval doubles per attempt
-/// ([`RETRY_ROUNDS`] · 2^attempt) up to [`RETRY_CAP_ROUNDS`]; a
+/// (`RETRY_ROUNDS` · 2^attempt) up to `RETRY_CAP_ROUNDS`; a
 /// hash-derived jitter of up to half the interval spreads concurrent
 /// losers so they stop retransmitting in lockstep.
 ///

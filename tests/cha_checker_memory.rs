@@ -1,12 +1,11 @@
-//! The memory bound of the CHA spec checker: a CHA output holds ⊥ in
-//! 24 bytes, and checking a 20 000-node, 10-instance run shaped like
-//! vi-perf's metro workloads (200 000 proposals and outputs) raises the
-//! heap's high-water mark by at most 3.5 MiB — the checker borrows each
-//! node's proposals and outputs where they lie (2.8 MiB measured: its
-//! run entries and one sort key per proposal; the margin is 25 %).
-//! Copying each proposal into the checker peaked at 4.8 MiB, copying
-//! each output too at 14.0 MiB, and an unboxed history made an output
-//! 56 bytes.
+//! The memory bound of the CHA spec checker as a run feeds it: a CHA
+//! output holds ⊥ in 24 bytes, and streaming a 20 000-node run shaped
+//! like vi-perf's metro workloads through the incremental checker
+//! raises the heap's high-water mark by at most 16 bytes per proposal,
+//! at 10 instances (200 000 proposals and outputs) and at 100 (2
+//! million). Validity keeps one value per distinct proposal (8 bytes
+//! here) and liveness 24 bytes per node; an output costs nothing once
+//! checked, where keeping each would add at least its 24 bytes.
 //!
 //! Measured with a global allocator that tracks live bytes and their
 //! peak, so this file must hold exactly one `#[test]` — a sibling test
@@ -18,17 +17,24 @@ mod metro_cha_trace;
 use counting_alloc::{peak_bytes, reset_peak};
 use virtual_infra::core::cha::ChaOutput;
 
+const NODES: usize = 20_000;
+
+/// Peak heap per proposal while the run streams through the checker.
+const BOUND_BYTES_PER_PROPOSAL: usize = 16;
+
 #[test]
-fn checking_the_metro_run_stays_within_3_5_mib_of_what_it_borrows() {
+fn streaming_the_metro_run_keeps_no_output() {
     assert_eq!(std::mem::size_of::<ChaOutput<u64>>(), 24);
-    let proposals = metro_cha_trace::proposals(20_000);
-    let outputs = metro_cha_trace::outputs(20_000);
-    let before = reset_peak();
-    metro_cha_trace::check(&proposals, &outputs);
-    let rise = peak_bytes() - before;
-    assert!(
-        rise <= 7 << 19,
-        "checking {} nodes' proposals and outputs peaked {rise} bytes above them",
-        outputs.len()
-    );
+    for instances in [10, 100] {
+        let before = reset_peak();
+        let checker = metro_cha_trace::stream(NODES, instances);
+        let proposals = NODES * instances as usize;
+        let per_proposal = (peak_bytes() - before) / proposals;
+        drop(checker);
+        eprintln!("{instances} instances: {per_proposal} bytes per proposal");
+        assert!(
+            per_proposal <= BOUND_BYTES_PER_PROPOSAL,
+            "streaming {proposals} proposals and outputs peaked at {per_proposal} bytes per proposal"
+        );
+    }
 }

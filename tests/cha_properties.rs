@@ -11,10 +11,11 @@ mod metro_cha_trace;
 
 use proptest::prelude::*;
 use std::collections::BTreeMap;
-use vi_bench::harness::{clique_spec, node_outputs};
+use vi_bench::harness::clique_spec;
 use virtual_infra::contention::PreStability;
 use virtual_infra::core::cha::{
-    calculate_history, Ballot, ChaOutput, ChaSpecChecker, Color, History, SpecViolation,
+    calculate_history, Ballot, ChaOutput, ChaSpecChecker, ChaSpecStream, Color, History,
+    SpecViolation,
 };
 use virtual_infra::radio::{AdversaryKind, RadioConfig};
 use virtual_infra::scenario::{CmSpec, ScenarioSpec};
@@ -99,14 +100,36 @@ proptest! {
     /// the exhaustive pairwise one.
     #[test]
     fn agreement_checkers_agree((spec, seed) in hostile_clique()) {
-        let (_, engine) = spec.run_cha_clique(seed).expect("a CHA clique");
+        let (_, outputs) = spec.run_cha_clique(seed).expect("a CHA clique");
         let mut checker = ChaSpecChecker::new();
-        for (node, outputs) in node_outputs(&engine).into_iter().enumerate() {
-            checker.record_outputs(node, outputs);
+        for (node, outs) in outputs.iter().enumerate() {
+            checker.record_outputs(node, outs);
         }
         let fast_clean = checker.check_agreement().is_empty();
         let slow_clean = checker.check_agreement_exhaustive().is_empty();
         prop_assert_eq!(fast_clean, slow_clean);
+    }
+
+    /// The inspection entry runs the execution `run` does, and the
+    /// outputs it hands back, recorded after the run, reach the
+    /// verdicts the run's checker reached as the nodes made them.
+    #[test]
+    fn clique_entry_matches_run((spec, seed) in hostile_clique()) {
+        let (out, outputs) = spec.run_cha_clique(seed).expect("a CHA clique");
+        prop_assert_eq!(&out, &spec.run(seed));
+        let mut checker = ChaSpecChecker::new();
+        for (node, outs) in outputs.iter().enumerate() {
+            checker.record_outputs(node, outs);
+        }
+        for (node, population) in spec.populations.iter().enumerate() {
+            if population.crash_at.is_some() {
+                checker.mark_crashed(node);
+            }
+        }
+        prop_assert_eq!(checker.output_count(), out.outputs_checked);
+        prop_assert_eq!(checker.check_agreement().len(), out.agreement_violations);
+        prop_assert_eq!(checker.check_color_spread().len(), out.spread_violations);
+        prop_assert_eq!(checker.liveness_kst(), out.stabilized_kst);
     }
 
     /// Message size never depends on the execution length or node
@@ -388,28 +411,56 @@ proptest! {
         assert_same_verdicts(&batched, &old, "runs");
         assert_same_verdicts(&single, &old, "one output at a time");
     }
+
+    /// The incremental checker against the quadratic one, both fed
+    /// every proposal and then the outputs in `(instance, node)` order,
+    /// as a run hands them over: every violation list equal element for
+    /// element, same `kst`.
+    #[test]
+    fn stream_matches_reference(trace in arb_trace()) {
+        let mut outputs = trace.outputs.clone();
+        outputs.sort_by_key(|(node, o)| (o.instance, *node));
+        let mut stream = ChaSpecStream::new(0);
+        let mut old = ChaSpecCheckerReference::new();
+        for &(k, v) in &trace.proposals {
+            stream.propose(k, v);
+            old.record_proposal(k, v);
+        }
+        for (node, out) in outputs {
+            old.record_output(node, &out);
+            stream.output(node, out);
+        }
+        for &node in &trace.crashed {
+            stream.mark_crashed(node);
+            old.mark_crashed(node);
+        }
+        prop_assert_eq!(stream.output_count(), old.output_count());
+        prop_assert_eq!(stream.validity(), &old.check_validity()[..]);
+        prop_assert_eq!(stream.agreement(), &old.check_agreement()[..]);
+        prop_assert_eq!(stream.color_spread(), old.check_color_spread());
+        prop_assert_eq!(stream.liveness_kst(), old.liveness_kst());
+    }
 }
 
-/// Seconds to record a `nodes`-node run shaped like the benchmark's
-/// metro workloads and run the four checks the way
-/// `ScenarioSpec::run_cha` does ([`metro_cha_trace`]); the fastest of
-/// five.
+/// Seconds to stream a `nodes`-node, 10-instance run shaped like the
+/// benchmark's metro workloads through the spec checker the way
+/// `ScenarioSpec::run` feeds it ([`metro_cha_trace`]), making each
+/// output as it goes; the fastest of five.
 fn checker_seconds(nodes: usize) -> f64 {
-    let proposals = metro_cha_trace::proposals(nodes);
-    let outputs = metro_cha_trace::outputs(nodes);
     (0..5)
         .map(|_| {
             let t0 = std::time::Instant::now();
-            metro_cha_trace::check(&proposals, &outputs);
+            drop(metro_cha_trace::stream(nodes, 10));
             t0.elapsed().as_secs_f64()
         })
         .fold(f64::INFINITY, f64::min)
 }
 
 /// CI-release guard on the checker's growth: ten times the nodes may
-/// cost at most 15 times the time (≈12x measured: the larger trace no
-/// longer fits the cache). The quadratic checker this guards against
-/// scanned every node's proposal per history entry and reads 28–34x.
+/// cost at most 15 times the time (≈8x measured streaming; ≈12x when
+/// the run was recorded first and checked after). The quadratic
+/// checker this guards against scanned every node's proposal per
+/// history entry and reads 28–34x.
 /// Scheduler noise only inflates a timing, so one clean attempt in
 /// three passes.
 #[test]

@@ -1,65 +1,57 @@
-//! A synthetic CHA spec-checker input shaped like vi-perf's metro
-//! workloads, shared by the checker's time guard
+//! A synthetic CHA run shaped like vi-perf's metro workloads, streamed
+//! through the incremental spec checker the way `ScenarioSpec::run`
+//! feeds it, and shared by the checker's time guard
 //! (`cha_properties.rs`) and its memory guard
-//! (`cha_checker_memory.rs`): every node proposes every one of 10
-//! instances, and one output in a hundred decides — on the last node's
-//! proposals, the far end of a scan over them.
+//! (`cha_checker_memory.rs`): every node proposes every instance, and
+//! one output in a hundred decides — on the last node's proposals, the
+//! far end of each instance's values. Each instance's proposals and
+//! outputs are made when the checker takes them and dropped after, so
+//! nothing but the checker holds the run.
 
-use virtual_infra::core::cha::{ChaOutput, ChaSpecChecker, Color, History, SpecViolation};
+use virtual_infra::core::cha::{ChaOutput, ChaSpecStream, Color, History};
 
-/// Instances every node runs.
-const INSTANCES: u64 = 10;
-
-/// Each node's outputs, `nodes` nodes.
-pub fn outputs(nodes: usize) -> Vec<Vec<ChaOutput<u64>>> {
+/// Node `node`'s output at instance `k` of a `nodes`-node run.
+fn output(nodes: usize, node: usize, k: u64) -> ChaOutput<u64> {
     let leader = nodes as u64 - 1;
-    (0..nodes)
-        .map(|node| {
-            (1..=INSTANCES)
-                .map(|k| {
-                    let history = (node % 100 == 0).then(|| {
-                        let mut h = History::new(k);
-                        for i in 1..=k {
-                            h.insert(i, i * 1_000_000 + leader);
-                        }
-                        Box::new(h)
-                    });
-                    let color = if history.is_some() {
-                        Color::Green
-                    } else {
-                        Color::Yellow
-                    };
-                    ChaOutput {
-                        instance: k,
-                        history,
-                        color,
-                    }
-                })
-                .collect()
-        })
-        .collect()
-}
-
-/// Each node's proposals, as `(instance, value)`, `nodes` nodes.
-pub fn proposals(nodes: usize) -> Vec<Vec<(u64, u64)>> {
-    (0..nodes as u64)
-        .map(|node| (1..=INSTANCES).map(|k| (k, k * 1_000_000 + node)).collect())
-        .collect()
-}
-
-/// Records the run and performs the four checks the way
-/// `ScenarioSpec::run_cha` does: each node's proposals as one slice,
-/// then its outputs as another.
-pub fn check(proposals: &[Vec<(u64, u64)>], outputs: &[Vec<ChaOutput<u64>>]) {
-    let mut checker = ChaSpecChecker::new();
-    for (node, (props, outs)) in proposals.iter().zip(outputs).enumerate() {
-        checker.record_proposals(props);
-        checker.record_outputs(node, outs);
+    let history = node.is_multiple_of(100).then(|| {
+        let mut h = History::new(k);
+        for i in 1..=k {
+            h.insert(i, i * 1_000_000 + leader);
+        }
+        Box::new(h)
+    });
+    let color = if history.is_some() {
+        Color::Green
+    } else {
+        Color::Yellow
+    };
+    ChaOutput {
+        instance: k,
+        history,
+        color,
     }
-    let violations: Vec<SpecViolation> = checker.check_all(false);
+}
+
+/// Streams a `nodes`-node, `instances`-instance run through a checker,
+/// instance by instance — every node's proposal, then every node's
+/// output — asserts the verdicts, and returns the checker.
+pub fn stream(nodes: usize, instances: u64) -> ChaSpecStream<'static, u64> {
+    let mut checker = ChaSpecStream::new(nodes);
+    for k in 1..=instances {
+        for node in 0..nodes as u64 {
+            checker.propose(k, k * 1_000_000 + node);
+        }
+        for node in 0..nodes {
+            checker.output(node, output(nodes, node, k));
+        }
+    }
     assert!(
-        violations.is_empty(),
-        "the synthetic run is clean: {violations:?}"
+        checker.validity().is_empty()
+            && checker.agreement().is_empty()
+            && checker.color_spread().is_empty(),
+        "the synthetic run is clean"
     );
     assert_eq!(checker.liveness_kst(), None);
+    assert_eq!(checker.output_count(), nodes * instances as usize);
+    checker
 }
