@@ -109,8 +109,8 @@ guards=(
   # A steady-state virtual round stays off the allocator
   # (`tests/virtual_round_allocs.rs`): the CHA per-instance state is
   # one flat window (the tree survives as the test-only reference
-  # model), and contender lists, emulator observations and client
-  # receptions are swapped or cleared, never taken and dropped.
+  # model), and contender lists and client receptions are swapped or
+  # cleared, never taken and dropped.
   'BTreeMap'
   'above-tests:crates/core/src/cha/protocol.rs' '-'
   'ChaProtocol keeps its instances in a tree again; the window in protocol.rs replaced it'
@@ -119,9 +119,17 @@ guards=(
   'crates/contention/src' '-'
   'a contention manager drops a contender buffer every round again; roll_contenders swaps them'
 
-  'mem::take\(&mut self\.client_rx\)|mem::replace\(&mut e\.obs'
+  'mem::(take|replace)\(&mut self\.client_(rx|prev)'
   'above-tests:crates/core/src/vi/emulator.rs' '-'
   'the emulator throws a per-round buffer away again; clear or swap it'
+
+  # One value for what a virtual round delivered (`VirtualInput`): a
+  # client's reception, a replica's CHAP proposal (the leader sorts a
+  # copy of its device's reception) and the virtual node's input (the
+  # decided proposal itself, or `VirtualInput::bottom()` for ⊥).
+  'VrProposal|VirtualReception'
+  "$code" '-'
+  "a virtual round's reception, proposal and input are one type, VirtualInput"
 
   # A join-ack shares the replica state and counts its JSON length
   # (`Emulator::encode_transfer`): the join path writes and parses no

@@ -128,7 +128,7 @@ impl VirtualAutomaton for GeoRouterVn {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vi_core::vi::{ClientApp, VirtualReception, VnId, VnLayout, World, WorldConfig};
+    use vi_core::vi::{ClientApp, VirtualInput, VnId, VnLayout, World, WorldConfig};
     use vi_radio::RadioConfig;
 
     /// Sends its one packet at virtual round 5.
@@ -139,7 +139,7 @@ mod tests {
             &mut self,
             vr: u64,
             _: Point,
-            _: &VirtualReception<RouteMsg>,
+            _: &VirtualInput<RouteMsg>,
         ) -> Option<RouteMsg> {
             self.0.take_if(|_| vr >= 5)
         }

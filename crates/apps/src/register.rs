@@ -129,7 +129,7 @@ impl VirtualAutomaton for RegisterVn {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vi_core::vi::{ClientApp, VirtualReception, VnLayout, World, WorldConfig};
+    use vi_core::vi::{ClientApp, VirtualInput, VnLayout, World, WorldConfig};
     use vi_radio::geometry::Point;
     use vi_radio::NodeId;
     use vi_radio::RadioConfig;
@@ -148,7 +148,7 @@ mod tests {
             &mut self,
             vr: u64,
             _: Point,
-            prev: &VirtualReception<RegMsg>,
+            prev: &VirtualInput<RegMsg>,
         ) -> Option<RegMsg> {
             for m in &prev.messages {
                 match *m {

@@ -72,8 +72,7 @@ pub fn overhead() -> Table {
         let vrs = 12;
         world.run_virtual_rounds(vrs);
         let plan = world.plan();
-        let r = world.report();
-        let green = r.decided as f64 / (r.decided + r.bottom).max(1) as f64;
+        let green = world.report().decided_fraction();
         rounds_per_vr.push(plan.rounds_per_vr());
         t.row(&[
             vns.to_string(),

@@ -262,14 +262,15 @@ mod tests {
             .run_cha_clique(1)
             .expect("a CHA clique");
         assert!(out.decided_fraction > 0.9);
-        assert!(all_green_from(&outputs).unwrap_or(u64::MAX) <= 2);
+        let green_from = all_green_from(&outputs);
+        assert!(green_from.unwrap_or(u64::MAX) <= 2);
         assert_eq!(out.safety_violations(), 0);
-        assert!(out.stabilized_kst.is_some(), "liveness");
+        assert_eq!(out.stabilized_kst, green_from, "liveness");
     }
 
     #[test]
     fn lossy_run_stays_safe() {
-        let out = ScenarioSpec {
+        let (out, outputs) = ScenarioSpec {
             radio: RadioConfig::stabilizing(10.0, 20.0, 90),
             cm: CmSpec::Oracle {
                 stabilize_at: 90,
@@ -278,8 +279,12 @@ mod tests {
             adversary: AdversaryKind::Random(0.4, 0.2),
             ..clique_spec("lossy", 5, 50, &[(4, 77)])
         }
-        .run(3);
+        .run_cha_clique(3)
+        .expect("a CHA clique");
         assert_eq!(out.safety_violations(), 0, "{out:?}");
-        assert!(out.stabilized_kst.is_some(), "liveness");
+        // Node 4 crashes, so liveness judges the other four.
+        let green_from = all_green_from(&outputs[..4]);
+        assert!(green_from.is_some(), "liveness");
+        assert_eq!(out.stabilized_kst, green_from, "liveness");
     }
 }

@@ -357,15 +357,6 @@ impl<'a, V: Clone + Ord + fmt::Debug> ChaSpecChecker<'a, V> {
         self.fed.propose(instance, value);
     }
 
-    /// Records proposals as `(instance, value)` pairs, in any order —
-    /// typically one node's whole
-    /// [`ChaNode::proposals`](crate::cha::ChaNode::proposals).
-    pub fn record_proposals(&mut self, proposals: &[(u64, V)]) {
-        for (instance, value) in proposals {
-            self.record_proposal(*instance, value.clone());
-        }
-    }
-
     /// Records outputs (and final colors) `node` produced, one per
     /// instance, in any order. Recording a `(node, instance)` pair
     /// again — in this run or a later one — adds a second output for

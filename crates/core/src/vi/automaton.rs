@@ -56,19 +56,32 @@ pub trait VnState: Clone + Eq + fmt::Debug + Serialize + DeserializeOwned + 'sta
 
 impl<T> VnState for T where T: Clone + Eq + fmt::Debug + Serialize + DeserializeOwned + 'static {}
 
-/// What a virtual node receives in one virtual round: the delivered
-/// messages plus its (complete, eventually accurate) virtual collision
-/// detector's output. An *undecided* agreement instance surfaces as
-/// `messages: [], collision: true` — the virtual node simulates
-/// detecting a collision, exactly as Section 3.3 prescribes.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+/// What one virtual round delivered: the messages heard and a
+/// collision bit. It is a client's reception (Section 1.2, messages in
+/// arrival order), a replica's CHAP proposal (Section 4.3, sorted by
+/// [`canonicalize`](Self::canonicalize), the bit its detector's
+/// evidence) and the virtual node's input: the decided proposal, or
+/// [`bottom`](Self::bottom) when the instance ended ⊥ and the virtual
+/// node simulates a collision (Section 3.3).
+///
+/// `collision` comes first because the derived `Ord` is CHAP's
+/// min-ballot rule.
+#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct VirtualInput<A> {
-    /// Messages the virtual node receives this virtual round, in
-    /// canonical (sorted) order. Senders are anonymous, as on the real
-    /// channel.
-    pub messages: Vec<A>,
-    /// The virtual collision detector's output.
+    /// The collision indication.
     pub collision: bool,
+    /// The messages; senders are anonymous, as on the real channel.
+    pub messages: Vec<A>,
+}
+
+impl<A> Default for VirtualInput<A> {
+    /// A quiet virtual round: nothing received, no collision.
+    fn default() -> Self {
+        VirtualInput {
+            collision: false,
+            messages: Vec::new(),
+        }
+    }
 }
 
 impl<A> VirtualInput<A> {
@@ -76,17 +89,27 @@ impl<A> VirtualInput<A> {
     /// simulates detecting a collision.
     pub fn bottom() -> Self {
         VirtualInput {
-            messages: Vec::new(),
             collision: true,
+            messages: Vec::new(),
         }
     }
 
-    /// A quiet virtual round: nothing received, no collision.
-    pub fn silent() -> Self {
-        VirtualInput {
-            messages: Vec::new(),
-            collision: false,
-        }
+    /// `true` if nothing was received and no collision indicated.
+    pub fn is_silent(&self) -> bool {
+        self.messages.is_empty() && !self.collision
+    }
+}
+
+impl<A: Ord> VirtualInput<A> {
+    /// Canonicalizes a proposal: sorts the message list.
+    pub fn canonicalize(&mut self) {
+        self.messages.sort();
+    }
+}
+
+impl<A: WireSized> WireSized for VirtualInput<A> {
+    fn wire_size(&self) -> usize {
+        1 + self.messages.wire_size()
     }
 }
 
@@ -221,7 +244,7 @@ mod tests {
         let b = VirtualInput::<u64>::bottom();
         assert!(b.collision);
         assert!(b.messages.is_empty());
-        assert!(!VirtualInput::<u64>::silent().collision);
+        assert!(!VirtualInput::<u64>::default().collision);
     }
 
     #[test]

@@ -9,38 +9,12 @@
 //! virtual nodes — together with a (virtual) collision indication. A
 //! co-located replica whose agreement instance ended ⊥ injects a
 //! simulated collision, preserving the virtual collision detector's
-//! completeness (Section 3.3).
+//! completeness (Section 3.3). The reception is a [`VirtualInput`]
+//! with its messages in arrival order.
 
+use crate::vi::automaton::VirtualInput;
 use std::any::Any;
 use vi_radio::geometry::Point;
-
-/// What a client observes in one virtual round.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct VirtualReception<A> {
-    /// Messages received (from clients and virtual nodes), in arrival
-    /// order within the round.
-    pub messages: Vec<A>,
-    /// Virtual collision indication: a physical collision during the
-    /// message sub-protocol, or a co-located replica reporting an
-    /// undecided round.
-    pub collision: bool,
-}
-
-impl<A> Default for VirtualReception<A> {
-    fn default() -> Self {
-        VirtualReception {
-            messages: Vec::new(),
-            collision: false,
-        }
-    }
-}
-
-impl<A> VirtualReception<A> {
-    /// `true` if nothing was received and no collision indicated.
-    pub fn is_silent(&self) -> bool {
-        self.messages.is_empty() && !self.collision
-    }
-}
 
 /// A client program, driven once per virtual round. A device reads its
 /// client back typed through [`Device::client`](crate::vi::Device::client),
@@ -50,18 +24,18 @@ pub trait ClientApp<A>: Any {
     /// current position (the GPS / location-service reading) and the
     /// previous round's reception; returns the message to broadcast
     /// this round, if any.
-    fn on_virtual_round(&mut self, vr: u64, pos: Point, prev: &VirtualReception<A>) -> Option<A>;
+    fn on_virtual_round(&mut self, vr: u64, pos: Point, prev: &VirtualInput<A>) -> Option<A>;
 }
 
 /// A client that never sends and records everything it observes.
 #[derive(Clone, Debug, Default)]
 pub struct CollectorClient<A> {
     /// Per-virtual-round receptions, indexed from virtual round 1.
-    pub log: Vec<VirtualReception<A>>,
+    pub log: Vec<VirtualInput<A>>,
 }
 
 impl<A: Clone + 'static> ClientApp<A> for CollectorClient<A> {
-    fn on_virtual_round(&mut self, _vr: u64, _pos: Point, prev: &VirtualReception<A>) -> Option<A> {
+    fn on_virtual_round(&mut self, _vr: u64, _pos: Point, prev: &VirtualInput<A>) -> Option<A> {
         self.log.push(prev.clone());
         None
     }
@@ -74,11 +48,11 @@ mod tests {
     #[test]
     fn collector_records_in_order() {
         let mut c = CollectorClient::<u64>::default();
-        let r1 = VirtualReception {
+        let r1 = VirtualInput {
             messages: vec![1],
             collision: false,
         };
-        let r2 = VirtualReception {
+        let r2 = VirtualInput {
             messages: vec![],
             collision: true,
         };
@@ -89,8 +63,8 @@ mod tests {
 
     #[test]
     fn silence_detection() {
-        assert!(VirtualReception::<u64>::default().is_silent());
-        assert!(!VirtualReception::<u64> {
+        assert!(VirtualInput::<u64>::default().is_silent());
+        assert!(!VirtualInput::<u64> {
             messages: vec![],
             collision: true
         }

@@ -17,7 +17,8 @@
 //!
 //! Within a virtual round (see [`RoundPlan`]) a replica:
 //!
-//! 1. listens in the **client phase**, accumulating observed messages;
+//! 1. listens in the **client and vn phases**: its device's client
+//!    reception, sorted, is what it proposes in step 3;
 //! 2. in the **vn phase** broadcasts the virtual node's message iff it
 //!    has *decided* state through the previous virtual round (green —
 //!    external visibility is gated on green, which is what makes the
@@ -32,14 +33,16 @@
 //! 4. participates in **join/join-ack/reset**.
 //!
 //! On a green instance the replica folds the decided suffix into the
-//! automaton state (checkpoint-CHA, Section 3.5) and garbage-collects.
+//! automaton state (checkpoint-CHA, Section 3.5), stepping it on each
+//! decided proposal ([`VirtualInput::bottom`] for ⊥), and
+//! garbage-collects.
 
 use crate::cha::history::{Ballot, Color};
 use crate::cha::protocol::ChaProtocol;
 use crate::vi::automaton::{VirtualAutomaton, VirtualInput, VnCtx, VnId};
-use crate::vi::client::{ClientApp, VirtualReception};
+use crate::vi::client::ClientApp;
 use crate::vi::layout::VnLayout;
-use crate::vi::message::{Transfer, VrProposal, Wire};
+use crate::vi::message::{Transfer, Wire};
 use crate::vi::round::{RoundPlan, VirtualPhase};
 use crate::vi::schedule::Schedule;
 use serde::Serialize;
@@ -88,7 +91,7 @@ impl<VA: VirtualAutomaton> fmt::Debug for Deployment<VA> {
 pub struct TransferState<S, A> {
     /// CHA state: instance counter, prev pointer, floor, and the
     /// un-collected ballot/status suffix.
-    pub protocol: ChaProtocol<VrProposal<A>>,
+    pub protocol: ChaProtocol<VirtualInput<A>>,
     /// Automaton state folded through `folded_to`.
     pub vn_state: S,
     /// The virtual node's pending outbound message.
@@ -114,6 +117,14 @@ pub struct EmulatorReport {
     pub vn_broadcasts: u64,
 }
 
+impl EmulatorReport {
+    /// The share of concluded instances that ended green (0 when none
+    /// concluded).
+    pub fn decided_fraction(&self) -> f64 {
+        self.decided as f64 / (self.decided + self.bottom).max(1) as f64
+    }
+}
+
 impl std::ops::AddAssign for EmulatorReport {
     fn add_assign(&mut self, r: Self) {
         self.decided += r.decided;
@@ -137,15 +148,9 @@ struct Emulator<VA: VirtualAutomaton> {
     vn: VnId,
     slot: CmSlot,
     mode: Mode,
-    protocol: ChaProtocol<VrProposal<VA::Msg>>,
+    protocol: ChaProtocol<VirtualInput<VA::Msg>>,
     vn_state: VA::State,
     pending_out: Option<VA::Msg>,
-    /// Observations accumulated during the client/vn phases of the
-    /// current virtual round (cleared, never replaced: the buffer is
-    /// reused round after round).
-    obs: VrProposal<VA::Msg>,
-    /// The automaton's input, refilled per folded virtual round.
-    input: VirtualInput<VA::Msg>,
     /// Whether this replica started the CHA instance for the current
     /// virtual round.
     began: bool,
@@ -170,8 +175,6 @@ impl<VA: VirtualAutomaton> Emulator<VA> {
             protocol: ChaProtocol::new(),
             vn_state: dep.automaton.init(),
             pending_out: None,
-            obs: VrProposal::empty(),
-            input: VirtualInput::silent(),
             began: false,
             scheduled: false,
             cm_active: false,
@@ -196,13 +199,8 @@ impl<VA: VirtualAutomaton> Emulator<VA> {
     /// per virtual round since the last checkpoint.
     fn fold_green(&mut self, dep: &Deployment<VA>, upto: u64) {
         let vn = self.vn;
+        let bottom = VirtualInput::bottom();
         self.protocol.fold_decided(upto, |k, decided| {
-            // ⊥ is `VirtualInput::bottom()`: nothing heard, a collision.
-            match decided {
-                Some(p) => self.input.messages.clone_from(&p.messages),
-                None => self.input.messages.clear(),
-            }
-            self.input.collision = decided.is_none_or(|p| p.collision);
             let ctx = VnCtx {
                 vn,
                 loc: dep.layout.location(vn),
@@ -210,7 +208,8 @@ impl<VA: VirtualAutomaton> Emulator<VA> {
                 scheduled: dep.schedule.is_scheduled(vn, k),
                 next_scheduled: dep.schedule.is_scheduled(vn, k + 1),
             };
-            self.pending_out = dep.automaton.step(&mut self.vn_state, ctx, &self.input);
+            let input = decided.unwrap_or(&bottom);
+            self.pending_out = dep.automaton.step(&mut self.vn_state, ctx, input);
         });
     }
 
@@ -295,12 +294,12 @@ pub struct Device<VA: VirtualAutomaton> {
     /// departures), so churn statistics survive.
     retired: Vec<(VnId, EmulatorReport)>,
     client: Option<Box<dyn ClientApp<VA::Msg>>>,
-    /// Client-side reception accumulating for the current virtual
-    /// round.
-    client_rx: VirtualReception<VA::Msg>,
+    /// What the device hears this virtual round: its client's
+    /// reception and its replica's proposal.
+    client_rx: VirtualInput<VA::Msg>,
     /// Completed reception of the previous virtual round (what the
     /// client app sees).
-    client_prev: VirtualReception<VA::Msg>,
+    client_prev: VirtualInput<VA::Msg>,
     /// The round `transmit` last planned, with its virtual round and phase, for `deliver`.
     planned: (u64, u64, VirtualPhase),
 }
@@ -314,8 +313,8 @@ impl<VA: VirtualAutomaton> Device<VA> {
             emulator: None,
             retired: Vec::new(),
             client,
-            client_rx: VirtualReception::default(),
-            client_prev: VirtualReception::default(),
+            client_rx: VirtualInput::default(),
+            client_prev: VirtualInput::default(),
             planned: (u64::MAX, 0, VirtualPhase::Reset),
         }
     }
@@ -379,8 +378,6 @@ impl<VA: VirtualAutomaton> Device<VA> {
             if e.is_replica() && e.protocol.instance() != vr - 1 {
                 e.mode = Mode::Joining { requested: false };
             }
-            e.obs.messages.clear();
-            e.obs.collision = false;
             e.began = false;
             e.join_activity = false;
             e.scheduled = dep.schedule.is_scheduled(e.vn, vr);
@@ -441,13 +438,17 @@ impl<VA: VirtualAutomaton> Process<Wire<VA::Msg, VA::State>> for Device<VA> {
                 if !e.is_replica() || !ballot_phase_is_mine(e, &self.dep, phase) {
                     return None;
                 }
-                e.obs.canonicalize();
                 e.protocol.start_instance();
                 e.began = true;
-                // Only the leader's proposal leaves the device.
-                (e.cm_active).then(|| Wire::Ballot {
-                    vn: e.vn,
-                    ballot: Ballot::new(e.obs.clone(), e.protocol.prev_instance()),
+                // Only the leader's proposal leaves the device: what it
+                // heard in the client and vn phases, sorted.
+                e.cm_active.then(|| {
+                    let mut proposal = self.client_rx.clone();
+                    proposal.canonicalize();
+                    Wire::Ballot {
+                        vn: e.vn,
+                        ballot: Ballot::new(proposal, e.protocol.prev_instance()),
+                    }
                 })
             }
             VirtualPhase::SchedVeto1 | VirtualPhase::UnschedVeto1 => {
@@ -505,15 +506,9 @@ impl<VA: VirtualAutomaton> Process<Wire<VA::Msg, VA::State>> for Device<VA> {
                     | (VirtualPhase::Vn, Wire::VnMsg { payload, .. }) = (phase, m)
                     {
                         self.client_rx.messages.push(payload.clone());
-                        if let Some(e) = self.emulator.as_mut() {
-                            e.obs.messages.push(payload.clone());
-                        }
                     }
                 }
                 self.client_rx.collision |= rx.collision;
-                if let Some(e) = self.emulator.as_mut() {
-                    e.obs.collision |= rx.collision;
-                }
             }
             VirtualPhase::SchedBallot | VirtualPhase::UnschedBallot(_) => {
                 let Some(e) = self.emulator.as_mut() else {

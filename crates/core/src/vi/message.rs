@@ -9,47 +9,10 @@
 //! exactly the physical reality the schedule manages).
 
 use crate::cha::history::Ballot;
-use crate::vi::automaton::VnId;
+use crate::vi::automaton::{VirtualInput, VnId};
 use crate::vi::emulator::TransferState;
-use serde::{Deserialize, Serialize};
 use std::rc::Rc;
 use vi_radio::WireSized;
-
-/// A replica's proposal for one virtual round: what it believes the
-/// virtual node received (the client-phase and vn-phase messages it
-/// heard, in canonical order) together with the physical
-/// collision-detector evidence it observed — which becomes the virtual
-/// node's own collision indication if this proposal is decided.
-#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
-pub struct VrProposal<A> {
-    /// Whether the proposing replica's detector fired during the
-    /// message sub-protocol.
-    pub collision: bool,
-    /// The messages heard, sorted (canonical form so that equal
-    /// receptions propose equal values).
-    pub messages: Vec<A>,
-}
-
-impl<A: Ord> VrProposal<A> {
-    /// An empty, collision-free proposal.
-    pub fn empty() -> Self {
-        VrProposal {
-            collision: false,
-            messages: Vec::new(),
-        }
-    }
-
-    /// Canonicalizes: sorts the message list.
-    pub fn canonicalize(&mut self) {
-        self.messages.sort();
-    }
-}
-
-impl<A: WireSized> WireSized for VrProposal<A> {
-    fn wire_size(&self) -> usize {
-        1 + self.messages.wire_size()
-    }
-}
 
 /// The replica state a join-ack hands to joiners (Section 4.3: "a
 /// join response including the entire current state (or some digest
@@ -97,7 +60,7 @@ pub enum Wire<A, S> {
         /// The virtual node whose instance this is.
         vn: VnId,
         /// The ballot: proposal + prev-instance pointer.
-        ballot: Ballot<VrProposal<A>>,
+        ballot: Ballot<VirtualInput<A>>,
     },
     /// A CHAP veto for `vn`'s current instance (any veto phase).
     Veto {
@@ -163,7 +126,7 @@ mod tests {
 
     #[test]
     fn proposal_canonicalization_sorts() {
-        let mut p = VrProposal {
+        let mut p = VirtualInput {
             collision: false,
             messages: vec![3u64, 1, 2],
         };
@@ -173,11 +136,11 @@ mod tests {
 
     #[test]
     fn equal_receptions_equal_proposals() {
-        let mut a = VrProposal {
+        let mut a = VirtualInput {
             collision: true,
             messages: vec![9u64, 4],
         };
-        let mut b = VrProposal {
+        let mut b = VirtualInput {
             collision: true,
             messages: vec![4u64, 9],
         };
@@ -214,7 +177,7 @@ mod tests {
         let small = Wire::<u64, ()>::Ballot {
             vn: VnId(0),
             ballot: Ballot::new(
-                VrProposal {
+                VirtualInput {
                     collision: false,
                     messages: vec![1u64],
                 },
@@ -224,7 +187,7 @@ mod tests {
         let large_prev = Wire::<u64, ()>::Ballot {
             vn: VnId(0),
             ballot: Ballot::new(
-                VrProposal {
+                VirtualInput {
                     collision: false,
                     messages: vec![1u64],
                 },

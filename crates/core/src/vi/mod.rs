@@ -27,10 +27,10 @@ pub mod world;
 pub use automaton::{
     CounterAutomaton, CounterState, VirtualAutomaton, VirtualInput, VnCtx, VnId, VnMessage, VnState,
 };
-pub use client::{ClientApp, CollectorClient, VirtualReception};
+pub use client::{ClientApp, CollectorClient};
 pub use emulator::{Deployment, Device, EmulatorReport, TransferState};
 pub use layout::VnLayout;
-pub use message::{Transfer, VrProposal, Wire};
+pub use message::{Transfer, Wire};
 pub use round::{RoundPlan, VirtualPhase};
 pub use schedule::Schedule;
 pub use world::{World, WorldConfig};

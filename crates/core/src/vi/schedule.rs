@@ -87,11 +87,6 @@ impl Schedule {
         self.slot_of[vn.index()] as u64
     }
 
-    /// The virtual nodes scheduled in `slot`.
-    pub fn in_slot(&self, slot: u64) -> &[VnId] {
-        &self.slots[slot as usize]
-    }
-
     /// Whether `vn` is scheduled to broadcast in virtual round `vr`
     /// (1-based): the schedule repeats cyclically, `vn ∈
     /// schedule[(vr - 1) mod s]`.

@@ -22,6 +22,7 @@ use std::path::PathBuf;
 use vi_audit::pick;
 use vi_scenario::{
     file_stem, EngineTuning, IncidentBundle, ScenarioOutcome, ScenarioSpec, SweepRunner,
+    TrafficSummary,
 };
 
 /// Salt folded into the campaign seed so the mutation stream shares
@@ -73,7 +74,7 @@ pub fn classify(outcome: &ScenarioOutcome) -> Option<FailureClass> {
     if outcome
         .traffic
         .as_ref()
-        .is_some_and(|t| t.issued > 0 && t.completed == 0)
+        .is_some_and(TrafficSummary::stalled)
     {
         return Some(FailureClass::Stall);
     }

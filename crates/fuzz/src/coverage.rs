@@ -20,7 +20,7 @@
 //! bits alone would collapse the space to a handful of buckets.
 
 use serde::{Deserialize, Serialize};
-use vi_scenario::ScenarioOutcome;
+use vi_scenario::{ScenarioOutcome, TrafficSummary};
 
 /// Floor-log2 bucket of a counter, with 0 kept distinct from 1.
 fn bucket(v: u64) -> u8 {
@@ -84,7 +84,7 @@ impl Signature {
         let stall = outcome
             .traffic
             .as_ref()
-            .is_some_and(|t| t.issued > 0 && t.completed == 0);
+            .is_some_and(TrafficSummary::stalled);
         Signature {
             family: outcome
                 .scenario

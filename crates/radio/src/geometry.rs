@@ -120,11 +120,6 @@ impl Rect {
         self.max.x - self.min.x
     }
 
-    /// Height of the rectangle.
-    pub fn height(&self) -> f64 {
-        self.max.y - self.min.y
-    }
-
     /// Returns `true` if `p` lies inside the rectangle (inclusive).
     pub fn contains(&self, p: Point) -> bool {
         p.x >= self.min.x && p.x <= self.max.x && p.y >= self.min.y && p.y <= self.max.y

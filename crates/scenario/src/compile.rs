@@ -299,11 +299,7 @@ impl ScenarioSpec {
             let reason =
                 if out.audit.as_ref().is_some_and(|r| !r.ok()) || out.safety_violations() > 0 {
                     Some(IncidentReason::Violation)
-                } else if out
-                    .traffic
-                    .as_ref()
-                    .is_some_and(|t| t.issued > 0 && t.completed == 0)
-                {
+                } else if out.traffic.as_ref().is_some_and(TrafficSummary::stalled) {
                     Some(IncidentReason::LivenessStall)
                 } else {
                     None
@@ -535,9 +531,7 @@ impl ScenarioSpec {
 
         let t_check = obs.timer();
         let report = world.report();
-        let decided_fraction =
-            report.decided as f64 / (report.decided + report.bottom).max(1) as f64;
-        let mut out = self.outcome(seed, world.stats(), decided_fraction);
+        let mut out = self.outcome(seed, world.stats(), report.decided_fraction());
         out.vn_joins = report.joins;
         out.vn_resets = report.resets;
         obs.phase_since(Phase::Checker, t_check);
@@ -596,11 +590,9 @@ impl ScenarioSpec {
                 c.audit_ops = report.ops;
             }
         });
-        let decided_fraction =
-            out.vn_decided as f64 / (out.vn_decided + out.vn_bottom).max(1) as f64;
-        let mut outcome = self.outcome(seed, &out.stats, decided_fraction);
-        outcome.vn_joins = out.vn_joins;
-        outcome.vn_resets = out.vn_resets;
+        let mut outcome = self.outcome(seed, &out.stats, out.emulation.decided_fraction());
+        outcome.vn_joins = out.emulation.joins;
+        outcome.vn_resets = out.emulation.resets;
         outcome.traffic = Some(out.summary);
         outcome.audit = report;
         outcome

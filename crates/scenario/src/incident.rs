@@ -25,9 +25,12 @@ pub const BUNDLE_VERSION: u64 = 1;
 /// Why the bundle was dumped.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum IncidentReason {
-    /// An audit checker reported a consistency violation.
+    /// A safety violation: an audit checker reported a consistency
+    /// violation, or the CHA checker a validity, agreement or
+    /// color-spread violation.
     Violation,
-    /// Clients issued operations but none ever completed.
+    /// Clients issued operations but none ever completed
+    /// ([`TrafficSummary::stalled`](vi_traffic::TrafficSummary::stalled)).
     LivenessStall,
     /// The run panicked.
     Panic {

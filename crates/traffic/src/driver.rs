@@ -27,6 +27,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use vi_core::vi::EmulatorReport;
 use vi_radio::trace::ChannelStats;
 use vi_telemetry::{Observers, TrafficProgress};
 
@@ -42,14 +43,8 @@ pub struct TrafficOutcome {
     pub summary: TrafficSummary,
     /// Channel statistics of the underlying run.
     pub stats: ChannelStats,
-    /// Green (decided) agreement instances across all virtual nodes.
-    pub vn_decided: u64,
-    /// ⊥ instances.
-    pub vn_bottom: u64,
-    /// Join transfers.
-    pub vn_joins: u64,
-    /// Virtual-node resets.
-    pub vn_resets: u64,
+    /// The emulation counters summed over every virtual node.
+    pub emulation: EmulatorReport,
 }
 
 /// One entry of the operation history a traffic run leaves behind.
@@ -144,14 +139,10 @@ pub fn run_traffic(
     let seed = tw.seed;
     let mut service = build_observed(app, tw, spec.clients, obs.clone());
     let summary = drive_inner(service.as_mut(), spec, seed, sink, obs);
-    let totals = service.world_totals();
     TrafficOutcome {
         summary,
         stats: service.stats(),
-        vn_decided: totals.decided,
-        vn_bottom: totals.bottom,
-        vn_joins: totals.joins,
-        vn_resets: totals.resets,
+        emulation: service.world_totals(),
     }
 }
 
@@ -459,7 +450,7 @@ mod tests {
         assert!(s.p50 >= 1, "latency is at least one virtual round");
         assert!(s.p50 <= s.p95 && s.p95 <= s.p99 && s.p99 <= s.max);
         assert!(out.stats.broadcasts > 0);
-        assert!(out.vn_decided > 0, "the virtual node made progress");
+        assert!(out.emulation.decided > 0, "the virtual node made progress");
     }
 
     #[test]

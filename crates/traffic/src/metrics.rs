@@ -48,6 +48,14 @@ pub struct TrafficSummary {
     pub peak_round_completions: u64,
 }
 
+impl TrafficSummary {
+    /// Clients issued requests but none completed: the run's liveness
+    /// stall.
+    pub fn stalled(&self) -> bool {
+        self.issued > 0 && self.completed == 0
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

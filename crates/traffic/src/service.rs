@@ -40,8 +40,7 @@ use vi_apps::mutex::{LockMsg, LockVn};
 use vi_apps::register::{RegMsg, RegisterVn};
 use vi_apps::tracking::{cell_of, TrackMsg, TrackingVn};
 use vi_core::vi::{
-    ClientApp, EmulatorReport, VirtualAutomaton, VirtualReception, VnId, VnLayout, World,
-    WorldConfig,
+    ClientApp, EmulatorReport, VirtualAutomaton, VirtualInput, VnId, VnLayout, World, WorldConfig,
 };
 use vi_radio::geometry::Point;
 use vi_radio::mobility::MobilityModel;
@@ -317,7 +316,7 @@ struct PortClient<M> {
 }
 
 impl<M: Clone + 'static> ClientApp<M> for PortClient<M> {
-    fn on_virtual_round(&mut self, vr: u64, pos: Point, prev: &VirtualReception<M>) -> Option<M> {
+    fn on_virtual_round(&mut self, vr: u64, pos: Point, prev: &VirtualInput<M>) -> Option<M> {
         let mut p = self.port.borrow_mut();
         p.pos = pos;
         // `prev` is the reception of virtual round `vr - 1`.

@@ -19,8 +19,7 @@
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use virtual_infra::core::vi::{
-    ClientApp, VirtualAutomaton, VirtualInput, VirtualReception, VnCtx, VnId, VnLayout, World,
-    WorldConfig,
+    ClientApp, VirtualAutomaton, VirtualInput, VnCtx, VnId, VnLayout, World, WorldConfig,
 };
 use virtual_infra::radio::geometry::{Point, Rect};
 use virtual_infra::radio::mobility::MobilitySpec;
@@ -95,7 +94,7 @@ impl ClientApp<RobotMsg> for Robot {
         &mut self,
         vr: u64,
         pos: Point,
-        prev: &VirtualReception<RobotMsg>,
+        prev: &VirtualInput<RobotMsg>,
     ) -> Option<RobotMsg> {
         for m in &prev.messages {
             if let RobotMsg::Rendezvous { x, y } = m {

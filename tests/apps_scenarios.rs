@@ -14,7 +14,7 @@ use virtual_infra::apps::georouting::{quantize, GeoRouterVn, RouteMsg};
 use virtual_infra::apps::tracking::{cell_of, Cell};
 use virtual_infra::audit::{audit, History, HistoryRecorder};
 use virtual_infra::core::vi::{
-    ClientApp, RoundPlan, Schedule, VirtualReception, VnId, VnLayout, World, WorldConfig,
+    ClientApp, RoundPlan, Schedule, VirtualInput, VnId, VnLayout, World, WorldConfig,
 };
 use virtual_infra::radio::geometry::{Point, Rect};
 use virtual_infra::radio::mobility::MobilitySpec;
@@ -281,7 +281,7 @@ impl ClientApp<RouteMsg> for OneShot {
         &mut self,
         vr: u64,
         _: Point,
-        _: &VirtualReception<RouteMsg>,
+        _: &VirtualInput<RouteMsg>,
     ) -> Option<RouteMsg> {
         self.0.take_if(|_| vr >= 5)
     }

@@ -87,13 +87,27 @@ proptest! {
     }
 
     /// Theorem 12: once the channel and contention manager stabilize,
-    /// liveness holds (a stabilization instance exists) and safety
+    /// liveness holds (a stabilization instance exists, the one the
+    /// quadratic reference finds in the same outputs) and safety
     /// continues to hold.
     #[test]
     fn liveness_after_stabilization((spec, seed) in stabilizing_clique()) {
-        let out = spec.run(seed);
+        let (out, outputs) = spec.run_cha_clique(seed).expect("a CHA clique");
         prop_assert_eq!(out.safety_violations(), 0, "violations: {:?}", out);
-        prop_assert!(out.stabilized_kst.is_some(), "no stabilization instance: {:?}", out);
+        let mut reference = ChaSpecCheckerReference::new();
+        for (node, outs) in outputs.iter().enumerate() {
+            for o in outs {
+                reference.record_output(node, o);
+            }
+        }
+        for (node, population) in spec.populations.iter().enumerate() {
+            if population.crash_at.is_some() {
+                reference.mark_crashed(node);
+            }
+        }
+        let kst = reference.liveness_kst();
+        prop_assert!(kst.is_some(), "no stabilization instance: {:?}", out);
+        prop_assert_eq!(out.stabilized_kst, kst);
     }
 
     /// The efficient (sorted-adjacent) agreement checker agrees with

@@ -90,8 +90,8 @@ fn steady_state_virtual_rounds_stay_off_the_allocator() {
 
     // Warm-up: the devices bootstrap the virtual node (all six hear
     // the same silent reset phase), and a loaded stretch grows every
-    // buffer — the ports, the contender lists, the emulators'
-    // observation and reception scratch, the CHA window — to its
+    // buffer — the ports, the contender lists, the devices' client
+    // receptions, the CHA window — to its
     // working size. The quiet tail lets the last requests complete.
     let warmed = run(service.as_mut(), &mut next_id, 200, true);
     assert!(warmed > 100, "the warm-up served requests ({warmed})");
