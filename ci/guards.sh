@@ -131,6 +131,15 @@ guards=(
   "$code" '-'
   "a virtual round's reception, proposal and input are one type, VirtualInput"
 
+  # One shape for a resolved round: both resolvers fill a
+  # `ReceptionBuffer` (equal buffers = equal receptions, senders
+  # included), and the medium's receiver walk counts the adversary
+  # consultations it makes. Counters hold no second copy of
+  # `rounds_reanchor`.
+  'AttributedReception|to_attributed|CountingAdversary|counts_adversary|cache_reanchors'
+  "$code" '-'
+  'a resolved round is one ReceptionBuffer, and the receiver walk counts its own adversary calls'
+
   # A join-ack shares the replica state and counts its JSON length
   # (`Emulator::encode_transfer`): the join path writes and parses no
   # JSON, so nothing parses a `ChaProtocol`. The debug-build check of

@@ -175,7 +175,7 @@ mod tests {
                 &mut StdRng::seed_from_u64(1),
                 &mut soa,
             );
-            assert_eq!(soa.to_attributed(), slow);
+            assert_eq!(soa, slow);
         }
     }
 

@@ -93,11 +93,6 @@ impl<A> VirtualInput<A> {
             messages: Vec::new(),
         }
     }
-
-    /// `true` if nothing was received and no collision indicated.
-    pub fn is_silent(&self) -> bool {
-        self.messages.is_empty() && !self.collision
-    }
 }
 
 impl<A: Ord> VirtualInput<A> {

@@ -60,14 +60,4 @@ mod tests {
         assert_eq!(c.on_virtual_round(2, Point::ORIGIN, &r2), None);
         assert_eq!(c.log, vec![r1, r2]);
     }
-
-    #[test]
-    fn silence_detection() {
-        assert!(VirtualInput::<u64>::default().is_silent());
-        assert!(!VirtualInput::<u64> {
-            messages: vec![],
-            collision: true
-        }
-        .is_silent());
-    }
 }

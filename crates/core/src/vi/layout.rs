@@ -102,11 +102,6 @@ impl VnLayout {
             .map(|(vn, _)| vn)
     }
 
-    /// Whether `pos` lies in `vn`'s emulation region.
-    pub fn in_region(&self, vn: VnId, pos: Point) -> bool {
-        pos.within(self.location(vn), self.region_radius)
-    }
-
     /// Pairs of virtual nodes closer than `conflict_dist` — the
     /// conflict graph edges for schedule construction (Section 4.1
     /// uses `R1 + 2·R2`).
@@ -142,8 +137,8 @@ mod tests {
         assert_eq!(l.region_of(Point::new(1.0, 1.0)), Some(VnId(0)));
         assert_eq!(l.region_of(Point::new(21.0, 0.0)), Some(VnId(1)));
         assert_eq!(l.region_of(Point::new(10.0, 10.0)), None);
-        assert!(l.in_region(VnId(0), Point::new(0.0, 2.5)));
-        assert!(!l.in_region(VnId(0), Point::new(0.0, 2.6)));
+        assert_eq!(l.region_of(Point::new(0.0, 2.5)), Some(VnId(0)));
+        assert_eq!(l.region_of(Point::new(0.0, 2.6)), None);
     }
 
     #[test]

@@ -59,44 +59,16 @@ pub struct RoundReception<'a, M> {
     pub collision: bool,
 }
 
-impl<M> RoundReception<'_, M> {
-    /// `true` if nothing was received and no collision was indicated
-    /// (the paper's "silent round" from this node's perspective).
-    pub fn is_silent(&self) -> bool {
-        self.messages.is_empty() && !self.collision
-    }
-}
-
-/// Per-node reception with sender attribution, for traces and
-/// debugging only (protocols receive the anonymous
-/// [`RoundReception`]).
-#[derive(Clone, Debug, PartialEq)]
-pub struct AttributedReception<M> {
-    /// The receiving node.
-    pub node: NodeId,
-    /// `(sender, payload)` pairs in sender order.
-    pub messages: Vec<(NodeId, M)>,
-    /// Collision-detector output.
-    pub collision: bool,
-}
-
-impl<M> AttributedReception<M> {
-    /// `true` if nothing was received and no collision was indicated.
-    pub fn is_silent(&self) -> bool {
-        self.messages.is_empty() && !self.collision
-    }
-}
-
-/// Reusable SoA storage for one round of receptions: one entry per
-/// intent, with all senders/payloads in two flat arrays sliced by
-/// per-entry offsets.
+/// One resolved round: one entry per intent (receiving node, detector
+/// output, and the received messages with their senders), with all
+/// senders/payloads in two flat arrays sliced by per-entry offsets.
 ///
-/// This is the zero-allocation counterpart of
-/// `Vec<AttributedReception<M>>`: clearing drops no per-entry `Vec`s,
-/// and refilling reuses the flat buffers, so steady-state rounds make
-/// no heap allocations once capacities have grown to the working-set
-/// size.
-#[derive(Clone, Debug)]
+/// Both resolvers write it and the engine delivers from it; two
+/// buffers are equal exactly when every entry agrees, senders
+/// included. Clearing drops no per-entry `Vec`s and refilling reuses
+/// the flat buffers, so steady-state rounds make no heap allocations
+/// once capacities have grown to the working-set size.
+#[derive(Clone, Debug, PartialEq)]
 pub struct ReceptionBuffer<M> {
     nodes: Vec<NodeId>,
     collisions: Vec<bool>,
@@ -195,26 +167,6 @@ impl<M> ReceptionBuffer<M> {
             messages: self.messages(k),
             collision: self.collisions[k],
         }
-    }
-
-    /// Expands the buffer into owned per-entry receptions (tests and
-    /// differential comparisons; allocates freely).
-    pub fn to_attributed(&self) -> Vec<AttributedReception<M>>
-    where
-        M: Clone,
-    {
-        (0..self.len())
-            .map(|k| AttributedReception {
-                node: self.nodes[k],
-                messages: self
-                    .senders(k)
-                    .iter()
-                    .copied()
-                    .zip(self.messages(k).iter().cloned())
-                    .collect(),
-                collision: self.collisions[k],
-            })
-            .collect()
     }
 }
 
@@ -466,7 +418,6 @@ impl Medium {
         if rebuild {
             self.obs.count_round(|c| {
                 c.rounds_reanchor += 1;
-                c.cache_reanchors += 1;
                 if stale {
                     c.fallback_stale_cache += 1;
                 } else {
@@ -635,7 +586,9 @@ fn heard_in(list: &[(u32, f64)], is_tx: &[bool]) -> Heard {
 /// The receiver walk every round kind ends in, and everything about
 /// the round it needs: each intent is resolved, in ascending order,
 /// through the one [`resolve_receiver`] delivery rule. Every adversary
-/// and RNG consultation of a round happens in [`ReceiverWalk::run`].
+/// and RNG consultation of a round happens in [`ReceiverWalk::run`],
+/// which reports the round's adversary-consultation count to the
+/// observers once, after the last receiver.
 struct ReceiverWalk<'a, M> {
     cfg: RadioConfig,
     obs: &'a Observers,
@@ -656,9 +609,10 @@ impl<M: Clone> ReceiverWalk<'_, M> {
     fn run(self, mut hear: impl FnMut(usize, &TxIntent<M>) -> Heard) {
         self.obs.phase_since(Phase::Geometry, self.t_geom);
         let t_fin = self.obs.round_timer();
+        let mut checks = 0;
         for (j, rx_intent) in self.intents.iter().enumerate() {
             let heard = hear(j, rx_intent);
-            resolve_receiver(
+            checks += resolve_receiver(
                 &self.cfg,
                 self.round,
                 rx_intent,
@@ -670,6 +624,7 @@ impl<M: Clone> ReceiverWalk<'_, M> {
             );
         }
         self.obs.phase_since(Phase::Finalize, t_fin);
+        self.obs.adversary_checks(checks);
     }
 }
 
@@ -698,7 +653,8 @@ fn list_insert(list: &mut Vec<(u32, f64)>, key: u32, d2: f64) {
 }
 
 /// Resolves one receiver given what it [`Heard`] of the round's other
-/// broadcasters, appending the entry to `out`.
+/// broadcasters, appending the entry to `out`; returns how many times
+/// it consulted the adversary.
 ///
 /// This is the delivery rule of [`resolve_round_reference`] — including
 /// the short-circuit order of adversary consultations, which the
@@ -719,20 +675,22 @@ fn resolve_receiver<M: Clone>(
     adversary: &mut dyn Adversary,
     rng: &mut StdRng,
     out: &mut ReceptionBuffer<M>,
-) {
+) -> u64 {
     out.begin(rx_intent.node);
     // The sender observes its own payload (it knows what it sent).
     if let Some(own) = &rx_intent.payload {
         out.push_message(rx_intent.node, own.clone());
     }
+    let mut checks = 0;
     let lost = match heard {
         Heard::Silence => false,
         Heard::One { slot, d2 } => {
             let tx = &intents[slot as usize];
             let physically_ok = rx_intent.payload.is_none() && d2 <= cfg.r1 * cfg.r1;
+            let ask = physically_ok && round < cfg.rcf;
+            checks += u64::from(ask);
             let delivered = physically_ok
-                && !(round < cfg.rcf
-                    && adversary.drop_message(round, tx.node, rx_intent.node, rng));
+                && !(ask && adversary.drop_message(round, tx.node, rx_intent.node, rng));
             if delivered {
                 out.push_message(tx.node, tx.payload.as_ref().expect("broadcaster").clone());
             }
@@ -745,17 +703,20 @@ fn resolve_receiver<M: Clone>(
     // nothing else from racc onwards (Property 2); before racc the
     // adversary may inject false positives; the E13 necessity
     // ablation may suppress reports.
-    let mut collision =
-        lost || (round < cfg.racc && adversary.spurious_collision(round, rx_intent.node, rng));
-    if collision && adversary.suppress_detection(round, rx_intent.node, rng) {
-        collision = false;
+    let ask = !lost && round < cfg.racc;
+    checks += u64::from(ask);
+    let mut collision = lost || (ask && adversary.spurious_collision(round, rx_intent.node, rng));
+    if collision {
+        checks += 1;
+        collision = !adversary.suppress_detection(round, rx_intent.node, rng);
     }
     out.finish(collision);
+    checks
 }
 
 /// Resolves one slotted round of the channel through a fresh
 /// [`Medium`]: one [`Medium::resolve_round_cached`] call with
-/// [`TopologyDelta::Rebuild`], expanded to owned receptions.
+/// [`TopologyDelta::Rebuild`] into a fresh buffer, which it returns.
 ///
 /// One-shot convenience for tests and tools; the engine keeps a
 /// long-lived [`Medium`] instead so buffers amortize across rounds.
@@ -769,7 +730,7 @@ pub fn resolve_round<M: Clone>(
     intents: &[TxIntent<M>],
     adversary: &mut dyn Adversary,
     rng: &mut StdRng,
-) -> Vec<AttributedReception<M>> {
+) -> ReceptionBuffer<M> {
     let mut out = ReceptionBuffer::new();
     Medium::new(*cfg).resolve_round_cached(
         round,
@@ -779,14 +740,15 @@ pub fn resolve_round<M: Clone>(
         rng,
         &mut out,
     );
-    out.to_attributed()
+    out
 }
 
 /// The naive O(receivers × broadcasters × nodes) resolver, kept as the
-/// executable specification of the delivery rule.
+/// executable specification of the delivery rule. It returns a fresh
+/// [`ReceptionBuffer`], filled entry by entry in intent order.
 ///
 /// [`Medium`] must be observationally identical to this function —
-/// same receptions, same adversary consultation order, same RNG
+/// an equal buffer, same adversary consultation order, same RNG
 /// stream. Differential tests (`tests/substrate_properties.rs`) and
 /// the `radio_scale` experiment in `vi-bench` hold the two against
 /// each other. Do not optimize this function: its value is being
@@ -797,20 +759,20 @@ pub fn resolve_round_reference<M: Clone>(
     intents: &[TxIntent<M>],
     adversary: &mut dyn Adversary,
     rng: &mut StdRng,
-) -> Vec<AttributedReception<M>> {
+) -> ReceptionBuffer<M> {
     let broadcasters: Vec<usize> = (0..intents.len())
         .filter(|&i| intents[i].payload.is_some())
         .collect();
 
-    let mut out = Vec::with_capacity(intents.len());
+    let mut out = ReceptionBuffer::new();
     for (j, rx_intent) in intents.iter().enumerate() {
         let j_broadcasting = rx_intent.payload.is_some();
-        let mut messages: Vec<(NodeId, M)> = Vec::new();
         let mut lost = false;
+        out.begin(rx_intent.node);
 
         // The sender observes its own payload (it knows what it sent).
         if let Some(own) = &rx_intent.payload {
-            messages.push((rx_intent.node, own.clone()));
+            out.push_message(rx_intent.node, own.clone());
         }
 
         for &i in &broadcasters {
@@ -837,7 +799,7 @@ pub fn resolve_round_reference<M: Clone>(
                     && adversary.drop_message(round, tx.node, rx_intent.node, rng));
 
             if delivered {
-                messages.push((tx.node, tx.payload.as_ref().expect("broadcaster").clone()));
+                out.push_message(tx.node, tx.payload.as_ref().expect("broadcaster").clone());
             } else {
                 lost = true;
             }
@@ -855,12 +817,7 @@ pub fn resolve_round_reference<M: Clone>(
         if collision && adversary.suppress_detection(round, rx_intent.node, rng) {
             collision = false;
         }
-
-        out.push(AttributedReception {
-            node: rx_intent.node,
-            messages,
-            collision,
-        });
+        out.finish(collision);
     }
     out
 }
@@ -893,11 +850,13 @@ mod tests {
     fn basic_delivery() {
         let intents = vec![intent(0, 0.0, Some(7u64)), intent(1, 5.0, None)];
         let out = resolve_round(0, &cfg(), &intents, &mut AdversaryKind::None, &mut rng());
-        assert_eq!(out[1].messages, vec![(NodeId::from(0), 7)]);
-        assert!(!out[1].collision);
+        assert_eq!(out.senders(1), [NodeId::from(0)]);
+        assert_eq!(out.messages(1), [7]);
+        assert!(!out.collision(1));
         // Sender observes its own message and no collision.
-        assert_eq!(out[0].messages, vec![(NodeId::from(0), 7)]);
-        assert!(!out[0].collision);
+        assert_eq!(out.senders(0), [NodeId::from(0)]);
+        assert_eq!(out.messages(0), [7]);
+        assert!(!out.collision(0));
     }
 
     /// Outside R1 (but inside R2): not delivered, and the listener's
@@ -907,13 +866,13 @@ mod tests {
     fn gray_ring_loss_reports() {
         let intents = vec![intent(0, 0.0, Some(1u64)), intent(1, 15.0, None)];
         let out = resolve_round(0, &cfg(), &intents, &mut AdversaryKind::None, &mut rng());
-        assert!(out[1].messages.is_empty());
-        assert!(out[1].collision, "ring loss should be reported");
+        assert!(out.messages(1).is_empty());
+        assert!(out.collision(1), "ring loss should be reported");
 
         let edge = vec![intent(0, 0.0, Some(1u64)), intent(1, 20.0, None)];
         let out = resolve_round(0, &cfg(), &edge, &mut AdversaryKind::None, &mut rng());
-        assert!(out[1].messages.is_empty());
-        assert!(out[1].collision, "a loss exactly at R2 is reported");
+        assert!(out.messages(1).is_empty());
+        assert!(out.collision(1), "a loss exactly at R2 is reported");
     }
 
     /// Outside R2 entirely: silent round.
@@ -921,7 +880,7 @@ mod tests {
     fn out_of_range_is_silent() {
         let intents = vec![intent(0, 0.0, Some(1u64)), intent(1, 25.0, None)];
         let out = resolve_round(0, &cfg(), &intents, &mut AdversaryKind::None, &mut rng());
-        assert!(out[1].is_silent());
+        assert!(out.messages(1).is_empty() && !out.collision(1));
     }
 
     /// Two broadcasters within R2 of a listener: both messages destroyed,
@@ -934,8 +893,8 @@ mod tests {
             intent(2, 4.0, None),
         ];
         let out = resolve_round(0, &cfg(), &intents, &mut AdversaryKind::None, &mut rng());
-        assert!(out[2].messages.is_empty());
-        assert!(out[2].collision);
+        assert!(out.messages(2).is_empty());
+        assert!(out.collision(2));
     }
 
     /// Interferer outside R1 but inside R2 of the listener still
@@ -948,8 +907,8 @@ mod tests {
             intent(1, 22.0, Some(2u64)), // 17m from listener: in (R1, R2]
         ];
         let out = resolve_round(0, &cfg(), &intents, &mut AdversaryKind::None, &mut rng());
-        assert!(out[1].messages.is_empty());
-        assert!(out[1].collision);
+        assert!(out.messages(1).is_empty());
+        assert!(out.collision(1));
     }
 
     /// Half-duplex: concurrent broadcasters within R1 miss each other
@@ -958,9 +917,9 @@ mod tests {
     fn concurrent_broadcasters_detect_collision() {
         let intents = vec![intent(0, 0.0, Some(1u64)), intent(1, 5.0, Some(2u64))];
         let out = resolve_round(0, &cfg(), &intents, &mut AdversaryKind::None, &mut rng());
-        for rx in &out {
-            assert_eq!(rx.messages.len(), 1, "only own message observed");
-            assert!(rx.collision, "missed the other broadcaster");
+        for k in 0..out.len() {
+            assert_eq!(out.messages(k).len(), 1, "only own message observed");
+            assert!(out.collision(k), "missed the other broadcaster");
         }
     }
 
@@ -970,8 +929,8 @@ mod tests {
     fn lone_broadcaster_clean() {
         let intents = vec![intent(0, 0.0, Some(1u64))];
         let out = resolve_round(0, &cfg(), &intents, &mut AdversaryKind::None, &mut rng());
-        assert_eq!(out[0].messages.len(), 1);
-        assert!(!out[0].collision);
+        assert_eq!(out.messages(0).len(), 1);
+        assert!(!out.collision(0));
     }
 
     /// Before rcf the adversary may drop a deliverable message; the
@@ -984,8 +943,8 @@ mod tests {
         let cfg = RadioConfig::stabilizing(10.0, 20.0, 100);
         let intents = vec![intent(0, 0.0, Some(1u64)), intent(1, 5.0, None)];
         let out = resolve_round(3, &cfg, &intents, &mut adv, &mut rng());
-        assert!(out[1].messages.is_empty());
-        assert!(out[1].collision, "completeness: lost R1 message detected");
+        assert!(out.messages(1).is_empty());
+        assert!(out.collision(1), "completeness: lost R1 message detected");
     }
 
     /// After rcf the same script is impotent: the channel no longer
@@ -997,8 +956,8 @@ mod tests {
         let cfg = RadioConfig::stabilizing(10.0, 20.0, 100);
         let intents = vec![intent(0, 0.0, Some(1u64)), intent(1, 5.0, None)];
         let out = resolve_round(100, &cfg, &intents, &mut adv, &mut rng());
-        assert_eq!(out[1].messages.len(), 1);
-        assert!(!out[1].collision);
+        assert_eq!(out.messages(1).len(), 1);
+        assert!(!out.collision(1));
     }
 
     /// Spurious indications are honoured before racc and suppressed
@@ -1011,9 +970,9 @@ mod tests {
         let cfg = RadioConfig::stabilizing(10.0, 20.0, 100);
         let intents = vec![intent::<u64>(0, 0.0, None)];
         let out = resolve_round(3, &cfg, &intents, &mut adv, &mut rng());
-        assert!(out[0].collision, "false positive allowed before racc");
+        assert!(out.collision(0), "false positive allowed before racc");
         let out = resolve_round(100, &cfg, &intents, &mut adv, &mut rng());
-        assert!(!out[0].collision, "accuracy: no false positives from racc");
+        assert!(!out.collision(0), "accuracy: no false positives from racc");
     }
 
     /// Deliveries are reported in sender order, deterministically.
@@ -1027,8 +986,8 @@ mod tests {
         ];
         // Node 3 is within R2 of both broadcasters: interference.
         let out = resolve_round(0, &cfg(), &intents, &mut AdversaryKind::None, &mut rng());
-        assert!(out[3].messages.is_empty() && out[3].collision);
-        assert!(out[2].is_silent());
+        assert!(out.messages(3).is_empty() && out.collision(3));
+        assert!(out.messages(2).is_empty() && !out.collision(2));
     }
 
     /// Answers every consultation with a fixed script and records the
@@ -1100,9 +1059,10 @@ mod tests {
         out.finish(collision);
     }
 
-    /// `resolve_receiver(Heard::of(list))` is the list walk: same
-    /// reception, same detector output, same adversary calls in the
-    /// same order, same RNG stream — for a listening and a broadcasting
+    /// `resolve_receiver(Heard::of(list))` is the list walk: an equal
+    /// buffer (senders included), same adversary calls in the same
+    /// order, same RNG stream, and the consultation count it returns is
+    /// the number of calls — for a listening and a broadcasting
     /// receiver, every shape of list, before and after `rcf` / `racc`,
     /// whatever the adversary answers.
     #[test]
@@ -1148,7 +1108,7 @@ mod tests {
                             let (mut rng, mut out) = (rng(), ReceptionBuffer::new());
                             if by_summary {
                                 let heard = Heard::of(list.iter().copied());
-                                resolve_receiver(
+                                let checks = resolve_receiver(
                                     &cfg,
                                     round,
                                     &intents[0],
@@ -1157,6 +1117,11 @@ mod tests {
                                     &mut adv,
                                     &mut rng,
                                     &mut out,
+                                );
+                                assert_eq!(
+                                    checks,
+                                    adv.calls.len() as u64,
+                                    "consultation count: {case}"
                                 );
                             } else {
                                 walk_list(
@@ -1170,7 +1135,7 @@ mod tests {
                                     &mut out,
                                 );
                             }
-                            (out.to_attributed(), adv.calls, rng)
+                            (out, adv.calls, rng)
                         };
                         let (summary, walk) = (run(true), run(false));
                         assert_eq!(summary.0, walk.0, "reception: {case}");

@@ -19,8 +19,10 @@
 //! [`vi_telemetry::Observers`] handle ([`Engine::set_observers`]),
 //! shared with the medium. A round states each observer-only fact
 //! once through it (round open, scripted crashes, live-set churn,
-//! adversary-consultation count, round close); only the per-message
-//! causal broadcast/reception sites sit inside the statistics pass.
+//! round close); the medium's receiver walk, which makes every
+//! adversary consultation, reports their count as the resolution's
+//! last act, and only the per-message causal broadcast/reception sites
+//! sit inside the statistics pass.
 //! All of it is on the sequential control path, so observing never
 //! changes an execution.
 
@@ -281,33 +283,6 @@ pub struct Engine<M, P = Box<dyn Process<M>>> {
     obs: Observers,
 }
 
-/// Forwards every consultation to the real adversary, counting them.
-/// The count is deterministic — the resolver's consultation order is
-/// part of the byte-identity contract — and the wrapper is only
-/// consulted when an observer wants the count, so the disabled path
-/// keeps the direct vtable call.
-struct CountingAdversary<'a> {
-    inner: &'a mut dyn Adversary,
-    hits: u64,
-}
-
-impl Adversary for CountingAdversary<'_> {
-    fn drop_message(&mut self, round: u64, src: NodeId, dst: NodeId, rng: &mut StdRng) -> bool {
-        self.hits += 1;
-        self.inner.drop_message(round, src, dst, rng)
-    }
-
-    fn spurious_collision(&mut self, round: u64, node: NodeId, rng: &mut StdRng) -> bool {
-        self.hits += 1;
-        self.inner.spurious_collision(round, node, rng)
-    }
-
-    fn suppress_detection(&mut self, round: u64, node: NodeId, rng: &mut StdRng) -> bool {
-        self.hits += 1;
-        self.inner.suppress_detection(round, node, rng)
-    }
-}
-
 impl<M: Clone + WireSized + 'static, P: Process<M>> Engine<M, P> {
     /// Creates an engine with the benign [`AdversaryKind::None`].
     ///
@@ -546,24 +521,14 @@ impl<M: Clone + WireSized + 'static, P: Process<M>> Engine<M, P> {
         } else {
             TopologyDelta::Moved(&self.moved)
         };
-        let mut counting = CountingAdversary {
-            inner: self.adversary.as_mut(),
-            hits: 0,
-        };
-        let adversary: &mut dyn Adversary = if self.obs.counts_adversary() {
-            &mut counting
-        } else {
-            &mut *counting.inner
-        };
         self.medium.resolve_round_cached(
             round,
             &self.intents,
             delta,
-            adversary,
+            self.adversary.as_mut(),
             &mut self.rng,
             &mut self.receptions,
         );
-        self.obs.adversary_checks(counting.hits);
 
         // Statistics and trace (pooled record, cloned exact-size).
         let t_del = self.obs.round_timer();

@@ -90,8 +90,8 @@ pub mod trace;
 pub use adversary::{Adversary, AdversaryKind, ScriptedAdversary};
 pub use audit::{audit_trace, ChannelViolation};
 pub use channel::{
-    resolve_round, resolve_round_reference, AttributedReception, Medium, ReceptionBuffer,
-    RoundReception, TopologyDelta, TxIntent,
+    resolve_round, resolve_round_reference, Medium, ReceptionBuffer, RoundReception, TopologyDelta,
+    TxIntent,
 };
 pub use config::{ConfigError, RadioConfig};
 pub use engine::{AsAny, Engine, EngineConfig, NodeId, NodeSpec, Process, RoundCtx};

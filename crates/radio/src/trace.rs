@@ -48,13 +48,6 @@ impl Trace {
     pub fn is_empty(&self) -> bool {
         self.rounds.is_empty()
     }
-
-    /// Iterates over records for rounds in `[from, to)`.
-    pub fn window(&self, from: u64, to: u64) -> impl Iterator<Item = &RoundRecord> {
-        self.rounds
-            .iter()
-            .filter(move |r| r.round >= from && r.round < to)
-    }
 }
 
 /// Aggregate channel statistics for an execution.
@@ -79,51 +72,9 @@ pub struct ChannelStats {
     pub max_message_bytes: usize,
 }
 
-impl ChannelStats {
-    /// Mean broadcast size in bytes, or 0 if nothing was broadcast.
-    pub fn mean_message_bytes(&self) -> f64 {
-        if self.broadcasts == 0 {
-            0.0
-        } else {
-            self.total_bytes as f64 / self.broadcasts as f64
-        }
-    }
-
-    /// Delivery ratio: deliveries per broadcast (can exceed 1 with
-    /// multiple receivers).
-    pub fn delivery_ratio(&self) -> f64 {
-        if self.broadcasts == 0 {
-            0.0
-        } else {
-            self.deliveries as f64 / self.broadcasts as f64
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn stats_means_handle_empty() {
-        let s = ChannelStats::default();
-        assert_eq!(s.mean_message_bytes(), 0.0);
-        assert_eq!(s.delivery_ratio(), 0.0);
-    }
-
-    #[test]
-    fn stats_means() {
-        let s = ChannelStats {
-            rounds: 10,
-            broadcasts: 4,
-            deliveries: 6,
-            collision_reports: 1,
-            total_bytes: 100,
-            max_message_bytes: 40,
-        };
-        assert_eq!(s.mean_message_bytes(), 25.0);
-        assert_eq!(s.delivery_ratio(), 1.5);
-    }
 
     #[test]
     fn trace_window_filters() {
@@ -139,7 +90,5 @@ mod tests {
         }
         assert_eq!(t.len(), 10);
         assert!(!t.is_empty());
-        let w: Vec<u64> = t.window(3, 6).map(|r| r.round).collect();
-        assert_eq!(w, vec![3, 4, 5]);
     }
 }

@@ -29,9 +29,6 @@ pub struct Counters {
     pub rounds_reanchor: u64,
     /// Rounds resolved by the broadcaster-only churn index.
     pub rounds_churn: u64,
-    /// Spatial-index rebuilds (== `rounds_reanchor`; kept separate so
-    /// the name survives if re-anchoring ever decouples from rounds).
-    pub cache_reanchors: u64,
     /// Rounds where the mover dirty-set was applied surgically.
     pub mover_rounds: u64,
     /// Total mover slots across all surgical rounds (dirty-set mass;
@@ -90,14 +87,13 @@ impl Counters {
     /// The counters as `(name, value)` rows in declaration order —
     /// the single source of truth for table/demo output so a new
     /// field can't be silently dropped from reports.
-    pub fn rows(&self) -> [(&'static str, u64); 18] {
+    pub fn rows(&self) -> [(&'static str, u64); 17] {
         [
             ("rounds_total", self.rounds_total),
             ("rounds_steady", self.rounds_steady),
             ("rounds_scatter", self.rounds_scatter),
             ("rounds_reanchor", self.rounds_reanchor),
             ("rounds_churn", self.rounds_churn),
-            ("cache_reanchors", self.cache_reanchors),
             ("mover_rounds", self.mover_rounds),
             ("mover_slots", self.mover_slots),
             (
@@ -117,14 +113,13 @@ impl Counters {
     }
 
     /// Mutable field slots in the same order as [`Counters::rows`].
-    fn rows_mut(&mut self) -> [&mut u64; 18] {
+    fn rows_mut(&mut self) -> [&mut u64; 17] {
         [
             &mut self.rounds_total,
             &mut self.rounds_steady,
             &mut self.rounds_scatter,
             &mut self.rounds_reanchor,
             &mut self.rounds_churn,
-            &mut self.cache_reanchors,
             &mut self.mover_rounds,
             &mut self.mover_slots,
             &mut self.fallback_participant_churn,
@@ -156,7 +151,6 @@ mod tests {
             &mut c.rounds_scatter,
             &mut c.rounds_reanchor,
             &mut c.rounds_churn,
-            &mut c.cache_reanchors,
             &mut c.mover_rounds,
             &mut c.mover_slots,
             &mut c.fallback_participant_churn,

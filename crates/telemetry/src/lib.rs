@@ -5,7 +5,7 @@
 //!
 //! * **Deterministic counters** ([`Counters`], module [`counters`]) —
 //!   plain `u64` totals of *logical* engine decisions (rounds by
-//!   resolver mode, cache re-anchors, fallback causes, grid queries,
+//!   resolver mode, fallback causes, grid queries,
 //!   receptions, adversary consultations, …). Counters are part of
 //!   the determinism contract: for a fixed `(spec, seed)` they are
 //!   byte-identical however many sweep workers share the jobs,

@@ -132,14 +132,9 @@ impl Observers {
         });
     }
 
-    /// Whether anyone may want the round's adversary-consultation
-    /// count (the engine wraps the adversary in a counter only then).
-    #[inline]
-    pub fn counts_adversary(&self) -> bool {
-        self.state.is_some()
-    }
-
-    /// The adversary was consulted `checks` times this round.
+    /// The adversary was consulted `checks` times this round (reported
+    /// once per round by the medium's receiver walk, which counts the
+    /// consultations as it makes them).
     #[inline]
     pub fn adversary_checks(&self, checks: u64) {
         if checks == 0 {
@@ -346,7 +341,6 @@ mod tests {
     #[test]
     fn null_probe_records_nothing() {
         let obs = Observers::default();
-        assert!(!obs.counts_adversary());
         obs.count(|c| c.rounds_total += 1);
         obs.count_round(|c| c.rounds_total += 1);
         assert!(obs.timer().is_none() && obs.round_timer().is_none());

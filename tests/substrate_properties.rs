@@ -174,7 +174,8 @@ fn engine_run(nodes: &[NodeGen], seed: u64, stabilize: u64, drop_p: f64, rounds:
 /// The same deployment on the engine's round loop re-stated naively:
 /// *every* participant's mobility advances every round (no settled
 /// skip), the channel is [`resolve_round_reference`] (no topology
-/// delta, no cache), and receptions are delivered from owned vectors.
+/// delta, no cache), and each receiver's entry is delivered as soon as
+/// its statistics are tallied.
 fn spec_run(nodes: &[NodeGen], seed: u64, stabilize: u64, drop_p: f64, rounds: u64) -> Observed {
     let cfg = RadioConfig::stabilizing(10.0, 20.0, stabilize);
     let mut rng = StdRng::seed_from_u64(seed);
@@ -214,28 +215,24 @@ fn spec_run(nodes: &[NodeGen], seed: u64, stabilize: u64, drop_p: f64, rounds: u
             stats.max_message_bytes = 8;
             record.broadcasts.push((intent.node, 8));
         }
-        for (rx, intent) in receptions.iter().zip(&intents) {
-            let mut messages = Vec::new();
-            for &(src, payload) in &rx.messages {
-                messages.push(payload);
-                if src != rx.node {
+        for (k, intent) in intents.iter().enumerate() {
+            let node = receptions.node(k);
+            for &src in receptions.senders(k) {
+                if src != node {
                     stats.deliveries += 1;
-                    record.deliveries.push((src, rx.node));
+                    record.deliveries.push((src, node));
                 }
             }
-            if rx.collision {
+            if receptions.collision(k) {
                 stats.collision_reports += 1;
-                record.collisions.push(rx.node);
+                record.collisions.push(node);
             }
-            state[rx.node.index()].1.deliver(
+            state[node.index()].1.deliver(
                 &RoundCtx {
                     round,
                     pos: intent.pos,
                 },
-                RoundReception {
-                    messages: &messages,
-                    collision: rx.collision,
-                },
+                receptions.reception(k),
             );
         }
         trace.rounds.push(record);
@@ -266,15 +263,15 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut adv = AdversaryKind::Random(drop_p, 0.0);
         let out = resolve_round(0, &cfg, &intents, &mut adv, &mut rng);
-        for (j, rx) in out.iter().enumerate() {
-            let received: Vec<usize> = rx.messages.iter().map(|&(src, _)| src.index()).collect();
+        for j in 0..out.len() {
+            let received: Vec<usize> = out.senders(j).iter().map(|src| src.index()).collect();
             for (i, &(pos_i, tx_i)) in nodes.iter().enumerate() {
                 if i == j || !tx_i {
                     continue;
                 }
                 let in_r1 = pos_i.within(nodes[j].0, r1);
                 if in_r1 && !received.contains(&i) {
-                    prop_assert!(rx.collision,
+                    prop_assert!(out.collision(j),
                         "node {j} lost an R1 message from {i} without detection");
                 }
             }
@@ -296,13 +293,13 @@ proptest! {
         }).collect();
         let mut rng = StdRng::seed_from_u64(seed);
         let out = resolve_round(0, &cfg, &intents, &mut AdversaryKind::None, &mut rng);
-        for (j, rx) in out.iter().enumerate() {
-            let received: Vec<usize> = rx.messages.iter().map(|&(src, _)| src.index()).collect();
+        for j in 0..out.len() {
+            let received: Vec<usize> = out.senders(j).iter().map(|src| src.index()).collect();
             let lost = nodes.iter().enumerate().any(|(i, &(pos_i, tx_i))| {
                 i != j && tx_i && pos_i.within(nodes[j].0, r2) && !received.contains(&i)
             });
-            prop_assert_eq!(rx.collision, lost,
-                "node {} detector {} but a loss within R2 is {}", j, rx.collision, lost);
+            prop_assert_eq!(out.collision(j), lost,
+                "node {} detector {} but a loss within R2 is {}", j, out.collision(j), lost);
         }
     }
 
@@ -320,8 +317,8 @@ proptest! {
         }).collect();
         let mut rng = StdRng::seed_from_u64(seed);
         let out = resolve_round(0, &cfg, &intents, &mut AdversaryKind::None, &mut rng);
-        for (j, rx) in out.iter().enumerate() {
-            for &(src, _) in &rx.messages {
+        for j in 0..out.len() {
+            for &src in out.senders(j) {
                 let i = src.index();
                 if i == j {
                     continue; // loopback
@@ -642,17 +639,9 @@ proptest! {
             };
 
             medium.resolve_round_cached(round, &intents, delta, &mut adv_fast, &mut rng_fast, &mut soa);
-            let fast = soa.to_attributed();
             let slow = resolve_round_reference(round, &cfg, &intents, &mut adv_ref, &mut rng_ref);
 
-            prop_assert_eq!(fast.len(), slow.len());
-            for (f, s) in fast.iter().zip(&slow) {
-                prop_assert_eq!(f.node, s.node);
-                prop_assert_eq!(f.collision, s.collision,
-                    "round {}: detector mismatch at {}", round, f.node);
-                prop_assert_eq!(&f.messages, &s.messages,
-                    "round {}: reception mismatch at {}", round, f.node);
-            }
+            prop_assert_eq!(&soa, &slow, "round {}: receptions diverged", round);
             prop_assert_eq!(&rng_fast, &rng_ref, "round {}: RNG streams diverged", round);
         }
     }
