@@ -140,6 +140,15 @@ guards=(
   "$code" '-'
   'a resolved round is one ReceptionBuffer, and the receiver walk counts its own adversary calls'
 
+  # One vocabulary for CHAP's three steps: the emulation's scheduled
+  # and unscheduled instances are `VirtualPhase::Cha { scheduled, step:
+  # cha::Phase, slot }`, each step handled by one arm, and the send-side
+  # veto rule is `ChaProtocol::vetoes(step)`. The dead medium accessor
+  # chain (`World::medium`, `Engine::medium`) is gone with them.
+  'SchedBallot|SchedVeto|UnschedBallot|UnschedVeto|phase_matches_instance|ballot_phase_is_mine|veto[12]_broadcast|fn medium\('
+  "$code" '-'
+  "CHAP's steps are spelled once: VirtualPhase::Cha with a cha::Phase step, and ChaProtocol::vetoes"
+
   # A join-ack shares the replica state and counts its JSON length
   # (`Emulator::encode_transfer`): the join path writes and parses no
   # JSON, so nothing parses a `ChaProtocol`. The debug-build check of

@@ -6,7 +6,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use vi_baselines::{FullHistoryMessage, FullHistoryNode, MajorityConsensus, MajorityMessage};
 use vi_contention::{OracleCm, PreStability, SharedCm};
-use vi_core::cha::{ChaProtocol, Color, TaggedProposer};
+use vi_core::cha::{ChaProtocol, Color, Phase, TaggedProposer};
 use vi_radio::geometry::Point;
 use vi_radio::{AdversaryKind, Engine, EngineConfig, NodeSpec, RadioConfig};
 use vi_scenario::{CmSpec, ScenarioSpec, SweepRunner};
@@ -36,9 +36,9 @@ pub fn fig2() -> Table {
         }
         // The node hears its own veto (it knows what it broadcast);
         // an ✗ additionally raises the collision indication.
-        let own_veto1 = node.veto1_broadcast();
+        let own_veto1 = node.vetoes(Phase::Veto1);
         node.on_veto1_phase(own_veto1, !v1_ok);
-        let own_veto2 = node.veto2_broadcast();
+        let own_veto2 = node.vetoes(Phase::Veto2);
         let out = node.on_veto2_phase(own_veto2, !v2_ok);
         assert_eq!(
             (out.color, out.decided()),

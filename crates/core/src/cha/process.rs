@@ -196,12 +196,7 @@ impl<V: Clone + Ord + vi_radio::WireSized + 'static> Process<ChaMessage<V>> for 
                 self.was_active = advice.is_active();
                 self.was_active.then_some(ChaMessage::Ballot(ballot))
             }
-            Phase::Veto1 if self.synced => {
-                self.protocol.veto1_broadcast().then_some(ChaMessage::Veto)
-            }
-            Phase::Veto2 if self.synced => {
-                self.protocol.veto2_broadcast().then_some(ChaMessage::Veto)
-            }
+            step if self.synced => self.protocol.vetoes(step).then_some(ChaMessage::Veto),
             _ => None,
         }
     }
@@ -248,7 +243,9 @@ mod tests {
     use vi_radio::geometry::Point;
     use vi_radio::{Engine, EngineConfig, NodeSpec, RadioConfig};
 
-    fn clique(n: usize) -> (Engine<ChaMessage<u64>>, Vec<vi_radio::NodeId>, SharedCm) {
+    type Clique = Engine<ChaMessage<u64>, ChaNode<u64>>;
+
+    fn clique(n: usize) -> (Clique, Vec<vi_radio::NodeId>, SharedCm) {
         let mut engine = Engine::new(EngineConfig {
             radio: RadioConfig::reliable(10.0, 20.0),
             seed: 1,
@@ -257,12 +254,9 @@ mod tests {
         let cm = SharedCm::new(OracleCm::perfect());
         let ids = (0..n)
             .map(|i| {
-                engine.add_node(NodeSpec::new(
+                engine.add_node(NodeSpec::by_value(
                     Box::new(Point::new(i as f64 * 0.5, 0.0)),
-                    Box::new(ChaNode::new(
-                        Box::new(TaggedProposer::new(i as u64)),
-                        cm.clone(),
-                    )),
+                    ChaNode::new(Box::new(TaggedProposer::new(i as u64)), cm.clone()),
                 ))
             })
             .collect();
@@ -274,7 +268,7 @@ mod tests {
         let (mut engine, ids, _cm) = clique(4);
         engine.run(30); // 10 instances
         for &id in &ids {
-            let node: &ChaNode<u64> = engine.process(id).unwrap();
+            let node = engine.process_at(id);
             assert_eq!(node.outputs().len(), 10);
             // After the oracle's one-round bootstrap, every instance
             // is green (instance 1 may bootstrap the leader).
@@ -289,7 +283,7 @@ mod tests {
     fn decided_values_come_from_the_leader() {
         let (mut engine, ids, _cm) = clique(3);
         engine.run(30);
-        let node: &ChaNode<u64> = engine.process(ids[1]).unwrap();
+        let node = engine.process_at(ids[1]);
         let last = node.outputs().last().unwrap();
         let h = last.history.as_ref().unwrap();
         for (instance, v) in h.iter() {
@@ -306,7 +300,7 @@ mod tests {
         let histories: Vec<_> = ids
             .iter()
             .map(|&id| {
-                let node: &ChaNode<u64> = engine.process(id).unwrap();
+                let node = engine.process_at(id);
                 node.outputs().last().unwrap().history.clone().unwrap()
             })
             .collect();
@@ -323,24 +317,19 @@ mod tests {
         // join protocol would hand over): it waits for the round-6
         // ballot phase and participates from instance 3.
         let late = engine.add_node(
-            NodeSpec::new(
+            NodeSpec::by_value(
                 Box::new(Point::new(2.0, 0.0)),
-                Box::new(ChaNode::from_checkpoint(
-                    2,
-                    2,
-                    Box::new(TaggedProposer::new(99)),
-                    cm,
-                )),
+                ChaNode::from_checkpoint(2, 2, Box::new(TaggedProposer::new(99)), cm),
             )
             .spawn_at(4),
         );
         engine.run(12);
-        let node: &ChaNode<u64> = engine.process(late).unwrap();
+        let node = engine.process_at(late);
         // Instances 3 and 4 completed by round 12, decided green, and
         // its suffix histories agree with the veterans'.
         assert_eq!(node.outputs().len(), 2);
         assert!(node.outputs().iter().all(|o| o.decided()));
-        let veteran: &ChaNode<u64> = engine.process(ids[0]).unwrap();
+        let veteran = engine.process_at(ids[0]);
         let vh = veteran.outputs().last().unwrap().history.as_ref().unwrap();
         let jh = node.outputs().last().unwrap().history.as_ref().unwrap();
         for k in 3..=4 {

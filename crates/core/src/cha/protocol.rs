@@ -190,14 +190,14 @@ fn window_index(base: u64, k: u64) -> Option<usize> {
 /// One clean instance at a node that is also the elected leader:
 ///
 /// ```
-/// use vi_core::cha::{ChaProtocol, Color};
+/// use vi_core::cha::{ChaProtocol, Color, Phase};
 ///
 /// let mut node = ChaProtocol::<u32>::new();
 /// let ballot = node.begin_instance(7);          // ballot phase, send
 /// node.on_ballot_phase(&[ballot], false);       // hears its own ballot
-/// assert!(!node.veto1_broadcast());             // not red: no veto
+/// assert!(!node.vetoes(Phase::Veto1));          // not red: no veto
 /// node.on_veto1_phase(false, false);
-/// assert!(!node.veto2_broadcast());
+/// assert!(!node.vetoes(Phase::Veto2));
 /// let out = node.on_veto2_phase(false, false);  // finalize
 /// assert_eq!(out.color, Color::Green);
 /// assert_eq!(out.history.unwrap().get(1), Some(&7));
@@ -361,9 +361,15 @@ impl<V: Clone + Ord> ChaProtocol<V> {
         }
     }
 
-    /// **Veto-1 phase, send side** (lines 20–23): red nodes veto.
-    pub fn veto1_broadcast(&self) -> bool {
-        self.color() == Color::Red
+    /// **Veto phases, send side** (lines 20–27): whether this node
+    /// vetoes in `step` — red nodes in veto-1, red and orange nodes in
+    /// veto-2, nobody in the ballot phase.
+    pub fn vetoes(&self, step: Phase) -> bool {
+        match step {
+            Phase::Ballot => false,
+            Phase::Veto1 => self.color() == Color::Red,
+            Phase::Veto2 => matches!(self.color(), Color::Red | Color::Orange),
+        }
     }
 
     /// **Veto-1 phase, receive side** (lines 33–35): a veto or a
@@ -372,12 +378,6 @@ impl<V: Clone + Ord> ChaProtocol<V> {
         if veto_heard || collision {
             self.downgrade(Color::Orange);
         }
-    }
-
-    /// **Veto-2 phase, send side** (lines 24–27): red and orange nodes
-    /// veto.
-    pub fn veto2_broadcast(&self) -> bool {
-        matches!(self.color(), Color::Red | Color::Orange)
     }
 
     /// **Veto-2 phase, receive side and instance finalization** (lines
@@ -576,12 +576,12 @@ mod tests {
             }
         }
         // Veto-1 phase.
-        let any_veto1 = (0..n).any(|i| nodes[i].veto1_broadcast());
+        let any_veto1 = (0..n).any(|i| nodes[i].vetoes(Phase::Veto1));
         for (i, node) in nodes.iter_mut().enumerate() {
             node.on_veto1_phase(any_veto1 && !veto1_collision[i], veto1_collision[i]);
         }
         // Veto-2 phase.
-        let any_veto2 = (0..n).any(|i| nodes[i].veto2_broadcast());
+        let any_veto2 = (0..n).any(|i| nodes[i].vetoes(Phase::Veto2));
         nodes
             .iter_mut()
             .enumerate()
@@ -608,7 +608,7 @@ mod tests {
         node.begin_instance(5);
         node.on_ballot_phase(&[], false);
         assert_eq!(node.color_of(1), Some(Color::Red));
-        assert!(node.veto1_broadcast());
+        assert!(node.vetoes(Phase::Veto1));
     }
 
     #[test]
@@ -638,7 +638,7 @@ mod tests {
         node.begin_instance(1);
         node.on_ballot_phase(&[Ballot::new(1, 0)], false);
         node.on_veto1_phase(false, false);
-        assert!(!node.veto2_broadcast());
+        assert!(!node.vetoes(Phase::Veto2));
         let out = node.on_veto2_phase(false, true);
         assert_eq!(out.color, Color::Yellow);
         assert!(out.history.is_none());
@@ -653,7 +653,7 @@ mod tests {
         node.begin_instance(1);
         node.on_ballot_phase(&[Ballot::new(1, 0)], false);
         node.on_veto1_phase(false, true);
-        assert!(node.veto2_broadcast(), "orange nodes veto in veto-2");
+        assert!(node.vetoes(Phase::Veto2), "orange nodes veto in veto-2");
         let out = node.on_veto2_phase(true, false);
         assert_eq!(out.color, Color::Orange);
         assert!(out.history.is_none());
@@ -666,7 +666,7 @@ mod tests {
         let mut node = ChaProtocol::<u32>::new();
         node.begin_instance(1);
         node.on_ballot_phase(&[], true);
-        assert!(node.veto1_broadcast());
+        assert!(node.vetoes(Phase::Veto1));
         node.on_veto1_phase(true, false);
         let out = node.on_veto2_phase(true, false);
         assert_eq!(out.color, Color::Red);

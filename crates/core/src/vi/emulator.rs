@@ -26,10 +26,12 @@
 //!    the virtual node is scheduled, unconditional when not (the
 //!    paper's "counterintuitive rule": if the virtual node ignores its
 //!    schedule, the replica does too);
-//! 3. runs one CHAP instance for this virtual round — in the three
-//!    **scheduled** rounds if the virtual node is scheduled, else in
-//!    the stretched **unscheduled** instance whose ballot phase gives
-//!    every nearby virtual node its own slot;
+//! 3. runs one CHAP instance for this virtual round: the three steps
+//!    of Figure 1 ([`VirtualPhase::Cha`], keyed by [`Phase`]) of the
+//!    **scheduled** instance if the virtual node is scheduled, else of
+//!    the **unscheduled** one, balloting in the slot of its stretched
+//!    ballot that the schedule gives the virtual node; it skips the
+//!    other instance's steps and the other slots;
 //! 4. participates in **join/join-ack/reset**.
 //!
 //! On a green instance the replica folds the decided suffix into the
@@ -38,7 +40,7 @@
 //! garbage-collects.
 
 use crate::cha::history::{Ballot, Color};
-use crate::cha::protocol::ChaProtocol;
+use crate::cha::protocol::{ChaProtocol, Phase};
 use crate::vi::automaton::{VirtualAutomaton, VirtualInput, VnCtx, VnId};
 use crate::vi::client::ClientApp;
 use crate::vi::layout::VnLayout;
@@ -186,6 +188,13 @@ impl<VA: VirtualAutomaton> Emulator<VA> {
 
     fn is_replica(&self) -> bool {
         self.mode == Mode::Replica
+    }
+
+    /// Whether a CHAP step of the `scheduled` (or unscheduled) instance,
+    /// in unscheduled-ballot `slot` if any, is this replica's own.
+    fn runs(&self, dep: &Deployment<VA>, scheduled: bool, slot: Option<u64>) -> bool {
+        self.scheduled == scheduled
+            && slot.is_none_or(|c| c == dep.plan.unsched_ballot_slot(dep.schedule.slot_of(self.vn)))
     }
 
     /// Virtual round through which `vn_state` is folded: the
@@ -433,37 +442,35 @@ impl<VA: VirtualAutomaton> Process<Wire<VA::Msg, VA::State>> for Device<VA> {
                 e.report.vn_broadcasts += 1;
                 Some(Wire::VnMsg { vn: e.vn, payload })
             }
-            VirtualPhase::SchedBallot | VirtualPhase::UnschedBallot(_) => {
+            VirtualPhase::Cha {
+                scheduled,
+                step,
+                slot,
+            } => {
                 let e = self.emulator.as_mut()?;
-                if !e.is_replica() || !ballot_phase_is_mine(e, &self.dep, phase) {
+                if !e.runs(&self.dep, scheduled, slot) {
                     return None;
                 }
-                e.protocol.start_instance();
-                e.began = true;
-                // Only the leader's proposal leaves the device: what it
-                // heard in the client and vn phases, sorted.
-                e.cm_active.then(|| {
-                    let mut proposal = self.client_rx.clone();
-                    proposal.canonicalize();
-                    Wire::Ballot {
-                        vn: e.vn,
-                        ballot: Ballot::new(proposal, e.protocol.prev_instance()),
+                match step {
+                    Phase::Ballot if e.is_replica() => {
+                        e.protocol.start_instance();
+                        e.began = true;
+                        // Only the leader's proposal leaves the device:
+                        // what it heard in the client and vn phases,
+                        // sorted.
+                        e.cm_active.then(|| {
+                            let mut proposal = self.client_rx.clone();
+                            proposal.canonicalize();
+                            Wire::Ballot {
+                                vn: e.vn,
+                                ballot: Ballot::new(proposal, e.protocol.prev_instance()),
+                            }
+                        })
                     }
-                })
-            }
-            VirtualPhase::SchedVeto1 | VirtualPhase::UnschedVeto1 => {
-                let e = self.emulator.as_ref()?;
-                (e.began
-                    && phase_matches_instance(e.scheduled, phase)
-                    && e.protocol.veto1_broadcast())
-                .then(|| Wire::Veto { vn: e.vn })
-            }
-            VirtualPhase::SchedVeto2 | VirtualPhase::UnschedVeto2 => {
-                let e = self.emulator.as_ref()?;
-                (e.began
-                    && phase_matches_instance(e.scheduled, phase)
-                    && e.protocol.veto2_broadcast())
-                .then(|| Wire::Veto { vn: e.vn })
+                    // Nobody vetoes in a ballot phase, and a device that
+                    // did not begin this instance vetoes in no phase.
+                    _ => (e.began && e.protocol.vetoes(step)).then(|| Wire::Veto { vn: e.vn }),
+                }
             }
             VirtualPhase::Join => {
                 let e = self.emulator.as_mut()?;
@@ -510,35 +517,34 @@ impl<VA: VirtualAutomaton> Process<Wire<VA::Msg, VA::State>> for Device<VA> {
                 }
                 self.client_rx.collision |= rx.collision;
             }
-            VirtualPhase::SchedBallot | VirtualPhase::UnschedBallot(_) => {
+            VirtualPhase::Cha {
+                scheduled,
+                step,
+                slot,
+            } => {
                 let Some(e) = self.emulator.as_mut() else {
                     return;
                 };
-                if !e.began || !ballot_phase_is_mine(e, &dep, phase) {
+                if !e.began || !e.runs(&dep, scheduled, slot) {
                     return;
                 }
-                let min_ballot = Ballot::min_heard(rx.messages.iter().filter_map(|m| match m {
-                    Wire::Ballot { vn, ballot } if *vn == e.vn => Some(ballot),
-                    _ => None,
-                }));
-                e.protocol.on_ballot_phase(min_ballot, rx.collision);
-            }
-            VirtualPhase::SchedVeto1 | VirtualPhase::UnschedVeto1 => {
-                let Some(e) = self.emulator.as_mut() else {
-                    return;
-                };
-                if e.began && phase_matches_instance(e.scheduled, phase) {
-                    let veto = heard_veto(&rx, e.vn);
-                    e.protocol.on_veto1_phase(veto, rx.collision);
-                }
-            }
-            VirtualPhase::SchedVeto2 | VirtualPhase::UnschedVeto2 => {
-                let Some(e) = self.emulator.as_mut() else {
-                    return;
-                };
-                if e.began && phase_matches_instance(e.scheduled, phase) {
-                    let veto = heard_veto(&rx, e.vn);
-                    e.conclude(&dep, vr, veto, rx.collision);
+                match step {
+                    Phase::Ballot => {
+                        let min_ballot =
+                            Ballot::min_heard(rx.messages.iter().filter_map(|m| match m {
+                                Wire::Ballot { vn, ballot } if *vn == e.vn => Some(ballot),
+                                _ => None,
+                            }));
+                        e.protocol.on_ballot_phase(min_ballot, rx.collision);
+                    }
+                    Phase::Veto1 => {
+                        let veto = heard_veto(&rx, e.vn);
+                        e.protocol.on_veto1_phase(veto, rx.collision);
+                    }
+                    Phase::Veto2 => {
+                        let veto = heard_veto(&rx, e.vn);
+                        e.conclude(&dep, vr, veto, rx.collision);
+                    }
                 }
             }
             VirtualPhase::Join => {
@@ -593,31 +599,6 @@ impl<VA: VirtualAutomaton> Process<Wire<VA::Msg, VA::State>> for Device<VA> {
                 }
             }
         }
-    }
-}
-
-/// Whether a veto/conclude phase belongs to the instance this replica
-/// is running (scheduled replicas use the scheduled phases, and vice
-/// versa).
-fn phase_matches_instance(scheduled: bool, phase: VirtualPhase) -> bool {
-    match phase {
-        VirtualPhase::SchedVeto1 | VirtualPhase::SchedVeto2 => scheduled,
-        VirtualPhase::UnschedVeto1 | VirtualPhase::UnschedVeto2 => !scheduled,
-        _ => false,
-    }
-}
-
-fn ballot_phase_is_mine<VA: VirtualAutomaton>(
-    e: &Emulator<VA>,
-    dep: &Deployment<VA>,
-    phase: VirtualPhase,
-) -> bool {
-    match phase {
-        VirtualPhase::SchedBallot => e.scheduled,
-        VirtualPhase::UnschedBallot(slot) => {
-            !e.scheduled && slot == dep.plan.unsched_ballot_slot(dep.schedule.slot_of(e.vn))
-        }
-        _ => false,
     }
 }
 

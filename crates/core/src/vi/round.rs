@@ -5,15 +5,28 @@
 //! scheduled agreement instance ... (3) the unscheduled agreement
 //! instance ... and (4) the join/reset sub-protocol."
 //!
+//! In [`VirtualPhase`] terms, in order:
+//!
+//! 1. the message sub-protocol: [`Client`](VirtualPhase::Client), then
+//!    [`Vn`](VirtualPhase::Vn);
+//! 2. the scheduled agreement instance: the three CHAP steps of
+//!    Figure 1 ([`Phase::Ballot`], [`Phase::Veto1`], [`Phase::Veto2`]),
+//!    each a [`Cha`](VirtualPhase::Cha) with `scheduled: true`;
+//! 3. the unscheduled agreement instance: the same three steps with
+//!    `scheduled: false`;
+//! 4. the join/reset sub-protocol: [`Join`](VirtualPhase::Join),
+//!    [`JoinAck`](VirtualPhase::JoinAck), [`Reset`](VirtualPhase::Reset).
+//!
 //! Every phase occupies one real round except the *unscheduled ballot
 //! phase*, which is stretched to `s + 2` rounds so that emulators of
 //! nearby unscheduled virtual nodes broadcast their ballots in
 //! schedule-separated slots instead of colliding ("the ballot phase is
-//! instantiated using s + 2 rounds"). One virtual round therefore
-//! takes `s + 12` real rounds — a constant depending only on the
-//! deployment density, never on the number of devices (the emulation
-//! analogue of Theorem 14).
+//! instantiated using s + 2 rounds"); each of its rounds carries its
+//! slot. One virtual round therefore takes `s + 12` real rounds — a
+//! constant depending only on the deployment density, never on the
+//! number of devices (the emulation analogue of Theorem 14).
 
+use crate::cha::protocol::Phase;
 use serde::{Deserialize, Serialize};
 
 /// The phase of the emulation a given real round belongs to.
@@ -23,21 +36,20 @@ pub enum VirtualPhase {
     Client,
     /// Replicas broadcast on behalf of their virtual nodes.
     Vn,
-    /// Ballot phase of the scheduled agreement instance.
-    SchedBallot,
-    /// Veto-1 of the scheduled instance.
-    SchedVeto1,
-    /// Veto-2 of the scheduled instance.
-    SchedVeto2,
-    /// One slot of the stretched unscheduled ballot phase; the payload
-    /// is the slot index in `0..s+2`. Emulators of an unscheduled
-    /// virtual node with schedule slot `c` broadcast in ballot slot `c
-    /// + 1` (slots `0` and `s + 1` are guard slots).
-    UnschedBallot(u64),
-    /// Veto-1 of the unscheduled instance.
-    UnschedVeto1,
-    /// Veto-2 of the unscheduled instance.
-    UnschedVeto2,
+    /// One step of a CHAP instance (Figure 1), run by the replicas of
+    /// the virtual nodes that are `scheduled` this virtual round, or by
+    /// those that are not. `slot` is `Some` only on the unscheduled
+    /// ballot: the slot index in `0..s+2`. Emulators of an unscheduled
+    /// virtual node with schedule slot `c` broadcast in ballot slot
+    /// `c + 1` (slots `0` and `s + 1` are guard slots).
+    Cha {
+        /// Which of the two instances this step belongs to.
+        scheduled: bool,
+        /// Ballot, veto-1 or veto-2.
+        step: Phase,
+        /// The unscheduled ballot's slot.
+        slot: Option<u64>,
+    },
     /// New emulators request to join.
     Join,
     /// An existing replica answers with a state transfer.
@@ -80,15 +92,20 @@ impl RoundPlan {
         let t = self.rounds_per_vr();
         let vr = round / t + 1;
         let off = round % t;
+        let cha = |scheduled, step, slot| VirtualPhase::Cha {
+            scheduled,
+            step,
+            slot,
+        };
         let phase = match off {
             0 => VirtualPhase::Client,
             1 => VirtualPhase::Vn,
-            2 => VirtualPhase::SchedBallot,
-            3 => VirtualPhase::SchedVeto1,
-            4 => VirtualPhase::SchedVeto2,
-            o if o < 5 + self.s + 2 => VirtualPhase::UnschedBallot(o - 5),
-            o if o == 5 + self.s + 2 => VirtualPhase::UnschedVeto1,
-            o if o == 6 + self.s + 2 => VirtualPhase::UnschedVeto2,
+            2 => cha(true, Phase::Ballot, None),
+            3 => cha(true, Phase::Veto1, None),
+            4 => cha(true, Phase::Veto2, None),
+            o if o < 5 + self.s + 2 => cha(false, Phase::Ballot, Some(o - 5)),
+            o if o == 5 + self.s + 2 => cha(false, Phase::Veto1, None),
+            o if o == 6 + self.s + 2 => cha(false, Phase::Veto2, None),
             o if o == 7 + self.s + 2 => VirtualPhase::Join,
             o if o == 8 + self.s + 2 => VirtualPhase::JoinAck,
             _ => VirtualPhase::Reset,
@@ -121,16 +138,21 @@ mod tests {
         assert_eq!(plan.rounds_per_vr(), 15);
         let phases: Vec<(u64, VirtualPhase)> = (0..15).map(|r| plan.phase(r)).collect();
         assert!(phases.iter().all(|&(vr, _)| vr == 1));
+        let cha = |scheduled, step, slot| VirtualPhase::Cha {
+            scheduled,
+            step,
+            slot,
+        };
         assert_eq!(phases[0].1, VirtualPhase::Client);
         assert_eq!(phases[1].1, VirtualPhase::Vn);
-        assert_eq!(phases[2].1, VirtualPhase::SchedBallot);
-        assert_eq!(phases[3].1, VirtualPhase::SchedVeto1);
-        assert_eq!(phases[4].1, VirtualPhase::SchedVeto2);
+        assert_eq!(phases[2].1, cha(true, Phase::Ballot, None));
+        assert_eq!(phases[3].1, cha(true, Phase::Veto1, None));
+        assert_eq!(phases[4].1, cha(true, Phase::Veto2, None));
         for (i, p) in phases[5..10].iter().enumerate() {
-            assert_eq!(p.1, VirtualPhase::UnschedBallot(i as u64));
+            assert_eq!(p.1, cha(false, Phase::Ballot, Some(i as u64)));
         }
-        assert_eq!(phases[10].1, VirtualPhase::UnschedVeto1);
-        assert_eq!(phases[11].1, VirtualPhase::UnschedVeto2);
+        assert_eq!(phases[10].1, cha(false, Phase::Veto1, None));
+        assert_eq!(phases[11].1, cha(false, Phase::Veto2, None));
         assert_eq!(phases[12].1, VirtualPhase::Join);
         assert_eq!(phases[13].1, VirtualPhase::JoinAck);
         assert_eq!(phases[14].1, VirtualPhase::Reset);
@@ -144,7 +166,9 @@ mod tests {
         let mut kinds = std::collections::BTreeSet::new();
         for r in 0..plan.rounds_per_vr() {
             let k = match plan.phase(r).1 {
-                VirtualPhase::UnschedBallot(_) => "unsched-ballot".to_string(),
+                VirtualPhase::Cha {
+                    scheduled, step, ..
+                } => format!("cha {scheduled} {step:?}"),
                 p => format!("{p:?}"),
             };
             kinds.insert(k);

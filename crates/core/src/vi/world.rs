@@ -178,12 +178,6 @@ impl<VA: VirtualAutomaton> World<VA> {
         &self.engine
     }
 
-    /// The broadcast medium resolving this deployment's rounds (the
-    /// spatially-indexed channel path; see [`vi_radio::Medium`]).
-    pub fn medium(&self) -> &vi_radio::Medium {
-        self.engine.medium()
-    }
-
     /// The most advanced replica view of `vn`, borrowed: `(state,
     /// folded_to)` with the largest `folded_to` among current replicas
     /// (the last such replica in device order).
@@ -268,14 +262,6 @@ mod tests {
             })
             .collect();
         (world, ids)
-    }
-
-    #[test]
-    fn world_resolves_through_grid_medium() {
-        let (world, _) = single_vn_world(1);
-        // The deployment's rounds go through the spatially-indexed
-        // medium, configured from the world's radio parameters.
-        assert_eq!(*world.medium().config(), RadioConfig::reliable(10.0, 20.0));
     }
 
     #[test]

@@ -296,11 +296,6 @@ impl Medium {
         self.obs = obs;
     }
 
-    /// The radio parameters this medium resolves under.
-    pub fn config(&self) -> &RadioConfig {
-        &self.cfg
-    }
-
     /// Resolves one round through *persistent* per-node neighborhoods
     /// instead of a per-round index rebuild, writing one entry per
     /// intent (same order) to `out`.

@@ -330,11 +330,6 @@ impl<M: Clone + WireSized + 'static, P: Process<M>> Engine<M, P> {
         self.obs = obs;
     }
 
-    /// The broadcast medium driving channel resolution.
-    pub fn medium(&self) -> &Medium {
-        &self.medium
-    }
-
     /// Does nothing: a round resolves on the calling thread and there
     /// is no worker count to set. Kept only because the frozen
     /// benchmark sources under `examples/perf/` call it; the

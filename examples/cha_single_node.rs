@@ -12,7 +12,7 @@
 //! convergence to all-green afterwards.
 
 use virtual_infra::contention::{OracleCm, PreStability, SharedCm};
-use virtual_infra::core::cha::{ChaNode, Color, TaggedProposer};
+use virtual_infra::core::cha::{ChaMessage, ChaNode, Color, TaggedProposer};
 use virtual_infra::radio::geometry::Point;
 use virtual_infra::radio::{AdversaryKind, Engine, EngineConfig, NodeSpec, RadioConfig};
 
@@ -21,7 +21,7 @@ fn main() {
     const STABLE_AT: u64 = 30;
     const ROUNDS: u64 = 60; // 20 instances of 3 rounds each
 
-    let mut engine = Engine::new(EngineConfig {
+    let mut engine: Engine<ChaMessage<u64>, ChaNode<u64>> = Engine::new(EngineConfig {
         radio: RadioConfig::stabilizing(10.0, 20.0, STABLE_AT),
         seed: 2024,
         record_trace: false,
@@ -31,12 +31,9 @@ fn main() {
     let cm = SharedCm::new(OracleCm::new(STABLE_AT, PreStability::Random(0.25), 7));
     let ids: Vec<_> = (0..N)
         .map(|i| {
-            engine.add_node(NodeSpec::new(
+            engine.add_node(NodeSpec::by_value(
                 Box::new(Point::new(i as f64, 0.0)),
-                Box::new(ChaNode::<u64>::new(
-                    Box::new(TaggedProposer::new(i as u64)),
-                    cm.clone(),
-                )),
+                ChaNode::new(Box::new(TaggedProposer::new(i as u64)), cm.clone()),
             ))
         })
         .collect();
@@ -50,7 +47,7 @@ fn main() {
     }
     println!();
     for (i, &id) in ids.iter().enumerate() {
-        let node: &ChaNode<u64> = engine.process(id).expect("node");
+        let node = engine.process_at(id);
         print!("node {i}:   ");
         for out in node.outputs() {
             let c = match out.color {
@@ -69,8 +66,7 @@ fn main() {
         .iter()
         .map(|&id| {
             engine
-                .process::<ChaNode<u64>>(id)
-                .unwrap()
+                .process_at(id)
                 .outputs()
                 .iter()
                 .rev()

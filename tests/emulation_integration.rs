@@ -3,9 +3,12 @@
 //! state transfer, disruption recovery, and the client-visible
 //! abstraction.
 
+use virtual_infra::core::cha::Phase;
 use virtual_infra::core::vi::{
-    CollectorClient, CounterAutomaton, CounterState, VnId, VnLayout, World, WorldConfig,
+    CollectorClient, CounterAutomaton, CounterState, RoundPlan, VirtualPhase, VnId, VnLayout,
+    World, WorldConfig,
 };
+use virtual_infra::radio::adversary::ScriptedAdversary;
 use virtual_infra::radio::geometry::{Point, Rect};
 use virtual_infra::radio::mobility::MobilitySpec;
 use virtual_infra::radio::{AdversaryKind, NodeId, RadioConfig};
@@ -142,6 +145,85 @@ fn burst_disruption_recovers() {
         .map(|(s, _, _)| s.clone())
         .collect();
     assert!(views.windows(2).all(|w| w[0] == w[1]));
+}
+
+/// Footnote 2's rule, emulated: a virtual node's message leaves its
+/// replicas only once the instance before it ended green. A spurious
+/// collision at every replica in one ballot round (the detector is
+/// accurate from the next round on) turns that virtual round's
+/// instance ⊥ everywhere, so in the next virtual round's vn phase no
+/// replica broadcasts and a client in range hears nothing from the
+/// virtual node, though it hears it in the rounds before and after.
+#[test]
+fn no_vn_broadcast_follows_an_undecided_instance() {
+    let vr = 6; // the virtual round whose instance ends ⊥
+    let plan = RoundPlan::new(1); // one virtual node: one schedule slot
+    let scheduled_ballot = VirtualPhase::Cha {
+        scheduled: true,
+        step: Phase::Ballot,
+        slot: None,
+    };
+    let ballot = (plan.start_of(vr)..)
+        .find(|&r| plan.phase(r).1 == scheduled_ballot)
+        .unwrap();
+    let mut world = World::new(WorldConfig {
+        radio: RadioConfig::reliable(10.0, 20.0).with_stabilization(0, ballot + 1),
+        layout: VnLayout::new(vec![VN], 2.5),
+        automaton: CounterAutomaton,
+        seed: 6,
+        record_trace: false,
+    });
+    assert_eq!(world.plan(), plan);
+    let replicas: Vec<NodeId> = (0..3)
+        .map(|i| static_device(&mut world, 0.3 * i as f64 - 0.3, 0.0))
+        .collect();
+    // Outside the region (radius 2.5), within R1 of every replica.
+    let client = world.add_device(
+        Box::new(Point::new(VN.x - 5.0, VN.y)),
+        Some(Box::new(CollectorClient::<u64>::default())),
+    );
+    let mut adv = ScriptedAdversary::new();
+    for &id in &replicas {
+        adv.inject_collision(ballot, id);
+    }
+    world.set_adversary(Box::new(adv));
+
+    // Each replica's (⊥ instances, vn broadcasts) so far.
+    let tally = |world: &World<CounterAutomaton>| -> Vec<(u64, u64)> {
+        replicas
+            .iter()
+            .map(|&id| {
+                let (_, report) = world.device(id).emulator_report().expect("emulating");
+                (report.bottom, report.vn_broadcasts)
+            })
+            .collect()
+    };
+    world.run_virtual_rounds(vr - 1);
+    let before = tally(&world);
+    world.run_virtual_rounds(1);
+    let undecided = tally(&world);
+    world.run_virtual_rounds(1);
+    let gated = tally(&world);
+    for ((b, u), g) in before.iter().zip(&undecided).zip(&gated) {
+        assert_eq!(u.0, b.0 + 1, "every replica ends vr {vr} ⊥");
+        assert_eq!(g.1, u.1, "a replica broadcast in vr {}", vr + 1);
+    }
+    world.run_virtual_rounds(2);
+    // `log[k]` is what the client heard in virtual round `k`.
+    let log = &world
+        .device(client)
+        .client::<CollectorClient<u64>>()
+        .unwrap()
+        .log;
+    let heard: Vec<bool> = log.iter().map(|r| !r.messages.is_empty()).collect();
+    assert_eq!(
+        heard[vr as usize - 2..],
+        [true, true, true, false, true],
+        "the virtual node is heard in vrs {}..={} but {}",
+        vr - 2,
+        vr + 2,
+        vr + 1
+    );
 }
 
 /// Co-located clients of the same virtual node observe the same

@@ -24,7 +24,7 @@ fn survivors_stay_consistent_with_a_dead_nodes_unacknowledged_decision() {
     // yellow; node 0 — the leader — hears silence and finishes green.
     // Node 0 then crashes without ever exchanging another message.
     let veto2_round = 8;
-    let mut engine: Engine<ChaMessage<u64>> = Engine::new(EngineConfig {
+    let mut engine: Engine<ChaMessage<u64>, ChaNode<u64>> = Engine::new(EngineConfig {
         // Accurate only after round 9, so the scripted false positives
         // at round 8 are admissible detector behaviour.
         radio: RadioConfig::reliable(10.0, 20.0).with_stabilization(0, 9),
@@ -39,12 +39,9 @@ fn survivors_stay_consistent_with_a_dead_nodes_unacknowledged_decision() {
     let cm = SharedCm::new(OracleCm::perfect());
     let ids: Vec<_> = (0..3)
         .map(|i| {
-            let spec = NodeSpec::new(
+            let spec = NodeSpec::by_value(
                 Box::new(Point::new(i as f64, 0.0)),
-                Box::new(ChaNode::<u64>::new(
-                    Box::new(TaggedProposer::new(i)),
-                    cm.clone(),
-                )) as Box<dyn virtual_infra::radio::Process<ChaMessage<u64>>>,
+                ChaNode::new(Box::new(TaggedProposer::new(i)), cm.clone()),
             );
             let spec = if i == 0 {
                 spec.crash_at(veto2_round + 1) // dies right after deciding
@@ -58,7 +55,7 @@ fn survivors_stay_consistent_with_a_dead_nodes_unacknowledged_decision() {
     engine.run(18); // instances 1..=6
 
     // Node 0 decided instance 3 (green) before dying.
-    let dead: &ChaNode<u64> = engine.process(ids[0]).unwrap();
+    let dead = engine.process_at(ids[0]);
     let decision = dead.outputs().last().unwrap();
     assert_eq!(decision.instance, 3);
     assert_eq!(decision.color, Color::Green);
@@ -67,7 +64,7 @@ fn survivors_stay_consistent_with_a_dead_nodes_unacknowledged_decision() {
     // The survivors finished instance 3 yellow — they output ⊥ and
     // never learned that node 0 decided.
     for &id in &ids[1..] {
-        let node: &ChaNode<u64> = engine.process(id).unwrap();
+        let node = engine.process_at(id);
         let at3 = &node.outputs()[2];
         assert_eq!(at3.color, Color::Yellow);
         assert!(at3.history.is_none(), "no output, no acknowledgement sent");
@@ -76,7 +73,7 @@ fn survivors_stay_consistent_with_a_dead_nodes_unacknowledged_decision() {
     // Yet every history they ever output afterwards includes instance
     // 3 with exactly the dead node's decided value.
     for &id in &ids[1..] {
-        let node: &ChaNode<u64> = engine.process(id).unwrap();
+        let node = engine.process_at(id);
         let later: Vec<_> = node
             .outputs()
             .iter()
@@ -102,7 +99,7 @@ fn survivors_stay_consistent_with_a_dead_nodes_unacknowledged_decision() {
 #[test]
 fn orange_disruption_prevents_any_decision() {
     let veto1_round = 7; // instance 3's veto-1 phase
-    let mut engine: Engine<ChaMessage<u64>> = Engine::new(EngineConfig {
+    let mut engine: Engine<ChaMessage<u64>, ChaNode<u64>> = Engine::new(EngineConfig {
         radio: RadioConfig::reliable(10.0, 20.0).with_stabilization(0, 8),
         seed: 4,
         record_trace: false,
@@ -115,18 +112,15 @@ fn orange_disruption_prevents_any_decision() {
     let cm = SharedCm::new(OracleCm::perfect());
     let ids: Vec<_> = (0..3)
         .map(|i| {
-            engine.add_node(NodeSpec::new(
+            engine.add_node(NodeSpec::by_value(
                 Box::new(Point::new(i as f64, 0.0)),
-                Box::new(ChaNode::<u64>::new(
-                    Box::new(TaggedProposer::new(i)),
-                    cm.clone(),
-                )),
+                ChaNode::new(Box::new(TaggedProposer::new(i)), cm.clone()),
             ))
         })
         .collect();
     engine.run(9);
     for &id in &ids {
-        let node: &ChaNode<u64> = engine.process(id).unwrap();
+        let node = engine.process_at(id);
         let at3 = &node.outputs()[2];
         assert_eq!(at3.color, Color::Orange);
         assert!(!at3.decided());
