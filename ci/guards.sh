@@ -249,6 +249,15 @@ guards=(
   'above-tests:crates/radio/src/geometry.rs crates/radio/src/channel.rs' '-'
   'a Heard fold branches on hit or keeps a minimum again; fold through HeardFold::push'
 
+  # One spatial index and slot-only neighbour lists: the medium's
+  # `CellIndex` serves churn scans, re-anchor queries and mover
+  # updates; the bucketed grid, its position copy, the stored d² and
+  # the fold's distance are gone (the delivery rule recomputes the one
+  # distance it reads).
+  'SpatialGrid|list_update|all_pos|last_d2'
+  "$code" '-'
+  'the medium has one cell index and slot-only lists'
+
   # One collision-detector rule: a report exactly when a broadcast
   # within R2 was lost. The gray-ring knob (`RadioConfig` field and
   # builder) and the R1 flag every `Heard` fold computed for the

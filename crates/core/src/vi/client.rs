@@ -30,7 +30,10 @@ pub trait ClientApp<A>: Any {
 /// A client that never sends and records everything it observes.
 #[derive(Clone, Debug, Default)]
 pub struct CollectorClient<A> {
-    /// Per-virtual-round receptions, indexed from virtual round 1.
+    /// Every reception the client was handed, one per virtual round it
+    /// ran. Virtual rounds count from 1, so for a device present from
+    /// the start `log[0]` is the empty reception before any round ran
+    /// and `log[k]` is what the client heard in virtual round `k`.
     pub log: Vec<VirtualInput<A>>,
 }
 

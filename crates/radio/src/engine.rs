@@ -222,8 +222,8 @@ pub struct EngineConfig {
     pub record_trace: bool,
 }
 
+/// A node's state; its [`NodeId`] is its index in the engine's list.
 struct NodeEntry<P> {
-    id: NodeId,
     mobility: Box<dyn MobilityModel>,
     process: P,
     spawn_at: u64,
@@ -343,10 +343,17 @@ impl<M: Clone + WireSized + 'static, P: Process<M>> Engine<M, P> {
     }
 
     /// Reserves node storage for exactly `additional` more
-    /// [`add_node`](Self::add_node) calls, so a population of known
+    /// [`add_node`](Self::add_node) calls, and the per-node round
+    /// buffers for every node then added, so a population of known
     /// size is stored without regrowth or slack.
     pub fn reserve_nodes(&mut self, additional: usize) {
+        let total = self.nodes.len() + additional;
         self.nodes.reserve_exact(additional);
+        self.intents.reserve_exact(total - self.intents.len());
+        self.live.reserve_exact(total - self.live.len());
+        self.prev_live.reserve_exact(total - self.prev_live.len());
+        self.moved.reserve_exact(total - self.moved.len());
+        self.receptions.reserve_receivers(total);
     }
 
     /// Adds a node and returns its simulator handle. May be called
@@ -355,7 +362,6 @@ impl<M: Clone + WireSized + 'static, P: Process<M>> Engine<M, P> {
     pub fn add_node(&mut self, spec: NodeSpec<M, P>) -> NodeId {
         let id = NodeId(self.nodes.len());
         self.nodes.push(NodeEntry {
-            id,
             mobility: spec.mobility,
             process: spec.process,
             spawn_at: spec.spawn_at,
@@ -459,7 +465,7 @@ impl<M: Clone + WireSized + 'static, P: Process<M>> Engine<M, P> {
                 debug_assert!(
                     !entry.placed || entry.pos.distance(pos) <= entry.mobility.vmax() + 1e-9,
                     "node {} moved {} > vmax {} in round {round}",
-                    entry.id,
+                    NodeId(idx),
                     entry.pos.distance(pos),
                     entry.mobility.vmax()
                 );
@@ -476,7 +482,7 @@ impl<M: Clone + WireSized + 'static, P: Process<M>> Engine<M, P> {
             };
             let payload = self.nodes[idx].process.transmit(&ctx);
             self.intents.push(TxIntent {
-                node: self.nodes[idx].id,
+                node: NodeId(idx),
                 pos: self.nodes[idx].pos,
                 payload,
             });
@@ -494,10 +500,10 @@ impl<M: Clone + WireSized + 'static, P: Process<M>> Engine<M, P> {
         let round = self.round;
         self.obs.begin_round(round);
         self.obs.flight(|f| {
-            for e in self.nodes.iter().filter(|e| e.crash_at == Some(round)) {
-                f.note(FlightEvent::Nemesis {
-                    node: e.id.index() as u64,
-                });
+            for (idx, e) in self.nodes.iter().enumerate() {
+                if e.crash_at == Some(round) {
+                    f.note(FlightEvent::Nemesis { node: idx as u64 });
+                }
             }
         });
         let t_adv = self.obs.round_timer();

@@ -150,9 +150,7 @@ impl fmt::Display for Rect {
 
 /// The anchored cell geometry of a uniform grid: origin, cell size and
 /// dimensions, fixed by the bounding box of the points it was last
-/// anchored to. [`SpatialGrid`] and [`SnapshotIndex`] both bucket and
-/// query through one of these, so the anchoring rule and the
-/// cell-range arithmetic exist once.
+/// anchored to. [`CellIndex`] buckets and queries through one of these.
 #[derive(Clone, Copy, Debug, Default)]
 struct CellFrame {
     origin: Point,
@@ -170,37 +168,25 @@ impl CellFrame {
     /// allocate quadratically in the coordinate spread.
     const MAX_CELLS_PER_AXIS: usize = 1024;
 
-    /// A nominal cell size an index may be created with.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cell` is not positive and finite.
-    fn checked_nominal(cell: f64) -> f64 {
-        assert!(
-            cell.is_finite() && cell > 0.0,
-            "grid cell size must be positive and finite (got {cell})"
-        );
-        cell
-    }
-
     /// Anchors a frame with nominal cell size `nominal` to the bounding
     /// box of `points` (no columns and no rows if there are none).
-    fn anchor(nominal: f64, points: impl ExactSizeIterator<Item = Point>) -> CellFrame {
-        let len = points.len();
-        if len == 0 {
-            return CellFrame::default();
-        }
+    fn anchor(nominal: f64, points: impl Iterator<Item = Point>) -> CellFrame {
         let (mut min_x, mut min_y, mut max_x, mut max_y) = (
             f64::INFINITY,
             f64::INFINITY,
             f64::NEG_INFINITY,
             f64::NEG_INFINITY,
         );
+        let mut len = 0usize;
         for p in points {
+            len += 1;
             min_x = min_x.min(p.x);
             min_y = min_y.min(p.y);
             max_x = max_x.max(p.x);
             max_y = max_y.max(p.y);
+        }
+        if len == 0 {
+            return CellFrame::default();
         }
         let span_x = (max_x - min_x).max(0.0);
         let span_y = (max_y - min_y).max(0.0);
@@ -254,78 +240,146 @@ impl CellFrame {
     }
 }
 
-/// A uniform-grid spatial index over a set of points, queried for "all
-/// points within `radius` of here".
+/// What a receiver hears of one round's broadcasters under the
+/// quasi-unit-disk rule — everything the delivery rule reads, and
+/// nothing it does not: with two or more broadcasters inside `R2` the
+/// receiver gets nothing but the `±` indication, so neither who they
+/// are, nor where, nor in which order matters. A lone broadcaster's
+/// distance is the delivery rule's to compute, from the round's
+/// positions.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Heard {
+    /// No other broadcaster within `R2`.
+    Silence,
+    /// Exactly one, at intent slot `slot`.
+    One {
+        /// The broadcaster's tag (its intent slot).
+        slot: u32,
+    },
+    /// Two or more: they destroy each other at this receiver.
+    Many,
+}
+
+impl Heard {
+    /// Folds the slots of the hits inside `R2` of one receiver (itself
+    /// excluded) into the summary.
+    pub fn of(hits: impl IntoIterator<Item = u32>) -> Heard {
+        hits.into_iter()
+            .fold(HeardFold::default(), |f, slot| f.push(true, slot))
+            .finish()
+    }
+}
+
+/// The branch-free fold every round kind builds a [`Heard`] with: a
+/// hit count and the last hit's slot, which is the one hit's when
+/// there is one.
+#[derive(Clone, Copy, Default)]
+pub(crate) struct HeardFold {
+    count: usize,
+    last: u32,
+}
+
+impl HeardFold {
+    /// Folds in candidate `slot`; it counts iff `hit`.
+    #[inline(always)]
+    pub(crate) fn push(mut self, hit: bool, slot: u32) -> Self {
+        // A mask, not a branch on `hit`: about a third of the churn
+        // scan's candidates hit, in no order a predictor can learn.
+        let keep = u32::from(hit).wrapping_neg();
+        self.count += usize::from(hit);
+        self.last = (slot & keep) | (self.last & !keep);
+        self
+    }
+
+    /// The summary of everything folded in.
+    pub(crate) fn finish(self) -> Heard {
+        match self.count {
+            0 => Heard::Silence,
+            1 => Heard::One { slot: self.last },
+            _ => Heard::Many,
+        }
+    }
+}
+
+/// A uniform-grid index over tagged points, queried for the points
+/// within a radius of a centre.
 ///
-/// The channel [`Medium`](crate::channel::Medium) keeps one of these
-/// over node positions: with cell size `R2`, a range query for an
-/// interference radius touches at most a 3×3 block of cells, turning
-/// the naive all-pairs scan into a near-linear sweep.
+/// A counting sort: one contiguous `entries` array in row-major cell
+/// order with the position and tag inline, plus `starts[cell]`
+/// offsets. A centre's block of cells is then one linear range per cell
+/// row — no per-candidate indirection.
 ///
-/// Internally a bucket per cell (each bucket sorted by point index).
-/// The grid supports two maintenance regimes:
-///
-/// * [`SpatialGrid::rebuild`] reindexes a whole point set, recomputing
-///   the geometry (origin, cell size, dimensions) from the data. All
+/// * [`CellIndex::rebuild`] indexes a whole point set, anchoring the
+///   geometry (origin, cell size, dimensions) to its bounding box. All
 ///   buffers are reused, so steady-state rebuilds allocate nothing
 ///   once capacities have grown to the working-set size.
-/// * [`SpatialGrid::move_point`] updates the index incrementally
-///   under the geometry *anchored* by the last rebuild. Points that
-///   drift outside the anchored bounding box are clamped into edge
-///   cells — queries stay **correct** (every candidate is
-///   distance-filtered), only the edge buckets grow; callers can
-///   consult [`SpatialGrid::covers`] and trigger a rebuild when drift
-///   degrades the anchor.
+/// * [`CellIndex::move_point`] moves one point under the anchored
+///   geometry. Points that drift outside the anchored bounding box are
+///   clamped into edge cells — queries stay **correct** (every
+///   candidate is distance-filtered), only the edge cells grow; callers
+///   can consult [`CellIndex::covers`] and rebuild when drift degrades
+///   the anchor.
 ///
-/// Queries return indices in **ascending index order** regardless of
-/// maintenance history, so an incrementally-updated grid is
-/// query-for-query byte-identical to one rebuilt from scratch over the
-/// same points (a property the grid proptests assert).
+/// [`CellIndex::query_within`] lists the tags within a radius in
+/// **ascending order** whatever the maintenance history, so a moved
+/// index answers query for query like one rebuilt from scratch over the
+/// same points; [`CellIndex::scan`] only counts them.
 ///
-/// A point set that is replaced wholesale every round and only ever
-/// queried for a summary is better served by [`SnapshotIndex`].
+/// ```
+/// use vi_radio::geometry::{CellIndex, Heard, Point};
+/// let mut index = CellIndex::new(20.0);
+/// index.rebuild([(Point::new(0.0, 0.0), 7), (Point::new(50.0, 0.0), 9)].into_iter());
+/// // Slot 7 is the only point within 20 m of (5, 0) ...
+/// assert_eq!(index.scan(Point::new(5.0, 0.0), 20.0, u32::MAX), Heard::One { slot: 7 });
+/// // ... and hears nothing but itself.
+/// assert_eq!(index.scan(Point::new(0.0, 0.0), 20.0, 7), Heard::Silence);
+/// // Moved next to slot 9, it is listed with it.
+/// index.move_point(7, Point::new(45.0, 0.0));
+/// let mut near = Vec::new();
+/// index.query_within(Point::new(48.0, 0.0), 5.0, u32::MAX, &mut near);
+/// assert_eq!(near, [7, 9]);
+/// ```
 #[derive(Clone, Debug, Default)]
-pub struct SpatialGrid {
+pub struct CellIndex {
     /// Nominal cell size requested at construction.
     cell: f64,
     /// Geometry anchored by the last rebuild.
     frame: CellFrame,
-    /// Point indices bucketed by cell, each bucket sorted ascending.
-    cells: Vec<Vec<u32>>,
-    /// Copy of the indexed positions (for distance filtering).
-    positions: Vec<Point>,
+    /// `entries[starts[c]..starts[c + 1]]` is cell `c` (one more offset
+    /// than cells).
+    starts: Vec<u32>,
+    /// Every point with its tag, grouped by cell in row-major order.
+    entries: Vec<(Point, u32)>,
+    /// The cell of every indexed tag, where `move_point` finds it.
+    tag_cell: Vec<u32>,
 }
 
-impl SpatialGrid {
-    /// Creates an empty grid with the given nominal cell size.
+impl CellIndex {
+    /// Creates an empty index with the given nominal cell size (the
+    /// radius it will be queried with, for a 3×3-cell block per query).
     ///
     /// # Panics
     ///
     /// Panics if `cell` is not positive and finite.
     pub fn new(cell: f64) -> Self {
-        SpatialGrid {
-            cell: CellFrame::checked_nominal(cell),
-            ..SpatialGrid::default()
+        assert!(
+            cell.is_finite() && cell > 0.0,
+            "grid cell size must be positive and finite (got {cell})"
+        );
+        CellIndex {
+            cell,
+            ..CellIndex::default()
         }
     }
 
-    /// Number of points currently indexed.
+    /// Number of points indexed.
     pub fn len(&self) -> usize {
-        self.positions.len()
+        self.entries.len()
     }
 
     /// `true` if no points are indexed.
     pub fn is_empty(&self) -> bool {
-        self.positions.is_empty()
-    }
-
-    /// The current position of point `idx`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` is out of range.
-    pub fn position(&self, idx: u32) -> Point {
-        self.positions[idx as usize]
+        self.entries.is_empty()
     }
 
     /// `true` if `p` lies inside the bounding box the geometry was
@@ -341,230 +395,32 @@ impl SpatialGrid {
             && p.y <= f.anchor_max.y
     }
 
-    /// Reindexes `points`, recomputing the anchored geometry and
-    /// reusing all internal buffers.
-    pub fn rebuild(&mut self, points: &[Point]) {
-        self.positions.clear();
-        self.positions.extend_from_slice(points);
-        self.reindex();
-    }
-
-    /// Recomputes geometry and buckets from `self.positions`.
-    fn reindex(&mut self) {
-        self.frame = CellFrame::anchor(self.cell, self.positions.iter().copied());
-        let cells = self.frame.cells();
-        if self.cells.len() < cells {
-            self.cells.resize_with(cells, Vec::new);
+    /// Replaces the indexed set with `points` (position, distinct tag),
+    /// anchoring the geometry to their bounding box. The points are
+    /// walked three times — bounding box, cell tally, placement — and
+    /// copied nowhere else.
+    pub fn rebuild<I>(&mut self, points: I)
+    where
+        I: DoubleEndedIterator<Item = (Point, u32)> + Clone,
+    {
+        let mut tags = 0;
+        let positions = points.clone().map(|(p, tag)| {
+            tags = tags.max(tag as usize + 1);
+            p
+        });
+        self.frame = CellFrame::anchor(self.cell, positions);
+        if self.tag_cell.len() < tags {
+            self.tag_cell.resize(tags, 0);
         }
-        // Clear the whole active range (stale buckets from an earlier,
-        // larger geometry must never leak into queries).
-        for bucket in &mut self.cells[..cells] {
-            bucket.clear();
-        }
-        for (i, &p) in self.positions.iter().enumerate() {
-            // Indices arrive ascending, so pushing keeps buckets sorted.
-            self.cells[self.frame.cell_of(p)].push(i as u32);
-        }
-    }
-
-    /// Moves point `idx` to `to`, updating only the affected buckets.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` is out of range.
-    pub fn move_point(&mut self, idx: u32, to: Point) {
-        let from = self.positions[idx as usize];
-        self.positions[idx as usize] = to;
-        let cf = self.frame.cell_of(from);
-        let ct = self.frame.cell_of(to);
-        if cf != ct {
-            Self::bucket_remove(&mut self.cells[cf], idx);
-            Self::bucket_insert(&mut self.cells[ct], idx);
-        }
-    }
-
-    fn bucket_remove(bucket: &mut Vec<u32>, idx: u32) {
-        let at = bucket
-            .binary_search(&idx)
-            .expect("grid bucket must contain the point");
-        bucket.remove(at);
-    }
-
-    fn bucket_insert(bucket: &mut Vec<u32>, idx: u32) {
-        let at = bucket
-            .binary_search(&idx)
-            .expect_err("grid bucket already contains the point");
-        bucket.insert(at, idx);
-    }
-
-    /// Appends to `out` every point within `radius` of `center`
-    /// (inclusive, matching [`Point::within`]) as `(index, squared
-    /// distance from center)`, in **ascending index order** — the
-    /// canonical order, independent of how the grid was maintained.
-    pub fn query_within_d2(&self, center: Point, radius: f64, out: &mut Vec<(u32, f64)>) {
-        if self.positions.is_empty() {
-            return;
-        }
-        let base = out.len();
-        let r_sq = radius * radius;
-        let ((cx0, cx1), (cy0, cy1)) = self.frame.cell_range(center, radius);
-        for cy in cy0..=cy1 {
-            for cx in cx0..=cx1 {
-                for &idx in &self.cells[cy * self.frame.cols + cx] {
-                    let d2 = self.positions[idx as usize].distance_sq(center);
-                    if d2 <= r_sq {
-                        out.push((idx, d2));
-                    }
-                }
-            }
-        }
-        out[base..].sort_unstable_by_key(|&(idx, _)| idx);
-    }
-}
-
-/// What a receiver hears of one round's broadcasters under the
-/// quasi-unit-disk rule — everything the delivery rule reads, and
-/// nothing it does not: with two or more broadcasters inside `R2` the
-/// receiver gets nothing but the `±` indication, so neither who they
-/// are, nor where, nor in which order matters.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum Heard {
-    /// No other broadcaster within `R2`.
-    Silence,
-    /// Exactly one, at intent slot `slot` and squared distance `d2`.
-    One {
-        /// The broadcaster's tag (its intent slot).
-        slot: u32,
-        /// Its exact squared distance from the receiver.
-        d2: f64,
-    },
-    /// Two or more: they destroy each other at this receiver.
-    Many,
-}
-
-impl Heard {
-    /// Folds the `(slot, d²)` hits inside `R2` of one receiver (itself
-    /// excluded) into the summary.
-    pub fn of(hits: impl IntoIterator<Item = (u32, f64)>) -> Heard {
-        hits.into_iter()
-            .fold(HeardFold::default(), |f, (slot, d2)| f.push(true, slot, d2))
-            .finish()
-    }
-}
-
-/// The branch-free fold every round kind builds a [`Heard`] with. No
-/// minimum: one hit's `d2` is the last hit's, and two or more are
-/// only counted.
-#[derive(Clone, Copy, Default)]
-pub(crate) struct HeardFold {
-    count: usize,
-    last: u32,
-    last_d2: f64,
-}
-
-impl HeardFold {
-    /// Folds in candidate `slot` at squared distance `d2`; it counts iff `hit`.
-    #[inline(always)]
-    pub(crate) fn push(mut self, hit: bool, slot: u32, d2: f64) -> Self {
-        // Masks, not a branch on `hit`: about a third of the churn
-        // scan's candidates hit, in no order a predictor can learn.
-        let keep = u64::from(hit).wrapping_neg();
-        self.count += usize::from(hit);
-        self.last = (slot & keep as u32) | (self.last & !keep as u32);
-        self.last_d2 = f64::from_bits((d2.to_bits() & keep) | (self.last_d2.to_bits() & !keep));
-        self
-    }
-
-    /// The summary of everything folded in.
-    pub(crate) fn finish(self) -> Heard {
-        match self.count {
-            0 => Heard::Silence,
-            1 => Heard::One {
-                slot: self.last,
-                d2: self.last_d2,
-            },
-            _ => Heard::Many,
-        }
-    }
-}
-
-/// A read-only index over one round's tagged points, rebuilt from
-/// scratch each round and queried only for a [`Heard`] summary.
-///
-/// Where [`SpatialGrid`] keeps a bucket per cell and an anchored,
-/// incrementally maintained topology, this is a counting sort: one
-/// contiguous `entries` array in row-major cell order with the position
-/// and tag inline, plus `starts[cell]` offsets. A receiver's block of
-/// cells is then one linear range per cell row — no per-candidate
-/// indirection, no list to build, sort or prune. It is never moved,
-/// inserted into or removed from; it shares the anchoring rule and the
-/// cell-range arithmetic with [`SpatialGrid`].
-///
-/// ```
-/// use vi_radio::geometry::{Heard, Point, SnapshotIndex};
-/// let mut index = SnapshotIndex::new(20.0);
-/// index.rebuild([(Point::new(0.0, 0.0), 7), (Point::new(50.0, 0.0), 9)]);
-/// // Slot 7 is the only broadcaster within 20 m of (5, 0) ...
-/// let heard = index.scan(Point::new(5.0, 0.0), 20.0, u32::MAX);
-/// assert_eq!(heard, Heard::One { slot: 7, d2: 25.0 });
-/// // ... and hears nothing but itself.
-/// assert_eq!(index.scan(Point::new(0.0, 0.0), 20.0, 7), Heard::Silence);
-/// ```
-#[derive(Clone, Debug, Default)]
-pub struct SnapshotIndex {
-    /// Nominal cell size requested at construction.
-    cell: f64,
-    /// Geometry anchored by the last rebuild.
-    frame: CellFrame,
-    /// `entries[starts[c]..starts[c + 1]]` is cell `c` (one more offset
-    /// than cells).
-    starts: Vec<u32>,
-    /// Every point with its tag, grouped by cell in row-major order.
-    entries: Vec<(Point, u32)>,
-    /// Rebuild scratch: the points in arrival order.
-    staged: Vec<(Point, u32)>,
-}
-
-impl SnapshotIndex {
-    /// Creates an empty index with the given nominal cell size (the
-    /// radius it will be scanned with, for a 3×3-cell block per scan).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cell` is not positive and finite.
-    pub fn new(cell: f64) -> Self {
-        SnapshotIndex {
-            cell: CellFrame::checked_nominal(cell),
-            ..SnapshotIndex::default()
-        }
-    }
-
-    /// Number of points indexed.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// `true` if no points are indexed.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Replaces the indexed set with `points` (position, tag), anchoring
-    /// the geometry to their bounding box. All buffers are reused, so
-    /// rebuilds allocate nothing once capacities have grown to the
-    /// working-set size.
-    pub fn rebuild(&mut self, points: impl IntoIterator<Item = (Point, u32)>) {
-        self.staged.clear();
-        self.staged.extend(points);
-        self.frame = CellFrame::anchor(self.cell, self.staged.iter().map(|&(p, _)| p));
         // Counting sort by cell: tally, prefix-sum into end offsets,
         // then place back to front, which leaves `starts[c]` at the
         // start of cell `c` and keeps arrival order within a cell.
-        let cells = self.frame.cells();
         self.starts.clear();
-        self.starts.resize(cells + 1, 0);
-        for &(p, _) in &self.staged {
-            self.starts[self.frame.cell_of(p)] += 1;
+        self.starts.resize(self.frame.cells() + 1, 0);
+        for (p, tag) in points.clone() {
+            let cell = self.frame.cell_of(p);
+            self.starts[cell] += 1;
+            self.tag_cell[tag as usize] = cell as u32;
         }
         let mut end = 0u32;
         for start in &mut self.starts {
@@ -572,12 +428,83 @@ impl SnapshotIndex {
             *start = end;
         }
         // Every slot is overwritten below, so only the length matters.
-        self.entries.resize(self.staged.len(), (Point::ORIGIN, 0));
-        for &(p, tag) in self.staged.iter().rev() {
-            let start = &mut self.starts[self.frame.cell_of(p)];
+        self.entries.resize(end as usize, (Point::ORIGIN, 0));
+        for (p, tag) in points.rev() {
+            let start = &mut self.starts[self.tag_cell[tag as usize] as usize];
             *start -= 1;
             self.entries[*start as usize] = (p, tag);
         }
+    }
+
+    /// Moves the point tagged `tag` to `to` under the anchored
+    /// geometry. Between its old cell and its new one the entry is
+    /// rotated one cell boundary at a time: swapped to the edge of the
+    /// cell it is in, which then gives up that position to its
+    /// neighbour. Only the moved point's cell and the boundaries it
+    /// crosses change.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tag` is not indexed.
+    pub fn move_point(&mut self, tag: u32, to: Point) {
+        let from = self.tag_cell[tag as usize] as usize;
+        let dest = self.frame.cell_of(to);
+        let (lo, hi) = (self.starts[from] as usize, self.starts[from + 1] as usize);
+        let mut at = lo
+            + self.entries[lo..hi]
+                .iter()
+                .position(|&(_, t)| t == tag)
+                .expect("the index must hold the moved tag");
+        self.entries[at].0 = to;
+        self.tag_cell[tag as usize] = dest as u32;
+        for cell in from..dest {
+            // To the end of `cell`, which the next cell then starts at.
+            let last = self.starts[cell + 1] as usize - 1;
+            self.entries.swap(at, last);
+            self.starts[cell + 1] -= 1;
+            at = last;
+        }
+        for cell in (dest + 1..=from).rev() {
+            // To the start of `cell`, which the previous cell then ends at.
+            let first = self.starts[cell] as usize;
+            self.entries.swap(at, first);
+            self.starts[cell] += 1;
+            at = first;
+        }
+    }
+
+    /// The entries of the cells a disk of `radius` around `center` can
+    /// touch, as one contiguous slice per cell row.
+    fn block(&self, center: Point, radius: f64) -> impl Iterator<Item = &[(Point, u32)]> {
+        let ((cx0, cx1), (cy0, cy1)) = if self.entries.is_empty() {
+            // An empty range of rows: the frame has no cells.
+            ((0, 0), (1, 0))
+        } else {
+            self.frame.cell_range(center, radius)
+        };
+        (cy0..=cy1).map(move |cy| {
+            let row = cy * self.frame.cols;
+            let lo = self.starts[row + cx0] as usize;
+            let hi = self.starts[row + cx1 + 1] as usize;
+            &self.entries[lo..hi]
+        })
+    }
+
+    /// Replaces `out` with the tags of every point within `radius` of
+    /// `center` (inclusive, matching [`Point::within`]) except
+    /// `exclude`, in **ascending tag order** — the canonical order,
+    /// independent of how the index was maintained.
+    pub fn query_within(&self, center: Point, radius: f64, exclude: u32, out: &mut Vec<u32>) {
+        out.clear();
+        let r_sq = radius * radius;
+        for row in self.block(center, radius) {
+            for &(p, tag) in row {
+                if p.distance_sq(center) <= r_sq && tag != exclude {
+                    out.push(tag);
+                }
+            }
+        }
+        out.sort_unstable();
     }
 
     /// What a receiver at `center` hears of the indexed points: those
@@ -587,19 +514,11 @@ impl SnapshotIndex {
     /// One fused pass over the block's cell rows: hits are counted, not
     /// listed, and every candidate goes through the branch-free fold.
     pub fn scan(&self, center: Point, r2: f64, exclude: u32) -> Heard {
-        if self.entries.is_empty() {
-            return Heard::Silence;
-        }
         let r2_sq = r2 * r2;
-        let ((cx0, cx1), (cy0, cy1)) = self.frame.cell_range(center, r2);
         let mut fold = HeardFold::default();
-        for cy in cy0..=cy1 {
-            let row = cy * self.frame.cols;
-            let lo = self.starts[row + cx0] as usize;
-            let hi = self.starts[row + cx1 + 1] as usize;
-            for &(p, tag) in &self.entries[lo..hi] {
-                let d2 = p.distance_sq(center);
-                fold = fold.push((d2 <= r2_sq) & (tag != exclude), tag, d2);
+        for row in self.block(center, r2) {
+            for &(p, tag) in row {
+                fold = fold.push((p.distance_sq(center) <= r2_sq) & (tag != exclude), tag);
             }
         }
         fold.finish()
@@ -608,22 +527,12 @@ impl SnapshotIndex {
 
 #[cfg(test)]
 impl Heard {
-    /// The min-based fold [`HeardFold`] replaced, kept as the reference
-    /// the fold is held against: it keeps the nearest hit's distance,
-    /// which is the one hit's when there is one.
-    pub(crate) fn reference(hits: impl IntoIterator<Item = (u32, f64)>) -> Heard {
-        let (mut count, mut nearest, mut last) = (0usize, f64::INFINITY, 0u32);
-        for (slot, d2) in hits {
-            count += 1;
-            nearest = nearest.min(d2);
-            last = slot;
-        }
-        match count {
-            0 => Heard::Silence,
-            1 => Heard::One {
-                slot: last,
-                d2: nearest,
-            },
+    /// The obviously correct summary [`HeardFold`] is held against:
+    /// the hits listed, then matched on their number.
+    pub(crate) fn reference(hits: impl IntoIterator<Item = u32>) -> Heard {
+        match hits.into_iter().collect::<Vec<_>>()[..] {
+            [] => Heard::Silence,
+            [slot] => Heard::One { slot },
             _ => Heard::Many,
         }
     }
@@ -703,12 +612,18 @@ mod tests {
         assert_eq!(a.lerp(b, 0.5), Point::new(2.0, 4.0));
     }
 
-    /// The indices `query_within_d2` reports, in the order it reports
-    /// them.
-    fn query_within(grid: &SpatialGrid, center: Point, radius: f64) -> Vec<u32> {
+    /// Indexes `points`, tagged by their index.
+    fn index_of(cell: f64, points: &[Point]) -> CellIndex {
+        let mut index = CellIndex::new(cell);
+        index.rebuild(points.iter().copied().zip(0..points.len() as u32));
+        index
+    }
+
+    /// The tags `query_within` reports, in the order it reports them.
+    fn query_within(index: &CellIndex, center: Point, radius: f64) -> Vec<u32> {
         let mut hits = Vec::new();
-        grid.query_within_d2(center, radius, &mut hits);
-        hits.into_iter().map(|(idx, _)| idx).collect()
+        index.query_within(center, radius, u32::MAX, &mut hits);
+        hits
     }
 
     /// Brute-force oracle for grid queries.
@@ -727,13 +642,12 @@ mod tests {
                 Point::new((h % 1000) as f64 / 7.0, ((h >> 32) % 1000) as f64 / 7.0)
             })
             .collect();
-        let mut grid = SpatialGrid::new(20.0);
-        grid.rebuild(&points);
-        assert_eq!(grid.len(), points.len());
+        let index = index_of(20.0, &points);
+        assert_eq!(index.len(), points.len());
         for (qi, &center) in points.iter().enumerate().step_by(17) {
             for radius in [0.5, 5.0, 20.0, 75.0] {
                 assert_eq!(
-                    query_within(&grid, center, radius),
+                    query_within(&index, center, radius),
                     naive_within(&points, center, radius),
                     "query {qi} radius {radius}"
                 );
@@ -743,20 +657,20 @@ mod tests {
 
     #[test]
     fn grid_rebuild_reuses_and_resizes() {
-        let mut grid = SpatialGrid::new(10.0);
-        grid.rebuild(&[Point::new(1.0, 1.0), Point::new(2.0, 2.0)]);
-        assert_eq!(grid.len(), 2);
-        assert_eq!(query_within(&grid, Point::new(1.0, 1.0), 5.0).len(), 2);
+        let mut index = index_of(10.0, &[Point::new(1.0, 1.0), Point::new(2.0, 2.0)]);
+        assert_eq!(index.len(), 2);
+        assert_eq!(query_within(&index, Point::new(1.0, 1.0), 5.0).len(), 2);
 
         // Shrink to empty and grow again: queries must stay consistent.
-        grid.rebuild(&[]);
-        assert!(grid.is_empty());
-        assert!(query_within(&grid, Point::ORIGIN, 100.0).is_empty());
+        index.rebuild(std::iter::empty());
+        assert!(index.is_empty());
+        assert!(query_within(&index, Point::ORIGIN, 100.0).is_empty());
+        assert_eq!(index.scan(Point::ORIGIN, 100.0, u32::MAX), Heard::Silence);
 
-        let far = vec![Point::new(0.0, 0.0), Point::new(1e6, 1e6)];
-        grid.rebuild(&far);
+        let far = [Point::new(0.0, 0.0), Point::new(1e6, 1e6)];
+        index.rebuild(far.into_iter().zip(0..2));
         assert_eq!(
-            query_within(&grid, Point::new(1e6, 1e6), 1.0),
+            query_within(&index, Point::new(1e6, 1e6), 1.0),
             vec![1],
             "coarsened grid still answers correctly"
         );
@@ -764,15 +678,16 @@ mod tests {
 
     #[test]
     fn grid_query_is_inclusive_like_within() {
-        let points = vec![Point::new(0.0, 0.0), Point::new(3.0, 4.0)];
-        let mut grid = SpatialGrid::new(20.0);
-        grid.rebuild(&points);
+        let index = index_of(20.0, &[Point::new(0.0, 0.0), Point::new(3.0, 4.0)]);
         assert_eq!(
-            query_within(&grid, Point::ORIGIN, 5.0),
+            query_within(&index, Point::ORIGIN, 5.0),
             vec![0, 1],
             "boundary point included"
         );
-        assert_eq!(query_within(&grid, Point::ORIGIN, 4.999), vec![0]);
+        assert_eq!(query_within(&index, Point::ORIGIN, 4.999), vec![0]);
+        let mut hits = Vec::new();
+        index.query_within(Point::ORIGIN, 5.0, 0, &mut hits);
+        assert_eq!(hits, [1], "the excluded tag is left out");
     }
 
     /// The shared cell-range helper dropped the four `floor` calls of
@@ -817,46 +732,68 @@ mod tests {
     #[test]
     #[should_panic(expected = "grid cell size")]
     fn grid_rejects_bad_cell() {
-        let _ = SpatialGrid::new(0.0);
+        let _ = CellIndex::new(0.0);
     }
 
     #[test]
     fn grid_queries_are_in_ascending_index_order() {
         // Points scattered so cell order differs from index order.
-        let points = vec![
+        let points = [
             Point::new(90.0, 90.0),
             Point::new(1.0, 1.0),
             Point::new(50.0, 50.0),
             Point::new(2.0, 2.0),
         ];
-        let mut grid = SpatialGrid::new(10.0);
-        grid.rebuild(&points);
+        let index = index_of(10.0, &points);
         assert_eq!(
-            query_within(&grid, Point::new(45.0, 45.0), 100.0),
+            query_within(&index, Point::new(45.0, 45.0), 100.0),
             vec![0, 1, 2, 3],
             "canonical ascending order"
         );
-        let mut d2 = Vec::new();
-        grid.query_within_d2(Point::new(1.0, 1.0), 2.0, &mut d2);
-        assert_eq!(d2.len(), 2);
-        assert_eq!((d2[0].0, d2[1].0), (1, 3));
-        assert_eq!(d2[0].1, 0.0);
+        assert_eq!(query_within(&index, Point::new(1.0, 1.0), 2.0), vec![1, 3]);
     }
 
+    /// Moves forward and backward across cells (within a row and
+    /// across rows), within one cell, and out of the anchored box: after
+    /// each, every query answers like an index rebuilt from the moved
+    /// points, and the cell offsets still partition the entries.
     #[test]
     fn grid_incremental_ops_track_positions() {
-        let mut grid = SpatialGrid::new(5.0);
-        grid.rebuild(&[Point::new(0.0, 0.0), Point::new(20.0, 0.0)]);
-        assert!(grid.covers(Point::new(10.0, 0.0)));
-        assert!(!grid.covers(Point::new(30.0, 5.0)));
-
-        // Move point 0 across cells; queries follow it.
-        grid.move_point(0, Point::new(19.0, 0.0));
-        assert_eq!(grid.position(0), Point::new(19.0, 0.0));
-        assert_eq!(query_within(&grid, Point::new(20.0, 0.0), 1.5), vec![0, 1]);
-
-        // Moving outside the anchor stays correct (clamped edge cell).
-        grid.move_point(0, Point::new(45.0, 3.0));
-        assert_eq!(query_within(&grid, Point::new(45.0, 3.0), 1.0), vec![0]);
+        let mut points: Vec<Point> = (0..12)
+            .map(|i| Point::new(f64::from(i % 4) * 10.0 + 1.0, f64::from(i / 4) * 10.0 + 1.0))
+            .collect();
+        let mut index = index_of(5.0, &points);
+        assert!(index.covers(Point::new(10.0, 10.0)));
+        assert!(!index.covers(Point::new(40.0, 5.0)));
+        let moves = [
+            (0, Point::new(29.0, 1.0)),  // forward along a row
+            (0, Point::new(2.0, 1.5)),   // backward along it
+            (0, Point::new(3.0, 2.0)),   // within one cell
+            (5, Point::new(11.0, 31.0)), // forward across rows
+            (11, Point::new(1.0, 0.5)),  // backward across rows
+            (7, Point::new(45.0, 3.0)),  // outside the anchor (clamped)
+            (7, Point::new(-9.0, 40.0)), // and out the other side
+        ];
+        for (tag, to) in moves {
+            index.move_point(tag, to);
+            points[tag as usize] = to;
+            let rebuilt = index_of(5.0, &points);
+            assert_eq!(index.len(), points.len());
+            assert_eq!(index.starts.last().copied(), Some(points.len() as u32));
+            assert!(index.starts.windows(2).all(|w| w[0] <= w[1]));
+            for center in points.iter().copied().chain([Point::new(20.0, 20.0)]) {
+                for radius in [1.0, 5.0, 12.0, 60.0] {
+                    assert_eq!(
+                        query_within(&index, center, radius),
+                        query_within(&rebuilt, center, radius),
+                        "after moving {tag} to {to}: centre {center} radius {radius}"
+                    );
+                    assert_eq!(
+                        query_within(&index, center, radius),
+                        naive_within(&points, center, radius)
+                    );
+                }
+            }
+        }
     }
 }

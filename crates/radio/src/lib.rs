@@ -14,7 +14,7 @@
 //!   radius `R1` can communicate; broadcasters within the interference
 //!   radius `R2` of a receiver destroy reception ([`RadioConfig`]).
 //!   Rounds are resolved by the [`Medium`], a spatially-indexed
-//!   ([`SpatialGrid`]) path with reusable buffers that is
+//!   ([`CellIndex`]) path with reusable buffers that is
 //!   differentially tested against the naive
 //!   [`resolve_round_reference`] specification.
 //! * **Collision detectors in class 3A-C** — *complete* (no false
@@ -95,7 +95,7 @@ pub use channel::{
 };
 pub use config::{ConfigError, RadioConfig};
 pub use engine::{AsAny, Engine, EngineConfig, NodeId, NodeSpec, Process, RoundCtx};
-pub use geometry::{Point, SpatialGrid};
+pub use geometry::{CellIndex, Point};
 pub use trace::{ChannelStats, RoundRecord, Trace};
 
 /// Abstract on-the-wire size of a message, in bytes.

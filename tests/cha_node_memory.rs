@@ -1,13 +1,15 @@
 //! The per-node memory bound of a CHA run shaped like vi-perf's metro
 //! workloads (uniform city, 2 % waypoints, randomized backoff, 10
 //! instances), at n = 5 000 through `ScenarioSpec::run`: build, run
-//! and spec check together peak at most 1 150 bytes of heap per node
-//! (1 070 measured). Each node handing its proposals and outputs to
-//! the run's checker as it makes them, instead of keeping them for a
-//! check after the run, took this from 1 514; storing each `ChaNode`
-//! in a box and growing its outputs, proposals and instance window by
-//! doubling, with the spec checker copying every proposal, peaked at
-//! 1 979.
+//! and spec check together peak at most 950 bytes of heap per node
+//! (887 measured). The radio medium keeping one cell index and
+//! slot-only neighbour lists, with its round buffers reserved for the
+//! population, took this from 1 070 (then bounded at 1 150). Each node
+//! handing its proposals and outputs to the run's checker as it makes
+//! them, instead of keeping them for a check after the run, took it
+//! from 1 514; storing each `ChaNode` in a box and growing its
+//! outputs, proposals and instance window by doubling, with the spec
+//! checker copying every proposal, peaked at 1 979.
 //!
 //! Measured with a global allocator that tracks live bytes and their
 //! peak, so this file must hold exactly one `#[test]` — a sibling test
@@ -26,7 +28,7 @@ use virtual_infra::scenario::{
 const NODES: usize = 5_000;
 
 /// Peak heap per node, build to verdict.
-const BOUND_BYTES_PER_NODE: usize = 1_150;
+const BOUND_BYTES_PER_NODE: usize = 950;
 
 #[test]
 fn a_metro_cha_run_peaks_below_its_per_node_bound() {

@@ -10,7 +10,7 @@ use virtual_infra::contention::{
 use virtual_infra::radio::channel::{
     resolve_round, resolve_round_reference, Medium, ReceptionBuffer, TopologyDelta, TxIntent,
 };
-use virtual_infra::radio::geometry::{Heard, Point, Rect, SnapshotIndex, SpatialGrid};
+use virtual_infra::radio::geometry::{CellIndex, Heard, Point, Rect};
 use virtual_infra::radio::mobility::{MobilityModel, MobilitySpec};
 use virtual_infra::radio::{
     AdversaryKind, ChannelStats, Engine, EngineConfig, NodeId, NodeSpec, Process, RadioConfig,
@@ -475,10 +475,11 @@ proptest! {
         }
     }
 
-    /// Satellite property of the hot-path overhaul: a spatial grid
-    /// maintained incrementally (a random sequence of moves, inside and
-    /// outside the anchored box) is byte-identical — query order
-    /// included — to a grid rebuilt from scratch over the same points.
+    /// A cell index moved point by point (a random sequence of moves
+    /// forward and backward across cells and rows, within one cell, and
+    /// outside the anchored box) answers every query — order included —
+    /// exactly like an index rebuilt from scratch over the final
+    /// positions.
     #[test]
     fn incremental_grid_matches_rebuilt_grid(
         initial in proptest::collection::vec(arb_point(), 1..30),
@@ -486,33 +487,40 @@ proptest! {
         cell in 3.0f64..40.0,
         radius in 0.5f64..50.0,
     ) {
-        let mut grid = SpatialGrid::new(cell);
-        grid.rebuild(&initial);
+        let index_of = |points: &[Point]| {
+            let mut index = CellIndex::new(cell);
+            index.rebuild(points.iter().copied().zip(0..points.len() as u32));
+            index
+        };
         let mut mirror = initial.clone();
+        let mut index = index_of(&mirror);
 
-        for (p, index) in moves {
-            let idx = index % mirror.len();
-            grid.move_point(idx as u32, p);
-            mirror[idx] = p;
+        for (p, i) in moves {
+            let tag = (i % mirror.len()) as u32;
+            index.move_point(tag, p);
+            mirror[tag as usize] = p;
 
-            // A from-scratch grid over the mirrored points must agree
-            // with the incrementally maintained one on every query,
-            // including result order.
-            let mut rebuilt = SpatialGrid::new(cell);
-            rebuilt.rebuild(&mirror);
-            prop_assert_eq!(grid.len(), mirror.len());
-            prop_assert_eq!(grid.position(idx as u32), p);
+            // A from-scratch index over the mirrored points must agree
+            // with the moved one on every query, including result
+            // order, and on what each point hears.
+            let rebuilt = index_of(&mirror);
+            prop_assert_eq!(index.len(), mirror.len());
             for center in [p, Point::new(0.0, 0.0), mirror[0]] {
-                let (mut inc, mut scratch) = (Vec::new(), Vec::new());
-                grid.query_within_d2(center, radius, &mut inc);
-                rebuilt.query_within_d2(center, radius, &mut scratch);
-                prop_assert_eq!(&inc, &scratch, "query mismatch at {}", center);
+                let (mut moved, mut scratch) = (Vec::new(), Vec::new());
+                index.query_within(center, radius, tag, &mut moved);
+                rebuilt.query_within(center, radius, tag, &mut scratch);
+                prop_assert_eq!(&moved, &scratch, "query mismatch at {}", center);
+                prop_assert_eq!(
+                    index.scan(center, radius, tag),
+                    rebuilt.scan(center, radius, tag),
+                    "scan mismatch at {}", center
+                );
             }
         }
     }
 
     /// Differential law for the churn round's kernel: one fused
-    /// [`SnapshotIndex::scan`] returns exactly the [`Heard`] a brute
+    /// [`CellIndex::scan`] returns exactly the [`Heard`] a brute
     /// force over the same tagged points does. Points sit on an integer
     /// lattice and the radius is the hypotenuse of a 6-8-10 or a 5-12-13
     /// triangle, so hits *exactly at* `r2` (inclusive) and coincident
@@ -536,7 +544,7 @@ proptest! {
         let step = [0.25, 1.0, 9.0][spread];
         let r2 = [10.0, 13.0][radius];
         let at = |&(x, y): &(i32, i32)| Point::new(f64::from(x) * step, f64::from(y) * step);
-        let mut index = SnapshotIndex::new(r2);
+        let mut index = CellIndex::new(r2);
         for lattice in [&first, &second] {
             // Odd tags: sparse like intent slots, and never a
             // listener's (even) tag.
@@ -552,14 +560,14 @@ proptest! {
             prop_assert_eq!(index.len(), points.len());
 
             let brute = |center: Point, exclude: u32| {
-                let hits: Vec<(u32, f64)> = points
+                let hits: Vec<u32> = points
                     .iter()
                     .filter(|&&(p, tag)| tag != exclude && p.within(center, r2))
-                    .map(|&(p, tag)| (tag, p.distance_sq(center)))
+                    .map(|&(_, tag)| tag)
                     .collect();
                 match hits[..] {
                     [] => Heard::Silence,
-                    [(slot, d2)] => Heard::One { slot, d2 },
+                    [slot] => Heard::One { slot },
                     _ => Heard::Many,
                 }
             };

@@ -2,10 +2,10 @@
 //! buffers have warmed up, a steady-state engine round over a static
 //! topology (tracing off, null observers, non-allocating
 //! processes) performs **zero** heap allocations. So does a churn
-//! round of the medium — every position moved, the broadcaster
-//! snapshot index rebuilt from scratch — and a re-anchor round — the
-//! full-topology grid rebuilt and every receiver's cached neighborhood
-//! refilled by a grid query — once their buffers have grown.
+//! round of the medium — every position moved, the cell index rebuilt
+//! from scratch over the broadcasters — and a re-anchor round — the
+//! cell index rebuilt over every node and every receiver's cached
+//! neighborhood refilled by a query — once their buffers have grown.
 //!
 //! Measured with a counting global allocator, so this file must hold
 //! exactly one `#[test]` — a sibling test running on another thread
@@ -110,7 +110,7 @@ fn steady_state_rounds_allocate_nothing() {
     // Churn rounds: every node steps back and forth (period 2) under a
     // broadcast pattern of period 3, and the caller reports `Rebuild`
     // every round, so each round counting-sorts that round's
-    // broadcasters into the snapshot index and scans it once per
+    // broadcasters into the cell index and scans it once per
     // receiver. After one joint period every index geometry has been
     // seen and its buffers have grown.
     let mut medium = Medium::new(RadioConfig::reliable(10.0, 20.0));
@@ -161,14 +161,14 @@ fn steady_state_rounds_allocate_nothing() {
     assert_eq!(
         after - before,
         0,
-        "churn rounds must not allocate once the snapshot index has grown"
+        "churn rounds must not allocate once the cell index has grown"
     );
     assert!(heard > 0, "the churn rounds delivered messages");
 
     // Re-anchor rounds: nobody moves, but the caller reports `Rebuild`
     // every other round, so each `Unchanged` round in between finds the
-    // cache invalidated and re-anchors — `SpatialGrid::rebuild` plus
-    // one grid query per receiver, copied into its cached
+    // cache invalidated and re-anchors — `CellIndex::rebuild` over
+    // every intent plus one query per receiver, copied into its cached
     // neighborhood. A live observer handle confirms the round kind (and
     // rides inside the window: counting and phase timing allocate
     // nothing).
@@ -190,7 +190,7 @@ fn steady_state_rounds_allocate_nothing() {
     assert_eq!(
         after - before,
         0,
-        "re-anchor rounds must not allocate once grid and neighborhoods have grown"
+        "re-anchor rounds must not allocate once index and neighborhoods have grown"
     );
     assert_eq!(
         (warm, reanchors()),
