@@ -197,6 +197,14 @@ guards=(
   'above-tests:crates/bench/src' '-'
   'vi-bench builds or downcasts a node again; run a clique_spec, or a typed Engine<M, P>'
 
+  # One register check that always concludes: the Gibbons–Korach zone
+  # test. The budgeted WGL search, its forced-cut segments and its
+  # budget-exhausted verdict are gone from production vi-audit; the
+  # test-only WGL oracle keeps a budget of its own.
+  'search_segment|SegmentWrites|DEFAULT_BUDGET|BudgetExhausted'
+  'above-tests:crates/audit/src' '^crates/audit/src/linearizability/reference\.rs:'
+  'the budgeted WGL search is back in production vi-audit; the register check is the zone test'
+
   # Each experiment asserts its paper claim where it builds the
   # table, and tier-1's pinned-table loop regenerates all of them: no
   # table is exempt from the loop.

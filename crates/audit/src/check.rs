@@ -10,8 +10,8 @@
 //!   is checked against its invocation when it arrives.
 //! * `linearizable` (register): one [`RegOp`] per write or read, in
 //!   invocation order, resolved in place — a read that never returned
-//!   a value is dropped at the end — plus each op's client. The WGL
-//!   search runs over them in [`Auditor::finish`].
+//!   a value is dropped at the end — plus each op's client. The zone
+//!   test runs over them in [`Auditor::finish`].
 //! * `mutual_exclusion` and `fifo_grants` (mutex): each client's
 //!   grant/release intervals, the grant/release alternation as the
 //!   records arrive, and each client's acquire and completion order.
@@ -48,7 +48,8 @@ pub enum Verdict {
     Pass,
     /// The property is violated; the result carries a witness.
     Violation,
-    /// The checker could not reach a verdict (search budget ran out).
+    /// The checker could not reach a verdict: the register history
+    /// writes a value twice, which the zone test does not decide.
     /// Distinct from [`Verdict::Violation`]: nothing was proven wrong
     /// — but audits gate conservatively, so it still fails
     /// [`AuditReport::ok`].
@@ -187,8 +188,8 @@ fn outcome_matches(op: &OpDesc, outcome: &OpOutcome) -> bool {
     )
 }
 
-/// The op ids a minimized witness names. Every witness line the
-/// minimizer emits starts with `#<id> ` (see `RegOp::describe`).
+/// The op ids a register witness names. Every witness line starts
+/// with `#<id> ` (see `RegOp::describe`).
 fn witness_op_ids(witness: &[String]) -> Vec<u64> {
     witness
         .iter()
@@ -200,7 +201,7 @@ fn witness_op_ids(witness: &[String]) -> Vec<u64> {
         .collect()
 }
 
-/// Runs the WGL search over `ops` and wraps the verdict.
+/// Runs the zone test over `ops` and wraps the verdict.
 fn linearizable_result(ops: &[RegOp]) -> CheckResult {
     let checked = ops.len() as u64;
     match linearizability::check_register(ops) {
@@ -209,11 +210,9 @@ fn linearizable_result(ops: &[RegOp]) -> CheckResult {
             let ids = witness_op_ids(&witness);
             CheckResult::violation_with_ops("linearizable", checked, witness.join("; "), ids)
         }
-        LinResult::BudgetExhausted => CheckResult::inconclusive(
-            "linearizable",
-            checked,
-            "search budget exhausted before a verdict".into(),
-        ),
+        LinResult::Inconclusive { reason } => {
+            CheckResult::inconclusive("linearizable", checked, reason)
+        }
     }
 }
 

@@ -1,6 +1,6 @@
 //! The batch checkers the online [`super::Auditor`] replaced, kept
 //! as the differential oracle (the way `linearizability/reference.rs`
-//! serves the WGL search): each walks a whole stored [`History`],
+//! serves the zone test): each walks a whole stored [`History`],
 //! building its own invocation and completion tables. vi-audit's unit
 //! tests declare it under `#[cfg(test)]`, and `tests/audit_properties.rs`
 //! includes this file by path, so it uses nothing but the parent
@@ -59,7 +59,8 @@ fn violation(name: &str, checked: u64, witness: String) -> CheckResult {
     }
 }
 
-/// The atomic-register checker: the WGL search over [`register_ops`].
+/// The atomic-register checker: the register check over
+/// [`register_ops`].
 pub fn check_register_linearizable(history: &History) -> CheckResult {
     audit_register_ops("register", &register_ops(history))
         .checks
@@ -159,7 +160,7 @@ pub fn check_well_formed(history: &History) -> CheckResult {
     }
 }
 
-/// Extracts the register operations a WGL check runs over: acked and
+/// Extracts the register operations the register check runs over: acked and
 /// pending writes, plus returned reads (timed-out reads constrain
 /// nothing and are dropped).
 pub fn register_ops(history: &History) -> Vec<RegOp> {

@@ -12,9 +12,10 @@
 //! times the apps, `vi-audit` *certifies* them.
 //!
 //! * The **checkers** (module [`check`]) — per-app oracles over a
-//!   run's operation history: a memoized Wing–Gong/WGL
-//!   linearizability search for the register (module
-//!   [`linearizability`], with minimized counterexample witnesses),
+//!   run's operation history: the Gibbons–Korach zone test of
+//!   linearizability for the register (module [`linearizability`],
+//!   exact in O(n log n) on unique write values, with a witness of at
+//!   most six operations),
 //!   mutual exclusion + FIFO-grant discipline for the mutex, monotone
 //!   freshness for tracking lookups, and delivery/no-duplication for
 //!   georouting. An [`Auditor`] runs everything an app answers to and

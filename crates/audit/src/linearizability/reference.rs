@@ -1,24 +1,32 @@
-//! The full-bitset WGL search the window-compact, segmented checker
-//! in the parent module replaced, kept verbatim as the differential
-//! oracle (the way `resolve_round_reference` serves the channel). It
-//! memoises every visited state as an `n`-bit set — `n²/8` bytes per
-//! check — so it is compiled into tests only: vi-audit's unit tests
-//! declare it under `#[cfg(test)]`, and `tests/audit_properties.rs`
-//! includes this file by path. It therefore uses nothing but the
-//! parent module's public items.
+//! A memoized Wing–Gong/WGL search, the register check before the
+//! zone test in the parent module, kept as the differential oracle
+//! (the way `resolve_round_reference` serves the channel). It decides
+//! any history, repeated write values included, by searching the
+//! orders that respect real time, and memoises every visited state as
+//! an `n`-bit set — exponential time, `n²/8` bytes a check — so it is
+//! compiled into tests only: vi-audit's unit tests declare it under
+//! `#[cfg(test)]`, and `tests/audit_properties.rs` includes this file
+//! by path. It therefore uses nothing but the parent module's public
+//! items.
 
-use super::{LinResult, RegOp, RegOpKind, DEFAULT_BUDGET, INITIAL_VALUE, PENDING};
+use super::{LinResult, RegOp, RegOpKind, INITIAL_VALUE, PENDING};
 use std::collections::HashSet;
 
-/// [`super::check_register`] as it was before the rewrite: same
-/// budget, same candidate order, same minimizer ladder.
+/// Applied search nodes before the search gives up.
+const BUDGET: u64 = 5_000_000;
+
+/// The reference verdict. It does not minimise: a violation's witness
+/// is the whole history. A search that runs out of [`BUDGET`] is
+/// inconclusive.
 pub fn check_register_reference(ops: &[RegOp]) -> LinResult {
-    let mut budget = DEFAULT_BUDGET;
+    let mut budget = BUDGET;
     match linearizable(ops, &mut budget) {
-        None => LinResult::BudgetExhausted,
+        None => LinResult::Inconclusive {
+            reason: "search budget exhausted".into(),
+        },
         Some(true) => LinResult::Ok,
         Some(false) => LinResult::Violation {
-            witness: minimize(ops),
+            witness: ops.iter().map(describe).collect(),
         },
     }
 }
@@ -169,55 +177,6 @@ fn linearizable(ops: &[RegOp], budget: &mut u64) -> Option<bool> {
         value = frame.prev_value;
         cand = inv_list.next[i];
     }
-}
-
-fn truncate(ops: &[RegOp], cut: u64) -> Vec<RegOp> {
-    ops.iter()
-        .filter(|o| o.inv <= cut)
-        .map(|o| {
-            let mut o = *o;
-            if o.ret > cut {
-                o.ret = PENDING;
-            }
-            o
-        })
-        .filter(|o| !(o.ret == PENDING && matches!(o.kind, RegOpKind::Read { .. })))
-        .collect()
-}
-
-fn fails(ops: &[RegOp]) -> bool {
-    let mut budget = DEFAULT_BUDGET;
-    linearizable(ops, &mut budget) == Some(false)
-}
-
-fn minimize(ops: &[RegOp]) -> Vec<String> {
-    let mut cuts: Vec<u64> = ops
-        .iter()
-        .map(|o| o.ret)
-        .filter(|&r| r != PENDING)
-        .collect();
-    cuts.sort_unstable();
-    cuts.dedup();
-    let (mut lo, mut hi) = (0usize, cuts.len().saturating_sub(1));
-    while lo < hi {
-        let mid = (lo + hi) / 2;
-        if fails(&truncate(ops, cuts[mid])) {
-            hi = mid;
-        } else {
-            lo = mid + 1;
-        }
-    }
-    let mut core = truncate(ops, cuts[lo]);
-    let mut i = core.len();
-    while i > 0 {
-        i -= 1;
-        let mut without = core.clone();
-        without.remove(i);
-        if fails(&without) {
-            core = without;
-        }
-    }
-    core.iter().map(describe).collect()
 }
 
 fn describe(op: &RegOp) -> String {

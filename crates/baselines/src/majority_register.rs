@@ -10,9 +10,9 @@
 //! newer writes completed at a majority. The paper's virtual-node
 //! register avoids the bug structurally — there is one agreed replica
 //! state, and *every* response routes through it — which is exactly
-//! what the `vi-audit` WGL checker certifies in E17. This baseline
+//! what the `vi-audit` register check certifies in E17. This baseline
 //! exists so `examples/audit_demo.rs` can show the checker catching
-//! the violation, minimized witness and all.
+//! the violation, witness and all.
 
 use vi_audit::linearizability::PENDING;
 use vi_audit::{RegOp, RegOpKind};
@@ -179,7 +179,7 @@ impl Process<MajRegMessage> for MajorityRegister {
     }
 }
 
-/// Flattens every node's write/read logs into the WGL register
+/// Flattens every node's write/read logs into the register
 /// operations the `vi-audit` checker consumes (node order, writes
 /// before reads per node; a write that never reached a majority is
 /// pending, a local read is instantaneous). Shared by

@@ -11,11 +11,11 @@
 //! included, are byte-identical. Rows report per-run op counts,
 //! timeouts (`:info` ops), and the verdict of every consistency
 //! checker; the experiment **panics if any checker reports a
-//! violation**, printing the minimized witness — the audit is the
+//! violation**, printing the witness — the audit is the
 //! acceptance gate, not just a measurement.
 //!
 //! The nemesis histories are a few dozen operations each, so the
-//! table closes with **checker-volume rows**: the WGL register check
+//! table closes with **checker-volume rows**: the register zone test
 //! alone over legal synthetic histories of 10 000, 100 000 and
 //! 1 000 000 operations. What the check costs is not this table's
 //! business: its memory is guarded by `tests/audit_memory.rs`, its
@@ -96,7 +96,7 @@ fn volume_row(ops: usize) -> Vec<String> {
 /// # Panics
 ///
 /// Panics if any audited run violates a consistency checker (with the
-/// minimized witness in the message) — passing audits are this
+/// witness in the message) — passing audits are this
 /// experiment's acceptance criterion.
 pub fn consistency_audit() -> Table {
     let jobs = audit_jobs();
@@ -141,7 +141,7 @@ pub fn consistency_audit() -> Table {
     );
     t.note("timeouts are Jepsen :info ops (maybe-applied, concurrent-forever for the checkers)");
     t.note("1-worker vs N-worker sweeps asserted byte-identical, audit reports included");
-    t.note("synthetic_history rows: the WGL register check alone on a legal history");
+    t.note("synthetic_history rows: the register zone test alone on a legal history");
     t
 }
 

@@ -13,7 +13,7 @@
 //!    observability fields, must equal the plain untraced run.
 //! 2. **Violations dump replayable incident bundles.** The
 //!    `broken_majority` catalog scenario deterministically fails the
-//!    WGL linearizability audit; its run must attach an
+//!    register linearizability audit; its run must attach an
 //!    [`IncidentBundle`] whose [`IncidentBundle::replay`] reproduces
 //!    the identical audit verdict *and* the identical bundle at both
 //!    worker counts. With `VI_INCIDENT_DIR` set, the bundle is also
@@ -166,7 +166,7 @@ pub fn protocol_trace() -> Table {
     t.note(
         "every traced outcome, observability fields stripped, asserted equal to its untraced run",
     );
-    t.note("broken_majority: WGL violation dumped as an incident bundle; replay asserted to reproduce verdict and bundle byte-identically");
+    t.note("broken_majority: linearizability violation dumped as an incident bundle; replay asserted to reproduce verdict and bundle byte-identically");
     t.note("set VI_INCIDENT_DIR=. to write incident_broken_majority.json; replay it via `repro --replay incident_broken_majority.json`");
     t.note("set VI_TRACE=out.json to export the causal DAG as Perfetto flow events");
     t

@@ -414,32 +414,6 @@ impl<'a, V: Clone + Ord + fmt::Debug> ChaSpecChecker<'a, V> {
         self.replayed().agreement().to_vec()
     }
 
-    /// Agreement by exhaustive pairwise comparison (quadratic; used to
-    /// cross-validate [`ChaSpecChecker::check_agreement`] on small
-    /// traces).
-    pub fn check_agreement_exhaustive(&self) -> Vec<SpecViolation> {
-        let decided: Vec<_> = self
-            .outputs()
-            .filter_map(|(node, o)| o.history.as_deref().map(|h| (node, o.instance, h)))
-            .collect();
-        let mut violations = Vec::new();
-        for i in 0..decided.len() {
-            for j in (i + 1)..decided.len() {
-                let (na, ka, ha) = decided[i];
-                let (nb, kb, hb) = decided[j];
-                let upto = ka.min(kb);
-                if let Some(at) = first_disagreement(ha, hb, upto) {
-                    violations.push(SpecViolation::Agreement {
-                        a: (na, ka),
-                        b: (nb, kb),
-                        at,
-                    });
-                }
-            }
-        }
-        violations
-    }
-
     /// Liveness: see [`ChaSpecStream::liveness_kst`].
     pub fn liveness_kst(&self) -> Option<u64> {
         self.replayed().liveness_kst()
@@ -580,7 +554,10 @@ mod tests {
         c.record_output(0, &a);
         c.record_output(1, &b);
         assert!(!c.check_agreement().is_empty());
-        assert!(!c.check_agreement_exhaustive().is_empty());
+        let mut exhaustive = reference::ChaSpecCheckerReference::new();
+        exhaustive.record_output(0, &a);
+        exhaustive.record_output(1, &b);
+        assert!(!exhaustive.check_agreement_exhaustive().is_empty());
     }
 
     #[test]
@@ -622,19 +599,24 @@ mod tests {
             .collect();
         let corrupt = out(3, Some(history(&[(3, 99)], 3)), Color::Green);
         let mut c = ChaSpecChecker::new();
+        let mut exhaustive = reference::ChaSpecCheckerReference::new();
         for k in 1..=5u64 {
             c.record_proposal(k, k as u32);
         }
         for node in 0..4usize {
             c.record_outputs(node, &outs);
+            for o in &outs {
+                exhaustive.record_output(node, o);
+            }
         }
         assert!(c.check_agreement().is_empty());
-        assert!(c.check_agreement_exhaustive().is_empty());
+        assert!(exhaustive.check_agreement_exhaustive().is_empty());
 
         c.record_output(9, &corrupt);
         c.record_proposal(3, 99);
+        exhaustive.record_output(9, &corrupt);
         assert!(!c.check_agreement().is_empty());
-        assert!(!c.check_agreement_exhaustive().is_empty());
+        assert!(!exhaustive.check_agreement_exhaustive().is_empty());
     }
 
     #[test]

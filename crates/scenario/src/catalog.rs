@@ -222,7 +222,7 @@ fn broken_detector() -> ScenarioSpec {
 /// local reads, partitioned so the bug fires: from round 6 the last
 /// replica is cut off while the leader keeps completing writes with
 /// the remaining majority, so the cut replica's local reads go stale
-/// and the WGL audit reports a **deterministic linearizability
+/// and the register audit reports a **deterministic linearizability
 /// violation**. The incident-bundle pipeline (flight recorder, causal
 /// slice, `vi-bench --replay`) is exercised against this scenario.
 fn broken_majority() -> ScenarioSpec {
@@ -675,7 +675,7 @@ mod tests {
 
     /// The promoted fuzz findings reproduce under their discovery
     /// seeds: the scattered clique violates CHA safety, the split
-    /// quorum fails the WGL audit — and both are clean little specs
+    /// quorum fails the register audit — and both are clean little specs
     /// that scenario validation rightly accepts.
     #[test]
     fn promoted_fuzz_findings_reproduce_under_their_discovery_seeds() {

@@ -599,7 +599,7 @@ impl ScenarioSpec {
     }
 
     /// Runs the deliberately broken majority-register baseline and
-    /// always audits the collected WGL operations: with a partition
+    /// always audits the collected register operations: with a partition
     /// cutting off the last replica, the stale local reads produce a
     /// deterministic linearizability violation — the fixture the
     /// incident-bundle pipeline is exercised against.

@@ -251,7 +251,7 @@ pub enum WorkloadSpec {
     /// The deliberately broken majority-acked register baseline
     /// ([`vi_baselines::MajorityRegister`]): writes replicate to a
     /// majority but reads are served from the local copy. Always
-    /// audited — the WGL checker catches the stale reads once
+    /// audited — the register check catches the stale reads once
     /// `partition_from` cuts the last replica off. Exists so the
     /// incident-bundle pipeline has a scenario that *deterministically*
     /// violates linearizability.

@@ -6,8 +6,8 @@
 //!    through blackouts, detector corruption, and crash bursts.
 //! 2. Run the deliberately broken `vi-baselines` majority register —
 //!    majority-acked writes, quorum-free *local* reads — behind a
-//!    partition, and watch the WGL linearizability checker catch it,
-//!    minimized witness and all.
+//!    partition, and watch the linearizability check catch it, witness
+//!    and all.
 //!
 //! ```sh
 //! cargo run --example audit_demo --release
@@ -73,7 +73,7 @@ fn main() {
     engine.run(rounds);
 
     // Collect the observed history — the leader's write lifecycles
-    // and every replica's instantaneous local reads — as WGL register
+    // and every replica's instantaneous local reads — as register
     // operations (the same collection the baseline's own tests use).
     let ops = collect_register_ops(&engine, &ids);
     println!(
@@ -86,9 +86,9 @@ fn main() {
     );
     match check_register(&ops) {
         LinResult::Ok => panic!("the broken baseline must fail linearizability"),
-        LinResult::BudgetExhausted => panic!("search budget exhausted"),
+        LinResult::Inconclusive { reason } => panic!("no verdict: {reason}"),
         LinResult::Violation { witness } => {
-            println!("linearizability: VIOLATION (as designed). Minimized witness:");
+            println!("linearizability: VIOLATION (as designed). Witness:");
             for line in &witness {
                 println!("  {line}");
             }

@@ -1,7 +1,7 @@
-//! The memory bound of the WGL linearizability checker: a legal
+//! The memory bound of the register's linearizability check: a legal
 //! 100 000-operation history is checked in a few MiB of heap on top
-//! of the input — invocation order plus one segment's search state —
-//! where memoising every visited state as a full 100 000-bit set took
+//! of the input — one cluster per write, 1.1 MiB here — where a WGL
+//! search memoising every visited state as a full 100 000-bit set took
 //! 1.2 GB.
 //!
 //! Measured with a global allocator that tracks live bytes and their

@@ -4,15 +4,15 @@
 //! are rejected, and dropping a *response* — which merely turns the
 //! op into a Jepsen `:info` maybe-op — keeps the history legal. The
 //! online auditor is checked against the batch checkers it replaced,
-//! and the WGL register search on its own against a brute-force
-//! permutation oracle and against the full-bitset search it replaced.
+//! and the register's zone test on its own against a brute-force
+//! permutation oracle and against the WGL search it replaced.
 
 use check_reference::audit_reference;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use reference::check_register_reference;
 use virtual_infra::audit::linearizability::{
-    check_register, LinResult, RegOp, RegOpKind, DEFAULT_BUDGET, INITIAL_VALUE, PENDING,
+    check_register, LinResult, RegOp, RegOpKind, INITIAL_VALUE, PENDING,
 };
 use virtual_infra::audit::{
     audit, audit_register_ops, drop_response, mutate, AuditReport, CheckResult, History,
@@ -26,9 +26,9 @@ use virtual_infra::traffic::{
     AppKind, AuditRecord, DevicePlan, OpDesc, OpOutcome, TrafficEvent, TrafficSpec, TrafficWorld,
 };
 
-/// vi-audit's test-only reference search (the full-bitset WGL the
-/// window-compact, segmented one replaced), compiled in from the
-/// crate's sources; it resolves its imports through this file's.
+/// vi-audit's test-only reference search (the WGL search the zone
+/// test replaced), compiled in from the crate's sources; it resolves
+/// its imports through this file's.
 #[path = "../crates/audit/src/linearizability/reference.rs"]
 mod reference;
 
@@ -258,7 +258,7 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// The WGL checker passes every synthetic legal history and
+    /// The register check passes every synthetic legal history and
     /// catches a planted stale read in any of them.
     #[test]
     fn wgl_accepts_legal_and_catches_planted_staleness(
@@ -302,14 +302,24 @@ fn r(id: u64, returned: u64, inv: u64, ret: u64) -> RegOp {
 /// and a read returns the value current at its point — so the history
 /// is legal until `noise` (none, or on average a quarter of a read or
 /// one read per history) makes a read return something else. The
-/// shapes the searches could get wrong are all reachable: a value
-/// domain of one to three (duplicate writes), timed-out writes that
-/// did or did not take effect, `max_slack == 0` (`ret == inv`), and,
-/// when `allow_full_overlap`, a stride of zero (every interval
+/// shapes a check could get wrong are all reachable: timed-out writes
+/// that did or did not take effect, `max_slack == 0` (`ret == inv`),
+/// and, when `allow_full_overlap`, a stride of zero (every interval
 /// contains the one shared point). Half the histories are shuffled,
 /// since input position breaks invocation ties.
-fn random_history(n: usize, allow_full_overlap: bool, mut rng: StdRng) -> Vec<RegOp> {
+///
+/// With `repeats`, writes draw from a domain of one to three values
+/// that includes [`INITIAL_VALUE`], so values repeat. Without, write
+/// `id` writes `id + 1`, and a noise read returns any of `0..=n + 1`:
+/// the initial value, a written value, or one nobody wrote.
+fn random_history(
+    n: usize,
+    allow_full_overlap: bool,
+    repeats: bool,
+    mut rng: StdRng,
+) -> Vec<RegOp> {
     let values = rng.random_range(1..=3u64);
+    let noise_values = if repeats { values } else { n as u64 + 1 };
     let max_slack = rng.random_range(0..=3u64);
     let max_stride = rng.random_range(u64::from(!allow_full_overlap)..=3);
     let noise = ([0.0, 0.5, 2.0][rng.random_range(0..3usize)] / n.max(1) as f64).min(1.0);
@@ -321,7 +331,11 @@ fn random_history(n: usize, allow_full_overlap: bool, mut rng: StdRng) -> Vec<Re
         let inv = point.saturating_sub(rng.random_range(0..=max_slack));
         let ret = point + rng.random_range(0..=max_slack);
         if rng.random_bool(0.5) {
-            let value = rng.random_range(1..=values);
+            let value = if repeats {
+                rng.random_range(0..=values)
+            } else {
+                id + 1
+            };
             let timed_out = rng.random_bool(0.2);
             if !timed_out || rng.random_bool(0.5) {
                 current = value;
@@ -329,7 +343,7 @@ fn random_history(n: usize, allow_full_overlap: bool, mut rng: StdRng) -> Vec<Re
             ops.push(w(id, value, inv, if timed_out { PENDING } else { ret }));
         } else {
             let returned = if rng.random_bool(noise) {
-                rng.random_range(0..=values)
+                rng.random_range(0..=noise_values)
             } else {
                 current
             };
@@ -342,6 +356,19 @@ fn random_history(n: usize, allow_full_overlap: bool, mut rng: StdRng) -> Vec<Re
         }
     }
     ops
+}
+
+/// Does some value have two writes, or one write of [`INITIAL_VALUE`]?
+fn repeats_a_value(ops: &[RegOp]) -> bool {
+    let mut written = vec![INITIAL_VALUE];
+    ops.iter().any(|o| match o.kind {
+        RegOpKind::Write { value } if written.contains(&value) => true,
+        RegOpKind::Write { value } => {
+            written.push(value);
+            false
+        }
+        RegOpKind::Read { .. } => false,
+    })
 }
 
 /// Linearizability by definition, sharing nothing with either search:
@@ -388,40 +415,124 @@ fn has_legal_order(chosen: &[RegOp], placed: &mut Vec<usize>, value: u64) -> boo
     false
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(512))]
+/// The ops of `ops` a witness names, one per line, by the `#id` each
+/// line starts with (ids are unique in these histories).
+fn witness_ops(ops: &[RegOp], witness: &[String]) -> Vec<RegOp> {
+    witness
+        .iter()
+        .map(|line| {
+            let id: u64 = line[1..]
+                .split_whitespace()
+                .next()
+                .unwrap()
+                .parse()
+                .unwrap();
+            *ops.iter()
+                .find(|o| o.id == id)
+                .expect("a witness names input ops")
+        })
+        .collect()
+}
 
-    /// Tiny histories against the definition: the checker's verdict is
-    /// the brute-force one, and a witness is itself a violating
-    /// history made of the original's operations.
+/// `n` ops with no shape at all: any kind, a value below 4, rounds
+/// from `0, 1, 2, 5, PENDING - 1, PENDING`, ids repeating too.
+fn arbitrary_ops(n: usize, mut rng: StdRng) -> Vec<RegOp> {
+    const ROUNDS: [u64; 6] = [0, 1, 2, 5, PENDING - 1, PENDING];
+    (0..n as u64)
+        .map(|id| {
+            let value = rng.random_range(0..4);
+            let kind = if rng.random_bool(0.5) {
+                RegOpKind::Write { value }
+            } else {
+                RegOpKind::Read { returned: value }
+            };
+            let inv = ROUNDS[rng.random_range(0..ROUNDS.len())];
+            let ret = ROUNDS[rng.random_range(0..ROUNDS.len())];
+            RegOp {
+                id: id % 3,
+                kind,
+                inv,
+                ret,
+            }
+        })
+        .collect()
+}
+
+/// The verdict without its witness or reason.
+fn verdict(result: &LinResult) -> std::mem::Discriminant<LinResult> {
+    std::mem::discriminant(result)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    /// Tiny unique-valued histories against the definition: the
+    /// check's verdict is the brute-force one, and a witness is at
+    /// most six of the input's operations that brute force rejects on
+    /// their own.
     #[test]
     fn wgl_agrees_with_brute_force_on_tiny_histories(
-        ops in (0usize..=8).prop_perturb(|n, rng| random_history(n, true, rng)),
+        ops in (0usize..=8).prop_perturb(|n, rng| random_history(n, true, false, rng)),
     ) {
         let legal = brute_force_linearizable(&ops);
         match check_register(&ops) {
             LinResult::Ok => prop_assert!(legal, "accepted an illegal history: {ops:?}"),
             LinResult::Violation { witness } => {
                 prop_assert!(!legal, "rejected a legal history: {ops:?}");
-                prop_assert!(!witness.is_empty() && witness.len() <= ops.len());
+                prop_assert!((1..=6).contains(&witness.len()), "{witness:?}");
+                let core = witness_ops(&ops, &witness);
+                prop_assert!(
+                    !brute_force_linearizable(&core),
+                    "the witness {witness:?} of {ops:?} is legal on its own"
+                );
             }
-            LinResult::BudgetExhausted => prop_assert!(false, "8 ops cannot exhaust the budget"),
+            LinResult::Inconclusive { reason } => {
+                prop_assert!(false, "unique values are decided: {reason}")
+            }
         }
     }
 
-    /// Larger histories against the search this one replaced: same
-    /// verdict and byte-identical witness whenever the reference
-    /// concludes. Where the reference runs out of budget the new
-    /// search may conclude (it visits a subset of the nodes), never
-    /// the other way round.
+    /// Tiny histories over a one-to-three-value domain: one that writes
+    /// a value twice, or writes the initial value, is inconclusive,
+    /// never passed or failed; one that does not is decided as brute
+    /// force decides it.
+    #[test]
+    fn repeated_values_are_inconclusive(
+        ops in (0usize..=8).prop_perturb(|n, rng| random_history(n, true, true, rng)),
+    ) {
+        let result = check_register(&ops);
+        if repeats_a_value(&ops) {
+            prop_assert!(matches!(result, LinResult::Inconclusive { .. }), "{result:?} on {ops:?}");
+        } else {
+            prop_assert_eq!(
+                matches!(result, LinResult::Ok),
+                brute_force_linearizable(&ops),
+                "{:?} on {:?}",
+                result,
+                ops
+            );
+        }
+    }
+
+    /// Larger unique-valued histories against the search this one
+    /// replaced: the same verdict wherever the reference concludes.
     #[test]
     fn wgl_matches_the_reference_search(
-        ops in (0usize..=60).prop_perturb(|n, rng| random_history(n, n <= 12, rng)),
+        ops in (0usize..=60).prop_perturb(|n, rng| random_history(n, n <= 12, false, rng)),
     ) {
         let expected = check_register_reference(&ops);
-        if expected != LinResult::BudgetExhausted {
-            prop_assert_eq!(check_register(&ops), expected, "{:?}", ops);
+        if !matches!(expected, LinResult::Inconclusive { .. }) {
+            let result = check_register(&ops);
+            prop_assert_eq!(verdict(&result), verdict(&expected), "{:?} on {:?}", result, ops);
         }
+    }
+
+    /// Any slice of ops gets a verdict without panicking: values and
+    /// rounds drawn from a small range and the extremes, including
+    /// responses before invocations.
+    #[test]
+    fn no_op_slice_panics(ops in (0usize..12).prop_perturb(arbitrary_ops)) {
+        let _ = check_register(&ops);
     }
 }
 
@@ -457,11 +568,11 @@ fn wgl_does_not_cut_at_an_unforced_quiescent_point() {
 /// An overloaded run must still get a verdict. The catalog
 /// `mall_rush` register without its arrival wave carries 1.0 req/vr;
 /// at 1.02 the queue grows without bound and four operations in five
-/// time out. Every timed-out write is optional, so a search that
-/// keeps them all doubles its state space per write and exhausts the
-/// budget (`linearizable=INCONCLUSIVE`, which fails `ok()` and which
-/// vi-fuzz files as an audit finding); almost none was ever read, and
-/// those the checker drops up front.
+/// time out. Every timed-out write is optional: a search over the
+/// orders doubles its state space per write, but to the zone test an
+/// unread timed-out write is a zone `[inv, ∞]` that nothing contains
+/// (`linearizable=INCONCLUSIVE` would fail `ok()`, and vi-fuzz would
+/// file it as an audit finding).
 #[test]
 fn overloaded_register_run_audits_conclusively() {
     use virtual_infra::scenario::{catalog, LoadMode, WorkloadSpec};
@@ -485,8 +596,7 @@ fn overloaded_register_run_audits_conclusively() {
         report.ops
     );
     assert!(report.ok(), "{}", report.verdict_summary());
-    // Dropped inside the search only: the timed-out writes still
-    // count as checked.
+    // The timed-out writes count as checked.
     let lin = &report.checks[1];
     assert_eq!(lin.name, "linearizable");
     assert!(lin.checked > report.ops - report.timeouts, "{lin:?}");

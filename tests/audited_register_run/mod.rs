@@ -9,9 +9,9 @@ use virtual_infra::scenario::{catalog, AuditReport, LoadMode, ScenarioSpec, Work
 use crate::counting_alloc::{peak_bytes, reset_peak};
 
 /// The bound on a whole audited run's peak heap rise, per invoked
-/// operation: 70 bytes measured at 6 000 operations (one `RegOp` and
+/// operation: 68 bytes measured at 6 000 operations (one `RegOp` and
 /// one client per operation, at the capacity their vectors grew to,
-/// then the WGL search's invocation order), with 43 % headroom.
+/// then the zone test's one cluster per write), with 47 % headroom.
 /// Buffering the run's events and auditing the stored history peaked
 /// at 282.
 pub const BYTES_PER_OP: u64 = 100;

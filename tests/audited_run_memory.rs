@@ -2,7 +2,7 @@
 //! the driver's events as they happen, so a 6 000-operation audited
 //! register run shaped like vi-perf's `register_audit` raises the
 //! heap's high-water mark by at most `BYTES_PER_OP` per operation —
-//! engine, service, auditor and WGL check together.
+//! engine, service, auditor and register check together.
 //!
 //! Measured with a global allocator that tracks live bytes and their
 //! peak, so this file must hold exactly one `#[test]` — a sibling test

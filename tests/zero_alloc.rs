@@ -3,9 +3,11 @@
 //! topology (tracing off, null observers, non-allocating
 //! processes) performs **zero** heap allocations. So does a churn
 //! round of the medium — every position moved, the cell index rebuilt
-//! from scratch over the broadcasters — and a re-anchor round — the
-//! cell index rebuilt over every node and every receiver's cached
-//! neighborhood refilled by a query — once their buffers have grown.
+//! from scratch over the broadcasters — a re-anchor round — the cell
+//! index rebuilt over every node and every receiver's cached
+//! neighborhood refilled by a query — and a few-mover round — each
+//! mover moved in the index and its neighborhood refreshed by one
+//! query into a recycled buffer — once their buffers have grown.
 //!
 //! Measured with a counting global allocator, so this file must hold
 //! exactly one `#[test]` — a sibling test running on another thread
@@ -48,6 +50,14 @@ impl Process<u64> for Counter {
 
 /// Nodes per deployment.
 const N: usize = 400;
+
+/// The slots that move in the few-mover rounds: interior nodes, more
+/// than `2 R2` apart, none of them within 0.28 m of `R2` from any
+/// other node, so a nudge of [`NUDGE`] changes no neighbour set.
+const MOVERS: [u32; 4] = [1, 2, 4, 6];
+
+/// How far a mover sways, in steps of `(0.9, -0.4)` m.
+const NUDGE: f64 = 0.05;
 
 /// Where node `i` starts: a hash scatter at constant density.
 fn home(i: usize) -> Point {
@@ -122,19 +132,22 @@ fn steady_state_rounds_allocate_nothing() {
         })
         .collect();
     let (mut rng, mut out) = (StdRng::seed_from_u64(42), ReceptionBuffer::new());
-    // Resolves `rounds` on `medium` with every node displaced by
-    // `sway(round)` steps and the topology reported as `delta(round)`;
-    // returns the messages delivered.
+    // Where slot `i` is when displaced by `step` steps.
+    let at = |i: usize, step: f64| {
+        let home = home(i);
+        Point::new(home.x + 0.9 * step, home.y - 0.4 * step)
+    };
+    // Resolves `rounds` on `medium` with node `i` displaced by
+    // `sway(round, i)` steps and the topology reported as
+    // `delta(round)`; returns the messages delivered.
     let mut resolve = |medium: &mut Medium,
                        rounds: std::ops::Range<u64>,
-                       sway: fn(u64) -> f64,
+                       sway: fn(u64, usize) -> f64,
                        delta: fn(u64) -> TopologyDelta<'static>| {
         let mut heard = 0usize;
         for round in rounds {
-            let step = sway(round);
             for (i, intent) in intents.iter_mut().enumerate() {
-                let at = home(i);
-                intent.pos = Point::new(at.x + 0.9 * step, at.y - 0.4 * step);
+                intent.pos = at(i, sway(round, i));
                 intent.payload = (round as usize + i).is_multiple_of(3).then_some(i as u64);
             }
             medium.resolve_round_cached(
@@ -149,7 +162,7 @@ fn steady_state_rounds_allocate_nothing() {
         }
         heard
     };
-    let back_and_forth = |round: u64| (round % 2) as f64;
+    let back_and_forth = |round: u64, _| (round % 2) as f64;
     let mut heard = resolve(&mut medium, 0..12, back_and_forth, |_| {
         TopologyDelta::Rebuild
     });
@@ -182,10 +195,10 @@ fn steady_state_rounds_allocate_nothing() {
             TopologyDelta::Unchanged
         }
     };
-    resolve(&mut medium, 0..12, |_| 0.0, alternate);
+    resolve(&mut medium, 0..12, |_, _| 0.0, alternate);
     let reanchors = || obs.counters().expect("live handle").rounds_reanchor;
     let (warm, before) = (reanchors(), allocations());
-    let heard = resolve(&mut medium, 12..132, |_| 0.0, alternate);
+    let heard = resolve(&mut medium, 12..132, |_, _| 0.0, alternate);
     let after = allocations();
     assert_eq!(
         after - before,
@@ -198,6 +211,48 @@ fn steady_state_rounds_allocate_nothing() {
         "every second round re-anchors"
     );
     assert!(heard > 0, "the re-anchor rounds delivered messages");
+
+    // Few-mover rounds: round 131 re-anchored the cache, and from then
+    // on the `MOVERS` sway by `NUDGE` (period 2) inside the anchored
+    // box and keep their neighbour sets, so every round takes the
+    // surgical path — `CellIndex::move_point` for each mover, then one
+    // query per mover into the scratch buffer, which swaps places with
+    // the mover's old list. The buffers rotate through the movers'
+    // lists, so after a few rounds each has the capacity of the
+    // longest.
+    let nudge = |round: u64, i: usize| {
+        if MOVERS.contains(&(i as u32)) {
+            NUDGE * (round % 2) as f64
+        } else {
+            0.0
+        }
+    };
+    for m in MOVERS.map(|m| m as usize) {
+        let near = |round: u64| {
+            let pos = |i: usize| at(i, nudge(round, i));
+            (0..N)
+                .filter(|&j| j != m && pos(m).distance_sq(pos(j)) <= 20.0 * 20.0)
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(near(0), near(1), "mover {m} keeps its neighbours");
+    }
+    let moved = |_| TopologyDelta::Moved(&MOVERS);
+    resolve(&mut medium, 132..144, nudge, moved);
+    let mover_rounds = || obs.counters().expect("live handle").mover_rounds;
+    let (warm, before) = (mover_rounds(), allocations());
+    let heard = resolve(&mut medium, 144..264, nudge, moved);
+    let after = allocations();
+    assert_eq!(
+        after - before,
+        0,
+        "few-mover rounds must not allocate once the scratch buffer has grown"
+    );
+    assert_eq!(
+        (warm, mover_rounds()),
+        (12, 132),
+        "every nudged round takes the few-mover path"
+    );
+    assert!(heard > 0, "the few-mover rounds delivered messages");
 
     // The same deployment with tracing on allocates every round (the
     // exact-size `RoundRecord` clone) — the contrast proves the counter
