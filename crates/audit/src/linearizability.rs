@@ -37,7 +37,8 @@
 //!
 //! On a violation the witness is each conflicting cluster's write and
 //! the ops that set its zone's ends — at most six operations, which
-//! are already a violating history.
+//! are already a violating history. A stale read of the initial value
+//! needs only the write and `lo` op of the cluster it conflicts with.
 //!
 //! The check holds one 24-byte cluster per write and nothing per read.
 //! On `synthetic_history(n, 7)` (release, 2 vCPU, shared box) it took
@@ -214,8 +215,10 @@ pub fn check_register(ops: &[RegOp]) -> LinResult {
     // Forward zones first, each half in order of `lo`.
     clusters.sort_unstable_by_key(|c| (!forward(c), lo(c), c.write));
     if let Some(read) = initial {
+        // Its `lo` op returned before the read was invoked, and its
+        // write comes no later: the zone's `hi` plays no part.
         if let Some(c) = clusters.iter().find(|c| lo(c) < ops[read].inv) {
-            return violation(ops, c.ops().chain([read]));
+            return violation(ops, [c.write, c.lo, read]);
         }
     }
     let (fwd, bwd) = clusters.split_at(clusters.partition_point(forward));
@@ -387,6 +390,26 @@ mod tests {
         assert!(
             witness.len() <= 3,
             "witness must shrink past the legal prefix: {witness:?}"
+        );
+    }
+
+    #[test]
+    fn a_stale_initial_read_is_witnessed_without_the_zone_end() {
+        // The minimized majority-register fuzz finding: #1 returned
+        // 1001 before #6 was invoked, so #6's 0 is stale. #3, the op
+        // invoked last in 1001's cluster, adds nothing to that.
+        let ops = [
+            w(0, 1001, 0, PENDING),
+            r(1, 1001, 1, 1),
+            r(3, 1001, 5, 5),
+            r(6, INITIAL_VALUE, 5, 5),
+        ];
+        let LinResult::Violation { witness } = check_register(&ops) else {
+            panic!("must fail");
+        };
+        assert_eq!(
+            witness,
+            ["#0 W(1001) [0, ∞)", "#1 R→1001 [1, 1]", "#6 R→0 [5, 5]"]
         );
     }
 

@@ -198,7 +198,7 @@ impl<V: PartialEq> History<V> {
 ///
 /// No production path calls this: a
 /// [`ChaProtocol`](crate::cha::ChaProtocol) keeps its ballots in a
-/// flat instance window, not a tree, and walks the chain there. This
+/// flat, sparse list, not a tree, and walks the chain there. This
 /// function is the **executable specification** that window is tested
 /// against (`window_matches_the_tree_model` in `cha/protocol.rs`), as
 /// `resolve_round_reference` is for vi-radio's `Medium`.
@@ -235,7 +235,7 @@ pub fn calculate_history<V: Clone>(
 
 /// Walks the `prev` chain from `prev` down to `floor`, newest first:
 /// the one walk behind [`calculate_history`] and, over
-/// [`ChaProtocol`](crate::cha::ChaProtocol)'s instance window,
+/// [`ChaProtocol`](crate::cha::ChaProtocol)'s ballot list,
 /// `current_history` and `fold_decided`. `visit(k)` is called once per
 /// chain instance `k > floor` and returns the `prev` pointer of the
 /// ballot stored for `k`, or `None` if there is none — a missing

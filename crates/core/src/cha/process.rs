@@ -57,6 +57,13 @@ impl Proposer<u64> for TaggedProposer {
     }
 }
 
+/// What a node without a checker keeps of its run, in one box so that
+/// a checked node pays one null pointer for it.
+struct Kept<V> {
+    outputs: Vec<ChaOutput<V>>,
+    proposals: Vec<(u64, V)>,
+}
+
 /// One CHAP participant wired to the radio engine and a shared
 /// contention manager.
 pub struct ChaNode<V: Clone + 'static> {
@@ -72,8 +79,9 @@ pub struct ChaNode<V: Clone + 'static> {
     was_active: bool,
     /// The run's checker and this node's index in it, if any.
     spec: Option<(SharedChaSpec<V>, usize)>,
-    outputs: Vec<ChaOutput<V>>,
-    proposals: Vec<(u64, V)>,
+    /// The outputs and proposals of a node without a checker, boxed
+    /// at its first proposal (or by [`ChaNode::with_instances`]).
+    kept: Option<Box<Kept<V>>>,
     /// The run's observers (null by default): propose/decide spans
     /// form the per-instance prev-chain of the causal DAG.
     obs: Observers,
@@ -126,8 +134,7 @@ impl<V: Clone + Ord + 'static> ChaNode<V> {
             synced: false,
             was_active: false,
             spec: None,
-            outputs: Vec::new(),
-            proposals: Vec::new(),
+            kept: None,
             obs: Observers::default(),
             causal_node: 0,
         }
@@ -156,21 +163,36 @@ impl<V: Clone + Ord + 'static> ChaNode<V> {
     /// instances after its checkpoint.
     pub fn with_instances(mut self, instances: usize) -> Self {
         if self.spec.is_none() {
-            self.outputs.reserve_exact(instances);
-            self.proposals.reserve_exact(instances);
+            let kept = self.kept();
+            kept.outputs.reserve_exact(instances);
+            kept.proposals.reserve_exact(instances);
         }
         self.protocol.reserve_instances(instances);
         self
     }
 
-    /// The outputs this node kept, in instance order (none with a checker).
-    pub fn outputs(&self) -> &[ChaOutput<V>] {
-        &self.outputs
+    /// What this node keeps, boxed on first use.
+    fn kept(&mut self) -> &mut Kept<V> {
+        self.kept.get_or_insert_with(|| {
+            Box::new(Kept {
+                outputs: Vec::new(),
+                proposals: Vec::new(),
+            })
+        })
     }
 
-    /// The proposals this node kept, as `(instance, value)` (none with a checker).
+    /// The outputs this node kept, in instance order: one per instance
+    /// it finished, or none if it hands them to a checker
+    /// ([`with_checker`](Self::with_checker)).
+    pub fn outputs(&self) -> &[ChaOutput<V>] {
+        self.kept.as_ref().map_or(&[], |kept| &kept.outputs)
+    }
+
+    /// The proposals this node kept, as `(instance, value)`: one per
+    /// ballot phase it ran, or none if it hands them to a checker
+    /// ([`with_checker`](Self::with_checker)).
     pub fn proposals(&self) -> &[(u64, V)] {
-        &self.proposals
+        self.kept.as_ref().map_or(&[], |kept| &kept.proposals)
     }
 
     /// The underlying protocol state (for inspection).
@@ -188,7 +210,7 @@ impl<V: Clone + Ord + vi_radio::WireSized + 'static> Process<ChaMessage<V>> for 
                 let proposal = self.proposer.propose(instance);
                 match &self.spec {
                     Some((spec, _)) => spec.borrow_mut().propose(instance, proposal.clone()),
-                    None => self.proposals.push((instance, proposal.clone())),
+                    None => self.kept().proposals.push((instance, proposal.clone())),
                 }
                 let ballot = self.protocol.begin_instance(proposal);
                 self.obs.causal(|c| c.propose(self.causal_node, instance));
@@ -226,7 +248,7 @@ impl<V: Clone + Ord + vi_radio::WireSized + 'static> Process<ChaMessage<V>> for 
                 }
                 match &self.spec {
                     Some((spec, node)) => spec.borrow_mut().output(*node, out),
-                    None => self.outputs.push(out),
+                    None => self.kept().outputs.push(out),
                 }
             }
         }
@@ -237,6 +259,7 @@ impl<V: Clone + Ord + vi_radio::WireSized + 'static> Process<ChaMessage<V>> for 
 mod tests {
     use super::*;
     use crate::cha::history::Color;
+    use crate::cha::spec::ChaSpecStream;
     use std::cell::RefCell;
     use std::rc::Rc;
     use vi_contention::{Advice, ContentionManager, OracleCm};
@@ -307,6 +330,35 @@ mod tests {
         for h in &histories[1..] {
             assert_eq!(h, &histories[0]);
         }
+    }
+
+    #[test]
+    fn a_node_keeps_its_run_only_without_a_checker() {
+        let cm = SharedCm::new(OracleCm::perfect());
+        let spec = Rc::new(RefCell::new(ChaSpecStream::new(1)));
+        let mut engine: Clique = Engine::new(EngineConfig {
+            radio: RadioConfig::reliable(10.0, 20.0),
+            seed: 1,
+            record_trace: false,
+        });
+        let node = |tag| ChaNode::new(Box::new(TaggedProposer::new(tag)), cm.clone());
+        let kept = engine.add_node(NodeSpec::by_value(Box::new(Point::ORIGIN), node(0)));
+        let checked = engine.add_node(NodeSpec::by_value(
+            Box::new(Point::new(0.5, 0.0)),
+            node(1).with_checker(Rc::clone(&spec), 0),
+        ));
+        // Seven ballot phases, six of them finished.
+        engine.run(20);
+        let kept = engine.process_at(kept);
+        let instances: Vec<u64> = kept.proposals().iter().map(|&(k, _)| k).collect();
+        assert_eq!(instances, [1, 2, 3, 4, 5, 6, 7]);
+        let finished: Vec<u64> = kept.outputs().iter().map(|o| o.instance).collect();
+        assert_eq!(finished, [1, 2, 3, 4, 5, 6]);
+
+        let checked = engine.process_at(checked);
+        assert!(checked.proposals().is_empty() && checked.outputs().is_empty());
+        assert!(checked.kept.is_none(), "a checked node boxes nothing");
+        assert_eq!(spec.borrow().output_count(), 6, "its checker got them");
     }
 
     #[test]

@@ -95,18 +95,10 @@ impl<V> ChaOutput<V> {
     }
 }
 
-/// One resident instance: the `status` and `ballots` entries of
-/// Figure 1 for it, either of which may be absent. An enum, not a
-/// struct around an `Option<Ballot<V>>`, so that the marks share the
-/// discriminant's word: 24 bytes a slot for `V = u64`, not 32 — 2 MiB
-/// of peak RSS across the `ChaNode`s of a 20 000-node city.
-#[derive(Clone)]
-enum Slot<V> {
-    Vacant(Marks),
-    Held(Marks, Ballot<V>),
-}
-
-/// The non-ballot half of a [`Slot`].
+/// The `status` half of one resident instance, and the mark
+/// [`ChaProtocol::fold_decided`] leaves on it: two bytes an instance.
+/// The `ballots` half lives apart, in a sparse list, because most
+/// instances never adopt one (one in four across a 20 000-node city).
 #[derive(Clone, Copy)]
 struct Marks {
     color: Option<Color>,
@@ -115,53 +107,39 @@ struct Marks {
     on_chain: bool,
 }
 
-impl<V> Slot<V> {
-    const EMPTY: Self = Slot::Vacant(Marks {
+impl Marks {
+    const EMPTY: Self = Marks {
         color: None,
         on_chain: false,
-    });
-
-    fn marks(&self) -> &Marks {
-        match self {
-            Slot::Vacant(marks) | Slot::Held(marks, _) => marks,
-        }
-    }
-
-    fn marks_mut(&mut self) -> &mut Marks {
-        match self {
-            Slot::Vacant(marks) | Slot::Held(marks, _) => marks,
-        }
-    }
-
-    fn ballot(&self) -> Option<&Ballot<V>> {
-        match self {
-            Slot::Vacant(_) => None,
-            Slot::Held(_, ballot) => Some(ballot),
-        }
-    }
-
-    fn set_ballot(&mut self, ballot: Option<Ballot<V>>) {
-        let marks = *self.marks();
-        *self = match ballot {
-            Some(ballot) => Slot::Held(marks, ballot),
-            None => Slot::Vacant(marks),
-        };
-    }
+    };
 }
 
-/// Slots a full window grows by. A fixed step, not `Vec`'s doubling:
-/// a node that never collects (plain CHAP — each `ChaNode` of a
-/// 20 000-node city) then idles at most three slots however long it
-/// runs, where doubling idles up to the window's own length (+3 MiB
-/// on vi-perf's metro workloads); and not one slot at a time, which
-/// reallocates every instance and fragments the heap those cities
-/// share (+0.9 MiB, +3 % wall-clock).
+/// Entries a full window or ballot list grows by. A fixed step, not
+/// `Vec`'s doubling: a node that never collects (plain CHAP — each
+/// `ChaNode` of a 20 000-node city) then idles at most three entries
+/// of each however long it runs, where doubling idles up to the list's
+/// own length; and not one entry at a time, which reallocates every
+/// instance and fragments the heap those cities share.
 const WINDOW_GROWTH: usize = 4;
+
+/// Makes room for one more entry in `list`, [`WINDOW_GROWTH`] at a
+/// time.
+fn grow_for_one<T>(list: &mut Vec<T>) {
+    if list.len() == list.capacity() {
+        list.reserve_exact(WINDOW_GROWTH);
+    }
+}
 
 /// Where instance `k` sits in a window whose first slot holds instance
 /// `base + 1`; `None` below the window (the caller bounds it above).
 fn window_index(base: u64, k: u64) -> Option<usize> {
     usize::try_from(k.checked_sub(base)?.checked_sub(1)?).ok()
+}
+
+/// Instance `k`'s entry in an ascending ballot list.
+fn ballot_in<V>(ballots: &[(u64, Ballot<V>)], k: u64) -> Option<&Ballot<V>> {
+    let i = ballots.binary_search_by_key(&k, |&(j, _)| j).ok()?;
+    Some(&ballots[i].1)
 }
 
 /// The CHAP per-node state machine.
@@ -171,12 +149,17 @@ fn window_index(base: u64, k: u64) -> Option<usize> {
 /// possible).
 ///
 /// The per-instance state (Figure 1's `status` and `ballots` arrays)
-/// lives in one flat **instance window**: a `Vec` of slots for the
-/// consecutive instances `base + 1 ..= instance`, which
-/// [`garbage_collect`](Self::garbage_collect) drains in place. Under
-/// checkpoint-CHA the window is a handful of slots whose buffer is
-/// reused forever, so a steady-state instance never reaches the
-/// allocator (Theorem 14's constant work per round, kept honest by
+/// lives in two flat lists. The **instance window** is dense: two
+/// bytes of status marks for each of the consecutive instances
+/// `base + 1 ..= instance`. The **ballots** are sparse: one
+/// `(instance, ballot)` entry, ascending by instance, for each resident
+/// instance that adopted one, found by binary search. A node that never
+/// collects (plain CHAP in a city, where one instance in four adopts a
+/// ballot) holds about 8 bytes an instance for `V = u64`.
+/// [`garbage_collect`](Self::garbage_collect) drains both lists in
+/// place. Under checkpoint-CHA each is a handful of entries whose
+/// buffer is reused forever, so a steady-state instance never reaches
+/// the allocator (Theorem 14's constant work per round, kept honest by
 /// `tests/virtual_round_allocs.rs`).
 ///
 /// The state serializes (given `V: Serialize`) so that the Section 4.3
@@ -207,13 +190,16 @@ pub struct ChaProtocol<V> {
     instance: u64,
     prev_instance: u64,
     floor: u64,
-    /// The instance just below the window: slot `i` holds instance
+    /// The instance just below the window: `window[i]` holds instance
     /// `base + 1 + i`. A non-empty window ends at `instance`. `base`
     /// is the first resident instance's predecessor, not the floor, so
     /// the gap a checkpoint transfer may leave between the two costs
-    /// no slots.
+    /// no entries.
     base: u64,
-    window: Vec<Slot<V>>,
+    window: Vec<Marks>,
+    /// The adopted ballots, ascending by instance; every one is an
+    /// instance of the window.
+    ballots: Vec<(u64, Ballot<V>)>,
 }
 
 impl<V: Clone + Ord> Default for ChaProtocol<V> {
@@ -243,12 +229,14 @@ impl<V> ChaProtocol<V> {
             floor: checkpoint,
             base: next_instance,
             window: Vec::new(),
+            ballots: Vec::new(),
         }
     }
 
     /// Sizes the instance window for `instances` more instances at
     /// once, for a caller that knows how many it will run without
-    /// collecting: the window then never regrows.
+    /// collecting: the window then never regrows. The sparse ballots
+    /// still grow as they are adopted.
     pub fn reserve_instances(&mut self, instances: usize) {
         self.window.reserve_exact(instances);
     }
@@ -270,30 +258,22 @@ impl<V> ChaProtocol<V> {
 
     /// Final color of `k`, if that instance ran here.
     pub fn color_of(&self, k: u64) -> Option<Color> {
-        self.slot(k)?.marks().color
+        self.marks(k)?.color
     }
 
     /// The ballot stored for `k`, if any.
     pub fn ballot_of(&self, k: u64) -> Option<&Ballot<V>> {
-        self.slot(k)?.ballot()
+        ballot_in(&self.ballots, k)
     }
 
     /// Number of resident (non-garbage-collected) per-instance
     /// entries, for the Section 3.5 memory experiments.
     pub fn resident_entries(&self) -> usize {
-        self.window
-            .iter()
-            .map(|s| usize::from(s.marks().color.is_some()) + usize::from(s.ballot().is_some()))
-            .sum()
+        self.window.iter().filter(|m| m.color.is_some()).count() + self.ballots.len()
     }
 
-    fn slot(&self, k: u64) -> Option<&Slot<V>> {
+    fn marks(&self, k: u64) -> Option<&Marks> {
         self.window.get(window_index(self.base, k)?)
-    }
-
-    /// The resident slots with their instances, ascending.
-    fn resident(&self) -> impl Iterator<Item = (u64, &Slot<V>)> {
-        (self.base + 1..).zip(&self.window)
     }
 
     fn current(&self) -> u64 {
@@ -301,20 +281,32 @@ impl<V> ChaProtocol<V> {
         self.instance
     }
 
-    /// The current instance's slot, opened if this is its first entry.
-    fn current_slot(&mut self) -> &mut Slot<V> {
+    /// The current instance's marks, opened if this is its first entry.
+    fn current_marks(&mut self) -> &mut Marks {
         let k = self.current();
         if self.window.is_empty() {
             self.base = k - 1;
         }
-        if self.slot(k).is_none() {
+        if self.marks(k).is_none() {
             debug_assert_eq!(self.base + self.window.len() as u64 + 1, k);
-            if self.window.len() == self.window.capacity() {
-                self.window.reserve_exact(WINDOW_GROWTH);
-            }
-            self.window.push(Slot::EMPTY);
+            grow_for_one(&mut self.window);
+            self.window.push(Marks::EMPTY);
         }
         self.window.last_mut().expect("just opened")
+    }
+
+    /// Stores `ballot` as resident instance `k`'s. `k` is the current
+    /// instance but for out-of-model damage done by the tests, so the
+    /// new entry almost always goes last.
+    fn set_ballot(&mut self, k: u64, ballot: Ballot<V>) {
+        debug_assert!(self.marks(k).is_some(), "instance {k} is not resident");
+        match self.ballots.binary_search_by_key(&k, |&(j, _)| j) {
+            Ok(i) => self.ballots[i].1 = ballot,
+            Err(i) => {
+                grow_for_one(&mut self.ballots);
+                self.ballots.insert(i, (k, ballot));
+            }
+        }
     }
 
     fn color(&self) -> Color {
@@ -325,7 +317,7 @@ impl<V> ChaProtocol<V> {
     /// Downgrades the current instance to (at most) `ceiling`.
     fn downgrade(&mut self, ceiling: Color) {
         let downgraded = self.color().min(ceiling);
-        self.current_slot().marks_mut().color = Some(downgraded);
+        self.current_marks().color = Some(downgraded);
     }
 }
 
@@ -344,7 +336,7 @@ impl<V: Clone + Ord> ChaProtocol<V> {
     /// lets it broadcast: `Ballot::new(proposal, prev_instance())`.
     pub fn start_instance(&mut self) {
         self.instance += 1;
-        self.current_slot().marks_mut().color = Some(Color::Green);
+        self.current_marks().color = Some(Color::Green);
     }
 
     /// **Ballot phase, receive side** (lines 29–32): `received` holds
@@ -353,11 +345,12 @@ impl<V: Clone + Ord> ChaProtocol<V> {
     /// detector's output. Silence or a collision turns the instance
     /// red; otherwise the minimum ballot is adopted.
     pub fn on_ballot_phase(&mut self, received: &[Ballot<V>], collision: bool) {
-        let slot = self.current_slot();
+        let marks = self.current_marks();
         if received.is_empty() || collision {
-            slot.marks_mut().color = Some(Color::Red);
+            marks.color = Some(Color::Red);
         } else {
-            slot.set_ballot(received.iter().min().cloned());
+            let adopted = received.iter().min().expect("not empty").clone();
+            self.set_ballot(self.instance, adopted);
         }
     }
 
@@ -441,9 +434,11 @@ impl<V: Clone + Ord> ChaProtocol<V> {
         self.floor = checkpoint;
         let collected = usize::try_from(checkpoint.saturating_sub(self.base))
             .map_or(self.window.len(), |n| n.min(self.window.len()));
-        // In place: the buffer stays for the instances to come.
+        // In place: the buffers stay for the instances to come.
         self.window.drain(..collected);
         self.base += collected as u64;
+        let ballots = self.ballots.partition_point(|&(k, _)| k <= checkpoint);
+        self.ballots.drain(..ballots);
     }
 
     /// **Checkpoint-CHA** (Section 3.5): "a node can garbage-collect
@@ -470,24 +465,21 @@ impl<V: Clone + Ord> ChaProtocol<V> {
     pub fn fold_decided(&mut self, upto: u64, mut apply: impl FnMut(u64, Option<&V>)) {
         // The chain is linked backward and folded forward: mark it in
         // the window, then read the marks in instance order.
-        let (base, window) = (self.base, &mut self.window);
+        let (base, window, ballots) = (self.base, &mut self.window, &self.ballots);
         walk_prev_chain(self.prev_instance, self.floor, |k| {
-            let slot = window.get_mut(window_index(base, k)?)?;
-            let prev = slot.ballot()?.prev;
-            slot.marks_mut().on_chain = true;
+            let prev = ballot_in(ballots, k)?.prev;
+            window.get_mut(window_index(base, k)?)?.on_chain = true;
             Some(prev)
         });
         for k in self.floor + 1..=upto {
-            let decided = self
-                .slot(k)
-                .filter(|slot| slot.marks().on_chain)
-                .and_then(Slot::ballot);
+            let on_chain = self.marks(k).is_some_and(|m| m.on_chain);
+            let decided = on_chain.then(|| self.ballot_of(k)).flatten();
             apply(k, decided.map(|ballot| &ballot.value));
         }
         self.garbage_collect(upto);
         // Chain instances above `upto` survive the collection.
-        for slot in &mut self.window {
-            slot.marks_mut().on_chain = false;
+        for marks in &mut self.window {
+            marks.on_chain = false;
         }
     }
 }
@@ -498,26 +490,17 @@ impl<V: Clone + Ord> ChaProtocol<V> {
 /// part of every `wire_size` and digest.
 impl<V: Serialize> Serialize for ChaProtocol<V> {
     fn to_value(&self) -> Value {
-        let pair = |k: u64, entry: Value| Value::Seq(vec![k.to_value(), entry]);
-        let entries = |entry: fn(&Slot<V>) -> Option<Value>| {
-            Value::Seq(
-                self.resident()
-                    .filter_map(|(k, slot)| Some(pair(k, entry(slot)?)))
-                    .collect(),
-            )
-        };
+        let pair = |k: u64, entry: &dyn Serialize| Value::Seq(vec![k.to_value(), entry.to_value()]);
+        let status = (self.base + 1..)
+            .zip(&self.window)
+            .filter_map(|(k, m)| Some(pair(k, m.color.as_ref()?)));
+        let ballots = self.ballots.iter().map(|(k, b)| pair(*k, b));
         Value::Map(vec![
             ("instance".to_string(), self.instance.to_value()),
             ("prev_instance".to_string(), self.prev_instance.to_value()),
             ("floor".to_string(), self.floor.to_value()),
-            (
-                "status".to_string(),
-                entries(|slot| slot.marks().color.as_ref().map(Serialize::to_value)),
-            ),
-            (
-                "ballots".to_string(),
-                entries(|slot| slot.ballot().map(Serialize::to_value)),
-            ),
+            ("status".to_string(), Value::Seq(status.collect())),
+            ("ballots".to_string(), Value::Seq(ballots.collect())),
         ])
     }
 }
@@ -880,9 +863,12 @@ mod tests {
         lag: u64,
         /// Out-of-model damage done once the instance has finished: 0
         /// drops a resident ballot, 1 makes one's `prev`
-        /// non-decreasing.
+        /// non-decreasing, 2 stores a ballot at a resident instance
+        /// that holds none (an insertion into the middle of the sparse
+        /// list, mostly).
         damage: u8,
-        /// Which resident ballot the damage hits.
+        /// Which resident ballot (or, for damage 2, which ballotless
+        /// resident instance) the damage hits.
         victim: usize,
     }
 
@@ -896,7 +882,7 @@ mod tests {
             proptest::option::of(0u64..40),
             any::<bool>(),
             lag,
-            0u8..6,
+            0u8..8,
             0usize..8,
         )
             .prop_map(
@@ -915,21 +901,23 @@ mod tests {
 
     /// Applies `step`'s damage to `node` and returns the instance hit.
     fn damage(node: &mut ChaProtocol<u64>, step: &Step) -> Option<u64> {
-        let victim = node
-            .resident()
-            .filter(|(_, slot)| slot.ballot().is_some())
-            .map(|(k, _)| k)
-            .nth(step.victim)?;
-        let damaged = match step.damage {
-            0 => None,
-            1 => node
-                .ballot_of(victim)
-                .map(|b| Ballot::new(b.value, victim + 1)),
-            _ => return None,
-        };
-        let i = window_index(node.base, victim).expect("resident");
-        node.window[i].set_ballot(damaged);
-        Some(victim)
+        match step.damage {
+            0 => (step.victim < node.ballots.len()).then(|| node.ballots.remove(step.victim).0),
+            1 => {
+                let &(victim, ballot) = node.ballots.get(step.victim)?;
+                node.set_ballot(victim, Ballot::new(ballot.value, victim + 1));
+                Some(victim)
+            }
+            2 => {
+                let resident = node.base + 1..=node.base + node.window.len() as u64;
+                let victim = resident
+                    .filter(|&k| node.ballot_of(k).is_none())
+                    .nth(step.victim)?;
+                node.set_ballot(victim, Ballot::new(1_000 + victim, victim - 1));
+                Some(victim)
+            }
+            _ => None,
+        }
     }
 
     /// Runs `step`'s instance at `node` and returns its output.
@@ -965,7 +953,7 @@ mod tests {
         }
         prop_assert_eq!(node.resident_entries(), model.resident_entries());
         prop_assert_eq!(node.current_history(), model.current_history());
-        prop_assert!(node.window.iter().all(|slot| !slot.marks().on_chain));
+        prop_assert!(node.window.iter().all(|marks| !marks.on_chain));
 
         prop_assert_eq!(
             serde_json::to_string(node).expect("serializes"),
@@ -1017,7 +1005,8 @@ mod tests {
         /// Mutation-checked by hand; each of these turns it red:
         /// `window_index` off by one (`checked_sub(1)` dropped);
         /// `fold_decided` leaving `on_chain` set after the fold;
-        /// `to_value` emitting `ballots` before `status`.
+        /// `to_value` emitting `ballots` before `status`; `set_ballot`
+        /// appending where it should insert in instance order.
         #[test]
         fn window_matches_the_tree_model(script in script()) {
             let mut node = ChaProtocol::<u64>::new();
@@ -1068,9 +1057,12 @@ mod tests {
         assert_eq!(node.color_of((1 << 40) + 1), Some(Color::Green));
         assert_eq!(node.color_of(8), None);
 
-        // A joiner's copy holds the one resident slot.
+        // A joiner's copy holds the one resident instance.
         let joiner = node.clone();
-        assert_eq!(joiner.window.capacity(), 1);
+        assert_eq!(
+            (joiner.window.capacity(), joiner.ballots.capacity()),
+            (1, 1)
+        );
         assert_eq!(joiner.floor(), 7);
         assert_eq!(joiner.ballot_of((1 << 40) + 1), Some(&Ballot::new(5, 7)));
     }
@@ -1081,8 +1073,8 @@ mod tests {
         for p in 0..50 {
             leader_instance(&mut node, &mut log, p, false);
             assert_eq!(
-                node.window.capacity(),
-                WINDOW_GROWTH,
+                (node.window.capacity(), node.ballots.capacity()),
+                (WINDOW_GROWTH, WINDOW_GROWTH),
                 "drained in place, never regrown"
             );
         }
@@ -1094,6 +1086,10 @@ mod tests {
         // … and the capacity stays for the next one.
         assert_eq!(
             (node.window.len(), node.window.capacity()),
+            (0, 2 * WINDOW_GROWTH)
+        );
+        assert_eq!(
+            (node.ballots.len(), node.ballots.capacity()),
             (0, 2 * WINDOW_GROWTH)
         );
     }

@@ -374,7 +374,8 @@ impl Medium {
                         .any(|&s| !self.index.covers(intents[s as usize].pos))
                 {
                     // Few movers but no usable cache (or drift past the
-                    // anchor): re-anchor now — the next rounds reuse it.
+                    // anchor's one-cell margin around the hull):
+                    // re-anchor now — the next rounds reuse it.
                     (false, &[])
                 } else {
                     (false, slots)

@@ -169,7 +169,11 @@ impl CellFrame {
     const MAX_CELLS_PER_AXIS: usize = 1024;
 
     /// Anchors a frame with nominal cell size `nominal` to the bounding
-    /// box of `points` (no columns and no rows if there are none).
+    /// box of `points`, padded by `nominal` on every side (no columns
+    /// and no rows if there are none). The padding keeps a point that
+    /// steps just past the hull [covered](CellIndex::covers): a medium
+    /// whose movers circle on its edge moves them surgically instead
+    /// of re-anchoring every round.
     fn anchor(nominal: f64, points: impl Iterator<Item = Point>) -> CellFrame {
         let (mut min_x, mut min_y, mut max_x, mut max_y) = (
             f64::INFINITY,
@@ -188,6 +192,8 @@ impl CellFrame {
         if len == 0 {
             return CellFrame::default();
         }
+        let (min_x, min_y) = (min_x - nominal, min_y - nominal);
+        let (max_x, max_y) = (max_x + nominal, max_y + nominal);
         let span_x = (max_x - min_x).max(0.0);
         let span_y = (max_y - min_y).max(0.0);
         let max_axis = Self::MAX_CELLS_PER_AXIS as f64;
@@ -383,7 +389,8 @@ impl CellIndex {
     }
 
     /// `true` if `p` lies inside the bounding box the geometry was
-    /// anchored to at the last rebuild. Points outside are still
+    /// anchored to at the last rebuild, padded by one nominal cell on
+    /// every side. Points outside are still
     /// indexed correctly (clamped into edge cells); this is purely a
     /// performance hint for deciding when to re-anchor.
     pub fn covers(&self, p: Point) -> bool {
@@ -410,6 +417,9 @@ impl CellIndex {
         });
         self.frame = CellFrame::anchor(self.cell, positions);
         if self.tag_cell.len() < tags {
+            // Exact: `resize` alone may double the buffer, and the
+            // tags of one medium stay below its population.
+            self.tag_cell.reserve_exact(tags - self.tag_cell.len());
             self.tag_cell.resize(tags, 0);
         }
         // Counting sort by cell: tally, prefix-sum into end offsets,
@@ -699,7 +709,7 @@ mod tests {
             10.0,
             [Point::new(5.0, -20.0), Point::new(95.0, 40.0)].into_iter(),
         );
-        assert_eq!((frame.cols, frame.rows), (10, 7));
+        assert_eq!((frame.cols, frame.rows), (12, 9));
         let floored = |center: Point, radius: f64| {
             let lo_x = ((center.x - radius - frame.origin.x) / frame.cell).floor();
             let hi_x = ((center.x + radius - frame.origin.x) / frame.cell).floor();

@@ -1,13 +1,18 @@
 //! The per-node memory bound of a CHA run shaped like vi-perf's metro
 //! workloads (uniform city, 2 % waypoints, randomized backoff, 10
 //! instances), at n = 5 000 through `ScenarioSpec::run`: build, run
-//! and spec check together peak at most 950 bytes of heap per node
-//! (887 measured). The radio medium keeping one cell index and
-//! slot-only neighbour lists, with its round buffers reserved for the
-//! population, took this from 1 070 (then bounded at 1 150). Each node
-//! handing its proposals and outputs to the run's checker as it makes
-//! them, instead of keeping them for a check after the run, took it
-//! from 1 514; storing each `ChaNode` in a box and growing its
+//! and spec check together peak at most 780 bytes of heap per node
+//! (721 measured). Keeping the CHA ballots of a node sparse (one entry
+//! per adopted ballot, beside two bytes of status per instance, where a
+//! 24-byte slot held both), boxing the outputs and proposals only a
+//! node without a checker keeps, a plain `u64` crash round per engine
+//! entry and an exactly sized tag table in the cell index took this
+//! from 887 (then bounded at 950). The radio medium keeping one cell
+//! index and slot-only neighbour lists, with its round buffers reserved
+//! for the population, took it from 1 070 (then bounded at 1 150). Each
+//! node handing its proposals and outputs to the run's checker as it
+//! makes them, instead of keeping them for a check after the run, took
+//! it from 1 514; storing each `ChaNode` in a box and growing its
 //! outputs, proposals and instance window by doubling, with the spec
 //! checker copying every proposal, peaked at 1 979.
 //!
@@ -28,7 +33,7 @@ use virtual_infra::scenario::{
 const NODES: usize = 5_000;
 
 /// Peak heap per node, build to verdict.
-const BOUND_BYTES_PER_NODE: usize = 950;
+const BOUND_BYTES_PER_NODE: usize = 780;
 
 #[test]
 fn a_metro_cha_run_peaks_below_its_per_node_bound() {
