@@ -106,8 +106,15 @@ guards=(
   "$code" '^crates/core/src/(cha/protocol(/reference)?|vi/emulator)\.rs:|^crates/bench/src/exp_cha\.rs:'
   'Section 3.5 has two callers: Emulator::fold_green and E10 gc'
 
+  # One allocation harness: the counting allocator counts per thread,
+  # so every allocation contract is a test in one binary and no other
+  # test target installs a global allocator of its own.
+  '^mod counting_alloc;'
+  'tests' '^tests/alloc_contracts\.rs:'
+  'allocation contracts share one per-thread counter in one binary'
+
   # A steady-state virtual round stays off the allocator
-  # (`tests/virtual_round_allocs.rs`): the CHA per-instance state is
+  # (`tests/alloc_contracts.rs`): the CHA per-instance state is
   # one flat window of statuses and one flat, sparse list of ballots
   # (the tree survives as the test-only reference model), and
   # contender lists and client receptions are swapped or cleared, never
@@ -117,7 +124,7 @@ guards=(
   'ChaProtocol keeps its instances in a tree again; the window in protocol.rs replaced it'
 
   # A node that never collects adopts a ballot in about one instance
-  # of four (`tests/cha_window_memory.rs`): the 24-byte slot that held
+  # of four (`tests/alloc_contracts.rs`): the 24-byte slot that held
   # a status and an optional ballot for every instance is gone.
   'enum Slot|Slot::(Held|Vacant)'
   'above-tests:crates/core/src' '-'
@@ -169,7 +176,7 @@ guards=(
   'above-tests:crates/core/src/cha/protocol.rs' '-'
   'the hostile-blob parser is back with no caller'
 
-  # A CHA outcome is stored once, compactly (`tests/cha_checker_memory.rs`):
+  # A CHA outcome is stored once, compactly (`tests/alloc_contracts.rs`):
   # each output holds ⊥ in 24 bytes; the incremental checker is handed
   # each output and keeps only the last decided history, and the
   # recording checker borrows outputs as `(node, slice)` runs instead of

@@ -1,6 +1,6 @@
-//! The audited register run both per-operation memory tests drive
-//! (`audited_run_memory.rs`, and its 1 000 000-operation release
-//! guard `audited_run_memory_1m.rs`): the shape of vi-perf's
+//! The audited register run both per-operation memory contracts of
+//! `alloc_contracts.rs` drive (at 6 000 operations, and at 1 000 000 in
+//! its release guard): the shape of vi-perf's
 //! `register_audit` workload — the catalog `mall_rush` register
 //! without its arrival wave, open loop at 0.8 req/vr, audited.
 

@@ -2,7 +2,7 @@
 //! through the incremental spec checker the way `ScenarioSpec::run`
 //! feeds it, and shared by the checker's time guard
 //! (`cha_properties.rs`) and its memory guard
-//! (`cha_checker_memory.rs`): every node proposes every instance, and
+//! (`alloc_contracts.rs`): every node proposes every instance, and
 //! one output in a hundred decides — on the last node's proposals, the
 //! far end of each instance's values. Each instance's proposals and
 //! outputs are made when the checker takes them and dropped after, so
