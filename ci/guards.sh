@@ -325,11 +325,12 @@ for ((i = 0; i < ${#guards[@]}; i += 4)); do
   fi
 done
 
-# Three guards are not "this must not match": exactly one service
+# Four guards are not "this must not match": exactly one service
 # adapter (`impl Service for Adapter<A>`; an app is a description, not
 # a second adapter), exactly one shared observer state (`Observers`;
 # a recorder is a plain struct inside it, not a handle of its own),
-# and every crate root forbids unsafe code.
+# every test file the crates name exists, and every crate root forbids
+# unsafe code.
 n=$(grep -rn 'impl.*Service for' crates/traffic/src/ | wc -l)
 if [ "$n" -ne 1 ]; then
   grep -rn 'impl.*Service for' crates/traffic/src/ || true
@@ -343,6 +344,16 @@ if [ "$n" -ne 1 ]; then
   echo "expected exactly one 'Option<Rc<RefCell<' above the tests in crates/telemetry/src/, found $n"
   failed=1
 fi
+# Every test file the crates name exists: a comment that points at a
+# deleted or renamed test sends its reader nowhere. A name resolves in
+# the workspace's `tests/` or in the naming crate's own.
+while IFS=: read -r file _ name; do
+  crate_tests=$(printf '%s' "$file" | cut -d/ -f1-2)/$name
+  if [ ! -f "$name" ] && [ ! -f "$crate_tests" ]; then
+    echo "$file names $name, which does not exist"
+    failed=1
+  fi
+done < <(grep -rnoE '\btests/[A-Za-z0-9_/]+\.rs' crates || true)
 for f in src/lib.rs crates/*/src/lib.rs; do
   if ! grep -q '^#!\[forbid(unsafe_code)\]' "$f"; then
     echo "$f lost #![forbid(unsafe_code)]"

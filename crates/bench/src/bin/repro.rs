@@ -29,6 +29,7 @@
 //! committed `crates/bench/expected/<id>.json`, and a change that
 //! moves a table re-pins that file with its reason stated.
 
+use std::io::{self, Write};
 use std::path::Path;
 use vi_bench::all_experiments;
 use vi_bench::harness::write_file;
@@ -285,11 +286,24 @@ fn main() {
     }
 
     if args.first().map(String::as_str) == Some("list") {
-        println!("available experiments:");
-        for (id, desc, _) in &experiments {
-            println!("  {id:<16} {desc}");
+        let mut out = io::stdout().lock();
+        let mut list = || -> io::Result<()> {
+            writeln!(out, "available experiments:")?;
+            for (id, desc, _) in &experiments {
+                writeln!(out, "  {id:<16} {desc}")?;
+            }
+            out.flush()
+        };
+        match list() {
+            // A reader that stops early (`repro list | head -1`) is done
+            // with the list, not failed.
+            Ok(()) => return,
+            Err(e) if e.kind() == io::ErrorKind::BrokenPipe => return,
+            Err(e) => {
+                eprintln!("repro list: {e}");
+                std::process::exit(1);
+            }
         }
-        return;
     }
 
     let selected: Vec<&str> = if args.is_empty() {

@@ -18,7 +18,7 @@
 //! table closes with **checker-volume rows**: the register zone test
 //! alone over legal synthetic histories of 10 000, 100 000 and
 //! 1 000 000 operations. What the check costs is not this table's
-//! business: its memory is guarded by `tests/audit_memory.rs`, its
+//! business: its memory is guarded by `tests/alloc_contracts.rs`, its
 //! time and RSS are vi-perf's `audit.check_s` / `audit.ns_per_op` /
 //! `audit.rss_mb` (`bash bench/run.sh --workload register_audit
 //! --trace 1`).

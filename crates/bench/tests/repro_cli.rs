@@ -1,4 +1,5 @@
-//! `repro`'s command line on inputs it must refuse.
+//! `repro`'s command line on inputs it must refuse, and on a reader
+//! that stops early.
 
 use std::process::Command;
 use vi_radio::AdversaryKind;
@@ -34,4 +35,20 @@ fn fuzz_minimize_rejects_an_invalid_spec() {
         let want = format!("fuzz: {}: clique: {error}", path.display());
         assert_eq!(stderr.trim_end(), want);
     }
+}
+
+/// `repro list` into a pipe whose reader has already gone (`repro list
+/// | head -1` once `head` exits) stops quietly: exit 0, no panic.
+#[test]
+fn list_into_a_closed_pipe_exits_quietly() {
+    let (reader, writer) = std::io::pipe().expect("a pipe");
+    drop(reader);
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .arg("list")
+        .stdout(writer)
+        .output()
+        .expect("repro runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{:?}: {stderr}", out.status);
+    assert!(stderr.is_empty(), "{stderr}");
 }

@@ -50,14 +50,21 @@ impl BackoffConfig {
             self.max_window >= self.initial_window,
             "max window must be >= initial window"
         );
+        assert!(
+            u32::try_from(self.max_window).is_ok(),
+            "max window must fit in u32"
+        );
     }
 }
 
+/// One contender's state, 12 bytes: a window fits `u32` (the config
+/// says so), and a quiet count saturates there, past any patience a
+/// run could wait out.
 #[derive(Clone, Copy, Debug)]
 struct SlotState {
-    window: u64,
+    window: u32,
+    quiet_rounds: u32,
     deferring: bool,
-    quiet_rounds: u64,
 }
 
 /// Randomized exponential backoff contention manager.
@@ -66,9 +73,6 @@ pub struct BackoffCm {
     config: BackoffConfig,
     rng: StdRng,
     slots: Vec<SlotState>,
-    /// Whether each slot was advised active in the round it last
-    /// contended (needed to interpret feedback).
-    last_active: Vec<bool>,
 }
 
 impl BackoffCm {
@@ -84,7 +88,6 @@ impl BackoffCm {
             config,
             rng: StdRng::seed_from_u64(seed),
             slots: Vec::new(),
-            last_active: Vec::new(),
         }
     }
 
@@ -95,38 +98,42 @@ impl BackoffCm {
 
     /// The current backoff window of `slot` (for tests/diagnostics).
     pub fn window(&self, slot: CmSlot) -> u64 {
-        self.slots[slot.0].window
+        u64::from(self.slots[slot.index()].window)
     }
 }
 
 impl ContentionManager for BackoffCm {
     fn register(&mut self) -> CmSlot {
-        let s = CmSlot(self.slots.len());
+        let s = CmSlot::of(self.slots.len());
         self.slots.push(SlotState {
-            window: self.config.initial_window,
-            deferring: false,
+            // `validate` checked that it fits, below the maximum.
+            window: self.config.initial_window as u32,
             quiet_rounds: 0,
+            deferring: false,
         });
-        self.last_active.push(false);
         s
     }
 
+    fn reserve(&mut self, additional: usize) {
+        self.slots.reserve_exact(additional);
+    }
+
     fn contend(&mut self, slot: CmSlot, _round: u64, _pos: Point) -> Advice {
-        let st = &mut self.slots[slot.0];
-        let advice = if st.deferring {
+        let st = &self.slots[slot.index()];
+        if st.deferring {
             Advice::Passive
-        } else if st.window <= 1 || self.rng.random_ratio(1, st.window as u32) {
+        } else if st.window <= 1 || self.rng.random_ratio(1, st.window) {
             Advice::Active
         } else {
             Advice::Passive
-        };
-        self.last_active[slot.0] = advice.is_active();
-        advice
+        }
     }
 
     fn observe(&mut self, slot: CmSlot, _round: u64, feedback: ChannelFeedback) {
         let cfg = self.config;
-        let st = &mut self.slots[slot.0];
+        // `validate` checked that the maximum fits.
+        let max_window = cfg.max_window as u32;
+        let st = &mut self.slots[slot.index()];
         match feedback {
             ChannelFeedback::TxSucceeded => {
                 // Captured the channel: keep broadcasting every round.
@@ -135,7 +142,7 @@ impl ContentionManager for BackoffCm {
                 st.quiet_rounds = 0;
             }
             ChannelFeedback::TxCollided => {
-                st.window = (st.window * 2).min(cfg.max_window);
+                st.window = st.window.saturating_mul(2).min(max_window);
                 st.quiet_rounds = 0;
             }
             ChannelFeedback::HeardOther => {
@@ -144,15 +151,15 @@ impl ContentionManager for BackoffCm {
                 st.quiet_rounds = 0;
             }
             ChannelFeedback::HeardCollision => {
-                st.window = (st.window * 2).min(cfg.max_window);
+                st.window = st.window.saturating_mul(2).min(max_window);
                 st.quiet_rounds = 0;
             }
             ChannelFeedback::Quiet => {
-                st.quiet_rounds += 1;
-                if st.quiet_rounds > cfg.patience {
+                st.quiet_rounds = st.quiet_rounds.saturating_add(1);
+                if u64::from(st.quiet_rounds) > cfg.patience {
                     // Leader presumed gone: rejoin with a fresh window.
                     st.deferring = false;
-                    st.window = cfg.initial_window.max(2);
+                    st.window = (cfg.initial_window as u32).max(2);
                     st.quiet_rounds = 0;
                 }
             }
@@ -300,6 +307,29 @@ mod tests {
                 "seed {seed}: two contenders should separate"
             );
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "max window must fit in u32")]
+    fn rejects_a_window_beyond_u32() {
+        let _ = BackoffCm::new(
+            BackoffConfig {
+                initial_window: 2,
+                max_window: 1 << 32,
+                patience: 1,
+            },
+            0,
+        );
+    }
+
+    #[test]
+    fn a_contender_costs_twelve_bytes_reserved_once() {
+        assert_eq!(std::mem::size_of::<SlotState>(), 12);
+        let mut cm = BackoffCm::with_seed(0);
+        cm.reserve(3);
+        let slots: Vec<CmSlot> = (0..3).map(|_| cm.register()).collect();
+        assert_eq!(cm.slots.capacity(), 3, "sized once, without slack");
+        assert_eq!(slots.last().map(|s| s.index()), Some(2));
     }
 
     #[test]

@@ -10,14 +10,24 @@ use vi_radio::geometry::Point;
 /// Slots are *not* protocol-visible identities: they play the role of
 /// the transient, local state any backoff implementation keeps per
 /// contender (the paper's model has no unique node identifiers, and no
-/// protocol message ever carries a slot).
+/// protocol message ever carries a slot). Four bytes: a contender
+/// holds one, and a city holds tens of thousands of contenders.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct CmSlot(pub(crate) usize);
+pub struct CmSlot(pub(crate) u32);
 
 impl CmSlot {
+    /// The slot of registration number `index`.
+    ///
+    /// # Panics
+    ///
+    /// Panics past `u32::MAX` registrations.
+    pub(crate) fn of(index: usize) -> Self {
+        CmSlot(u32::try_from(index).expect("contention slots fit in u32"))
+    }
+
     /// The underlying registration index.
     pub fn index(self) -> usize {
-        self.0
+        self.0 as usize
     }
 }
 
@@ -112,6 +122,14 @@ pub trait ContentionManager {
     /// Registers a new contender and returns its slot.
     fn register(&mut self) -> CmSlot;
 
+    /// Makes room for `additional` more registrations, for a caller
+    /// that knows how many contenders will register: a manager that
+    /// keeps state per contender sizes it once. Does nothing by
+    /// default.
+    fn reserve(&mut self, additional: usize) {
+        let _ = additional;
+    }
+
     /// Requests advice for `round`. Calling this is what it means to
     /// *contend* in `round`. `pos` is the contender's current location
     /// (used by regional managers; global managers ignore it).
@@ -140,6 +158,12 @@ impl SharedCm {
     /// Registers a new contender.
     pub fn register(&self) -> CmSlot {
         self.inner.borrow_mut().register()
+    }
+
+    /// Makes room for `additional` more contenders (see
+    /// [`ContentionManager::reserve`]).
+    pub fn reserve(&self, additional: usize) {
+        self.inner.borrow_mut().reserve(additional)
     }
 
     /// Requests advice for `round` (this is contending).
@@ -177,7 +201,7 @@ mod tests {
 
     impl ContentionManager for AlwaysActive {
         fn register(&mut self) -> CmSlot {
-            let s = CmSlot(self.slots);
+            let s = CmSlot::of(self.slots);
             self.slots += 1;
             s
         }

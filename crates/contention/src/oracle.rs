@@ -114,7 +114,7 @@ impl OracleCm {
 
 impl ContentionManager for OracleCm {
     fn register(&mut self) -> CmSlot {
-        let s = CmSlot(self.slots);
+        let s = CmSlot::of(self.slots);
         self.slots += 1;
         s
     }

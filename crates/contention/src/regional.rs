@@ -123,7 +123,7 @@ impl RegionalCm {
 
 impl ContentionManager for RegionalCm {
     fn register(&mut self) -> CmSlot {
-        let s = CmSlot(self.slots);
+        let s = CmSlot::of(self.slots);
         self.slots += 1;
         s
     }

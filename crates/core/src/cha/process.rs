@@ -28,6 +28,14 @@ impl<V, F: FnMut(u64) -> V + 'static> Proposer<V> for F {
     }
 }
 
+/// A boxed proposer proposes what its contents do: the default
+/// proposer of a [`ChaNode`], for nodes whose proposers differ in type.
+impl<V: 'static> Proposer<V> for Box<dyn Proposer<V>> {
+    fn propose(&mut self, instance: u64) -> V {
+        (**self).propose(instance)
+    }
+}
+
 /// A proposer producing `instance * 1_000_000 + tag`: values are
 /// per-node distinguishable and totally ordered, so checkers can
 /// verify Validity (every decided value traces back to some node's
@@ -66,30 +74,37 @@ struct Kept<V> {
 
 /// One CHAP participant wired to the radio engine and a shared
 /// contention manager.
-pub struct ChaNode<V: Clone + 'static> {
+///
+/// `P` is the node's [`Proposer`], held by value: a run whose nodes
+/// all propose alike names it (a city of `ChaNode<u64,
+/// TaggedProposer>` holds each tag inline), and the default,
+/// `Box<dyn Proposer<V>>`, takes any proposer.
+pub struct ChaNode<V: Clone + 'static, P = Box<dyn Proposer<V>>> {
     protocol: ChaProtocol<V>,
-    proposer: Box<dyn Proposer<V>>,
+    proposer: P,
     cm: SharedCm,
-    slot: CmSlot,
-    /// Whether this node has reached its first ballot phase (nodes
-    /// spawning mid-instance wait for the next instance boundary).
-    synced: bool,
-    /// Whether the node broadcast in the current ballot phase (for
-    /// contention-manager feedback).
-    was_active: bool,
-    /// The run's checker and this node's index in it, if any.
-    spec: Option<(SharedChaSpec<V>, usize)>,
+    /// The run's checker, if any.
+    spec: Option<SharedChaSpec<V>>,
     /// The outputs and proposals of a node without a checker, boxed
     /// at its first proposal (or by [`ChaNode::with_instances`]).
     kept: Option<Box<Kept<V>>>,
     /// The run's observers (null by default): propose/decide spans
     /// form the per-instance prev-chain of the causal DAG.
     obs: Observers,
+    slot: CmSlot,
+    /// This node's index in the run's checker (0 without one).
+    spec_node: u32,
     /// This node's tag in causal spans (the simulator node index).
-    causal_node: u64,
+    causal_node: u32,
+    /// Whether this node has reached its first ballot phase (nodes
+    /// spawning mid-instance wait for the next instance boundary).
+    synced: bool,
+    /// Whether the node broadcast in the current ballot phase (for
+    /// contention-manager feedback).
+    was_active: bool,
 }
 
-impl<V: Clone + Ord + 'static> ChaNode<V> {
+impl<V: Clone + Ord + 'static, P: Proposer<V>> ChaNode<V, P> {
     /// Creates a participant that runs from instance 1. `cm` must be
     /// the manager shared by all nodes of this region; the node
     /// registers itself.
@@ -99,7 +114,7 @@ impl<V: Clone + Ord + 'static> ChaNode<V> {
     /// (the Section 3 model fixes the participant set up front; late
     /// arrival requires the Section 4 join protocol's state transfer —
     /// use [`ChaNode::from_checkpoint`]).
-    pub fn new(proposer: Box<dyn Proposer<V>>, cm: SharedCm) -> Self {
+    pub fn new(proposer: P, cm: SharedCm) -> Self {
         Self::with_protocol(ChaProtocol::new(), proposer, cm)
     }
 
@@ -107,12 +122,7 @@ impl<V: Clone + Ord + 'static> ChaNode<V> {
     /// decided prefix up to `checkpoint` is summarized externally and
     /// the cluster is about to start `next_instance + 1` (see
     /// [`ChaProtocol::from_checkpoint`]).
-    pub fn from_checkpoint(
-        checkpoint: u64,
-        next_instance: u64,
-        proposer: Box<dyn Proposer<V>>,
-        cm: SharedCm,
-    ) -> Self {
+    pub fn from_checkpoint(checkpoint: u64, next_instance: u64, proposer: P, cm: SharedCm) -> Self {
         Self::with_protocol(
             ChaProtocol::from_checkpoint(checkpoint, next_instance),
             proposer,
@@ -120,39 +130,46 @@ impl<V: Clone + Ord + 'static> ChaNode<V> {
         )
     }
 
-    fn with_protocol(
-        protocol: ChaProtocol<V>,
-        proposer: Box<dyn Proposer<V>>,
-        cm: SharedCm,
-    ) -> Self {
+    fn with_protocol(protocol: ChaProtocol<V>, proposer: P, cm: SharedCm) -> Self {
         let slot = cm.register();
         ChaNode {
             protocol,
             proposer,
             cm,
-            slot,
-            synced: false,
-            was_active: false,
             spec: None,
             kept: None,
             obs: Observers::default(),
+            slot,
+            spec_node: 0,
             causal_node: 0,
+            synced: false,
+            was_active: false,
         }
     }
 
     /// This participant reporting to the run's observers; `node` tags
     /// its propose/decide spans (use the simulator node index so they
     /// line up with the engine's broadcast spans).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node` does not fit in `u32`.
     pub fn with_observers(mut self, obs: Observers, node: u64) -> Self {
         self.obs = obs;
-        self.causal_node = node;
+        self.causal_node = u32::try_from(node).expect("node tags fit in u32");
         self
     }
 
-    /// This participant handing each proposal and output to the run's
-    /// checker, as node `node`, as it makes them, and keeping neither.
+    /// This participant handing each output, and the proposal of each
+    /// ballot it broadcasts, to the run's checker, as node `node`, as
+    /// it makes them, and keeping neither.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node` does not fit in `u32`.
     pub fn with_checker(mut self, spec: SharedChaSpec<V>, node: usize) -> Self {
-        self.spec = Some((spec, node));
+        self.spec = Some(spec);
+        self.spec_node = u32::try_from(node).expect("checker nodes fit in u32");
         self
     }
 
@@ -189,7 +206,7 @@ impl<V: Clone + Ord + 'static> ChaNode<V> {
     }
 
     /// The proposals this node kept, as `(instance, value)`: one per
-    /// ballot phase it ran, or none if it hands them to a checker
+    /// ballot it broadcast, or none if it hands them to a checker
     /// ([`with_checker`](Self::with_checker)).
     pub fn proposals(&self) -> &[(u64, V)] {
         self.kept.as_ref().map_or(&[], |kept| &kept.proposals)
@@ -201,22 +218,32 @@ impl<V: Clone + Ord + 'static> ChaNode<V> {
     }
 }
 
-impl<V: Clone + Ord + vi_radio::WireSized + 'static> Process<ChaMessage<V>> for ChaNode<V> {
+impl<V: Clone + Ord + vi_radio::WireSized + 'static, P: Proposer<V>> Process<ChaMessage<V>>
+    for ChaNode<V, P>
+{
     fn transmit(&mut self, ctx: &RoundCtx) -> Option<ChaMessage<V>> {
         match Phase::of_round(ctx.round) {
             Phase::Ballot => {
                 self.synced = true;
                 let instance = self.protocol.instance() + 1;
-                let proposal = self.proposer.propose(instance);
-                match &self.spec {
-                    Some((spec, _)) => spec.borrow_mut().propose(instance, proposal.clone()),
-                    None => self.kept().proposals.push((instance, proposal.clone())),
+                let ballot = self
+                    .protocol
+                    .begin_instance(self.proposer.propose(instance));
+                self.obs
+                    .causal(|c| c.propose(u64::from(self.causal_node), instance));
+                self.was_active = self.cm.contend(self.slot, ctx.round, ctx.pos).is_active();
+                if !self.was_active {
+                    return None;
                 }
-                let ballot = self.protocol.begin_instance(proposal);
-                self.obs.causal(|c| c.propose(self.causal_node, instance));
-                let advice = self.cm.contend(self.slot, ctx.round, ctx.pos);
-                self.was_active = advice.is_active();
-                self.was_active.then_some(ChaMessage::Ballot(ballot))
+                // A node adopts only ballots it heard (lines 29–32), and
+                // the channel delivers only what was broadcast: a value
+                // that never goes out reaches no history, and Validity
+                // needs only the ones that do.
+                match &self.spec {
+                    Some(spec) => spec.borrow_mut().propose(instance, ballot.value.clone()),
+                    None => self.kept().proposals.push((instance, ballot.value.clone())),
+                }
+                Some(ChaMessage::Ballot(ballot))
             }
             step if self.synced => self.protocol.vetoes(step).then_some(ChaMessage::Veto),
             _ => None,
@@ -244,10 +271,10 @@ impl<V: Clone + Ord + vi_radio::WireSized + 'static> Process<ChaMessage<V>> for 
                 let out = self.protocol.on_veto2_phase(veto_heard, rx.collision);
                 if out.decided() {
                     self.obs
-                        .causal(|c| c.decide(self.causal_node, out.instance));
+                        .causal(|c| c.decide(u64::from(self.causal_node), out.instance));
                 }
                 match &self.spec {
-                    Some((spec, node)) => spec.borrow_mut().output(*node, out),
+                    Some(spec) => spec.borrow_mut().output(self.spec_node as usize, out),
                     None => self.kept().outputs.push(out),
                 }
             }
@@ -266,7 +293,7 @@ mod tests {
     use vi_radio::geometry::Point;
     use vi_radio::{Engine, EngineConfig, NodeSpec, RadioConfig};
 
-    type Clique = Engine<ChaMessage<u64>, ChaNode<u64>>;
+    type Clique = Engine<ChaMessage<u64>, ChaNode<u64, TaggedProposer>>;
 
     fn clique(n: usize) -> (Clique, Vec<vi_radio::NodeId>, SharedCm) {
         let mut engine = Engine::new(EngineConfig {
@@ -279,7 +306,7 @@ mod tests {
             .map(|i| {
                 engine.add_node(NodeSpec::by_value(
                     Box::new(Point::new(i as f64 * 0.5, 0.0)),
-                    ChaNode::new(Box::new(TaggedProposer::new(i as u64)), cm.clone()),
+                    ChaNode::new(TaggedProposer::new(i as u64), cm.clone()),
                 ))
             })
             .collect();
@@ -341,7 +368,7 @@ mod tests {
             seed: 1,
             record_trace: false,
         });
-        let node = |tag| ChaNode::new(Box::new(TaggedProposer::new(tag)), cm.clone());
+        let node = |tag| ChaNode::new(TaggedProposer::new(tag), cm.clone());
         let kept = engine.add_node(NodeSpec::by_value(Box::new(Point::ORIGIN), node(0)));
         let checked = engine.add_node(NodeSpec::by_value(
             Box::new(Point::new(0.5, 0.0)),
@@ -371,7 +398,7 @@ mod tests {
         let late = engine.add_node(
             NodeSpec::by_value(
                 Box::new(Point::new(2.0, 0.0)),
-                ChaNode::from_checkpoint(2, 2, Box::new(TaggedProposer::new(99)), cm),
+                ChaNode::from_checkpoint(2, 2, TaggedProposer::new(99), cm),
             )
             .spawn_at(4),
         );
@@ -490,7 +517,8 @@ mod tests {
                     active: *active,
                     observed: Rc::clone(&observed),
                 });
-                let mut node = ChaNode::new(Box::new(TaggedProposer::new(5)), cm);
+                // The boxed default proposer, as a mixed population holds it.
+                let mut node = ChaNode::<u64>::new(Box::new(TaggedProposer::new(5)), cm);
                 assert_eq!(node.transmit(&ctx).is_some(), *active, "{what}");
                 node.deliver(
                     &ctx,

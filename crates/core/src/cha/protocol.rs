@@ -160,7 +160,8 @@ fn ballot_in<V>(ballots: &[(u64, Ballot<V>)], k: u64) -> Option<&Ballot<V>> {
 /// place. Under checkpoint-CHA each is a handful of entries whose
 /// buffer is reused forever, so a steady-state instance never reaches
 /// the allocator (Theorem 14's constant work per round, kept honest by
-/// `tests/virtual_round_allocs.rs`).
+/// `steady_state_virtual_rounds_stay_off_the_allocator` in
+/// `tests/alloc_contracts.rs`).
 ///
 /// The state serializes (given `V: Serialize`) so that the Section 4.3
 /// join protocol can size its transfer of "the entire current state"

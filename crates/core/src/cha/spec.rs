@@ -19,7 +19,8 @@
 //! instance's proposed values (a later history may carry any earlier
 //! instance), the last decided history (prefix agreement is transitive
 //! in instance order), one `kst` bound per node and one shade mask per
-//! instance (`tests/cha_checker_memory.rs`). [`ChaSpecChecker`] checks
+//! instance (`streaming_the_metro_run_keeps_no_output` in
+//! `tests/alloc_contracts.rs`). [`ChaSpecChecker`] checks
 //! recorded outputs by borrowing them and feeding them, stably sorted
 //! by instance, to one; the map-of-maps checker both replaced is the
 //! test-only `reference` module.
@@ -188,7 +189,8 @@ impl<'a, V: Clone + Ord> ChaSpecStream<'a, V> {
         self.joiners.insert(node);
     }
 
-    /// Some node proposed `value` for `instance`.
+    /// Some node proposed `value` for `instance`: for a `ChaNode`, a
+    /// ballot it broadcast, the only values a history can hold.
     pub fn propose(&mut self, instance: u64, value: V) {
         // A new instance is sized like the one before it.
         let room = self.proposed.last_key_value().map_or(0, |(_, vs)| vs.len());
@@ -196,7 +198,11 @@ impl<'a, V: Clone + Ord> ChaSpecStream<'a, V> {
             .proposed
             .entry(instance)
             .or_insert_with(|| Vec::with_capacity(room));
-        if let Err(at) = values.binary_search(&value) {
+        // Nodes propose in tag order, so a value almost always sorts
+        // last: push it without a search.
+        if values.last().is_none_or(|last| *last < value) {
+            values.push(value);
+        } else if let Err(at) = values.binary_search(&value) {
             values.insert(at, value);
         }
     }
@@ -525,6 +531,45 @@ mod tests {
         }
         assert!(c.check_all(true).is_empty());
         assert_eq!(c.liveness_kst(), Some(1));
+    }
+
+    #[test]
+    fn proposals_in_any_order_give_the_same_set() {
+        let in_order = [(1, 10), (1, 20), (1, 30), (2, 5), (2, 50)];
+        let shuffled = [
+            (2, 50),
+            (1, 30),
+            (1, 10),
+            (1, 30),
+            (2, 5),
+            (1, 20),
+            (2, 50),
+            (1, 10),
+        ];
+        let mut pushed = ChaSpecStream::new(0);
+        let mut searched = ChaSpecStream::new(0);
+        for (k, v) in in_order {
+            pushed.propose(k, v);
+        }
+        for (k, v) in shuffled {
+            searched.propose(k, v);
+        }
+        assert_eq!(pushed.proposed, searched.proposed);
+        assert_eq!(searched.proposed[&1], [10, 20, 30], "sorted, once each");
+        for stream in [&mut pushed, &mut searched] {
+            stream.output(
+                0,
+                out(2, Some(history(&[(1, 20), (2, 7)], 2)), Color::Green),
+            );
+            assert_eq!(
+                stream.validity(),
+                [SpecViolation::Validity {
+                    node: 0,
+                    output_instance: 2,
+                    entry_instance: 2,
+                }]
+            );
+        }
     }
 
     #[test]

@@ -227,7 +227,10 @@ const NEVER: u64 = u64::MAX;
 
 /// A node's state; its [`NodeId`] is its index in the engine's list.
 struct NodeEntry<P> {
-    mobility: Box<dyn MobilityModel>,
+    /// The node's model until it is placed and settled, then `None`:
+    /// settling is permanent ([`MobilityModel::is_settled`]), so the
+    /// engine drops the model and never calls `advance` again.
+    mobility: Option<Box<dyn MobilityModel>>,
     process: P,
     spawn_at: u64,
     /// The first round the node misses; [`NEVER`] if it never
@@ -235,9 +238,6 @@ struct NodeEntry<P> {
     crash_at: u64,
     pos: Point,
     placed: bool,
-    /// Cached [`MobilityModel::is_settled`] from the last `advance`;
-    /// once `true` (and placed) the engine stops calling `advance`.
-    settled: bool,
 }
 
 impl<P> NodeEntry<P> {
@@ -272,12 +272,14 @@ pub struct Engine<M, P = Box<dyn Process<M>>> {
     /// Per-round buffers, reused across [`Engine::step`] calls so the
     /// steady-state loop does not allocate.
     intents: Vec<TxIntent<M>>,
-    live: Vec<usize>,
+    /// The node index of each intent slot (four bytes a node; `add_node`
+    /// keeps indices below `u32::MAX`).
+    live: Vec<u32>,
     /// Intent slots whose position changed this round (the dirty-set
     /// handed to the cached resolver).
     moved: Vec<u32>,
     /// Last round's live set, for detecting participant churn.
-    prev_live: Vec<usize>,
+    prev_live: Vec<u32>,
     /// SoA reception storage, refilled every round.
     receptions: ReceptionBuffer<M>,
     /// Pooled trace record: built in place each traced round, then
@@ -364,16 +366,20 @@ impl<M: Clone + WireSized + 'static, P: Process<M>> Engine<M, P> {
     /// Adds a node and returns its simulator handle. May be called
     /// mid-execution to model ad hoc arrivals (combine with
     /// [`NodeSpec::spawn_at`] for scripted arrivals).
+    ///
+    /// # Panics
+    ///
+    /// Panics past `u32::MAX - 1` nodes (intent slots are `u32`).
     pub fn add_node(&mut self, spec: NodeSpec<M, P>) -> NodeId {
         let id = NodeId(self.nodes.len());
+        assert!(id.index() < u32::MAX as usize, "too many nodes");
         self.nodes.push(NodeEntry {
-            mobility: spec.mobility,
+            mobility: Some(spec.mobility),
             process: spec.process,
             spawn_at: spec.spawn_at,
             crash_at: spec.crash_at.unwrap_or(NEVER),
             pos: Point::ORIGIN,
             placed: false,
-            settled: false,
         });
         id
     }
@@ -449,9 +455,10 @@ impl<M: Clone + WireSized + 'static, P: Process<M>> Engine<M, P> {
     /// Mobility + transmission collection: fills `intents`/`live`, and
     /// the `moved` dirty-set of intent slots whose position changed.
     ///
-    /// Placed, settled nodes keep their position without an `advance`
-    /// call (the settled contract guarantees the call would return the
-    /// same position and draw nothing, so the RNG stream is unchanged).
+    /// A node's model is dropped once `advance` has placed it and it
+    /// reports settled: it keeps its position without another call (the
+    /// settled contract guarantees the call would return the same
+    /// position and draw nothing, so the RNG stream is unchanged).
     fn collect_intents(&mut self) {
         let round = self.round;
         self.intents.clear();
@@ -464,22 +471,24 @@ impl<M: Clone + WireSized + 'static, P: Process<M>> Engine<M, P> {
             }
             let slot = self.intents.len() as u32;
             let entry = &mut self.nodes[idx];
-            if !(entry.placed && entry.settled) {
-                let pos = entry.mobility.advance(round, &mut self.rng);
+            if let Some(mobility) = &mut entry.mobility {
+                let pos = mobility.advance(round, &mut self.rng);
                 // All inside the assertion: no `vmax` call in release.
                 debug_assert!(
-                    !entry.placed || entry.pos.distance(pos) <= entry.mobility.vmax() + 1e-9,
+                    !entry.placed || entry.pos.distance(pos) <= mobility.vmax() + 1e-9,
                     "node {} moved {} > vmax {} in round {round}",
                     NodeId(idx),
                     entry.pos.distance(pos),
-                    entry.mobility.vmax()
+                    mobility.vmax()
                 );
                 if !entry.placed || entry.pos != pos {
                     self.moved.push(slot);
                 }
                 entry.pos = pos;
                 entry.placed = true;
-                entry.settled = entry.mobility.is_settled();
+                if mobility.is_settled() {
+                    entry.mobility = None;
+                }
             }
             let ctx = RoundCtx {
                 round,
@@ -491,7 +500,7 @@ impl<M: Clone + WireSized + 'static, P: Process<M>> Engine<M, P> {
                 pos: self.nodes[idx].pos,
                 payload,
             });
-            self.live.push(idx);
+            self.live.push(idx as u32);
         }
     }
 
@@ -500,7 +509,8 @@ impl<M: Clone + WireSized + 'static, P: Process<M>> Engine<M, P> {
     /// [`Medium`]'s cached-topology path, deliver outcomes. All round
     /// buffers are engine-owned and reused, so steady-state rounds
     /// (static topology, non-allocating processes, tracing off) make
-    /// zero heap allocations — see `tests/zero_alloc.rs`.
+    /// zero heap allocations — see `steady_state_rounds_allocate_nothing`
+    /// in `tests/alloc_contracts.rs`.
     pub fn step(&mut self) {
         let round = self.round;
         self.obs.begin_round(round);
@@ -589,7 +599,7 @@ impl<M: Clone + WireSized + 'static, P: Process<M>> Engine<M, P> {
 
         // Deliver outcomes as borrowed views into the SoA buffer.
         for k in 0..self.receptions.len() {
-            let idx = self.live[k];
+            let idx = self.live[k] as usize;
             let ctx = RoundCtx {
                 round,
                 pos: self.nodes[idx].pos,
@@ -836,5 +846,54 @@ mod tests {
         assert_eq!(e.position(id), None, "not placed before first round");
         e.step();
         assert_eq!(e.position(id), Some(Point::new(7.0, 0.0)));
+    }
+
+    /// Stays put from round `settles_at` on, then reports settled, and
+    /// counts its `advance` calls and its drop.
+    struct Settling {
+        settles_at: u64,
+        advances: std::rc::Rc<std::cell::Cell<u64>>,
+        dropped: std::rc::Rc<std::cell::Cell<bool>>,
+    }
+
+    impl MobilityModel for Settling {
+        fn advance(&mut self, round: u64, _rng: &mut StdRng) -> Point {
+            self.advances.set(self.advances.get() + 1);
+            Point::new(round.min(self.settles_at) as f64 * 0.5, 0.0)
+        }
+        fn vmax(&self) -> f64 {
+            0.5
+        }
+        fn is_settled(&self) -> bool {
+            self.advances.get() > self.settles_at
+        }
+    }
+
+    impl Drop for Settling {
+        fn drop(&mut self) {
+            self.dropped.set(true);
+        }
+    }
+
+    #[test]
+    fn a_settled_nodes_model_is_dropped_and_its_position_kept() {
+        let mut e = engine();
+        let (advances, dropped) = Default::default();
+        let model = Settling {
+            settles_at: 3,
+            advances: std::rc::Rc::clone(&advances),
+            dropped: std::rc::Rc::clone(&dropped),
+        };
+        let id = e.add_node(NodeSpec::new(
+            Box::new(model),
+            Box::new(Chatter::new(false, 0)),
+        ));
+        e.run(3);
+        assert!(!dropped.get(), "still moving");
+        e.step();
+        assert!(dropped.get(), "settled in round 3, dropped there");
+        e.run(5);
+        assert_eq!(advances.get(), 4, "never advanced once settled");
+        assert_eq!(e.position(id), Some(Point::new(1.5, 0.0)));
     }
 }

@@ -431,8 +431,9 @@ impl ScenarioSpec {
         }
     }
 
-    /// Runs the clique, every node handing its proposals and outputs to
-    /// `checker`, and reads its verdicts and kept outputs at the end.
+    /// Runs the clique, every node handing its outputs and broadcast
+    /// proposals to `checker`, and reads its verdicts and kept outputs
+    /// at the end.
     fn run_cha(
         &self,
         seed: u64,
@@ -441,14 +442,15 @@ impl ScenarioSpec {
         checker: ChaSpecStream<'static, u64>,
     ) -> (ScenarioOutcome, NodeOutputs) {
         let rounds = instances * 3;
-        let mut engine: Engine<ChaMessage<u64>, ChaNode<u64>> =
+        let mut engine: Engine<ChaMessage<u64>, ChaNode<u64, TaggedProposer>> =
             self.engine(seed, obs, self.channel_adversary());
         engine.reserve_nodes(self.node_count());
         let cm = self.cm.build(seed);
+        cm.reserve(self.node_count());
         let checker = Rc::new(RefCell::new(checker));
 
         for (tag, d) in self.deployment(seed).into_iter().enumerate() {
-            let proposer = Box::new(TaggedProposer::new(tag as u64));
+            let proposer = TaggedProposer::new(tag as u64);
             // Nodes deployed from round 0 run the plain Section 3
             // protocol. Late arrivals must enter with a consistent
             // instance counter — the paper's join-by-state-transfer
@@ -462,17 +464,17 @@ impl ScenarioSpec {
             // instances it will run, so it sizes its storage once.
             let k0 = d.spawn_at.map_or(0, |spawn| spawn.div_ceil(3));
             let node = match d.spawn_at {
-                None => ChaNode::<u64>::new(proposer, cm.clone()),
-                Some(_) => ChaNode::<u64>::from_checkpoint(k0, k0, proposer, cm.clone()),
+                None => ChaNode::new(proposer, cm.clone()),
+                Some(_) => ChaNode::from_checkpoint(k0, k0, proposer, cm.clone()),
             };
             let node = node
                 .with_observers(obs.clone(), tag as u64)
                 .with_checker(Rc::clone(&checker), tag)
                 .with_instances(instances.saturating_sub(k0) as usize);
             // The Section 3 specification (and its checker) quantifies
-            // over a fixed participant set. Every node's proposals
-            // count (adopted values must trace back to *some*
-            // proposal) and every node's outputs count towards
+            // over a fixed participant set. Every node's broadcast
+            // proposals count (adopted values must trace back to
+            // *some* proposal) and every node's outputs count towards
             // `decided_fraction`, but only genesis nodes' outputs are
             // checked: a checkpoint joiner's history summarizes the
             // pre-join prefix as ⊥, which the strict history-equality

@@ -92,7 +92,7 @@ impl FlightRecorder {
     /// Notes the live-set change from `prev` to `live` (both sorted
     /// ascending, as the engine builds them) as one
     /// [`FlightEvent::Churn`]; identical sets note nothing.
-    pub fn note_churn(&mut self, prev: &[usize], live: &[usize]) {
+    pub fn note_churn(&mut self, prev: &[u32], live: &[u32]) {
         let (joined, left) = churn_diff(prev, live);
         if !(joined.is_empty() && left.is_empty()) {
             self.note(FlightEvent::Churn { joined, left });
@@ -107,7 +107,7 @@ impl FlightRecorder {
 
 /// Sorted-merge diff of two ascending node-index sets: `(joined,
 /// left)` = (in `live` only, in `prev` only).
-fn churn_diff(prev: &[usize], live: &[usize]) -> (Vec<u64>, Vec<u64>) {
+fn churn_diff(prev: &[u32], live: &[u32]) -> (Vec<u64>, Vec<u64>) {
     let (mut i, mut j) = (0, 0);
     let mut joined = Vec::new();
     let mut left = Vec::new();
@@ -118,15 +118,15 @@ fn churn_diff(prev: &[usize], live: &[usize]) -> (Vec<u64>, Vec<u64>) {
                 j += 1;
             }
             (Some(&a), Some(&b)) if a < b => {
-                left.push(a as u64);
+                left.push(u64::from(a));
                 i += 1;
             }
             (Some(_), Some(&b)) | (None, Some(&b)) => {
-                joined.push(b as u64);
+                joined.push(u64::from(b));
                 j += 1;
             }
             (Some(&a), None) => {
-                left.push(a as u64);
+                left.push(u64::from(a));
                 i += 1;
             }
             (None, None) => break,

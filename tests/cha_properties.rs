@@ -10,15 +10,18 @@
 mod metro_cha_trace;
 
 use proptest::prelude::*;
+use std::cell::RefCell;
 use std::collections::BTreeMap;
+use std::rc::Rc;
 use vi_bench::harness::clique_spec;
 use virtual_infra::contention::PreStability;
 use virtual_infra::core::cha::{
-    calculate_history, Ballot, ChaOutput, ChaSpecChecker, ChaSpecStream, Color, History,
-    SpecViolation,
+    calculate_history, Ballot, ChaMessage, ChaNode, ChaOutput, ChaSpecChecker, ChaSpecStream,
+    Color, History, SpecViolation,
 };
-use virtual_infra::radio::{AdversaryKind, RadioConfig};
-use virtual_infra::scenario::{CmSpec, ScenarioSpec};
+use virtual_infra::radio::geometry::Point;
+use virtual_infra::radio::{AdversaryKind, Engine, EngineConfig, NodeSpec, RadioConfig};
+use virtual_infra::scenario::{CmSpec, ScenarioSpec, WorkloadSpec};
 
 /// The quadratic map-of-maps checker `ChaSpecChecker` replaced: the
 /// differential oracle (test-only in vi-core, included here by path; it
@@ -148,6 +151,65 @@ proptest! {
         prop_assert_eq!(checker.check_agreement().len(), out.agreement_violations);
         prop_assert_eq!(checker.check_color_spread().len(), out.spread_violations);
         prop_assert_eq!(checker.liveness_kst(), out.stabilized_kst);
+    }
+
+    /// Validity from the ballots that went out: nodes that hand their
+    /// checker only the proposals they broadcast reach the verdicts of
+    /// a checker handed every value their proposers made, under
+    /// hostile channels and managers (a node adopts only ballots it
+    /// heard, and the channel delivers only what was broadcast).
+    #[test]
+    fn broadcast_proposals_reach_every_proposals_verdicts((spec, seed) in hostile_clique()) {
+        let WorkloadSpec::ChaClique { instances } = spec.workload else {
+            unreachable!("a CHA clique");
+        };
+        let n = spec.node_count();
+        let broadcast = Rc::new(RefCell::new(ChaSpecStream::new(n).keeping_outputs()));
+        let every = Rc::new(RefCell::new(ChaSpecStream::new(n)));
+        let mut engine: Engine<ChaMessage<u64>, ChaNode<u64>> = Engine::new(EngineConfig {
+            radio: spec.radio,
+            seed,
+            record_trace: false,
+        });
+        engine.set_adversary(Box::new(spec.adversary.clone()));
+        let cm = spec.cm.build(seed);
+        for (i, population) in spec.populations.iter().enumerate() {
+            let record = Rc::clone(&every);
+            let proposer = move |k: u64| {
+                let value = k * 1_000_000 + i as u64;
+                record.borrow_mut().propose(k, value);
+                value
+            };
+            let node = ChaNode::<u64>::new(Box::new(proposer), cm.clone())
+                .with_checker(Rc::clone(&broadcast), i);
+            let at = Point::new((i as f64 * 0.1) % 2.0, 0.0);
+            let mut node = NodeSpec::by_value(Box::new(at), node);
+            if let Some(round) = population.crash_at {
+                node = node.crash_at(round);
+                broadcast.borrow_mut().mark_crashed(i);
+                every.borrow_mut().mark_crashed(i);
+            }
+            engine.add_node(node);
+        }
+        engine.run(3 * instances);
+
+        // The same outputs, in the order the run handed them over.
+        let outputs = broadcast.borrow_mut().take_outputs();
+        let mut order: Vec<(usize, &ChaOutput<u64>)> = (outputs.iter().enumerate())
+            .flat_map(|(node, outs)| outs.iter().map(move |o| (node, o)))
+            .collect();
+        order.sort_by_key(|&(_, o)| o.instance);
+        let mut every = every.borrow_mut();
+        for (node, o) in order {
+            every.output(node, o.clone());
+        }
+        let broadcast = broadcast.borrow();
+        prop_assert_eq!(broadcast.output_count(), every.output_count());
+        prop_assert_eq!(broadcast.validity(), every.validity());
+        prop_assert_eq!(broadcast.agreement(), every.agreement());
+        prop_assert_eq!(broadcast.color_spread(), every.color_spread());
+        prop_assert_eq!(broadcast.liveness_kst(), every.liveness_kst());
+        prop_assert_eq!(broadcast.decided_fraction(), every.decided_fraction());
     }
 
     /// Message size never depends on the execution length or node

@@ -41,7 +41,7 @@ fn survivors_stay_consistent_with_a_dead_nodes_unacknowledged_decision() {
         .map(|i| {
             let spec = NodeSpec::by_value(
                 Box::new(Point::new(i as f64, 0.0)),
-                ChaNode::new(Box::new(TaggedProposer::new(i)), cm.clone()),
+                ChaNode::<u64>::new(Box::new(TaggedProposer::new(i)), cm.clone()),
             );
             let spec = if i == 0 {
                 spec.crash_at(veto2_round + 1) // dies right after deciding
@@ -114,7 +114,7 @@ fn orange_disruption_prevents_any_decision() {
         .map(|i| {
             engine.add_node(NodeSpec::by_value(
                 Box::new(Point::new(i as f64, 0.0)),
-                ChaNode::new(Box::new(TaggedProposer::new(i)), cm.clone()),
+                ChaNode::<u64>::new(Box::new(TaggedProposer::new(i)), cm.clone()),
             ))
         })
         .collect();
